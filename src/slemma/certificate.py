@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SlemmaError
 from .geometry import extract_separator
 from .quadratic import PSD_RTOL, bordered_matrix, min_eigenvalue
 from .rng import derive_seed
@@ -26,8 +26,8 @@ SLATER_ALPHA0_MIN = 1e-8
 REFINE_ROUNDS = 3
 
 
-class NegativeMultiplier(Exception):
-    pass
+class NegativeMultiplier(SlemmaError):
+    """A multiplier vector with a negative entry."""
 
 
 @dataclass
@@ -133,6 +133,7 @@ class SearchResult:
     alpha0: float | None = None
     witness: object = None
     rounds: int = 0
+    separation: object = None  # separation route: round-0 SeparatorResult
 
     @property
     def found(self):
@@ -292,19 +293,23 @@ def find_certificate_via_separation(system, cloud, tol=1e-9, seed=0,
     Separate the cloud from K, require alpha_0 away from zero (the Slater
     guard), divide through by alpha_0, verify, and on verification failure
     cut the failed direction into the cloud and repeat (at most `rounds`
-    extra rounds)."""
+    extra rounds).  The result carries the round-0 separator on `cloud`
+    itself, so the evidence step need not solve that LP again."""
     work = cloud
     last_alpha = None
+    first = None
     for round_idx in range(rounds + 1):
         sep = extract_separator(work, tol)
+        if first is None:
+            first = sep
         if not sep.found:
             return SearchResult(outcome=NO_SEPARATOR, witness=sep.witness,
-                                rounds=round_idx)
+                                rounds=round_idx, separation=first)
         alpha_full = sep.separator.alpha
         if alpha_full[0] < SLATER_ALPHA0_MIN:
             return SearchResult(outcome=SLATER_BLOCKED,
                                 alpha0=float(alpha_full[0]),
-                                rounds=round_idx)
+                                rounds=round_idx, separation=first)
         alpha = alpha_full[1:] / alpha_full[0]
         last_alpha = alpha
         if system.is_quadratic:
@@ -315,7 +320,7 @@ def find_certificate_via_separation(system, cloud, tol=1e-9, seed=0,
                 return SearchResult(certificate=cert, outcome=FOUND,
                                     best_alpha=alpha,
                                     best_lambda_min=ver.lambda_min,
-                                    rounds=round_idx)
+                                    rounds=round_idx, separation=first)
             new_sources = _witness_sources(system, ver)
         else:
             ver = verify_certificate_sampled(
@@ -325,7 +330,8 @@ def find_certificate_via_separation(system, cloud, tol=1e-9, seed=0,
                 cert = Certificate(alpha=alpha, lambda_min=None,
                                    verified=SAMPLED_ONLY)
                 return SearchResult(certificate=cert, outcome=FOUND,
-                                    best_alpha=alpha, rounds=round_idx)
+                                    best_alpha=alpha, rounds=round_idx,
+                                    separation=first)
             new_sources = [ver.x]
         fresh = [x for x in new_sources
                  if np.all(np.isfinite(system.image_point(x)))]
@@ -334,4 +340,4 @@ def find_certificate_via_separation(system, cloud, tol=1e-9, seed=0,
         pts = np.array([system.image_point(x) for x in fresh])
         work = work.extended(pts, np.array(fresh))
     return SearchResult(outcome=REFINEMENT_EXHAUSTED, best_alpha=last_alpha,
-                        rounds=rounds + 1)
+                        rounds=rounds + 1, separation=first)

@@ -23,7 +23,8 @@ from . import farkas as farkas_mod
 from . import geometry, report
 from .errors import NotConverged, NumericalBreakdown, SlemmaError
 from .implication import (UNDETERMINED, ClassifyConfig,
-                          classify_instance, find_counterexample)
+                          classify_instance, find_counterexample,
+                          gather_evidence)
 from .problem import ParseError, load_problem
 from .report import Report, fnum, fvec
 from .rng import derive_seed
@@ -187,6 +188,14 @@ def cmd_geometry(args, out):
     cfg = _config_from(pf, args)
     cloud = geometry.sample_image(system, cfg.box_radius, cfg.cloud_samples,
                                   derive_seed(cfg.seed, 9))
+    ev = gather_evidence(system, cfg, cloud,
+                         geometry.extract_separator(cloud, tol=cfg.lp_tol))
+    identity = geometry.identity_membership_oracle(
+        system, cloud, budget=cfg.member_budget, seed=derive_seed(cfg.seed, 11))
+    image_falsify = geometry.falsify_convexity(
+        identity, cloud, trials=cfg.falsify_trials,
+        seed=derive_seed(cfg.seed, 12), eta=cfg.eta, system=system,
+        budget=cfg.member_budget)
     rep = Report("image-set geometry")
     rep.add("command", _echo_command(args, pf, cfg))
     report.describe_instance(rep, pf, system)
@@ -195,37 +204,13 @@ def cmd_geometry(args, out):
     cloud_block.add("box_radius", fnum(cloud.box_radius))
     cloud_block.add("seed", cloud.seed)
     cloud_block.add("skipped", cloud.skipped)
-    rep.add("image_points_in_k", int(len(geometry.cloud_k_members(cloud))))
-    report.hull_block(rep, geometry.hull_intersects_k(cloud, tol=cfg.lp_tol))
-    report.separator_block(rep,
-                           geometry.extract_separator(cloud, tol=cfg.lp_tol))
-
-    identity = geometry.identity_membership_oracle(
-        system, cloud, budget=cfg.member_budget, seed=derive_seed(cfg.seed, 11))
-    report.falsify_block(
-        rep,
-        geometry.falsify_convexity(identity, cloud, trials=cfg.falsify_trials,
-                                   seed=derive_seed(cfg.seed, 12), eta=cfg.eta,
-                                   system=system, budget=cfg.member_budget),
-        "image_convexity_falsifier")
-    epi = geometry.epi_membership_oracle(
-        system, cloud, budget=cfg.member_budget, seed=derive_seed(cfg.seed, 5))
-    report.falsify_block(
-        rep,
-        geometry.falsify_convexity(epi, cloud, trials=cfg.falsify_trials,
-                                   seed=derive_seed(cfg.seed, 6), eta=cfg.eta,
-                                   system=system, budget=cfg.member_budget),
-        "epi_convexity_falsifier")
-    conical = geometry.conical_membership_oracle(
-        system, cloud, budget=cfg.member_budget, seed=derive_seed(cfg.seed, 7),
-        convexifier=geometry.ZERO_SET)
-    report.falsify_block(
-        rep,
-        geometry.falsify_convexity(conical, cloud,
-                                   trials=max(1, cfg.falsify_trials // 10),
-                                   seed=derive_seed(cfg.seed, 8), eta=cfg.eta,
-                                   system=system, budget=cfg.member_budget),
-        "conical_convexity_falsifier")
+    rep.add("image_points_in_k", ev.k_members)
+    report.hull_block(rep, ev.hull)
+    report.separator_block(rep, ev.separator)
+    report.falsify_block(rep, image_falsify, "image_convexity_falsifier")
+    report.falsify_block(rep, ev.epi_falsify, "epi_convexity_falsifier")
+    report.falsify_block(rep, ev.conical_falsify,
+                         "conical_convexity_falsifier")
     if args.export:
         geometry.export_cloud(cloud, args.export)
         rep.add("exported", args.export)

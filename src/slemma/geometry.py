@@ -9,6 +9,7 @@ N, R and the seed that scope the claim.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,9 +19,6 @@ from .quadratic import QuadraticFunction
 from .rng import SplitMix64, derive_seed
 from .search import descend
 from .systems import FunctionSystem
-
-ZERO_SET = "ZeroSet"
-POSITIVE_ORTHANT = "PositiveOrthant"
 
 MEMBER_TOL = 1e-7
 _CONE_SCALES = np.logspace(-3.0, 3.0, 25)
@@ -47,6 +45,12 @@ class ImageCloud:
     @property
     def n(self):
         return self.sources.shape[1]
+
+    @cached_property
+    def frontier(self):
+        """Indices of the componentwise-minimal points, computed once; the
+        hull and separator programs both run on this subset."""
+        return _pareto_minimal(self.points)
 
     def extended(self, new_points, new_sources):
         return ImageCloud(
@@ -144,9 +148,8 @@ def hull_intersects_k(cloud, tol=1e-9):
     optimum is below -tol.  Because K is scale-invariant, the same program
     answers the conical-hull question.
     """
-    Z = cloud.points
-    frontier = _pareto_minimal(Z)
-    Zf = Z[frontier]
+    frontier = cloud.frontier
+    Zf = cloud.points[frontier]
     count, dim = Zf.shape
     lp = LinearProgram(
         c=Zf[:, 0],
@@ -195,7 +198,7 @@ def extract_separator(cloud, tol=1e-9):
     alpha >= 0 componentwise and sum(alpha) = 1.  A separator exists when
     the optimum is >= -tol; otherwise the hull witness is returned.
     """
-    Z = cloud.points[_pareto_minimal(cloud.points)]
+    Z = cloud.points[cloud.frontier]
     count, dim = Z.shape
     # variables (alpha_0..alpha_p, delta); minimize -delta
     c = np.zeros(dim + 1)
@@ -332,11 +335,6 @@ def epi_member(system, m, budget=24, seed=0):
     return _member_search(system, m, budget, seed, "epi")
 
 
-def identity_member(system, m, budget=24, seed=0):
-    """Is m (approximately) a point of the image set itself?"""
-    return _member_search(system, m, budget, seed, "identity")
-
-
 def _dominating_starts(cloud, m, mode, keep=6):
     Z = cloud.points
     if mode == "epi":
@@ -369,7 +367,7 @@ def epi_membership_oracle(system, cloud, budget=24, seed=0):
 
 
 def identity_membership_oracle(system, cloud, budget=24, seed=0):
-    """Oracle for membership in F itself (convexifier Z = {0})."""
+    """Oracle for membership in F itself."""
     state = {"calls": 0}
 
     def oracle(m):
@@ -383,21 +381,16 @@ def identity_membership_oracle(system, cloud, budget=24, seed=0):
     return oracle
 
 
-def conical_membership_oracle(system, cloud, budget=24, seed=0,
-                              convexifier=ZERO_SET):
-    """Oracle for R_+(F + Z): try m/s for s on a log grid in [1e-3, 1e3].
-
-    Z = {0} tests m/s against F itself; Z = R_+^(p+1) tests it against the
-    upper set.  Shortfalls are rescaled by s so margins are comparable in
-    the units of m."""
-    mode = "identity" if convexifier == ZERO_SET else "epi"
-    inner = (identity_membership_oracle if mode == "identity"
-             else epi_membership_oracle)(system, cloud, budget, seed)
+def conical_membership_oracle(system, cloud, budget=24, seed=0):
+    """Oracle for the cone R_+ F: try m/s for s on a log grid in
+    [1e-3, 1e3] against F itself.  Shortfalls are rescaled by s so margins
+    are comparable in the units of m."""
+    inner = identity_membership_oracle(system, cloud, budget, seed)
 
     def oracle(m):
         m_arr = np.asarray(m, dtype=float)
         if np.max(np.abs(m_arr)) <= MEMBER_TOL:
-            # 0 is in R_+(F + Z) via the scale s = 0
+            # 0 is in R_+ F via the scale s = 0
             return MembershipResult(member=True, x=None, margin=0.0)
         best = None
         for s in _CONE_SCALES:

@@ -6,7 +6,7 @@ verified certificate proves it true; everything else stays Undetermined,
 decorated with the geometric evidence (sampled image vs. K, hull
 intersection, separator, convexity falsifiers)."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -195,22 +195,7 @@ class ClassifyConfig:
     refine_rounds: int = 3
 
     def items(self):
-        return [
-            ("box_radius", self.box_radius),
-            ("samples", self.samples),
-            ("seed", self.seed),
-            ("psd_tol", self.psd_tol),
-            ("lp_tol", self.lp_tol),
-            ("eta", self.eta),
-            ("cloud_samples", self.cloud_samples),
-            ("falsify_trials", self.falsify_trials),
-            ("member_budget", self.member_budget),
-            ("alpha_max", self.alpha_max),
-            ("supergradient_iters", self.supergradient_iters),
-            ("descent_steps", self.descent_steps),
-            ("penalty", self.penalty),
-            ("refine_rounds", self.refine_rounds),
-        ]
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
 @dataclass
@@ -304,12 +289,16 @@ def _certify_quadratic(system, config, report):
     return None, witness_starts
 
 
-def _gather_evidence(system, config, cloud):
+def gather_evidence(system, config, cloud, separator):
+    """K members, hull, separator and the epi and conical falsifiers on
+    `cloud`.  `separator` is extract_separator's result on this same cloud;
+    when no separator exists its witness already is the hull answer."""
     ev = GeometryEvidence(computed=True)
     ev.cloud_size = cloud.size
     ev.k_members = int(len(geometry.cloud_k_members(cloud)))
-    ev.hull = geometry.hull_intersects_k(cloud, tol=config.lp_tol)
-    ev.separator = geometry.extract_separator(cloud, tol=config.lp_tol)
+    ev.hull = (geometry.hull_intersects_k(cloud, tol=config.lp_tol)
+               if separator.found else separator.witness)
+    ev.separator = separator
     epi = geometry.epi_membership_oracle(
         system, cloud, budget=config.member_budget,
         seed=derive_seed(config.seed, 5))
@@ -319,7 +308,7 @@ def _gather_evidence(system, config, cloud):
         budget=config.member_budget)
     conical = geometry.conical_membership_oracle(
         system, cloud, budget=config.member_budget,
-        seed=derive_seed(config.seed, 7), convexifier=geometry.ZERO_SET)
+        seed=derive_seed(config.seed, 7))
     ev.conical_falsify = geometry.falsify_convexity(
         conical, cloud, trials=max(1, config.falsify_trials // 10),
         seed=derive_seed(config.seed, 8), eta=config.eta, system=system,
@@ -391,7 +380,8 @@ def classify_instance(system, config=None):
         else:
             report.notes.append(f"separation outcome: {sep.outcome}")
 
-        report.evidence = _gather_evidence(system, config, cloud)
+        report.evidence = gather_evidence(system, config, cloud,
+                                          sep.separation)
         return report
     except SlemmaError as exc:
         report.notes.append(f"stage failure: {exc}")

@@ -10,7 +10,6 @@ import numpy as np
 
 from . import expr as expr_mod
 from .errors import DimensionMismatch
-from .expr import Expression
 from .quadratic import (QuadraticFunction, evaluate_quadratic,
                         evaluate_quadratic_batch)
 
@@ -99,15 +98,6 @@ class FunctionSystem:
         return vals
 
 
-def quadratic_from_coefficients(Q, c, d):
-    return QuadraticFunction(np.asarray(Q, dtype=float),
-                             np.asarray(c, dtype=float), float(d))
-
-
-def expression_function(source, n):
-    return expr_mod.parse(source, n)
-
-
 def quadratic_to_source(q):
     """Expression text equivalent to a quadratic function (for tests and
     the problem-file round trip)."""
@@ -118,9 +108,3 @@ def quadratic_to_source(q):
         for j in range(i + 1, q.n):
             parts.append(f"{float(q.Q[i, j])!r}*x{i + 1}*x{j + 1}")
     return " + ".join(parts)
-
-
-def as_expression(f, n):
-    if isinstance(f, Expression):
-        return f
-    return expr_mod.parse(quadratic_to_source(f), n)

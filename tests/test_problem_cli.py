@@ -133,6 +133,17 @@ def test_cli_verify_invalid_alpha_count():
     assert code == 1
 
 
+def test_cli_verify_negative_multiplier_is_usage_error(tmp_path):
+    saved = tmp_path / "cert.txt"
+    saved.write_text("alpha = [-1.0]\nverified = ExactPSD\n")
+    for source in (("--alpha", "-1"), ("--certificate", str(saved))):
+        code, out, err = run_cli("verify", str(CORPUS / "example3_pair.json"),
+                                 *source)
+        assert code == 1, source
+        assert err.startswith("error: ") and "nonnegative" in err, source
+        assert out == "", source
+
+
 def test_cli_verify_equal_norm_squares(tmp_path):
     # f0 = f1 = |x|^2 with alpha = 1: the combination vanishes identically
     path = tmp_path / "equal.json"

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -85,8 +87,10 @@ def test_min_eigenvalue_swap():
 
 def test_reconstruction_and_trace_invariants():
     rng = np.random.default_rng(0)
-    for _ in range(120):
-        n = int(rng.integers(1, 11))
+    # 120 random sizes in 1..10, then larger sizes up to the 64x64 limit
+    sizes = chain((int(rng.integers(1, 11)) for _ in range(120)),
+                  (13, 32, 64))
+    for n in sizes:
         A = rng.uniform(-3, 3, (n, n))
         A = A + A.T
         dec = eigen_sym(A)
