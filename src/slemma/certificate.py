@@ -27,7 +27,15 @@ REFINE_ROUNDS = 3
 
 
 class NegativeMultiplier(SlemmaError):
-    """A multiplier vector with a negative entry."""
+    """A multiplier vector with a negative or non-finite entry."""
+
+
+def _multipliers(alpha):
+    alpha = np.asarray(alpha, dtype=float).ravel()
+    if np.any(~np.isfinite(alpha) | (alpha < 0)):
+        raise NegativeMultiplier(
+            f"alpha must be finite and nonnegative: {alpha}")
+    return alpha
 
 
 @dataclass
@@ -37,9 +45,7 @@ class Certificate:
     verified: str
 
     def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=float).ravel()
-        if np.any(self.alpha < 0):
-            raise NegativeMultiplier(f"alpha must be nonnegative: {self.alpha}")
+        self.alpha = _multipliers(self.alpha)
 
 
 def _check_alpha(system, alpha):
@@ -48,9 +54,7 @@ def _check_alpha(system, alpha):
         raise DimensionMismatch(
             f"alpha has length {alpha.shape[0]}, system has p={system.p}"
         )
-    if np.any(alpha < 0):
-        raise NegativeMultiplier(f"alpha must be nonnegative: {alpha}")
-    return alpha
+    return _multipliers(alpha)
 
 
 def combined_matrix(system, alpha):

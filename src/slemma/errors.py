@@ -19,8 +19,11 @@ class DomainError(SlemmaError):
 
 
 class NotConverged(SlemmaError):
-    """An iterative routine hit its sweep/iteration limit."""
+    """An iterative routine hit its iteration limit or the eigensolver
+    reported a failure."""
 
 
 class NumericalBreakdown(SlemmaError):
-    """The LP solver met a pivot too small to trust; rescale the input."""
+    """A computation cannot be trusted: the LP solver met a pivot too small
+    to trust or hit its iteration limit, or a matrix handed to the
+    eigensolver has a non-finite entry."""

@@ -129,13 +129,7 @@ def _pareto_minimal(Z):
     order = np.argsort(np.sum(Z, axis=1), kind="stable")
     kept = []
     for idx in order:
-        z = Z[idx]
-        dominated = False
-        for j in kept:
-            if np.all(Z[j] <= z):
-                dominated = True
-                break
-        if not dominated:
+        if not np.any(np.all(Z[kept] <= Z[idx], axis=1)):
             kept.append(int(idx))
     return np.array(sorted(kept), dtype=int)
 

@@ -1,18 +1,18 @@
-"""Quadratic functions, their bordered matrices, and a Jacobi eigensolver.
+"""Quadratic functions, their bordered matrices, and the eigen routine.
 
 A quadratic function is q(x) = 1/2 <Qx, x> + <c, x> + d with Q symmetric.
 Global nonnegativity of q is equivalent to positive semidefiniteness of the
 bordered (n+1)x(n+1) matrix [[Q, c], [c^T, 2d]]; every PSD test in the
-toolkit goes through that matrix and the eigensolver below.
+toolkit goes through that matrix and `eigen_sym` below, a checked call to
+LAPACK's symmetric eigensolver.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotConverged
+from .errors import DimensionMismatch, NotConverged, NumericalBreakdown
 
-MAX_EIGEN_SIZE = 64
 _SYMMETRY_BAND = 1e-12
 _ACCEPT_BAND = 1e-10
 
@@ -90,108 +90,33 @@ class SymmetricEigen:
     eigenvectors: np.ndarray
 
 
-def _jacobi_sweeps_lists(a, v, n, threshold):
-    """Cyclic Jacobi sweeps in place on plain nested lists a (the matrix)
-    and v (the accumulated rotations).  Scalar loops on lists measured
-    3-5x faster than numpy row and column updates up to 32x32, and within
-    about 20% of them at the 64x64 size limit."""
-    from math import sqrt
+def eigen_sym(A):
+    """Eigen-decomposition by LAPACK's symmetric solver (numpy `eigh`).
 
-    for _sweep in range(100):
-        # summing the off-diagonal entries directly avoids the cancellation
-        # that ||A||_F^2 - ||diag||^2 suffers near convergence
-        off2 = 0.0
-        for i in range(n):
-            row = a[i]
-            for j in range(n):
-                if i != j:
-                    off2 += row[j] * row[j]
-        off = sqrt(off2)
-        if off <= threshold:
-            return True
-        # rotations below this size cannot move the off-norm meaningfully
-        skip = off / (n * n) * 1e-4
-        for p in range(n - 1):
-            ap = a[p]
-            for q in range(p + 1, n):
-                apq = ap[q]
-                if abs(apq) <= skip:
-                    continue
-                aq = a[q]
-                theta = (aq[q] - ap[p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / sqrt(t * t + 1.0)
-                s = t * c
-                for row in a:
-                    rp = row[p]
-                    rq = row[q]
-                    row[p] = c * rp - s * rq
-                    row[q] = s * rp + c * rq
-                for j in range(n):
-                    rp = ap[j]
-                    rq = aq[j]
-                    ap[j] = c * rp - s * rq
-                    aq[j] = s * rp + c * rq
-                ap[q] = 0.0
-                aq[p] = 0.0
-                for row in v:
-                    rp = row[p]
-                    rq = row[q]
-                    row[p] = c * rp - s * rq
-                    row[q] = s * rp + c * rq
-    return False
-
-
-def eigen_sym(A, tol=1e-12):
-    """Eigen-decomposition by cyclic Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    tol * ||A||_F, or 100 sweeps have passed (NotConverged).
+    The input must be square and symmetric within a relative band; it is
+    symmetrized before the solve.  A non-finite entry raises
+    NumericalBreakdown before LAPACK sees it, and a LAPACK failure raises
+    NotConverged.
     """
     A = np.array(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
         raise DimensionMismatch(f"matrix must be square, got shape {A.shape}")
-    if n > MAX_EIGEN_SIZE:
-        raise DimensionMismatch(f"matrix size {n} exceeds limit {MAX_EIGEN_SIZE}")
     scale = 1.0 + np.max(np.abs(A))
+    if not np.isfinite(scale):
+        raise NumericalBreakdown("matrix has a non-finite entry")
     asym = np.max(np.abs(A - A.T))
     if asym > _ACCEPT_BAND * scale:
         raise DimensionMismatch(
             f"matrix is not symmetric: max asymmetry {asym:.3e}"
         )
-    A = (A + A.T) / 2.0
-    V = np.eye(n)
-    if n == 1:
-        return SymmetricEigen(A[0].copy(), V)
-
-    norm_f = float(np.linalg.norm(A))
-    if norm_f == 0.0:
-        return SymmetricEigen(np.zeros(n), V)
-    threshold = tol * norm_f
-
-    a = A.tolist()
-    v = V.tolist()
-    if not _jacobi_sweeps_lists(a, v, n, threshold):
-        raise NotConverged(
-            "Jacobi eigensolver did not converge within 100 sweeps; "
-            "the input is likely ill-conditioned"
-        )
-
-    eigenvalues = np.diag(np.array(a))
-    order = np.argsort(eigenvalues, kind="stable")
-    return SymmetricEigen(eigenvalues[order], np.array(v)[:, order])
+    try:
+        return SymmetricEigen(*np.linalg.eigh((A + A.T) / 2.0))
+    except np.linalg.LinAlgError as exc:
+        raise NotConverged(f"symmetric eigensolver failed: {exc}") from None
 
 
-def min_eigenvalue(A, tol=1e-12):
+def min_eigenvalue(A):
     """Smallest eigenvalue and an associated unit eigenvector."""
-    decomp = eigen_sym(A, tol)
+    decomp = eigen_sym(A)
     return float(decomp.eigenvalues[0]), decomp.eigenvectors[:, 0].copy()
-
-
-def is_psd(A, rtol=PSD_RTOL):
-    """PSD within relative tolerance: lambda_min >= -rtol * (1 + max|A|)."""
-    lam, _ = min_eigenvalue(A)
-    return lam >= -rtol * (1.0 + np.max(np.abs(A)))

@@ -81,6 +81,28 @@ def test_cloud_membership_matches_source_signs(example3):
         assert (j in members) == expected
 
 
+def _pareto_oracle(Z):
+    """Brute force: i stays unless some j != i has Z[j] <= Z[i] and either
+    differs from Z[i] somewhere or comes first (ties keep the lowest index)."""
+    le = np.all(Z[:, None, :] <= Z[None, :, :], axis=2)    # [j, i]
+    differs = np.any(Z[:, None, :] != Z[None, :, :], axis=2)
+    earlier = np.arange(len(Z))[:, None] < np.arange(len(Z))[None, :]
+    return np.flatnonzero(~np.any(le & (differs | earlier), axis=0))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_pareto_frontier_matches_brute_force(p):
+    rng = np.random.default_rng(40 + p)
+    for trial in range(40):
+        n_points = int(rng.integers(1, 200))
+        if trial % 2:
+            Z = rng.integers(-3, 4, (n_points, p + 1)).astype(float)
+        else:
+            Z = rng.uniform(-1.0, 1.0, (n_points, p + 1))
+        got = geo._pareto_minimal(Z)
+        assert got.tolist() == _pareto_oracle(Z).tolist(), trial
+
+
 def test_hull_disjoint_positive_cloud():
     res = geo.hull_intersects_k(_cloud_from_points([[1.0, 0.0], [2.0, 1.0]]))
     assert not res.intersects

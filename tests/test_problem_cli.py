@@ -136,7 +136,12 @@ def test_cli_verify_invalid_alpha_count():
 def test_cli_verify_negative_multiplier_is_usage_error(tmp_path):
     saved = tmp_path / "cert.txt"
     saved.write_text("alpha = [-1.0]\nverified = ExactPSD\n")
-    for source in (("--alpha", "-1"), ("--certificate", str(saved))):
+    saved_nan = tmp_path / "cert_nan.txt"
+    saved_nan.write_text("alpha = [nan]\nverified = ExactPSD\n")
+    sources = [("--alpha", a) for a in ("-1", "nan", "inf", "1e400")]
+    sources += [("--certificate", str(saved)),
+                ("--certificate", str(saved_nan))]
+    for source in sources:
         code, out, err = run_cli("verify", str(CORPUS / "example3_pair.json"),
                                  *source)
         assert code == 1, source

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import random_quadratic
-from slemma.errors import DimensionMismatch
+from slemma.certificate import verify_certificate_quadratic
+from slemma.errors import DimensionMismatch, NotConverged, NumericalBreakdown
 from slemma.expr import evaluate, parse
 from slemma.quadratic import (QuadraticFunction, bordered_matrix, eigen_sym,
                               evaluate_quadratic, evaluate_quadratic_batch,
-                              is_psd, min_eigenvalue)
+                              min_eigenvalue)
 from slemma.rng import SplitMix64
-from slemma.systems import quadratic_to_source
+from slemma.systems import FunctionSystem, quadratic_to_source
 
 
 def test_evaluate_example3_objective():
@@ -87,9 +88,9 @@ def test_min_eigenvalue_swap():
 
 def test_reconstruction_and_trace_invariants():
     rng = np.random.default_rng(0)
-    # 120 random sizes in 1..10, then larger sizes up to the 64x64 limit
+    # 120 random sizes in 1..10, then larger sizes
     sizes = chain((int(rng.integers(1, 11)) for _ in range(120)),
-                  (13, 32, 64))
+                  (13, 32, 64, 65, 100))
     for n in sizes:
         A = rng.uniform(-3, 3, (n, n))
         A = A + A.T
@@ -103,11 +104,38 @@ def test_reconstruction_and_trace_invariants():
         assert np.all(np.diff(lam) >= 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigen_non_finite_entry_breaks_down_before_lapack(bad, monkeypatch):
+    def lapack(_):
+        raise AssertionError("LAPACK was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", lapack)
+    A = np.eye(3)
+    A[1, 2] = A[2, 1] = bad
+    with pytest.raises(NumericalBreakdown):
+        eigen_sym(A)
+
+
+def test_eigen_lapack_failure_is_not_converged(monkeypatch):
+    def lapack(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", lapack)
+    with pytest.raises(NotConverged):
+        eigen_sym(np.eye(2))
+
+
 def _grid_min(q, radius=10.0, points=41):
     axes = [np.linspace(-radius, radius, points)] * q.n
     mesh = np.meshgrid(*axes, indexing="ij")
     X = np.stack([m.ravel() for m in mesh], axis=1)
     return float(np.min(evaluate_quadratic_batch(q, X)))
+
+
+def _psd(q):
+    """The production PSD verdict on q's bordered matrix."""
+    return verify_certificate_quadratic(FunctionSystem(q.n, q),
+                                        np.zeros(0)).valid
 
 
 def test_bordered_psd_iff_grid_nonnegative():
@@ -117,7 +145,7 @@ def test_bordered_psd_iff_grid_nonnegative():
     for _ in range(40):
         n = 1 + int(rng.randint(3))
         q = random_quadratic(rng, n)
-        psd = is_psd(bordered_matrix(q))
+        psd = _psd(q)
         grid_ok = _grid_min(q) >= -1e-6
         if psd:
             psd_count += 1
@@ -132,7 +160,7 @@ def test_bordered_psd_iff_grid_nonnegative():
         L = np.array(vals).reshape(n + 1, n + 1)
         G = L @ L.T
         q = QuadraticFunction(G[:n, :n], G[:n, n], G[n, n] / 2.0)
-        assert is_psd(bordered_matrix(q))
+        assert _psd(q)
         assert _grid_min(q) >= -1e-6
 
 
