@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SlemmaError
+from .errors import DimensionMismatch, NumericalBreakdown, SlemmaError
 from .geometry import extract_separator
+from .linprog import OPTIMAL, LinearProgram, solve_lp
 from .quadratic import PSD_RTOL, bordered_matrix, min_eigenvalue
 from .rng import derive_seed
 from .search import sample_and_descend
@@ -138,6 +139,7 @@ class SearchResult:
     witness: object = None
     rounds: int = 0
     separation: object = None  # separation route: round-0 SeparatorResult
+    upper_bound: float | None = None  # cutting planes: bound on max g
 
     @property
     def found(self):
@@ -197,42 +199,64 @@ def find_certificate_p1(system, alpha_max=1e4, tol=PSD_RTOL, iters=200):
                         at_boundary=bool(boundary))
 
 
-def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL):
-    """Projected supergradient ascent on the concave g(alpha) =
-    lambda_min(M(alpha)) over the nonnegative orthant.
+def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
+                             alpha_max=1e4):
+    """Kelley's cutting-plane maximization of the concave g(alpha) =
+    lambda_min(M(alpha)) over the box [0, alpha_max]^p.
 
-    The supergradient component i is -v^T M_i v with v the minimum
-    eigenvector; steps are a_0 / sqrt(k) with a_0 = 1/(1 + max_i ||M_i||);
-    negatives are clamped to zero.  The best iterate is kept since the
-    ascent is not monotone."""
+    Each iterate costs one eigen decomposition, and its eigenpair (lam, v)
+    gives the cut g(a) <= lam + s.(a - alpha) with s_i = -v^T M_i v.  The
+    next iterate maximizes the cuts' minimum over the box (an LP in p + 1
+    variables), and that LP value is an upper bound on max g.  The search
+    stops at a certificate, at an upper bound below -tol * S with
+    S = 1 + max|M0| + alpha_max * sum_i max|M_i| >= 1 + max|M(alpha)| on the
+    box (so no alpha <= alpha_max passes; outcome NO_CERTIFICATE), when the
+    bound meets the best value, or after `iters` eigen calls.  `seed` is
+    accepted for interface stability; the search is deterministic."""
     if not system.is_quadratic:
-        raise DimensionMismatch("supergradient search needs an all-quadratic system")
+        raise DimensionMismatch("cutting-plane search needs an all-quadratic system")
     if system.p < 1:
-        raise DimensionMismatch("supergradient search needs p >= 1")
+        raise DimensionMismatch("cutting-plane search needs p >= 1")
+    p = system.p
     borders = [bordered_matrix(f) for f in system.constraints]
-    a0 = 1.0 / (1.0 + max(np.max(np.abs(B)) for B in borders))
-    alpha = np.zeros(system.p)
-    best_alpha = alpha.copy()
-    best_g = -np.inf
-    best_scale = 1.0
-    for k in range(1, iters + 1):
+    bound_scale = 1.0 + np.max(np.abs(bordered_matrix(system.f0))) + \
+        alpha_max * sum(np.max(np.abs(B)) for B in borders)
+    lower = np.concatenate([np.zeros(p), [-np.inf]])
+    upper = np.concatenate([np.full(p, float(alpha_max)), [np.inf]])
+    objective = np.concatenate([np.zeros(p), [-1.0]])     # maximize t
+    cuts, rhs = [], []
+    alpha = np.zeros(p)
+    best_alpha, best_g, best_scale = alpha, -np.inf, 1.0
+    upper_bound = None
+    outcome = ""
+    for _ in range(iters):
         M = combined_matrix(system, alpha)
         lam, v = min_eigenvalue(M)
-        scale = 1.0 + np.max(np.abs(M))
         if lam > best_g:
-            best_g = lam
-            best_alpha = alpha.copy()
-            best_scale = scale
+            best_alpha, best_g = alpha, lam
+            best_scale = 1.0 + np.max(np.abs(M))
             if best_g >= -tol * best_scale:
                 break
-        grad = np.array([-(v @ B @ v) for B in borders])
-        alpha = np.maximum(alpha + (a0 / np.sqrt(k)) * grad, 0.0)
+        s = np.array([-(v @ B @ v) for B in borders])
+        cuts.append(np.concatenate([-s, [1.0]]))    # t - s.a <= lam - s.alpha
+        rhs.append(lam - s @ alpha)
+        lp = solve_lp(LinearProgram(objective, a_ub=np.array(cuts), b_ub=rhs,
+                                    lower=lower, upper=upper))
+        if lp.status != OPTIMAL:
+            raise NumericalBreakdown(f"certificate master LP: {lp.status}")
+        upper_bound = -lp.objective
+        if upper_bound < -tol * bound_scale:
+            outcome = NO_CERTIFICATE
+            break
+        if upper_bound - best_g <= tol * best_scale:
+            break
+        alpha = np.clip(lp.y[:p], 0.0, alpha_max)
+    result = SearchResult(best_alpha=best_alpha, best_lambda_min=best_g,
+                          upper_bound=upper_bound, outcome=outcome)
     if best_g >= -tol * best_scale:
-        cert = Certificate(alpha=best_alpha, lambda_min=best_g,
-                           verified=EXACT_PSD)
-        return SearchResult(certificate=cert, best_alpha=best_alpha,
-                            best_lambda_min=best_g)
-    return SearchResult(best_alpha=best_alpha, best_lambda_min=best_g)
+        result.certificate = Certificate(alpha=best_alpha, lambda_min=best_g,
+                                         verified=EXACT_PSD)
+    return result
 
 
 def format_certificate(certificate):
@@ -273,6 +297,7 @@ FOUND = "found"
 NO_SEPARATOR = "no_separator"
 SLATER_BLOCKED = "slater_blocked"
 REFINEMENT_EXHAUSTED = "refinement_exhausted"
+NO_CERTIFICATE = "no_certificate"    # cutting planes: absence proven
 
 
 def _witness_sources(system, verification):

@@ -59,6 +59,9 @@ def _config_from(pf, args):
     if getattr(args, "tol", None) is not None:
         cfg.psd_tol = args.tol
         cfg.lp_tol = args.tol
+    if not (np.isfinite(cfg.psd_tol) and cfg.psd_tol >= 0):
+        raise ParseError(f"tol must be finite and nonnegative, "
+                         f"got {cfg.psd_tol!r}")
     return cfg
 
 
@@ -132,10 +135,12 @@ def cmd_certificate(args, out):
     elif args.method == "supergradient":
         search = cert_mod.find_certificate_general(
             system, iters=cfg.supergradient_iters,
-            seed=derive_seed(cfg.seed, 4), tol=cfg.psd_tol)
+            seed=derive_seed(cfg.seed, 4), tol=cfg.psd_tol,
+            alpha_max=cfg.alpha_max)
         cert = search.certificate
         detail = {"best_alpha": search.best_alpha,
-                  "best_lambda_min": search.best_lambda_min}
+                  "best_lambda_min": search.best_lambda_min,
+                  "upper_bound": search.upper_bound}
     else:
         cloud = geometry.sample_image(system, cfg.box_radius,
                                       cfg.cloud_samples,

@@ -189,7 +189,7 @@ class ClassifyConfig:
     falsify_trials: int = 400
     member_budget: int = 16
     alpha_max: float = 1e4
-    supergradient_iters: int = 2000
+    supergradient_iters: int = 2000   # caps the p >= 2 cutting-plane search
     descent_steps: int = 80
     penalty: float = 1e3
     refine_rounds: int = 3
@@ -275,12 +275,16 @@ def _certify_quadratic(system, config, report):
     else:
         search = cert_mod.find_certificate_general(
             system, iters=config.supergradient_iters,
-            seed=derive_seed(config.seed, 4), tol=config.psd_tol)
+            seed=derive_seed(config.seed, 4), tol=config.psd_tol,
+            alpha_max=config.alpha_max)
     if search.found:
         return search.certificate, witness_starts
     if search.at_boundary:
         report.notes.append(
             f"lambda_min still improving at alpha_max={config.alpha_max!r}")
+    if search.outcome == cert_mod.NO_CERTIFICATE:
+        report.notes.append(
+            f"no certificate with alpha <= alpha_max={config.alpha_max!r}")
     if search.best_alpha is not None:
         ver = cert_mod.verify_certificate_quadratic(
             system, search.best_alpha, tol=config.psd_tol)

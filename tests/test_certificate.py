@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_p1_system, random_quadratic
+from conftest import random_p1_system, random_psd_quadratic, random_quadratic
 from slemma import certificate as cert
 from slemma import geometry as geo
 from slemma.implication import find_counterexample
@@ -269,3 +269,117 @@ def test_separation_route_never_false_found_without_slater():
     res = cert.find_certificate_via_separation(system, cloud, seed=6)
     assert not res.found
     assert res.outcome in (cert.SLATER_BLOCKED, cert.NO_SEPARATOR)
+
+
+def _count_eigen_calls(monkeypatch):
+    calls = [0]
+    original = cert.min_eigenvalue
+
+    def counting(M):
+        calls[0] += 1
+        return original(M)
+
+    monkeypatch.setattr(cert, "min_eigenvalue", counting)
+    return calls
+
+
+def _grid_max_lambda_min(system, alpha_max, points=61):
+    axis = np.linspace(0.0, alpha_max, points)
+    return max(float(np.min(np.linalg.eigvalsh(
+        cert.combined_matrix(system, [a1, a2]))))
+        for a1 in axis for a2 in axis)
+
+
+def test_cutting_plane_upper_bound_is_sound():
+    # the master LP value bounds max lambda_min(M(alpha)) over the box
+    rng = SplitMix64(313)
+    bounded = 0
+    for i in range(30):
+        n = 1 + int(rng.randint(2))
+        system = FunctionSystem(n, random_quadratic(rng, n),
+                                (random_quadratic(rng, n),
+                                 random_quadratic(rng, n)))
+        res = cert.find_certificate_general(system, alpha_max=3.0)
+        if res.upper_bound is None:
+            assert res.found, i
+            continue
+        bounded += 1
+        grid_best = _grid_max_lambda_min(system, 3.0)
+        scale = 1.0 + abs(grid_best)
+        assert res.best_lambda_min <= res.upper_bound + 1e-12 * scale, i
+        assert res.upper_bound >= grid_best - 1e-9 * scale, i
+    assert bounded >= 15
+
+
+def _no_certificate_system(rng, p, n):
+    """l >= 0 and -l - 1 >= 0 have no common point; the extra constraints
+    are convex, and f0 has curvature <= -0.5 along u, which no alpha >= 0
+    can repair."""
+    a = np.array(rng.uniforms(n, -1.0, 1.0))
+    b = float(rng.uniforms(1, -1.0, 1.0)[0])
+    zero = np.zeros((n, n))
+    cons = [QuadraticFunction(zero, a, b), QuadraticFunction(zero, -a, -b - 1.0)]
+    for _ in range(p - 2):
+        L = np.array(rng.uniforms(n * n, -1.0, 1.0)).reshape(n, n)
+        cons.append(QuadraticFunction(L @ L.T, np.array(rng.uniforms(n, -1, 1)),
+                                      float(rng.uniforms(1, -1.0, 1.0)[0])))
+    u = np.array(rng.uniforms(n, -1.0, 1.0)) + 0.1
+    u /= np.linalg.norm(u)
+    f0 = random_quadratic(rng, n)
+    Q0 = f0.Q - (u @ f0.Q @ u + 0.5) * np.outer(u, u)
+    return FunctionSystem(n, QuadraticFunction(Q0, f0.c, f0.d), tuple(cons))
+
+
+def test_cutting_plane_proves_absence(monkeypatch):
+    rng = SplitMix64(414)
+    calls = _count_eigen_calls(monkeypatch)
+    for p in (2, 3, 4):
+        for n in (1, 2, 3, 4):
+            system = _no_certificate_system(rng, p, n)
+            calls[0] = 0
+            res = cert.find_certificate_general(system)
+            assert not res.found, (p, n)
+            assert res.upper_bound < 0, (p, n)
+            assert res.outcome == cert.NO_CERTIFICATE, (p, n)
+            assert calls[0] <= 50, (p, n, calls[0])
+
+
+def test_cutting_plane_finds_constructed_certificates():
+    # f0 = sum alpha_i f_i + s with s globally positive
+    rng = SplitMix64(515)
+    for i in range(24):
+        p = 2 + i % 3
+        n = 1 + int(rng.randint(4))
+        cons = tuple(random_quadratic(rng, n) for _ in range(p))
+        alpha = np.array(rng.uniforms(p, 0.0, 1.0))
+        slack = random_psd_quadratic(rng, n, margin=0.5)
+        f0 = QuadraticFunction(
+            slack.Q + sum(a * f.Q for a, f in zip(alpha, cons)),
+            slack.c + sum(a * f.c for a, f in zip(alpha, cons)),
+            slack.d + sum(a * f.d for a, f in zip(alpha, cons)))
+        system = FunctionSystem(n, f0, cons)
+        res = cert.find_certificate_general(system)
+        assert res.found, i
+        found = res.certificate.alpha
+        assert np.all(found >= 0) and np.all(found <= 1e4), i
+        M = cert.combined_matrix(system, found)
+        lam = float(np.min(np.linalg.eigvalsh(M)))
+        assert lam >= -1e-9 * (1.0 + np.max(np.abs(M))), i
+
+
+def test_cutting_plane_near_boundary_converges(monkeypatch):
+    # f0 = |x|^2 + sum x_i - eps with f_i = x_i: the best multiplier is
+    # alpha = 1 with lambda_min = -2 eps, just short of a certificate
+    eps = 1e-6
+    calls = _count_eigen_calls(monkeypatch)
+    for p in (1, 2, 3, 4):
+        f0 = QuadraticFunction(2 * np.eye(p), np.ones(p), -eps)
+        cons = tuple(QuadraticFunction(np.zeros((p, p)), np.eye(p)[i], 0.0)
+                     for i in range(p))
+        calls[0] = 0
+        res = cert.find_certificate_general(FunctionSystem(p, f0, cons))
+        assert not res.found, p
+        assert calls[0] <= 200, (p, calls[0])
+        assert res.best_lambda_min == pytest.approx(-2 * eps, abs=1e-8), p
+        assert res.upper_bound >= res.best_lambda_min, p
+

@@ -243,3 +243,59 @@ def test_classify_byte_identical_reruns():
     name = str(CORPUS / "random_p1_03.json")
     outputs = [run_cli("classify", name)[1] for _ in range(2)]
     assert outputs[0] == outputs[1]
+
+
+def _no_certificate_file(tmp_path):
+    # x >= 0 and -x - 1 >= 0 are never both true; f0 = -x^2 is concave
+    path = tmp_path / "no_cert.json"
+    path.write_text(json.dumps({"n": 1, "p": 2, "functions": [
+        {"quadratic": {"Q": [-2.0], "c": [0.0], "d": 0.0}},
+        {"linear": {"a": [1.0], "b": 0.0}},
+        {"linear": {"a": [-1.0], "b": 1.0}}]}))
+    return path
+
+
+def test_cli_rejects_bad_tol(tmp_path):
+    for tol in ("nan", "inf", "-1e-9"):
+        for argv in (("verify", str(CORPUS / "random_p1_02.json"),
+                      "--alpha", "1.4644199245542309"),
+                     ("classify", str(CORPUS / "random_p1_02.json"))):
+            code, out, err = run_cli(*argv, f"--tol={tol}")
+            assert code == 1, (argv[0], tol)
+            assert err.startswith("error: ") and "tol" in err, (argv[0], tol)
+            assert out == "", (argv[0], tol)
+    pf = json.loads((CORPUS / "random_p1_02.json").read_text())
+    pf["config"]["tol"] = float("nan")
+    path = tmp_path / "nan_tol.json"
+    path.write_text(json.dumps(pf))
+    code, out, err = run_cli("classify", str(path))
+    assert code == 1 and err.startswith("error: ") and out == ""
+
+
+def test_cli_cutting_plane_proves_no_certificate(tmp_path):
+    path = _no_certificate_file(tmp_path)
+    code, out, _ = run_cli("certificate", str(path),
+                           "--method", "supergradient")
+    assert code == 2
+    bound = [line for line in out.splitlines()
+             if line.startswith("upper_bound: ")]
+    assert len(bound) == 1 and float(bound[0].split()[1]) < 0
+    code, out, _ = run_cli("classify", str(path))
+    assert code == 2
+    assert "no certificate with alpha <= alpha_max=10000.0" in out
+
+
+def test_cli_master_lp_failure_is_numerical(tmp_path, monkeypatch):
+    from slemma import certificate
+    from slemma.linprog import INFEASIBLE, LpOutcome
+
+    monkeypatch.setattr(certificate, "solve_lp",
+                        lambda lp: LpOutcome(status=INFEASIBLE))
+    path = _no_certificate_file(tmp_path)
+    code, out, err = run_cli("certificate", str(path),
+                             "--method", "supergradient")
+    assert code == 3
+    assert err == "numerical failure: certificate master LP: infeasible\n"
+    code, out, _ = run_cli("classify", str(path))
+    assert code == 2
+    assert "stage failure: certificate master LP: infeasible" in out
