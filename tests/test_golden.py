@@ -10,6 +10,8 @@ The reports are produced from inside the corpus directory with bare file
 names, so they hold no machine-specific path.  All 16 `geometry` reports
 take minutes; the two pinned here reach every evidence block (hull
 witness, separator, and each falsifier with and without a violation).
+One `conjecture-scan` report pins the epi falsifier at n = 2, where it
+runs full 400-trial searches as well as a late violation.
 """
 
 import io
@@ -25,32 +27,34 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CORPUS_FILES = sorted(p.name for p in CORPUS.glob("*.json")
                       if p.name != "expected_verdicts.json")
-CASES = ([("classify", name, False) for name in CORPUS_FILES]
-         + [("classify", "slater_fail.json", True),
-            ("geometry", "slater_fail.json", False),
-            ("geometry", "example3_pair.json", False)])
 
 
-def _golden_path(command, name, as_json):
+def _case(command, name, as_json):
     suffix = "json" if as_json else "txt"
-    return GOLDEN / f"{command}.{Path(name).stem}.{suffix}"
+    return (f"{command}.{Path(name).stem}.{suffix}",
+            [command, name] + (["--json"] if as_json else []))
 
 
-def _render(command, name, as_json):
+CASES = ([_case("classify", name, False) for name in CORPUS_FILES]
+         + [_case("classify", "slater_fail.json", True),
+            _case("geometry", "slater_fail.json", False),
+            _case("geometry", "example3_pair.json", False),
+            ("conjecture-scan.count4_dim2_seed1.txt",
+             ["conjecture-scan", "--count", "4", "--dim", "2", "--seed", "1"])])
+
+
+def _render(argv):
     out = io.StringIO()
-    main([command, name] + (["--json"] if as_json else []), out=out,
-         err=io.StringIO())
+    main(argv, out=out, err=io.StringIO())
     return out.getvalue()
 
 
-@pytest.mark.parametrize(
-    "command,name,as_json", CASES,
-    ids=[_golden_path(*case).name for case in CASES])
-def test_report_matches_golden(command, name, as_json, monkeypatch):
+@pytest.mark.parametrize("golden,argv", CASES,
+                         ids=[golden for golden, _ in CASES])
+def test_report_matches_golden(golden, argv, monkeypatch):
     monkeypatch.chdir(CORPUS)
-    expected = _golden_path(command, name, as_json).read_text(
-        encoding="utf-8")
-    assert _render(command, name, as_json) == expected
+    expected = (GOLDEN / golden).read_text(encoding="utf-8")
+    assert _render(argv) == expected
 
 
 if __name__ == "__main__":
@@ -58,5 +62,5 @@ if __name__ == "__main__":
 
     GOLDEN.mkdir(exist_ok=True)
     os.chdir(CORPUS)
-    for case in CASES:
-        _golden_path(*case).write_text(_render(*case), encoding="utf-8")
+    for golden, argv in CASES:
+        (GOLDEN / golden).write_text(_render(argv), encoding="utf-8")
