@@ -8,6 +8,7 @@ every "disjoint" finding here is sample-level only; reports always carry
 N, R and the seed that scope the claim.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -225,100 +226,114 @@ class MembershipResult:
     margin: float = 0.0     # best achieved shortfall (0 when member)
 
 
-def _residuals(system, X, m, mode):
+def _residuals(system, X, M, mode):
+    """z(x) - m for each row of X, against one target m or one per row."""
     Z = system.image_batch(X)
     Z = np.where(np.isfinite(Z), Z, np.inf)
-    R = Z - m[None, :]
+    R = Z - M
     if mode == "epi":
         R = np.maximum(R, 0.0)
     return R
 
 
-def _gauss_newton_polish(system, x, m, mode, iters=8, h=1e-6):
-    """Squeeze the residual system z(x) - m (hinged for epi mode) with
-    damped Gauss-Newton steps; descent alone crawls along curved valleys
-    and stalls orders of magnitude above the membership tolerance."""
-    x = np.array(x, dtype=float)
-    dim = x.shape[0]
-    best_x = x.copy()
-    best = float(np.max(np.abs(_residuals(system, x[None, :], m, mode))))
+def _shortfalls(Z, M, mode):
+    """max_i (z_i - m_i) (epi) or max_i |z_i - m_i| (identity) over the
+    last axis of broadcast Z and M, one coordinate at a time so no
+    (k, N, p+1) temporary is built."""
+    gaps = -np.inf
+    for c in range(Z.shape[-1]):
+        d = Z[..., c] - M[..., c]
+        gaps = np.maximum(gaps, d if mode == "epi" else np.abs(d))
+    return gaps
+
+
+def _gauss_newton_polish(system, X, M, mode, iters=8, h=1e-6):
+    """Squeeze the residual system z(x) - m (hinged for epi mode) of each
+    row x of X, against the same row of M, with damped Gauss-Newton steps;
+    descent alone crawls along curved valleys and stalls orders of
+    magnitude above the membership tolerance.  Rows stop on their own but
+    share one image_batch for their probes and one for their trials."""
+    X = np.array(X, dtype=float)
+    k, dim = X.shape
+    best_X = X.copy()
+    best = np.max(np.abs(_residuals(system, X, M, mode)), axis=1)
+    active = np.ones(k, dtype=bool)
+    eye = h * np.eye(dim)
+    dampings = np.array([1.0, 0.5, 0.25])[:, None, None]
     for _ in range(iters):
-        probes = np.vstack([x[None, :],
-                            x[None, :] + h * np.eye(dim),
-                            x[None, :] - h * np.eye(dim)])
-        R = _residuals(system, probes, m, mode)
-        if not np.all(np.isfinite(R[0])):
+        rows = np.nonzero(active)[0]
+        if not len(rows):
             break
-        J = (R[1:dim + 1] - R[dim + 1:]).T / (2.0 * h)
-        r = R[0]
-        try:
-            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        moved = False
-        for damping in (1.0, 0.5, 0.25):
-            trial = x + damping * step
-            tr = _residuals(system, trial[None, :], m, mode)
-            val = float(np.max(np.abs(tr)))
-            if np.isfinite(val) and val < best:
-                best = val
-                best_x = trial.copy()
-                x = trial
-                moved = True
-                break
-        if not moved or best <= 1e-14:
-            break
-    return best_x
+        base = X[rows][:, None, :]
+        probes = np.concatenate([base, base + eye, base - eye], axis=1)
+        R = _residuals(system, probes.reshape(-1, dim),
+                       np.repeat(M[rows], 2 * dim + 1, axis=0), mode)
+        steps = np.full((len(rows), dim), np.nan)
+        for a, Ra in enumerate(R.reshape(len(rows), 2 * dim + 1, -1)):
+            if np.all(np.isfinite(Ra[0])):
+                J = (Ra[1:dim + 1] - Ra[dim + 1:]).T / (2.0 * h)
+                with suppress(np.linalg.LinAlgError):
+                    steps[a] = np.linalg.lstsq(J, -Ra[0], rcond=None)[0]
+        # a row without a finite step gets no finite trial, so it stops
+        trials = X[rows][None] + dampings * steps[None]
+        vals = np.max(np.abs(_residuals(
+            system, trials.reshape(-1, dim), np.tile(M[rows], (3, 1)),
+            mode)), axis=1).reshape(3, len(rows))
+        accepted = np.isfinite(vals) & (vals < best[rows])
+        moved = np.any(accepted, axis=0)
+        active[rows[~moved]] = False
+        first, cols = np.argmax(accepted, axis=0)[moved], np.nonzero(moved)[0]
+        rows = rows[moved]
+        best[rows] = vals[first, cols]
+        X[rows] = best_X[rows] = trials[first, cols]
+        active[rows[best[rows] <= 1e-14]] = False
+    return best_X
 
 
-def _member_search(system, m, budget, seed, mode, starts=None):
-    """Search for x whose image matches/dominates m.
+def _member_search(system, M, budget, seeds, mode, starts=None):
+    """Search, for each target m (a row of the (k, p+1) stack M), for an x
+    whose image matches or dominates m.
 
     mode "epi": want z(x) <= m componentwise (+ tolerance); shortfall is
     max_i (z_i - m_i).  mode "identity": want z(x) == m; shortfall is
-    max_i |z_i - m_i|.
+    max_i |z_i - m_i|.  Target j starts from starts[j] (a (k, s, n)
+    array), the origin and `budget` restarts drawn from its own
+    SplitMix64(seeds[j]) stream.  All targets share one grouped descent
+    and one polish, so each of the k MembershipResults returned equals a
+    search on that target alone.
     """
-    m = np.asarray(m, dtype=float)
-
-    def shortfall(Z):
-        if mode == "epi":
-            return np.max(Z - m[None, :], axis=1)
-        return np.max(np.abs(Z - m[None, :]), axis=1)
-
-    def loss(X):
-        Z = system.image_batch(X)
-        Z = np.where(np.isfinite(Z), Z, np.inf)
-        if mode == "epi":
-            h = np.maximum(Z - m[None, :], 0.0)
-        else:
-            h = Z - m[None, :]
-        return np.sum(h * h, axis=1)
-
-    rng = SplitMix64(seed)
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    k, n = M.shape[0], system.n
     restarts = max(4, int(budget))
-    blocks = []
-    if starts is not None and len(starts):
-        blocks.append(np.atleast_2d(np.asarray(starts, dtype=float)))
-    blocks.append(np.zeros((1, system.n)))
-    radii = [1.0, 5.0, 20.0, 80.0]
-    for i in range(restarts):
-        r = radii[i % len(radii)]
-        blocks.append(rng.uniform_box(r, system.n, 1))
-    X0 = np.vstack(blocks)
-    X, _ = descend(loss, X0, steps=90)
-    polished = [_gauss_newton_polish(system, X[i], m, mode)
-                for i in range(min(3, X.shape[0]))]
-    X = np.vstack([np.array(polished), X])
-    Z = system.image_batch(X)
-    Z = np.where(np.isfinite(Z), Z, np.inf)
-    gaps = shortfall(Z)
-    best = int(np.argmin(gaps))
-    margin = float(gaps[best])
-    if margin <= MEMBER_TOL:
-        return MembershipResult(member=True, x=X[best], margin=margin)
-    return MembershipResult(member=False, x=None, margin=margin)
+    radii = np.resize([1.0, 5.0, 20.0, 80.0], restarts)[:, None]
+    U = np.array([SplitMix64(seed).uniforms(restarts * n) for seed in seeds])
+    blocks = [np.zeros((k, 1, n)),
+              -radii + 2.0 * radii * U.reshape(k, restarts, n)]
+    if starts is not None:
+        blocks.insert(0, np.asarray(starts, dtype=float).reshape(k, -1, n))
+    X0 = np.concatenate(blocks, axis=1)
+    size = X0.shape[1]
+
+    def loss(X, g):
+        H = _residuals(system, X, M[g], mode)
+        return np.sum(H * H, axis=1)
+
+    X, _ = descend(loss, X0.reshape(-1, n), steps=90,
+                   groups=np.repeat(np.arange(k), size))
+    X = X.reshape(k, size, n)
+    polished = _gauss_newton_polish(system, X[:, :3].reshape(-1, n),
+                                    np.repeat(M, 3, axis=0), mode)
+    # each target's polished rows first, then its descended rows
+    X = np.concatenate([polished.reshape(k, 3, n), X], axis=1)
+    Z = system.image_batch(X.reshape(-1, n)).reshape(k, size + 3, -1)
+    gaps = _shortfalls(np.where(np.isfinite(Z), Z, np.inf), M[:, None], mode)
+    results = []
+    for j, best in enumerate(np.argmin(gaps, axis=1)):
+        margin = float(gaps[j, best])
+        member = margin <= MEMBER_TOL
+        results.append(MembershipResult(member, X[j, best] if member else None,
+                                        margin))
+    return results
 
 
 def epi_member(system, m, budget=24, seed=0):
@@ -326,75 +341,86 @@ def epi_member(system, m, budget=24, seed=0):
 
     Random restarts plus finite-difference descent on the squared hinge
     sum_i max(0, z_i(x) - m_i)^2; membership means z(x) <= m + 1e-7."""
-    return _member_search(system, m, budget, seed, "epi")
+    return _member_search(system, m, budget, [seed], "epi")[0]
 
 
-def _dominating_starts(cloud, m, mode, keep=6):
-    Z = cloud.points
-    if mode == "epi":
-        gaps = np.max(Z - m[None, :], axis=1)
-    else:
-        gaps = np.max(np.abs(Z - m[None, :]), axis=1)
-    order = np.argsort(gaps, kind="stable")[:keep]
-    return cloud.sources[order], float(gaps[order[0]])
+def _membership_oracle(system, cloud, budget, seed, mode, state):
+    """Shared body of the epi and identity oracles.  The oracle takes one
+    target m, or a (k, p+1) stack answered as k calls in order: call c
+    (counted from 1) searches with the seed derive_seed(seed, c), starting
+    from the six cloud points of least shortfall.  In epi mode a cloud
+    point below m answers without a search; the rest share one search."""
+    state = {"calls": 0} if state is None else state
+
+    def oracle(m):
+        m_arr = np.asarray(m, dtype=float)
+        M = np.atleast_2d(m_arr)
+        first = state["calls"] + 1
+        state["calls"] += len(M)
+        gaps = _shortfalls(cloud.points[None], M[:, None], mode)
+        results = [None] * len(M)
+        if mode == "epi":
+            best = np.min(gaps, axis=1)
+            for j in np.nonzero(best <= MEMBER_TOL)[0]:
+                inside = np.all(cloud.points <= M[j] + MEMBER_TOL, axis=1)
+                results[j] = MembershipResult(
+                    member=True, x=cloud.sources[np.argmax(inside)],
+                    margin=float(max(best[j], 0.0)))
+        slow = [j for j, res in enumerate(results) if res is None]
+        if slow:
+            nearest = np.argsort(gaps[slow], axis=1, kind="stable")[:, :6]
+            seeds = [derive_seed(seed, first + j) for j in slow]
+            found = _member_search(system, M[slow], budget, seeds, mode,
+                                   starts=cloud.sources[nearest])
+            for j, res in zip(slow, found):
+                results[j] = res
+        return results if m_arr.ndim > 1 else results[0]
+
+    return oracle
 
 
 def epi_membership_oracle(system, cloud, budget=24, seed=0):
     """Oracle for the upper set F + R_+^(p+1), with a cloud fast path:
-    any cloud point componentwise below m already witnesses membership."""
-    state = {"calls": 0}
-
-    def oracle(m):
-        state["calls"] += 1
-        m_arr = np.asarray(m, dtype=float)
-        starts, best_gap = _dominating_starts(cloud, m_arr, "epi")
-        if best_gap <= MEMBER_TOL:
-            idx = int(np.argmax(np.all(
-                cloud.points <= m_arr[None, :] + MEMBER_TOL, axis=1)))
-            return MembershipResult(member=True, x=cloud.sources[idx],
-                                    margin=float(max(best_gap, 0.0)))
-        call_seed = derive_seed(seed, state["calls"])
-        return _member_search(system, m_arr, budget, call_seed, "epi",
-                              starts=starts)
-
-    return oracle
+    any cloud point componentwise below m already witnesses membership.
+    Takes one target or a stack of them (see _membership_oracle)."""
+    return _membership_oracle(system, cloud, budget, seed, "epi", None)
 
 
-def identity_membership_oracle(system, cloud, budget=24, seed=0):
-    """Oracle for membership in F itself."""
-    state = {"calls": 0}
-
-    def oracle(m):
-        state["calls"] += 1
-        m_arr = np.asarray(m, dtype=float)
-        starts, _ = _dominating_starts(cloud, m_arr, "identity")
-        call_seed = derive_seed(seed, state["calls"])
-        return _member_search(system, m_arr, budget, call_seed, "identity",
-                              starts=starts)
-
-    return oracle
+def identity_membership_oracle(system, cloud, budget=24, seed=0, state=None):
+    """Oracle for membership in F itself.  Takes one target or a stack of
+    them (see _membership_oracle); `state` shares the call counter."""
+    return _membership_oracle(system, cloud, budget, seed, "identity", state)
 
 
 def conical_membership_oracle(system, cloud, budget=24, seed=0):
     """Oracle for the cone R_+ F: try m/s for s on a log grid in
     [1e-3, 1e3] against F itself.  Shortfalls are rescaled by s so margins
-    are comparable in the units of m."""
-    inner = identity_membership_oracle(system, cloud, budget, seed)
+    are comparable in the units of m.
+
+    All scales of a target go to the identity oracle as one stack; the
+    first member in scale order answers, and the call counter moves past
+    the scales up to it only, as a scale-by-scale loop would.  So a stack
+    of targets is answered one target after another."""
+    state = {"calls": 0}
+    inner = identity_membership_oracle(system, cloud, budget, seed,
+                                       state=state)
+
+    def answer(m):
+        if np.max(np.abs(m)) <= MEMBER_TOL:
+            # 0 is in R_+ F via the scale s = 0
+            return MembershipResult(member=True, x=None, margin=0.0)
+        before = state["calls"]
+        results = inner(m[None, :] / _CONE_SCALES[:, None])
+        margins = [res.margin * s for res, s in zip(results, _CONE_SCALES)]
+        for i, res in enumerate(results):
+            if res.member:
+                state["calls"] = before + i + 1
+                return MembershipResult(True, res.x, margins[i])
+        return MembershipResult(False, None, float(min(margins)))
 
     def oracle(m):
         m_arr = np.asarray(m, dtype=float)
-        if np.max(np.abs(m_arr)) <= MEMBER_TOL:
-            # 0 is in R_+ F via the scale s = 0
-            return MembershipResult(member=True, x=None, margin=0.0)
-        best = None
-        for s in _CONE_SCALES:
-            res = inner(m_arr / s)
-            margin = res.margin * s
-            if res.member:
-                return MembershipResult(member=True, x=res.x, margin=margin)
-            if best is None or margin < best:
-                best = margin
-        return MembershipResult(member=False, x=None, margin=float(best))
+        return answer(m_arr) if m_arr.ndim == 1 else list(map(answer, m_arr))
 
     return oracle
 
@@ -445,31 +471,40 @@ def falsify_convexity(member, cloud, trials=500, seed=0, eta=1e-3,
     residual margin exceeds eta, that chord is reported as a violation.
     Budget exhaustion without such a chord is a value (NoViolationFound),
     not an error.
+
+    Trials run in blocks of 1, 2, 4, ...; each block's chord points go to
+    the oracle as one (k, p+1) stack, answered with a list.  No draw
+    depends on an answer, so the first violation in trial order is the
+    one a trial-by-trial run reports, with the same `trials_run`.
     """
     rng = SplitMix64(seed)
-    count = cloud.size
-    for trial in range(1, trials + 1):
-        j1 = rng.randint(count)
-        j2 = rng.randint(count)
-        if j1 == j2:
+    done, size = 0, 1
+    while done < trials:
+        block = []
+        for trial in range(done + 1, min(trials, done + size) + 1):
+            j1, j2 = rng.randint(cloud.size), rng.randint(cloud.size)
+            if j1 != j2:
+                t = _CHORD_TS[rng.randint(3)]
+                m = t * cloud.points[j1] + (1.0 - t) * cloud.points[j2]
+                block.append((trial, j1, j2, t, m))
+        done, size = min(trials, done + size), 2 * size
+        if not block:
             continue
-        t = _CHORD_TS[rng.randint(3)]
-        z1 = cloud.points[j1]
-        z2 = cloud.points[j2]
-        m = t * z1 + (1.0 - t) * z2
-        res = member(m)
-        if not res.member and res.margin > eta:
-            if system is not None:
-                _verify_endpoint(system, cloud, j1)
-                _verify_endpoint(system, cloud, j2)
-            return FalsifyResult(
-                violation=ConvexityViolation(
-                    z1=z1.copy(), z2=z2.copy(), t=t, m=m,
-                    search_budget=budget, margin=res.margin,
-                    indices=(int(j1), int(j2)),
-                ),
-                trials_run=trial,
-            )
+        answers = member(np.array([chord[-1] for chord in block]))
+        for (trial, j1, j2, t, m), res in zip(block, answers):
+            if not res.member and res.margin > eta:
+                if system is not None:
+                    _verify_endpoint(system, cloud, j1)
+                    _verify_endpoint(system, cloud, j2)
+                return FalsifyResult(
+                    violation=ConvexityViolation(
+                        z1=cloud.points[j1].copy(),
+                        z2=cloud.points[j2].copy(), t=t, m=m,
+                        search_budget=budget, margin=res.margin,
+                        indices=(int(j1), int(j2)),
+                    ),
+                    trials_run=trial,
+                )
     return FalsifyResult(trials_run=trials)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slemma import geometry as geo
+from slemma import search
 from slemma.quadratic import QuadraticFunction
 from slemma.rng import SplitMix64
 from slemma.systems import FunctionSystem
@@ -224,12 +225,184 @@ def test_falsify_rejects_corrupted_cloud(example3):
     bad = geo.ImageCloud(points=cloud.points + 1.0, sources=cloud.sources,
                          box_radius=cloud.box_radius, seed=cloud.seed)
 
-    def always_rejecting(m):
-        return geo.MembershipResult(member=False, x=None, margin=1.0)
+    def always_rejecting(M):
+        return [geo.MembershipResult(member=False, x=None, margin=1.0)
+                for _ in M]
 
     with pytest.raises(AssertionError):
         geo.falsify_convexity(always_rejecting, bad, trials=10, seed=4,
                               eta=1e-3, system=example3)
+
+
+def _same_result(a, b):
+    """Same verdict, and the same bytes in x and margin."""
+    def raw(v):
+        return None if v is None else np.asarray(v, dtype=float).tobytes()
+
+    return (a.member == b.member and raw(a.margin) == raw(b.margin)
+            and raw(a.x) == raw(b.x))
+
+
+def test_grouped_descend_equals_one_descend_per_group(example3):
+    targets = np.array([[-1.0, 0.5], [3.0, -2.0], [0.2, 0.1]])
+    sizes = [5, 1, 7]
+    X0 = SplitMix64(31).uniform_box(4.0, 2, sum(sizes))
+    groups = np.repeat(np.arange(3), sizes)
+
+    def loss(X, g):
+        H = example3.image_batch(X) - targets[g]
+        return np.sum(H * H, axis=1)
+
+    for radius in (None, 1.5):
+        X, vals = search.descend(loss, X0, steps=40, box_radius=radius,
+                                 groups=groups)
+        lo = 0
+        for j, size in enumerate(sizes):
+            solo = search.descend(
+                lambda Y, m=targets[j]: np.sum(
+                    (example3.image_batch(Y) - m) ** 2, axis=1),
+                X0[groups == j], steps=40, box_radius=radius)
+            assert X[lo:lo + size].tobytes() == solo[0].tobytes()
+            assert vals[lo:lo + size].tobytes() == solo[1].tobytes()
+            lo += size
+
+
+@pytest.mark.parametrize("factory", [geo.epi_membership_oracle,
+                                     geo.identity_membership_oracle])
+def test_stacked_oracle_equals_calls_one_at_a_time(example3, factory):
+    cloud = geo.sample_image(example3, 10.0, 128, 21)
+    # cloud points (epi fast path), points just off them, far targets
+    M = np.vstack([cloud.points[:2], cloud.points[2:4] + 0.3,
+                   [[-50.0, -3.0], [2.0, 40.0], [-0.5, 0.0]]])
+    stacked = factory(example3, cloud, budget=6, seed=4)
+    single = factory(example3, cloud, budget=6, seed=4)
+    answers = stacked(M[:3]) + stacked(M[3:]) + [stacked(M[0])]
+    expected = [single(m) for m in M] + [single(M[0])]
+    assert len(answers) == len(expected) == 8
+    assert all(_same_result(a, b) for a, b in zip(answers, expected))
+
+
+def test_conical_oracle_equals_scale_by_scale_loop(monkeypatch):
+    # F is the parabola {(v^2 + 1, v)}: m = s * (v^2 + 1, v) lies in R_+ F
+    # at the grid scale s and, for these v, at no other grid scale
+    line = FunctionSystem(1, QuadraticFunction([[2.0]], [0.0], 1.0),
+                          (QuadraticFunction([[0.0]], [-1.0], 0.0),))
+    cloud = geo.sample_image(line, 10.0, 64, 5)
+    scales = geo._CONE_SCALES
+    targets = np.array([scales[12] * np.array([1.49, 0.7]),
+                        [-1.0, 0.0],
+                        np.zeros(2),
+                        scales[8] * np.array([1.36, -0.6]),
+                        [2.0, 5.0]])
+    seeds = []   # the seeds of every member search, in order
+    real_search = geo._member_search
+
+    def spy(system, M, budget, stack_seeds, mode, starts=None):
+        seeds.append(list(stack_seeds))
+        return real_search(system, M, budget, stack_seeds, mode, starts)
+
+    monkeypatch.setattr(geo, "_member_search", spy)
+    inner = geo.identity_membership_oracle(line, cloud, budget=6, seed=3)
+
+    def reference(m):
+        if np.max(np.abs(m)) <= geo.MEMBER_TOL:
+            return geo.MembershipResult(member=True, x=None, margin=0.0)
+        best = None
+        for s in scales:
+            res = inner(m / s)
+            if res.member:
+                return geo.MembershipResult(member=True, x=res.x,
+                                            margin=res.margin * s)
+            best = res.margin * s if best is None else min(best,
+                                                           res.margin * s)
+        return geo.MembershipResult(member=False, x=None, margin=float(best))
+
+    expected = [reference(m) for m in targets]
+    assert [r.member for r in expected] == [True, False, True, True, False]
+    reference_seeds, used = [s for (s,) in seeds], [13, 25, 9, 25]
+    one_by_one = geo.conical_membership_oracle(line, cloud, budget=6, seed=3)
+    stacked = geo.conical_membership_oracle(line, cloud, budget=6, seed=3)
+    for ask in (lambda: [one_by_one(m) for m in targets],
+                lambda: stacked(targets)):
+        seeds.clear()
+        assert all(_same_result(a, b) for a, b in zip(ask(), expected))
+        # each stack holds all 25 scales; the ones up to the first member
+        # carry the seeds of the scale-by-scale loop
+        assert [len(stack) for stack in seeds] == [25] * 4
+        assert [s for stack, k in zip(seeds, used) for s in stack[:k]] \
+            == reference_seeds
+
+
+class _RecordingOracle:
+    """Rejects the targets `rejects` picks, recording every stack it is
+    asked about."""
+
+    def __init__(self, rejects):
+        self.rejects = rejects
+        self.asked = []
+
+    def answer(self, m):
+        bad = bool(self.rejects(m))
+        return geo.MembershipResult(member=not bad, x=None,
+                                    margin=float(bad))
+
+    def __call__(self, M):
+        M = np.asarray(M)
+        self.asked.append(M.copy())
+        return self.answer(M) if M.ndim == 1 else [self.answer(m) for m in M]
+
+
+def _falsify_trial_by_trial(oracle, cloud, trials, seed, eta):
+    rng = SplitMix64(seed)
+    for trial in range(1, trials + 1):
+        j1, j2 = rng.randint(cloud.size), rng.randint(cloud.size)
+        if j1 == j2:
+            continue
+        t = geo._CHORD_TS[rng.randint(3)]
+        m = t * cloud.points[j1] + (1.0 - t) * cloud.points[j2]
+        res = oracle(m)
+        if not res.member and res.margin > eta:
+            return trial, (j1, j2), t, m
+    return trials, None, None, None
+
+
+@pytest.mark.parametrize("count,limit", [(4096, 2.8), (4096, 9.0),
+                                         (3, 0.6), (3, 9.0)])
+def test_falsifier_blocks_match_trial_by_trial(count, limit):
+    points = SplitMix64(17).uniform_box(3.0, 2, count)
+    cloud = _cloud_from_points(points)
+    fake = _RecordingOracle(lambda m: m[0] > limit)
+    ref = _RecordingOracle(lambda m: m[0] > limit)
+    res = geo.falsify_convexity(fake, cloud, trials=60, seed=8, eta=0.5)
+    trials_run, indices, t, m = _falsify_trial_by_trial(ref, cloud, 60, 8,
+                                                        0.5)
+    assert res.trials_run == trials_run
+    assert res.found == (indices is not None)
+    if res.found:
+        v = res.violation
+        assert v.indices == indices and v.t == t
+        assert v.m.tobytes() == m.tobytes()
+    asked = np.vstack(fake.asked)
+    assert asked[:len(ref.asked)].tobytes() == np.array(ref.asked).tobytes()
+    assert all(stack.ndim == 2 for stack in fake.asked)
+    sizes = [len(stack) for stack in fake.asked]
+    if count > 3:   # no j1 == j2 skip: the blocks are 1, 2, 4, ... trials
+        assert sizes[:-1] == [2 ** i for i in range(len(sizes) - 1)]
+        assert sum(sizes) == (60 if indices is None else len(asked))
+
+
+def test_falsifier_reports_first_violation_of_a_block():
+    cloud = _cloud_from_points(SplitMix64(17).uniform_box(3.0, 2, 4096))
+    accepting = _RecordingOracle(lambda m: False)
+    geo.falsify_convexity(accepting, cloud, trials=60, seed=8, eta=0.5)
+    targets = np.vstack(accepting.asked)
+    # trials 10 and 13 both violate; both lie in the block of trials 8-15
+    bad = {targets[9].tobytes(), targets[12].tobytes()}
+    fake = _RecordingOracle(lambda m: m.tobytes() in bad)
+    res = geo.falsify_convexity(fake, cloud, trials=60, seed=8, eta=0.5)
+    assert [len(stack) for stack in fake.asked] == [1, 2, 4, 8]
+    assert res.trials_run == 10
+    assert res.violation.m.tobytes() == targets[9].tobytes()
 
 
 def test_conical_oracle_zero_is_member(example3):

@@ -40,7 +40,7 @@ CASES = ([_case("classify", name, False) for name in CORPUS_FILES]
             _case("geometry", "slater_fail.json", False),
             _case("geometry", "example3_pair.json", False),
             ("conjecture-scan.count4_dim2_seed1.txt",
-             ["conjecture-scan", "--count", "4", "--dim", "2", "--seed", "1"])])
+             "conjecture-scan --count 4 --dim 2 --seed 1".split())])
 
 
 def _render(argv):
