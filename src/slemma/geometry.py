@@ -240,10 +240,11 @@ def _shortfalls(Z, M, mode):
     """max_i (z_i - m_i) (epi) or max_i |z_i - m_i| (identity) over the
     last axis of broadcast Z and M, one coordinate at a time so no
     (k, N, p+1) temporary is built."""
-    gaps = -np.inf
+    shape = np.broadcast_shapes(Z.shape, M.shape)[:-1]
+    gaps, d = np.full(shape, -np.inf), np.empty(shape)
     for c in range(Z.shape[-1]):
-        d = Z[..., c] - M[..., c]
-        gaps = np.maximum(gaps, d if mode == "epi" else np.abs(d))
+        np.subtract(Z[..., c], M[..., c], out=d)
+        np.maximum(gaps, d if mode == "epi" else np.abs(d, out=d), out=gaps)
     return gaps
 
 
@@ -368,7 +369,8 @@ def _membership_oracle(system, cloud, budget, seed, mode, state):
                     margin=float(max(best[j], 0.0)))
         slow = [j for j, res in enumerate(results) if res is None]
         if slow:
-            nearest = np.argsort(gaps[slow], axis=1, kind="stable")[:, :6]
+            nearest = np.array([np.argsort(gaps[j], kind="stable")[:6]
+                                for j in slow])
             seeds = [derive_seed(seed, first + j) for j in slow]
             found = _member_search(system, M[slow], budget, seeds, mode,
                                    starts=cloud.sources[nearest])
@@ -491,7 +493,7 @@ def falsify_convexity(member, cloud, trials=500, seed=0, eta=1e-3,
         if not block:
             continue
         answers = member(np.array([chord[-1] for chord in block]))
-        for (trial, j1, j2, t, m), res in zip(block, answers):
+        for (trial, j1, j2, t, m), res in zip(block, answers, strict=True):
             if not res.member and res.margin > eta:
                 if system is not None:
                     _verify_endpoint(system, cloud, j1)
