@@ -237,9 +237,8 @@ def _residuals(system, X, M, mode):
 
 
 def _shortfalls(Z, M, mode):
-    """max_i (z_i - m_i) (epi) or max_i |z_i - m_i| (identity) over the
-    last axis of broadcast Z and M, one coordinate at a time so no
-    (k, N, p+1) temporary is built."""
+    """max_i (z_i - m_i) (epi) or max_i |z_i - m_i| over the last axis of
+    broadcast Z and M, one coordinate at a time: no (k, N, p+1) temporary."""
     shape = np.broadcast_shapes(Z.shape, M.shape)[:-1]
     gaps, d = np.full(shape, -np.inf), np.empty(shape)
     for c in range(Z.shape[-1]):
