@@ -25,6 +25,7 @@ FAILED = "Failed"
 SAMPLED_FLOOR = -1e-6
 SLATER_ALPHA0_MIN = 1e-8
 REFINE_ROUNDS = 3
+P1_NEAR_MAX = 0.99    # a p = 1 certificate is within 1% of the upper bound
 
 
 class NegativeMultiplier(SlemmaError):
@@ -133,7 +134,6 @@ class SearchResult:
     certificate: Certificate | None = None
     best_alpha: np.ndarray | None = None
     best_lambda_min: float | None = None
-    at_boundary: bool = False
     outcome: str = ""          # extra detail for the separation pipeline
     alpha0: float | None = None
     witness: object = None
@@ -144,59 +144,6 @@ class SearchResult:
     @property
     def found(self):
         return self.certificate is not None
-
-
-def _p1_value(system, a):
-    M = combined_matrix(system, [a])
-    lam, _ = min_eigenvalue(M)
-    return lam, 1.0 + np.max(np.abs(M))
-
-
-def find_certificate_p1(system, alpha_max=1e4, tol=PSD_RTOL, iters=200):
-    """Golden-section maximization of lambda_min(M(alpha)) on [0, alpha_max].
-
-    lambda_min(M(alpha)) is concave in alpha (a pointwise infimum of affine
-    functions), so the section search is exact up to interval width."""
-    if system.p != 1:
-        raise DimensionMismatch(f"p=1 search on a system with p={system.p}")
-    if not system.is_quadratic:
-        raise DimensionMismatch("p=1 search needs an all-quadratic system")
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, float(alpha_max)
-    best_a, (best_g, best_scale) = lo, _p1_value(system, lo)
-    g_hi, scale_hi = _p1_value(system, hi)
-    if g_hi > best_g:
-        best_a, best_g, best_scale = hi, g_hi, scale_hi
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    g1, s1 = _p1_value(system, x1)
-    g2, s2 = _p1_value(system, x2)
-    for _ in range(iters):
-        for a, g, s in ((x1, g1, s1), (x2, g2, s2)):
-            if g > best_g:
-                best_a, best_g, best_scale = a, g, s
-        if hi - lo < 1e-12 * (1.0 + alpha_max):
-            break
-        if g1 >= g2:
-            hi, x2, g2, s2 = x2, x1, g1, s1
-            x1 = hi - inv_phi * (hi - lo)
-            g1, s1 = _p1_value(system, x1)
-        else:
-            lo, x1, g1, s1 = x1, x2, g2, s2
-            x2 = lo + inv_phi * (hi - lo)
-            g2, s2 = _p1_value(system, x2)
-    if best_g >= -tol * best_scale:
-        cert = Certificate(alpha=np.array([best_a]), lambda_min=best_g,
-                           verified=EXACT_PSD)
-        return SearchResult(certificate=cert, best_alpha=np.array([best_a]),
-                            best_lambda_min=best_g)
-    # still climbing at the right endpoint means alpha_max was the binding
-    # limit, not the concave maximum
-    g_end, _ = _p1_value(system, alpha_max)
-    g_in, _ = _p1_value(system, alpha_max * (1.0 - 1e-6))
-    boundary = g_end >= g_in and abs(best_a - alpha_max) <= 1e-6 * alpha_max
-    return SearchResult(best_alpha=np.array([best_a]), best_lambda_min=best_g,
-                        at_boundary=bool(boundary))
 
 
 def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
@@ -211,8 +158,12 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
     stops at a certificate, at an upper bound below -tol * S with
     S = 1 + max|M0| + alpha_max * sum_i max|M_i| >= 1 + max|M(alpha)| on the
     box (so no alpha <= alpha_max passes; outcome NO_CERTIFICATE), when the
-    bound meets the best value, or after `iters` eigen calls.  `seed` is
-    accepted for interface stability; the search is deterministic."""
+    bound meets the best value, or after `iters` eigen calls.  For p >= 2
+    the first passing iterate is the certificate.  For p = 1 a passing
+    iterate ends the search only once it reaches P1_NEAR_MAX times the
+    bound, so every p = 1 certificate has lambda_min >= 0.99 * max g.
+    `seed` is accepted for interface stability; the search is
+    deterministic."""
     if not system.is_quadratic:
         raise DimensionMismatch("cutting-plane search needs an all-quadratic system")
     if system.p < 1:
@@ -235,7 +186,7 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
         if lam > best_g:
             best_alpha, best_g = alpha, lam
             best_scale = 1.0 + np.max(np.abs(M))
-            if best_g >= -tol * best_scale:
+            if p > 1 and best_g >= -tol * best_scale:
                 break
         s = np.array([-(v @ B @ v) for B in borders])
         cuts.append(np.concatenate([-s, [1.0]]))    # t - s.a <= lam - s.alpha
@@ -250,6 +201,8 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
             break
         if upper_bound - best_g <= tol * best_scale:
             break
+        if best_g >= max(-tol * best_scale, P1_NEAR_MAX * upper_bound):
+            break       # p = 1 only: a passing p >= 2 iterate broke above
         alpha = np.clip(lp.y[:p], 0.0, alpha_max)
     result = SearchResult(best_alpha=best_alpha, best_lambda_min=best_g,
                           upper_bound=upper_bound, outcome=outcome)
@@ -257,6 +210,15 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
         result.certificate = Certificate(alpha=best_alpha, lambda_min=best_g,
                                          verified=EXACT_PSD)
     return result
+
+
+def find_certificate_p1(system, alpha_max=1e4, tol=PSD_RTOL, iters=200):
+    """The cutting-plane search on a p = 1 system, capped at `iters` eigen
+    calls."""
+    if system.p != 1:
+        raise DimensionMismatch(f"p=1 search on a system with p={system.p}")
+    return find_certificate_general(system, iters=iters, tol=tol,
+                                    alpha_max=alpha_max)
 
 
 def format_certificate(certificate):

@@ -123,20 +123,15 @@ def cmd_certificate(args, out):
     report.describe_instance(rep, pf, system)
     rep.add("method", args.method)
 
-    cert = None
-    detail = {}
-    if args.method == "p1":
-        search = cert_mod.find_certificate_p1(system, alpha_max=cfg.alpha_max,
-                                              tol=cfg.psd_tol)
-        cert = search.certificate
-        detail = {"best_alpha": search.best_alpha,
-                  "best_lambda_min": search.best_lambda_min,
-                  "at_boundary": search.at_boundary}
-    elif args.method == "supergradient":
-        search = cert_mod.find_certificate_general(
-            system, iters=cfg.supergradient_iters,
-            seed=derive_seed(cfg.seed, 4), tol=cfg.psd_tol,
-            alpha_max=cfg.alpha_max)
+    if args.method in ("p1", "supergradient"):
+        if args.method == "p1":
+            search = cert_mod.find_certificate_p1(
+                system, alpha_max=cfg.alpha_max, tol=cfg.psd_tol)
+        else:
+            search = cert_mod.find_certificate_general(
+                system, iters=cfg.supergradient_iters,
+                seed=derive_seed(cfg.seed, 4), tol=cfg.psd_tol,
+                alpha_max=cfg.alpha_max)
         cert = search.certificate
         detail = {"best_alpha": search.best_alpha,
                   "best_lambda_min": search.best_lambda_min,

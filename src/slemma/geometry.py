@@ -23,6 +23,7 @@ from .systems import FunctionSystem
 
 MEMBER_TOL = 1e-7
 _CONE_SCALES = np.logspace(-3.0, 3.0, 25)
+_ORACLE_CHUNK = 32    # targets per shortfall buffer of a stacked oracle call
 
 
 @dataclass(frozen=True)
@@ -349,7 +350,9 @@ def _membership_oracle(system, cloud, budget, seed, mode, state):
     target m, or a (k, p+1) stack answered as k calls in order: call c
     (counted from 1) searches with the seed derive_seed(seed, c), starting
     from the six cloud points of least shortfall.  In epi mode a cloud
-    point below m answers without a search; the rest share one search."""
+    point below m answers without a search; the rest share one search.
+    Shortfalls are taken _ORACLE_CHUNK targets at a time, so a large stack
+    never holds more than two (_ORACLE_CHUNK, N) buffers."""
     state = {"calls": 0} if state is None else state
 
     def oracle(m):
@@ -357,19 +360,25 @@ def _membership_oracle(system, cloud, budget, seed, mode, state):
         M = np.atleast_2d(m_arr)
         first = state["calls"] + 1
         state["calls"] += len(M)
-        gaps = _shortfalls(cloud.points[None], M[:, None], mode)
         results = [None] * len(M)
-        if mode == "epi":
-            best = np.min(gaps, axis=1)
-            for j in np.nonzero(best <= MEMBER_TOL)[0]:
-                inside = np.all(cloud.points <= M[j] + MEMBER_TOL, axis=1)
-                results[j] = MembershipResult(
-                    member=True, x=cloud.sources[np.argmax(inside)],
-                    margin=float(max(best[j], 0.0)))
-        slow = [j for j, res in enumerate(results) if res is None]
+        slow, nearest = [], []
+        for lo in range(0, len(M), _ORACLE_CHUNK):
+            gaps = _shortfalls(cloud.points[None],
+                               M[lo:lo + _ORACLE_CHUNK, None], mode)
+            for j, row in enumerate(gaps, start=lo):
+                best = np.min(row)
+                if mode == "epi" and best <= MEMBER_TOL:
+                    inside = np.all(cloud.points <= M[j] + MEMBER_TOL, axis=1)
+                    results[j] = MembershipResult(
+                        member=True, x=cloud.sources[np.argmax(inside)],
+                        margin=float(max(best, 0.0)))
+                else:
+                    slow.append(j)
+                    # copied, so the row's full argsort is not kept alive
+                    nearest.append(np.argsort(row, kind="stable")[:6].copy())
+            del gaps, row     # free this chunk before the next is built
         if slow:
-            nearest = np.array([np.argsort(gaps[j], kind="stable")[:6]
-                                for j in slow])
+            nearest = np.array(nearest)
             seeds = [derive_seed(seed, first + j) for j in slow]
             found = _member_search(system, M[slow], budget, seeds, mode,
                                    starts=cloud.sources[nearest])

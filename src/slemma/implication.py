@@ -89,16 +89,6 @@ def _values_or_none(system, x):
     return vals
 
 
-def _verify_witness(system, x):
-    vals = _values_or_none(system, x)
-    if vals is None:
-        return None
-    min_c = float(np.min(vals[1:])) if system.p else np.inf
-    if min_c >= -_WITNESS_TOL and vals[0] < -_WITNESS_TOL:
-        return float(vals[0]), min_c
-    return None
-
-
 def find_counterexample(system, radius=10.0, samples=4096, seed=0,
                         refine_iters=80, extra_starts=None, penalty=1e3):
     """Search for x with every f_i >= 0 and f0 < 0.
@@ -125,7 +115,6 @@ def find_counterexample(system, radius=10.0, samples=4096, seed=0,
     feasible = finite & (np.all(vals[:, 1:] >= 0.0, axis=1) if system.p
                          else True)
     f0 = np.where(finite, vals[:, 0], np.inf)
-    vals = np.where(np.isfinite(vals), vals, np.inf)
 
     closest_x = None
     closest_f0 = None
@@ -138,8 +127,9 @@ def find_counterexample(system, radius=10.0, samples=4096, seed=0,
     order_feas = np.argsort(score, kind="stable")
     starts = [X[i] for i in order_feas[:20] if np.isfinite(score[i])]
     if len(starts) < 20 and system.p:
+        # out-of-domain rows score +inf, like feasible ones
         infeas_pen = np.sum(np.maximum(-vals[:, 1:], 0.0) ** 2, axis=1)
-        infeas_pen = np.where(feasible, np.inf, infeas_pen)
+        infeas_pen = np.where(finite & ~feasible, infeas_pen, np.inf)
         order_infeas = np.argsort(infeas_pen, kind="stable")
         for i in order_infeas[: 20 - len(starts)]:
             if np.isfinite(infeas_pen[i]):
@@ -156,15 +146,17 @@ def find_counterexample(system, radius=10.0, samples=4096, seed=0,
     candidates = np.vstack([refined, np.array(starts)])
     best_hit = None
     for x in candidates:
-        hit = _verify_witness(system, x)
-        if hit is not None and (best_hit is None or hit[0] < best_hit[1]):
-            best_hit = (x, hit[0], hit[1])
         vals_x = _values_or_none(system, x)
-        if vals_x is not None:
-            min_c = float(np.min(vals_x[1:])) if system.p else np.inf
-            if min_c >= -_WITNESS_TOL and (
-                    closest_f0 is None or vals_x[0] < closest_f0):
-                closest_x, closest_f0 = x, float(vals_x[0])
+        if vals_x is None:
+            continue
+        min_c = float(np.min(vals_x[1:])) if system.p else np.inf
+        if min_c < -_WITNESS_TOL:
+            continue
+        value = float(vals_x[0])
+        if value < -_WITNESS_TOL and (best_hit is None or value < best_hit[1]):
+            best_hit = (x, value, min_c)
+        if closest_f0 is None or value < closest_f0:
+            closest_x, closest_f0 = x, value
     if best_hit is not None:
         x, value, min_c = best_hit
         return CounterexampleResult(found=True, x=x, f0_value=value,
@@ -279,9 +271,6 @@ def _certify_quadratic(system, config, report):
             alpha_max=config.alpha_max)
     if search.found:
         return search.certificate, witness_starts
-    if search.at_boundary:
-        report.notes.append(
-            f"lambda_min still improving at alpha_max={config.alpha_max!r}")
     if search.outcome == cert_mod.NO_CERTIFICATE:
         report.notes.append(
             f"no certificate with alpha <= alpha_max={config.alpha_max!r}")

@@ -44,10 +44,8 @@ class SplitMix64:
 
     def __init__(self, seed):
         self.state = int(seed) & _MASK
-        self._drawn = 0
 
     def next_u64(self):
-        self._drawn += 1
         self.state = (self.state + _GAMMA) & _MASK
         return _mix(self.state)
 
@@ -71,7 +69,6 @@ class SplitMix64:
             z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
             z = z ^ (z >> np.uint64(31))
         self.state = (self.state + count * _GAMMA) & _MASK
-        self._drawn += count
         u = (z >> np.uint64(11)).astype(np.float64) / _TWO53
         return lo + (hi - lo) * u
 

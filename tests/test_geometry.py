@@ -279,6 +279,13 @@ def test_stacked_oracle_equals_calls_one_at_a_time(example3, factory):
     expected = [single(m) for m in M] + [single(M[0])]
     assert len(answers) == len(expected) == 8
     assert all(_same_result(a, b) for a, b in zip(answers, expected))
+    # a stack that spans more than one shortfall chunk
+    k = geo._ORACLE_CHUNK + 5
+    big = cloud.points[:k] + np.where(np.arange(k) % 2, 0.3, 0.0)[:, None]
+    answers = stacked(big)
+    expected = [single(m) for m in big]
+    assert len(answers) == k
+    assert all(_same_result(a, b) for a, b in zip(answers, expected))
 
 
 def test_conical_oracle_equals_scale_by_scale_loop(monkeypatch):

@@ -6,6 +6,8 @@ any of their bytes must say why in CHANGES.md, then rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 
+which prints the name of each golden file whose bytes changed.
+
 The reports are produced from inside the corpus directory with bare file
 names, so they hold no machine-specific path.  All 16 `geometry` reports
 take minutes; the two pinned here reach every evidence block (hull
@@ -63,4 +65,8 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     os.chdir(CORPUS)
     for golden, argv in CASES:
-        (GOLDEN / golden).write_text(_render(argv), encoding="utf-8")
+        path = GOLDEN / golden
+        text = _render(argv)
+        if not path.exists() or path.read_bytes() != text.encode("utf-8"):
+            path.write_text(text, encoding="utf-8")
+            print(golden)

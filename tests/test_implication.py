@@ -1,7 +1,9 @@
 import numpy as np
 
 from conftest import random_p1_system
+from slemma import certificate as cert
 from slemma import geometry as geo
+from slemma import implication
 from slemma.expr import parse
 from slemma.implication import (INVALID, UNDETERMINED, VALID, ClassifyConfig,
                                 check_slater, classify_instance,
@@ -74,6 +76,25 @@ def test_counterexample_none_when_feasible_set_matches_sign():
     assert res.closest_miss_f0 >= -1e-9
 
 
+def test_counterexample_starts_are_in_domain(monkeypatch):
+    # sqrt(x1) is undefined on half the box; no out-of-domain sample may
+    # reach the descent as a start, not even through the top-up
+    system = FunctionSystem(2, parse("sqrt(x1) + 1", 2),
+                            (parse("0.0001 - x2^2", 2),))
+    starts = []
+    original = implication.descend
+
+    def spy(loss, X0, *args, **kwargs):
+        starts.append(np.array(X0))
+        return original(loss, X0, *args, **kwargs)
+
+    monkeypatch.setattr(implication, "descend", spy)
+    res = find_counterexample(system, seed=3)
+    assert not res.found
+    assert len(starts) == 1 and starts[0].shape == (20, 2)
+    assert np.all(np.isfinite(system.values_batch(starts[0])))
+
+
 def test_classify_convex_case_valid():
     system = FunctionSystem(2, _norm_sq(2), (_ball(2),))
     rep = classify_instance(system, ClassifyConfig(seed=1))
@@ -105,12 +126,17 @@ def test_classify_p0_indefinite_is_invalid():
 
 def test_classify_slater_failure_is_undetermined():
     # f1 = -x^2 pins the feasible set to {0} where f0 = x vanishes: the
-    # implication holds but no multiplier exists; the honest verdict is
-    # Undetermined with geometry evidence attached
+    # implication holds but no multiplier exists; the cutting planes prove
+    # that, and the honest verdict is Undetermined with geometry evidence
     system = FunctionSystem(1, QuadraticFunction([[0.0]], [1.0], 0.0),
                             (QuadraticFunction([[-2.0]], [0.0], 0.0),))
+    search = cert.find_certificate_p1(system)
+    assert not search.found
+    assert search.outcome == cert.NO_CERTIFICATE
+    assert search.best_lambda_min <= search.upper_bound < 0
     rep = classify_instance(system, ClassifyConfig(seed=1))
     assert rep.verdict == UNDETERMINED
+    assert "no certificate with alpha <= alpha_max=10000.0" in rep.notes
     assert not rep.slater.found
     assert rep.evidence.computed
     assert rep.evidence.hull is not None
