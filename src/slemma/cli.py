@@ -62,6 +62,12 @@ def _config_from(pf, args):
     if not (np.isfinite(cfg.psd_tol) and cfg.psd_tol >= 0):
         raise ParseError(f"tol must be finite and nonnegative, "
                          f"got {cfg.psd_tol!r}")
+    if not (np.isfinite(cfg.box_radius) and cfg.box_radius > 0):
+        raise ParseError(f"box radius must be finite and positive, "
+                         f"got {cfg.box_radius!r}")
+    if cfg.samples < 1:
+        raise ParseError(f"samples must be a positive integer, "
+                         f"got {cfg.samples!r}")
     return cfg
 
 

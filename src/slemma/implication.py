@@ -49,7 +49,7 @@ def check_slater(system, radius=10.0, samples=2048, seed=0):
                             min_constraint_value=np.inf)
 
     def loss(X):
-        vals = system.values_batch(X)[:, 1:]
+        vals = system.values_batch(X, first=1)
         vals = np.where(np.isfinite(vals), vals, -np.inf)
         return -np.min(vals, axis=1)
 

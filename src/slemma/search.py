@@ -5,7 +5,9 @@ from [-R, R]^n with a seeded splitmix64 stream, keep the most promising
 ones, then run a batched gradient descent where the gradient is a central
 finite difference of the loss.  Losses are vectorized callables mapping an
 (m, n) array of points to an (m,) array of values; non-finite values are
-treated as +inf (the point is out of domain).
+treated as +inf (the point is out of domain).  The descent stops early
+only once every later iteration would repeat the last one bit for bit, so
+its result is the one the full step budget gives.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import numpy as np
 from .rng import SplitMix64
 
 FD_STEP = 1e-5
+STEP_FLOOR = 1e-12
 
 
 def _clean(vals):
@@ -39,15 +42,21 @@ def descend(loss, X0, steps=60, h=FD_STEP, initial_step=0.1, box_radius=None,
             groups=None):
     """Batched descent with per-point adaptive step sizes.
 
-    Accepted moves grow the step by 1.5x, rejected ones shrink it by 4x;
-    the incumbent never worsens.  With `box_radius` the iterates stay
-    clamped to [-R, R]^n, matching the box-scoped claims made by callers.
-    Returns (points, values) sorted by value.
+    Accepted moves grow the step by 1.5x, rejected ones shrink it by 4x
+    down to STEP_FLOOR; the incumbent never worsens.  With `box_radius`
+    the iterates stay clamped to [-R, R]^n, matching the box-scoped claims
+    made by callers.  Returns (points, values) sorted by value.
 
     Rows never interact, so searches can share a call: with `groups` (one
     id per row) the loss is called as loss(points, their group ids), each
     group's iterates equal a descent on its rows alone, and the result is
     sorted by (group, value).
+
+    The loop stops when no row improved and each row's trial equals the
+    row or was taken at the floor step.  X, hence the probes, is then
+    fixed; a floor step stays the floor, and a smaller step still rounds
+    and clips back onto the row (rounding and clipping are monotone), so
+    every later iteration would repeat this one bit for bit.
     """
     X = np.array(X0, dtype=float)
     if X.ndim == 1:
@@ -66,10 +75,15 @@ def descend(loss, X0, steps=60, h=FD_STEP, initial_step=0.1, box_radius=None,
             trial = np.clip(trial, -box_radius, box_radius)
         trial_vals = _clean(loss(trial, *extra))
         better = trial_vals < best
+        # a step below the floor (initial_step < STEP_FLOOR) would grow
+        if not better.any() and np.all(np.where(
+                np.all(trial == X, axis=1), step >= STEP_FLOOR,
+                step == STEP_FLOOR)):
+            break
         X[better] = trial[better]
         best[better] = trial_vals[better]
         step = np.where(better, step * 1.5, step * 0.25)
-        step = np.maximum(step, 1e-12)
+        step = np.maximum(step, STEP_FLOOR)
     order = (np.argsort(best, kind="stable") if groups is None
              else np.lexsort((best, groups)))
     return X[order], best[order]

@@ -73,12 +73,12 @@ class FunctionSystem:
         """(f0(x), ..., fp(x)) at a single point."""
         return np.array([self.value(i, x) for i in range(self.p + 1)])
 
-    def values_batch(self, X):
-        """(m, p+1) array of function values at the rows of X; rows with
-        out-of-domain evaluations come back non-finite."""
+    def values_batch(self, X, first=0):
+        """(m, p+1-first) array of the values of f_first..f_p at the rows
+        of X; rows with out-of-domain evaluations come back non-finite."""
         X = np.asarray(X, dtype=float)
-        out = np.empty((X.shape[0], self.p + 1))
-        for i, f in enumerate(self.functions):
+        out = np.empty((X.shape[0], self.p + 1 - first))
+        for i, f in enumerate(self.functions[first:]):
             if isinstance(f, QuadraticFunction):
                 out[:, i] = evaluate_quadratic_batch(f, X)
             else:

@@ -272,6 +272,25 @@ def test_cli_rejects_bad_tol(tmp_path):
     assert code == 1 and err.startswith("error: ") and out == ""
 
 
+def test_cli_rejects_bad_box_and_samples(tmp_path):
+    name = str(CORPUS / "random_p1_01.json")
+    bad = [(f"--box={v}", "box radius") for v in ("-1", "0", "nan", "inf")]
+    bad += [(f"--samples={v}", "samples") for v in ("0", "-5")]
+    for flag, word in bad:
+        for command in ("classify", "counterexample", "geometry"):
+            code, out, err = run_cli(command, name, flag)
+            assert code == 1, (command, flag)
+            assert err.startswith("error: ") and word in err, (command, flag)
+            assert out == "", (command, flag)
+    pf = json.loads((CORPUS / "random_p1_01.json").read_text())
+    for radius in (-1.0, 0.0, float("nan"), float("inf")):
+        pf["config"]["R"] = radius
+        path = tmp_path / "bad_box.json"
+        path.write_text(json.dumps(pf))
+        code, out, err = run_cli("classify", str(path))
+        assert code == 1 and "box radius" in err and out == "", radius
+
+
 def test_cli_cutting_plane_proves_no_certificate(tmp_path):
     path = _no_certificate_file(tmp_path)
     code, out, _ = run_cli("certificate", str(path),
