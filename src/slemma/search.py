@@ -75,10 +75,10 @@ def descend(loss, X0, steps=60, h=FD_STEP, initial_step=0.1, box_radius=None,
             trial = np.clip(trial, -box_radius, box_radius)
         trial_vals = _clean(loss(trial, *extra))
         better = trial_vals < best
-        # a step below the floor (initial_step < STEP_FLOOR) would grow
-        if not better.any() and np.all(np.where(
-                np.all(trial == X, axis=1), step >= STEP_FLOOR,
-                step == STEP_FLOOR)):
+        # rows whose next trial repeats this one (a sub-floor step grows)
+        stalled = np.where(np.all(trial == X, axis=1), step >= STEP_FLOOR,
+                           step == STEP_FLOOR)
+        if not better.any() and stalled.all():
             break
         X[better] = trial[better]
         best[better] = trial_vals[better]
