@@ -14,6 +14,7 @@ Exit codes: 0 definitive verdict or clean report, 2 undetermined,
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -62,6 +63,9 @@ def _config_from(pf, args):
     if not (np.isfinite(cfg.psd_tol) and cfg.psd_tol >= 0):
         raise ParseError(f"tol must be finite and nonnegative, "
                          f"got {cfg.psd_tol!r}")
+    if not (np.isfinite(cfg.eta) and cfg.eta >= 0):
+        raise ParseError(f"eta must be finite and nonnegative, "
+                         f"got {cfg.eta!r}")
     if not (np.isfinite(cfg.box_radius) and cfg.box_radius > 0):
         raise ParseError(f"box radius must be finite and positive, "
                          f"got {cfg.box_radius!r}")
@@ -300,6 +304,7 @@ def cmd_verify(args, out):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="slemma",

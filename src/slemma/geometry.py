@@ -317,7 +317,7 @@ def _member_search(system, M, budget, seeds, mode, starts=None):
 
     def loss(X, g):
         H = _residuals(system, X, M[g], mode)
-        return np.sum(H * H, axis=1)
+        return np.add.reduce(H * H, axis=1)
 
     X, _ = descend(loss, X0.reshape(-1, n), steps=90,
                    groups=np.repeat(np.arange(k), size))

@@ -51,7 +51,7 @@ def check_slater(system, radius=10.0, samples=2048, seed=0):
     def loss(X):
         vals = system.values_batch(X, first=1)
         vals = np.where(np.isfinite(vals), vals, -np.inf)
-        return -np.min(vals, axis=1)
+        return -np.minimum.reduce(vals, axis=1)
 
     X, _ = sample_and_descend(loss, system.n, radius, samples, seed,
                               keep=10, steps=60)
@@ -100,10 +100,10 @@ def find_counterexample(system, radius=10.0, samples=4096, seed=0,
 
     def penalized(X):
         vals = system.values_batch(X)
-        finite = np.all(np.isfinite(vals), axis=1)
+        finite = np.isfinite(vals).all(1)
         if system.p:
             viol = np.maximum(-vals[:, 1:], 0.0)
-            pen = np.sum(viol * viol, axis=1)
+            pen = np.add.reduce(viol * viol, axis=1)
         else:
             pen = 0.0
         return np.where(finite, vals[:, 0] + penalty * pen, np.inf)

@@ -291,6 +291,20 @@ def test_cli_rejects_bad_box_and_samples(tmp_path):
         assert code == 1 and "box radius" in err and out == "", radius
 
 
+def test_cli_rejects_bad_eta(tmp_path):
+    # a NaN margin made every falsifier test false: "no violation found"
+    pf = json.loads((CORPUS / "slater_fail.json").read_text())
+    for eta in (-1e-3, float("nan"), float("inf")):
+        pf.setdefault("config", {})["eta"] = eta
+        path = tmp_path / "bad_eta.json"
+        path.write_text(json.dumps(pf))
+        for command in ("classify", "geometry"):
+            code, out, err = run_cli(command, str(path))
+            assert code == 1, (command, eta)
+            assert err.startswith("error: ") and "eta" in err, (command, eta)
+            assert out == "", (command, eta)
+
+
 def test_cli_cutting_plane_proves_no_certificate(tmp_path):
     path = _no_certificate_file(tmp_path)
     code, out, _ = run_cli("certificate", str(path),

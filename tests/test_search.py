@@ -1,27 +1,48 @@
-"""The descent's early stop returns exactly what the full step budget gives,
-and `values_batch(X, first=...)` skips columns without moving the rest."""
+"""The descent's early stop and its one loss call per iteration return
+exactly what the parent two-call loop gives over the full step budget, and
+`values_batch(X, first=...)` skips columns without moving the rest."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import slemma
-from slemma import search
+from slemma import geometry, implication, search
 from slemma.expr import parse
+from slemma.implication import (ClassifyConfig, check_slater,
+                                classify_instance, find_counterexample)
 from slemma.problem import load_problem
+from slemma.quadratic import QuadraticFunction
 from slemma.rng import SplitMix64
-from slemma.search import FD_STEP, _clean, fd_gradient
+from slemma.search import FD_STEP, _clean
 from slemma.systems import FunctionSystem, quadratic_to_source
 
-from conftest import random_p1_system
+from conftest import random_p1_system, random_quadratic
 
 CORPUS = Path(slemma.__file__).parent / "corpus"
 
 
+def fd_gradient(loss, X, h=FD_STEP, groups=None):
+    """Central-difference gradients for each row of X, batched into a
+    single loss call.  With `groups` (one id per row) the loss is called
+    as loss(points, group id of each point)."""
+    m, n = X.shape
+    probes = np.repeat(X, 2 * n, axis=0)
+    for i in range(n):
+        probes[2 * i::2 * n, i] += h
+        probes[2 * i + 1::2 * n, i] -= h
+    extra = () if groups is None else (np.repeat(groups, 2 * n),)
+    vals = _clean(loss(probes, *extra)).reshape(m, n, 2)
+    grad = (vals[:, :, 0] - vals[:, :, 1]) / (2.0 * h)
+    return np.where(np.isfinite(grad), grad, 0.0)
+
+
 def descend_unstopped(loss, X0, steps=60, h=FD_STEP, initial_step=0.1,
                       box_radius=None, groups=None):
-    """The descent loop as it was before the early stop, kept verbatim."""
+    """The descent loop as it was before the early stop and before one
+    loss call per iteration, kept verbatim with its gradient above."""
     X = np.array(X0, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
@@ -59,7 +80,7 @@ class Counted:
 
 def _same_as_unstopped(loss, X0, **kwargs):
     """Run both loops; assert byte equality and return the early-stopping
-    loop's number of loss calls (the full budget takes 2 * steps + 1)."""
+    loop's number of loss calls (the full budget takes steps + 1)."""
     counted = Counted(loss)
     X, vals = search.descend(counted, X0, **kwargs)
     X_ref, vals_ref = descend_unstopped(loss, X0, **kwargs)
@@ -79,13 +100,13 @@ def _bowl(X):
 def test_early_stop_at_a_clipped_box_corner():
     X0 = SplitMix64(5).uniform_box(1.0, 2, 12)
     calls = _same_as_unstopped(_corner, X0, steps=60, box_radius=1.0)
-    assert calls < 2 * 60 + 1
+    assert calls < 60 + 1
 
 
 def test_early_stop_at_the_floor_step_without_a_box():
     X0 = SplitMix64(6).uniform_box(3.0, 2, 9)
     calls = _same_as_unstopped(_bowl, X0, steps=200)
-    assert calls < 2 * 200 + 1
+    assert calls < 200 + 1
 
 
 def test_early_stop_on_a_grouped_loss():
@@ -110,13 +131,13 @@ def test_no_early_stop_while_a_row_improves():
                         (X[:, 0] + 2.0) ** 2 + X[:, 1] ** 2)
 
     X0 = np.array([[1.0, 0.0], [-1.5, 0.5], [-2.0, 0.0], [-2.5, -0.3]])
-    assert _same_as_unstopped(loss, X0, steps=40) == 2 * 40 + 1
+    assert _same_as_unstopped(loss, X0, steps=40) == 40 + 1
 
 
 def test_zero_rows():
-    # the first iteration has no row left to move: one call each for the
-    # start values, the probes and the trials
-    assert _same_as_unstopped(_bowl, np.zeros((0, 2)), steps=30) == 3
+    # the first iteration has no row left to move: one call for the start
+    # and its probes, one for the trials and theirs
+    assert _same_as_unstopped(_bowl, np.zeros((0, 2)), steps=30) == 2
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -133,6 +154,69 @@ def test_early_stop_on_the_search_losses(seed):
     X0 = SplitMix64(seed).uniform_box(10.0, system.n, 20)
     for loss, steps in ((slater, 60), (penalized, 80)):
         _same_as_unstopped(loss, X0, steps=steps, box_radius=10.0)
+
+
+def _spy_on_descents(monkeypatch, *modules):
+    """Record (loss, X0, kwargs) of every descent run through `modules`."""
+    runs, original = [], search.descend
+
+    def spy(loss, X0, **kwargs):
+        runs.append((loss, np.array(X0), kwargs))
+        return original(loss, X0, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "descend", spy)
+    return runs
+
+
+def _random_system(seed, p, n):
+    rng = SplitMix64(seed)
+    return FunctionSystem(n, random_quadratic(rng, n), tuple(
+        random_quadratic(rng, n) for _ in range(p)))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_one_call_per_iteration_on_the_search_losses(monkeypatch, p):
+    # the Slater and penalized losses exactly as the searches build them
+    runs = _spy_on_descents(monkeypatch, search, implication)
+    for n in range(1, 7):
+        system = _random_system(10 * p + n, p, n)
+        check_slater(system, samples=64, seed=n)
+        find_counterexample(system, samples=64, seed=n)
+    monkeypatch.undo()
+    assert len(runs) == 12
+    for loss, X0, kwargs in runs:
+        assert X0.shape[0] >= 3
+        _same_as_unstopped(loss, X0, **kwargs)
+
+
+@pytest.mark.parametrize("p, n", [(1, 2), (2, 3), (1, 4)])
+def test_one_call_per_iteration_on_the_member_search(monkeypatch, p, n):
+    # the grouped loss of the membership oracle, one group per target
+    system = _random_system(40 + n, p, n)
+    M = system.image_batch(SplitMix64(n).uniform_box(2.0, n, 3)) + 0.5
+    for mode in ("epi", "identity"):
+        runs = _spy_on_descents(monkeypatch, geometry)
+        geometry._member_search(system, M, 4, [1, 2, 3], mode)
+        monkeypatch.undo()
+        (loss, X0, kwargs), = runs
+        assert X0.shape[0] == 3 * 5
+        _same_as_unstopped(loss, X0, **kwargs)
+
+
+@pytest.mark.parametrize("system", [
+    FunctionSystem(1, parse("log(x1)", 1),
+                   (QuadraticFunction([[0.0]], [0.0], 1.0),)),
+    FunctionSystem(2, parse("sqrt(x1) + 1", 2), (parse("0.0001 - x2^2", 2),)),
+])
+def test_no_warning_from_probes_around_out_of_domain_trials(system):
+    # rejected trials outside the domain get probed too; their inf - inf
+    # differences must stay silent
+    config = ClassifyConfig(seed=3, samples=256, cloud_samples=64,
+                            falsify_trials=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        classify_instance(system, config)
 
 
 def test_values_batch_skips_leading_columns():
