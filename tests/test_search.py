@@ -1,5 +1,5 @@
 """The descent's early stop and its one loss call per iteration return
-exactly what the parent two-call loop gives over the full step budget, and
+exactly what the former two-call loop gives over the full step budget, and
 `values_batch(X, first=...)` skips columns without moving the rest."""
 
 import warnings
