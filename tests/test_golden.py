@@ -13,7 +13,10 @@ names, so they hold no machine-specific path.  All 16 `geometry` reports
 take minutes; the two pinned here reach every evidence block (hull
 witness, separator, and each falsifier with and without a violation).
 One `conjecture-scan` report pins the epi falsifier at n = 2, where it
-runs full 400-trial searches as well as a late violation.
+runs full 400-trial searches as well as a late violation.  The
+single-stage commands (`certificate` with each method, `counterexample`,
+`farkas`) are pinned on the files that reach each of their routes; a
+command that exits with an error pins an empty report.
 """
 
 import io
@@ -31,18 +34,35 @@ CORPUS_FILES = sorted(p.name for p in CORPUS.glob("*.json")
                       if p.name != "expected_verdicts.json")
 
 
-def _case(command, name, as_json):
+def _case(command, name, as_json, *flags):
+    """(golden file name, argv); each flag and value joins the name, so
+    `certificate x.json --method p1` is pinned in
+    certificate.method.p1.x.txt."""
     suffix = "json" if as_json else "txt"
-    return (f"{command}.{Path(name).stem}.{suffix}",
-            [command, name] + (["--json"] if as_json else []))
+    parts = [command] + [flag.lstrip("-") for flag in flags]
+    return (f"{'.'.join(parts)}.{Path(name).stem}.{suffix}",
+            [command, name, *flags] + (["--json"] if as_json else []))
 
+
+# the single-stage commands on files that reach each certificate route
+# (Farkas, p = 0, p = 1 cutting planes) and each counterexample outcome
+STAGE_FILES = ["convex_case.json", "example3_pair.json",
+               "farkas_affine.json", "farkas_homogeneous.json",
+               "p0_psd.json", "random_p1_01.json", "random_p1_02.json",
+               "slater_fail.json"]
+LINEAR_FILES = ["farkas_affine.json", "farkas_homogeneous.json"]
 
 CASES = ([_case("classify", name, False) for name in CORPUS_FILES]
          + [_case("classify", "slater_fail.json", True),
             _case("geometry", "slater_fail.json", False),
             _case("geometry", "example3_pair.json", False),
             ("conjecture-scan.count4_dim2_seed1.txt",
-             "conjecture-scan --count 4 --dim 2 --seed 1".split())])
+             "conjecture-scan --count 4 --dim 2 --seed 1".split())]
+         + [_case("certificate", name, False, "--method", method)
+            for method in ("p1", "supergradient", "separation")
+            for name in STAGE_FILES]
+         + [_case("counterexample", name, False) for name in STAGE_FILES]
+         + [_case("farkas", name, False) for name in LINEAR_FILES])
 
 
 def _render(argv):
