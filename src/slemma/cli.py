@@ -11,6 +11,9 @@
 
 Exit codes: 0 definitive verdict or clean report, 2 undetermined,
 1 usage or I/O error, 3 numerical failure.
+
+A handler loads the problem, runs `implication`'s stage functions (the
+ones `classify` runs), renders the report and maps the exit code.
 """
 
 import argparse
@@ -23,12 +26,12 @@ from . import certificate as cert_mod
 from . import farkas as farkas_mod
 from . import geometry, report
 from .errors import NotConverged, NumericalBreakdown, SlemmaError
-from .implication import (UNDETERMINED, ClassifyConfig,
-                          classify_instance, find_counterexample,
-                          gather_evidence)
+from .implication import (UNDETERMINED, ClassifyConfig, certificate_stage,
+                          classify_instance, counterexample_stage,
+                          image_cloud, image_geometry, separation_stage,
+                          verify_multipliers)
 from .problem import ParseError, load_problem
 from .report import Report, fnum, fvec
-from .rng import derive_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,30 +39,23 @@ EXIT_UNDETERMINED = 2
 EXIT_NUMERICAL = 3
 
 
+# problem-file config keys and command-line flags -> the fields they set
+_FILE_FIELDS = {"R": ("box_radius",), "N": ("samples",), "seed": ("seed",),
+                "tol": ("psd_tol", "lp_tol"), "eta": ("eta",)}
+_FLAG_FIELDS = {"box": ("box_radius",), "samples": ("samples",),
+                "seed": ("seed",), "tol": ("psd_tol", "lp_tol")}
+
+
 def _config_from(pf, args):
     """File config overridden by the command line flags that were given."""
     cfg = ClassifyConfig()
-    file_cfg = pf.config
-    if "R" in file_cfg:
-        cfg.box_radius = float(file_cfg["R"])
-    if "N" in file_cfg:
-        cfg.samples = int(file_cfg["N"])
-    if "seed" in file_cfg:
-        cfg.seed = int(file_cfg["seed"])
-    if "tol" in file_cfg:
-        cfg.psd_tol = float(file_cfg["tol"])
-        cfg.lp_tol = float(file_cfg["tol"])
-    if "eta" in file_cfg:
-        cfg.eta = float(file_cfg["eta"])
-    if getattr(args, "box", None) is not None:
-        cfg.box_radius = args.box
-    if getattr(args, "samples", None) is not None:
-        cfg.samples = args.samples
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "tol", None) is not None:
-        cfg.psd_tol = args.tol
-        cfg.lp_tol = args.tol
+    flags = {key: value for key, value in vars(args).items()
+             if value is not None}
+    for given, fields in ((pf.config, _FILE_FIELDS), (flags, _FLAG_FIELDS)):
+        for key, names in fields.items():
+            if key in given:
+                for name in names:
+                    setattr(cfg, name, type(getattr(cfg, name))(given[key]))
     if not (np.isfinite(cfg.psd_tol) and cfg.psd_tol >= 0):
         raise ParseError(f"tol must be finite and nonnegative, "
                          f"got {cfg.psd_tol!r}")
@@ -73,6 +69,12 @@ def _config_from(pf, args):
         raise ParseError(f"samples must be a positive integer, "
                          f"got {cfg.samples!r}")
     return cfg
+
+
+def _load(args):
+    """(problem file, its system, the config with the flags applied)."""
+    pf = load_problem(args.file)
+    return pf, pf.system(), _config_from(pf, args)
 
 
 def _echo_command(args, pf, cfg):
@@ -112,9 +114,7 @@ def cmd_validate(args, out):
 
 
 def cmd_classify(args, out):
-    pf = load_problem(args.file)
-    system = pf.system()
-    cfg = _config_from(pf, args)
+    pf, system, cfg = _load(args)
     result = classify_instance(system, cfg)
     command = _echo_command(args, pf, cfg)
     rep = report.classify_report(pf, system, result, command)
@@ -125,49 +125,30 @@ def cmd_classify(args, out):
 
 
 def cmd_certificate(args, out):
-    pf = load_problem(args.file)
-    system = pf.system()
-    cfg = _config_from(pf, args)
+    pf, system, cfg = _load(args)
     rep = Report("certificate search")
     rep.add("command", _echo_command(args, pf, cfg))
     report.describe_instance(rep, pf, system)
     rep.add("method", args.method)
 
-    if args.method in ("p1", "supergradient"):
-        if args.method == "p1":
-            search = cert_mod.find_certificate_p1(
-                system, alpha_max=cfg.alpha_max, tol=cfg.psd_tol)
-        else:
-            search = cert_mod.find_certificate_general(
-                system, iters=cfg.supergradient_iters,
-                seed=derive_seed(cfg.seed, 4), tol=cfg.psd_tol,
-                alpha_max=cfg.alpha_max)
-        cert = search.certificate
+    # p1 and supergradient are two names for classify's certificate stage
+    if args.method == "separation":
+        search = separation_stage(system, cfg, image_cloud(system, cfg))
+        detail = {"outcome": search.outcome, "rounds": search.rounds,
+                  "alpha0": search.alpha0}
+    else:
+        search = certificate_stage(system, cfg)[0]
         detail = {"best_alpha": search.best_alpha,
                   "best_lambda_min": search.best_lambda_min,
                   "upper_bound": search.upper_bound}
-    else:
-        cloud = geometry.sample_image(system, cfg.box_radius,
-                                      cfg.cloud_samples,
-                                      derive_seed(cfg.seed, 9))
-        search = cert_mod.find_certificate_via_separation(
-            system, cloud, tol=cfg.lp_tol, seed=derive_seed(cfg.seed, 10),
-            rounds=cfg.refine_rounds)
-        cert = search.certificate
-        detail = {"outcome": search.outcome, "rounds": search.rounds}
-        if search.alpha0 is not None:
-            detail["alpha0"] = search.alpha0
+    cert = search.certificate
 
     report.certificate_block(rep, cert)
     for key, value in detail.items():
-        if value is None:
-            continue
         if isinstance(value, np.ndarray):
             rep.add(key, fvec(value))
-        elif isinstance(value, float):
-            rep.add(key, fnum(value))
-        else:
-            rep.add(key, value)
+        elif value is not None:
+            rep.add(key, fnum(value) if isinstance(value, float) else value)
     if args.save and cert is not None:
         with open(args.save, "w", encoding="utf-8") as handle:
             handle.write(cert_mod.format_certificate(cert))
@@ -177,13 +158,8 @@ def cmd_certificate(args, out):
 
 
 def cmd_counterexample(args, out):
-    pf = load_problem(args.file)
-    system = pf.system()
-    cfg = _config_from(pf, args)
-    result = find_counterexample(system, radius=cfg.box_radius,
-                                 samples=cfg.samples,
-                                 seed=derive_seed(cfg.seed, 2),
-                                 penalty=cfg.penalty)
+    pf, system, cfg = _load(args)
+    result = counterexample_stage(system, cfg)
     rep = Report("counterexample search")
     rep.add("command", _echo_command(args, pf, cfg))
     report.describe_instance(rep, pf, system)
@@ -193,19 +169,8 @@ def cmd_counterexample(args, out):
 
 
 def cmd_geometry(args, out):
-    pf = load_problem(args.file)
-    system = pf.system()
-    cfg = _config_from(pf, args)
-    cloud = geometry.sample_image(system, cfg.box_radius, cfg.cloud_samples,
-                                  derive_seed(cfg.seed, 9))
-    ev = gather_evidence(system, cfg, cloud,
-                         geometry.extract_separator(cloud, tol=cfg.lp_tol))
-    identity = geometry.identity_membership_oracle(
-        system, cloud, budget=cfg.member_budget, seed=derive_seed(cfg.seed, 11))
-    image_falsify = geometry.falsify_convexity(
-        identity, cloud, trials=cfg.falsify_trials,
-        seed=derive_seed(cfg.seed, 12), eta=cfg.eta, system=system,
-        budget=cfg.member_budget)
+    pf, system, cfg = _load(args)
+    cloud, ev, image_falsify = image_geometry(system, cfg)
     rep = Report("image-set geometry")
     rep.add("command", _echo_command(args, pf, cfg))
     report.describe_instance(rep, pf, system)
@@ -229,13 +194,14 @@ def cmd_geometry(args, out):
 
 
 def cmd_farkas(args, out):
-    pf = load_problem(args.file)
-    data = pf.linear_data()
-    result = (farkas_mod.farkas_homogeneous(data)
-              if data.mode == farkas_mod.HOMOGENEOUS
-              else farkas_mod.farkas_affine(data))
+    pf, system, cfg = _load(args)
+    if not pf.all_linear:
+        raise ParseError(
+            "this problem mixes entry kinds; the linear alternatives "
+            "need every entry to be linear")
+    data = farkas_mod.linear_data(system)
+    result = farkas_mod.solve(data)
     residuals = farkas_mod.verify_farkas(data, result)
-    cfg = _config_from(pf, args)
     rep = report.farkas_report(pf, data, result, residuals,
                                _echo_command(args, pf, cfg))
     out.write(rep.render(args.json))
@@ -253,9 +219,7 @@ def cmd_conjecture_scan(args, out):
 
 
 def cmd_verify(args, out):
-    pf = load_problem(args.file)
-    system = pf.system()
-    cfg = _config_from(pf, args)
+    pf, system, cfg = _load(args)
     if args.alpha is None and args.certificate is None:
         raise ParseError("verify needs --alpha or --certificate")
     if args.alpha is not None:
@@ -280,9 +244,8 @@ def cmd_verify(args, out):
     rep.add("command", f"slemma verify {pf.path} {source}")
     report.describe_instance(rep, pf, system)
     rep.add("alpha", fvec(alpha))
+    ver = verify_multipliers(system, alpha, cfg)
     if system.is_quadratic:
-        ver = cert_mod.verify_certificate_quadratic(system, alpha,
-                                                    tol=cfg.psd_tol)
         rep.add("verdict", "Valid" if ver.valid else "Invalid")
         rep.add("lambda_min", fnum(ver.lambda_min))
         if not ver.valid:
@@ -292,9 +255,6 @@ def cmd_verify(args, out):
                 rep.add("violating_direction",
                         fvec(ver.homogeneous_direction))
     else:
-        ver = cert_mod.verify_certificate_sampled(
-            system, alpha, radius=cfg.box_radius, samples=cfg.samples,
-            seed=derive_seed(cfg.seed, 13))
         rep.add("verdict", "Violated" if ver.violated else
                 "NoViolation (sampled only)")
         rep.add("min_observed", fnum(ver.value))

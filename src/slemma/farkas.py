@@ -69,6 +69,16 @@ def make_linear_system(a0, b0, rows, offsets, mode=None):
     return LinearSystemData(a0=a0, b0=b0, a=rows, b=offsets, mode=mode)
 
 
+def linear_data(system):
+    """Data of an affine system, f_i = <c_i, x> + d_i = <a_i, x> - b_i; a
+    linear problem-file entry stores d = -b, so b = -d is exact."""
+    rows = np.array([f.c for f in system.constraints],
+                    dtype=float).reshape(system.p, system.n)
+    offsets = np.array([-f.d for f in system.constraints], dtype=float)
+    return make_linear_system(a0=system.f0.c, b0=-system.f0.d, rows=rows,
+                              offsets=offsets)
+
+
 @dataclass
 class FarkasResult:
     kind: str
@@ -134,6 +144,12 @@ def farkas_affine(data):
     need = float(data.a0 @ y) - (data.b0 - 1.0)
     t = max(need / (-slope), 0.0)
     return FarkasResult(kind=ALTERNATIVE, x=y + t * out.ray)
+
+
+def solve(data):
+    """farkas_homogeneous or farkas_affine, by the data's mode."""
+    lemma = farkas_homogeneous if data.mode == HOMOGENEOUS else farkas_affine
+    return lemma(data)
 
 
 def _inconsistent_multipliers(data):

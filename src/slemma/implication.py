@@ -1,10 +1,12 @@
-"""Counterexample search, Slater check, and the per-instance classifier.
+"""Counterexample search, Slater check, the stages and the classifier.
 
 The classifier settles each instance as far as honest evidence allows:
 a re-verified counterexample proves the implication false; an exactly
 verified certificate proves it true; everything else stays Undetermined,
 decorated with the geometric evidence (sampled image vs. K, hull
-intersection, separator, convexity falsifiers)."""
+intersection, separator, convexity falsifiers).  Each stage is one
+function that maps the config to its arguments and owns its seed stream;
+the CLI's single-stage commands call the same functions."""
 
 from dataclasses import dataclass, field, fields
 
@@ -13,7 +15,8 @@ import numpy as np
 from . import certificate as cert_mod
 from . import farkas as farkas_mod
 from . import geometry
-from .errors import DomainError, SlemmaError
+from .errors import (DomainError, NotConverged, NumericalBreakdown,
+                     SlemmaError)
 from .rng import SplitMix64, derive_seed
 from .search import descend, sample_and_descend
 from .systems import FunctionSystem
@@ -214,54 +217,53 @@ class InstanceReport:
     system: FunctionSystem | None = None
 
 
-def _linear_data(system):
-    rows = np.array([f.c for f in system.constraints]) if system.p else \
-        np.zeros((0, system.n))
-    offs = np.array([-f.d for f in system.constraints]) if system.p else \
-        np.zeros(0)
-    return farkas_mod.make_linear_system(
-        a0=system.f0.c, b0=-system.f0.d, rows=rows, offsets=offs)
+def counterexample_stage(system, config, extra_starts=None):
+    """find_counterexample on stream 2, or on stream 3 for the retry that
+    also descends from `extra_starts`."""
+    return find_counterexample(
+        system, radius=config.box_radius, samples=config.samples,
+        seed=derive_seed(config.seed, 2 if extra_starts is None else 3),
+        refine_iters=config.descent_steps, extra_starts=extra_starts,
+        penalty=config.penalty)
 
 
-def _certify_quadratic(system, config, report):
-    """Quadratic certificate path; returns a Certificate or None and may
-    stash a counterexample witness start in the report notes."""
-    witness_starts = []
+def _exact(system, alpha, config):
+    """(SearchResult that holds alpha as its certificate if M(alpha) passes
+    the PSD test, the test's QuadraticVerification)."""
+    ver = cert_mod.verify_certificate_quadratic(system, alpha,
+                                                tol=config.psd_tol)
+    search = cert_mod.SearchResult()
+    if ver.valid:
+        search.certificate = cert_mod.Certificate(
+            alpha=alpha, lambda_min=ver.lambda_min,
+            verified=cert_mod.EXACT_PSD)
+    return search, ver
+
+
+def certificate_stage(system, config):
+    """Certificate search on an all-quadratic system: exact Farkas when
+    every function is affine, the PSD test of M0 at p = 0, cutting planes
+    otherwise (find_certificate_p1 at p = 1, stream 4 at p >= 2).  Returns
+    (search, notes, witness_starts), the starts being points that violate
+    a failed certificate, for the counterexample retry."""
+    notes = []
     if system.is_linear() and system.p >= 1:
-        data = _linear_data(system)
-        result = (farkas_mod.farkas_homogeneous(data)
-                  if data.mode == farkas_mod.HOMOGENEOUS
-                  else farkas_mod.farkas_affine(data))
-        if result.kind == farkas_mod.MULTIPLIERS:
-            ver = cert_mod.verify_certificate_quadratic(
-                system, result.alpha, tol=config.psd_tol)
-            if ver.valid:
-                report.notes.append("certificate via exact linear alternatives")
-                return cert_mod.Certificate(
-                    alpha=result.alpha, lambda_min=ver.lambda_min,
-                    verified=cert_mod.EXACT_PSD), witness_starts
-            # fall through to the generic searches on a verification miss
-            report.notes.append("linear multipliers failed exact verification")
-        elif result.kind == farkas_mod.ALTERNATIVE:
-            witness_starts.append(result.x)
-            report.notes.append("linear alternatives produced a witness")
-            return None, witness_starts
-        else:
-            report.notes.append("linear constraint system is inconsistent")
-            return None, witness_starts
+        result = farkas_mod.solve(farkas_mod.linear_data(system))
+        if result.kind == farkas_mod.ALTERNATIVE:
+            return (cert_mod.SearchResult(),
+                    ["linear alternatives produced a witness"], [result.x])
+        if result.kind == farkas_mod.INCONSISTENT:
+            return (cert_mod.SearchResult(),
+                    ["linear constraint system is inconsistent"], [])
+        search, _ = _exact(system, result.alpha, config)
+        if search.found:
+            return search, ["certificate via exact linear alternatives"], []
+        # fall through to the generic searches on a verification miss
+        notes.append("linear multipliers failed exact verification")
 
     if system.p == 0:
-        ver = cert_mod.verify_certificate_quadratic(system, np.zeros(0),
-                                                    tol=config.psd_tol)
-        if ver.valid:
-            return cert_mod.Certificate(
-                alpha=np.zeros(0), lambda_min=ver.lambda_min,
-                verified=cert_mod.EXACT_PSD), witness_starts
-        if ver.violating_x is not None:
-            witness_starts.append(ver.violating_x)
-        return None, witness_starts
-
-    if system.p == 1:
+        search, ver = _exact(system, np.zeros(0), config)
+    elif system.p == 1:
         search = cert_mod.find_certificate_p1(
             system, alpha_max=config.alpha_max, tol=config.psd_tol)
     else:
@@ -270,16 +272,28 @@ def _certify_quadratic(system, config, report):
             seed=derive_seed(config.seed, 4), tol=config.psd_tol,
             alpha_max=config.alpha_max)
     if search.found:
-        return search.certificate, witness_starts
+        return search, notes, []
     if search.outcome == cert_mod.NO_CERTIFICATE:
-        report.notes.append(
+        notes.append(
             f"no certificate with alpha <= alpha_max={config.alpha_max!r}")
-    if search.best_alpha is not None:
+    if system.p:    # p = 0 verified M0 above
         ver = cert_mod.verify_certificate_quadratic(
             system, search.best_alpha, tol=config.psd_tol)
-        if not ver.valid and ver.violating_x is not None:
-            witness_starts.append(ver.violating_x)
-    return None, witness_starts
+    return search, notes, [] if ver.violating_x is None else [ver.violating_x]
+
+
+def image_cloud(system, config):
+    """The sampled image cloud (stream 9)."""
+    return geometry.sample_image(system, config.box_radius,
+                                 config.cloud_samples,
+                                 derive_seed(config.seed, 9))
+
+
+def separation_stage(system, config, cloud):
+    """Certificate via a separator of `cloud` from K (stream 10)."""
+    return cert_mod.find_certificate_via_separation(
+        system, cloud, tol=config.lp_tol, seed=derive_seed(config.seed, 10),
+        rounds=config.refine_rounds)
 
 
 def gather_evidence(system, config, cloud, separator):
@@ -309,25 +323,52 @@ def gather_evidence(system, config, cloud, separator):
     return ev
 
 
+def image_geometry(system, config):
+    """(cloud, evidence, image falsifier) of the `geometry` command; only
+    it runs the image-convexity falsifier (streams 11 and 12)."""
+    cloud = image_cloud(system, config)
+    ev = gather_evidence(system, config, cloud,
+                         geometry.extract_separator(cloud, tol=config.lp_tol))
+    identity = geometry.identity_membership_oracle(
+        system, cloud, budget=config.member_budget,
+        seed=derive_seed(config.seed, 11))
+    image_falsify = geometry.falsify_convexity(
+        identity, cloud, trials=config.falsify_trials,
+        seed=derive_seed(config.seed, 12), eta=config.eta, system=system,
+        budget=config.member_budget)
+    return cloud, ev, image_falsify
+
+
+def verify_multipliers(system, alpha, config):
+    """Exact PSD check of M(alpha) on an all-quadratic system; otherwise a
+    sampled search for a point where f0 - sum alpha_i f_i < 0 (stream 13)."""
+    if system.is_quadratic:
+        return cert_mod.verify_certificate_quadratic(system, alpha,
+                                                     tol=config.psd_tol)
+    return cert_mod.verify_certificate_sampled(
+        system, alpha, radius=config.box_radius, samples=config.samples,
+        seed=derive_seed(config.seed, 13))
+
+
 def classify_instance(system, config=None):
     """Full pipeline: Slater, counterexample search, certificate search
     (quadratic route, then separation on a fresh cloud), geometric evidence
     when nothing definitive came out.  Only exactly verified certificates
     yield ValidWithCertificate; sampled certificates are attached as
-    candidates on an Undetermined verdict."""
+    candidates on an Undetermined verdict.  A numerical failure
+    (NumericalBreakdown, NotConverged) propagates; any other toolkit error
+    ends the run Undetermined with a `stage failure:` note."""
     config = config or ClassifyConfig()
     report = InstanceReport(verdict=UNDETERMINED,
                             slater=SlaterResult(status=NOT_FOUND),
                             config=config, system=system)
     try:
         report.slater = check_slater(
-            system, radius=config.box_radius, samples=config.samples // 2,
+            system, radius=config.box_radius,
+            samples=max(1, config.samples // 2),
             seed=derive_seed(config.seed, 1))
 
-        cex = find_counterexample(
-            system, radius=config.box_radius, samples=config.samples,
-            seed=derive_seed(config.seed, 2),
-            refine_iters=config.descent_steps, penalty=config.penalty)
+        cex = counterexample_stage(system, config)
         if cex.found:
             _assert_image_in_k(system, cex.x)
             report.verdict = INVALID
@@ -336,18 +377,16 @@ def classify_instance(system, config=None):
 
         witness_starts = []
         if system.is_quadratic:
-            found, witness_starts = _certify_quadratic(system, config, report)
-            if found is not None:
+            search, notes, witness_starts = certificate_stage(system, config)
+            report.notes += notes
+            if search.found:
                 report.verdict = VALID
-                report.certificate = found
+                report.certificate = search.certificate
                 return report
 
         if witness_starts:
-            retry = find_counterexample(
-                system, radius=config.box_radius, samples=config.samples,
-                seed=derive_seed(config.seed, 3),
-                refine_iters=config.descent_steps,
-                extra_starts=np.array(witness_starts), penalty=config.penalty)
+            retry = counterexample_stage(system, config,
+                                         np.array(witness_starts))
             if retry.found:
                 _assert_image_in_k(system, retry.x)
                 report.verdict = INVALID
@@ -355,12 +394,8 @@ def classify_instance(system, config=None):
                 report.notes.append("counterexample from certificate-failure witness")
                 return report
 
-        cloud = geometry.sample_image(
-            system, config.box_radius, config.cloud_samples,
-            derive_seed(config.seed, 9))
-        sep = cert_mod.find_certificate_via_separation(
-            system, cloud, tol=config.lp_tol,
-            seed=derive_seed(config.seed, 10), rounds=config.refine_rounds)
+        cloud = image_cloud(system, config)
+        sep = separation_stage(system, config, cloud)
         if sep.found:
             if sep.certificate.verified == cert_mod.EXACT_PSD:
                 report.verdict = VALID
@@ -376,6 +411,8 @@ def classify_instance(system, config=None):
         report.evidence = gather_evidence(system, config, cloud,
                                           sep.separation)
         return report
+    except (NumericalBreakdown, NotConverged):
+        raise
     except SlemmaError as exc:
         report.notes.append(f"stage failure: {exc}")
         report.verdict = UNDETERMINED

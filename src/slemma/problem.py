@@ -24,7 +24,6 @@ import numpy as np
 
 from . import expr as expr_mod
 from .errors import DimensionMismatch, SlemmaError
-from .farkas import make_linear_system
 from .quadratic import QuadraticFunction
 from .systems import FunctionSystem
 
@@ -55,19 +54,6 @@ class ProblemFile:
     @property
     def all_linear(self):
         return all("linear" in e for e in self.entries)
-
-    def linear_data(self):
-        if not self.all_linear:
-            raise ParseError(
-                "this problem mixes entry kinds; the linear alternatives "
-                "need every entry to be linear")
-        a0 = np.asarray(self.entries[0]["linear"]["a"], dtype=float)
-        b0 = float(self.entries[0]["linear"]["b"])
-        rows = np.array([e["linear"]["a"] for e in self.entries[1:]],
-                        dtype=float).reshape(self.p, self.n)
-        offs = np.array([e["linear"]["b"] for e in self.entries[1:]],
-                        dtype=float)
-        return make_linear_system(a0, b0, rows, offs)
 
 
 def _require_keys(obj, allowed, required, where):

@@ -2,10 +2,12 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slemma
 from slemma.cli import main
+from slemma.farkas import linear_data
 from slemma.problem import ParseError, load_problem, parse_problem
 
 CORPUS = Path(slemma.__file__).parent / "corpus"
@@ -71,7 +73,7 @@ def test_bad_expression_rejected():
 def test_linear_entries_round_trip():
     pf = load_problem(CORPUS / "farkas_affine.json")
     assert pf.all_linear
-    data = pf.linear_data()
+    data = linear_data(pf.system())
     assert data.a0.tolist() == [1.0]
     assert data.b0 == 1.0
     system = pf.system()
@@ -329,6 +331,43 @@ def test_cli_master_lp_failure_is_numerical(tmp_path, monkeypatch):
                              "--method", "supergradient")
     assert code == 3
     assert err == "numerical failure: certificate master LP: infeasible\n"
-    code, out, _ = run_cli("classify", str(path))
-    assert code == 2
-    assert "stage failure: certificate master LP: infeasible" in out
+    code, out, err = run_cli("classify", str(path))
+    assert code == 3
+    assert err == "numerical failure: certificate master LP: infeasible\n"
+
+
+CORPUS_FILES = sorted(p.name for p in CORPUS.glob("*.json")
+                      if p.name != "expected_verdicts.json")
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_single_stage_commands_agree_with_classify(name):
+    # certificate and counterexample run the stages classify runs, so they
+    # print what classify found on the same route
+    path = str(CORPUS / name)
+    classified = json.loads(run_cli("classify", path, "--json")[1])
+    notes = classified.get("notes", [])
+    if (classified["certificate"]["present"] == "true"
+            and "certificate via separation" not in notes):
+        for method in ("p1", "supergradient"):
+            code, out, _ = run_cli("certificate", path, "--method", method,
+                                   "--json")
+            assert code == 0, method
+            assert json.loads(out)["certificate"] == \
+                classified["certificate"], method
+    if (classified["counterexample"]["found"] == "true"
+            and "counterexample from certificate-failure witness"
+            not in notes):
+        code, out, _ = run_cli("counterexample", path, "--json")
+        assert code == 0
+        assert json.loads(out)["counterexample"]["x"] == \
+            classified["counterexample"]["x"]
+
+
+def test_classify_samples_one_runs_the_slater_search():
+    # samples // 2 gave the Slater search no points at --samples 1
+    code, out, _ = run_cli("classify", str(CORPUS / "random_p1_01.json"),
+                           "--samples", "1", "--json")
+    assert code == 0
+    margin = float(json.loads(out)["slater"]["min_constraint_value"])
+    assert np.isfinite(margin)
