@@ -39,7 +39,7 @@ EXIT_UNDETERMINED = 2
 EXIT_NUMERICAL = 3
 
 
-# problem-file config keys and command-line flags -> the fields they set
+# config key or flag -> the fields it sets, in the type of their defaults
 _FILE_FIELDS = {"R": ("box_radius",), "N": ("samples",), "seed": ("seed",),
                 "tol": ("psd_tol", "lp_tol"), "eta": ("eta",)}
 _FLAG_FIELDS = {"box": ("box_radius",), "samples": ("samples",),

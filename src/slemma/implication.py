@@ -385,8 +385,7 @@ def classify_instance(system, config=None):
                 return report
 
         if witness_starts:
-            retry = counterexample_stage(system, config,
-                                         np.array(witness_starts))
+            retry = counterexample_stage(system, config, witness_starts)
             if retry.found:
                 _assert_image_in_k(system, retry.x)
                 report.verdict = INVALID
