@@ -228,16 +228,17 @@ def counterexample_stage(system, config, extra_starts=None):
 
 
 def _exact(system, alpha, config):
-    """(SearchResult that holds alpha as its certificate if M(alpha) passes
-    the PSD test, the test's QuadraticVerification)."""
+    """SearchResult of the one multiplier alpha, which is its certificate
+    if M(alpha) passes the PSD test."""
     ver = cert_mod.verify_certificate_quadratic(system, alpha,
                                                 tol=config.psd_tol)
-    search = cert_mod.SearchResult()
+    search = cert_mod.SearchResult(best_alpha=alpha,
+                                   best_lambda_min=ver.lambda_min)
     if ver.valid:
         search.certificate = cert_mod.Certificate(
             alpha=alpha, lambda_min=ver.lambda_min,
             verified=cert_mod.EXACT_PSD)
-    return search, ver
+    return search
 
 
 def certificate_stage(system, config):
@@ -255,14 +256,14 @@ def certificate_stage(system, config):
         if result.kind == farkas_mod.INCONSISTENT:
             return (cert_mod.SearchResult(),
                     ["linear constraint system is inconsistent"], [])
-        search, _ = _exact(system, result.alpha, config)
+        search = _exact(system, result.alpha, config)
         if search.found:
             return search, ["certificate via exact linear alternatives"], []
         # fall through to the generic searches on a verification miss
         notes.append("linear multipliers failed exact verification")
 
     if system.p == 0:
-        search, ver = _exact(system, np.zeros(0), config)
+        search = _exact(system, np.zeros(0), config)
     elif system.p == 1:
         search = cert_mod.find_certificate_p1(
             system, alpha_max=config.alpha_max, tol=config.psd_tol)
@@ -276,9 +277,8 @@ def certificate_stage(system, config):
     if search.outcome == cert_mod.NO_CERTIFICATE:
         notes.append(
             f"no certificate with alpha <= alpha_max={config.alpha_max!r}")
-    if system.p:    # p = 0 verified M0 above
-        ver = cert_mod.verify_certificate_quadratic(
-            system, search.best_alpha, tol=config.psd_tol)
+    ver = cert_mod.verify_certificate_quadratic(system, search.best_alpha,
+                                                tol=config.psd_tol)
     return search, notes, [] if ver.violating_x is None else [ver.violating_x]
 
 
