@@ -24,6 +24,7 @@ from .systems import FunctionSystem
 MEMBER_TOL = 1e-7
 _CONE_SCALES = np.logspace(-3.0, 3.0, 25)
 _ORACLE_CHUNK = 32    # targets per shortfall buffer of a stacked oracle call
+_PARETO_BLOCK = 64    # points per block of the Pareto filter
 
 
 @dataclass(frozen=True)
@@ -127,13 +128,31 @@ def _pareto_minimal(Z):
     point dominated componentwise by another can be dropped exactly: the
     dominating point does at least as well in every constraint and in the
     objective.  Processing in coordinate-sum order guarantees dominators
-    are seen first."""
+    are seen first: a point is dropped iff an earlier point in (sum, index)
+    order weakly dominates it, which, as dominance is transitive, is iff
+    an earlier kept point does.  The points go in blocks, each tested
+    against the points kept before it and then against its own earlier
+    points."""
     order = np.argsort(np.sum(Z, axis=1), kind="stable")
-    kept = []
-    for idx in order:
-        if not np.any(np.all(Z[kept] <= Z[idx], axis=1)):
-            kept.append(int(idx))
-    return np.array(sorted(kept), dtype=int)
+    S = Z[order]
+    kept = np.zeros(len(S), dtype=bool)
+    earlier = np.triu(np.ones((_PARETO_BLOCK, _PARETO_BLOCK), dtype=bool), 1)
+    for start in range(0, len(S), _PARETO_BLOCK):
+        B = S[start:start + _PARETO_BLOCK]
+        size = len(B)
+        dominated = _weakly_below(S[:start][kept[:start]], B).any(axis=0)
+        dominated |= (_weakly_below(B, B)
+                      & earlier[:size, :size]).any(axis=0)
+        kept[start:start + size] = ~dominated
+    return np.sort(order[kept])
+
+
+def _weakly_below(A, B):
+    """[i, j]: A[i] <= B[j] in every coordinate."""
+    below = A[:, 0, None] <= B[:, 0]
+    for col in range(1, A.shape[1]):
+        below &= A[:, col, None] <= B[:, col]
+    return below
 
 
 def hull_intersects_k(cloud, tol=1e-9):

@@ -18,7 +18,7 @@ from . import geometry
 from .errors import (DomainError, NotConverged, NumericalBreakdown,
                      SlemmaError)
 from .rng import SplitMix64, derive_seed
-from .search import descend, sample_and_descend
+from .search import all_finite, descend, sample_and_descend, smallest
 from .systems import FunctionSystem
 
 SLATER_POINT = "SlaterPoint"
@@ -53,7 +53,8 @@ def check_slater(system, radius=10.0, samples=2048, seed=0):
 
     def loss(X):
         vals = system.values_batch(X, first=1)
-        vals = np.where(np.isfinite(vals), vals, -np.inf)
+        if not all_finite(vals):
+            vals = np.where(np.isfinite(vals), vals, -np.inf)
         return -np.minimum.reduce(vals, axis=1)
 
     X, _ = sample_and_descend(loss, system.n, radius, samples, seed,
@@ -87,9 +88,7 @@ def _values_or_none(system, x):
         vals = system.values(x)
     except DomainError:
         return None
-    if not np.all(np.isfinite(vals)):
-        return None
-    return vals
+    return vals if all_finite(vals) else None
 
 
 def find_counterexample(system, radius=10.0, samples=4096, seed=0,
@@ -103,13 +102,16 @@ def find_counterexample(system, radius=10.0, samples=4096, seed=0,
 
     def penalized(X):
         vals = system.values_batch(X)
-        finite = np.isfinite(vals).all(1)
+        pen = 0.0
         if system.p:
-            viol = np.maximum(-vals[:, 1:], 0.0)
-            pen = np.add.reduce(viol * viol, axis=1)
-        else:
-            pen = 0.0
-        return np.where(finite, vals[:, 0] + penalty * pen, np.inf)
+            viol = -vals[:, 1:]
+            np.maximum(viol, 0.0, out=viol)
+            viol *= viol
+            pen = np.add.reduce(viol, axis=1)
+        value = vals[:, 0] + penalty * pen
+        if all_finite(vals):
+            return value
+        return np.where(np.isfinite(vals).all(1), value, np.inf)
 
     rng = SplitMix64(seed)
     X = rng.uniform_box(radius, system.n, samples)
@@ -127,14 +129,12 @@ def find_counterexample(system, radius=10.0, samples=4096, seed=0,
 
     # starts: best feasible by f0, topped up with the least infeasible
     score = np.where(feasible, f0, np.inf)
-    order_feas = np.argsort(score, kind="stable")
-    starts = [X[i] for i in order_feas[:20] if np.isfinite(score[i])]
+    starts = [X[i] for i in smallest(score, 20) if np.isfinite(score[i])]
     if len(starts) < 20 and system.p:
         # out-of-domain rows score +inf, like feasible ones
         infeas_pen = np.sum(np.maximum(-vals[:, 1:], 0.0) ** 2, axis=1)
         infeas_pen = np.where(finite & ~feasible, infeas_pen, np.inf)
-        order_infeas = np.argsort(infeas_pen, kind="stable")
-        for i in order_infeas[: 20 - len(starts)]:
+        for i in smallest(infeas_pen, 20 - len(starts)):
             if np.isfinite(infeas_pen[i]):
                 starts.append(X[i])
     if extra_starts is not None:
@@ -152,7 +152,7 @@ def find_counterexample(system, radius=10.0, samples=4096, seed=0,
         vals_x = _values_or_none(system, x)
         if vals_x is None:
             continue
-        min_c = float(np.min(vals_x[1:])) if system.p else np.inf
+        min_c = float(vals_x[1:].min()) if system.p else np.inf
         if min_c < -_WITNESS_TOL:
             continue
         value = float(vals_x[0])

@@ -69,7 +69,12 @@ def evaluate_quadratic(q, x):
 def evaluate_quadratic_batch(q, X):
     """Values at each row of X (shape (m, n))."""
     X = np.asarray(X, dtype=float)
-    return 0.5 * np.einsum("ij,jk,ik->i", X, q.Q, X) + X @ q.c + q.d
+    # 0.5 * x^T Q x + c^T x + d, evaluated in place in that order
+    vals = np.einsum("ij,jk,ik->i", X, q.Q, X)
+    vals *= 0.5
+    vals += X @ q.c
+    vals += q.d
+    return vals
 
 
 def bordered_matrix(q):

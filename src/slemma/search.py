@@ -21,9 +21,28 @@ FD_STEP = 1e-5
 STEP_FLOOR = 1e-12
 
 
+def all_finite(a):
+    """True when no entry of `a` is NaN or infinite."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def _clean(vals):
     vals = np.asarray(vals, dtype=float)
-    return np.where(np.isfinite(vals), vals, np.inf)
+    return (vals if all_finite(vals)
+            else np.where(np.isfinite(vals), vals, np.inf))
+
+
+def smallest(vals, k):
+    """Indices of the k smallest values, ties in index order: exactly
+    np.argsort(vals, kind="stable")[:k], without sorting every value."""
+    vals = np.asarray(vals)
+    if not 0 < k < vals.size:
+        return np.argsort(vals, kind="stable")[:k]
+    kth = np.partition(vals, k - 1)[k - 1]
+    idx = np.flatnonzero(vals <= kth)
+    if idx.size < k:  # a NaN among the k smallest: NaN sorts last
+        return np.argsort(vals, kind="stable")[:k]
+    return idx[np.argsort(vals[idx], kind="stable")[:k]]
 
 
 @functools.cache
@@ -40,14 +59,24 @@ def fd_gradient(loss, X, h=FD_STEP, groups=None):
     from one loss call on [X; probes].  With `groups` (one id per row) the
     loss is called as loss(points, group id of each point)."""
     m, n = X.shape
-    probes = (X[:, None, :] + _offsets(n, h)).reshape(-1, n)
+    points = np.empty((m * (2 * n + 1), n))
+    points[:m] = X
+    np.add(X[:, None, :], _offsets(n, h), out=points[m:].reshape(m, 2 * n, n))
     extra = (() if groups is None
              else (np.concatenate([groups, np.repeat(groups, 2 * n)]),))
-    vals = _clean(loss(np.concatenate([X, probes]), *extra))
-    pairs = vals[m:].reshape(m, n, 2)
-    with np.errstate(invalid="ignore"):  # out of domain: inf - inf
-        grad = (pairs[:, :, 0] - pairs[:, :, 1]) / (2.0 * h)
-    return vals[:m], np.where(np.isfinite(grad), grad, 0.0)
+    vals = np.asarray(loss(points, *extra), dtype=float)
+    if all_finite(vals):
+        pairs = vals[m:].reshape(m, n, 2)
+        grad = pairs[:, :, 0] - pairs[:, :, 1]
+    else:
+        vals = np.where(np.isfinite(vals), vals, np.inf)
+        pairs = vals[m:].reshape(m, n, 2)
+        with np.errstate(invalid="ignore"):  # out of domain: inf - inf
+            grad = pairs[:, :, 0] - pairs[:, :, 1]
+    grad /= 2.0 * h
+    if not all_finite(grad):
+        grad[~np.isfinite(grad)] = 0.0
+    return vals[:m], grad
 
 
 def descend(loss, X0, steps=60, h=FD_STEP, initial_step=0.1, box_radius=None,
@@ -73,30 +102,45 @@ def descend(loss, X0, steps=60, h=FD_STEP, initial_step=0.1, box_radius=None,
     fixed; a floor step stays the floor, and a smaller step still rounds
     and clips back onto the row (rounding and clipping are monotone), so
     every later iteration would repeat this one bit for bit.
+
+    The floating-point operations of the loop, and their order, are
+    fixed: every witness the searches report depends on them, so a faster
+    loop must return the same bytes (tests/test_search.py keeps the
+    reference loop).  The loop works in place with few numpy calls per
+    iteration: at 10 to 20 rows in a few dimensions a call costs more in
+    dispatch than in arithmetic.  Callers pick their starts with
+    `smallest`, an exact top-k selection.
     """
     X = np.atleast_2d(np.array(X0, dtype=float))
     if box_radius is not None:
-        X = np.clip(X, -box_radius, box_radius)
+        X.clip(-box_radius, box_radius, out=X)
     best, grad = fd_gradient(loss, X, h, groups)
     step = np.full(X.shape[0], float(initial_step))
     for _ in range(steps):
-        norm = np.sqrt(np.add.reduce(grad * grad, axis=1))
-        norm[norm == 0.0] = 1.0
-        trial = X - (step / norm)[:, None] * grad
+        scale = np.sqrt(np.add.reduce(grad * grad, axis=1))
+        scale[scale == 0.0] = 1.0
+        np.divide(step, scale, out=scale)
+        trial = grad * scale[:, None]
+        np.subtract(X, trial, out=trial)
         if box_radius is not None:
-            trial = np.clip(trial, -box_radius, box_radius)
+            # np.clip without its wrapper; np.minimum/np.maximum would
+            # differ from it in the sign of a zero at radius 0
+            trial.clip(-box_radius, box_radius, out=trial)
         trial_vals, trial_grad = fd_gradient(loss, trial, h, groups)
         better = trial_vals < best
-        # rows whose next trial repeats this one (a sub-floor step grows)
-        stalled = np.where((trial == X).all(1), step >= STEP_FLOOR,
-                           step == STEP_FLOOR)
-        if not better.any() and stalled.all():
-            break
-        X[better] = trial[better]
-        best[better] = trial_vals[better]
-        grad[better] = trial_grad[better]
-        step = np.where(better, step * 1.5, step * 0.25)
-        step = np.maximum(step, STEP_FLOOR)
+        if not np.count_nonzero(better):
+            # rows whose next trial repeats this one (a sub-floor step grows)
+            stalled = np.where((trial == X).all(1), step >= STEP_FLOOR,
+                               step == STEP_FLOOR)
+            if stalled.all():
+                break
+        else:
+            rows = better[:, None]
+            np.copyto(X, trial, where=rows)
+            np.copyto(best, trial_vals, where=better)
+            np.copyto(grad, trial_grad, where=rows)
+        step *= np.where(better, 1.5, 0.25)
+        np.maximum(step, STEP_FLOOR, out=step)
     order = (np.argsort(best, kind="stable") if groups is None
              else np.lexsort((best, groups)))
     return X[order], best[order]
@@ -107,6 +151,5 @@ def sample_and_descend(loss, n, radius, samples, seed, keep=20, steps=60):
     and return (points, values) sorted by value."""
     rng = SplitMix64(seed)
     X = rng.uniform_box(radius, n, samples)
-    vals = _clean(loss(X))
-    order = np.argsort(vals, kind="stable")[:keep]
-    return descend(loss, X[order], steps=steps, box_radius=radius)
+    return descend(loss, X[smallest(_clean(loss(X)), keep)], steps=steps,
+                   box_radius=radius)

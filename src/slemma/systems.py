@@ -25,6 +25,12 @@ def _check_dim(f, n):
         )
 
 
+def _evaluate(f, x):
+    if isinstance(f, QuadraticFunction):
+        return evaluate_quadratic(f, x)
+    return expr_mod.evaluate(f, x)
+
+
 @dataclass(frozen=True)
 class FunctionSystem:
     """f0 plus constraints f1..fp, all over R^n."""
@@ -64,14 +70,11 @@ class FunctionSystem:
 
     def value(self, i, x):
         """f_i(x) at a single point (i = 0 is the objective)."""
-        f = self.functions[i]
-        if isinstance(f, QuadraticFunction):
-            return evaluate_quadratic(f, x)
-        return expr_mod.evaluate(f, x)
+        return _evaluate(self.functions[i], x)
 
     def values(self, x):
         """(f0(x), ..., fp(x)) at a single point."""
-        return np.array([self.value(i, x) for i in range(self.p + 1)])
+        return np.array([_evaluate(f, x) for f in self.functions])
 
     def values_batch(self, X, first=0):
         """(m, p+1-first) array of the values of f_first..f_p at the rows

@@ -104,6 +104,45 @@ def test_pareto_frontier_matches_brute_force(p):
         assert got.tolist() == _pareto_oracle(Z).tolist(), trial
 
 
+def _pareto_minimal_loop(Z):
+    """The frontier filter as it was, one point at a time, kept verbatim."""
+    order = np.argsort(np.sum(Z, axis=1), kind="stable")
+    kept = []
+    for idx in order:
+        if not np.any(np.all(Z[kept] <= Z[idx], axis=1)):
+            kept.append(int(idx))
+    return np.array(sorted(kept), dtype=int)
+
+
+def _clouds():
+    rng = np.random.default_rng(17)
+    yield np.zeros((0, 2))
+    for trial in range(240):
+        dim = 1 + trial % 5
+        count = int(rng.integers(1, 400))
+        kind = trial // 5 % 4
+        if kind == 0:      # integer grid: ties and duplicates
+            Z = rng.integers(-2, 3, (count, dim)).astype(float)
+        elif kind == 1:
+            Z = rng.uniform(-1.0, 1.0, (count, dim))
+        elif kind == 2:    # infinite entries, some sums inf - inf
+            Z = rng.integers(-2, 3, (count, dim)).astype(float)
+            Z[rng.random((count, dim)) < 0.1] = np.inf
+            Z[rng.random((count, dim)) < 0.1] = -np.inf
+        else:              # equal float sums from different points
+            Z = rng.choice([0.1, 0.2, 0.3, 0.7, -0.0, 0.0], (count, dim))
+        yield Z
+
+
+def test_pareto_frontier_matches_the_point_by_point_loop():
+    # crosses the block boundaries of the vectorized filter
+    for Z in _clouds():
+        with np.errstate(invalid="ignore"):   # sums of inf and -inf
+            got, expected = geo._pareto_minimal(Z), _pareto_minimal_loop(Z)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes(), Z
+
+
 def test_hull_disjoint_positive_cloud():
     res = geo.hull_intersects_k(_cloud_from_points([[1.0, 0.0], [2.0, 1.0]]))
     assert not res.intersects

@@ -1,5 +1,7 @@
-"""The descent's early stop and its one loss call per iteration return
-exactly what the former two-call loop gives over the full step budget, and
+"""The descent's early stop, its one loss call per iteration and its
+in-place loop return exactly what the former two-call loop gives over the
+full step budget; the search losses, `values_batch` and the top-k start
+selection equal their former formulas byte for byte; and
 `values_batch(X, first=...)` skips columns without moving the rest."""
 
 import warnings
@@ -14,14 +16,19 @@ from slemma.expr import parse
 from slemma.implication import (ClassifyConfig, check_slater,
                                 classify_instance, find_counterexample)
 from slemma.problem import load_problem
-from slemma.quadratic import QuadraticFunction
+from slemma.quadratic import QuadraticFunction, evaluate_quadratic_batch
 from slemma.rng import SplitMix64
-from slemma.search import FD_STEP, _clean
+from slemma.search import FD_STEP
 from slemma.systems import FunctionSystem, quadratic_to_source
 
 from conftest import random_p1_system, random_quadratic
 
 CORPUS = Path(slemma.__file__).parent / "corpus"
+
+
+def _clean(vals):
+    vals = np.asarray(vals, dtype=float)
+    return np.where(np.isfinite(vals), vals, np.inf)
 
 
 def fd_gradient(loss, X, h=FD_STEP, groups=None):
@@ -42,7 +49,8 @@ def fd_gradient(loss, X, h=FD_STEP, groups=None):
 def descend_unstopped(loss, X0, steps=60, h=FD_STEP, initial_step=0.1,
                       box_radius=None, groups=None):
     """The descent loop as it was before the early stop and before one
-    loss call per iteration, kept verbatim with its gradient above."""
+    loss call per iteration, kept verbatim with its gradient and value
+    cleaning above."""
     X = np.array(X0, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
@@ -134,6 +142,26 @@ def test_no_early_stop_while_a_row_improves():
     assert _same_as_unstopped(loss, X0, steps=40) == 40 + 1
 
 
+def test_rows_clipped_onto_the_box():
+    # starts outside the box, and a slope that pushes rows onto its faces
+    X0 = SplitMix64(8).uniform_box(3.0, 3, 14)
+
+    def loss(X):
+        return X[:, 0] - 2.0 * X[:, 1] + 0.1 * X[:, 2] ** 2
+
+    for radius in (0.0, 1.0, 2.5):
+        _same_as_unstopped(loss, X0, steps=80, box_radius=radius)
+        _same_as_unstopped(_corner, X0[:, :2], steps=80, box_radius=radius)
+
+
+@pytest.mark.parametrize("initial_step", [1e-14, 1e-13, 0.0])
+def test_initial_step_below_the_floor(initial_step):
+    X0 = SplitMix64(9).uniform_box(2.0, 2, 7)
+    _same_as_unstopped(_bowl, X0, steps=50, initial_step=initial_step)
+    _same_as_unstopped(_corner, X0, steps=50, initial_step=initial_step,
+                       box_radius=1.0)
+
+
 def test_zero_rows():
     # the first iteration has no row left to move: one call for the start
     # and its probes, one for the trials and theirs
@@ -190,7 +218,7 @@ def test_one_call_per_iteration_on_the_search_losses(monkeypatch, p):
         _same_as_unstopped(loss, X0, **kwargs)
 
 
-@pytest.mark.parametrize("p, n", [(1, 2), (2, 3), (1, 4)])
+@pytest.mark.parametrize("p, n", [(1, 2), (2, 3), (1, 4), (3, 1)])
 def test_one_call_per_iteration_on_the_member_search(monkeypatch, p, n):
     # the grouped loss of the membership oracle, one group per target
     system = _random_system(40 + n, p, n)
@@ -202,6 +230,109 @@ def test_one_call_per_iteration_on_the_member_search(monkeypatch, p, n):
         (loss, X0, kwargs), = runs
         assert X0.shape[0] == 3 * 5
         _same_as_unstopped(loss, X0, **kwargs)
+
+
+# expression systems whose losses leave the domain: their probes and
+# trials near log(x1) = -inf, sqrt of a negative or 1/0 come back non-finite
+DOMAIN_SYSTEMS = [
+    FunctionSystem(1, parse("log(x1)", 1),
+                   (QuadraticFunction([[0.0]], [0.0], 1.0),)),
+    FunctionSystem(2, parse("sqrt(x1) + x2", 2),
+                   (parse("1 - x1^2 - x2^2", 2),)),
+    FunctionSystem(2, parse("x1 - 1 / x2", 2),
+                   (parse("log(x1 + 1)", 2), parse("x2 + 0.5", 2))),
+]
+
+
+@pytest.mark.parametrize("system", DOMAIN_SYSTEMS)
+def test_one_call_per_iteration_out_of_domain(monkeypatch, system):
+    runs = _spy_on_descents(monkeypatch, search, implication)
+    for seed in range(3):
+        check_slater(system, radius=2.0, samples=64, seed=seed)
+        find_counterexample(system, radius=2.0, samples=64, seed=seed)
+    monkeypatch.undo()
+    assert len(runs) == 6
+    probed_inf = False
+    for loss, X0, kwargs in runs:
+        _same_as_unstopped(loss, X0, **kwargs)
+        step = SplitMix64(1).uniform_box(2.0, system.n, 40)
+        probed_inf |= not np.all(np.isfinite(loss(step)))
+    assert probed_inf
+
+
+def _slater_loss_before(system):
+    def loss(X):
+        vals = system.values_batch(X, first=1)
+        vals = np.where(np.isfinite(vals), vals, -np.inf)
+        return -np.minimum.reduce(vals, axis=1)
+    return loss
+
+
+def _penalized_loss_before(system, penalty):
+    def penalized(X):
+        vals = system.values_batch(X)
+        finite = np.isfinite(vals).all(1)
+        if system.p:
+            viol = np.maximum(-vals[:, 1:], 0.0)
+            pen = np.add.reduce(viol * viol, axis=1)
+        else:
+            pen = 0.0
+        return np.where(finite, vals[:, 0] + penalty * pen, np.inf)
+    return penalized
+
+
+@pytest.mark.parametrize("system", DOMAIN_SYSTEMS + [
+    random_p1_system(4), _random_system(3, 3, 2),
+    FunctionSystem(2, parse("x1 * x2 - 0 * x1", 2))])
+def test_search_losses_match_their_former_formulas(monkeypatch, system):
+    runs = _spy_on_descents(monkeypatch, search, implication)
+    check_slater(system, radius=2.0, samples=16, seed=1)
+    find_counterexample(system, radius=2.0, samples=16, seed=1, penalty=7.0)
+    monkeypatch.undo()
+    references = ([_slater_loss_before(system)] if system.p else []) + [
+        _penalized_loss_before(system, 7.0)]
+    assert len(runs) == len(references)
+    X = np.vstack([SplitMix64(2).uniform_box(2.0, system.n, 200),
+                   np.zeros((1, system.n))])
+    for (loss, _, _), reference in zip(runs, references):
+        assert loss(X).tobytes() == reference(X).tobytes()
+
+
+def test_quadratic_batch_matches_its_former_formula():
+    rng = SplitMix64(11)
+    for n in range(1, 7):
+        q = random_quadratic(rng, n, scale=3.0)
+        for m in (1, 2, 3, 17):
+            X = rng.uniform_box(5.0, n, m)
+            former = 0.5 * np.einsum("ij,jk,ik->i", X, q.Q, X) + X @ q.c + q.d
+            assert evaluate_quadratic_batch(q, X).tobytes() == former.tobytes()
+
+
+def _value_lists():
+    rng = np.random.default_rng(12)
+    yield np.array([])
+    yield np.array([np.nan, np.nan])
+    yield np.array([3.0, -np.inf, np.inf, -0.0, 0.0, np.nan, 3.0, -np.inf])
+    for size in (1, 5, 40, 300):
+        yield rng.uniform(-1.0, 1.0, size)
+        ints = rng.integers(-3, 4, size).astype(float)   # ties
+        yield ints
+        specials = ints.copy()
+        specials[rng.random(size) < 0.2] = np.inf
+        specials[rng.random(size) < 0.2] = -np.inf
+        specials[rng.random(size) < 0.1] = np.nan
+        yield specials
+
+
+def test_smallest_equals_the_stable_argsort_prefix():
+    for vals in _value_lists():
+        for k in sorted({1, 2, 3, 7, 20, vals.size - 1, vals.size,
+                         vals.size + 1, vals.size + 5}):
+            if k < 1:
+                continue
+            got = search.smallest(vals, k)
+            expected = np.argsort(vals, kind="stable")[:k]
+            assert got.tobytes() == expected.tobytes(), (vals, k)
 
 
 @pytest.mark.parametrize("system", [
