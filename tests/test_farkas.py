@@ -3,8 +3,10 @@ import pytest
 
 from slemma.errors import DimensionMismatch
 from slemma.farkas import (AFFINE, ALTERNATIVE, HOMOGENEOUS, INCONSISTENT,
-                           MULTIPLIERS, farkas_affine, farkas_homogeneous,
-                           make_linear_system, verify_farkas)
+                           MULTIPLIERS, _objective_lp, farkas_affine,
+                           farkas_homogeneous, make_linear_system, solve,
+                           verify_farkas)
+from slemma.linprog import OPTIMAL, solve_lp
 from slemma.implication import INVALID, VALID, ClassifyConfig, classify_instance
 from slemma.quadratic import QuadraticFunction
 from slemma.rng import SplitMix64
@@ -143,3 +145,37 @@ def test_agreement_with_classifier_on_q0_encoding():
             assert np.max(np.abs(rep.certificate.alpha - res.alpha)) <= 1e-6
         else:
             assert rep.verdict == INVALID, i
+
+
+def _reference_homogeneous(data):
+    """The homogeneous lemma as a separate routine: the optimal duals are
+    the multipliers, an unbounded ray rescaled to slack 1 the alternative."""
+    out = solve_lp(_objective_lp(data))
+    if out.status == OPTIMAL:
+        return MULTIPLIERS, np.maximum(-out.dual_ub, 0.0)
+    ray = out.ray
+    slope = float(data.a0 @ ray)
+    return ALTERNATIVE, ray / (-slope)
+
+
+def test_solve_matches_the_homogeneous_reference():
+    rng = SplitMix64(4242)
+    kinds = {MULTIPLIERS: 0, ALTERNATIVE: 0}
+    for _ in range(120):
+        n = 2 + int(rng.randint(4))
+        p = 1 + int(rng.randint(4))
+        A = np.array(rng.uniforms(p * n, -1.0, 1.0)).reshape(p, n)
+        if rng.randint(2) == 0:
+            a0 = A.T @ np.array(rng.uniforms(p, 0.0, 2.0))
+        else:
+            a0 = np.array(rng.uniforms(n, -1.0, 1.0))
+        data = make_linear_system(a0, 0.0, A, np.zeros(p))
+        assert data.mode == HOMOGENEOUS
+        kind, value = _reference_homogeneous(data)
+        res = solve(data)
+        assert res.kind == kind
+        got = res.alpha if kind == MULTIPLIERS else res.x
+        assert got.tobytes() == value.tobytes()
+        assert verify_farkas(data, res)["ok"]
+        kinds[kind] += 1
+    assert kinds[MULTIPLIERS] > 10 and kinds[ALTERNATIVE] > 10

@@ -9,7 +9,9 @@ any of their bytes must say why in CHANGES.md, then rewrite them with
 which prints the name of each golden file whose bytes changed.
 
 The reports are produced from inside the corpus directory with bare file
-names, so they hold no machine-specific path.  All 16 `geometry` reports
+names, so they hold no machine-specific path.  `validate` is pinned on
+every corpus file, since it is the one report that echoes the raw
+entries.  All 16 `geometry` reports
 take minutes; the two pinned here reach every evidence block (hull
 witness, separator, and each falsifier with and without a violation).
 One `conjecture-scan` report pins the epi falsifier at n = 2, where it
@@ -58,6 +60,7 @@ BAD_INPUT = ("counterexample.samples0.example3_pair.txt",
              "counterexample example3_pair.json --samples 0".split())
 
 CASES = ([_case("classify", name, False) for name in CORPUS_FILES]
+         + [_case("validate", name, False) for name in CORPUS_FILES]
          + [_case("classify", "slater_fail.json", True),
             _case("geometry", "slater_fail.json", False),
             _case("geometry", "example3_pair.json", False),
@@ -99,6 +102,13 @@ def _render(argv):
 def test_exit_tables_name_only_cases():
     names = {golden for golden, _ in CASES}
     assert set(EXIT_CODES) <= names and set(ERRORS) <= names
+
+
+def test_every_golden_file_has_a_case():
+    # a removed or renamed case must take its pinned file with it
+    names = {golden for golden, _ in CASES}
+    stale = sorted(p.name for p in GOLDEN.iterdir() if p.name not in names)
+    assert stale == []
 
 
 @pytest.mark.parametrize("golden,argv", CASES,

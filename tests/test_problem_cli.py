@@ -81,6 +81,53 @@ def test_linear_entries_round_trip():
     assert system.value(0, [2.0]) == 1.0            # <a0, x> - b0
 
 
+_MIXED = {
+    "n": 2, "p": 2,
+    "functions": [
+        {"expr": "x1^2 - 3*x2 + 0.5"},
+        {"linear": {"a": [1.0, -2.0], "b": 0.25}},
+        {"quadratic": {"Q": [2.0, 1.0, 1.0, 0.0], "c": [0.0, 1.0],
+                       "d": -1.0}},
+    ],
+    "config": {"R": 4.0, "N": 64, "seed": 9, "tol": 1e-8, "eta": 0.01},
+}
+
+
+def test_mixed_entries_build_their_functions():
+    pf = parse_problem(json.loads(json.dumps(_MIXED)), path="mixed.json")
+    assert pf.entries == _MIXED["functions"]
+    assert pf.config == _MIXED["config"]
+    assert not pf.all_linear
+    for _ in range(2):          # the system evaluates the same every time
+        system = pf.system()
+        assert system.n == 2 and system.p == 2
+        x = [1.5, -2.0]
+        assert system.value(0, x) == 1.5 ** 2 + 6.0 + 0.5
+        assert system.value(1, x) == 1.5 + 4.0 - 0.25      # <a, x> - b
+        # 1/2 x^T Q x + c.x + d
+        assert system.value(2, x) == 0.5 * (2 * 2.25 - 6.0) - 2.0 - 1.0
+
+
+def test_asymmetric_q_is_a_parse_error(tmp_path):
+    raw = {"n": 2, "p": 0,
+           "functions": [{"quadratic": {"Q": [1.0, 2.0, 0.0, 1.0],
+                                        "c": [0.0, 0.0], "d": 0.0}}]}
+    message = ("Q is not symmetric: max asymmetry 2.000e+00 exceeds the "
+               "1e-12 band")
+    with pytest.raises(ParseError) as exc:
+        parse_problem(raw).system()
+    assert str(exc.value) == message
+    path = tmp_path / "asym.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli("validate", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_package_exports_resolve():
+    for name in slemma.__all__:
+        assert getattr(slemma, name) is not None, name
+
+
 def test_expected_verdicts_manifest_consistent():
     manifest = json.loads((CORPUS / "expected_verdicts.json").read_text())
     assert len(manifest) == 16
