@@ -12,9 +12,8 @@ from .certificate import (Certificate, find_certificate_general,
                           find_certificate_via_separation,
                           verify_certificate_quadratic,
                           verify_certificate_sampled)
-from .expr import Expression, evaluate, gradient_fd, parse
-from .farkas import (LinearSystemData, farkas_affine, farkas_homogeneous,
-                     make_linear_system)
+from .expr import Expression, evaluate, parse
+from .farkas import LinearSystemData, make_linear_system
 from .geometry import (ImageCloud, cone_k_member, conjecture_scan,
                        epi_member, extract_separator, falsify_convexity,
                        hull_intersects_k, sample_image)
@@ -34,10 +33,9 @@ __all__ = [
     "LpOutcome", "ProblemFile", "QuadraticFunction", "bordered_matrix",
     "check_slater", "classify_instance", "cone_k_member", "conjecture_scan",
     "eigen_sym", "epi_member", "evaluate", "evaluate_quadratic",
-    "extract_separator", "falsify_convexity", "farkas_affine",
-    "farkas_homogeneous", "find_certificate_general", "find_certificate_p1",
-    "find_certificate_via_separation", "find_counterexample", "gradient_fd",
-    "hull_intersects_k", "load_problem", "make_linear_system",
-    "min_eigenvalue", "parse", "sample_image", "solve_lp",
-    "verify_certificate_quadratic", "verify_certificate_sampled",
+    "extract_separator", "falsify_convexity", "find_certificate_general",
+    "find_certificate_p1", "find_certificate_via_separation",
+    "find_counterexample", "hull_intersects_k", "load_problem",
+    "make_linear_system", "min_eigenvalue", "parse", "sample_image",
+    "solve_lp", "verify_certificate_quadratic", "verify_certificate_sampled",
 ]

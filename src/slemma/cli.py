@@ -132,13 +132,14 @@ def cmd_certificate(args, out):
     rep.add("method", args.method)
 
     # p1 and supergradient are two names for classify's certificate stage
-    notes = []
+    notes, alternative = [], None
     if args.method == "separation":
         search = separation_stage(system, cfg, image_cloud(system, cfg))
         detail = {"outcome": search.outcome, "rounds": search.rounds,
                   "alpha0": search.alpha0}
     else:
         search, notes, _ = certificate_stage(system, cfg)
+        alternative = search.witness
         detail = {"best_alpha": search.best_alpha,
                   "best_lambda_min": search.best_lambda_min,
                   "upper_bound": search.upper_bound}
@@ -152,6 +153,8 @@ def cmd_certificate(args, out):
             rep.add(key, fnum(value) if isinstance(value, float) else value)
     if notes:
         rep.add("notes", list(notes))
+    if alternative is not None:
+        rep.add("alternative_x", fvec(alternative))
     if args.save and cert is not None:
         with open(args.save, "w", encoding="utf-8") as handle:
             handle.write(cert_mod.format_certificate(cert))

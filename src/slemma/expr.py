@@ -323,22 +323,6 @@ def evaluate_batch(e, X):
     return np.asarray(out, dtype=float)
 
 
-def gradient_fd(e, x, h=1e-5):
-    """Central finite-difference gradient, component i equal to
-    (e(x + h e_i) - e(x - h e_i)) / (2 h)."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    x = [float(v) for v in x]
-    grad = []
-    for i in range(e.dimension):
-        xp = list(x)
-        xm = list(x)
-        xp[i] += h
-        xm[i] -= h
-        grad.append((evaluate(e, xp) - evaluate(e, xm)) / (2.0 * h))
-    return grad
-
-
 def to_source(e_or_node):
     """Fully parenthesized text form; reparsing evaluates identically."""
     node = e_or_node.ast if isinstance(e_or_node, Expression) else e_or_node

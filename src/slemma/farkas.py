@@ -6,9 +6,11 @@ Homogeneous:  <a0, x> >= 0 whenever all <a_i, x> >= 0
 Affine:       <a0, x> >= b0 whenever all <a_i, x> >= b_i (system consistent)
               iff  a0 = sum alpha_i a_i and b0 - sum alpha_i b_i <= 0.
 
-Both reduce to one LP:  minimize <a0, x> over the constraint polyhedron.
-Its optimal duals are the multipliers; an unbounded ray (or an optimal
-value below b0) yields the alternative point.
+The homogeneous lemma is the affine one with b = 0, and `solve` answers
+both with one LP:  minimize <a0, x> over the constraint polyhedron.  Its
+optimal duals are the multipliers; an unbounded ray (or an optimal value
+below b0) yields the alternative point.  The data's `mode` only labels
+the report.
 """
 
 from dataclasses import dataclass
@@ -87,44 +89,16 @@ class FarkasResult:
     system_consistent: bool = True
 
 
-def _objective_lp(data):
-    """minimize <a0, x> subject to a_i . x >= b_i (as -a x <= -b)."""
-    return LinearProgram(c=data.a0, a_ub=-data.a, b_ub=-data.b)
-
-
-def _multipliers_from_duals(outcome):
-    # duals reconstruct a0 up to solver tolerance; clean tiny negatives only
-    return np.maximum(-outcome.dual_ub, 0.0)
-
-
-def farkas_homogeneous(data):
-    """Multipliers alpha with a0 = sum alpha_i a_i, or an alternative x
-    with a_i . x >= 0 for all i and <a0, x> <= -1."""
-    if data.mode != HOMOGENEOUS:
-        raise DimensionMismatch("farkas_homogeneous needs Homogeneous data")
-    out = solve_lp(_objective_lp(data))
-    if out.status == OPTIMAL:
-        # value is 0 at x = 0; duals certify a0 in the cone of the a_i
-        return FarkasResult(kind=MULTIPLIERS,
-                            alpha=_multipliers_from_duals(out))
-    # unbounded: the ray d has a . d >= 0 and <a0, d> < 0; rescale so the
-    # violated inequality has slack exactly 1
-    ray = out.ray
-    slope = float(data.a0 @ ray)
-    x = ray / (-slope)
-    return FarkasResult(kind=ALTERNATIVE, x=x)
-
-
-def farkas_affine(data):
+def solve(data):
     """Multipliers (a0 = sum alpha_i a_i, b0 - sum alpha_i b_i <= 0) or an
     alternative x with a_i . x >= b_i for all i and <a0, x> < b0.
 
     An inconsistent constraint system is flagged: multipliers are then
     reported when they exist at all, and the result carries
-    system_consistent=False either way."""
-    if data.mode != AFFINE:
-        raise DimensionMismatch("farkas_affine needs Affine data")
-    out = solve_lp(_objective_lp(data))
+    system_consistent=False either way.  Homogeneous data never reaches
+    that branch, since x = 0 is feasible."""
+    # minimize <a0, x> subject to a_i . x >= b_i (as -a x <= -b)
+    out = solve_lp(LinearProgram(c=data.a0, a_ub=-data.a, b_ub=-data.b))
     if out.status == INFEASIBLE:
         alpha = _inconsistent_multipliers(data)
         if alpha is not None:
@@ -133,23 +107,17 @@ def farkas_affine(data):
         return FarkasResult(kind=INCONSISTENT, system_consistent=False)
     if out.status == OPTIMAL:
         if out.objective >= data.b0 - _MARGIN:
+            # the duals reconstruct a0 up to solver tolerance; clean tiny
+            # negatives only
             return FarkasResult(kind=MULTIPLIERS,
-                                alpha=_multipliers_from_duals(out))
+                                alpha=np.maximum(-out.dual_ub, 0.0))
         return FarkasResult(kind=ALTERNATIVE, x=out.y)
-    # unbounded: walk a feasible point down the ray until slack >= 1
-    feas = solve_lp(LinearProgram(c=np.zeros(data.n), a_ub=-data.a,
-                                  b_ub=-data.b))
-    y = feas.y
+    # unbounded: walk from the LP's feasible point y down the ray until
+    # <a0, x> = b0 - 1; homogeneous data has y = 0, so x = ray / (-slope)
     slope = float(data.a0 @ out.ray)
-    need = float(data.a0 @ y) - (data.b0 - 1.0)
-    t = max(need / (-slope), 0.0)
-    return FarkasResult(kind=ALTERNATIVE, x=y + t * out.ray)
-
-
-def solve(data):
-    """farkas_homogeneous or farkas_affine, by the data's mode."""
-    lemma = farkas_homogeneous if data.mode == HOMOGENEOUS else farkas_affine
-    return lemma(data)
+    need = float(data.a0 @ out.y) - (data.b0 - 1.0)
+    x = out.y + out.ray / (-slope / need) if need > 0.0 else out.y
+    return FarkasResult(kind=ALTERNATIVE, x=x)
 
 
 def _inconsistent_multipliers(data):

@@ -364,7 +364,7 @@ def epi_member(system, m, budget=24, seed=0):
     return _member_search(system, m, budget, [seed], "epi")[0]
 
 
-def _membership_oracle(system, cloud, budget, seed, mode, state):
+def _membership_oracle(system, cloud, budget, seed, mode):
     """Shared body of the epi and identity oracles.  The oracle takes one
     target m, or a (k, p+1) stack answered as k calls in order: call c
     (counted from 1) searches with the seed derive_seed(seed, c), starting
@@ -372,13 +372,14 @@ def _membership_oracle(system, cloud, budget, seed, mode, state):
     point below m answers without a search; the rest share one search.
     Shortfalls are taken _ORACLE_CHUNK targets at a time, so a large stack
     never holds more than two (_ORACLE_CHUNK, N) buffers."""
-    state = {"calls": 0} if state is None else state
+    calls = 0
 
     def oracle(m):
+        nonlocal calls
         m_arr = np.asarray(m, dtype=float)
         M = np.atleast_2d(m_arr)
-        first = state["calls"] + 1
-        state["calls"] += len(M)
+        first = calls + 1
+        calls += len(M)
         results = [None] * len(M)
         slow, nearest = [], []
         for lo in range(0, len(M), _ORACLE_CHUNK):
@@ -412,13 +413,13 @@ def epi_membership_oracle(system, cloud, budget=24, seed=0):
     """Oracle for the upper set F + R_+^(p+1), with a cloud fast path:
     any cloud point componentwise below m already witnesses membership.
     Takes one target or a stack of them (see _membership_oracle)."""
-    return _membership_oracle(system, cloud, budget, seed, "epi", None)
+    return _membership_oracle(system, cloud, budget, seed, "epi")
 
 
-def identity_membership_oracle(system, cloud, budget=24, seed=0, state=None):
+def identity_membership_oracle(system, cloud, budget=24, seed=0):
     """Oracle for membership in F itself.  Takes one target or a stack of
-    them (see _membership_oracle); `state` shares the call counter."""
-    return _membership_oracle(system, cloud, budget, seed, "identity", state)
+    them (see _membership_oracle)."""
+    return _membership_oracle(system, cloud, budget, seed, "identity")
 
 
 def conical_membership_oracle(system, cloud, budget=24, seed=0):
@@ -426,25 +427,21 @@ def conical_membership_oracle(system, cloud, budget=24, seed=0):
     [1e-3, 1e3] against F itself.  Shortfalls are rescaled by s so margins
     are comparable in the units of m.
 
-    All scales of a target go to the identity oracle as one stack; the
-    first member in scale order answers, and the call counter moves past
-    the scales up to it only, as a scale-by-scale loop would.  So a stack
-    of targets is answered one target after another."""
-    state = {"calls": 0}
-    inner = identity_membership_oracle(system, cloud, budget, seed,
-                                       state=state)
+    Each non-zero target asks the inner identity oracle one stack of all
+    25 scales, and so takes its next 25 derived seeds; the first member in
+    scale order answers.  A stack of targets is answered one target after
+    another, so one 25-row search is held at a time."""
+    inner = identity_membership_oracle(system, cloud, budget, seed)
 
     def answer(m):
         if np.max(np.abs(m)) <= MEMBER_TOL:
             # 0 is in R_+ F via the scale s = 0
             return MembershipResult(member=True, x=None, margin=0.0)
-        before = state["calls"]
         results = inner(m[None, :] / _CONE_SCALES[:, None])
         margins = [res.margin * s for res, s in zip(results, _CONE_SCALES)]
-        for i, res in enumerate(results):
+        for res, margin in zip(results, margins):
             if res.member:
-                state["calls"] = before + i + 1
-                return MembershipResult(True, res.x, margins[i])
+                return MembershipResult(True, res.x, margin)
         return MembershipResult(False, None, float(min(margins)))
 
     def oracle(m):

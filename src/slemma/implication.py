@@ -246,12 +246,13 @@ def certificate_stage(system, config):
     every function is affine, the PSD test of M0 at p = 0, cutting planes
     otherwise (find_certificate_p1 at p = 1, stream 4 at p >= 2).  Returns
     (search, notes, witness_starts), the starts being points that violate
-    a failed certificate, for the counterexample retry."""
+    a failed certificate, for the counterexample retry.  A Farkas
+    alternative is also the search's `witness`."""
     notes = []
     if system.is_linear() and system.p >= 1:
         result = farkas_mod.solve(farkas_mod.linear_data(system))
         if result.kind == farkas_mod.ALTERNATIVE:
-            return (cert_mod.SearchResult(),
+            return (cert_mod.SearchResult(witness=result.x),
                     ["linear alternatives produced a witness"], [result.x])
         if result.kind == farkas_mod.INCONSISTENT:
             return (cert_mod.SearchResult(),

@@ -74,12 +74,15 @@ def _bound(v, m, default):
 
 @dataclass
 class LpOutcome:
+    """When UNBOUNDED, y is the basic feasible point the simplex stopped
+    at and ray an improving direction from it (c . ray < 0)."""
+
     status: str
     y: np.ndarray | None = None
     objective: float | None = None
     dual_ub: np.ndarray | None = None
     dual_eq: np.ndarray | None = None
-    ray: np.ndarray | None = None  # improving direction when unbounded
+    ray: np.ndarray | None = None
 
 
 class _Standardized:
@@ -254,6 +257,12 @@ def solve_lp(lp):
     costs2[:n] = std.c
     status, entering = _simplex_loop(T, basis, costs2, n_work)
 
+    x = np.zeros(n_work)
+    for i, bj in enumerate(basis):
+        x[bj] = T[i, -1]
+    x[np.abs(x) < 1e-13] = 0.0
+    y = std.to_original(x[:n])
+
     if status == "unbounded":
         x_ray = np.zeros(n_work)
         x_ray[entering] = 1.0
@@ -261,13 +270,8 @@ def solve_lp(lp):
         for i, bj in enumerate(basis):
             x_ray[bj] = -col[i]
         ray = std.ray_to_original(x_ray[:n])
-        return LpOutcome(status=UNBOUNDED, ray=ray)
+        return LpOutcome(status=UNBOUNDED, y=y, ray=ray)
 
-    x = np.zeros(n_work)
-    for i, bj in enumerate(basis):
-        x[bj] = T[i, -1]
-    x[np.abs(x) < 1e-13] = 0.0
-    y = std.to_original(x[:n])
     objective = float(lp.c @ y)
 
     # duals: solve B^T w = c_B over the working system the tableau tracks,

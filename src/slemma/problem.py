@@ -13,8 +13,10 @@
 
 Entry 0 is f0, the rest are constraints.  Q is row-major with n*n entries;
 a linear entry means <a, x> - b.  Parsing is strict: unknown keys are
-rejected and all dimensions are checked.  `config` is optional and
-overrides the classifier defaults.
+rejected and all dimensions are checked.  Each entry is checked and built
+into its function in one pass, so an asymmetric Q or a bad expression
+fails at load time.  `config` is optional and overrides the classifier
+defaults.
 """
 
 import json
@@ -39,17 +41,20 @@ class ParseError(SlemmaError):
 
 @dataclass
 class ProblemFile:
+    """A parsed problem: the raw `entries` (echoed by `validate`) and the
+    functions built from them once, at parse time."""
+
     n: int
     p: int
     entries: list
+    functions: tuple
     config: dict = field(default_factory=dict)
     path: str | None = None
 
     def system(self):
         """FunctionSystem with linear entries encoded as Q = 0 quadratics."""
-        funcs = [_entry_to_function(e, self.n) for e in self.entries]
-        return FunctionSystem(n=self.n, f0=funcs[0],
-                              constraints=tuple(funcs[1:]))
+        return FunctionSystem(n=self.n, f0=self.functions[0],
+                              constraints=self.functions[1:])
 
     @property
     def all_linear(self):
@@ -77,7 +82,8 @@ def _vector(value, n, where):
     return np.array([_number(v, where) for v in value])
 
 
-def _validate_entry(entry, n, index):
+def _entry_function(entry, n, index):
+    """Validate one function entry and build its function."""
     where = f"functions[{index}]"
     if not isinstance(entry, dict) or len(entry) != 1:
         raise ParseError(
@@ -86,40 +92,27 @@ def _validate_entry(entry, n, index):
     body = entry[kind]
     if kind == "quadratic":
         _require_keys(body, _QUAD_KEYS, _QUAD_KEYS, where)
-        _vector(body["Q"], n * n, f"{where}.Q")
-        _vector(body["c"], n, f"{where}.c")
-        _number(body["d"], f"{where}.d")
-    elif kind == "expr":
-        if not isinstance(body, str):
-            raise ParseError(f"{where}: 'expr' must be a string")
+        Q = _vector(body["Q"], n * n, f"{where}.Q").reshape(n, n)
+        c = _vector(body["c"], n, f"{where}.c")
+        d = _number(body["d"], f"{where}.d")
         try:
-            expr_mod.parse(body, n)
-        except (expr_mod.ExprSyntaxError, expr_mod.UnknownIdentifier,
-                expr_mod.IndexOutOfRange) as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-    elif kind == "linear":
-        _require_keys(body, _LINEAR_KEYS, _LINEAR_KEYS, where)
-        _vector(body["a"], n, f"{where}.a")
-        _number(body["b"], f"{where}.b")
-    else:
-        raise ParseError(f"{where}: unknown function kind '{kind}'")
-
-
-def _entry_to_function(entry, n):
-    kind = next(iter(entry))
-    body = entry[kind]
-    if kind == "quadratic":
-        Q = np.asarray(body["Q"], dtype=float).reshape(n, n)
-        try:
-            return QuadraticFunction(Q, np.asarray(body["c"], float),
-                                     float(body["d"]))
+            return QuadraticFunction(Q, c, d)
         except DimensionMismatch as exc:
             raise ParseError(str(exc)) from exc
     if kind == "expr":
-        return expr_mod.parse(body, n)
-    a = np.asarray(body["a"], dtype=float)
-    q = np.zeros((n, n))
-    return QuadraticFunction(q, a, -float(body["b"]))
+        if not isinstance(body, str):
+            raise ParseError(f"{where}: 'expr' must be a string")
+        try:
+            return expr_mod.parse(body, n)
+        except (expr_mod.ExprSyntaxError, expr_mod.UnknownIdentifier,
+                expr_mod.IndexOutOfRange) as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+    if kind == "linear":
+        _require_keys(body, _LINEAR_KEYS, _LINEAR_KEYS, where)
+        a = _vector(body["a"], n, f"{where}.a")
+        b = _number(body["b"], f"{where}.b")
+        return QuadraticFunction(np.zeros((n, n)), a, -b)
+    raise ParseError(f"{where}: unknown function kind '{kind}'")
 
 
 def load_problem(path):
@@ -148,8 +141,8 @@ def parse_problem(raw, path=None):
         raise ParseError(
             f"functions must list exactly p+1 = {p + 1} entries "
             f"(f0 first, then the constraints)")
-    for idx, entry in enumerate(functions):
-        _validate_entry(entry, n, idx)
+    built = tuple(_entry_function(entry, n, idx)
+                  for idx, entry in enumerate(functions))
     config = raw.get("config", {})
     if not isinstance(config, dict):
         raise ParseError("config must be an object")
@@ -163,5 +156,5 @@ def parse_problem(raw, path=None):
     for key in ("R", "tol", "eta"):
         if key in config:
             _number(config[key], f"config.{key}")
-    return ProblemFile(n=n, p=p, entries=functions, config=dict(config),
-                       path=path)
+    return ProblemFile(n=n, p=p, entries=functions, functions=built,
+                       config=dict(config), path=path)

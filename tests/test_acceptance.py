@@ -266,12 +266,12 @@ def _random_affine_data(rng):
 
 
 def test_criterion_7_farkas_agreement():
-    from slemma.farkas import MULTIPLIERS, farkas_affine
+    from slemma.farkas import MULTIPLIERS, solve
     rng = SplitMix64(1453)
     multipliers = alternatives = 0
     for i in range(100):
         data = _random_affine_data(rng)
-        res = farkas_affine(data)
+        res = solve(data)
         n = data.n
         f0 = QuadraticFunction(np.zeros((n, n)), data.a0, -data.b0)
         cons = tuple(QuadraticFunction(np.zeros((n, n)), data.a[j], -data.b[j])

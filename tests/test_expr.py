@@ -5,8 +5,7 @@ import pytest
 
 from slemma.errors import DomainError
 from slemma.expr import (ExprSyntaxError, IndexOutOfRange, UnknownIdentifier,
-                         evaluate, evaluate_batch, gradient_fd, parse,
-                         to_source)
+                         evaluate, evaluate_batch, parse, to_source)
 from slemma.rng import SplitMix64
 
 
@@ -85,44 +84,6 @@ def test_domain_errors_name_subexpression():
         evaluate(parse("sqrt(x1)", 1), (-1.0,))
     with pytest.raises(DomainError):
         evaluate(parse("1 / x1", 1), (0.0,))
-
-
-def test_gradient_fd_quadratic():
-    g = gradient_fd(parse("x1^2", 1), [3.0], h=1e-5)
-    assert g[0] == pytest.approx(6.0, abs=1e-6)
-
-
-def test_gradient_fd_propagates_domain_error():
-    with pytest.raises(DomainError):
-        gradient_fd(parse("log(x1)", 1), [1e-6], h=1e-5)
-    with pytest.raises(ValueError):
-        gradient_fd(parse("x1", 1), [0.0], h=0.0)
-
-
-def test_gradient_fd_constant_and_linear():
-    assert gradient_fd(parse("5", 2), [1.0, 2.0]) == [0.0, 0.0]
-    g = gradient_fd(parse("x1 + x2", 2), [0.0, 0.0])
-    assert g[0] == pytest.approx(1.0, abs=1e-9)
-    assert g[1] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_gradient_fd_matches_analytic_cubics():
-    # degree-3 polynomials: central differences at h=1e-5 are accurate
-    cases = [
-        ("x1^3 + 2*x1*x2 - x2^2", 2,
-         lambda x: [3 * x[0] ** 2 + 2 * x[1], 2 * x[0] - 2 * x[1]]),
-        ("x1*x2*x3", 3,
-         lambda x: [x[1] * x[2], x[0] * x[2], x[0] * x[1]]),
-    ]
-    rng = SplitMix64(31)
-    for source, n, grad in cases:
-        e = parse(source, n)
-        for _ in range(20):
-            x = list(rng.uniforms(n, -2.0, 2.0))
-            got = gradient_fd(e, x)
-            want = grad(x)
-            for g, w in zip(got, want):
-                assert g == pytest.approx(w, rel=1e-5, abs=1e-5)
 
 
 _ROUND_TRIP_SOURCES = [

@@ -3,11 +3,10 @@ import pytest
 
 from slemma.errors import DimensionMismatch
 from slemma.farkas import (AFFINE, ALTERNATIVE, HOMOGENEOUS, INCONSISTENT,
-                           MULTIPLIERS, _objective_lp, farkas_affine,
-                           farkas_homogeneous, make_linear_system, solve,
-                           verify_farkas)
-from slemma.linprog import OPTIMAL, solve_lp
+                           MULTIPLIERS, FarkasResult, make_linear_system,
+                           solve, verify_farkas)
 from slemma.implication import INVALID, VALID, ClassifyConfig, classify_instance
+from slemma.linprog import OPTIMAL, LinearProgram, solve_lp
 from slemma.quadratic import QuadraticFunction
 from slemma.rng import SplitMix64
 from slemma.systems import FunctionSystem
@@ -17,7 +16,7 @@ def test_homogeneous_decomposition():
     data = make_linear_system([2.0, 3.0], 0.0,
                               [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
     assert data.mode == HOMOGENEOUS
-    res = farkas_homogeneous(data)
+    res = solve(data)
     assert res.kind == MULTIPLIERS
     assert np.allclose(res.alpha, [2.0, 3.0], atol=1e-8)
     assert verify_farkas(data, res)["ok"]
@@ -25,14 +24,14 @@ def test_homogeneous_decomposition():
 
 def test_homogeneous_zero_objective():
     data = make_linear_system([0.0, 0.0], 0.0, [[1.0, 0.0]], [0.0])
-    res = farkas_homogeneous(data)
+    res = solve(data)
     assert res.kind == MULTIPLIERS
     assert np.allclose(res.alpha, [0.0])
 
 
 def test_homogeneous_alternative_scaled():
     data = make_linear_system([-1.0, 0.0], 0.0, [[1.0, 0.0]], [0.0])
-    res = farkas_homogeneous(data)
+    res = solve(data)
     assert res.kind == ALTERNATIVE
     # normalized: the violated inequality has slack exactly 1
     assert float(np.dot([-1.0, 0.0], res.x)) == pytest.approx(-1.0)
@@ -42,14 +41,14 @@ def test_homogeneous_alternative_scaled():
 
 def test_affine_identical_rows():
     data = make_linear_system([1.0], 1.0, [[1.0]], [1.0])
-    res = farkas_affine(data)
+    res = solve(data)
     assert res.kind == MULTIPLIERS
     assert np.allclose(res.alpha, [1.0], atol=1e-9)
 
 
 def test_affine_alternative():
     data = make_linear_system([1.0], 1.0, [[1.0]], [0.0])
-    res = farkas_affine(data)
+    res = solve(data)
     assert res.kind == ALTERNATIVE
     x = float(res.x[0])
     assert x >= -1e-9            # satisfies x >= 0
@@ -61,7 +60,7 @@ def test_affine_exact_decomposition():
     data = make_linear_system([1.0, 1.0], 0.0,
                               [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0],
                               mode=AFFINE)
-    res = farkas_affine(data)
+    res = solve(data)
     assert res.kind == MULTIPLIERS
     assert np.allclose(res.alpha, [1.0, 1.0], atol=1e-8)
 
@@ -69,7 +68,7 @@ def test_affine_exact_decomposition():
 def test_affine_unbounded_objective_gives_alternative():
     # feasible half-space, objective unbounded below on it
     data = make_linear_system([-1.0], 0.0, [[1.0]], [1.0], mode=AFFINE)
-    res = farkas_affine(data)
+    res = solve(data)
     assert res.kind == ALTERNATIVE
     assert verify_farkas(data, res)["ok"]
 
@@ -78,7 +77,7 @@ def test_inconsistent_without_multipliers_is_flagged():
     data = make_linear_system([0.0, 1.0], 0.0,
                               [[1.0, 0.0], [-1.0, 0.0]], [1.0, 0.0],
                               mode=AFFINE)
-    res = farkas_affine(data)
+    res = solve(data)
     assert res.kind == INCONSISTENT
     assert not res.system_consistent
 
@@ -87,7 +86,7 @@ def test_inconsistent_with_multipliers_keeps_flag():
     data = make_linear_system([1.0, 0.0], 5.0,
                               [[1.0, 0.0], [-1.0, 0.0]], [1.0, 0.0],
                               mode=AFFINE)
-    res = farkas_affine(data)
+    res = solve(data)
     assert res.kind == MULTIPLIERS
     assert not res.system_consistent
     assert verify_farkas(data, res)["ok"]
@@ -118,7 +117,7 @@ def test_branches_reverify_on_random_instances():
     kinds = {MULTIPLIERS: 0, ALTERNATIVE: 0}
     for _ in range(60):
         data = _random_affine_instance(rng)
-        res = farkas_affine(data)
+        res = solve(data)
         assert res.kind in kinds
         kinds[res.kind] += 1
         assert verify_farkas(data, res)["ok"]
@@ -137,7 +136,7 @@ def test_agreement_with_classifier_on_q0_encoding():
     rng = SplitMix64(2718)
     for i in range(25):
         data = _random_affine_instance(rng)
-        res = farkas_affine(data)
+        res = solve(data)
         rep = classify_instance(_as_system(data),
                                 ClassifyConfig(seed=i, samples=1024))
         if res.kind == MULTIPLIERS:
@@ -147,15 +146,25 @@ def test_agreement_with_classifier_on_q0_encoding():
             assert rep.verdict == INVALID, i
 
 
-def _reference_homogeneous(data):
-    """The homogeneous lemma as a separate routine: the optimal duals are
-    the multipliers, an unbounded ray rescaled to slack 1 the alternative."""
-    out = solve_lp(_objective_lp(data))
+def farkas_homogeneous(data):
+    """Multipliers alpha with a0 = sum alpha_i a_i, or an alternative x
+    with a_i . x >= 0 for all i and <a0, x> <= -1.
+
+    The homogeneous lemma as it stood on its own, kept as the reference
+    for `solve` (its LP and dual helpers written out)."""
+    if data.mode != HOMOGENEOUS:
+        raise DimensionMismatch("farkas_homogeneous needs Homogeneous data")
+    out = solve_lp(LinearProgram(c=data.a0, a_ub=-data.a, b_ub=-data.b))
     if out.status == OPTIMAL:
-        return MULTIPLIERS, np.maximum(-out.dual_ub, 0.0)
+        # value is 0 at x = 0; duals certify a0 in the cone of the a_i
+        return FarkasResult(kind=MULTIPLIERS,
+                            alpha=np.maximum(-out.dual_ub, 0.0))
+    # unbounded: the ray d has a . d >= 0 and <a0, d> < 0; rescale so the
+    # violated inequality has slack exactly 1
     ray = out.ray
     slope = float(data.a0 @ ray)
-    return ALTERNATIVE, ray / (-slope)
+    x = ray / (-slope)
+    return FarkasResult(kind=ALTERNATIVE, x=x)
 
 
 def test_solve_matches_the_homogeneous_reference():
@@ -171,11 +180,12 @@ def test_solve_matches_the_homogeneous_reference():
             a0 = np.array(rng.uniforms(n, -1.0, 1.0))
         data = make_linear_system(a0, 0.0, A, np.zeros(p))
         assert data.mode == HOMOGENEOUS
-        kind, value = _reference_homogeneous(data)
-        res = solve(data)
-        assert res.kind == kind
-        got = res.alpha if kind == MULTIPLIERS else res.x
-        assert got.tobytes() == value.tobytes()
+        want, res = farkas_homogeneous(data), solve(data)
+        assert res.kind == want.kind
+        if want.kind == MULTIPLIERS:
+            assert res.alpha.tobytes() == want.alpha.tobytes()
+        else:
+            assert res.x.tobytes() == want.x.tobytes()
         assert verify_farkas(data, res)["ok"]
-        kinds[kind] += 1
+        kinds[res.kind] += 1
     assert kinds[MULTIPLIERS] > 10 and kinds[ALTERNATIVE] > 10

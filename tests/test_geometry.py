@@ -350,32 +350,32 @@ def test_conical_oracle_equals_scale_by_scale_loop(monkeypatch):
     inner = geo.identity_membership_oracle(line, cloud, budget=6, seed=3)
 
     def reference(m):
+        # every scale of a non-zero target is asked, member or not
         if np.max(np.abs(m)) <= geo.MEMBER_TOL:
             return geo.MembershipResult(member=True, x=None, margin=0.0)
-        best = None
-        for s in scales:
-            res = inner(m / s)
+        results = [(inner(m / s), s) for s in scales]
+        for res, s in results:
             if res.member:
                 return geo.MembershipResult(member=True, x=res.x,
                                             margin=res.margin * s)
-            best = res.margin * s if best is None else min(best,
-                                                           res.margin * s)
-        return geo.MembershipResult(member=False, x=None, margin=float(best))
+        return geo.MembershipResult(
+            member=False, x=None,
+            margin=float(min(res.margin * s for res, s in results)))
 
     expected = [reference(m) for m in targets]
     assert [r.member for r in expected] == [True, False, True, True, False]
-    reference_seeds, used = [s for (s,) in seeds], [13, 25, 9, 25]
+    reference_seeds = [s for (s,) in seeds]
+    assert len(reference_seeds) == 4 * 25
     one_by_one = geo.conical_membership_oracle(line, cloud, budget=6, seed=3)
     stacked = geo.conical_membership_oracle(line, cloud, budget=6, seed=3)
     for ask in (lambda: [one_by_one(m) for m in targets],
                 lambda: stacked(targets)):
         seeds.clear()
         assert all(_same_result(a, b) for a, b in zip(ask(), expected))
-        # each stack holds all 25 scales; the ones up to the first member
-        # carry the seeds of the scale-by-scale loop
+        # one stack of all 25 scales per non-zero target, carrying the
+        # seeds of the scale-by-scale loop
         assert [len(stack) for stack in seeds] == [25] * 4
-        assert [s for stack, k in zip(seeds, used) for s in stack[:k]] \
-            == reference_seeds
+        assert [s for stack in seeds for s in stack] == reference_seeds
 
 
 class _RecordingOracle:

@@ -95,6 +95,23 @@ def test_random_lps_match_vertex_enumeration():
     assert optimal > 0 and infeasible > 0
 
 
+def test_unbounded_outcomes_carry_a_feasible_start():
+    # the LPs above with their upper bounds dropped: each unbounded
+    # outcome's y is feasible, and its ray improves the objective
+    rng = np.random.default_rng(2718)
+    unbounded = 0
+    for _ in range(120):
+        c, A, b, lo, _ = _random_lp(rng)
+        out = solve_lp(LinearProgram(c=c, a_ub=A, b_ub=b, lower=lo))
+        if out.status != UNBOUNDED:
+            continue
+        unbounded += 1
+        assert np.all(A @ out.y <= b + 1e-9)
+        assert np.all(out.y >= lo - 1e-9)
+        assert float(c @ out.ray) < 0
+    assert unbounded > 10
+
+
 def test_duality_and_complementary_slackness():
     rng = np.random.default_rng(31)
     checked = 0
