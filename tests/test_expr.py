@@ -119,6 +119,18 @@ def test_batch_matches_scalar():
         assert batch[i] == pytest.approx(evaluate(e, X[i]), abs=1e-12)
 
 
+def test_batch_division_min_max_match_scalar():
+    e = parse("x1 / x2 + min(x1, x2) * max(x1, 0.5 - x2)", 2)
+    X = SplitMix64(6).uniform_box(3.0, 2, 50)
+    batch = evaluate_batch(e, X)
+    for i in range(50):
+        assert batch[i] == evaluate(e, X[i]), i
+    # a zero divisor: the batch row goes non-finite, the scalar call raises
+    assert not np.isfinite(evaluate_batch(e, np.array([[1.0, 0.0]]))[0])
+    with pytest.raises(DomainError):
+        evaluate(e, (1.0, 0.0))
+
+
 def test_batch_marks_domain_failures_nonfinite():
     e = parse("log(x1)", 1)
     out = evaluate_batch(e, np.array([[1.0], [-1.0], [0.0]]))

@@ -229,6 +229,64 @@ def test_cli_verify_requires_some_input():
     assert "alpha" in err
 
 
+def _report_lines(out):
+    """Report lines below the echoed command, which holds the path."""
+    return out.splitlines()[3:]
+
+
+def test_cli_verify_failing_alpha_names_the_violation(tmp_path):
+    # exact check: a dehomogenized point, or a homogeneous direction when
+    # the eigenvector's last entry vanishes
+    code, out, err = run_cli("verify", str(CORPUS / "slater_fail.json"),
+                             "--alpha", "0")
+    assert code == 0 and err == ""
+    assert _report_lines(out)[-4:] == [
+        "alpha: [0.0]", "verdict: Invalid", "lambda_min: -1.0",
+        "violating_x: [-1.0]"]
+    code, out, err = run_cli("verify", str(CORPUS / "example3_pair.json"),
+                             "--alpha", "0")
+    assert code == 0 and err == ""
+    assert _report_lines(out)[-4:] == [
+        "alpha: [0.0]", "verdict: Invalid", "lambda_min: -2.0",
+        "violating_direction: [0.0, 1.0]"]
+    # sampled check on an expression file: f0 = x^2, f1 = 1
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps({"n": 1, "p": 1, "functions": [
+        {"expr": "x1^2"}, {"expr": "1"}]}))
+    code, out, err = run_cli("verify", str(path), "--alpha", "1")
+    assert code == 0 and err == ""
+    assert _report_lines(out)[-5:] == [
+        "kind: Mixed", "alpha: [1.0]", "verdict: Violated",
+        "min_observed: -1.0", "x: [6.412979301928523e-09]"]
+    code, out, err = run_cli("verify", str(path), "--alpha", "0")
+    assert code == 0 and err == ""
+    assert _report_lines(out)[-3:] == [
+        "alpha: [0.0]", "verdict: NoViolation (sampled only)",
+        "min_observed: 1.833444551342758e-27"]
+
+
+def test_classify_certificate_above_alpha_max_via_separation(tmp_path):
+    # f0 = x^2 + 20000 x + 1 and f1 = x: the certificates are the alpha in
+    # [19998, 20002], all above alpha_max, so the cutting planes prove none
+    # in the box and the separation route supplies the certificate
+    path = tmp_path / "above.json"
+    path.write_text(json.dumps({"n": 1, "p": 1, "functions": [
+        {"quadratic": {"Q": [2.0], "c": [20000.0], "d": 1.0}},
+        {"linear": {"a": [1.0], "b": 0.0}}]}))
+    code, out, err = run_cli("classify", str(path), "--json")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["verdict"] == "ValidWithCertificate"
+    assert report["certificate"]["alpha"] == "[19999.982700934383]"
+    assert report["certificate"]["verified"] == "ExactPSD"
+    assert report["notes"] == [
+        "no certificate with alpha <= alpha_max=10000.0",
+        "certificate via separation"]
+    alpha = 19999.982700934383
+    M = np.array([[2.0, 20000.0 - alpha], [20000.0 - alpha, 2.0]])
+    assert np.linalg.eigvalsh(M)[0] > 1.0
+
+
 def test_cli_counterexample():
     code, out, _ = run_cli("counterexample",
                            str(CORPUS / "example3_pair.json"))
