@@ -7,11 +7,9 @@ the image set (cone membership, hull separation, convexity of augmented
 images) that governs when the two statements are equivalent.
 """
 
-from .certificate import (Certificate, find_certificate_general,
-                          find_certificate_p1,
-                          find_certificate_via_separation,
-                          verify_certificate_quadratic,
-                          verify_certificate_sampled)
+from .certificate import (Certificate, check_multipliers,
+                          find_certificate_general, find_certificate_p1,
+                          find_certificate_via_separation)
 from .expr import Expression, evaluate, parse
 from .farkas import LinearSystemData, make_linear_system
 from .geometry import (ImageCloud, cone_k_member, conjecture_scan,
@@ -31,11 +29,11 @@ __all__ = [
     "Certificate", "ClassifyConfig", "Expression", "FunctionSystem",
     "ImageCloud", "InstanceReport", "LinearProgram", "LinearSystemData",
     "LpOutcome", "ProblemFile", "QuadraticFunction", "bordered_matrix",
-    "check_slater", "classify_instance", "cone_k_member", "conjecture_scan",
-    "eigen_sym", "epi_member", "evaluate", "evaluate_quadratic",
-    "extract_separator", "falsify_convexity", "find_certificate_general",
-    "find_certificate_p1", "find_certificate_via_separation",
-    "find_counterexample", "hull_intersects_k", "load_problem",
-    "make_linear_system", "min_eigenvalue", "parse", "sample_image",
-    "solve_lp", "verify_certificate_quadratic", "verify_certificate_sampled",
+    "check_multipliers", "check_slater", "classify_instance",
+    "cone_k_member", "conjecture_scan", "eigen_sym", "epi_member",
+    "evaluate", "evaluate_quadratic", "extract_separator",
+    "falsify_convexity", "find_certificate_general", "find_certificate_p1",
+    "find_certificate_via_separation", "find_counterexample",
+    "hull_intersects_k", "load_problem", "make_linear_system",
+    "min_eigenvalue", "parse", "sample_image", "solve_lp",
 ]

@@ -4,7 +4,9 @@ A certificate for (f0; f1..fp) is alpha >= 0 with f0 - sum_i alpha_i f_i
 nonnegative everywhere.  For all-quadratic systems that is equivalent to
 positive semidefiniteness of M(alpha) = M0 - sum_i alpha_i M_i, the
 bordered matrix of the combined quadratic, so verification is exact; for
-expression systems only sampled verification is available.
+expression systems only sampled verification is available.  Both are
+`check_multipliers`, which every search and command uses to label a
+certificate.
 """
 
 from dataclasses import dataclass
@@ -68,78 +70,97 @@ def combined_matrix(system, alpha):
 
 
 @dataclass
-class QuadraticVerification:
-    valid: bool
-    lambda_min: float
-    direction: np.ndarray            # eigenvector of the smallest eigenvalue
-    violating_x: np.ndarray | None   # dehomogenized witness when available
+class MultiplierCheck:
+    """The outcome of checking one multiplier vector alpha.
+
+    `label` names the check that ran: EXACT_PSD on an all-quadratic system,
+    SAMPLED_ONLY otherwise.  A passing alpha carries its `certificate`; a
+    failing one a `violating_x` where f0 - sum_i alpha_i f_i < 0 or, when
+    the exact check's eigenvector has no finite lift, a homogeneous
+    `direction` along which that combination diverges to -infinity."""
+
+    alpha: np.ndarray
+    label: str
+    certificate: Certificate | None = None
+    lambda_min: float | None = None    # exact: smallest eigenvalue of M(alpha)
+    threshold: float | None = None     # exact: least lambda_min that passes
+    value: float | None = None         # sampled: refined minimum found
+    violating_x: np.ndarray | None = None
+    direction: np.ndarray | None = None
 
     @property
-    def homogeneous_direction(self):
-        return None if self.violating_x is not None else self.direction[:-1]
+    def valid(self):
+        return self.certificate is not None
 
 
-def verify_certificate_quadratic(system, alpha, tol=PSD_RTOL):
-    """Exact PSD test of M(alpha) for an all-quadratic system.
+def check_multipliers(system, alpha, tol=PSD_RTOL, radius=10.0, samples=4096,
+                      seed=0, eigenpair=None):
+    """The one check of alpha >= 0 against f0 - sum_i alpha_i f_i >= 0, and
+    the only place the PSD rule is applied or a certificate is labelled.
 
-    On failure the minimum eigenvector is dehomogenized into a violating
-    point when its last coordinate allows; otherwise the leading n
-    components give a direction along which the combination diverges to
-    -infinity."""
+    All-quadratic systems: alpha passes when lambda_min(M(alpha)) >=
+    -tol * (1 + max|M(alpha)|), an ExactPSD certificate.  On failure the
+    minimum eigenvector is dehomogenized into a violating point when its
+    last coordinate allows; otherwise its leading n components are the
+    direction.  `eigenpair` = (M(alpha), lambda_min, eigenvector) reuses a
+    decomposition the caller already made.
+
+    Other systems: the combination is minimized over [-radius, radius]^n
+    from `samples` points (stream `seed`) plus descent from the 10 smallest;
+    a refined value below -1e-6 is a violation, anything else a SampledOnly
+    certificate."""
+    alpha = _check_alpha(system, alpha)
     if not system.is_quadratic:
-        raise DimensionMismatch("exact verification needs an all-quadratic system")
-    alpha = _check_alpha(system, alpha)
-    M = combined_matrix(system, alpha)
-    lam, v = min_eigenvalue(M)
-    scale = 1.0 + np.max(np.abs(M))
-    if lam >= -tol * scale:
-        return QuadraticVerification(valid=True, lambda_min=lam, direction=v,
-                                     violating_x=None)
-    x = v[:-1] / v[-1] if abs(v[-1]) >= 1e-8 else None
-    return QuadraticVerification(valid=False, lambda_min=lam, direction=v,
-                                 violating_x=x)
+        weights = np.concatenate([[1.0], -alpha])
 
+        def loss(X):
+            return system.values_batch(X) @ weights
 
-@dataclass
-class SampledVerification:
-    violated: bool
-    x: np.ndarray | None
-    value: float                 # refined minimum of f0 - sum alpha_i f_i
-    samples: int
-
-
-def verify_certificate_sampled(system, alpha, radius=10.0, samples=4096,
-                               seed=0):
-    """Sampled surrogate: minimize g = f0 - sum alpha_i f_i over the box
-    plus descent from the 10 smallest samples; a refined value below -1e-6
-    is a violation."""
-    alpha = _check_alpha(system, alpha)
-    weights = np.concatenate([[1.0], -alpha])
-
-    def loss(X):
-        return system.values_batch(X) @ weights
-
-    X, vals = sample_and_descend(loss, system.n, radius, samples, seed,
-                                 keep=10, steps=80)
-    value = float(vals[0])
-    if value < SAMPLED_FLOOR:
-        return SampledVerification(violated=True, x=X[0], value=value,
-                                   samples=samples)
-    return SampledVerification(violated=False, x=None, value=value,
-                               samples=samples)
+        X, vals = sample_and_descend(loss, system.n, radius, samples, seed,
+                                     keep=10, steps=80)
+        check = MultiplierCheck(alpha, SAMPLED_ONLY, value=float(vals[0]))
+        if check.value < SAMPLED_FLOOR:
+            check.violating_x = X[0]
+        else:
+            check.certificate = Certificate(alpha, None, SAMPLED_ONLY)
+        return check
+    if eigenpair is None:
+        M = combined_matrix(system, alpha)
+        lam, v = min_eigenvalue(M)
+    else:
+        M, lam, v = eigenpair
+    check = MultiplierCheck(alpha, EXACT_PSD, lambda_min=lam,
+                            threshold=-tol * (1.0 + np.max(np.abs(M))))
+    if lam >= check.threshold:
+        check.certificate = Certificate(alpha, lam, EXACT_PSD)
+    elif abs(v[-1]) >= 1e-8:
+        check.violating_x = v[:-1] / v[-1]
+    else:
+        check.direction = v[:-1]
+    return check
 
 
 @dataclass
 class SearchResult:
-    certificate: Certificate | None = None
-    best_alpha: np.ndarray | None = None
-    best_lambda_min: float | None = None
+    check: MultiplierCheck | None = None  # the best (or last) alpha's check
     outcome: str = ""          # extra detail for the separation pipeline
     alpha0: float | None = None
     witness: object = None
     rounds: int = 0
     separation: object = None  # separation route: round-0 SeparatorResult
     upper_bound: float | None = None  # cutting planes: bound on max g
+
+    @property
+    def certificate(self):
+        return None if self.check is None else self.check.certificate
+
+    @property
+    def best_alpha(self):
+        return None if self.check is None else self.check.alpha
+
+    @property
+    def best_lambda_min(self):
+        return None if self.check is None else self.check.lambda_min
 
     @property
     def found(self):
@@ -162,6 +183,8 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
     the first passing iterate is the certificate.  For p = 1 a passing
     iterate ends the search only once it reaches P1_NEAR_MAX times the
     bound, so every p = 1 certificate has lambda_min >= 0.99 * max g.
+    Each improving iterate is checked by check_multipliers on the eigenpair
+    already computed, and the result carries the best iterate's check.
     `seed` is accepted for interface stability; the search is
     deterministic."""
     if not system.is_quadratic:
@@ -177,16 +200,15 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
     objective = np.concatenate([np.zeros(p), [-1.0]])     # maximize t
     cuts, rhs = [], []
     alpha = np.zeros(p)
-    best_alpha, best_g, best_scale = alpha, -np.inf, 1.0
+    best = None
     upper_bound = None
     outcome = ""
     for _ in range(iters):
         M = combined_matrix(system, alpha)
         lam, v = min_eigenvalue(M)
-        if lam > best_g:
-            best_alpha, best_g = alpha, lam
-            best_scale = 1.0 + np.max(np.abs(M))
-            if p > 1 and best_g >= -tol * best_scale:
+        if best is None or lam > best.lambda_min:
+            best = check_multipliers(system, alpha, tol, eigenpair=(M, lam, v))
+            if p > 1 and best.valid:
                 break
         s = np.array([-(v @ B @ v) for B in borders])
         cuts.append(np.concatenate([-s, [1.0]]))    # t - s.a <= lam - s.alpha
@@ -199,17 +221,12 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
         if upper_bound < -tol * bound_scale:
             outcome = NO_CERTIFICATE
             break
-        if upper_bound - best_g <= tol * best_scale:
+        if upper_bound - best.lambda_min <= -best.threshold:
             break
-        if best_g >= max(-tol * best_scale, P1_NEAR_MAX * upper_bound):
+        if best.valid and best.lambda_min >= P1_NEAR_MAX * upper_bound:
             break       # p = 1 only: a passing p >= 2 iterate broke above
         alpha = np.clip(lp.y[:p], 0.0, alpha_max)
-    result = SearchResult(best_alpha=best_alpha, best_lambda_min=best_g,
-                          upper_bound=upper_bound, outcome=outcome)
-    if best_g >= -tol * best_scale:
-        result.certificate = Certificate(alpha=best_alpha, lambda_min=best_g,
-                                         verified=EXACT_PSD)
-    return result
+    return SearchResult(check=best, upper_bound=upper_bound, outcome=outcome)
 
 
 def find_certificate_p1(system, alpha_max=1e4, tol=PSD_RTOL, iters=200):
@@ -262,19 +279,18 @@ REFINEMENT_EXHAUSTED = "refinement_exhausted"
 NO_CERTIFICATE = "no_certificate"    # cutting planes: absence proven
 
 
-def _witness_sources(system, verification):
-    """Points to cut a failed separator out of the cloud."""
-    xs = []
-    if verification.violating_x is not None:
-        x = verification.violating_x
-        xs.extend([x, 2.0 * x, 0.5 * x])
-    else:
-        w = verification.direction[:-1]
-        norm = np.linalg.norm(w)
-        if norm > 0:
-            w = w / norm
-            xs.extend([t * w for t in (1.0, 10.0, 100.0)])
-    return xs
+def _witness_sources(check):
+    """Points to cut a failed separator out of the cloud: a sampled
+    violating point as it is, an exact one with its double and half, or
+    three points along a homogeneous direction."""
+    if check.direction is not None:
+        norm = np.linalg.norm(check.direction)
+        if norm == 0:
+            return []
+        w = check.direction / norm
+        return [t * w for t in (1.0, 10.0, 100.0)]
+    x = check.violating_x
+    return [x] if check.label == SAMPLED_ONLY else [x, 2.0 * x, 0.5 * x]
 
 
 def find_certificate_via_separation(system, cloud, tol=1e-9, seed=0,
@@ -282,12 +298,13 @@ def find_certificate_via_separation(system, cloud, tol=1e-9, seed=0,
     """Certificate extraction along the separation route.
 
     Separate the cloud from K, require alpha_0 away from zero (the Slater
-    guard), divide through by alpha_0, verify, and on verification failure
-    cut the failed direction into the cloud and repeat (at most `rounds`
-    extra rounds).  The result carries the round-0 separator on `cloud`
-    itself, so the evidence step need not solve that LP again."""
+    guard), divide through by alpha_0, check the multipliers with the same
+    `tol`, and on failure cut the violating point or direction into the
+    cloud and repeat (at most `rounds` extra rounds).  The result carries
+    the round-0 separator on `cloud` itself, so the evidence step need not
+    solve that LP again."""
     work = cloud
-    last_alpha = None
+    check = None
     first = None
     for round_idx in range(rounds + 1):
         sep = extract_separator(work, tol)
@@ -301,34 +318,17 @@ def find_certificate_via_separation(system, cloud, tol=1e-9, seed=0,
             return SearchResult(outcome=SLATER_BLOCKED,
                                 alpha0=float(alpha_full[0]),
                                 rounds=round_idx, separation=first)
-        alpha = alpha_full[1:] / alpha_full[0]
-        last_alpha = alpha
-        if system.is_quadratic:
-            ver = verify_certificate_quadratic(system, alpha)
-            if ver.valid:
-                cert = Certificate(alpha=alpha, lambda_min=ver.lambda_min,
-                                   verified=EXACT_PSD)
-                return SearchResult(certificate=cert, outcome=FOUND,
-                                    best_alpha=alpha,
-                                    best_lambda_min=ver.lambda_min,
-                                    rounds=round_idx, separation=first)
-            new_sources = _witness_sources(system, ver)
-        else:
-            ver = verify_certificate_sampled(
-                system, alpha, radius=cloud.box_radius,
-                seed=derive_seed(seed, 100 + round_idx))
-            if not ver.violated:
-                cert = Certificate(alpha=alpha, lambda_min=None,
-                                   verified=SAMPLED_ONLY)
-                return SearchResult(certificate=cert, outcome=FOUND,
-                                    best_alpha=alpha, rounds=round_idx,
-                                    separation=first)
-            new_sources = [ver.x]
-        fresh = [x for x in new_sources
+        check = check_multipliers(
+            system, alpha_full[1:] / alpha_full[0], tol=tol,
+            radius=cloud.box_radius, seed=derive_seed(seed, 100 + round_idx))
+        if check.valid:
+            return SearchResult(check=check, outcome=FOUND, rounds=round_idx,
+                                separation=first)
+        fresh = [x for x in _witness_sources(check)
                  if np.all(np.isfinite(system.image_point(x)))]
         if not fresh:
             break
         pts = np.array([system.image_point(x) for x in fresh])
         work = work.extended(pts, np.array(fresh))
-    return SearchResult(outcome=REFINEMENT_EXHAUSTED, best_alpha=last_alpha,
+    return SearchResult(check=check, outcome=REFINEMENT_EXHAUSTED,
                         rounds=rounds + 1, separation=first)

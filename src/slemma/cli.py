@@ -13,7 +13,8 @@ Exit codes: 0 definitive verdict or clean report, 2 undetermined,
 1 usage or I/O error, 3 numerical failure.
 
 A handler loads the problem, runs `implication`'s stage functions (the
-ones `classify` runs), renders the report and maps the exit code.
+ones `classify` runs) or, for `verify`, the one multiplier check, renders
+the report and maps the exit code.
 """
 
 import argparse
@@ -28,10 +29,10 @@ from . import geometry, report
 from .errors import NotConverged, NumericalBreakdown, SlemmaError
 from .implication import (UNDETERMINED, ClassifyConfig, certificate_stage,
                           classify_instance, counterexample_stage,
-                          image_cloud, image_geometry, separation_stage,
-                          verify_multipliers)
+                          image_cloud, image_geometry, separation_stage)
 from .problem import ParseError, load_problem
 from .report import Report, fnum, fvec
+from .rng import derive_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -250,22 +251,22 @@ def cmd_verify(args, out):
     rep.add("command", f"slemma verify {pf.path} {source}")
     report.describe_instance(rep, pf, system)
     rep.add("alpha", fvec(alpha))
-    ver = verify_multipliers(system, alpha, cfg)
-    if system.is_quadratic:
-        rep.add("verdict", "Valid" if ver.valid else "Invalid")
-        rep.add("lambda_min", fnum(ver.lambda_min))
-        if not ver.valid:
-            if ver.violating_x is not None:
-                rep.add("violating_x", fvec(ver.violating_x))
-            else:
-                rep.add("violating_direction",
-                        fvec(ver.homogeneous_direction))
+    check = cert_mod.check_multipliers(
+        system, alpha, tol=cfg.psd_tol, radius=cfg.box_radius,
+        samples=cfg.samples, seed=derive_seed(cfg.seed, 13))
+    if check.label == cert_mod.EXACT_PSD:
+        rep.add("verdict", "Valid" if check.valid else "Invalid")
+        rep.add("lambda_min", fnum(check.lambda_min))
+        if check.violating_x is not None:
+            rep.add("violating_x", fvec(check.violating_x))
+        elif check.direction is not None:
+            rep.add("violating_direction", fvec(check.direction))
     else:
-        rep.add("verdict", "Violated" if ver.violated else
-                "NoViolation (sampled only)")
-        rep.add("min_observed", fnum(ver.value))
-        if ver.violated:
-            rep.add("x", fvec(ver.x))
+        rep.add("verdict", "NoViolation (sampled only)" if check.valid
+                else "Violated")
+        rep.add("min_observed", fnum(check.value))
+        if check.violating_x is not None:
+            rep.add("x", fvec(check.violating_x))
     out.write(rep.render(args.json))
     return EXIT_OK
 

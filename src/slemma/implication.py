@@ -227,20 +227,6 @@ def counterexample_stage(system, config, extra_starts=None):
         penalty=config.penalty)
 
 
-def _exact(system, alpha, config):
-    """SearchResult of the one multiplier alpha, which is its certificate
-    if M(alpha) passes the PSD test."""
-    ver = cert_mod.verify_certificate_quadratic(system, alpha,
-                                                tol=config.psd_tol)
-    search = cert_mod.SearchResult(best_alpha=alpha,
-                                   best_lambda_min=ver.lambda_min)
-    if ver.valid:
-        search.certificate = cert_mod.Certificate(
-            alpha=alpha, lambda_min=ver.lambda_min,
-            verified=cert_mod.EXACT_PSD)
-    return search
-
-
 def certificate_stage(system, config):
     """Certificate search on an all-quadratic system: exact Farkas when
     every function is affine, the PSD test of M0 at p = 0, cutting planes
@@ -257,14 +243,16 @@ def certificate_stage(system, config):
         if result.kind == farkas_mod.INCONSISTENT:
             return (cert_mod.SearchResult(),
                     ["linear constraint system is inconsistent"], [])
-        search = _exact(system, result.alpha, config)
+        search = cert_mod.SearchResult(check=cert_mod.check_multipliers(
+            system, result.alpha, tol=config.psd_tol))
         if search.found:
             return search, ["certificate via exact linear alternatives"], []
         # fall through to the generic searches on a verification miss
         notes.append("linear multipliers failed exact verification")
 
     if system.p == 0:
-        search = _exact(system, np.zeros(0), config)
+        search = cert_mod.SearchResult(check=cert_mod.check_multipliers(
+            system, np.zeros(0), tol=config.psd_tol))
     elif system.p == 1:
         search = cert_mod.find_certificate_p1(
             system, alpha_max=config.alpha_max, tol=config.psd_tol)
@@ -278,9 +266,8 @@ def certificate_stage(system, config):
     if search.outcome == cert_mod.NO_CERTIFICATE:
         notes.append(
             f"no certificate with alpha <= alpha_max={config.alpha_max!r}")
-    ver = cert_mod.verify_certificate_quadratic(system, search.best_alpha,
-                                                tol=config.psd_tol)
-    return search, notes, [] if ver.violating_x is None else [ver.violating_x]
+    x = None if search.check is None else search.check.violating_x
+    return search, notes, [] if x is None else [x]
 
 
 def image_cloud(system, config):
@@ -338,17 +325,6 @@ def image_geometry(system, config):
         seed=derive_seed(config.seed, 12), eta=config.eta, system=system,
         budget=config.member_budget)
     return cloud, ev, image_falsify
-
-
-def verify_multipliers(system, alpha, config):
-    """Exact PSD check of M(alpha) on an all-quadratic system; otherwise a
-    sampled search for a point where f0 - sum alpha_i f_i < 0 (stream 13)."""
-    if system.is_quadratic:
-        return cert_mod.verify_certificate_quadratic(system, alpha,
-                                                     tol=config.psd_tol)
-    return cert_mod.verify_certificate_sampled(
-        system, alpha, radius=config.box_radius, samples=config.samples,
-        seed=derive_seed(config.seed, 13))
 
 
 def classify_instance(system, config=None):

@@ -13,13 +13,15 @@
 
 Entry 0 is f0, the rest are constraints.  Q is row-major with n*n entries;
 a linear entry means <a, x> - b.  Parsing is strict: unknown keys are
-rejected and all dimensions are checked.  Each entry is checked and built
+rejected, every number must be finite (json also reads NaN, Infinity and
+1e400) and all dimensions are checked.  Each entry is checked and built
 into its function in one pass, so an asymmetric Q or a bad expression
 fails at load time.  `config` is optional and overrides the classifier
 defaults.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +33,8 @@ from .systems import FunctionSystem
 
 _TOP_KEYS = {"n", "p", "functions", "config"}
 _CONFIG_KEYS = {"R", "N", "seed", "tol", "eta"}
+_CONFIG_NUMBERS = {"R": "config.R (box radius)", "tol": "config.tol",
+                   "eta": "config.eta"}
 _QUAD_KEYS = {"Q", "c", "d"}
 _LINEAR_KEYS = {"a", "b"}
 
@@ -73,7 +77,11 @@ def _require_keys(obj, allowed, required, where):
 def _number(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        # json reads NaN, Infinity and overflowing literals such as 1e400
+        raise ParseError(f"{where}: expected a finite number, got {value!r}")
+    return value
 
 
 def _vector(value, n, where):
@@ -123,6 +131,8 @@ def load_problem(path):
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: "
                          f"{exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return parse_problem(raw, path=str(path))
 
 
@@ -153,8 +163,8 @@ def parse_problem(raw, path=None):
     if "seed" in config and (not isinstance(config["seed"], int)
                              or isinstance(config["seed"], bool)):
         raise ParseError("config.seed must be an integer")
-    for key in ("R", "tol", "eta"):
+    for key, where in _CONFIG_NUMBERS.items():
         if key in config:
-            _number(config[key], f"config.{key}")
+            _number(config[key], where)
     return ProblemFile(n=n, p=p, entries=functions, functions=built,
                        config=dict(config), path=path)

@@ -16,7 +16,7 @@ from .errors import DimensionMismatch, NotConverged, NumericalBreakdown
 _SYMMETRY_BAND = 1e-12
 _ACCEPT_BAND = 1e-10
 
-# A matrix passes the PSD test when lambda_min >= -PSD_RTOL * (1 + max|A|).
+# Default relative tolerance of the PSD test (certificate.check_multipliers).
 PSD_RTOL = 1e-9
 
 

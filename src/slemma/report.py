@@ -134,9 +134,6 @@ def certificate_block(parent, cert, key="certificate"):
 
 def hull_block(parent, hull, key="hull"):
     block = parent.add_block(key)
-    if hull is None:
-        block.add("status", "not computed")
-        return block
     block.add("status", "intersects" if hull.intersects else "sampled-disjoint")
     if hull.optimum is not None:
         block.add("optimum", fnum(hull.optimum))
@@ -147,9 +144,6 @@ def hull_block(parent, hull, key="hull"):
 
 def separator_block(parent, sep, key="separator"):
     block = parent.add_block(key)
-    if sep is None:
-        block.add("status", "not computed")
-        return block
     if sep.found:
         block.add("status", "found")
         block.add("alpha", fvec(sep.separator.alpha))
@@ -161,9 +155,6 @@ def separator_block(parent, sep, key="separator"):
 
 def falsify_block(parent, result, key):
     block = parent.add_block(key)
-    if result is None:
-        block.add("status", "not computed")
-        return block
     if result.found:
         v = result.violation
         block.add("status", "violation found (sampled evidence)")

@@ -181,9 +181,11 @@ def test_criterion_4_separation_pipeline():
             system, cloud, seed=derive_seed(inst_seed, 10))
         if res.found:
             assert res.certificate.verified == cert.EXACT_PSD
-            ver = cert.verify_certificate_quadratic(system,
-                                                    res.certificate.alpha)
-            assert ver.valid, f"false Found on instance {i}"
+            # re-checked with numpy, not with the check that labelled it
+            M = cert.combined_matrix(system, res.certificate.alpha)
+            lam = np.linalg.eigvalsh(M)[0]
+            assert lam >= -1e-9 * (1.0 + np.max(np.abs(M))), \
+                f"false Found on instance {i}"
             found += 1
         else:
             assert res.outcome in (cert.SLATER_BLOCKED,

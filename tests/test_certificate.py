@@ -4,27 +4,39 @@ import pytest
 from conftest import random_p1_system, random_psd_quadratic, random_quadratic
 from slemma import certificate as cert
 from slemma import geometry as geo
+from slemma.expr import parse
 from slemma.implication import find_counterexample
 from slemma.quadratic import QuadraticFunction, bordered_matrix
 from slemma.rng import SplitMix64
-from slemma.systems import FunctionSystem
+from slemma.systems import FunctionSystem, quadratic_to_source
 
 
 def _norm_sq(n):
     return QuadraticFunction(2 * np.eye(n), np.zeros(n), 0.0)
 
 
+def _expression_twin(system):
+    """The same functions as expressions, so the check samples them."""
+    twins = [parse(quadratic_to_source(f), system.n)
+             for f in system.functions]
+    return FunctionSystem(system.n, twins[0], twins[1:])
+
+
 def test_verify_equal_functions():
     system = FunctionSystem(2, _norm_sq(2), (_norm_sq(2),))
-    ver = cert.verify_certificate_quadratic(system, [1.0])
-    assert ver.valid
+    ver = cert.check_multipliers(system, [1.0])
+    assert ver.valid and ver.label == cert.EXACT_PSD
+    assert ver.certificate.verified == cert.EXACT_PSD
     assert ver.lambda_min == pytest.approx(0.0, abs=1e-12)
 
 
 def test_verify_example3_zero_alpha_invalid(example3):
-    ver = cert.verify_certificate_quadratic(example3, [0.0])
-    assert not ver.valid
+    ver = cert.check_multipliers(example3, [0.0])
+    assert not ver.valid and ver.certificate is None
     assert ver.lambda_min < -1.0
+    # the minimum eigenvector (0, 1, 0) has no finite lift
+    assert ver.violating_x is None
+    assert np.abs(ver.direction) == pytest.approx([0.0, 1.0])
 
 
 def test_verify_invalid_with_dehomogenized_witness():
@@ -32,40 +44,41 @@ def test_verify_invalid_with_dehomogenized_witness():
     f0 = QuadraticFunction([[2.0]], [0.0], 0.0)
     one = QuadraticFunction([[0.0]], [0.0], 1.0)
     system = FunctionSystem(1, f0, (one,))
-    ver = cert.verify_certificate_quadratic(system, [1.0])
+    ver = cert.check_multipliers(system, [1.0])
     assert not ver.valid
-    assert ver.violating_x is not None
+    assert ver.violating_x is not None and ver.direction is None
     assert ver.violating_x[0] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_negative_multiplier_rejected(example3):
     with pytest.raises(cert.NegativeMultiplier):
-        cert.verify_certificate_quadratic(example3, [-0.5])
+        cert.check_multipliers(example3, [-0.5])
 
 
 def test_sampled_verification_positive_expression():
-    from slemma.expr import parse
     system = FunctionSystem(1, parse("exp(x1)", 1), ())
-    ver = cert.verify_certificate_sampled(system, [], radius=5.0, seed=3)
-    assert not ver.violated
+    ver = cert.check_multipliers(system, [], radius=5.0, seed=3)
+    assert ver.valid and ver.label == cert.SAMPLED_ONLY
+    assert ver.certificate.verified == cert.SAMPLED_ONLY
+    assert ver.certificate.lambda_min is None and ver.lambda_min is None
     assert ver.value >= -1e-6
 
 
 def test_sampled_verification_finds_violation():
     f0 = QuadraticFunction([[2.0]], [0.0], 0.0)
     one = QuadraticFunction([[0.0]], [0.0], 1.0)
-    system = FunctionSystem(1, f0, (one,))
-    ver = cert.verify_certificate_sampled(system, [1.0], radius=5.0, seed=3)
-    assert ver.violated
+    system = _expression_twin(FunctionSystem(1, f0, (one,)))
+    ver = cert.check_multipliers(system, [1.0], radius=5.0, seed=3)
+    assert not ver.valid and ver.label == cert.SAMPLED_ONLY
     assert ver.value == pytest.approx(-1.0, abs=1e-3)
-    assert ver.x[0] == pytest.approx(0.0, abs=1e-2)
+    assert ver.violating_x[0] == pytest.approx(0.0, abs=1e-2)
 
 
 def test_p1_equal_functions_found():
     system = FunctionSystem(2, _norm_sq(2), (_norm_sq(2),))
     res = cert.find_certificate_p1(system)
     assert res.found
-    ver = cert.verify_certificate_quadratic(system, res.certificate.alpha)
+    ver = cert.check_multipliers(system, res.certificate.alpha)
     assert ver.valid
 
 
@@ -175,8 +188,7 @@ def test_scaling_objective_scales_certificate():
             system.n,
             QuadraticFunction(2 * f0.Q, 2 * f0.c, 2 * f0.d),
             system.constraints)
-        ver = cert.verify_certificate_quadratic(
-            doubled, 2.0 * res.certificate.alpha)
+        ver = cert.check_multipliers(doubled, 2.0 * res.certificate.alpha)
         assert ver.valid, i
     assert scaled >= 5
 
@@ -260,14 +272,16 @@ def test_sampled_and_exact_verdicts_agree():
         system = FunctionSystem(n, random_quadratic(rng, n),
                                 (random_quadratic(rng, n),))
         alpha = [float(rng.uniforms(1, 0.0, 2.0)[0])]
-        exact = cert.verify_certificate_quadratic(system, alpha)
-        sampled = cert.verify_certificate_sampled(system, alpha, seed=i)
+        exact = cert.check_multipliers(system, alpha)
+        sampled = cert.check_multipliers(_expression_twin(system), alpha,
+                                         seed=i)
+        assert sampled.label == cert.SAMPLED_ONLY
         if exact.valid:
-            assert not sampled.violated, i
+            assert sampled.valid, i
             agreements += 1
         elif exact.lambda_min < -1e-3:
             # a clear exact violation must be visible to sampling
-            assert sampled.violated, i
+            assert not sampled.valid, i
             agreements += 1
     assert agreements >= 15
 
@@ -280,6 +294,25 @@ def test_separation_route_never_false_found_without_slater():
     res = cert.find_certificate_via_separation(system, cloud, seed=6)
     assert not res.found
     assert res.outcome in (cert.SLATER_BLOCKED, cert.NO_SEPARATOR)
+
+
+def test_separation_route_checks_with_its_tol(monkeypatch):
+    # the route's multiplier check takes the run's tolerance, not 1e-9
+    seen = []
+    check = cert.check_multipliers
+
+    def recording(system, alpha, tol=cert.PSD_RTOL, **kwargs):
+        seen.append(tol)
+        return check(system, alpha, tol=tol, **kwargs)
+
+    monkeypatch.setattr(cert, "check_multipliers", recording)
+    system = FunctionSystem(1, QuadraticFunction([[2.0]], [20000.0], 1.0),
+                            (QuadraticFunction([[0.0]], [1.0], 0.0),))
+    cloud = geo.sample_image(system, 10.0, 256, 5)
+    res = cert.find_certificate_via_separation(system, cloud, tol=1e-7,
+                                               seed=6)
+    assert res.found and res.certificate.verified == cert.EXACT_PSD
+    assert seen == [1e-7] * (res.rounds + 1)
 
 
 def _count_eigen_calls(monkeypatch):

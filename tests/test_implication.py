@@ -1,13 +1,19 @@
-import numpy as np
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+import slemma
 from conftest import random_p1_system
 from slemma import certificate as cert
 from slemma import geometry as geo
-from slemma import implication
+from slemma import implication, quadratic
 from slemma.expr import parse
 from slemma.implication import (INVALID, UNDETERMINED, VALID, ClassifyConfig,
                                 check_slater, classify_instance,
                                 find_counterexample)
+from slemma.problem import load_problem
 from slemma.quadratic import QuadraticFunction
 from slemma.rng import SplitMix64
 from slemma.systems import FunctionSystem
@@ -140,6 +146,59 @@ def test_classify_slater_failure_is_undetermined():
     assert not rep.slater.found
     assert rep.evidence.computed
     assert rep.evidence.hull is not None
+
+
+def _count_calls(monkeypatch, counts, owner, name):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def _norm_sq_pair_system():
+    """4|x|^2 over two copies of |x|^2: a p = 2 certificate exists."""
+    return FunctionSystem(2, QuadraticFunction(8 * np.eye(2), np.zeros(2),
+                                               0.0),
+                          (_norm_sq(2), _norm_sq(2)))
+
+
+CORPUS = Path(slemma.__file__).parent / "corpus"
+
+
+@pytest.mark.parametrize("name, search_eigen", [
+    ("example3_pair.json", 1), ("random_p1_01.json", 1),
+    ("slater_fail.json", 2), (None, 1)])
+def test_certificate_stage_decomposes_each_matrix_once(name, search_eigen,
+                                                       monkeypatch):
+    # the stage takes its retry starts from the search's best check, so it
+    # makes no eigen call beyond the search's; each iterate makes one eigen
+    # call and one master LP, except a p >= 2 iterate that passes
+    counts = Counter()
+    _count_calls(monkeypatch, counts, quadratic, "eigen_sym")
+    _count_calls(monkeypatch, counts, cert, "solve_lp")
+    per_search = []
+    search_fn = cert.find_certificate_general
+
+    def counted_search(*args, **kwargs):
+        before = counts["eigen_sym"]
+        result = search_fn(*args, **kwargs)
+        per_search.append(counts["eigen_sym"] - before)
+        return result
+
+    monkeypatch.setattr(cert, "find_certificate_general", counted_search)
+    system = (_norm_sq_pair_system() if name is None
+              else load_problem(CORPUS / name).system())
+    search, _, starts = implication.certificate_stage(system, ClassifyConfig())
+    assert per_search == [search_eigen]
+    assert counts["eigen_sym"] == search_eigen
+    assert counts["solve_lp"] == search_eigen - (system.p > 1)
+    assert search.found == (name is None)
+    for x in starts:
+        weights = np.concatenate([[1.0], -search.best_alpha])
+        assert system.values(x) @ weights < 0
 
 
 def test_classify_never_holds_both_witnesses():

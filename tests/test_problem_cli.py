@@ -123,6 +123,37 @@ def test_asymmetric_q_is_a_parse_error(tmp_path):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("literal, shown", [
+    ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"),
+    ("1e400", "inf")])
+def test_non_finite_numbers_are_parse_errors(tmp_path, literal, shown):
+    # json reads these as floats; validate used to echo them and classify
+    # to end in a numerical failure
+    path = tmp_path / "non_finite.json"
+    path.write_text('{"n": 1, "p": 1, "functions": ['
+                    '{"quadratic": {"Q": [%s], "c": [0.0], "d": 0.0}},'
+                    '{"linear": {"a": [1.0], "b": 0.0}}]}' % literal)
+    for command in ("validate", "classify"):
+        code, out, err = run_cli(command, str(path))
+        assert (code, out) == (1, ""), command
+        assert err == (f"error: functions[0].Q: expected a finite number, "
+                       f"got {shown}\n"), command
+    path.write_text('{"n": 1, "p": 0, "functions": ['
+                    '{"linear": {"a": [1.0], "b": %s}}]}' % literal)
+    code, out, err = run_cli("validate", str(path))
+    assert code == 1 and out == "" and "functions[0].b" in err
+
+
+def test_non_utf8_problem_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"n": 1, "p": 0, "functions": [{"expr": "x1"}], '
+                     '"note": "caf\u00e9"}'.encode("latin-1"))
+    code, out, err = run_cli("validate", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+    assert err.count("\n") == 1
+
+
 def test_package_exports_resolve():
     for name in slemma.__all__:
         assert getattr(slemma, name) is not None, name

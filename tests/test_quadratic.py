@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_quadratic
-from slemma.certificate import verify_certificate_quadratic
+from slemma.certificate import check_multipliers
 from slemma.errors import DimensionMismatch, NotConverged, NumericalBreakdown
 from slemma.expr import evaluate, parse
 from slemma.quadratic import (QuadraticFunction, bordered_matrix, eigen_sym,
@@ -134,8 +134,7 @@ def _grid_min(q, radius=10.0, points=41):
 
 def _psd(q):
     """The production PSD verdict on q's bordered matrix."""
-    return verify_certificate_quadratic(FunctionSystem(q.n, q),
-                                        np.zeros(0)).valid
+    return check_multipliers(FunctionSystem(q.n, q), np.zeros(0)).valid
 
 
 def test_bordered_psd_iff_grid_nonnegative():
