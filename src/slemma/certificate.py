@@ -36,7 +36,7 @@ class NegativeMultiplier(SlemmaError):
 
 def _multipliers(alpha):
     alpha = np.asarray(alpha, dtype=float).ravel()
-    if np.any(~np.isfinite(alpha) | (alpha < 0)):
+    if not all(0.0 <= a < np.inf for a in alpha.tolist()):   # NaN fails too
         raise NegativeMultiplier(
             f"alpha must be finite and nonnegative: {alpha}")
     return alpha
