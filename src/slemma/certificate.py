@@ -27,6 +27,7 @@ FAILED = "Failed"
 SAMPLED_FLOOR = -1e-6
 SLATER_ALPHA0_MIN = 1e-8
 REFINE_ROUNDS = 3
+ALPHA_MAX = 1e4       # the cutting planes search [0, ALPHA_MAX]^p
 P1_NEAR_MAX = 0.99    # a p = 1 certificate is within 1% of the upper bound
 
 
@@ -168,7 +169,7 @@ class SearchResult:
 
 
 def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
-                             alpha_max=1e4):
+                             alpha_max=ALPHA_MAX):
     """Kelley's cutting-plane maximization of the concave g(alpha) =
     lambda_min(M(alpha)) over the box [0, alpha_max]^p.
 
@@ -229,13 +230,12 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
     return SearchResult(check=best, upper_bound=upper_bound, outcome=outcome)
 
 
-def find_certificate_p1(system, alpha_max=1e4, tol=PSD_RTOL, iters=200):
-    """The cutting-plane search on a p = 1 system, capped at `iters` eigen
+def find_certificate_p1(system, tol=PSD_RTOL):
+    """The cutting-plane search on a p = 1 system, capped at 200 eigen
     calls."""
     if system.p != 1:
         raise DimensionMismatch(f"p=1 search on a system with p={system.p}")
-    return find_certificate_general(system, iters=iters, tol=tol,
-                                    alpha_max=alpha_max)
+    return find_certificate_general(system, iters=200, tol=tol)
 
 
 def format_certificate(certificate):
@@ -293,20 +293,19 @@ def _witness_sources(check):
     return [x] if check.label == SAMPLED_ONLY else [x, 2.0 * x, 0.5 * x]
 
 
-def find_certificate_via_separation(system, cloud, tol=1e-9, seed=0,
-                                    rounds=REFINE_ROUNDS):
+def find_certificate_via_separation(system, cloud, tol=1e-9, seed=0):
     """Certificate extraction along the separation route.
 
     Separate the cloud from K, require alpha_0 away from zero (the Slater
     guard), divide through by alpha_0, check the multipliers with the same
     `tol`, and on failure cut the violating point or direction into the
-    cloud and repeat (at most `rounds` extra rounds).  The result carries
+    cloud and repeat (at most REFINE_ROUNDS extra rounds).  The result carries
     the round-0 separator on `cloud` itself, so the evidence step need not
     solve that LP again."""
     work = cloud
     check = None
     first = None
-    for round_idx in range(rounds + 1):
+    for round_idx in range(REFINE_ROUNDS + 1):
         sep = extract_separator(work, tol)
         if first is None:
             first = sep
@@ -331,4 +330,4 @@ def find_certificate_via_separation(system, cloud, tol=1e-9, seed=0,
         pts = np.array([system.image_point(x) for x in fresh])
         work = work.extended(pts, np.array(fresh))
     return SearchResult(check=check, outcome=REFINEMENT_EXHAUSTED,
-                        rounds=rounds + 1, separation=first)
+                        rounds=REFINE_ROUNDS + 1, separation=first)

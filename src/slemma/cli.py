@@ -2,7 +2,7 @@
 
     slemma validate <file>
     slemma classify <file> [--seed S] [--samples N] [--box R] [--tol T]
-    slemma certificate <file> [--method p1|supergradient|separation]
+    slemma certificate <file> [--method p1|separation]
     slemma counterexample <file>
     slemma geometry <file> [--export cloud.txt]
     slemma farkas <file>
@@ -14,7 +14,9 @@ Exit codes: 0 definitive verdict or clean report, 2 undetermined,
 
 A handler loads the problem, runs `implication`'s stage functions (the
 ones `classify` runs) or, for `verify`, the one multiplier check, renders
-the report and maps the exit code.
+the report and maps the exit code.  `certificate --method p1` runs
+classify's certificate stage, and `--method separation` its separation
+route.
 """
 
 import argparse
@@ -40,11 +42,11 @@ EXIT_UNDETERMINED = 2
 EXIT_NUMERICAL = 3
 
 
-# config key or flag -> the fields it sets, in the type of their defaults
-_FILE_FIELDS = {"R": ("box_radius",), "N": ("samples",), "seed": ("seed",),
-                "tol": ("psd_tol", "lp_tol"), "eta": ("eta",)}
-_FLAG_FIELDS = {"box": ("box_radius",), "samples": ("samples",),
-                "seed": ("seed",), "tol": ("psd_tol", "lp_tol")}
+# config key or flag -> the field it sets, in the type of its default
+_FILE_FIELDS = {"R": "box_radius", "N": "samples", "seed": "seed",
+                "tol": "psd_tol", "eta": "eta"}
+_FLAG_FIELDS = {"box": "box_radius", "samples": "samples", "seed": "seed",
+                "tol": "psd_tol"}
 
 
 def _config_from(pf, args):
@@ -53,10 +55,9 @@ def _config_from(pf, args):
     flags = {key: value for key, value in vars(args).items()
              if value is not None}
     for given, fields in ((pf.config, _FILE_FIELDS), (flags, _FLAG_FIELDS)):
-        for key, names in fields.items():
+        for key, name in fields.items():
             if key in given:
-                for name in names:
-                    setattr(cfg, name, type(getattr(cfg, name))(given[key]))
+                setattr(cfg, name, type(getattr(cfg, name))(given[key]))
     if not (np.isfinite(cfg.psd_tol) and cfg.psd_tol >= 0):
         raise ParseError(f"tol must be finite and nonnegative, "
                          f"got {cfg.psd_tol!r}")
@@ -132,7 +133,6 @@ def cmd_certificate(args, out):
     report.describe_instance(rep, pf, system)
     rep.add("method", args.method)
 
-    # p1 and supergradient are two names for classify's certificate stage
     notes, alternative = [], None
     if args.method == "separation":
         search = separation_stage(system, cfg, image_cloud(system, cfg))
@@ -298,8 +298,7 @@ def build_parser():
 
     p = sub.add_parser("certificate", help="certificate search only")
     p.add_argument("file")
-    p.add_argument("--method", choices=["p1", "supergradient", "separation"],
-                   default="p1")
+    p.add_argument("--method", choices=["p1", "separation"], default="p1")
     p.add_argument("--save", default=None, metavar="cert.txt",
                    help="write the found certificate in its text form")
     add_common(p, with_search_flags=True)

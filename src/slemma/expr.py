@@ -101,6 +101,8 @@ class _Tokenizer:
                     value = float(text)
                 except ValueError:
                     raise ExprSyntaxError(f"bad number '{text}'", i) from None
+                if not math.isfinite(value):
+                    raise ExprSyntaxError(f"non-finite number '{text}'", i)
                 self.tokens.append(("num", value, i))
                 i = j
                 continue

@@ -139,16 +139,16 @@ def _inconsistent_multipliers(data):
     return None
 
 
-def verify_farkas(data, result, tol=1e-8):
+def verify_farkas(data, result):
     """Residuals of whichever branch was returned; used by tests and the
-    report path."""
+    report path.  Multipliers pass with both residuals at most 1e-8."""
     if result.kind == MULTIPLIERS:
         alpha = result.alpha
         recon = np.max(np.abs(data.a.T @ alpha - data.a0)) if data.p else \
             np.max(np.abs(data.a0))
         b_resid = max(data.b0 - float(data.b @ alpha), 0.0)
         return {"reconstruction": float(recon), "b_inequality": float(b_resid),
-                "ok": bool(recon <= tol and b_resid <= tol)}
+                "ok": bool(recon <= 1e-8 and b_resid <= 1e-8)}
     if result.kind == ALTERNATIVE:
         x = result.x
         feas = float(np.min(data.a @ x - data.b)) if data.p else 0.0

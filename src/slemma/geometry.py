@@ -106,10 +106,10 @@ def cone_k_member(z, strict_tol=0.0):
     return bool(z[0] < -strict_tol and np.all(z[1:] <= strict_tol))
 
 
-def cloud_k_members(cloud, strict_tol=0.0):
+def cloud_k_members(cloud):
     """Indices of cloud points lying in K."""
     Z = cloud.points
-    ok = (Z[:, 0] < -strict_tol) & np.all(Z[:, 1:] <= strict_tol, axis=1)
+    ok = (Z[:, 0] < 0.0) & np.all(Z[:, 1:] <= 0.0, axis=1)
     return np.nonzero(ok)[0]
 
 
@@ -267,12 +267,14 @@ def _shortfalls(Z, M, mode):
     return gaps
 
 
-def _gauss_newton_polish(system, X, M, mode, iters=8, h=1e-6):
+def _gauss_newton_polish(system, X, M, mode):
     """Squeeze the residual system z(x) - m (hinged for epi mode) of each
-    row x of X, against the same row of M, with damped Gauss-Newton steps;
+    row x of X, against the same row of M, with at most 8 damped
+    Gauss-Newton steps on a central-difference Jacobian (step 1e-6);
     descent alone crawls along curved valleys and stalls orders of
     magnitude above the membership tolerance.  Rows stop on their own but
     share one image_batch for their probes and one for their trials."""
+    h = 1e-6
     X = np.array(X, dtype=float)
     k, dim = X.shape
     best_X = X.copy()
@@ -280,7 +282,7 @@ def _gauss_newton_polish(system, X, M, mode, iters=8, h=1e-6):
     active = np.ones(k, dtype=bool)
     eye = h * np.eye(dim)
     dampings = np.array([1.0, 0.5, 0.25])[:, None, None]
-    for _ in range(iters):
+    for _ in range(8):
         rows = np.nonzero(active)[0]
         if not len(rows):
             break
@@ -569,12 +571,12 @@ def _random_quadratic(rng, n):
     return QuadraticFunction(Q, c, float(d))
 
 
-def conjecture_scan(count, n, seed, budget=24, cloud_size=1024, radius=10.0,
-                    trials=400, eta=1e-3):
+def conjecture_scan(count, n, seed, budget=24, cloud_size=1024, trials=400):
     """Random triples (q1, q2, q3): is Im(q1, q2, q3) + R_+^3 convex?
 
     Each triple is encoded so the cloud holds (q1, q2, q3) directly, then
-    the epi-membership chord falsifier runs against it."""
+    the epi-membership chord falsifier (eta = 1e-3) runs against it on a
+    cloud sampled from [-10, 10]^n."""
     if count < 1 or n < 2:
         raise ValueError("count must be >= 1 and dimension >= 2")
     entries = []
@@ -592,12 +594,12 @@ def conjecture_scan(count, n, seed, budget=24, cloud_size=1024, radius=10.0,
                 QuadraticFunction(-q3.Q, -q3.c, -q3.d),
             ),
         )
-        cloud = sample_image(system, radius, cloud_size,
+        cloud = sample_image(system, 10.0, cloud_size,
                              derive_seed(inst_seed, 1))
         oracle = epi_membership_oracle(system, cloud, budget=budget,
                                        seed=derive_seed(inst_seed, 2))
         result = falsify_convexity(oracle, cloud, trials=trials,
-                                   seed=derive_seed(inst_seed, 3), eta=eta,
+                                   seed=derive_seed(inst_seed, 3),
                                    system=system, budget=budget)
         entries.append(ConjectureEntry(
             index=index,

@@ -61,10 +61,11 @@ def check_slater(system, radius=10.0, samples=2048, seed=0):
                               keep=10, steps=60)
     best_margin = -np.inf
     for x0 in X:
-        vals = _values_or_none(system, x0)
+        # the constraints alone, as in the loss: f0 need not be defined
+        vals = _values_or_none(system.constraints, x0)
         if vals is None:
             continue
-        margin = float(np.min(vals[1:]))
+        margin = float(np.min(vals))
         if margin > _SLATER_MIN:
             return SlaterResult(status=SLATER_POINT, x0=x0,
                                 min_constraint_value=margin)
@@ -83,21 +84,22 @@ class CounterexampleResult:
     closest_miss_f0: float | None = None
 
 
-def _values_or_none(system, x):
+def _values_or_none(functions, x):
+    """The values f(x), or None when one is undefined or non-finite."""
     try:
-        vals = system.values(x)
+        vals = np.array([f(x) for f in functions])
     except DomainError:
         return None
     return vals if all_finite(vals) else None
 
 
 def find_counterexample(system, radius=10.0, samples=4096, seed=0,
-                        refine_iters=80, extra_starts=None, penalty=1e3):
+                        extra_starts=None, penalty=1e3):
     """Search for x with every f_i >= 0 and f0 < 0.
 
-    Box samples are filtered by feasibility, then a penalized descent
-    minimizing f0 + penalty * sum max(0, -f_i)^2 runs from the 20 best
-    seeds.  Acceptance is exact: f_i(x) >= -1e-9 for all i, f0(x) < -1e-9.
+    Box samples are filtered by feasibility, then an 80-step penalized
+    descent minimizing f0 + penalty * sum max(0, -f_i)^2 runs from the 20
+    best seeds.  Acceptance is exact: f_i(x) >= -1e-9 for all i, f0(x) < -1e-9.
     """
 
     def penalized(X):
@@ -142,14 +144,14 @@ def find_counterexample(system, radius=10.0, samples=4096, seed=0,
     if not starts:
         starts = [np.zeros(system.n)]
 
-    refined, _ = descend(penalized, np.array(starts), steps=refine_iters,
+    refined, _ = descend(penalized, np.array(starts), steps=80,
                          box_radius=radius)
     # the penalized descent may trade a whisker of feasibility for
     # objective, so the undescended starts stay in the candidate pool
     candidates = np.vstack([refined, np.array(starts)])
     best_hit = None
     for x in candidates:
-        vals_x = _values_or_none(system, x)
+        vals_x = _values_or_none(system.functions, x)
         if vals_x is None:
             continue
         min_c = float(vals_x[1:].min()) if system.p else np.inf
@@ -177,17 +179,12 @@ class ClassifyConfig:
     box_radius: float = 10.0
     samples: int = 4096
     seed: int = 1
-    psd_tol: float = 1e-9
-    lp_tol: float = 1e-9
+    psd_tol: float = 1e-9   # the one tolerance: PSD test, LPs, --tol
     eta: float = 1e-3
     cloud_samples: int = 512
     falsify_trials: int = 400
     member_budget: int = 16
-    alpha_max: float = 1e4
     supergradient_iters: int = 2000   # caps the p >= 2 cutting-plane search
-    descent_steps: int = 80
-    penalty: float = 1e3
-    refine_rounds: int = 3
 
     def items(self):
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
@@ -223,8 +220,7 @@ def counterexample_stage(system, config, extra_starts=None):
     return find_counterexample(
         system, radius=config.box_radius, samples=config.samples,
         seed=derive_seed(config.seed, 2 if extra_starts is None else 3),
-        refine_iters=config.descent_steps, extra_starts=extra_starts,
-        penalty=config.penalty)
+        extra_starts=extra_starts)
 
 
 def certificate_stage(system, config):
@@ -254,18 +250,16 @@ def certificate_stage(system, config):
         search = cert_mod.SearchResult(check=cert_mod.check_multipliers(
             system, np.zeros(0), tol=config.psd_tol))
     elif system.p == 1:
-        search = cert_mod.find_certificate_p1(
-            system, alpha_max=config.alpha_max, tol=config.psd_tol)
+        search = cert_mod.find_certificate_p1(system, tol=config.psd_tol)
     else:
         search = cert_mod.find_certificate_general(
             system, iters=config.supergradient_iters,
-            seed=derive_seed(config.seed, 4), tol=config.psd_tol,
-            alpha_max=config.alpha_max)
+            seed=derive_seed(config.seed, 4), tol=config.psd_tol)
     if search.found:
         return search, notes, []
     if search.outcome == cert_mod.NO_CERTIFICATE:
         notes.append(
-            f"no certificate with alpha <= alpha_max={config.alpha_max!r}")
+            f"no certificate with alpha <= alpha_max={cert_mod.ALPHA_MAX!r}")
     x = None if search.check is None else search.check.violating_x
     return search, notes, [] if x is None else [x]
 
@@ -280,8 +274,7 @@ def image_cloud(system, config):
 def separation_stage(system, config, cloud):
     """Certificate via a separator of `cloud` from K (stream 10)."""
     return cert_mod.find_certificate_via_separation(
-        system, cloud, tol=config.lp_tol, seed=derive_seed(config.seed, 10),
-        rounds=config.refine_rounds)
+        system, cloud, tol=config.psd_tol, seed=derive_seed(config.seed, 10))
 
 
 def gather_evidence(system, config, cloud, separator):
@@ -291,7 +284,7 @@ def gather_evidence(system, config, cloud, separator):
     ev = GeometryEvidence(computed=True)
     ev.cloud_size = cloud.size
     ev.k_members = int(len(geometry.cloud_k_members(cloud)))
-    ev.hull = (geometry.hull_intersects_k(cloud, tol=config.lp_tol)
+    ev.hull = (geometry.hull_intersects_k(cloud, tol=config.psd_tol)
                if separator.found else separator.witness)
     ev.separator = separator
     epi = geometry.epi_membership_oracle(
@@ -316,7 +309,7 @@ def image_geometry(system, config):
     it runs the image-convexity falsifier (streams 11 and 12)."""
     cloud = image_cloud(system, config)
     ev = gather_evidence(system, config, cloud,
-                         geometry.extract_separator(cloud, tol=config.lp_tol))
+                         geometry.extract_separator(cloud, tol=config.psd_tol))
     identity = geometry.identity_membership_oracle(
         system, cloud, budget=config.member_budget,
         seed=derive_seed(config.seed, 11))

@@ -10,6 +10,7 @@ import json
 import numpy as np
 
 from . import farkas as farkas_mod
+from .implication import UNDETERMINED
 
 
 def fnum(v):
@@ -132,8 +133,8 @@ def certificate_block(parent, cert, key="certificate"):
     return block
 
 
-def hull_block(parent, hull, key="hull"):
-    block = parent.add_block(key)
+def hull_block(parent, hull):
+    block = parent.add_block("hull")
     block.add("status", "intersects" if hull.intersects else "sampled-disjoint")
     if hull.optimum is not None:
         block.add("optimum", fnum(hull.optimum))
@@ -142,8 +143,8 @@ def hull_block(parent, hull, key="hull"):
     return block
 
 
-def separator_block(parent, sep, key="separator"):
-    block = parent.add_block(key)
+def separator_block(parent, sep):
+    block = parent.add_block("separator")
     if sep.found:
         block.add("status", "found")
         block.add("alpha", fvec(sep.separator.alpha))
@@ -170,10 +171,13 @@ def falsify_block(parent, result, key):
     return block
 
 
-def evidence_block(parent, ev):
+def evidence_block(parent, result):
+    ev = result.evidence
     block = parent.add_block("geometry")
-    if not ev.computed:
-        block.add("status", "skipped (definitive verdict)")
+    if not ev.computed:   # an Undetermined run stopped at a stage failure
+        block.add("status", "skipped (stage failure)"
+                  if result.verdict == UNDETERMINED
+                  else "skipped (definitive verdict)")
         return block
     block.add("cloud_size", ev.cloud_size)
     block.add("image_points_in_k", ev.k_members)
@@ -205,7 +209,7 @@ def classify_report(pf, system, result, command):
     if result.candidate_certificate is not None:
         certificate_block(rep, result.candidate_certificate,
                           key="candidate_certificate")
-    evidence_block(rep, result.evidence)
+    evidence_block(rep, result)
     config_block(rep, result.config)
     if result.notes:
         rep.add("notes", list(result.notes))

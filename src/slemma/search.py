@@ -46,22 +46,23 @@ def smallest(vals, k):
 
 
 @functools.cache
-def _offsets(n, h):
-    # rows +h e_1, -h e_1, +h e_2, ...; -0.0 elsewhere (x + -0.0 is x)
+def _offsets(n):
+    # rows +h e_1, -h e_1, ... (h = FD_STEP); -0.0 elsewhere: x + -0.0 is x
     D = np.where(np.repeat(np.eye(n, dtype=bool), 2, axis=0),
-                 np.tile([[h], [-h]], (n, 1)), -0.0)
+                 np.tile([[FD_STEP], [-FD_STEP]], (n, 1)), -0.0)
     D.flags.writeable = False
     return D
 
 
-def fd_gradient(loss, X, h=FD_STEP, groups=None):
-    """Values at the rows of X and their central-difference gradients,
-    from one loss call on [X; probes].  With `groups` (one id per row) the
-    loss is called as loss(points, group id of each point)."""
+def fd_gradient(loss, X, groups=None):
+    """Values at the rows of X and their central-difference gradients
+    (step FD_STEP), from one loss call on [X; probes].  With `groups` (one
+    id per row) the loss is called as loss(points, group id of each
+    point)."""
     m, n = X.shape
     points = np.empty((m * (2 * n + 1), n))
     points[:m] = X
-    np.add(X[:, None, :], _offsets(n, h), out=points[m:].reshape(m, 2 * n, n))
+    np.add(X[:, None, :], _offsets(n), out=points[m:].reshape(m, 2 * n, n))
     extra = (() if groups is None
              else (np.concatenate([groups, np.repeat(groups, 2 * n)]),))
     vals = np.asarray(loss(points, *extra), dtype=float)
@@ -73,13 +74,13 @@ def fd_gradient(loss, X, h=FD_STEP, groups=None):
         pairs = vals[m:].reshape(m, n, 2)
         with np.errstate(invalid="ignore"):  # out of domain: inf - inf
             grad = pairs[:, :, 0] - pairs[:, :, 1]
-    grad /= 2.0 * h
+    grad /= 2.0 * FD_STEP
     if not all_finite(grad):
         grad[~np.isfinite(grad)] = 0.0
     return vals[:m], grad
 
 
-def descend(loss, X0, steps=60, h=FD_STEP, initial_step=0.1, box_radius=None,
+def descend(loss, X0, steps=60, initial_step=0.1, box_radius=None,
             groups=None):
     """Batched descent with per-point adaptive step sizes.
 
@@ -114,7 +115,7 @@ def descend(loss, X0, steps=60, h=FD_STEP, initial_step=0.1, box_radius=None,
     X = np.atleast_2d(np.array(X0, dtype=float))
     if box_radius is not None:
         X.clip(-box_radius, box_radius, out=X)
-    best, grad = fd_gradient(loss, X, h, groups)
+    best, grad = fd_gradient(loss, X, groups)
     step = np.full(X.shape[0], float(initial_step))
     for _ in range(steps):
         scale = np.sqrt(np.add.reduce(grad * grad, axis=1))
@@ -126,7 +127,7 @@ def descend(loss, X0, steps=60, h=FD_STEP, initial_step=0.1, box_radius=None,
             # np.clip without its wrapper; np.minimum/np.maximum would
             # differ from it in the sign of a zero at radius 0
             trial.clip(-box_radius, box_radius, out=trial)
-        trial_vals, trial_grad = fd_gradient(loss, trial, h, groups)
+        trial_vals, trial_grad = fd_gradient(loss, trial, groups)
         better = trial_vals < best
         if not np.count_nonzero(better):
             # rows whose next trial repeats this one (a sub-floor step grows)

@@ -10,8 +10,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from .errors import DimensionMismatch
-from .quadratic import (QuadraticFunction, evaluate_quadratic,
-                        evaluate_quadratic_batch)
+from .quadratic import QuadraticFunction, evaluate_quadratic_batch
 
 ALL_QUADRATIC = "AllQuadratic"
 MIXED = "Mixed"
@@ -23,12 +22,6 @@ def _check_dim(f, n):
         raise DimensionMismatch(
             f"function dimension {dim} does not match system dimension {n}"
         )
-
-
-def _evaluate(f, x):
-    if isinstance(f, QuadraticFunction):
-        return evaluate_quadratic(f, x)
-    return expr_mod.evaluate(f, x)
 
 
 @dataclass(frozen=True)
@@ -70,11 +63,11 @@ class FunctionSystem:
 
     def value(self, i, x):
         """f_i(x) at a single point (i = 0 is the objective)."""
-        return _evaluate(self.functions[i], x)
+        return self.functions[i](x)
 
     def values(self, x):
         """(f0(x), ..., fp(x)) at a single point."""
-        return np.array([_evaluate(f, x) for f in self.functions])
+        return np.array([f(x) for f in self.functions])
 
     def values_batch(self, X, first=0):
         """(m, p+1-first) array of the values of f_first..f_p at the rows

@@ -75,7 +75,7 @@ def test_cone_scale_invariance(example3):
 def test_cloud_membership_matches_source_signs(example3):
     # Theorem-2-style sample-level equivalence, exact by construction
     cloud = geo.sample_image(example3, 10.0, 500, 8)
-    members = set(geo.cloud_k_members(cloud, 0.0).tolist())
+    members = set(geo.cloud_k_members(cloud).tolist())
     for j in range(cloud.size):
         vals = example3.values(cloud.sources[j])
         expected = vals[0] < 0.0 and np.all(vals[1:] >= 0.0)

@@ -16,9 +16,10 @@ take minutes; the two pinned here reach every evidence block (hull
 witness, separator, and each falsifier with and without a violation).
 One `conjecture-scan` report pins the epi falsifier at n = 2, where it
 runs full 400-trial searches as well as a late violation.  The
-single-stage commands (`certificate` with each method, `counterexample`,
-`farkas`) are pinned on the files that reach each of their routes; a
-command that exits with an error pins an empty report.  Each case also
+single-stage commands (`certificate` with both its methods, `p1` and
+`separation`, `counterexample`, `farkas`) are pinned on the files that
+reach each of their routes; a command that exits with an error pins an
+empty report.  Each case also
 pins its exit code (EXIT_CODES) and its standard error: empty, or the
 `error:` line named in ERRORS.
 """
@@ -67,7 +68,7 @@ CASES = ([_case("classify", name, False) for name in CORPUS_FILES]
             ("conjecture-scan.count4_dim2_seed1.txt",
              "conjecture-scan --count 4 --dim 2 --seed 1".split())]
          + [_case("certificate", name, False, "--method", method)
-            for method in ("p1", "supergradient", "separation")
+            for method in ("p1", "separation")
             for name in STAGE_FILES]
          + [_case("counterexample", name, False) for name in STAGE_FILES]
          + [_case("farkas", name, False) for name in LINEAR_FILES]
@@ -77,7 +78,7 @@ CASES = ([_case("classify", name, False) for name in CORPUS_FILES]
 UNDETERMINED = (
     ["classify.slater_fail.txt", "classify.slater_fail.json"]
     + [f"certificate.method.{method}.{stem}.txt"
-       for method in ("p1", "supergradient", "separation")
+       for method in ("p1", "separation")
        for stem in ("example3_pair", "farkas_affine", "random_p1_01",
                     "slater_fail")]
     + [f"counterexample.{stem}.txt"

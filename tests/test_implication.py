@@ -50,6 +50,16 @@ def test_slater_example3_constraint(example3):
     assert res.min_constraint_value > 0
 
 
+def test_slater_ignores_an_undefined_objective():
+    # log(x1) is undefined at every Slater point x1 < 0 of f1 = -x1; the
+    # candidates used to be rejected for their non-finite f0
+    system = FunctionSystem(1, parse("log(x1)", 1), (parse("-x1", 1),))
+    res = check_slater(system, seed=5)
+    assert res.found
+    assert res.x0[0] < 0
+    assert res.min_constraint_value == -res.x0[0]
+
+
 def test_slater_vacuous_for_p0():
     system = FunctionSystem(2, _norm_sq(2), ())
     res = check_slater(system, seed=5)

@@ -144,6 +144,18 @@ def test_non_finite_numbers_are_parse_errors(tmp_path, literal, shown):
     assert code == 1 and out == "" and "functions[0].b" in err
 
 
+def test_non_finite_expression_literal_is_a_parse_error(tmp_path):
+    # float("1e400") is inf; validate used to accept it
+    path = tmp_path / "non_finite_expr.json"
+    path.write_text(json.dumps({"n": 1, "p": 1, "functions": [
+        {"expr": "1e400 * x1^2"}, {"expr": "x1"}]}))
+    for command in ("validate", "classify"):
+        code, out, err = run_cli(command, str(path))
+        assert (code, out) == (1, ""), command
+        assert err == ("error: functions[0]: non-finite number '1e400' "
+                       "(at position 0)\n"), command
+
+
 def test_non_utf8_problem_file_is_a_parse_error(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"n": 1, "p": 0, "functions": [{"expr": "x1"}], '
@@ -318,6 +330,19 @@ def test_classify_certificate_above_alpha_max_via_separation(tmp_path):
     assert np.linalg.eigvalsh(M)[0] > 1.0
 
 
+def test_classify_report_names_a_stage_failure(tmp_path):
+    # f0 is defined nowhere, so sampling the image cloud fails; the report
+    # used to call the skipped geometry a definitive verdict
+    path = tmp_path / "nowhere.json"
+    path.write_text(json.dumps({"n": 1, "p": 1, "functions": [
+        {"expr": "log(-x1^2 - 1)"}, {"expr": "x1"}]}))
+    code, out, err = run_cli("classify", str(path))
+    assert (code, err) == (2, "")
+    assert "verdict: Undetermined\n" in out
+    assert "geometry:\n  status: skipped (stage failure)\n" in out
+    assert "  - stage failure: more than half of the sampled points" in out
+
+
 def test_cli_counterexample():
     code, out, _ = run_cli("counterexample",
                            str(CORPUS / "example3_pair.json"))
@@ -326,7 +351,7 @@ def test_cli_counterexample():
 
 
 def test_cli_certificate_methods():
-    for method in ("p1", "supergradient", "separation"):
+    for method in ("p1", "separation"):
         code, out, _ = run_cli("certificate", str(CORPUS / "convex_case.json"),
                                "--method", method)
         assert code == 0, method
@@ -445,8 +470,7 @@ def test_cli_rejects_bad_eta(tmp_path):
 
 def test_cli_cutting_plane_proves_no_certificate(tmp_path):
     path = _no_certificate_file(tmp_path)
-    code, out, _ = run_cli("certificate", str(path),
-                           "--method", "supergradient")
+    code, out, _ = run_cli("certificate", str(path), "--method", "p1")
     assert code == 2
     bound = [line for line in out.splitlines()
              if line.startswith("upper_bound: ")]
@@ -463,8 +487,7 @@ def test_cli_master_lp_failure_is_numerical(tmp_path, monkeypatch):
     monkeypatch.setattr(certificate, "solve_lp",
                         lambda lp: LpOutcome(status=INFEASIBLE))
     path = _no_certificate_file(tmp_path)
-    code, out, err = run_cli("certificate", str(path),
-                             "--method", "supergradient")
+    code, out, err = run_cli("certificate", str(path), "--method", "p1")
     assert code == 3
     assert err == "numerical failure: certificate master LP: infeasible\n"
     code, out, err = run_cli("classify", str(path))
@@ -485,12 +508,10 @@ def test_single_stage_commands_agree_with_classify(name):
     notes = classified.get("notes", [])
     if (classified["certificate"]["present"] == "true"
             and "certificate via separation" not in notes):
-        for method in ("p1", "supergradient"):
-            code, out, _ = run_cli("certificate", path, "--method", method,
-                                   "--json")
-            assert code == 0, method
-            assert json.loads(out)["certificate"] == \
-                classified["certificate"], method
+        code, out, _ = run_cli("certificate", path, "--method", "p1",
+                               "--json")
+        assert code == 0
+        assert json.loads(out)["certificate"] == classified["certificate"]
     if (classified["counterexample"]["found"] == "true"
             and "counterexample from certificate-failure witness"
             not in notes):
