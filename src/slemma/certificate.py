@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericalBreakdown, SlemmaError
 from .geometry import extract_separator
-from .linprog import OPTIMAL, LinearProgram, solve_lp
+from .linprog import OPTIMAL, Tableau
 from .quadratic import PSD_RTOL, bordered_matrix, min_eigenvalue
 from .rng import derive_seed
 from .search import sample_and_descend
@@ -64,9 +64,14 @@ def _check_alpha(system, alpha):
 
 def combined_matrix(system, alpha):
     """M(alpha) = M0 - sum_i alpha_i M_i over the bordered matrices."""
-    M = bordered_matrix(system.f0)
-    for a, f in zip(alpha, system.constraints):
-        M = M - a * bordered_matrix(f)
+    return _combine(bordered_matrix(system.f0),
+                    [bordered_matrix(f) for f in system.constraints], alpha)
+
+
+def _combine(M0, borders, alpha):
+    M = M0
+    for a, B in zip(alpha, borders):
+        M = M - a * B
     return M
 
 
@@ -175,8 +180,12 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
 
     Each iterate costs one eigen decomposition, and its eigenpair (lam, v)
     gives the cut g(a) <= lam + s.(a - alpha) with s_i = -v^T M_i v.  The
-    next iterate maximizes the cuts' minimum over the box (an LP in p + 1
-    variables), and that LP value is an upper bound on max g.  The search
+    next iterate maximizes the cuts' minimum over the box, the master LP in
+    (alpha, t).  One linprog.Tableau holds it for the whole search: the
+    first cut's optimal basis is set in closed form, and each later cut is
+    one appended row that the dual simplex re-optimizes.  The cuts' minimum
+    at the new iterate, evaluated from the cuts rather than read from the
+    tableau, is the LP value and an upper bound on max g.  The search
     stops at a certificate, at an upper bound below -tol * S with
     S = 1 + max|M0| + alpha_max * sum_i max|M_i| >= 1 + max|M(alpha)| on the
     box (so no alpha <= alpha_max passes; outcome NO_CERTIFICATE), when the
@@ -186,39 +195,59 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
     bound, so every p = 1 certificate has lambda_min >= 0.99 * max g.
     Each improving iterate is checked by check_multipliers on the eigenpair
     already computed, and the result carries the best iterate's check.
-    `seed` is accepted for interface stability; the search is
-    deterministic."""
+    A master LP that the dual simplex cannot re-optimize raises
+    NumericalBreakdown.  `seed` is accepted for interface stability; the
+    search is deterministic."""
     if not system.is_quadratic:
         raise DimensionMismatch("cutting-plane search needs an all-quadratic system")
     if system.p < 1:
         raise DimensionMismatch("cutting-plane search needs p >= 1")
     p = system.p
+    M0 = bordered_matrix(system.f0)
     borders = [bordered_matrix(f) for f in system.constraints]
-    bound_scale = 1.0 + np.max(np.abs(bordered_matrix(system.f0))) + \
+    bound_scale = 1.0 + np.max(np.abs(M0)) + \
         alpha_max * sum(np.max(np.abs(B)) for B in borders)
-    lower = np.concatenate([np.zeros(p), [-np.inf]])
-    upper = np.concatenate([np.full(p, float(alpha_max)), [np.inf]])
-    objective = np.concatenate([np.zeros(p), [-1.0]])     # maximize t
-    cuts, rhs = [], []
+    # variables (alpha, t), t free: maximize t under alpha_i <= alpha_max
+    # and the cuts
+    master = Tableau(np.concatenate([np.zeros(p), [-1.0]]), free=[p],
+                     max_rows=p + iters)
+    for i in range(p):
+        master.add_row(np.eye(p + 1)[i], alpha_max)
+    # cut k: g(a) <= lams[k] + slopes[k].(a - points[k])
+    lams = np.empty(iters)
+    slopes = np.empty((iters, p))
+    points = np.empty((iters, p))
     alpha = np.zeros(p)
     best = None
     upper_bound = None
     outcome = ""
-    for _ in range(iters):
-        M = combined_matrix(system, alpha)
+    for k in range(iters):
+        M = _combine(M0, borders, alpha)
         lam, v = min_eigenvalue(M)
         if best is None or lam > best.lambda_min:
             best = check_multipliers(system, alpha, tol, eigenpair=(M, lam, v))
             if p > 1 and best.valid:
                 break
         s = np.array([-(v @ B @ v) for B in borders])
-        cuts.append(np.concatenate([-s, [1.0]]))    # t - s.a <= lam - s.alpha
-        rhs.append(lam - s @ alpha)
-        lp = solve_lp(LinearProgram(objective, a_ub=np.array(cuts), b_ub=rhs,
-                                    lower=lower, upper=upper))
-        if lp.status != OPTIMAL:
-            raise NumericalBreakdown(f"certificate master LP: {lp.status}")
-        upper_bound = -lp.objective
+        lams[k], slopes[k], points[k] = lam, s, alpha
+        # t - s.a <= lam - s.alpha
+        row = master.add_row(np.concatenate([-s, [1.0]]), lam - s @ alpha)
+        if row == p:
+            # the first cut's optimum: t on the cut, alpha_i = alpha_max
+            # where s_i > 0 and 0 elsewhere
+            for i in np.flatnonzero(s > 0):
+                master.pivot(i, i)
+            master.pivot(row, p)
+        status = master.dual_simplex()
+        if status != OPTIMAL:
+            raise NumericalBreakdown(f"certificate master LP: {status}")
+        y, _ = master.solution()
+        alpha = np.clip(y[:p], 0.0, alpha_max)
+        # the tableau's t cancels terms as large as alpha_max * |s|, which
+        # can leave it ulps under the best lambda_min; a cut evaluated at
+        # its own point gives back its lam exactly
+        upper_bound = float(np.min(lams[:k + 1] + np.einsum(
+            "ij,ij->i", slopes[:k + 1], alpha - points[:k + 1])))
         if upper_bound < -tol * bound_scale:
             outcome = NO_CERTIFICATE
             break
@@ -226,7 +255,6 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
             break
         if best.valid and best.lambda_min >= P1_NEAR_MAX * upper_bound:
             break       # p = 1 only: a passing p >= 2 iterate broke above
-        alpha = np.clip(lp.y[:p], 0.0, alpha_max)
     return SearchResult(check=best, upper_bound=upper_bound, outcome=outcome)
 
 

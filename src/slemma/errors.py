@@ -25,6 +25,7 @@ class NotConverged(SlemmaError):
 
 class NumericalBreakdown(SlemmaError):
     """A computation cannot be trusted: the LP solver met a pivot too small
-    to trust or hit its iteration limit, the certificate search's master
-    LP did not end optimal, or a matrix handed to the eigensolver has a
-    non-finite entry."""
+    to trust or hit its iteration limit, the dual simplex of the
+    certificate search's master LP found no entering column or hit its
+    iteration limit, or a matrix handed to the eigensolver has a non-finite
+    entry."""

@@ -1,4 +1,5 @@
-"""Dense two-phase simplex with Bland's rule.
+"""Dense two-phase simplex with Bland's rule, and a dual simplex on a
+tableau that grows by rows.
 
 Solves   minimize c^T y
          subject to  a_ub @ y <= b_ub,  a_eq @ y == b_eq,
@@ -11,6 +12,10 @@ occur.  Rows are scaled to unit max-norm before solving.
 
 Dual multipliers follow the sensitivity convention dual_i = d(objective)/
 d(b_i): for a minimization, inequality rows get nonpositive duals.
+
+`Tableau` keeps one LP optimal while rows arrive: an appended row leaves
+the basis dual feasible, so the dual simplex re-optimizes it, usually in a
+pivot or two, where `solve_lp` would start over.
 """
 
 from dataclasses import dataclass
@@ -22,6 +27,7 @@ from .errors import DimensionMismatch, NumericalBreakdown
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+ITERATION_LIMIT = "iteration limit reached"
 
 _TOL = 1e-9
 _PIVOT_MIN = 1e-11
@@ -292,3 +298,101 @@ def solve_lp(lp):
     dual_eq = w[k_ub:]
     return LpOutcome(status=OPTIMAL, y=y, objective=objective,
                      dual_ub=dual_ub, dual_eq=dual_eq)
+
+
+class Tableau:
+    """min c.x subject to rows a.x <= b appended one at a time, with x >= 0
+    except on the columns in `free`.
+
+    Column 0 of the tableau holds the right-hand sides, columns 1..n the
+    variables x and column n + 1 + i the slack of row i.  `add_row` makes
+    the new row's slack basic and reduces the row against the basis; the
+    caller starts from a dual feasible basis it sets with `pivot`, keeps
+    every free column basic, and calls `dual_simplex` to restore primal
+    feasibility.  Storage doubles when full, up to `max_rows` rows."""
+
+    def __init__(self, c, free=(), max_rows=10000):
+        self.n = len(c)
+        self.m = 0
+        self.max_rows = max_rows
+        self._grow(min(8, max_rows))
+        self.costs[1:self.n + 1] = c
+        self.is_free[[j + 1 for j in free]] = True
+
+    def _grow(self, rows):
+        cols = 1 + self.n + rows
+        buf = np.zeros((rows, cols))
+        costs = np.zeros(cols)
+        is_free = np.zeros(cols, dtype=bool)
+        basis = np.zeros(rows, dtype=int)
+        if self.m:
+            used = 1 + self.n + self.m
+            buf[:self.m, :used] = self.buf[:self.m, :used]
+            costs[:used] = self.costs[:used]
+            is_free[:used] = self.is_free[:used]
+            basis[:self.m] = self.basis[:self.m]
+        self.buf, self.costs, self.is_free = buf, costs, is_free
+        self.basis = basis
+
+    def _tableau(self):
+        return self.buf[:self.m, :1 + self.n + self.m]
+
+    def add_row(self, a, b):
+        """Append a.x <= b, scaled to unit max-norm, with its slack basic;
+        return its row index."""
+        if self.m == self.buf.shape[0]:
+            if self.m == self.max_rows:
+                raise DimensionMismatch(
+                    f"tableau holds at most {self.max_rows} rows")
+            self._grow(min(2 * self.m, self.max_rows))
+        a = np.asarray(a, dtype=float)
+        norm = np.abs(a).max()
+        scale = norm if norm > 0.0 else 1.0
+        used = 2 + self.n + self.m        # the new slack is the last column
+        row = self.buf[self.m, :used]
+        row[0] = b / scale
+        row[1:self.n + 1] = a / scale
+        row[-1] = 1.0
+        # only basic x columns can be nonzero in the raw row
+        basics = (self.basis[:self.m] <= self.n).nonzero()[0]
+        if basics.size:
+            cols = self.basis[basics]
+            row -= row[cols] @ self.buf[basics, :used]
+            row[cols] = 0.0
+        self.basis[self.m] = used - 1
+        self.m += 1
+        return self.m - 1
+
+    def pivot(self, row, j):
+        """Make variable j basic in `row`."""
+        _pivot(self._tableau(), self.basis, row, j + 1)
+
+    def dual_simplex(self):
+        """Dual simplex from a dual feasible basis: the leaving row is the
+        infeasible one whose basic column has the lowest index, the
+        entering column the lowest-index one of least ratio.  Returns
+        OPTIMAL, INFEASIBLE (a row with no entering column) or
+        ITERATION_LIMIT."""
+        T = self._tableau()
+        basis = self.basis[:self.m]
+        costs = self.costs[:T.shape[1]]
+        for _ in range(_MAX_ITERS):
+            short = ((T[:, 0] < -_TOL) & ~self.is_free[basis]).nonzero()[0]
+            if not short.size:
+                return OPTIMAL
+            leave = short[np.argmin(basis[short])]
+            cand = (T[leave, 1:] < -_TOL).nonzero()[0] + 1
+            if not cand.size:
+                return INFEASIBLE
+            reduced = costs[cand] - costs[basis] @ T[:, cand]
+            ratios = np.maximum(reduced, 0.0) / -T[leave, cand]
+            enter = cand[(ratios <= ratios.min() + 1e-12).argmax()]
+            _pivot(T, basis, leave, enter)
+        return ITERATION_LIMIT
+
+    def solution(self):
+        """The basic solution's x and objective value."""
+        values = np.zeros(1 + self.n + self.m)
+        values[self.basis[:self.m]] = self.buf[:self.m, 0]
+        x = values[1:self.n + 1]
+        return x, float(self.costs[1:self.n + 1] @ x)

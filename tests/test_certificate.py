@@ -4,8 +4,11 @@ import pytest
 from conftest import random_p1_system, random_psd_quadratic, random_quadratic
 from slemma import certificate as cert
 from slemma import geometry as geo
+from slemma import linprog
+from slemma.errors import NumericalBreakdown
 from slemma.expr import parse
 from slemma.implication import find_counterexample
+from slemma.linprog import OPTIMAL, LinearProgram, Tableau, solve_lp
 from slemma.quadratic import QuadraticFunction, bordered_matrix
 from slemma.rng import SplitMix64
 from slemma.systems import FunctionSystem, quadratic_to_source
@@ -411,19 +414,89 @@ def test_cutting_plane_finds_constructed_certificates():
         assert lam >= -1e-9 * (1.0 + np.max(np.abs(M))), i
 
 
+def _near_boundary_system(p, eps=1e-6):
+    """f0 = |x|^2 + sum x_i - eps with f_i = x_i: the best multiplier is
+    alpha = 1 with lambda_min = -2 eps, just short of a certificate."""
+    f0 = QuadraticFunction(2 * np.eye(p), np.ones(p), -eps)
+    cons = tuple(QuadraticFunction(np.zeros((p, p)), np.eye(p)[i], 0.0)
+                 for i in range(p))
+    return FunctionSystem(p, f0, cons)
+
+
 def test_cutting_plane_near_boundary_converges(monkeypatch):
-    # f0 = |x|^2 + sum x_i - eps with f_i = x_i: the best multiplier is
-    # alpha = 1 with lambda_min = -2 eps, just short of a certificate
     eps = 1e-6
     calls = _count_eigen_calls(monkeypatch)
     for p in (1, 2, 3, 4):
-        f0 = QuadraticFunction(2 * np.eye(p), np.ones(p), -eps)
-        cons = tuple(QuadraticFunction(np.zeros((p, p)), np.eye(p)[i], 0.0)
-                     for i in range(p))
         calls[0] = 0
-        res = cert.find_certificate_general(FunctionSystem(p, f0, cons))
+        res = cert.find_certificate_general(_near_boundary_system(p, eps))
         assert not res.found, p
-        assert calls[0] <= 200, (p, calls[0])
+        assert calls[0] == {1: 17, 2: 35, 3: 61, 4: 84}[p], (p, calls[0])
         assert res.best_lambda_min == pytest.approx(-2 * eps, abs=1e-8), p
         assert res.upper_bound >= res.best_lambda_min, p
 
+
+
+def test_warm_master_matches_a_fresh_solve(monkeypatch):
+    # at every iterate the warm master's value equals solve_lp's on the
+    # same box rows and cuts, and its point satisfies them; the search's
+    # upper_bound is the last of those values
+    rows, values = [], []
+    add_row, dual_simplex = Tableau.add_row, Tableau.dual_simplex
+
+    def recording_add_row(self, a, b):
+        if self.m == 0:
+            rows.clear()
+        rows.append((np.array(a, dtype=float), float(b)))
+        return add_row(self, a, b)
+
+    def checked_dual_simplex(self):
+        status = dual_simplex(self)
+        p = self.n - 1
+        A = np.array([a for a, _ in rows])
+        b = np.array([b for _, b in rows])
+        fresh = solve_lp(LinearProgram(
+            np.concatenate([np.zeros(p), [-1.0]]), a_ub=A, b_ub=b,
+            lower=np.concatenate([np.zeros(p), [-np.inf]])))
+        assert status == fresh.status == OPTIMAL
+        x, value = self.solution()
+        assert abs(value - fresh.objective) <= 1e-9 * (1 + abs(value))
+        assert np.all(A @ x <= b + 1e-9 * (1 + np.abs(b)))
+        assert np.all(x[:p] >= 0.0)
+        checked.append(len(rows) - p)
+        values.append(-fresh.objective)
+        return status
+
+    def search(system):
+        values.clear()
+        res = cert.find_certificate_general(system)
+        if values:
+            assert abs(res.upper_bound - values[-1]) <= \
+                1e-9 * (1 + abs(values[-1]))
+        else:
+            assert res.upper_bound is None
+
+    monkeypatch.setattr(Tableau, "add_row", recording_add_row)
+    monkeypatch.setattr(Tableau, "dual_simplex", checked_dual_simplex)
+    checked = []
+    rng = SplitMix64(2024)
+    for i in range(48):
+        p = 1 + i % 4
+        n = 1 + int(rng.randint(4))
+        system = FunctionSystem(n, random_quadratic(rng, n),
+                                tuple(random_quadratic(rng, n)
+                                      for _ in range(p)))
+        search(system)
+        if p > 1:
+            search(_no_certificate_system(rng, p, n))
+        if i < 4:
+            search(_near_boundary_system(p))
+    assert len(checked) > 500 and max(checked) == 84
+
+
+def test_master_iteration_limit_is_numerical(monkeypatch):
+    # one pass of the dual simplex per cut: the first cut is already
+    # optimal, the second needs a pivot and runs out
+    monkeypatch.setattr(linprog, "_MAX_ITERS", 1)
+    with pytest.raises(NumericalBreakdown,
+                       match="^certificate master LP: iteration limit"):
+        cert.find_certificate_general(_near_boundary_system(2))

@@ -9,6 +9,7 @@ from conftest import random_p1_system
 from slemma import certificate as cert
 from slemma import geometry as geo
 from slemma import implication, quadratic
+from slemma.linprog import Tableau
 from slemma.expr import parse
 from slemma.implication import (INVALID, UNDETERMINED, VALID, ClassifyConfig,
                                 check_slater, classify_instance,
@@ -185,10 +186,11 @@ def test_certificate_stage_decomposes_each_matrix_once(name, search_eigen,
                                                        monkeypatch):
     # the stage takes its retry starts from the search's best check, so it
     # makes no eigen call beyond the search's; each iterate makes one eigen
-    # call and one master LP, except a p >= 2 iterate that passes
+    # call and one master re-optimization, except a p >= 2 iterate that
+    # passes
     counts = Counter()
     _count_calls(monkeypatch, counts, quadratic, "eigen_sym")
-    _count_calls(monkeypatch, counts, cert, "solve_lp")
+    _count_calls(monkeypatch, counts, Tableau, "dual_simplex")
     per_search = []
     search_fn = cert.find_certificate_general
 
@@ -204,7 +206,7 @@ def test_certificate_stage_decomposes_each_matrix_once(name, search_eigen,
     search, _, starts = implication.certificate_stage(system, ClassifyConfig())
     assert per_search == [search_eigen]
     assert counts["eigen_sym"] == search_eigen
-    assert counts["solve_lp"] == search_eigen - (system.p > 1)
+    assert counts["dual_simplex"] == search_eigen - (system.p > 1)
     assert search.found == (name is None)
     for x in starts:
         weights = np.concatenate([[1.0], -search.best_alpha])

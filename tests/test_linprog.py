@@ -4,7 +4,7 @@ import pytest
 from conftest import brute_force_boxed_lp
 from slemma.errors import DimensionMismatch
 from slemma.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                            solve_lp)
+                            Tableau, solve_lp)
 
 
 def test_simple_maximization():
@@ -149,6 +149,51 @@ def test_status_stable_under_row_permutation():
         assert out1.status == out2.status, trial
         if out1.status == OPTIMAL:
             assert out1.objective == pytest.approx(out2.objective, abs=1e-9)
+
+
+def test_dual_simplex_on_appended_rows_matches_vertex_enumeration():
+    # random boxed LPs in at most 4 variables, one row at a time: y = lo + x
+    # with 0 <= x <= up - lo, starting from the box corner that minimizes c
+    # (optimal, so dual feasible); after each appended row the dual
+    # simplex must reach the brute-force optimum, or report infeasible
+    rng = np.random.default_rng(1618)
+    optimal = infeasible = 0
+    for _ in range(100):
+        m = int(rng.integers(1, 5))
+        c = rng.uniform(-1, 1, m)
+        A = rng.uniform(-1, 1, (12, m))
+        b = rng.uniform(-0.3, 1, 12)
+        lo = rng.uniform(-2, 0, m)
+        up = rng.uniform(0, 2, m)
+        tab = Tableau(c)
+        for j in range(m):
+            tab.add_row(np.eye(m)[j], up[j] - lo[j])
+        for j in np.flatnonzero(c < 0):
+            tab.pivot(j, j)
+        assert tab.dual_simplex() == OPTIMAL
+        for k in range(A.shape[0]):
+            tab.add_row(A[k], b[k] - A[k] @ lo)
+            status = tab.dual_simplex()
+            expected, obj = brute_force_boxed_lp(c, A[:k + 1], b[:k + 1],
+                                                 lo, up)
+            assert status == expected
+            if status == INFEASIBLE:
+                infeasible += 1
+                break
+            optimal += 1
+            x, value = tab.solution()
+            assert value + c @ lo == pytest.approx(obj, abs=1e-7)
+            assert np.all(A[:k + 1] @ (lo + x) <= b[:k + 1] + 1e-9)
+            assert np.all(x >= -1e-9) and np.all(lo + x <= up + 1e-9)
+    assert optimal > 500 and infeasible > 20
+
+
+def test_tableau_row_cap():
+    tab = Tableau([1.0], max_rows=2)
+    tab.add_row([1.0], 1.0)
+    tab.add_row([-1.0], 0.0)
+    with pytest.raises(DimensionMismatch):
+        tab.add_row([1.0], 2.0)
 
 
 def test_scale_guard():

@@ -481,11 +481,9 @@ def test_cli_cutting_plane_proves_no_certificate(tmp_path):
 
 
 def test_cli_master_lp_failure_is_numerical(tmp_path, monkeypatch):
-    from slemma import certificate
-    from slemma.linprog import INFEASIBLE, LpOutcome
+    from slemma.linprog import INFEASIBLE, Tableau
 
-    monkeypatch.setattr(certificate, "solve_lp",
-                        lambda lp: LpOutcome(status=INFEASIBLE))
+    monkeypatch.setattr(Tableau, "dual_simplex", lambda self: INFEASIBLE)
     path = _no_certificate_file(tmp_path)
     code, out, err = run_cli("certificate", str(path), "--method", "p1")
     assert code == 3
