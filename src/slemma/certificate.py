@@ -241,7 +241,7 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
         status = master.dual_simplex()
         if status != OPTIMAL:
             raise NumericalBreakdown(f"certificate master LP: {status}")
-        y, _ = master.solution()
+        y = master.solution()
         alpha = np.clip(y[:p], 0.0, alpha_max)
         # the tableau's t cancels terms as large as alpha_max * |s|, which
         # can leave it ulps under the best lambda_min; a cut evaluated at

@@ -391,8 +391,7 @@ class Tableau:
         return ITERATION_LIMIT
 
     def solution(self):
-        """The basic solution's x and objective value."""
+        """The basic solution's x."""
         values = np.zeros(1 + self.n + self.m)
         values[self.basis[:self.m]] = self.buf[:self.m, 0]
-        x = values[1:self.n + 1]
-        return x, float(self.costs[1:self.n + 1] @ x)
+        return values[1:self.n + 1]

@@ -9,11 +9,11 @@ from conftest import random_p1_system
 from slemma import certificate as cert
 from slemma import geometry as geo
 from slemma import implication, quadratic
-from slemma.linprog import Tableau
 from slemma.expr import parse
 from slemma.implication import (INVALID, UNDETERMINED, VALID, ClassifyConfig,
                                 check_slater, classify_instance,
                                 find_counterexample)
+from slemma.linprog import Tableau
 from slemma.problem import load_problem
 from slemma.quadratic import QuadraticFunction
 from slemma.rng import SplitMix64

@@ -181,8 +181,8 @@ def test_dual_simplex_on_appended_rows_matches_vertex_enumeration():
                 infeasible += 1
                 break
             optimal += 1
-            x, value = tab.solution()
-            assert value + c @ lo == pytest.approx(obj, abs=1e-7)
+            x = tab.solution()
+            assert c @ (lo + x) == pytest.approx(obj, abs=1e-7)
             assert np.all(A[:k + 1] @ (lo + x) <= b[:k + 1] + 1e-9)
             assert np.all(x >= -1e-9) and np.all(lo + x <= up + 1e-9)
     assert optimal > 500 and infeasible > 20
