@@ -120,7 +120,8 @@ def check_multipliers(system, alpha, tol=PSD_RTOL, radius=10.0, samples=4096,
         weights = np.concatenate([[1.0], -alpha])
 
         def loss(X):
-            return system.values_batch(X) @ weights
+            vals, grads = system.values_and_gradients(X)
+            return vals @ weights, np.einsum("ijk,j->ik", grads, weights)
 
         X, vals = sample_and_descend(loss, system.n, radius, samples, seed,
                                      keep=10, steps=80)

@@ -18,7 +18,7 @@ from .errors import DomainError
 from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
 from .quadratic import QuadraticFunction
 from .rng import SplitMix64, derive_seed
-from .search import descend
+from .search import all_finite, descend
 from .systems import FunctionSystem
 
 MEMBER_TOL = 1e-7
@@ -246,14 +246,23 @@ class MembershipResult:
     margin: float = 0.0     # best achieved shortfall (0 when member)
 
 
-def _residuals(system, X, M, mode):
-    """z(x) - m for each row of X, against one target m or one per row."""
-    Z = system.image_batch(X)
+def _residuals(system, X, M, mode, jacobians=False):
+    """z(x) - m for each row of X, against one target m or one per row
+    (hinged at 0 in epi mode); with `jacobians` also (residuals, their
+    (m, p+1, n) Jacobians), a hinged coordinate's row being 0."""
+    if not jacobians:
+        Z = system.image_batch(X)
+    else:
+        Z, J = system.values_and_gradients(X)
+        Z[:, 1:] *= -1.0
+        J[:, 1:] *= -1.0
     Z = np.where(np.isfinite(Z), Z, np.inf)
     R = Z - M
     if mode == "epi":
         R = np.maximum(R, 0.0)
-    return R
+        if jacobians:
+            J *= (R > 0.0)[:, :, None]
+    return (R, J) if jacobians else R
 
 
 def _shortfalls(Z, M, mode):
@@ -270,32 +279,26 @@ def _shortfalls(Z, M, mode):
 def _gauss_newton_polish(system, X, M, mode):
     """Squeeze the residual system z(x) - m (hinged for epi mode) of each
     row x of X, against the same row of M, with at most 8 damped
-    Gauss-Newton steps on a central-difference Jacobian (step 1e-6);
+    Gauss-Newton steps on the Jacobian from `values_and_gradients`;
     descent alone crawls along curved valleys and stalls orders of
     magnitude above the membership tolerance.  Rows stop on their own but
-    share one image_batch for their probes and one for their trials."""
-    h = 1e-6
+    share one evaluation for their Jacobians and one for their trials."""
     X = np.array(X, dtype=float)
     k, dim = X.shape
     best_X = X.copy()
     best = np.max(np.abs(_residuals(system, X, M, mode)), axis=1)
     active = np.ones(k, dtype=bool)
-    eye = h * np.eye(dim)
     dampings = np.array([1.0, 0.5, 0.25])[:, None, None]
     for _ in range(8):
         rows = np.nonzero(active)[0]
         if not len(rows):
             break
-        base = X[rows][:, None, :]
-        probes = np.concatenate([base, base + eye, base - eye], axis=1)
-        R = _residuals(system, probes.reshape(-1, dim),
-                       np.repeat(M[rows], 2 * dim + 1, axis=0), mode)
+        R, J = _residuals(system, X[rows], M[rows], mode, jacobians=True)
         steps = np.full((len(rows), dim), np.nan)
-        for a, Ra in enumerate(R.reshape(len(rows), 2 * dim + 1, -1)):
-            if np.all(np.isfinite(Ra[0])):
-                J = (Ra[1:dim + 1] - Ra[dim + 1:]).T / (2.0 * h)
+        for a in range(len(rows)):
+            if np.all(np.isfinite(R[a])):
                 with suppress(np.linalg.LinAlgError):
-                    steps[a] = np.linalg.lstsq(J, -Ra[0], rcond=None)[0]
+                    steps[a] = np.linalg.lstsq(J[a], -R[a], rcond=None)[0]
         # a row without a finite step gets no finite trial, so it stops
         trials = X[rows][None] + dampings * steps[None]
         vals = np.max(np.abs(_residuals(
@@ -337,8 +340,13 @@ def _member_search(system, M, budget, seeds, mode, starts=None):
     size = X0.shape[1]
 
     def loss(X, g):
-        H = _residuals(system, X, M[g], mode)
-        return np.add.reduce(H * H, axis=1)
+        # sum_i r_i^2, whose gradient is 2 sum_i r_i grad r_i
+        R, J = _residuals(system, X, M[g], mode, jacobians=True)
+        vals = np.add.reduce(R * R, axis=1)
+        if not all_finite(R):
+            R[~np.isfinite(R)] = 0.0
+        R *= 2.0
+        return vals, np.einsum("ij,ijk->ik", R, J)
 
     X, _ = descend(loss, X0.reshape(-1, n), steps=90,
                    groups=np.repeat(np.arange(k), size))
@@ -361,7 +369,7 @@ def _member_search(system, M, budget, seeds, mode, starts=None):
 def epi_member(system, m, budget=24, seed=0):
     """Is m in the epi-image Im(f0, -f1, ..., -fp) + R_+^(p+1)?
 
-    Random restarts plus finite-difference descent on the squared hinge
+    Random restarts plus gradient descent on the squared hinge
     sum_i max(0, z_i(x) - m_i)^2; membership means z(x) <= m + 1e-7."""
     return _member_search(system, m, budget, [seed], "epi")[0]
 

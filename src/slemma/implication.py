@@ -15,8 +15,7 @@ import numpy as np
 from . import certificate as cert_mod
 from . import farkas as farkas_mod
 from . import geometry
-from .errors import (DomainError, NotConverged, NumericalBreakdown,
-                     SlemmaError)
+from .errors import NotConverged, NumericalBreakdown, SlemmaError
 from .rng import SplitMix64, derive_seed
 from .search import all_finite, descend, sample_and_descend, smallest
 from .systems import FunctionSystem
@@ -52,18 +51,19 @@ def check_slater(system, radius=10.0, samples=2048, seed=0):
                             min_constraint_value=np.inf)
 
     def loss(X):
-        vals = system.values_batch(X, first=1)
+        # -min_i f_i, whose gradient is that of the first least f_i
+        vals, grads = system.values_and_gradients(X, first=1)
         if not all_finite(vals):
             vals = np.where(np.isfinite(vals), vals, -np.inf)
-        return -np.minimum.reduce(vals, axis=1)
+        rows, least = np.arange(X.shape[0]), np.argmin(vals, axis=1)
+        return -vals[rows, least], -grads[rows, least]
 
     X, _ = sample_and_descend(loss, system.n, radius, samples, seed,
                               keep=10, steps=60)
     best_margin = -np.inf
-    for x0 in X:
-        # the constraints alone, as in the loss: f0 need not be defined
-        vals = _values_or_none(system.constraints, x0)
-        if vals is None:
+    # the constraints alone, as in the loss: f0 need not be defined
+    for x0, vals in zip(X, system.values_batch(X, first=1)):
+        if not all_finite(vals):
             continue
         margin = float(np.min(vals))
         if margin > _SLATER_MIN:
@@ -84,15 +84,6 @@ class CounterexampleResult:
     closest_miss_f0: float | None = None
 
 
-def _values_or_none(functions, x):
-    """The values f(x), or None when one is undefined or non-finite."""
-    try:
-        vals = np.array([f(x) for f in functions])
-    except DomainError:
-        return None
-    return vals if all_finite(vals) else None
-
-
 def find_counterexample(system, radius=10.0, samples=4096, seed=0,
                         extra_starts=None, penalty=1e3):
     """Search for x with every f_i >= 0 and f0 < 0.
@@ -103,17 +94,21 @@ def find_counterexample(system, radius=10.0, samples=4096, seed=0,
     """
 
     def penalized(X):
-        vals = system.values_batch(X)
+        # gradient: grad f0 - 2 penalty sum_i max(0, -f_i) grad f_i
+        vals, grads = system.values_and_gradients(X)
+        weights = np.ones_like(vals)
         pen = 0.0
         if system.p:
             viol = -vals[:, 1:]
             np.maximum(viol, 0.0, out=viol)
+            np.multiply(viol, -2.0 * penalty, out=weights[:, 1:])
             viol *= viol
             pen = np.add.reduce(viol, axis=1)
         value = vals[:, 0] + penalty * pen
-        if all_finite(vals):
-            return value
-        return np.where(np.isfinite(vals).all(1), value, np.inf)
+        if not all_finite(vals):
+            out = ~np.isfinite(vals).all(1)
+            value[out], weights[out] = np.inf, 0.0
+        return value, np.einsum("ij,ijk->ik", weights, grads)
 
     rng = SplitMix64(seed)
     X = rng.uniform_box(radius, system.n, samples)
@@ -150,9 +145,8 @@ def find_counterexample(system, radius=10.0, samples=4096, seed=0,
     # objective, so the undescended starts stay in the candidate pool
     candidates = np.vstack([refined, np.array(starts)])
     best_hit = None
-    for x in candidates:
-        vals_x = _values_or_none(system.functions, x)
-        if vals_x is None:
+    for x, vals_x in zip(candidates, system.values_batch(candidates)):
+        if not all_finite(vals_x):
             continue
         min_c = float(vals_x[1:].min()) if system.p else np.inf
         if min_c < -_WITNESS_TOL:

@@ -77,6 +77,35 @@ def evaluate_quadratic_batch(q, X):
     return vals
 
 
+class QuadraticStack:
+    """q_1..q_k over R^n evaluated together: one product X [Q_1/2 | ... |
+    Q_k/2] gives every value x.(Q_i x/2 + c_i) + d_i and every gradient
+    Q_i x + c_i.  The product and the row-wise dot are two-operand
+    `einsum`s, which round a row alike in any batch, one row included
+    (`X @ A` does not for a single row); so a point gets the same bits
+    alone as inside any batch."""
+
+    def __init__(self, functions):
+        self.n, self.k = functions[0].n, len(functions)
+        # halving is exact, so X (Q/2) is (X Q)/2 bit for bit
+        self.half = np.hstack([0.5 * q.Q for q in functions])
+        self.c = np.array([q.c for q in functions])
+        self.d = np.array([q.d for q in functions])
+
+    def evaluate(self, X, gradients=False):
+        """Values (m, k) at the rows of X, and with `gradients` also the
+        (m, k, n) gradients: (values, gradients or None)."""
+        half_qx = np.einsum("ij,jk->ik", X, self.half).reshape(
+            X.shape[0], self.k, self.n)
+        slope = half_qx + self.c
+        vals = np.einsum("ijk,ik->ij", slope, X)
+        vals += self.d
+        if not gradients:
+            return vals, None
+        slope += half_qx
+        return vals, slope
+
+
 def bordered_matrix(q):
     """Homogenization [[Q, c], [c^T, 2d]]: q >= 0 everywhere iff PSD."""
     M = np.zeros((q.n + 1, q.n + 1))

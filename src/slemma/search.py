@@ -1,23 +1,22 @@
-"""Box sampling and finite-difference descent shared by all searches.
+"""Box sampling and gradient descent shared by all searches.
 
 Every search in the toolkit follows the same recipe: draw points uniformly
 from [-R, R]^n with a seeded splitmix64 stream, keep the most promising
-ones, then run a batched gradient descent where the gradient is a central
-finite difference of the loss.  Losses are vectorized callables mapping an
-(m, n) array of points to an (m,) array of values; non-finite values are
-treated as +inf (the point is out of domain) and must not depend on the
-other rows of the batch.  The descent stops early only once every later
-iteration would repeat the last one bit for bit, so its result is the one
-the full step budget gives.
+ones, then run a batched gradient descent.  A loss maps an (m, n) array
+of points to (values, gradients), shaped (m,) and (m, n): it applies the
+chain rule once to the functions' own values and gradients
+(`FunctionSystem.values_and_gradients`), so a descent step evaluates the
+m trial rows and nothing else.  Non-finite values are treated as +inf
+(the point is out of domain), non-finite gradient entries as 0, and no
+row may depend on the other rows of the batch.  The descent stops early
+only once every later iteration would repeat the last one bit for bit,
+so its result is the one the full step budget gives.
 """
-
-import functools
 
 import numpy as np
 
 from .rng import SplitMix64
 
-FD_STEP = 1e-5
 STEP_FLOOR = 1e-12
 
 
@@ -45,39 +44,25 @@ def smallest(vals, k):
     return idx[np.argsort(vals[idx], kind="stable")[:k]]
 
 
-@functools.cache
-def _offsets(n):
-    # rows +h e_1, -h e_1, ... (h = FD_STEP); -0.0 elsewhere: x + -0.0 is x
-    D = np.where(np.repeat(np.eye(n, dtype=bool), 2, axis=0),
-                 np.tile([[FD_STEP], [-FD_STEP]], (n, 1)), -0.0)
-    D.flags.writeable = False
-    return D
-
-
 def fd_gradient(loss, X, groups=None):
-    """Values at the rows of X and their central-difference gradients
-    (step FD_STEP), from one loss call on [X; probes].  With `groups` (one
-    id per row) the loss is called as loss(points, group id of each
-    point)."""
-    m, n = X.shape
-    points = np.empty((m * (2 * n + 1), n))
-    points[:m] = X
-    np.add(X[:, None, :], _offsets(n), out=points[m:].reshape(m, 2 * n, n))
-    extra = (() if groups is None
-             else (np.concatenate([groups, np.repeat(groups, 2 * n)]),))
-    vals = np.asarray(loss(points, *extra), dtype=float)
-    if all_finite(vals):
-        pairs = vals[m:].reshape(m, n, 2)
-        grad = pairs[:, :, 0] - pairs[:, :, 1]
-    else:
-        vals = np.where(np.isfinite(vals), vals, np.inf)
-        pairs = vals[m:].reshape(m, n, 2)
-        with np.errstate(invalid="ignore"):  # out of domain: inf - inf
-            grad = pairs[:, :, 0] - pairs[:, :, 1]
-    grad /= 2.0 * FD_STEP
+    """Values and gradients of `loss` at the rows of X from one loss call,
+    cleaned: a non-finite value reads +inf, a non-finite gradient entry 0.
+    With `groups` (one id per row) the loss is called as loss(points,
+    group id of each point).
+
+    The gradients are the loss's own since the losses apply the chain
+    rule; the name stays because perfbench/tracing.py binds this function
+    by name and counts its calls as descent steps, so `descend` calls it
+    once per loss evaluation."""
+    extra = () if groups is None else (groups,)
+    vals, grad = loss(X, *extra)
+    # copies: the descent updates both in place
+    vals, grad = np.array(vals, dtype=float), np.array(grad, dtype=float)
+    if not all_finite(vals):
+        vals[~np.isfinite(vals)] = np.inf
     if not all_finite(grad):
         grad[~np.isfinite(grad)] = 0.0
-    return vals[:m], grad
+    return vals, grad
 
 
 def descend(loss, X0, steps=60, initial_step=0.1, box_radius=None,
@@ -89,17 +74,17 @@ def descend(loss, X0, steps=60, initial_step=0.1, box_radius=None,
     the iterates stay clamped to [-R, R]^n, matching the box-scoped claims
     made by callers.  Returns (points, values) sorted by value.
 
-    Each iteration makes one loss call, on the trials and their probes
-    (iterations + 1 calls in all); a rejected row keeps its gradient, as
-    its unchanged probes would give it again.  Rows must not interact:
-    numpy rounds a row alike in any batch of 3 or more rows (not always in
-    1- or 2-row ones: `einsum` at n = 2, `@` on one row).  So searches
-    share a call: with `groups` (one id per row) the loss is called as
-    loss(points, their group ids), each group's iterates equal a descent
-    on its rows alone, and the result is sorted by (group, value).
+    Each iteration makes one loss call (through `fd_gradient`), on the m
+    trials alone (iterations + 1 calls in all); a rejected row keeps its
+    gradient, as its unchanged point would give it again.  Rows must not
+    interact: the stacked quadratic kernel rounds a row alike in any batch
+    (see quadratic.QuadraticStack).  So searches share a call: with
+    `groups` (one id per row) the loss is called as loss(points, their
+    group ids), each group's iterates equal a descent on its rows alone,
+    and the result is sorted by (group, value).
 
     The loop stops when no row improved and each row's trial equals the
-    row or was taken at the floor step.  X, hence the probes, is then
+    row or was taken at the floor step.  X, hence its gradient, is then
     fixed; a floor step stays the floor, and a smaller step still rounds
     and clips back onto the row (rounding and clipping are monotone), so
     every later iteration would repeat this one bit for bit.
@@ -152,5 +137,5 @@ def sample_and_descend(loss, n, radius, samples, seed, keep=20, steps=60):
     and return (points, values) sorted by value."""
     rng = SplitMix64(seed)
     X = rng.uniform_box(radius, n, samples)
-    return descend(loss, X[smallest(_clean(loss(X)), keep)], steps=steps,
+    return descend(loss, X[smallest(_clean(loss(X)[0]), keep)], steps=steps,
                    box_radius=radius)

@@ -5,15 +5,18 @@ all the geometry below works on that vector.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import expr as expr_mod
 from .errors import DimensionMismatch
-from .quadratic import QuadraticFunction, evaluate_quadratic_batch
+from .quadratic import QuadraticFunction, QuadraticStack
 
 ALL_QUADRATIC = "AllQuadratic"
 MIXED = "Mixed"
+# central-difference step of an expression's gradient
+FD_STEP = 1e-5
 
 
 def _check_dim(f, n):
@@ -65,21 +68,64 @@ class FunctionSystem:
         """f_i(x) at a single point (i = 0 is the objective)."""
         return self.functions[i](x)
 
+    @cached_property
+    def _quadratics(self):
+        """(stacked kernel, columns) of the quadratic functions; built on
+        first use, once per system."""
+        cols = [i for i, f in enumerate(self.functions)
+                if isinstance(f, QuadraticFunction)]
+        return (QuadraticStack([self.functions[i] for i in cols])
+                if cols else None), cols
+
+    def _evaluate(self, X, first, gradients):
+        """(values, gradients or None) of f_first..f_p at the rows of X."""
+        X = np.asarray(X, dtype=float)
+        stack, cols = self._quadratics
+        if self.is_quadratic:
+            vals, grads = stack.evaluate(X, gradients)
+        else:
+            m, k = X.shape[0], self.p + 1
+            vals = np.empty((m, k))
+            grads = np.empty((m, k, self.n)) if gradients else None
+            if stack is not None:
+                quad_vals, quad_grads = stack.evaluate(X, gradients)
+                vals[:, cols] = quad_vals
+                if gradients:
+                    grads[:, cols] = quad_grads
+            for i in range(first, k):
+                f = self.functions[i]
+                if not isinstance(f, QuadraticFunction):
+                    vals[:, i], expr_grads = _expression_batch(f, X,
+                                                               gradients)
+                    if gradients:
+                        grads[:, i] = expr_grads
+        if first:
+            vals = vals[:, first:]
+            grads = None if grads is None else grads[:, first:]
+        return vals, grads
+
     def values(self, x):
-        """(f0(x), ..., fp(x)) at a single point."""
-        return np.array([f(x) for f in self.functions])
+        """(f0(x), ..., fp(x)) at a single point.  An all-quadratic system
+        gives exactly the bits of the point's row in `values_batch`."""
+        if not self.is_quadratic:
+            return np.array([f(x) for f in self.functions])
+        x = np.asarray(x, dtype=float).ravel()
+        if x.shape != (self.n,):
+            raise DimensionMismatch(
+                f"point has length {x.shape[0]}, expected {self.n}")
+        return self._evaluate(x[None], 0, False)[0][0]
 
     def values_batch(self, X, first=0):
         """(m, p+1-first) array of the values of f_first..f_p at the rows
         of X; rows with out-of-domain evaluations come back non-finite."""
-        X = np.asarray(X, dtype=float)
-        out = np.empty((X.shape[0], self.p + 1 - first))
-        for i, f in enumerate(self.functions[first:]):
-            if isinstance(f, QuadraticFunction):
-                out[:, i] = evaluate_quadratic_batch(f, X)
-            else:
-                out[:, i] = expr_mod.evaluate_batch(f, X)
-        return out
+        return self._evaluate(X, first, False)[0]
+
+    def values_and_gradients(self, X, first=0):
+        """(values, gradients) of f_first..f_p at the rows of X, shaped
+        (m, k) and (m, k, n) with k = p+1-first.  A quadratic's gradient
+        is Q x + c from the stacked kernel; an expression's is a central
+        difference with step FD_STEP, a non-finite difference reading 0."""
+        return self._evaluate(X, first, True)
 
     def image_point(self, x):
         """z(x) = (f0(x), -f1(x), ..., -fp(x))."""
@@ -92,6 +138,24 @@ class FunctionSystem:
         vals = self.values_batch(X)
         vals[:, 1:] *= -1.0
         return vals
+
+
+def _expression_batch(f, X, gradients):
+    """Values of the expression f at the rows of X and, with `gradients`,
+    its central differences, from one evaluation of X and its 2n probes."""
+    if not gradients:
+        return expr_mod.evaluate_batch(f, X), None
+    m, n = X.shape
+    points = np.repeat(X[None], 2 * n + 1, axis=0)
+    for j in range(n):
+        points[2 * j + 1, :, j] += FD_STEP
+        points[2 * j + 2, :, j] -= FD_STEP
+    vals = expr_mod.evaluate_batch(f, points.reshape(-1, n)).reshape(
+        2 * n + 1, m)
+    with np.errstate(invalid="ignore"):  # out of domain: inf - inf
+        grads = (vals[1::2] - vals[2::2]).T / (2.0 * FD_STEP)
+    grads[~np.isfinite(grads)] = 0.0
+    return vals[0], grads
 
 
 def quadratic_to_source(q):

@@ -289,8 +289,12 @@ def test_grouped_descend_equals_one_descend_per_group(example3):
     groups = np.repeat(np.arange(3), sizes)
 
     def loss(X, g):
-        H = example3.image_batch(X) - targets[g]
-        return np.sum(H * H, axis=1)
+        vals, grads = example3.values_and_gradients(X)
+        vals[:, 1:] *= -1.0
+        grads[:, 1:] *= -1.0
+        H = vals - targets[g]
+        return (np.sum(H * H, axis=1),
+                2.0 * np.einsum("ij,ijk->ik", H, grads))
 
     for radius in (None, 1.5):
         X, vals = search.descend(loss, X0, steps=40, box_radius=radius,

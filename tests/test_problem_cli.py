@@ -300,7 +300,7 @@ def test_cli_verify_failing_alpha_names_the_violation(tmp_path):
     assert code == 0 and err == ""
     assert _report_lines(out)[-5:] == [
         "kind: Mixed", "alpha: [1.0]", "verdict: Violated",
-        "min_observed: -1.0", "x: [6.412979301928523e-09]"]
+        "min_observed: -1.0", "x: [6.412979301928761e-09]"]
     code, out, err = run_cli("verify", str(path), "--alpha", "0")
     assert code == 0 and err == ""
     assert _report_lines(out)[-3:] == [
@@ -320,12 +320,12 @@ def test_classify_certificate_above_alpha_max_via_separation(tmp_path):
     assert code == 0 and err == ""
     report = json.loads(out)
     assert report["verdict"] == "ValidWithCertificate"
-    assert report["certificate"]["alpha"] == "[19999.982700934383]"
+    assert report["certificate"]["alpha"] == "[19999.982700935143]"
     assert report["certificate"]["verified"] == "ExactPSD"
     assert report["notes"] == [
         "no certificate with alpha <= alpha_max=10000.0",
         "certificate via separation"]
-    alpha = 19999.982700934383
+    alpha = 19999.982700935143
     M = np.array([[2.0, 20000.0 - alpha], [20000.0 - alpha, 2.0]])
     assert np.linalg.eigvalsh(M)[0] > 1.0
 

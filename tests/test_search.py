@@ -1,8 +1,9 @@
 """The descent's early stop, its one loss call per iteration and its
-in-place loop return exactly what the former two-call loop gives over the
-full step budget; the search losses, `values_batch` and the top-k start
-selection equal their former formulas byte for byte; and
-`values_batch(X, first=...)` skips columns without moving the rest."""
+in-place loop return exactly what the plain loop gives over the full step
+budget, with each loss's (values, gradients) protocol; the search losses,
+`values_batch` and the top-k start selection equal their former formulas
+byte for byte; and `values_batch(X, first=...)` skips columns without
+moving the rest."""
 
 import warnings
 from pathlib import Path
@@ -18,7 +19,6 @@ from slemma.implication import (ClassifyConfig, check_slater,
 from slemma.problem import load_problem
 from slemma.quadratic import QuadraticFunction, evaluate_quadratic_batch
 from slemma.rng import SplitMix64
-from slemma.search import FD_STEP
 from slemma.systems import FunctionSystem, quadratic_to_source
 
 from conftest import random_p1_system, random_quadratic
@@ -31,42 +31,35 @@ def _clean(vals):
     return np.where(np.isfinite(vals), vals, np.inf)
 
 
-def fd_gradient(loss, X, h=FD_STEP, groups=None):
-    """Central-difference gradients for each row of X, batched into a
-    single loss call.  With `groups` (one id per row) the loss is called
-    as loss(points, group id of each point)."""
-    m, n = X.shape
-    probes = np.repeat(X, 2 * n, axis=0)
-    for i in range(n):
-        probes[2 * i::2 * n, i] += h
-        probes[2 * i + 1::2 * n, i] -= h
-    extra = () if groups is None else (np.repeat(groups, 2 * n),)
-    vals = _clean(loss(probes, *extra)).reshape(m, n, 2)
-    grad = (vals[:, :, 0] - vals[:, :, 1]) / (2.0 * h)
-    return np.where(np.isfinite(grad), grad, 0.0)
+def values_and_gradient(loss, X, groups=None):
+    """The loss's (values, gradients) at the rows of X, non-finite values
+    read as +inf and non-finite gradient entries as 0."""
+    extra = () if groups is None else (groups,)
+    vals, grad = loss(X, *extra)
+    grad = np.asarray(grad, dtype=float)
+    return _clean(vals), np.where(np.isfinite(grad), grad, 0.0)
 
 
-def descend_unstopped(loss, X0, steps=60, h=FD_STEP, initial_step=0.1,
+def descend_unstopped(loss, X0, steps=60, initial_step=0.1,
                       box_radius=None, groups=None):
-    """The descent loop as it was before the early stop and before one
-    loss call per iteration, kept verbatim with its gradient and value
-    cleaning above."""
+    """The plain descent loop: no early stop, and the gradient taken
+    afresh at every iteration from a loss call on the current points,
+    the trials' values from a second call."""
     X = np.array(X0, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
     if box_radius is not None:
         X = np.clip(X, -box_radius, box_radius)
-    extra = () if groups is None else (groups,)
-    best = _clean(loss(X, *extra))
+    best = values_and_gradient(loss, X, groups)[0]
     step = np.full(X.shape[0], float(initial_step))
     for _ in range(steps):
-        grad = fd_gradient(loss, X, h, groups)
+        grad = values_and_gradient(loss, X, groups)[1]
         norm = np.linalg.norm(grad, axis=1)
         norm[norm == 0.0] = 1.0
         trial = X - (step / norm)[:, None] * grad
         if box_radius is not None:
             trial = np.clip(trial, -box_radius, box_radius)
-        trial_vals = _clean(loss(trial, *extra))
+        trial_vals = values_and_gradient(loss, trial, groups)[0]
         better = trial_vals < best
         X[better] = trial[better]
         best[better] = trial_vals[better]
@@ -98,11 +91,12 @@ def _same_as_unstopped(loss, X0, **kwargs):
 
 
 def _corner(X):
-    return np.sum(X, axis=1)
+    return np.sum(X, axis=1), np.ones_like(X)
 
 
 def _bowl(X):
-    return np.sum((X - np.array([0.3, -0.7])) ** 2, axis=1)
+    H = X - np.array([0.3, -0.7])
+    return np.sum(H * H, axis=1), 2.0 * H
 
 
 def test_early_stop_at_a_clipped_box_corner():
@@ -122,7 +116,9 @@ def test_early_stop_on_a_grouped_loss():
 
     def loss(X, g):
         H = X - targets[g]
-        return np.sum(H * H, axis=1) + 0.1 * X[:, 0] ** 4
+        grad = 2.0 * H
+        grad[:, 0] += 0.4 * X[:, 0] ** 3
+        return np.sum(H * H, axis=1) + 0.1 * X[:, 0] ** 4, grad
 
     X0 = SplitMix64(7).uniform_box(2.5, 2, 10)
     groups = np.repeat(np.arange(2), [4, 6])
@@ -135,8 +131,11 @@ def test_no_early_stop_while_a_row_improves():
     # left of x1 = 0 a bowl centred at (-2, 0); right of it a slope that
     # keeps falling, so the row started there improves at every step
     def loss(X):
-        return np.where(X[:, 0] > 0.0, -X[:, 0],
-                        (X[:, 0] + 2.0) ** 2 + X[:, 1] ** 2)
+        right = X[:, 0] > 0.0
+        grad = np.where(right[:, None], [-1.0, 0.0],
+                        2.0 * (X + [2.0, 0.0]))
+        return np.where(right, -X[:, 0],
+                        (X[:, 0] + 2.0) ** 2 + X[:, 1] ** 2), grad
 
     X0 = np.array([[1.0, 0.0], [-1.5, 0.5], [-2.0, 0.0], [-2.5, -0.3]])
     assert _same_as_unstopped(loss, X0, steps=40) == 40 + 1
@@ -147,7 +146,9 @@ def test_rows_clipped_onto_the_box():
     X0 = SplitMix64(8).uniform_box(3.0, 3, 14)
 
     def loss(X):
-        return X[:, 0] - 2.0 * X[:, 1] + 0.1 * X[:, 2] ** 2
+        grad = np.zeros_like(X)
+        grad[:, 0], grad[:, 1], grad[:, 2] = 1.0, -2.0, 0.2 * X[:, 2]
+        return X[:, 0] - 2.0 * X[:, 1] + 0.1 * X[:, 2] ** 2, grad
 
     for radius in (0.0, 1.0, 2.5):
         _same_as_unstopped(loss, X0, steps=80, box_radius=radius)
@@ -163,8 +164,8 @@ def test_initial_step_below_the_floor(initial_step):
 
 
 def test_zero_rows():
-    # the first iteration has no row left to move: one call for the start
-    # and its probes, one for the trials and theirs
+    # the first iteration has no row left to move: one call for the start,
+    # one for the trials
     assert _same_as_unstopped(_bowl, np.zeros((0, 2)), steps=30) == 2
 
 
@@ -173,11 +174,14 @@ def test_early_stop_on_the_search_losses(seed):
     system = random_p1_system(seed)
 
     def slater(X):
-        return -np.min(system.values_batch(X, first=1), axis=1)
+        vals, grads = system.values_and_gradients(X, first=1)
+        return -vals[:, 0], -grads[:, 0]
 
     def penalized(X):
-        vals = system.values_batch(X)
-        return vals[:, 0] + 1e3 * np.maximum(-vals[:, 1], 0.0) ** 2
+        vals, grads = system.values_and_gradients(X)
+        viol = np.maximum(-vals[:, 1], 0.0)
+        return (vals[:, 0] + 1e3 * viol ** 2,
+                grads[:, 0] - 2e3 * viol[:, None] * grads[:, 1])
 
     X0 = SplitMix64(seed).uniform_box(10.0, system.n, 20)
     for loss, steps in ((slater, 60), (penalized, 80)):
@@ -255,9 +259,9 @@ def test_one_call_per_iteration_out_of_domain(monkeypatch, system):
     nonfinite = []
     for loss, X0, kwargs in runs:
         def watched(X, loss=loss):
-            vals = loss(X)
+            vals, grads = loss(X)
             nonfinite.append(not np.all(np.isfinite(vals)))
-            return vals
+            return vals, grads
 
         _same_as_unstopped(watched, X0, **kwargs)
     assert any(nonfinite)
@@ -298,7 +302,7 @@ def test_search_losses_match_their_former_formulas(monkeypatch, system):
     X = np.vstack([SplitMix64(2).uniform_box(2.0, system.n, 200),
                    np.zeros((1, system.n))])
     for (loss, _, _), reference in zip(runs, references):
-        assert loss(X).tobytes() == reference(X).tobytes()
+        assert loss(X)[0].tobytes() == reference(X).tobytes()
 
 
 def test_quadratic_batch_matches_its_former_formula():
@@ -367,3 +371,122 @@ def test_values_batch_skips_leading_columns():
             assert part.shape == (50, system.p + 1 - first)
             assert part.tobytes() == np.ascontiguousarray(
                 full[:, first:]).tobytes()
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_a_point_gets_the_same_bits_alone_and_in_any_batch(p):
+    for n in range(1, 7):
+        system = _random_system(100 * p + n, p, n)
+        X = SplitMix64(n).uniform_box(6.0, n, 200)
+        full = system.values_batch(X)
+        image = system.image_batch(X)
+        for i in range(200):
+            alone = system.values_batch(X[i][None])[0]
+            assert system.values(X[i]).tobytes() == alone.tobytes()
+            assert alone.tobytes() == full[i].tobytes()
+            assert (system.image_point(X[i]).tobytes()
+                    == image[i].tobytes())
+        for m in (1, 2, 3, 17):
+            vals, grads = system.values_and_gradients(X[5:5 + m])
+            assert vals.tobytes() == full[5:5 + m].tobytes()
+            assert grads.tobytes() == system.values_and_gradients(
+                X)[1][5:5 + m].tobytes()
+
+
+@pytest.mark.parametrize("p", range(4))
+def test_closed_form_gradients_equal_q_x_plus_c(p):
+    for n in range(1, 7):
+        system = _random_system(200 + 10 * p + n, p, n)
+        X = SplitMix64(n).uniform_box(5.0, n, 40)
+        for first in range(p + 1):
+            vals, grads = system.values_and_gradients(X, first=first)
+            assert grads.shape == (40, p + 1 - first, n)
+            for j, f in enumerate(system.functions[first:]):
+                expected = np.array([f.Q @ x + f.c for x in X])
+                np.testing.assert_allclose(grads[:, j], expected,
+                                           rtol=1e-13, atol=1e-12)
+                np.testing.assert_allclose(
+                    vals[:, j], [f(x) for x in X], rtol=1e-13, atol=1e-12)
+
+
+def test_expression_gradients_are_central_differences():
+    # each expression function gets its own central differences; the
+    # quadratic functions of a mixed system keep their closed form
+    quad = _random_system(7, 2, 3)
+    f0, f1, f2 = [parse(quadratic_to_source(f), 3) for f in quad.functions]
+    mixed = FunctionSystem(3, f0, (quad.constraints[0], f2))
+    X = SplitMix64(4).uniform_box(3.0, 3, 30)
+    vals, grads = mixed.values_and_gradients(X)
+    exact_vals, exact_grads = quad.values_and_gradients(X)
+    np.testing.assert_allclose(vals, exact_vals, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grads, exact_grads, rtol=1e-8, atol=1e-8)
+    assert grads[:, 1].tobytes() == exact_grads[:, 1].tobytes()
+    # out of domain: a non-finite difference reads 0
+    system = FunctionSystem(1, parse("sqrt(x1)", 1))
+    vals, grads = system.values_and_gradients(np.array([[0.0], [4.0]]))
+    assert vals[0, 0] == 0.0 and grads[0, 0, 0] == 0.0
+    assert grads[1, 0, 0] == pytest.approx(0.25, rel=1e-8)
+
+
+def _loss_gradient_matches_differences(loss, X, smooth, groups=None):
+    """The loss's gradient against central differences of its values at
+    the rows where `smooth` (the loss is differentiable around them)."""
+    extra = () if groups is None else (groups,)
+    vals, grad = loss(X, *extra)
+    h = 1e-6
+    for j in range(X.shape[1]):
+        E = np.zeros_like(X)
+        E[:, j] = h
+        diff = (loss(X + E, *extra)[0] - loss(X - E, *extra)[0]) / (2 * h)
+        scale = 1.0 + np.abs(vals) + np.abs(grad[:, j])
+        assert np.all(np.abs(diff - grad[:, j])[smooth]
+                      <= 1e-5 * scale[smooth]), j
+    assert np.count_nonzero(smooth) >= 10
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_search_loss_gradients_match_their_differences(monkeypatch, p):
+    runs = _spy_on_descents(monkeypatch, search, implication)
+    system = _random_system(300 + p, p, 3)
+    check_slater(system, samples=64, seed=1)
+    find_counterexample(system, samples=64, seed=1)
+    monkeypatch.undo()
+    (slater, _, _), (penalized, _, _) = runs
+    X = SplitMix64(p).uniform_box(4.0, 3, 200)
+    vals = system.values_batch(X)
+    cons = np.sort(vals[:, 1:], axis=1)
+    # away from a tie between the least constraints (Slater's kink) and
+    # from any f_i = 0 (the penalty's)
+    untied = cons[:, 1] - cons[:, 0] > 1e-3 if p > 1 else np.ones(200, bool)
+    _loss_gradient_matches_differences(slater, X, untied)
+    _loss_gradient_matches_differences(
+        penalized, X, np.all(np.abs(vals[:, 1:]) > 1e-3, axis=1))
+
+
+@pytest.mark.parametrize("mode", ["epi", "identity"])
+def test_member_loss_gradient_matches_its_differences(monkeypatch, mode):
+    system = _random_system(44, 2, 3)
+    M = system.image_batch(SplitMix64(3).uniform_box(2.0, 3, 3)) + 0.5
+    runs = _spy_on_descents(monkeypatch, geometry)
+    geometry._member_search(system, M, 4, [1, 2, 3], mode)
+    monkeypatch.undo()
+    (loss, _, _), = runs
+    X = SplitMix64(5).uniform_box(3.0, 3, 200)
+    groups = np.arange(200) % 3
+    # away from the hinge z_i = m_i of the epi residual
+    gaps = system.image_batch(X) - M[groups]
+    _loss_gradient_matches_differences(
+        loss, X, np.all(np.abs(gaps) > 1e-3, axis=1), groups)
+
+
+def test_sampled_multiplier_loss_gradient_matches_its_differences(
+        monkeypatch):
+    system = FunctionSystem(2, parse("x1^2 + sin(x2) - 1", 2),
+                            (parse("exp(x1 / 4) - x2", 2),
+                             parse("1 - x1 * x2", 2)))
+    runs = _spy_on_descents(monkeypatch, search)
+    slemma.check_multipliers(system, [0.5, 2.0], radius=3.0, samples=64)
+    monkeypatch.undo()
+    (loss, _, _), = runs
+    X = SplitMix64(6).uniform_box(3.0, 2, 100)
+    _loss_gradient_matches_differences(loss, X, np.ones(100, bool))
