@@ -138,6 +138,46 @@ def test_duality_and_complementary_slackness():
     assert checked >= 30
 
 
+def test_equality_rows_match_vertex_enumeration():
+    # random boxed LPs with one equality row, given once or twice; the box
+    # is passed as rows so that the reported duals account for every row:
+    # c = A_ub^T dual_ub + A_eq^T dual_eq at the optimum
+    rng = np.random.default_rng(4242)
+    optimal = infeasible = duplicated = 0
+    for trial in range(120):
+        m = int(rng.integers(1, 5))
+        k = int(rng.integers(1, 9))
+        c = rng.uniform(-1, 1, m)
+        A = rng.uniform(-1, 1, (k, m))
+        b = rng.uniform(-0.6, 1, k)
+        lo = rng.uniform(-2, 0, m)
+        up = rng.uniform(0, 2, m)
+        a, beta = rng.uniform(-1, 1, (1, m)), rng.uniform(-1.5, 1.5, 1)
+        a_eq, b_eq = a, beta
+        if trial % 2:
+            a_eq, b_eq = np.vstack([a, a]), np.concatenate([beta, beta])
+            duplicated += 1
+        A_ub = np.vstack([A, np.eye(m), -np.eye(m)])
+        b_ub = np.concatenate([b, up, -lo])
+        out = solve_lp(LinearProgram(c=c, a_ub=A_ub, b_ub=b_ub,
+                                     a_eq=a_eq, b_eq=b_eq))
+        status, obj = brute_force_boxed_lp(
+            c, np.vstack([A, a, -a]), np.concatenate([b, beta, -beta]),
+            lo, up)
+        assert out.status == status, trial
+        if status == INFEASIBLE:
+            infeasible += 1
+            continue
+        optimal += 1
+        assert out.objective == pytest.approx(obj, abs=1e-7)
+        assert np.max(np.abs(a_eq @ out.y - b_eq)) <= 1e-8
+        assert np.all(A_ub @ out.y <= b_ub + 1e-8)
+        assert np.all(out.dual_ub <= 1e-9)
+        assert np.max(np.abs(
+            c - A_ub.T @ out.dual_ub - a_eq.T @ out.dual_eq)) <= 1e-7
+    assert optimal > 30 and infeasible > 10 and duplicated == 60
+
+
 def test_status_stable_under_row_permutation():
     rng = np.random.default_rng(77)
     for trial in range(40):

@@ -526,3 +526,14 @@ def test_classify_samples_one_runs_the_slater_search():
     assert code == 0
     margin = float(json.loads(out)["slater"]["min_constraint_value"])
     assert np.isfinite(margin)
+
+
+def test_cli_lp_iteration_limit_is_numerical(monkeypatch):
+    from slemma import linprog
+
+    monkeypatch.setattr(linprog, "_MAX_ITERS", 0)
+    for command, name in (("farkas", "farkas_affine.json"),
+                          ("geometry", "slater_fail.json")):
+        code, out, err = run_cli(command, str(CORPUS / name))
+        assert code == 3, command
+        assert err == "numerical failure: simplex iteration limit reached\n"
