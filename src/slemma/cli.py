@@ -217,7 +217,10 @@ def cmd_farkas(args, out):
 
 
 def cmd_conjecture_scan(args, out):
-    scan = geometry.conjecture_scan(args.count, args.dim, args.seed)
+    try:
+        scan = geometry.conjecture_scan(args.count, args.dim, args.seed)
+    except ValueError as exc:       # the scan's own argument check
+        raise ParseError(str(exc)) from None
     command = (f"slemma conjecture-scan --count {args.count} "
                f"--dim {args.dim} --seed {args.seed}")
     rep = report.conjecture_report(scan, command)
@@ -357,7 +360,7 @@ def main(argv=None, out=None, err=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _HANDLERS[args.command](args, out)
-    except (ParseError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ParseError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (NumericalBreakdown, NotConverged) as exc:

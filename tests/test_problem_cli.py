@@ -211,6 +211,13 @@ def test_cli_missing_file():
     assert err
 
 
+def test_cli_path_through_a_file_is_usage_error():
+    code, out, err = run_cli("classify", str(CORPUS / "p0_psd.json" / "x"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: [Errno 20] Not a directory")
+
+
 def test_cli_verify_valid():
     code, out, _ = run_cli("verify", str(CORPUS / "convex_case.json"),
                            "--alpha", "0.0")
@@ -385,6 +392,15 @@ def test_cli_conjecture_scan():
                            "--seed", "3")
     assert code == 0
     assert "instance_0" in out
+
+
+def test_cli_conjecture_scan_rejects_bad_arguments():
+    for count, dim in (("0", "2"), ("1", "1")):
+        code, out, err = run_cli("conjecture-scan", "--count", count,
+                                 "--dim", dim, "--seed", "1")
+        assert code == 1, (count, dim)
+        assert out == ""
+        assert err == "error: count must be >= 1 and dimension >= 2\n"
 
 
 def test_cli_json_mode():
