@@ -1,21 +1,27 @@
-"""Dense two-phase simplex with Bland's rule, and a dual simplex on a
-tableau that grows by rows.
+"""Dense simplex on one tableau that grows by rows.
 
-Solves   minimize c^T y
-         subject to  a_ub @ y <= b_ub,  a_eq @ y == b_eq,
-                     lower <= y <= upper   (entries may be infinite)
+`solve_lp` solves   minimize c^T y
+                    subject to  a_ub @ y <= b_ub,  a_eq @ y == b_eq,
+                                lower <= y <= upper   (entries may be infinite)
 
-The solver is deterministic for a fixed input: the entering variable is the
-lowest-index column with reduced cost below -1e-9, the leaving row is the
-minimum-ratio row with the lowest basic variable index, so cycling cannot
-occur.  Rows are scaled to unit max-norm before solving.
+It rewrites the LP onto nonnegative variables, puts every inequality, and
+each equality as two opposite inequalities, in one `Tableau` with its slack
+basic, and solves it in two phases.  Phase 1 runs the dual simplex on zero
+costs, where every basis is dual feasible, so it ends at a feasible basis or
+at a row that proves there is none.  Phase 2 sets the real costs and runs the
+primal simplex by Bland's rule: the entering variable is the lowest-index
+column with reduced cost below -1e-9, the leaving row the minimum-ratio row
+with the lowest basic variable index, so cycling cannot occur.  Rows are
+scaled to unit max-norm as they are added.
 
 Dual multipliers follow the sensitivity convention dual_i = d(objective)/
-d(b_i): for a minimization, inequality rows get nonpositive duals.
+d(b_i): for a minimization, inequality rows get nonpositive duals.  The
+tableau reads them off its slacks' reduced costs.
 
-`Tableau` keeps one LP optimal while rows arrive: an appended row leaves
-the basis dual feasible, so the dual simplex re-optimizes it, usually in a
-pivot or two, where `solve_lp` would start over.
+`Tableau` also keeps the certificate search's master LP optimal while rows
+arrive: an appended row leaves the basis dual feasible, so the dual simplex
+re-optimizes it, usually in a pivot or two, where `solve_lp` would start
+over.
 """
 
 from dataclasses import dataclass
@@ -140,38 +146,6 @@ class _Standardized:
         return self.shift @ x_ray
 
 
-def _simplex_loop(T, basis, costs, n_cols):
-    """Bland-rule simplex on tableau T (rows x (n_cols+1)) in place.
-
-    Returns ("optimal", -1) or ("unbounded", entering_col)."""
-    rows = T.shape[0]
-    for _ in range(_MAX_ITERS):
-        cb = costs[basis] if rows else np.zeros(0)
-        rc = costs[:n_cols] - (cb @ T[:, :n_cols] if rows else 0.0)
-        entering = -1
-        for j in range(n_cols):
-            if rc[j] < -_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal", -1
-        col = T[:, entering]
-        best_ratio = None
-        leave = -1
-        for i in range(rows):
-            if col[i] > _TOL:
-                ratio = T[i, -1] / col[i]
-                if (best_ratio is None or ratio < best_ratio - 1e-12
-                        or (abs(ratio - best_ratio) <= 1e-12
-                            and basis[i] < basis[leave])):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
-            return "unbounded", entering
-        _pivot(T, basis, leave, entering)
-    raise NumericalBreakdown("simplex iteration limit reached")
-
-
 def _pivot(T, basis, row, col):
     piv = T[row, col]
     if abs(piv) < _PIVOT_MIN:
@@ -188,116 +162,42 @@ def _pivot(T, basis, row, col):
 
 
 def solve_lp(lp):
-    """Two-phase simplex; exact Optimal/Infeasible/Unbounded trichotomy."""
+    """Two-phase simplex on one `Tableau`; exact Optimal/Infeasible/
+    Unbounded trichotomy."""
     std = _Standardized(lp)
     n = std.c.shape[0]
-    k_ub = std.a_ub.shape[0]
-    k_eq = std.a_eq.shape[0]
-    rows = k_ub + k_eq
+    a = np.vstack([std.a_ub, std.a_eq, -std.a_eq])
+    b = np.concatenate([std.b_ub, std.b_eq, -std.b_eq])
+    tab = Tableau(np.zeros(n), max_rows=a.shape[0])
+    for row, rhs in zip(a, b):
+        tab.add_row(row, rhs)
+    # phase 1: with zero costs every basis is dual feasible, so the dual
+    # simplex reaches a feasible basis or proves there is none
+    status = tab.dual_simplex()
+    if status == OPTIMAL:
+        tab.costs[1:n + 1] = std.c
+        status, entering = tab.primal_simplex()
+    if status == ITERATION_LIMIT:
+        raise NumericalBreakdown("simplex iteration limit reached")
+    if status == INFEASIBLE:
+        return LpOutcome(status=INFEASIBLE)
 
-    # equality form [A_ub I; A_eq 0] with slacks, equilibrated row-wise
-    A = np.zeros((rows, n + k_ub))
-    A[:k_ub, :n] = std.a_ub
-    A[:k_ub, n:] = np.eye(k_ub)
-    A[k_ub:, :n] = std.a_eq
-    b = np.concatenate([std.b_ub, std.b_eq])
-
-    scales = np.ones(rows)
-    if rows:
-        row_norm = np.max(np.abs(A[:, :n]), axis=1) if n else np.zeros(rows)
-        scales = np.where(row_norm > 0.0, row_norm, 1.0)
-    A /= scales[:, None] if rows else 1.0
-    b = b / scales if rows else b
-    flip = np.ones(rows)
-    neg = b < 0.0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    flip[neg] = -1.0
-
-    n_work = n + k_ub
-    basis = []
-    art_rows = []
-    for i in range(rows):
-        if i < k_ub and not neg[i]:
-            basis.append(n + i)
-        else:
-            basis.append(-1)
-            art_rows.append(i)
-    n_total = n_work + len(art_rows)
-    T = np.zeros((rows, n_total + 1))
-    T[:, :n_work] = A
-    T[:, -1] = b
-    for a_idx, i in enumerate(art_rows):
-        T[i, n_work + a_idx] = 1.0
-        basis[i] = n_work + a_idx
-
-    kept = list(range(rows))
-    if art_rows:
-        costs1 = np.zeros(n_total)
-        costs1[n_work:] = 1.0
-        status, _ = _simplex_loop(T, basis, costs1, n_total)
-        phase1_obj = float(costs1[basis] @ T[:, -1]) if basis else 0.0
-        if phase1_obj > 1e-8:
-            return LpOutcome(status=INFEASIBLE)
-        # drive leftover artificials out of the basis or drop their rows
-        drop = []
-        for i in range(len(basis)):
-            if basis[i] >= n_work:
-                pivot_col = -1
-                for j in range(n_work):
-                    if abs(T[i, j]) > 1e-9:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    _pivot(T, basis, i, pivot_col)
-                else:
-                    drop.append(i)
-        if drop:
-            keep_idx = [i for i in range(len(basis)) if i not in drop]
-            T = T[keep_idx]
-            basis = [basis[i] for i in keep_idx]
-            kept = [kept[i] for i in keep_idx]
-
-    T = np.hstack([T[:, :n_work], T[:, -1:]])
-    costs2 = np.zeros(n_work)
-    costs2[:n] = std.c
-    status, entering = _simplex_loop(T, basis, costs2, n_work)
-
-    x = np.zeros(n_work)
-    for i, bj in enumerate(basis):
-        x[bj] = T[i, -1]
+    x = tab.solution()
     x[np.abs(x) < 1e-13] = 0.0
-    y = std.to_original(x[:n])
+    y = std.to_original(x)
+    if status == UNBOUNDED:
+        # the entering variable grows by one and the basic ones follow
+        step = np.zeros(1 + n + tab.m)
+        step[entering + 1] = 1.0
+        step[tab.basis[:tab.m]] = -tab.buf[:tab.m, entering + 1]
+        return LpOutcome(status=UNBOUNDED, y=y,
+                         ray=std.ray_to_original(step[1:n + 1]))
 
-    if status == "unbounded":
-        x_ray = np.zeros(n_work)
-        x_ray[entering] = 1.0
-        col = T[:, entering]
-        for i, bj in enumerate(basis):
-            x_ray[bj] = -col[i]
-        ray = std.ray_to_original(x_ray[:n])
-        return LpOutcome(status=UNBOUNDED, y=y, ray=ray)
-
-    objective = float(lp.c @ y)
-
-    # duals: solve B^T w = c_B over the working system the tableau tracks,
-    # then undo the row flips and equilibration scales
-    w = np.zeros(rows)
-    if basis:
-        A_kept = A[kept]
-        B = np.empty((len(basis), len(basis)))
-        for col_idx, bj in enumerate(basis):
-            B[:, col_idx] = A_kept[:, bj]
-        try:
-            w_kept = np.linalg.solve(B.T, costs2[basis])
-        except np.linalg.LinAlgError:
-            w_kept = np.linalg.lstsq(B.T, costs2[basis], rcond=None)[0]
-        for pos, i in enumerate(kept):
-            w[i] = w_kept[pos] * flip[i] / scales[i]
-    dual_ub = w[: std.n_user_ub]
-    dual_eq = w[k_ub:]
-    return LpOutcome(status=OPTIMAL, y=y, objective=objective,
-                     dual_ub=dual_ub, dual_eq=dual_eq)
+    w = tab.duals()
+    k_ub, k_eq = std.a_ub.shape[0], std.a_eq.shape[0]
+    return LpOutcome(status=OPTIMAL, y=y, objective=float(lp.c @ y),
+                     dual_ub=w[:std.n_user_ub],
+                     dual_eq=w[k_ub:k_ub + k_eq] - w[k_ub + k_eq:])
 
 
 class Tableau:
@@ -309,7 +209,9 @@ class Tableau:
     the new row's slack basic and reduces the row against the basis; the
     caller starts from a dual feasible basis it sets with `pivot`, keeps
     every free column basic, and calls `dual_simplex` to restore primal
-    feasibility.  Storage doubles when full, up to `max_rows` rows."""
+    feasibility.  `primal_simplex` goes the other way, from a primal
+    feasible basis with no free column.  Storage doubles when full, up to
+    `max_rows` rows."""
 
     def __init__(self, c, free=(), max_rows=10000):
         self.n = len(c)
@@ -325,14 +227,16 @@ class Tableau:
         costs = np.zeros(cols)
         is_free = np.zeros(cols, dtype=bool)
         basis = np.zeros(rows, dtype=int)
+        scales = np.ones(rows)
         if self.m:
             used = 1 + self.n + self.m
             buf[:self.m, :used] = self.buf[:self.m, :used]
             costs[:used] = self.costs[:used]
             is_free[:used] = self.is_free[:used]
             basis[:self.m] = self.basis[:self.m]
+            scales[:self.m] = self.scales[:self.m]
         self.buf, self.costs, self.is_free = buf, costs, is_free
-        self.basis = basis
+        self.basis, self.scales = basis, scales
 
     def _tableau(self):
         return self.buf[:self.m, :1 + self.n + self.m]
@@ -360,6 +264,7 @@ class Tableau:
             row -= row[cols] @ self.buf[basics, :used]
             row[cols] = 0.0
         self.basis[self.m] = used - 1
+        self.scales[self.m] = scale
         self.m += 1
         return self.m - 1
 
@@ -389,6 +294,37 @@ class Tableau:
             enter = cand[(ratios <= ratios.min() + 1e-12).argmax()]
             _pivot(T, basis, leave, enter)
         return ITERATION_LIMIT
+
+    def primal_simplex(self):
+        """Primal simplex from a primal feasible basis, by Bland's rule:
+        the entering column is the lowest-index one of negative reduced
+        cost, the leaving row the minimum-ratio one whose basic column has
+        the lowest index.  Returns (OPTIMAL, None), (UNBOUNDED, j) with j
+        the entering variable that no row limits, or (ITERATION_LIMIT,
+        None)."""
+        T = self._tableau()
+        basis = self.basis[:self.m]
+        for _ in range(_MAX_ITERS):
+            improving = (self._reduced_costs()[1:] < -_TOL).nonzero()[0]
+            if not improving.size:
+                return OPTIMAL, None
+            enter = improving[0] + 1
+            rows = (T[:, enter] > _TOL).nonzero()[0]
+            if not rows.size:
+                return UNBOUNDED, enter - 1
+            ratios = T[rows, 0] / T[rows, enter]
+            ties = rows[ratios <= ratios.min() + 1e-12]
+            _pivot(T, basis, ties[np.argmin(basis[ties])], enter)
+        return ITERATION_LIMIT, None
+
+    def _reduced_costs(self):
+        T = self._tableau()
+        return self.costs[:T.shape[1]] - self.costs[self.basis[:self.m]] @ T
+
+    def duals(self):
+        """d(objective)/d(b) for each row's unscaled b: minus its slack's
+        reduced cost over the row's `add_row` scale."""
+        return -self._reduced_costs()[1 + self.n:] / self.scales[:self.m]
 
     def solution(self):
         """The basic solution's x."""

@@ -327,12 +327,12 @@ def test_classify_certificate_above_alpha_max_via_separation(tmp_path):
     assert code == 0 and err == ""
     report = json.loads(out)
     assert report["verdict"] == "ValidWithCertificate"
-    assert report["certificate"]["alpha"] == "[19999.982700935143]"
+    assert report["certificate"]["alpha"] == "[19999.982700930348]"
     assert report["certificate"]["verified"] == "ExactPSD"
     assert report["notes"] == [
         "no certificate with alpha <= alpha_max=10000.0",
         "certificate via separation"]
-    alpha = 19999.982700935143
+    alpha = 19999.982700930348
     M = np.array([[2.0, 20000.0 - alpha], [20000.0 - alpha, 2.0]])
     assert np.linalg.eigvalsh(M)[0] > 1.0
 
