@@ -24,8 +24,9 @@ class NotConverged(SlemmaError):
 
 
 class NumericalBreakdown(SlemmaError):
-    """A computation cannot be trusted: the LP solver met a pivot too small
-    to trust or hit its iteration limit, the dual simplex of the
+    """A computation cannot be trusted: a simplex pivot on `linprog.Tableau`
+    was too small to trust, `solve_lp`'s dual (phase 1) or primal (phase
+    2) simplex hit its iteration limit, the dual simplex of the
     certificate search's master LP found no entering column or hit its
-    iteration limit, or a matrix handed to the eigensolver has a non-finite
-    entry."""
+    iteration limit, or a matrix handed to the eigensolver has a
+    non-finite entry."""
