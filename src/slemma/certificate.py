@@ -352,11 +352,11 @@ def find_certificate_via_separation(system, cloud, tol=1e-9, seed=0):
         if check.valid:
             return SearchResult(check=check, outcome=FOUND, rounds=round_idx,
                                 separation=first)
-        fresh = [x for x in _witness_sources(check)
-                 if np.all(np.isfinite(system.image_point(x)))]
+        fresh = [(x, system.image_point(x)) for x in _witness_sources(check)]
+        fresh = [(x, z) for x, z in fresh if np.all(np.isfinite(z))]
         if not fresh:
             break
-        pts = np.array([system.image_point(x) for x in fresh])
-        work = work.extended(pts, np.array(fresh))
+        sources, pts = zip(*fresh)
+        work = work.extended(np.array(pts), np.array(sources))
     return SearchResult(check=check, outcome=REFINEMENT_EXHAUSTED,
                         rounds=REFINE_ROUNDS + 1, separation=first)

@@ -10,8 +10,10 @@ class DimensionMismatch(SlemmaError):
 
 
 class DomainError(SlemmaError):
-    """A function was evaluated outside its domain (log/sqrt of a negative
-    number, division by zero).  Carries the offending subexpression text."""
+    """A function was evaluated outside its domain (division by zero, log
+    of a value <= 0, sqrt of a negative number, 0 to a negative power or a
+    negative base to a fractional one).  Carries the offending
+    subexpression text."""
 
     def __init__(self, message, subexpression=None):
         super().__init__(message)

@@ -214,105 +214,64 @@ def parse(source, n):
     return Expression(ast, n, source=source)
 
 
-def _eval_scalar(node, x):
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "var":
-        return float(x[node[1]])
-    if kind == "neg":
-        return -_eval_scalar(node[1], x)
-    if kind == "bin":
-        op, left, right = node[1], node[2], node[3]
-        a = _eval_scalar(left, x)
-        b = _eval_scalar(right, x)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero", _node_source(node))
-            return a / b
-        # op == "^"
-        try:
-            return math.pow(a, b)
-        except OverflowError:
-            return math.inf if a > 1 or (a < -1 and b % 2 == 0) else -math.inf
-        except ValueError:
-            reason = (
-                "zero raised to a negative power"
-                if a == 0.0
-                else "fractional power of a negative base"
-            )
-            raise DomainError(reason, _node_source(node)) from None
-    # kind == "call"
-    name, args = node[1], node[2]
-    a = _eval_scalar(args[0], x)
-    if name == "sin":
-        return math.sin(a)
-    if name == "cos":
-        return math.cos(a)
-    if name == "exp":
-        try:
-            return math.exp(a)
-        except OverflowError:
-            return math.inf
-    if name == "log":
-        if a <= 0.0:
-            raise DomainError("log of a non-positive value", _node_source(node))
-        return math.log(a)
-    if name == "sqrt":
-        if a < 0.0:
-            raise DomainError("sqrt of a negative value", _node_source(node))
-        return math.sqrt(a)
-    if name == "abs":
-        return abs(a)
-    b = _eval_scalar(args[1], x)
-    return min(a, b) if name == "min" else max(a, b)
-
-
 def evaluate(e, x):
-    """Value of the expression at x (length n), IEEE semantics; raises
-    DomainError for log/sqrt outside their domain and division by zero."""
-    if len(x) != e.dimension:
+    """Value of the expression at the point x (length n): the bits of x's
+    row in `evaluate_batch`.  Raises DomainError naming the subexpression
+    for a zero divisor, log of a value <= 0, sqrt of a negative value, or
+    an undefined power (0 to a negative power, a negative base to a
+    fractional power)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (e.dimension,):
         raise ValueError(
-            f"point has length {len(x)}, expression has dimension {e.dimension}"
+            f"point has length {x.size}, expression has dimension {e.dimension}"
         )
-    return _eval_scalar(e.ast, x)
+    with np.errstate(all="ignore"):
+        return float(_eval_batch(e.ast, x[None], True)[0])
 
 
-def _eval_batch(node, X):
+_OPERATIONS = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+    "^": np.power, "min": np.minimum, "max": np.maximum, "sin": np.sin,
+    "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
+    "abs": np.abs,
+}
+
+
+def _eval_batch(node, X, strict):
+    """Values of the AST node at the rows of X.  With `strict` a domain
+    fault raises DomainError; without, its rows come back non-finite."""
     kind = node[0]
     if kind == "num":
         return np.full(X.shape[0], node[1])
     if kind == "var":
         return X[:, node[1]]
     if kind == "neg":
-        return -_eval_batch(node[1], X)
-    if kind == "bin":
-        op = node[1]
-        a = _eval_batch(node[2], X)
-        b = _eval_batch(node[3], X)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a / b
-        return np.power(a, b)
-    name, args = node[1], node[2]
-    a = _eval_batch(args[0], X)
-    if name in ("min", "max"):
-        b = _eval_batch(args[1], X)
-        return np.minimum(a, b) if name == "min" else np.maximum(a, b)
-    fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
-          "sqrt": np.sqrt, "abs": np.abs}[name]
-    return fn(a)
+        return -_eval_batch(node[1], X, strict)
+    op = node[1]
+    operands = node[2:] if kind == "bin" else node[2]
+    args = [_eval_batch(a, X, strict) for a in operands]
+    if strict:
+        reason = _domain_fault(op, *args)
+        if reason:
+            raise DomainError(reason, _node_source(node))
+    return _OPERATIONS[op](*args)
+
+
+def _domain_fault(op, a, b=None):
+    """Why some row of `a op b` (or `op(a)`) is undefined, or None."""
+    if op == "/" and np.any(b == 0.0):
+        return "division by zero"
+    if op == "^":
+        finite = np.isfinite(b)
+        if np.any(finite & (a == 0.0) & (b < 0.0)):
+            return "zero raised to a negative power"
+        if np.any(finite & np.isfinite(a) & (a < 0.0) & (b != np.floor(b))):
+            return "fractional power of a negative base"
+    if op == "log" and np.any(a <= 0.0):
+        return "log of a non-positive value"
+    if op == "sqrt" and np.any(a < 0.0):
+        return "sqrt of a negative value"
+    return None
 
 
 def evaluate_batch(e, X):
@@ -321,7 +280,7 @@ def evaluate_batch(e, X):
     skipped points."""
     X = np.asarray(X, dtype=float)
     with np.errstate(all="ignore"):
-        out = _eval_batch(e.ast, X)
+        out = _eval_batch(e.ast, X, False)
     return np.asarray(out, dtype=float)
 
 

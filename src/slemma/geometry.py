@@ -8,7 +8,8 @@ every "disjoint" finding here is sample-level only; reports always carry
 N, R and the seed that scope the claim.
 """
 
-from contextlib import suppress
+import os
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -622,14 +623,11 @@ def conjecture_scan(count, n, seed, budget=24, cloud_size=1024, trials=400):
 
 def export_cloud(cloud, target):
     """Write the cloud as text: a header line then one point per line,
-    z columns first, source columns after, space-separated."""
-    close = False
-    if isinstance(target, (str, bytes)):
-        handle = open(target, "w", encoding="utf-8")
-        close = True
-    else:
-        handle = target
-    try:
+    z columns first, source columns after, space-separated.  `target` is
+    a path (str, bytes or os.PathLike) or an open text stream."""
+    is_path = isinstance(target, (str, bytes, os.PathLike))
+    with (open(target, "w", encoding="utf-8") if is_path
+          else nullcontext(target)) as handle:
         handle.write(
             f"# p={cloud.p} n={cloud.n} R={cloud.box_radius!r} "
             f"seed={cloud.seed} N={cloud.size}\n"
@@ -637,9 +635,6 @@ def export_cloud(cloud, target):
         for z, x in zip(cloud.points, cloud.sources):
             cols = [repr(float(v)) for v in z] + [repr(float(v)) for v in x]
             handle.write(" ".join(cols) + "\n")
-    finally:
-        if close:
-            handle.close()
 
 
 def load_cloud(path):

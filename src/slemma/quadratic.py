@@ -59,11 +59,12 @@ class QuadraticFunction:
 
 
 def evaluate_quadratic(q, x):
-    """1/2 x^T Q x + c^T x + d at a single point."""
+    """1/2 x^T Q x + c^T x + d at a single point, from the stacked kernel
+    (`QuadraticStack`) that evaluates every system's quadratics."""
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (q.n,):
         raise DimensionMismatch(f"point has length {x.shape[0]}, expected {q.n}")
-    return float(0.5 * x @ q.Q @ x + q.c @ x + q.d)
+    return float(QuadraticStack([q]).evaluate(x[None])[0][0, 0])
 
 
 def evaluate_quadratic_batch(q, X):

@@ -15,7 +15,8 @@ from .quadratic import QuadraticFunction, QuadraticStack
 
 ALL_QUADRATIC = "AllQuadratic"
 MIXED = "Mixed"
-# central-difference step of an expression's gradient
+# relative central-difference step of an expression's gradient: the step
+# in x_j is FD_STEP * max(1, |x_j|)
 FD_STEP = 1e-5
 
 
@@ -64,10 +65,6 @@ class FunctionSystem:
             not np.any(f.Q) for f in self.functions
         )
 
-    def value(self, i, x):
-        """f_i(x) at a single point (i = 0 is the objective)."""
-        return self.functions[i](x)
-
     @cached_property
     def _quadratics(self):
         """(stacked kernel, columns) of the quadratic functions; built on
@@ -105,10 +102,8 @@ class FunctionSystem:
         return vals, grads
 
     def values(self, x):
-        """(f0(x), ..., fp(x)) at a single point.  An all-quadratic system
-        gives exactly the bits of the point's row in `values_batch`."""
-        if not self.is_quadratic:
-            return np.array([f(x) for f in self.functions])
+        """(f0(x), ..., fp(x)) at a single point: exactly the bits of the
+        point's row in `values_batch`, an out-of-domain value non-finite."""
         x = np.asarray(x, dtype=float).ravel()
         if x.shape != (self.n,):
             raise DimensionMismatch(
@@ -124,13 +119,15 @@ class FunctionSystem:
         """(values, gradients) of f_first..f_p at the rows of X, shaped
         (m, k) and (m, k, n) with k = p+1-first.  A quadratic's gradient
         is Q x + c from the stacked kernel; an expression's is a central
-        difference with step FD_STEP, a non-finite difference reading 0."""
+        difference with step FD_STEP * max(1, |x_j|) in x_j over the width
+        its probes span after rounding, a non-finite difference reading
+        0."""
         return self._evaluate(X, first, True)
 
     def image_point(self, x):
-        """z(x) = (f0(x), -f1(x), ..., -fp(x))."""
-        vals = self.values(x)
-        z = vals.copy()
+        """z(x) = (f0(x), -f1(x), ..., -fp(x)): the point's row of
+        `image_batch`."""
+        z = self.values(x)
         z[1:] *= -1.0
         return z
 
@@ -146,14 +143,16 @@ def _expression_batch(f, X, gradients):
     if not gradients:
         return expr_mod.evaluate_batch(f, X), None
     m, n = X.shape
+    steps = FD_STEP * np.maximum(1.0, np.abs(X))
+    up, down = X + steps, X - steps
     points = np.repeat(X[None], 2 * n + 1, axis=0)
     for j in range(n):
-        points[2 * j + 1, :, j] += FD_STEP
-        points[2 * j + 2, :, j] -= FD_STEP
+        points[2 * j + 1, :, j] = up[:, j]
+        points[2 * j + 2, :, j] = down[:, j]
     vals = expr_mod.evaluate_batch(f, points.reshape(-1, n)).reshape(
         2 * n + 1, m)
     with np.errstate(invalid="ignore"):  # out of domain: inf - inf
-        grads = (vals[1::2] - vals[2::2]).T / (2.0 * FD_STEP)
+        grads = (vals[1::2] - vals[2::2]).T / (up - down)
     grads[~np.isfinite(grads)] = 0.0
     return vals[0], grads
 

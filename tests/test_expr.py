@@ -116,7 +116,26 @@ def test_batch_matches_scalar():
     X = SplitMix64(5).uniform_box(3.0, 2, 50)
     batch = evaluate_batch(e, X)
     for i in range(50):
-        assert batch[i] == pytest.approx(evaluate(e, X[i]), abs=1e-12)
+        assert np.float64(evaluate(e, X[i])).tobytes() == batch[i].tobytes()
+
+
+def test_a_point_overflows_and_goes_nan_as_its_batch_row():
+    # 0.5^-2000 overflows to +inf, and sin(inf) is nan, not an exception
+    assert evaluate_batch(parse("0.5^x1", 1), [[-2000.0]])[0] == math.inf
+    assert evaluate(parse("0.5^x1", 1), (-2000.0,)) == math.inf
+    assert math.isnan(evaluate(parse("sin(exp(x1))", 1), (1000.0,)))
+
+
+def test_undefined_powers_raise_domain_errors():
+    with pytest.raises(DomainError) as exc:
+        evaluate(parse("1 + x1^(-1)", 1), (0.0,))
+    assert str(exc.value.subexpression) == "(x1 ^ (-1.0))"
+    with pytest.raises(DomainError) as exc:
+        evaluate(parse("x1^0.5", 1), (-4.0,))
+    assert str(exc.value.subexpression) == "(x1 ^ 0.5)"
+    # an integer power of a negative base is defined
+    assert evaluate(parse("x1^3", 1), (-2.0,)) == -8.0
+    assert not np.isfinite(evaluate_batch(parse("x1^0.5", 1), [[-4.0]])[0])
 
 
 def test_batch_division_min_max_match_scalar():

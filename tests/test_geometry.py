@@ -509,6 +509,15 @@ def test_cloud_export_round_trip(example3, tmp_path):
     assert np.array_equal(loaded.sources, cloud.sources)
 
 
+def test_cloud_export_to_a_path_round_trip(example3, tmp_path):
+    cloud = geo.sample_image(example3, 10.0, 16, 12)
+    path = tmp_path / "cloud.txt"
+    geo.export_cloud(cloud, path)
+    loaded = geo.load_cloud(path)
+    assert np.array_equal(loaded.points, cloud.points)
+    assert np.array_equal(loaded.sources, cloud.sources)
+
+
 def test_export_to_stream(example3):
     cloud = geo.sample_image(example3, 10.0, 4, 11)
     buf = io.StringIO()

@@ -36,8 +36,8 @@ def test_load_example3_matches_coefficients():
     system = pf.system()
     q0 = system.f0
     assert q0.Q.tolist() == [[4.0, 0.0], [0.0, -2.0]]
-    assert system.value(0, [1.0, 0.0]) == 2.0        # 2x^2 - y^2 at (1, 0)
-    assert system.value(1, [2.0, 3.0]) == 5.0        # x + y
+    assert system.values([1.0, 0.0])[0] == 2.0       # 2x^2 - y^2 at (1, 0)
+    assert system.values([2.0, 3.0])[1] == 5.0       # x + y
 
 
 def test_wrong_q_length_rejected():
@@ -78,7 +78,7 @@ def test_linear_entries_round_trip():
     assert data.b0 == 1.0
     system = pf.system()
     assert system.is_linear()
-    assert system.value(0, [2.0]) == 1.0            # <a0, x> - b0
+    assert system.values([2.0])[0] == 1.0           # <a0, x> - b0
 
 
 _MIXED = {
@@ -102,10 +102,10 @@ def test_mixed_entries_build_their_functions():
         system = pf.system()
         assert system.n == 2 and system.p == 2
         x = [1.5, -2.0]
-        assert system.value(0, x) == 1.5 ** 2 + 6.0 + 0.5
-        assert system.value(1, x) == 1.5 + 4.0 - 0.25      # <a, x> - b
+        assert system.values(x)[0] == 1.5 ** 2 + 6.0 + 0.5
+        assert system.values(x)[1] == 1.5 + 4.0 - 0.25     # <a, x> - b
         # 1/2 x^T Q x + c.x + d
-        assert system.value(2, x) == 0.5 * (2 * 2.25 - 6.0) - 2.0 - 1.0
+        assert system.values(x)[2] == 0.5 * (2 * 2.25 - 6.0) - 2.0 - 1.0
 
 
 def test_asymmetric_q_is_a_parse_error(tmp_path):

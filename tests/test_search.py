@@ -13,6 +13,7 @@ import pytest
 
 import slemma
 from slemma import geometry, implication, search
+from slemma.errors import DomainError
 from slemma.expr import parse
 from slemma.implication import (ClassifyConfig, check_slater,
                                 classify_instance, find_counterexample)
@@ -373,10 +374,38 @@ def test_values_batch_skips_leading_columns():
                 full[:, first:]).tobytes()
 
 
+# terms that make a quadratic's expression transcendental, and out of
+# its domain on part of [-6, 6]^n
+_TERMS = (" + sin(x1) * exp(x{n} / 4)", " - log(x1 + 3)",
+          " + sqrt(x{n} + 4) / (x1 - 0.5)", " + abs(x1)^1.5 - min(x1, x{n})")
+
+
+def _systems_of_each_kind(seed, p, n):
+    """`_random_system`, then the same with its odd-indexed functions and
+    then all of them turned into expressions with an added `_TERMS` term:
+    all-quadratic, mixed and all-expression systems."""
+    quad = _random_system(seed, p, n)
+    as_expr = [parse(quadratic_to_source(f) + _TERMS[i % 4].format(n=n), n)
+               for i, f in enumerate(quad.functions)]
+    mixed = [e if i % 2 else f
+             for i, (f, e) in enumerate(zip(quad.functions, as_expr))]
+    return [quad] + [FunctionSystem(n, fs[0], tuple(fs[1:]))
+                     for fs in (mixed, as_expr)]
+
+
+def _same_bits_as_its_value(f, value, x):
+    """f(x) gives `value` bit for bit; an expression raises DomainError
+    where the value is non-finite."""
+    try:
+        assert np.float64(f(x)).tobytes() == value.tobytes()
+    except DomainError:
+        assert not np.isfinite(value)
+
+
 @pytest.mark.parametrize("p", range(5))
 def test_a_point_gets_the_same_bits_alone_and_in_any_batch(p):
-    for n in range(1, 7):
-        system = _random_system(100 * p + n, p, n)
+    for n, system in ((n, s) for n in range(1, 7)
+                      for s in _systems_of_each_kind(100 * p + n, p, n)):
         X = SplitMix64(n).uniform_box(6.0, n, 200)
         full = system.values_batch(X)
         image = system.image_batch(X)
@@ -386,6 +415,8 @@ def test_a_point_gets_the_same_bits_alone_and_in_any_batch(p):
             assert alone.tobytes() == full[i].tobytes()
             assert (system.image_point(X[i]).tobytes()
                     == image[i].tobytes())
+            for f, value in zip(system.functions, alone):
+                _same_bits_as_its_value(f, value, X[i])
         for m in (1, 2, 3, 17):
             vals, grads = system.values_and_gradients(X[5:5 + m])
             assert vals.tobytes() == full[5:5 + m].tobytes()
@@ -426,6 +457,14 @@ def test_expression_gradients_are_central_differences():
     vals, grads = system.values_and_gradients(np.array([[0.0], [4.0]]))
     assert vals[0, 0] == 0.0 and grads[0, 0, 0] == 0.0
     assert grads[1, 0, 0] == pytest.approx(0.25, rel=1e-8)
+
+
+def test_expression_gradient_step_is_relative_to_the_point():
+    # an absolute step of 1e-5 rounds away beside x1 = 1e11 and vanishes
+    # at 1e12, which froze a descending row; the relative step does not
+    system = FunctionSystem(1, parse("-x1", 1))
+    _, grads = system.values_and_gradients(np.array([[1e11], [1e12]]))
+    assert grads[:, 0, 0].tolist() == [-1.0, -1.0]
 
 
 def _loss_gradient_matches_differences(loss, X, smooth, groups=None):
