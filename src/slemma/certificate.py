@@ -152,9 +152,9 @@ class SearchResult:
     check: MultiplierCheck | None = None  # the best (or last) alpha's check
     outcome: str = ""          # extra detail for the separation pipeline
     alpha0: float | None = None
-    witness: object = None
+    witness: object = None     # Farkas route: the alternative x
     rounds: int = 0
-    separation: object = None  # separation route: round-0 SeparatorResult
+    separation: object = None  # separation route: round-0 Separator or None
     upper_bound: float | None = None  # cutting planes: bound on max g
 
     @property
@@ -333,15 +333,14 @@ def find_certificate_via_separation(system, cloud, tol=1e-9, seed=0):
     solve that LP again."""
     work = cloud
     check = None
-    first = None
     for round_idx in range(REFINE_ROUNDS + 1):
         sep = extract_separator(work, tol)
-        if first is None:
+        if round_idx == 0:
             first = sep
-        if not sep.found:
-            return SearchResult(outcome=NO_SEPARATOR, witness=sep.witness,
-                                rounds=round_idx, separation=first)
-        alpha_full = sep.separator.alpha
+        if sep is None:
+            return SearchResult(outcome=NO_SEPARATOR, rounds=round_idx,
+                                separation=first)
+        alpha_full = sep.alpha
         if alpha_full[0] < SLATER_ALPHA0_MIN:
             return SearchResult(outcome=SLATER_BLOCKED,
                                 alpha0=float(alpha_full[0]),

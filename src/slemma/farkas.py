@@ -98,7 +98,8 @@ def solve(data):
     system_consistent=False either way.  Homogeneous data never reaches
     that branch, since x = 0 is feasible."""
     # minimize <a0, x> subject to a_i . x >= b_i (as -a x <= -b)
-    out = solve_lp(LinearProgram(c=data.a0, a_ub=-data.a, b_ub=-data.b))
+    out = solve_lp(LinearProgram(c=data.a0, a_ub=-data.a, b_ub=-data.b,
+                                 free=range(data.n)))
     if out.status == INFEASIBLE:
         alpha = _inconsistent_multipliers(data)
         if alpha is not None:
@@ -131,7 +132,6 @@ def _inconsistent_multipliers(data):
         b_ub=np.array([-data.b0]),
         a_eq=data.a.T,
         b_eq=data.a0,
-        lower=np.zeros(p),
     )
     out = solve_lp(lp)
     if out.status == OPTIMAL:

@@ -173,7 +173,6 @@ def hull_intersects_k(cloud, tol=1e-9):
         b_ub=np.zeros(dim - 1) if dim > 1 else None,
         a_eq=np.ones((1, count)),
         b_eq=np.ones(1),
-        lower=np.zeros(count),
     )
     out = solve_lp(lp)
     if out.status == INFEASIBLE:
@@ -197,22 +196,13 @@ class Separator:
     delta: float
 
 
-@dataclass
-class SeparatorResult:
-    separator: Separator | None = None
-    witness: HullResult | None = None
-
-    @property
-    def found(self):
-        return self.separator is not None
-
-
 def extract_separator(cloud, tol=1e-9):
     """Best nonnegative separator of the cloud from K.
 
     Maximizes delta subject to <alpha, z_j> >= delta for every cloud point,
-    alpha >= 0 componentwise and sum(alpha) = 1.  A separator exists when
-    the optimum is >= -tol; otherwise the hull witness is returned.
+    alpha >= 0 componentwise and sum(alpha) = 1.  Returns the Separator
+    when the optimum is >= -tol, else None (the hull then meets K; ask
+    `hull_intersects_k` for a witness).
     """
     Z = cloud.points[cloud.frontier]
     count, dim = Z.shape
@@ -220,14 +210,13 @@ def extract_separator(cloud, tol=1e-9):
     c = np.zeros(dim + 1)
     c[-1] = -1.0
     a_ub = np.hstack([-Z, np.ones((count, 1))])
-    lower = np.concatenate([np.zeros(dim), [-np.inf]])
     lp = LinearProgram(
         c=c,
         a_ub=a_ub,
         b_ub=np.zeros(count),
         a_eq=np.concatenate([np.ones(dim), [0.0]])[None, :],
         b_eq=np.ones(1),
-        lower=lower,
+        free=[dim],
     )
     out = solve_lp(lp)
     if out.status != OPTIMAL:  # alpha-simplex is compact, delta is bounded
@@ -235,9 +224,7 @@ def extract_separator(cloud, tol=1e-9):
     alpha = np.maximum(out.y[:-1], 0.0)
     alpha /= np.sum(alpha)
     delta = float(out.y[-1])
-    if delta >= -tol:
-        return SeparatorResult(separator=Separator(alpha=alpha, delta=delta))
-    return SeparatorResult(witness=hull_intersects_k(cloud, tol))
+    return Separator(alpha=alpha, delta=delta) if delta >= -tol else None
 
 
 @dataclass
@@ -470,7 +457,6 @@ class ConvexityViolation:
     z2: np.ndarray
     t: float
     m: np.ndarray
-    search_budget: int
     margin: float
     indices: tuple = (0, 0)
 
@@ -500,7 +486,7 @@ def _verify_endpoint(system, cloud, idx):
 
 
 def falsify_convexity(member, cloud, trials=500, seed=0, eta=1e-3,
-                      system=None, budget=24):
+                      system=None):
     """Chord test against a membership oracle.
 
     Each trial picks two cloud points and t in {0.25, 0.5, 0.75}; if the
@@ -537,7 +523,7 @@ def falsify_convexity(member, cloud, trials=500, seed=0, eta=1e-3,
                     violation=ConvexityViolation(
                         z1=cloud.points[j1].copy(),
                         z2=cloud.points[j2].copy(), t=t, m=m,
-                        search_budget=budget, margin=res.margin,
+                        margin=res.margin,
                         indices=(int(j1), int(j2)),
                     ),
                     trials_run=trial,
@@ -609,7 +595,7 @@ def conjecture_scan(count, n, seed, budget=24, cloud_size=1024, trials=400):
                                        seed=derive_seed(inst_seed, 2))
         result = falsify_convexity(oracle, cloud, trials=trials,
                                    seed=derive_seed(inst_seed, 3),
-                                   system=system, budget=budget)
+                                   system=system)
         entries.append(ConjectureEntry(
             index=index,
             seed=inst_seed,

@@ -29,6 +29,7 @@ UNDETERMINED = "Undetermined"
 
 _SLATER_MIN = 1e-9
 _WITNESS_TOL = 1e-9
+_PENALTY = 1e3        # weight of the counterexample descent's penalty
 
 
 @dataclass
@@ -85,26 +86,26 @@ class CounterexampleResult:
 
 
 def find_counterexample(system, radius=10.0, samples=4096, seed=0,
-                        extra_starts=None, penalty=1e3):
+                        extra_starts=None):
     """Search for x with every f_i >= 0 and f0 < 0.
 
     Box samples are filtered by feasibility, then an 80-step penalized
-    descent minimizing f0 + penalty * sum max(0, -f_i)^2 runs from the 20
+    descent minimizing f0 + 1e3 * sum max(0, -f_i)^2 runs from the 20
     best seeds.  Acceptance is exact: f_i(x) >= -1e-9 for all i, f0(x) < -1e-9.
     """
 
     def penalized(X):
-        # gradient: grad f0 - 2 penalty sum_i max(0, -f_i) grad f_i
+        # gradient: grad f0 - 2 _PENALTY sum_i max(0, -f_i) grad f_i
         vals, grads = system.values_and_gradients(X)
         weights = np.ones_like(vals)
         pen = 0.0
         if system.p:
             viol = -vals[:, 1:]
             np.maximum(viol, 0.0, out=viol)
-            np.multiply(viol, -2.0 * penalty, out=weights[:, 1:])
+            np.multiply(viol, -2.0 * _PENALTY, out=weights[:, 1:])
             viol *= viol
             pen = np.add.reduce(viol, axis=1)
-        value = vals[:, 0] + penalty * pen
+        value = vals[:, 0] + _PENALTY * pen
         if not all_finite(vals):
             out = ~np.isfinite(vals).all(1)
             value[out], weights[out] = np.inf, 0.0
@@ -190,7 +191,7 @@ class GeometryEvidence:
     k_members: int | None = None
     cloud_size: int | None = None
     hull: geometry.HullResult | None = None
-    separator: geometry.SeparatorResult | None = None
+    separator: geometry.Separator | None = None
     epi_falsify: geometry.FalsifyResult | None = None
     conical_falsify: geometry.FalsifyResult | None = None
 
@@ -273,28 +274,25 @@ def separation_stage(system, config, cloud):
 
 def gather_evidence(system, config, cloud, separator):
     """K members, hull, separator and the epi and conical falsifiers on
-    `cloud`.  `separator` is extract_separator's result on this same cloud;
-    when no separator exists its witness already is the hull answer."""
+    `cloud`.  `separator` is extract_separator's answer on this same cloud
+    (a Separator, or None when none exists); the hull LP is solved here."""
     ev = GeometryEvidence(computed=True)
     ev.cloud_size = cloud.size
     ev.k_members = int(len(geometry.cloud_k_members(cloud)))
-    ev.hull = (geometry.hull_intersects_k(cloud, tol=config.psd_tol)
-               if separator.found else separator.witness)
+    ev.hull = geometry.hull_intersects_k(cloud, tol=config.psd_tol)
     ev.separator = separator
     epi = geometry.epi_membership_oracle(
         system, cloud, budget=config.member_budget,
         seed=derive_seed(config.seed, 5))
     ev.epi_falsify = geometry.falsify_convexity(
         epi, cloud, trials=config.falsify_trials,
-        seed=derive_seed(config.seed, 6), eta=config.eta, system=system,
-        budget=config.member_budget)
+        seed=derive_seed(config.seed, 6), eta=config.eta, system=system)
     conical = geometry.conical_membership_oracle(
         system, cloud, budget=config.member_budget,
         seed=derive_seed(config.seed, 7))
     ev.conical_falsify = geometry.falsify_convexity(
         conical, cloud, trials=max(1, config.falsify_trials // 10),
-        seed=derive_seed(config.seed, 8), eta=config.eta, system=system,
-        budget=config.member_budget)
+        seed=derive_seed(config.seed, 8), eta=config.eta, system=system)
     return ev
 
 
@@ -309,8 +307,7 @@ def image_geometry(system, config):
         seed=derive_seed(config.seed, 11))
     image_falsify = geometry.falsify_convexity(
         identity, cloud, trials=config.falsify_trials,
-        seed=derive_seed(config.seed, 12), eta=config.eta, system=system,
-        budget=config.member_budget)
+        seed=derive_seed(config.seed, 12), eta=config.eta, system=system)
     return cloud, ev, image_falsify
 
 

@@ -2,10 +2,11 @@
 
 `solve_lp` solves   minimize c^T y
                     subject to  a_ub @ y <= b_ub,  a_eq @ y == b_eq,
-                                lower <= y <= upper   (entries may be infinite)
+                                y >= 0 except on the columns in `free`
 
-It rewrites the LP onto nonnegative variables, puts every inequality, and
-each equality as two opposite inequalities, in one `Tableau` with its slack
+the convention `Tableau` uses too.  It splits each free y_j into two
+nonnegative columns, y_j = x_j+ - x_j-, puts every inequality, and each
+equality as two opposite inequalities, in one `Tableau` with its slack
 basic, and solves it in two phases.  Phase 1 runs the dual simplex on zero
 costs, where every basis is dual feasible, so it ends at a feasible basis or
 at a row that proves there is none.  Phase 2 sets the real costs and runs the
@@ -42,25 +43,27 @@ _MAX_ITERS = 100000
 
 @dataclass
 class LinearProgram:
+    """min c.y subject to a_ub @ y <= b_ub and a_eq @ y == b_eq, with
+    y >= 0 except on the columns in `free`."""
+
     c: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    free: tuple
 
     def __init__(self, c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
-                 lower=None, upper=None):
+                 free=()):
         c = np.asarray(c, dtype=float).ravel()
         m = c.shape[0]
         self.c = c
         self.a_ub, self.b_ub = _rows(a_ub, b_ub, m, "a_ub")
         self.a_eq, self.b_eq = _rows(a_eq, b_eq, m, "a_eq")
-        self.lower = _bound(lower, m, -np.inf)
-        self.upper = _bound(upper, m, np.inf)
-        if np.any(self.lower > self.upper):
-            raise DimensionMismatch("some lower bound exceeds its upper bound")
+        self.free = tuple(sorted({int(j) for j in free}))
+        if self.free and not 0 <= self.free[0] <= self.free[-1] < m:
+            raise DimensionMismatch(
+                f"free columns {self.free} outside 0..{m - 1}")
         if self.a_ub.shape[0] + self.a_eq.shape[0] > 10000 or m > 1000:
             raise DimensionMismatch("problem exceeds the supported dense scale")
 
@@ -75,15 +78,6 @@ def _rows(a, b, m, name):
     return a, b
 
 
-def _bound(v, m, default):
-    if v is None:
-        return np.full(m, default)
-    v = np.asarray(v, dtype=float).ravel()
-    if v.shape != (m,):
-        raise DimensionMismatch(f"bound vector has length {v.shape[0]}, expected {m}")
-    return v
-
-
 @dataclass
 class LpOutcome:
     """When UNBOUNDED, y is the basic feasible point the simplex stopped
@@ -95,55 +89,6 @@ class LpOutcome:
     dual_ub: np.ndarray | None = None
     dual_eq: np.ndarray | None = None
     ray: np.ndarray | None = None
-
-
-class _Standardized:
-    """Rewrite onto nonnegative variables x with y = offset + shift @ x."""
-
-    def __init__(self, lp):
-        m = lp.c.shape[0]
-        cols = []          # (orig var, sign) per standard column
-        self.offset = np.zeros(m)
-        extra_rows = []    # (std col, rhs) for two-sided bounds
-        for j in range(m):
-            lo, up = lp.lower[j], lp.upper[j]
-            if np.isfinite(lo):
-                self.offset[j] = lo
-                cols.append((j, 1.0))
-                if np.isfinite(up):
-                    extra_rows.append((len(cols) - 1, up - lo))
-            elif np.isfinite(up):
-                self.offset[j] = up
-                cols.append((j, -1.0))
-            else:
-                cols.append((j, 1.0))
-                cols.append((j, -1.0))
-        self.shift = np.zeros((m, len(cols)))
-        for col, (j, sign) in enumerate(cols):
-            self.shift[j, col] = sign
-
-        self.c = lp.c @ self.shift
-        a_ub = lp.a_ub @ self.shift
-        b_ub = lp.b_ub - lp.a_ub @ self.offset
-        if extra_rows:
-            bound_a = np.zeros((len(extra_rows), len(cols)))
-            bound_b = np.zeros(len(extra_rows))
-            for i, (col, rhs) in enumerate(extra_rows):
-                bound_a[i, col] = 1.0
-                bound_b[i] = rhs
-            a_ub = np.vstack([a_ub, bound_a])
-            b_ub = np.concatenate([b_ub, bound_b])
-        self.a_ub = a_ub
-        self.b_ub = b_ub
-        self.a_eq = lp.a_eq @ self.shift
-        self.b_eq = lp.b_eq - lp.a_eq @ self.offset
-        self.n_user_ub = lp.a_ub.shape[0]
-
-    def to_original(self, x):
-        return self.offset + self.shift @ x
-
-    def ray_to_original(self, x_ray):
-        return self.shift @ x_ray
 
 
 def _pivot(T, basis, row, col):
@@ -164,10 +109,17 @@ def _pivot(T, basis, row, col):
 def solve_lp(lp):
     """Two-phase simplex on one `Tableau`; exact Optimal/Infeasible/
     Unbounded trichotomy."""
-    std = _Standardized(lp)
-    n = std.c.shape[0]
-    a = np.vstack([std.a_ub, std.a_eq, -std.a_eq])
-    b = np.concatenate([std.b_ub, std.b_eq, -std.b_eq])
+    m = lp.c.shape[0]
+    # y = shift @ x: a free y_j is x_j+ - x_j-, in adjacent columns
+    cols = [(j, sign) for j in range(m)
+            for sign in ((1.0, -1.0) if j in lp.free else (1.0,))]
+    n = len(cols)
+    shift = np.zeros((m, n))
+    for k, (j, sign) in enumerate(cols):
+        shift[j, k] = sign
+    a_eq = lp.a_eq @ shift
+    a = np.vstack([lp.a_ub @ shift, a_eq, -a_eq])
+    b = np.concatenate([lp.b_ub, lp.b_eq, -lp.b_eq])
     tab = Tableau(np.zeros(n), max_rows=a.shape[0])
     for row, rhs in zip(a, b):
         tab.add_row(row, rhs)
@@ -175,7 +127,7 @@ def solve_lp(lp):
     # simplex reaches a feasible basis or proves there is none
     status = tab.dual_simplex()
     if status == OPTIMAL:
-        tab.costs[1:n + 1] = std.c
+        tab.costs[1:n + 1] = lp.c @ shift
         status, entering = tab.primal_simplex()
     if status == ITERATION_LIMIT:
         raise NumericalBreakdown("simplex iteration limit reached")
@@ -184,19 +136,19 @@ def solve_lp(lp):
 
     x = tab.solution()
     x[np.abs(x) < 1e-13] = 0.0
-    y = std.to_original(x)
+    y = shift @ x
     if status == UNBOUNDED:
         # the entering variable grows by one and the basic ones follow
         step = np.zeros(1 + n + tab.m)
         step[entering + 1] = 1.0
         step[tab.basis[:tab.m]] = -tab.buf[:tab.m, entering + 1]
         return LpOutcome(status=UNBOUNDED, y=y,
-                         ray=std.ray_to_original(step[1:n + 1]))
+                         ray=shift @ step[1:n + 1])
 
     w = tab.duals()
-    k_ub, k_eq = std.a_ub.shape[0], std.a_eq.shape[0]
+    k_ub, k_eq = lp.a_ub.shape[0], lp.a_eq.shape[0]
     return LpOutcome(status=OPTIMAL, y=y, objective=float(lp.c @ y),
-                     dual_ub=w[:std.n_user_ub],
+                     dual_ub=w[:k_ub],
                      dual_eq=w[k_ub:k_ub + k_eq] - w[k_ub + k_eq:])
 
 

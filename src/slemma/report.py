@@ -145,10 +145,10 @@ def hull_block(parent, hull):
 
 def separator_block(parent, sep):
     block = parent.add_block("separator")
-    if sep.found:
+    if sep is not None:
         block.add("status", "found")
-        block.add("alpha", fvec(sep.separator.alpha))
-        block.add("delta", fnum(sep.separator.delta))
+        block.add("alpha", fvec(sep.alpha))
+        block.add("delta", fnum(sep.delta))
     else:
         block.add("status", "none exists on this cloud")
     return block

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from slemma.linprog import OPTIMAL, LinearProgram, solve_lp
 from slemma.quadratic import QuadraticFunction, evaluate_quadratic_batch
 from slemma.rng import SplitMix64
 from slemma.systems import FunctionSystem
@@ -75,3 +76,19 @@ def brute_force_boxed_lp(c, A, b, lower, upper, tol=1e-9):
     if not np.any(feas):
         return "infeasible", None
     return "optimal", float(np.min(sols[feas] @ c))
+
+
+def solve_boxed_lp(c, A, b, lower, upper=None):
+    """solve_lp on min c.y s.t. A y <= b, lower <= y (<= upper), written
+    on x = y - lower >= 0 with the upper bounds as rows x <= upper - lower;
+    the outcome's y and objective are mapped back to y."""
+    a_ub, b_ub = A, b - A @ lower
+    if upper is not None:
+        a_ub = np.vstack([a_ub, np.eye(c.shape[0])])
+        b_ub = np.concatenate([b_ub, upper - lower])
+    out = solve_lp(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub))
+    if out.y is not None:
+        out.y = lower + out.y
+    if out.status == OPTIMAL:
+        out.objective += float(c @ lower)
+    return out

@@ -12,13 +12,13 @@ import pytest
 
 import slemma
 from conftest import (brute_force_boxed_lp, grid_decides_implication,
-                     random_quadratic)
+                     random_quadratic, solve_boxed_lp)
 from slemma import certificate as cert
 from slemma import geometry as geo
 from slemma.cli import main as cli_main
 from slemma.implication import (INVALID, UNDETERMINED, VALID, ClassifyConfig,
                                 check_slater, classify_instance)
-from slemma.linprog import OPTIMAL, LinearProgram, solve_lp
+from slemma.linprog import OPTIMAL
 from slemma.quadratic import QuadraticFunction, eigen_sym, \
     evaluate_quadratic_batch
 from slemma.rng import SplitMix64, derive_seed
@@ -52,13 +52,13 @@ def test_criterion_1_example3_reproduction(example3_system):
     # (b) identity-membership falsifier finds a violation within 2000 trials
     ident = geo.identity_membership_oracle(system, cloud, budget=16, seed=7)
     res_b = geo.falsify_convexity(ident, cloud, trials=2000, seed=99,
-                                  eta=1e-3, system=system, budget=16)
+                                  eta=1e-3, system=system)
     assert res_b.found and res_b.trials_run <= 2000
 
     # (c) epi-membership falsifier finds none in 2000 trials
     epi = geo.epi_membership_oracle(system, cloud, budget=16, seed=8)
     res_c = geo.falsify_convexity(epi, cloud, trials=2000, seed=100,
-                                  eta=1e-3, system=system, budget=16)
+                                  eta=1e-3, system=system)
     assert not res_c.found
 
     # (d) epi_member succeeds for 50 random targets in [-10, 10]^2
@@ -207,7 +207,7 @@ def test_criterion_5_lp_engine():
         b = rng.uniform(-0.6, 1, k)
         lo = rng.uniform(-2, 0, m)
         up = rng.uniform(0, 2, m)
-        out = solve_lp(LinearProgram(c=c, a_ub=A, b_ub=b, lower=lo, upper=up))
+        out = solve_boxed_lp(c, A, b, lo, up)
         status, obj = brute_force_boxed_lp(c, A, b, lo, up)
         assert out.status == status, trial
         if status == OPTIMAL:

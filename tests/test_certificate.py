@@ -245,7 +245,8 @@ def test_separation_route_no_separator(example3):
     res = cert.find_certificate_via_separation(example3, cloud, seed=6)
     assert not res.found
     assert res.outcome == cert.NO_SEPARATOR
-    assert res.witness is not None and res.witness.intersects
+    assert res.separation is None and res.rounds == 0
+    assert geo.hull_intersects_k(cloud).intersects
 
 
 def test_certificate_text_round_trip():
@@ -460,7 +461,7 @@ def test_warm_master_matches_a_fresh_solve(monkeypatch):
         b = np.array([b for _, b in rows])
         fresh = solve_lp(LinearProgram(
             np.concatenate([np.zeros(p), [-1.0]]), a_ub=A, b_ub=b,
-            lower=np.concatenate([np.zeros(p), [-np.inf]])))
+            free=[p]))
         assert status == fresh.status == OPTIMAL
         x = self.solution()
         assert abs(x[p] + fresh.objective) <= 1e-9 * (1 + abs(x[p]))

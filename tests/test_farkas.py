@@ -154,7 +154,8 @@ def farkas_homogeneous(data):
     for `solve` (its LP and dual helpers written out)."""
     if data.mode != HOMOGENEOUS:
         raise DimensionMismatch("farkas_homogeneous needs Homogeneous data")
-    out = solve_lp(LinearProgram(c=data.a0, a_ub=-data.a, b_ub=-data.b))
+    out = solve_lp(LinearProgram(c=data.a0, a_ub=-data.a, b_ub=-data.b,
+                                 free=range(data.n)))
     if out.status == OPTIMAL:
         # value is 0 at x = 0; duals certify a0 in the cone of the a_i
         return FarkasResult(kind=MULTIPLIERS,

@@ -163,17 +163,26 @@ def test_hull_segment_meets_k():
 
 
 def test_separator_two_point_cloud():
-    res = geo.extract_separator(_cloud_from_points([[1.0, 0.0], [1.0, 1.0]]))
-    assert res.found
-    assert res.separator.delta == pytest.approx(1.0)
-    assert np.sum(res.separator.alpha) == pytest.approx(1.0)
-    assert np.all(res.separator.alpha >= 0)
+    sep = geo.extract_separator(_cloud_from_points([[1.0, 0.0], [1.0, 1.0]]))
+    assert sep is not None
+    assert sep.delta == pytest.approx(1.0)
+    assert np.sum(sep.alpha) == pytest.approx(1.0)
+    assert np.all(sep.alpha >= 0)
 
 
 def test_separator_none_for_k_point():
-    res = geo.extract_separator(_cloud_from_points([[-1.0, -1.0]]))
-    assert not res.found
-    assert res.witness is not None and res.witness.intersects
+    assert geo.extract_separator(_cloud_from_points([[-1.0, -1.0]])) is None
+
+
+def test_no_separator_costs_one_lp(monkeypatch):
+    # the separator question is one LP even when its answer is "none";
+    # the hull witness is hull_intersects_k's own question
+    calls = []
+    real = geo.solve_lp
+    monkeypatch.setattr(geo, "solve_lp",
+                        lambda lp: calls.append(lp) or real(lp))
+    geo.extract_separator(_cloud_from_points([[-1.0, -1.0]]))
+    assert len(calls) == 1
 
 
 def test_hull_disjoint_implies_separator(example3):
@@ -186,8 +195,8 @@ def test_hull_disjoint_implies_separator(example3):
         if hull.intersects:
             continue
         sep = geo.extract_separator(cloud, 1e-9)
-        assert sep.found, trial
-        assert sep.separator.delta >= -1e-9
+        assert sep is not None, trial
+        assert sep.delta >= -1e-9
 
 
 def test_separator_divides_into_multipliers_on_cloud(example3):
@@ -200,12 +209,12 @@ def test_separator_divides_into_multipliers_on_cloud(example3):
     )
     cloud = geo.sample_image(conv, 5.0, 300, 21)
     sep = geo.extract_separator(cloud, 1e-9)
-    assert sep.found
-    alpha_full = sep.separator.alpha
+    assert sep is not None
+    alpha_full = sep.alpha
     assert alpha_full[0] >= 1e-8
     alpha = alpha_full[1:] / alpha_full[0]
     combined = cloud.points @ np.concatenate([[1.0], alpha])
-    assert np.min(combined) >= sep.separator.delta / alpha_full[0] - 1e-7
+    assert np.min(combined) >= sep.delta / alpha_full[0] - 1e-7
 
 
 def test_epi_member_trivial_cases(example3):
@@ -232,7 +241,7 @@ def test_falsify_identity_finds_example3_violation(example3):
     cloud = geo.sample_image(example3, 10.0, 4096, 1)
     oracle = geo.identity_membership_oracle(example3, cloud, budget=16, seed=7)
     res = geo.falsify_convexity(oracle, cloud, trials=2000, seed=99, eta=1e-3,
-                                system=example3, budget=16)
+                                system=example3)
     assert res.found
     v = res.violation
     assert v.margin > 1e-3
@@ -244,7 +253,7 @@ def test_falsify_epi_finds_nothing_on_example3(example3):
     cloud = geo.sample_image(example3, 10.0, 2048, 1)
     oracle = geo.epi_membership_oracle(example3, cloud, budget=16, seed=8)
     res = geo.falsify_convexity(oracle, cloud, trials=500, seed=100, eta=1e-3,
-                                system=example3, budget=16)
+                                system=example3)
     assert not res.found
     assert res.trials_run == 500
 
@@ -255,7 +264,7 @@ def test_falsify_line_image_is_convex():
     for factory in (geo.identity_membership_oracle, geo.epi_membership_oracle):
         oracle = factory(line, cloud, budget=8, seed=1)
         res = geo.falsify_convexity(oracle, cloud, trials=60, seed=2, eta=1e-3,
-                                    system=line, budget=8)
+                                    system=line)
         assert not res.found
 
 
@@ -481,7 +490,7 @@ def test_triple_with_zero_third_component_stays_convex(example3):
     assert np.allclose(cloud.points[:, 2], 0.0)
     oracle = geo.epi_membership_oracle(triple, cloud, budget=8, seed=14)
     res = geo.falsify_convexity(oracle, cloud, trials=120, seed=15, eta=1e-3,
-                                system=triple, budget=8)
+                                system=triple)
     assert not res.found
 
 

@@ -1,29 +1,27 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_boxed_lp
+from conftest import brute_force_boxed_lp, solve_boxed_lp
 from slemma.errors import DimensionMismatch
 from slemma.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
                             Tableau, solve_lp)
 
 
 def test_simple_maximization():
-    out = solve_lp(LinearProgram(c=[-1.0], a_ub=[[1.0]], b_ub=[1.0],
-                                 lower=[0.0]))
+    out = solve_lp(LinearProgram(c=[-1.0], a_ub=[[1.0]], b_ub=[1.0]))
     assert out.status == OPTIMAL
     assert out.y[0] == pytest.approx(1.0)
     assert out.objective == pytest.approx(-1.0)
 
 
 def test_infeasible():
-    out = solve_lp(LinearProgram(c=[0.0], a_ub=[[1.0]], b_ub=[-1.0],
-                                 lower=[0.0]))
+    out = solve_lp(LinearProgram(c=[0.0], a_ub=[[1.0]], b_ub=[-1.0]))
     assert out.status == INFEASIBLE
 
 
 def test_simplex_face():
     out = solve_lp(LinearProgram(c=[-1.0, -1.0], a_ub=[[1.0, 1.0]],
-                                 b_ub=[1.0], lower=[0.0, 0.0]))
+                                 b_ub=[1.0]))
     assert out.status == OPTIMAL
     assert out.objective == pytest.approx(-1.0)
     assert np.all(out.y >= -1e-12)
@@ -31,7 +29,7 @@ def test_simplex_face():
 
 
 def test_unbounded_with_ray():
-    out = solve_lp(LinearProgram(c=[-1.0], lower=[0.0]))
+    out = solve_lp(LinearProgram(c=[-1.0]))
     assert out.status == UNBOUNDED
     assert out.ray is not None
     assert float(np.dot([-1.0], out.ray)) < 0
@@ -40,32 +38,35 @@ def test_unbounded_with_ray():
 def test_unbounded_free_equality():
     # y1 - y2 = 3 with min y1 + y2 runs to -infinity
     out = solve_lp(LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, -1.0]],
-                                 b_eq=[3.0]))
+                                 b_eq=[3.0], free=[0, 1]))
     assert out.status == UNBOUNDED
     assert abs(np.dot([1.0, -1.0], out.ray)) < 1e-9
     assert np.dot([1.0, 1.0], out.ray) < 0
 
 
 def test_equality_and_bounds():
-    out = solve_lp(LinearProgram(c=[1.0, -2.0], lower=[-1.0, -1.0],
-                                 upper=[2.0, 2.0]))
+    # -1 <= y <= 2 as y = -1 + x with x >= 0 and the rows x <= 3
+    out = solve_boxed_lp(np.array([1.0, -2.0]), np.zeros((0, 2)),
+                         np.zeros(0), np.array([-1.0, -1.0]),
+                         np.array([2.0, 2.0]))
     assert out.status == OPTIMAL
     assert out.y.tolist() == [-1.0, 2.0]
     assert out.objective == pytest.approx(-5.0)
 
 
 def test_equality_row_dual():
-    out = solve_lp(LinearProgram(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0],
-                                 lower=[0.0, 0.0]))
+    out = solve_lp(LinearProgram(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]))
     assert out.status == OPTIMAL
     assert out.y.tolist() == [1.0, 0.0]
     # objective moves one-for-one with the equality rhs
     assert out.dual_eq[0] == pytest.approx(1.0)
 
 
-def test_bad_bounds_rejected():
-    with pytest.raises(DimensionMismatch):
-        LinearProgram(c=[1.0], lower=[2.0], upper=[1.0])
+def test_free_index_out_of_range_rejected():
+    for free in ([2], [-1], [0, 1, 2]):
+        with pytest.raises(DimensionMismatch):
+            LinearProgram(c=[1.0, 1.0], free=free)
+    assert LinearProgram(c=[1.0, 1.0], free=[1, 0, 1]).free == (0, 1)
 
 
 def _random_lp(rng):
@@ -84,7 +85,7 @@ def test_random_lps_match_vertex_enumeration():
     optimal = infeasible = 0
     for _ in range(120):
         c, A, b, lo, up = _random_lp(rng)
-        out = solve_lp(LinearProgram(c=c, a_ub=A, b_ub=b, lower=lo, upper=up))
+        out = solve_boxed_lp(c, A, b, lo, up)
         status, obj = brute_force_boxed_lp(c, A, b, lo, up)
         assert out.status == status
         if status == OPTIMAL:
@@ -102,7 +103,7 @@ def test_unbounded_outcomes_carry_a_feasible_start():
     unbounded = 0
     for _ in range(120):
         c, A, b, lo, _ = _random_lp(rng)
-        out = solve_lp(LinearProgram(c=c, a_ub=A, b_ub=b, lower=lo))
+        out = solve_boxed_lp(c, A, b, lo)
         if out.status != UNBOUNDED:
             continue
         unbounded += 1
@@ -121,8 +122,7 @@ def test_duality_and_complementary_slackness():
         c = rng.uniform(-1, 1, m)
         A = rng.uniform(-1, 1, (k, m))
         b = rng.uniform(0.1, 1, k)      # 0 feasible, duals well defined
-        out = solve_lp(LinearProgram(c=c, a_ub=A, b_ub=b, lower=None,
-                                     upper=None))
+        out = solve_lp(LinearProgram(c=c, a_ub=A, b_ub=b, free=range(m)))
         if out.status != OPTIMAL:
             continue
         checked += 1
@@ -160,7 +160,7 @@ def test_equality_rows_match_vertex_enumeration():
         A_ub = np.vstack([A, np.eye(m), -np.eye(m)])
         b_ub = np.concatenate([b, up, -lo])
         out = solve_lp(LinearProgram(c=c, a_ub=A_ub, b_ub=b_ub,
-                                     a_eq=a_eq, b_eq=b_eq))
+                                     a_eq=a_eq, b_eq=b_eq, free=range(m)))
         status, obj = brute_force_boxed_lp(
             c, np.vstack([A, a, -a]), np.concatenate([b, beta, -beta]),
             lo, up)
@@ -182,10 +182,9 @@ def test_status_stable_under_row_permutation():
     rng = np.random.default_rng(77)
     for trial in range(40):
         c, A, b, lo, up = _random_lp(rng)
-        out1 = solve_lp(LinearProgram(c=c, a_ub=A, b_ub=b, lower=lo, upper=up))
+        out1 = solve_boxed_lp(c, A, b, lo, up)
         perm = rng.permutation(A.shape[0])
-        out2 = solve_lp(LinearProgram(c=c, a_ub=A[perm], b_ub=b[perm],
-                                      lower=lo, upper=up))
+        out2 = solve_boxed_lp(c, A[perm], b[perm], lo, up)
         assert out1.status == out2.status, trial
         if out1.status == OPTIMAL:
             assert out1.objective == pytest.approx(out2.objective, abs=1e-9)

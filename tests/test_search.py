@@ -295,10 +295,10 @@ def _penalized_loss_before(system, penalty):
 def test_search_losses_match_their_former_formulas(monkeypatch, system):
     runs = _spy_on_descents(monkeypatch, search, implication)
     check_slater(system, radius=2.0, samples=16, seed=1)
-    find_counterexample(system, radius=2.0, samples=16, seed=1, penalty=7.0)
+    find_counterexample(system, radius=2.0, samples=16, seed=1)
     monkeypatch.undo()
     references = ([_slater_loss_before(system)] if system.p else []) + [
-        _penalized_loss_before(system, 7.0)]
+        _penalized_loss_before(system, implication._PENALTY)]
     assert len(runs) == len(references)
     X = np.vstack([SplitMix64(2).uniform_box(2.0, system.n, 200),
                    np.zeros((1, system.n))])
