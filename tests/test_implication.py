@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import slemma
-from conftest import random_p1_system
+from conftest import random_p1_system, random_quadratic
 from slemma import certificate as cert
 from slemma import geometry as geo
 from slemma import implication, quadratic
@@ -280,6 +280,11 @@ def test_classify_deterministic_reports(example3):
     assert reps[0] == reps[1]
 
 
+def _verdict_letters(systems):
+    return "".join({INVALID: "I", VALID: "V", UNDETERMINED: "U"}[
+        classify_instance(system).verdict] for system in systems)
+
+
 # classify_instance verdicts on random_p1_system(seed), seeds 0-1499, one
 # letter each: I (Invalid), V (Valid), U (Undetermined); 60 seeds a line
 P1_VERDICTS = (
@@ -312,9 +317,52 @@ P1_VERDICTS = (
 
 
 def test_random_p1_verdicts_are_pinned():
-    got = "".join({INVALID: "I", VALID: "V", UNDETERMINED: "U"}[
-        classify_instance(random_p1_system(seed)).verdict]
-        for seed in range(1500))
+    got = _verdict_letters(random_p1_system(seed) for seed in range(1500))
     assert Counter(got) == {"I": 1296, "V": 201, "U": 3}
     assert [s for s, v in enumerate(got) if v == "U"] == [34, 129, 1330]
     assert got == P1_VERDICTS
+
+
+def _system_of(rng, p, n):
+    functions = [random_quadratic(rng, n) for _ in range(p + 1)]
+    return FunctionSystem(n, functions[0], tuple(functions[1:]))
+
+
+def _p3_system(s):
+    """p = 3 on n = 2..4, drawn from SplitMix64(10000 + s)."""
+    rng = SplitMix64(10000 + s)
+    return _system_of(rng, 3, 2 + int(rng.randint(3)))
+
+
+def _p2to4_system(s):
+    """p and n in 2..4, drawn from SplitMix64(20000 + s)."""
+    rng = SplitMix64(20000 + s)
+    p = 2 + int(rng.randint(3))
+    return _system_of(rng, p, 2 + int(rng.randint(3)))
+
+
+# classify_instance verdicts on _p3_system(s), s = 0-59, and on
+# _p2to4_system(s), s = 0-299, lettered as P1_VERDICTS
+P3_VERDICTS = "IIIIVIIIVIIIIIVIIIIIIVIVVVIIIIIIIIIIIVVIIIVIUIIIIIIIIVIIIIII"
+P2TO4_VERDICTS = (
+    "IIIIIUIIIIUIIVVIIIIVIIIIIIIIIIIIIIIVIIIIIIVIIIIIIIUIIVIIIIII"
+    "IIIIIIIIVVIVIIIVIIIIIIIIIIIVVVVIIVIIIIIIVIIIIVIIIIIIIVVIVIII"
+    "IVIIIIIIIIIVIIIIIIIIIVIIIVIIIIIIVIIVUIIIIIIIVIIIVIIIIIIIUIVV"
+    "IIIIIIUIIIVIIUIIIIIIIIIIIIIIIIIIVIIIIIIIIUIIIIIIUIIIIIIIIIII"
+    "IIIIIIIVIIIIIIVVIIIIIIIVIIIIIVIIIIIIIVIIIIIIIVIIIIIUIIIIIIIV"
+)
+
+
+def test_random_p3_verdicts_are_pinned():
+    got = _verdict_letters(_p3_system(s) for s in range(60))
+    assert Counter(got) == {"I": 48, "V": 11, "U": 1}
+    assert [s for s, v in enumerate(got) if v == "U"] == [44]
+    assert got == P3_VERDICTS
+
+
+def test_random_p2to4_verdicts_are_pinned():
+    got = _verdict_letters(_p2to4_system(s) for s in range(300))
+    assert Counter(got) == {"I": 250, "V": 40, "U": 10}
+    assert [s for s, v in enumerate(got) if v == "U"] == [
+        5, 10, 50, 156, 176, 186, 193, 221, 228, 291]
+    assert got == P2TO4_VERDICTS
