@@ -17,7 +17,7 @@ from . import farkas as farkas_mod
 from . import geometry
 from .errors import NotConverged, NumericalBreakdown, SlemmaError
 from .rng import SplitMix64, derive_seed
-from .search import all_finite, descend, sample_and_descend, smallest
+from .search import all_finite, descend, smallest
 from .systems import FunctionSystem
 
 SLATER_POINT = "SlaterPoint"
@@ -43,24 +43,42 @@ class SlaterResult:
         return self.status == SLATER_POINT
 
 
-def check_slater(system, radius=10.0, samples=2048, seed=0):
-    """Point with every constraint strictly positive (min f_i > 1e-9).
-
-    p = 0 is vacuously Slater at the origin."""
-    if system.p == 0:
-        return SlaterResult(status=SLATER_POINT, x0=np.zeros(system.n),
-                            min_constraint_value=np.inf)
+def slater_loss(system):
+    """The Slater search's loss: -min_i f_i, with the gradient of the
+    first least f_i; a non-finite constraint reads -inf, so its row +inf.
+    f0 is not evaluated, as it need not be defined at a Slater point."""
 
     def loss(X):
-        # -min_i f_i, whose gradient is that of the first least f_i
         vals, grads = system.values_and_gradients(X, first=1)
         if not all_finite(vals):
             vals = np.where(np.isfinite(vals), vals, -np.inf)
         rows, least = np.arange(X.shape[0]), np.argmin(vals, axis=1)
         return -vals[rows, least], -grads[rows, least]
 
-    X, _ = sample_and_descend(loss, system.n, radius, samples, seed,
-                              keep=10, steps=60)
+    return loss
+
+
+def check_slater(system, radius=10.0, samples=2048, seed=0):
+    """Point with every constraint strictly positive (min f_i > 1e-9).
+
+    The box sample is ranked by its least constraint.  When the top
+    sample already clears 1e-9 it is the Slater point, since a descent
+    from it would only raise its margin; otherwise a 60-step descent of
+    `slater_loss` runs from the 10 best samples.  p = 0 is vacuously
+    Slater at the origin."""
+    if system.p == 0:
+        return SlaterResult(status=SLATER_POINT, x0=np.zeros(system.n),
+                            min_constraint_value=np.inf)
+
+    X = SplitMix64(seed).uniform_box(radius, system.n, samples)
+    vals = system.values_batch(X, first=1)
+    least = np.min(np.where(np.isfinite(vals), vals, -np.inf), axis=1)
+    top = smallest(-least, 10)
+    if top.size and least[top[0]] > _SLATER_MIN:
+        return SlaterResult(status=SLATER_POINT, x0=X[top[0]],
+                            min_constraint_value=float(least[top[0]]))
+
+    X, _ = descend(slater_loss(system), X[top], steps=60, box_radius=radius)
     best_margin = -np.inf
     # the constraints alone, as in the loss: f0 need not be defined
     for x0, vals in zip(X, system.values_batch(X, first=1)):
@@ -85,14 +103,9 @@ class CounterexampleResult:
     closest_miss_f0: float | None = None
 
 
-def find_counterexample(system, radius=10.0, samples=4096, seed=0,
-                        extra_starts=None):
-    """Search for x with every f_i >= 0 and f0 < 0.
-
-    Box samples are filtered by feasibility, then an 80-step penalized
-    descent minimizing f0 + 1e3 * sum max(0, -f_i)^2 runs from the 20
-    best seeds.  Acceptance is exact: f_i(x) >= -1e-9 for all i, f0(x) < -1e-9.
-    """
+def penalized_loss(system):
+    """The counterexample search's loss: f0 + _PENALTY sum_i max(0, -f_i)^2,
+    +inf where any f_i is not finite."""
 
     def penalized(X):
         # gradient: grad f0 - 2 _PENALTY sum_i max(0, -f_i) grad f_i
@@ -111,6 +124,20 @@ def find_counterexample(system, radius=10.0, samples=4096, seed=0,
             value[out], weights[out] = np.inf, 0.0
         return value, np.einsum("ij,ijk->ik", weights, grads)
 
+    return penalized
+
+
+def find_counterexample(system, radius=10.0, samples=4096, seed=0,
+                        extra_starts=None):
+    """Search for x with every f_i >= 0 and f0 < 0.
+
+    Acceptance is exact: f_i(x) >= -1e-9 for all i, f0(x) < -1e-9.  When
+    a box sample is feasible with f0 < -1e-9, the least such f0 is the
+    counterexample (Theorem 2, Eq. (1): z(x) lies in K); a descent from it
+    would keep it in the candidate pool.  Otherwise an 80-step descent of
+    `penalized_loss` runs from the 20 best feasible samples by f0, topped
+    up with the least infeasible, after any `extra_starts`.
+    """
     rng = SplitMix64(seed)
     X = rng.uniform_box(radius, system.n, samples)
     vals = system.values_batch(X)
@@ -124,6 +151,13 @@ def find_counterexample(system, radius=10.0, samples=4096, seed=0,
     if np.any(feasible):
         idx = int(np.argmin(np.where(feasible, f0, np.inf)))
         closest_x, closest_f0 = X[idx], float(f0[idx])
+        if closest_f0 < -_WITNESS_TOL:
+            min_c = float(vals[idx, 1:].min()) if system.p else np.inf
+            return CounterexampleResult(found=True, x=closest_x,
+                                        f0_value=closest_f0,
+                                        min_constraint=min_c,
+                                        closest_miss_x=closest_x,
+                                        closest_miss_f0=closest_f0)
 
     # starts: best feasible by f0, topped up with the least infeasible
     score = np.where(feasible, f0, np.inf)
@@ -140,8 +174,8 @@ def find_counterexample(system, radius=10.0, samples=4096, seed=0,
     if not starts:
         starts = [np.zeros(system.n)]
 
-    refined, _ = descend(penalized, np.array(starts), steps=80,
-                         box_radius=radius)
+    refined, _ = descend(penalized_loss(system), np.array(starts),
+                         steps=80, box_radius=radius)
     # the penalized descent may trade a whisker of feasibility for
     # objective, so the undescended starts stay in the candidate pool
     candidates = np.vstack([refined, np.array(starts)])

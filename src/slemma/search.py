@@ -1,8 +1,10 @@
 """Box sampling and gradient descent shared by all searches.
 
-Every search in the toolkit follows the same recipe: draw points uniformly
-from [-R, R]^n with a seeded splitmix64 stream, keep the most promising
-ones, then run a batched gradient descent.  A loss maps an (m, n) array
+Every search in the toolkit draws points uniformly from [-R, R]^n with a
+seeded splitmix64 stream, keeps the most promising ones, then runs a
+batched gradient descent (`sample_and_descend` is that recipe whole).
+The Slater and counterexample searches first test their sample and
+return without a descent when a sample already decides them.  A loss maps an (m, n) array
 of points to (values, gradients), shaped (m,) and (m, n): it applies the
 chain rule once to the functions' own values and gradients
 (`FunctionSystem.values_and_gradients`), so a descent step evaluates the

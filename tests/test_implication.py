@@ -8,7 +8,7 @@ import slemma
 from conftest import random_p1_system, random_quadratic
 from slemma import certificate as cert
 from slemma import geometry as geo
-from slemma import implication, quadratic
+from slemma import implication, quadratic, search
 from slemma.expr import parse
 from slemma.implication import (INVALID, UNDETERMINED, VALID, ClassifyConfig,
                                 check_slater, classify_instance,
@@ -16,7 +16,7 @@ from slemma.implication import (INVALID, UNDETERMINED, VALID, ClassifyConfig,
 from slemma.linprog import Tableau
 from slemma.problem import load_problem
 from slemma.quadratic import QuadraticFunction
-from slemma.rng import SplitMix64
+from slemma.rng import SplitMix64, derive_seed
 from slemma.systems import FunctionSystem
 
 
@@ -93,23 +93,146 @@ def test_counterexample_none_when_feasible_set_matches_sign():
     assert res.closest_miss_f0 >= -1e-9
 
 
-def test_counterexample_starts_are_in_domain(monkeypatch):
-    # sqrt(x1) is undefined on half the box; no out-of-domain sample may
-    # reach the descent as a start, not even through the top-up
-    system = FunctionSystem(2, parse("sqrt(x1) + 1", 2),
-                            (parse("0.0001 - x2^2", 2),))
-    starts = []
-    original = implication.descend
+def _spy_on_descents(monkeypatch):
+    """The starts of every descent run by the Slater and counterexample
+    searches."""
+    starts, original = [], search.descend
 
     def spy(loss, X0, *args, **kwargs):
         starts.append(np.array(X0))
         return original(loss, X0, *args, **kwargs)
 
-    monkeypatch.setattr(implication, "descend", spy)
+    for module in (implication, search):
+        monkeypatch.setattr(module, "descend", spy)
+    return starts
+
+
+def test_counterexample_starts_are_in_domain(monkeypatch):
+    # sqrt(x1) is undefined on half the box; no out-of-domain sample may
+    # reach the descent as a start, not even through the top-up
+    system = FunctionSystem(2, parse("sqrt(x1) + 1", 2),
+                            (parse("0.0001 - x2^2", 2),))
+    starts = _spy_on_descents(monkeypatch)
     res = find_counterexample(system, seed=3)
     assert not res.found
     assert len(starts) == 1 and starts[0].shape == (20, 2)
     assert np.all(np.isfinite(system.values_batch(starts[0])))
+
+
+def _sample_deciders():
+    """Systems whose box samples hold Slater points and counterexamples."""
+    return [random_p1_system(seed) for seed in range(12)] + [
+        FunctionSystem(2, QuadraticFunction(np.diag([4.0, -2.0]),
+                                            np.zeros(2), 0.0),
+                       (QuadraticFunction(np.zeros((2, 2)), [1.0, 1.0],
+                                          0.0),)),
+        FunctionSystem(2, parse("log(x1) - 1", 2), (parse("x2 + 1", 2),))]
+
+
+def test_a_deciding_sample_runs_no_descent(monkeypatch):
+    starts = _spy_on_descents(monkeypatch)
+    decided = 0
+    for seed, system in enumerate(_sample_deciders()):
+        slater = check_slater(system, seed=seed)
+        cex = find_counterexample(system, seed=seed)
+        retry = find_counterexample(system, seed=seed + 100,
+                                    extra_starts=[np.zeros(system.n)])
+        if slater.found and cex.found and retry.found:
+            decided += 1
+            assert starts == []
+        starts.clear()
+    assert decided >= 8
+
+
+def test_a_deciding_sample_is_the_best_sample():
+    radius, seed = 10.0, 4
+    slaters = counterexamples = 0
+    for system in _sample_deciders():
+        X = SplitMix64(seed).uniform_box(radius, system.n, 2048)
+        vals = system.values_batch(X)
+        least = np.min(vals[:, 1:], axis=1)
+        i = int(np.argmax(np.where(np.isfinite(least), least, -np.inf)))
+        slater = check_slater(system, radius, 2048, seed)
+        if least[i] > 1e-9:
+            slaters += 1
+            assert slater.x0.tobytes() == X[i].tobytes()
+            assert slater.min_constraint_value == least[i] >= 0.0
+        feasible = np.isfinite(vals).all(1) & (least >= 0.0)
+        i = int(np.argmin(np.where(feasible, vals[:, 0], np.inf)))
+        cex = find_counterexample(system, radius, 2048, seed)
+        if feasible[i] and vals[i, 0] < -1e-9:
+            counterexamples += 1
+            assert cex.x.tobytes() == X[i].tobytes()
+            assert cex.f0_value == vals[i, 0]
+            assert cex.min_constraint == least[i] >= 0.0
+            assert cex.closest_miss_x.tobytes() == X[i].tobytes()
+            assert cex.closest_miss_f0 == vals[i, 0]
+    assert slaters >= 8 and counterexamples >= 8
+
+
+def _fields(result):
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in vars(result).items()}
+
+
+# results of searches whose box sample decides nothing, as the descent
+# gave them before a deciding sample ended the searches early
+UNDECIDED_SAMPLES = [
+    ("slater_fail", "slater", {
+        "status": "NotFound", "x0": None,
+        "min_constraint_value": -5.335769271650948e-27}),
+    ("slater_fail", "counterexample", {
+        "found": False, "x": None, "f0_value": None, "min_constraint": None,
+        "closest_miss_x": None, "closest_miss_f0": None}),
+    (34, "slater", {
+        "status": "SlaterPoint",
+        "x0": [-0.007811185096264342, -0.11179379942079899],
+        "min_constraint_value": 0.00214045061942595}),
+    (34, "counterexample", {
+        "found": False, "x": None, "f0_value": None, "min_constraint": None,
+        "closest_miss_x": None, "closest_miss_f0": None}),
+    (129, "counterexample", {
+        "found": False, "x": None, "f0_value": None, "min_constraint": None,
+        "closest_miss_x": [-0.007084291935426515, -0.3526580728146528],
+        "closest_miss_f0": 0.6999597830691434}),
+    (1330, "counterexample", {
+        "found": False, "x": None, "f0_value": None, "min_constraint": None,
+        "closest_miss_x": [-0.6790569120998485, 0.395879964231759,
+                           0.020054277220407417],
+        "closest_miss_f0": 0.23734412476979364}),
+]
+
+
+@pytest.mark.parametrize("name, stage, expected", UNDECIDED_SAMPLES)
+def test_an_undecided_sample_keeps_the_descended_result(monkeypatch, name,
+                                                        stage, expected):
+    # the classifier's Slater and counterexample stages, default config
+    system = (load_problem(CORPUS / f"{name}.json").system()
+              if isinstance(name, str) else random_p1_system(name))
+    config = ClassifyConfig()
+    starts = _spy_on_descents(monkeypatch)
+    if stage == "slater":
+        result = check_slater(system, samples=config.samples // 2,
+                              seed=derive_seed(config.seed, 1))
+    else:
+        result = implication.counterexample_stage(system, config)
+    assert len(starts) == 1
+    assert _fields(result) == expected
+
+
+def test_a_few_samples_that_miss_keep_the_descended_counterexample(
+        monkeypatch, example3):
+    # 3 samples hold no counterexample at seeds 0 and 3; the descent finds
+    # f0 = -100 at the box's edge
+    starts = _spy_on_descents(monkeypatch)
+    for seed, x0, min_c in ((0, 5.086450802540854e-08, 10.000000050864507),
+                            (3, -2.444272707276388e-09, 9.999999997555728)):
+        res = find_counterexample(example3, samples=3, seed=seed)
+        assert _fields(res) == {
+            "found": True, "x": [x0, 10.0], "f0_value": -100.0,
+            "min_constraint": min_c, "closest_miss_x": [x0, 10.0],
+            "closest_miss_f0": -100.0}
+    assert len(starts) == 2
 
 
 def test_classify_convex_case_valid():

@@ -208,17 +208,50 @@ def _random_system(seed, p, n):
         random_quadratic(rng, n) for _ in range(p)))
 
 
+def _search_starts(system, radius, samples, seed):
+    """The rows of the box sample that the Slater and the counterexample
+    searches descend from when it does not decide them: the 10 best by
+    the Slater loss, and the 20 feasible ones with the least f0, topped
+    up with the in-domain infeasible ones of least penalty."""
+    X = SplitMix64(seed).uniform_box(radius, system.n, samples)
+    slater = X[search.smallest(_clean(implication.slater_loss(system)(X)[0]),
+                               10)]
+    vals = system.values_batch(X)
+    infeasible = np.any(vals[:, 1:] < 0.0, axis=1)
+    key = np.where(infeasible,
+                   np.sum(np.maximum(-vals[:, 1:], 0.0) ** 2, axis=1),
+                   vals[:, 0])
+    order = np.lexsort((key, infeasible))
+    order = order[np.isfinite(vals[order]).all(1)][:20]
+    return slater, X[order] if order.size else np.zeros((1, system.n))
+
+
+def _search_descents(system, radius, samples, seed):
+    """(loss, starts, kwargs) of the Slater and counterexample descents."""
+    slater, penalized = _search_starts(system, radius, samples, seed)
+    return [(implication.slater_loss(system), slater,
+             {"steps": 60, "box_radius": radius}),
+            (implication.penalized_loss(system), penalized,
+             {"steps": 80, "box_radius": radius})]
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_one_call_per_iteration_on_the_search_losses(monkeypatch, p):
-    # the Slater and penalized losses exactly as the searches build them
+    # the Slater and penalized losses exactly as the searches build them,
+    # from the starts they pick; the searches that still descend pick them
     runs = _spy_on_descents(monkeypatch, search, implication)
+    descents = []
     for n in range(1, 7):
         system = _random_system(10 * p + n, p, n)
         check_slater(system, samples=64, seed=n)
         find_counterexample(system, samples=64, seed=n)
+        descents += _search_descents(system, 10.0, 64, n)
     monkeypatch.undo()
-    assert len(runs) == 12
-    for loss, X0, kwargs in runs:
+    assert len(descents) == 12
+    for _, X0, kwargs in runs:
+        assert any(X0.tobytes() == start.tobytes() and kwargs == kw
+                   for _, start, kw in descents)
+    for loss, X0, kwargs in descents:
         assert X0.shape[0] >= 3
         _same_as_unstopped(loss, X0, **kwargs)
 
@@ -250,12 +283,9 @@ DOMAIN_SYSTEMS = [
 
 
 @pytest.mark.parametrize("system", DOMAIN_SYSTEMS)
-def test_one_call_per_iteration_out_of_domain(monkeypatch, system):
-    runs = _spy_on_descents(monkeypatch, search, implication)
-    for seed in range(3):
-        check_slater(system, radius=2.0, samples=64, seed=seed)
-        find_counterexample(system, radius=2.0, samples=64, seed=seed)
-    monkeypatch.undo()
+def test_one_call_per_iteration_out_of_domain(system):
+    runs = [run for seed in range(3)
+            for run in _search_descents(system, 2.0, 64, seed)]
     assert len(runs) == 6
     nonfinite = []
     for loss, X0, kwargs in runs:
@@ -292,17 +322,15 @@ def _penalized_loss_before(system, penalty):
 @pytest.mark.parametrize("system", DOMAIN_SYSTEMS + [
     random_p1_system(4), _random_system(3, 3, 2),
     FunctionSystem(2, parse("x1 * x2 - 0 * x1", 2))])
-def test_search_losses_match_their_former_formulas(monkeypatch, system):
-    runs = _spy_on_descents(monkeypatch, search, implication)
-    check_slater(system, radius=2.0, samples=16, seed=1)
-    find_counterexample(system, radius=2.0, samples=16, seed=1)
-    monkeypatch.undo()
+def test_search_losses_match_their_former_formulas(system):
+    losses = ([implication.slater_loss(system)] if system.p else []) + [
+        implication.penalized_loss(system)]
     references = ([_slater_loss_before(system)] if system.p else []) + [
         _penalized_loss_before(system, implication._PENALTY)]
-    assert len(runs) == len(references)
+    assert len(losses) == len(references)
     X = np.vstack([SplitMix64(2).uniform_box(2.0, system.n, 200),
                    np.zeros((1, system.n))])
-    for (loss, _, _), reference in zip(runs, references):
+    for loss, reference in zip(losses, references):
         assert loss(X)[0].tobytes() == reference(X).tobytes()
 
 
@@ -484,13 +512,10 @@ def _loss_gradient_matches_differences(loss, X, smooth, groups=None):
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
-def test_search_loss_gradients_match_their_differences(monkeypatch, p):
-    runs = _spy_on_descents(monkeypatch, search, implication)
+def test_search_loss_gradients_match_their_differences(p):
     system = _random_system(300 + p, p, 3)
-    check_slater(system, samples=64, seed=1)
-    find_counterexample(system, samples=64, seed=1)
-    monkeypatch.undo()
-    (slater, _, _), (penalized, _, _) = runs
+    slater = implication.slater_loss(system)
+    penalized = implication.penalized_loss(system)
     X = SplitMix64(p).uniform_box(4.0, 3, 200)
     vals = system.values_batch(X)
     cons = np.sort(vals[:, 1:], axis=1)
