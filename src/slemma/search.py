@@ -4,15 +4,15 @@ Every search in the toolkit draws points uniformly from [-R, R]^n with a
 seeded splitmix64 stream, keeps the most promising ones, then runs a
 batched gradient descent (`sample_and_descend` is that recipe whole).
 The Slater and counterexample searches first test their sample and
-return without a descent when a sample already decides them.  A loss maps an (m, n) array
-of points to (values, gradients), shaped (m,) and (m, n): it applies the
-chain rule once to the functions' own values and gradients
-(`FunctionSystem.values_and_gradients`), so a descent step evaluates the
-m trial rows and nothing else.  Non-finite values are treated as +inf
-(the point is out of domain), non-finite gradient entries as 0, and no
-row may depend on the other rows of the batch.  The descent stops early
-only once every later iteration would repeat the last one bit for bit,
-so its result is the one the full step budget gives.
+return without a descent when a sample already decides them.  A loss
+maps an (m, n) array of points to (values, gradients), shaped (m,) and
+(m, n): it applies the chain rule once to the functions' own values and
+gradients (`FunctionSystem.values_and_gradients`), so a descent step
+evaluates the m trial rows and nothing else.  Non-finite values are
+treated as +inf (the point is out of domain), non-finite gradient entries
+as 0, and no row may depend on the other rows of the batch.  The descent
+stops early only once every later iteration would repeat the last one
+bit for bit, so its result is the one the full step budget gives.
 """
 
 import numpy as np
