@@ -175,8 +175,8 @@ def _fields(result):
             for k, v in vars(result).items()}
 
 
-# results of searches whose box sample decides nothing, as the descent
-# gave them before a deciding sample ended the searches early
+# searches whose box sample decides nothing: their results come from the
+# descent and are pinned byte for byte (floats in shortest round-trip form)
 UNDECIDED_SAMPLES = [
     ("slater_fail", "slater", {
         "status": "NotFound", "x0": None,
