@@ -4,9 +4,12 @@ The classifier settles each instance as far as honest evidence allows:
 a re-verified counterexample proves the implication false; an exactly
 verified certificate proves it true; everything else stays Undetermined,
 decorated with the geometric evidence (sampled image vs. K, hull
-intersection, separator, convexity falsifiers).  Each stage is one
-function that maps the config to its arguments and owns its seed stream;
-the CLI's single-stage commands call the same functions."""
+intersection, separator, convexity falsifiers).  The counterexample
+search's box sample comes first, then, on an all-quadratic system, the
+certificate search, and only then the counterexample descent, which a
+certificate would leave nothing to find ((C) implies (I)).  Each stage is
+one function that maps the config to its arguments and owns its seed
+stream; the CLI's single-stage commands call the same functions."""
 
 from dataclasses import dataclass, field, fields
 
@@ -128,7 +131,7 @@ def penalized_loss(system):
 
 
 def find_counterexample(system, radius=10.0, samples=4096, seed=0,
-                        extra_starts=None):
+                        extra_starts=None, *, descend_undecided=True):
     """Search for x with every f_i >= 0 and f0 < 0.
 
     Acceptance is exact: f_i(x) >= -1e-9 for all i, f0(x) < -1e-9.  When
@@ -136,7 +139,11 @@ def find_counterexample(system, radius=10.0, samples=4096, seed=0,
     counterexample (Theorem 2, Eq. (1): z(x) lies in K); a descent from it
     would keep it in the candidate pool.  Otherwise an 80-step descent of
     `penalized_loss` runs from the 20 best feasible samples by f0, topped
-    up with the least infeasible, after any `extra_starts`.
+    up with the least infeasible, after any `extra_starts`.  With
+    `descend_undecided=False` an undecided sample ends the search instead,
+    not found, its closest miss the feasible sample of least f0 (if any):
+    the classifier searches for a certificate before it pays for the
+    descent.
     """
     rng = SplitMix64(seed)
     X = rng.uniform_box(radius, system.n, samples)
@@ -158,6 +165,9 @@ def find_counterexample(system, radius=10.0, samples=4096, seed=0,
                                         min_constraint=min_c,
                                         closest_miss_x=closest_x,
                                         closest_miss_f0=closest_f0)
+    if not descend_undecided:
+        return CounterexampleResult(found=False, closest_miss_x=closest_x,
+                                    closest_miss_f0=closest_f0)
 
     # starts: best feasible by f0, topped up with the least infeasible
     score = np.where(feasible, f0, np.inf)
@@ -243,13 +253,17 @@ class InstanceReport:
     system: FunctionSystem | None = None
 
 
-def counterexample_stage(system, config, extra_starts=None):
+def counterexample_stage(system, config, extra_starts=None, *,
+                         descend_undecided=True):
     """find_counterexample on stream 2, or on stream 3 for the retry that
-    also descends from `extra_starts`."""
+    also descends from `extra_starts`.  `descend_undecided` is passed on:
+    the classifier's first call stops at the box sample, and its second,
+    made only when no certificate was found, repeats that sample and
+    descends."""
     return find_counterexample(
         system, radius=config.box_radius, samples=config.samples,
         seed=derive_seed(config.seed, 2 if extra_starts is None else 3),
-        extra_starts=extra_starts)
+        extra_starts=extra_starts, descend_undecided=descend_undecided)
 
 
 def certificate_stage(system, config):
@@ -346,47 +360,65 @@ def image_geometry(system, config):
 
 
 def classify_instance(system, config=None):
-    """Full pipeline: Slater, counterexample search, certificate search
-    (quadratic route, then separation on a fresh cloud), geometric evidence
-    when nothing definitive came out.  Only exactly verified certificates
-    yield ValidWithCertificate; sampled certificates are attached as
-    candidates on an Undetermined verdict.  A numerical failure
-    (NumericalBreakdown, NotConverged) propagates; any other toolkit error
-    ends the run Undetermined with a `stage failure:` note."""
+    """Full pipeline: Slater, the counterexample search's box sample,
+    certificate search (quadratic route, then separation on a fresh
+    cloud), geometric evidence when nothing definitive came out.  On an
+    all-quadratic system the counterexample descent runs only once the
+    quadratic route has found no certificate: (C) implies (I), so a
+    verified certificate leaves it nothing to find.  Only exactly verified
+    certificates yield ValidWithCertificate; sampled certificates are
+    attached as candidates on an Undetermined verdict.  A numerical
+    failure (NumericalBreakdown, NotConverged) propagates; any other
+    toolkit error ends the run Undetermined with a `stage failure:` note.
+    A certificate stage that fails either way still lets the descent
+    refute (I) before its error is handled."""
     config = config or ClassifyConfig()
     report = InstanceReport(verdict=UNDETERMINED,
                             slater=SlaterResult(status=NOT_FOUND),
                             config=config, system=system)
+
+    def refuted(cex):
+        if cex.found:
+            _assert_image_in_k(system, cex.x)
+            report.verdict = INVALID
+            report.counterexample = cex
+        return cex.found
+
     try:
         report.slater = check_slater(
             system, radius=config.box_radius,
             samples=max(1, config.samples // 2),
             seed=derive_seed(config.seed, 1))
 
-        cex = counterexample_stage(system, config)
-        if cex.found:
-            _assert_image_in_k(system, cex.x)
-            report.verdict = INVALID
-            report.counterexample = cex
+        all_quadratic = system.is_quadratic
+        if refuted(counterexample_stage(system, config,
+                                        descend_undecided=not all_quadratic)):
             return report
 
         witness_starts = []
-        if system.is_quadratic:
-            search, notes, witness_starts = certificate_stage(system, config)
-            report.notes += notes
+        if all_quadratic:
+            try:
+                search, notes, witness_starts = certificate_stage(system,
+                                                                  config)
+            except SlemmaError:
+                if refuted(counterexample_stage(system, config)):
+                    return report
+                raise
             if search.found:
                 report.verdict = VALID
                 report.certificate = search.certificate
+                report.notes += notes
                 return report
+            # the sample decided nothing: descend, as without a search;
+            # the search's notes are kept only if the descent fails too
+            if refuted(counterexample_stage(system, config)):
+                return report
+            report.notes += notes
 
-        if witness_starts:
-            retry = counterexample_stage(system, config, witness_starts)
-            if retry.found:
-                _assert_image_in_k(system, retry.x)
-                report.verdict = INVALID
-                report.counterexample = retry
-                report.notes.append("counterexample from certificate-failure witness")
-                return report
+        if witness_starts and refuted(
+                counterexample_stage(system, config, witness_starts)):
+            report.notes.append("counterexample from certificate-failure witness")
+            return report
 
         cloud = image_cloud(system, config)
         sep = separation_stage(system, config, cloud)

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from conftest import random_p1_system, random_quadratic
 from slemma import certificate as cert
 from slemma import geometry as geo
 from slemma import implication, quadratic, search
+from slemma.errors import DimensionMismatch, NotConverged, NumericalBreakdown
 from slemma.expr import parse
 from slemma.implication import (INVALID, UNDETERMINED, VALID, ClassifyConfig,
                                 check_slater, classify_instance,
@@ -233,6 +235,100 @@ def test_a_few_samples_that_miss_keep_the_descended_counterexample(
             "min_constraint": min_c, "closest_miss_x": [x0, 10.0],
             "closest_miss_f0": -100.0}
     assert len(starts) == 2
+
+
+def test_an_undecided_sample_can_end_the_search(monkeypatch):
+    # descend_undecided=False: not found, no descent, and the closest miss
+    # is the feasible sample of least f0
+    starts = _spy_on_descents(monkeypatch)
+    for name in ("slater_fail", "p0_psd", "random_p1_02"):
+        system = load_problem(CORPUS / f"{name}.json").system()
+        X = SplitMix64(7).uniform_box(10.0, system.n, 4096)
+        vals = system.values_batch(X)
+        feasible = np.all(vals[:, 1:] >= 0.0, axis=1)
+        res = find_counterexample(system, seed=7, descend_undecided=False)
+        assert not res.found and res.x is None
+        if not feasible.any():
+            assert res.closest_miss_x is res.closest_miss_f0 is None
+            continue
+        i = int(np.argmin(np.where(feasible, vals[:, 0], np.inf)))
+        assert res.closest_miss_x.tobytes() == X[i].tobytes()
+        assert res.closest_miss_f0 == vals[i, 0] >= -1e-9
+    assert starts == []
+
+
+def _corpus_names(verdict):
+    with open(CORPUS / "expected_verdicts.json", encoding="utf-8") as fh:
+        return sorted(name for name, expected in json.load(fh).items()
+                      if expected == verdict)
+
+
+def test_a_found_certificate_runs_no_descent(monkeypatch):
+    # (C) implies (I), so the classifier searches for the certificate
+    # first; each Valid corpus file used to run one 80-step descent
+    names = _corpus_names(VALID)
+    assert len(names) == 8
+    starts = _spy_on_descents(monkeypatch)
+    for name in names:
+        rep = classify_instance(load_problem(CORPUS / name).system())
+        assert rep.verdict == VALID, name
+        assert starts == [], name
+
+
+def _spy_on_searches(monkeypatch, starts):
+    """The number of descents in `starts` before each certificate search."""
+    searches, original = [], cert.find_certificate_general
+
+    def spy(*args, **kwargs):
+        searches.append(len(starts))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cert, "find_certificate_general", spy)
+    return searches
+
+
+@pytest.mark.parametrize("seed", [189, 585])
+def test_a_failed_certificate_search_is_followed_by_the_descent(monkeypatch,
+                                                                 seed):
+    # no counterexample in the sample and no certificate: the descent
+    # decides, with the counterexample stage's result bit for bit and none
+    # of the certificate search's notes
+    system = random_p1_system(seed)
+    expected = find_counterexample(system, seed=derive_seed(1, 2))
+    assert expected.found
+    starts = _spy_on_descents(monkeypatch)
+    searches = _spy_on_searches(monkeypatch, starts)
+    rep = classify_instance(system)
+    assert searches == [0] and len(starts) == 1
+    assert rep.verdict == INVALID and rep.notes == []
+    assert _fields(rep.counterexample) == _fields(expected)
+    assert rep.counterexample.x.tobytes() == expected.x.tobytes()
+
+
+@pytest.mark.parametrize("error", [NumericalBreakdown, NotConverged,
+                                   DimensionMismatch])
+def test_a_failed_certificate_stage_still_lets_the_descent_decide(
+        monkeypatch, error):
+    # the stage's error stands only if the descent finds no counterexample
+    system = random_p1_system(189)
+    expected = classify_instance(system).counterexample
+    valid = load_problem(CORPUS / "random_p1_02.json").system()
+
+    def failing(*args, **kwargs):
+        raise error("injected certificate failure")
+
+    monkeypatch.setattr(cert, "find_certificate_general", failing)
+    rep = classify_instance(system)
+    assert rep.verdict == INVALID and rep.notes == []
+    assert _fields(rep.counterexample) == _fields(expected)
+    if error is DimensionMismatch:
+        # not a numerical failure: the run ends Undetermined
+        rep = classify_instance(valid)
+        assert rep.verdict == UNDETERMINED
+        assert rep.notes == ["stage failure: injected certificate failure"]
+    else:
+        with pytest.raises(error, match="injected certificate failure"):
+            classify_instance(valid)
 
 
 def test_classify_convex_case_valid():
