@@ -44,15 +44,22 @@ def random_p1_system(seed, max_n=4):
 
 def grid_decides_implication(system, radius=10.0, tol=1e-6, points=41):
     """Independent adjudication of the implication on [-R, R]^n: a grid
-    point with every constraint above -tol and f0 below -tol falsifies it."""
-    axes = [np.linspace(-radius, radius, points)] * system.n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=1)
-    f0 = evaluate_quadratic_batch(system.f0, X)
-    feasible = np.ones(X.shape[0], dtype=bool)
-    for f in system.constraints:
-        feasible &= evaluate_quadratic_batch(f, X) >= -tol
-    return not np.any(feasible & (f0 < -tol))
+    point with every constraint above -tol and f0 below -tol falsifies it.
+    The points^n grid is evaluated one slice of the first axis at a time,
+    and the first slice that holds a falsifying point decides."""
+    axis = np.linspace(-radius, radius, points)
+    size = points ** (system.n - 1)
+    # the other axes' points, in meshgrid "ij" order (n = 1: one empty row)
+    rest = axis[np.indices((points,) * (system.n - 1)).reshape(-1, size).T]
+    for first in axis:
+        X = np.hstack([np.full((size, 1), first), rest])
+        f0 = evaluate_quadratic_batch(system.f0, X)
+        feasible = np.ones(size, dtype=bool)
+        for f in system.constraints:
+            feasible &= evaluate_quadratic_batch(f, X) >= -tol
+        if np.any(feasible & (f0 < -tol)):
+            return False
+    return True
 
 
 def brute_force_boxed_lp(c, A, b, lower, upper, tol=1e-9):
