@@ -6,8 +6,9 @@ verified certificate proves it true; everything else stays Undetermined,
 decorated with the geometric evidence (sampled image vs. K, hull
 intersection, separator, convexity falsifiers).  The counterexample
 search's box sample comes first, then, on an all-quadratic system, the
-certificate search, and only then the counterexample descent, which a
-certificate would leave nothing to find ((C) implies (I)).  Each stage is
+certificate search, and only then the counterexample descent, skipped
+when the certificate's margin leaves no counterexample for it to accept
+in the box ((C) implies (I), up to the tolerances).  Each stage is
 one function that maps the config to its arguments and owns its seed
 stream; the CLI's single-stage commands call the same functions."""
 
@@ -258,8 +259,8 @@ def counterexample_stage(system, config, extra_starts=None, *,
     """find_counterexample on stream 2, or on stream 3 for the retry that
     also descends from `extra_starts`.  `descend_undecided` is passed on:
     the classifier's first call stops at the box sample, and its second,
-    made only when no certificate was found, repeats that sample and
-    descends."""
+    made unless a certificate leaves no counterexample to accept, repeats
+    that sample and descends."""
     return find_counterexample(
         system, radius=config.box_radius, samples=config.samples,
         seed=derive_seed(config.seed, 2 if extra_starts is None else 3),
@@ -363,9 +364,13 @@ def classify_instance(system, config=None):
     """Full pipeline: Slater, the counterexample search's box sample,
     certificate search (quadratic route, then separation on a fresh
     cloud), geometric evidence when nothing definitive came out.  On an
-    all-quadratic system the counterexample descent runs only once the
-    quadratic route has found no certificate: (C) implies (I), so a
-    verified certificate leaves it nothing to find.  Only exactly verified
+    all-quadratic system the counterexample descent runs after the
+    quadratic route, and is skipped when its certificate leaves no
+    counterexample the descent could accept in the box (see
+    `_leaves_no_witness`): the PSD test's and the witness test's
+    tolerances let a certificate pass beside such a counterexample, which
+    then decides Invalid, as the descent decided it before the certificate
+    search came first.  Only exactly verified
     certificates yield ValidWithCertificate; sampled certificates are
     attached as candidates on an Undetermined verdict.  A numerical
     failure (NumericalBreakdown, NotConverged) propagates; any other
@@ -397,23 +402,26 @@ def classify_instance(system, config=None):
 
         witness_starts = []
         if all_quadratic:
+            failure = None
             try:
                 search, notes, witness_starts = certificate_stage(system,
                                                                   config)
-            except SlemmaError:
+            except SlemmaError as exc:
+                failure = exc
+            certified = failure is None and search.found
+            if not (certified and _leaves_no_witness(
+                    system, search.certificate, config.box_radius)):
+                # descend, as without a search; the search's error and
+                # notes wait on the descent
                 if refuted(counterexample_stage(system, config)):
                     return report
-                raise
-            if search.found:
+                if failure is not None:
+                    raise failure
+            report.notes += notes
+            if certified:
                 report.verdict = VALID
                 report.certificate = search.certificate
-                report.notes += notes
                 return report
-            # the sample decided nothing: descend, as without a search;
-            # the search's notes are kept only if the descent fails too
-            if refuted(counterexample_stage(system, config)):
-                return report
-            report.notes += notes
 
         if witness_starts and refuted(
                 counterexample_stage(system, config, witness_starts)):
@@ -445,6 +453,21 @@ def classify_instance(system, config=None):
         return report
     finally:
         _assert_exclusive(report, system)
+
+
+def _leaves_no_witness(system, certificate, radius):
+    """Whether an ExactPSD `certificate` rules out every counterexample the
+    descent could accept in [-radius, radius]^n.  f0 - sum_i alpha_i f_i =
+    [x; 1]^T M(alpha) [x; 1] / 2 >= lambda_min (1 + |x|^2) / 2, so where
+    every f_i >= -_WITNESS_TOL, f0 is at least that bound less
+    _WITNESS_TOL sum_i alpha_i.  The PSD test admits a slightly negative
+    lambda_min, and the witness test slightly negative f_i, so a
+    certificate can pass beside an accepted counterexample; True only when
+    this bound keeps every such f0 at or above -_WITNESS_TOL."""
+    lam = certificate.lambda_min
+    spread = 1.0 if lam >= 0.0 else 1.0 + system.n * radius * radius
+    slack = _WITNESS_TOL * float(np.sum(certificate.alpha))
+    return 0.5 * lam * spread - slack >= -_WITNESS_TOL
 
 
 def _assert_image_in_k(system, x):

@@ -265,14 +265,37 @@ def _corpus_names(verdict):
 
 def test_a_found_certificate_runs_no_descent(monkeypatch):
     # (C) implies (I), so the classifier searches for the certificate
-    # first; each Valid corpus file used to run one 80-step descent
+    # first; each Valid corpus file used to run one 80-step descent.
+    # farkas_homogeneous still runs it: f0 = 2 f1 + 3 f2 exactly, so at
+    # f1 = f2 = -0.9e-9 the witness test would accept f0 = -4.5e-9
     names = _corpus_names(VALID)
     assert len(names) == 8
     starts = _spy_on_descents(monkeypatch)
     for name in names:
+        del starts[:]
         rep = classify_instance(load_problem(CORPUS / name).system())
         assert rep.verdict == VALID, name
-        assert starts == [], name
+        assert len(starts) == (name == "farkas_homogeneous.json"), name
+
+
+def test_a_certificate_within_the_psd_tolerance_still_lets_the_descent_refute():
+    # f0 = 1000 x^2 - 1e-7: lambda_min(M0) = -2e-7 passes the PSD test
+    # (threshold about -2e-6), yet f0(0) = -1e-7 < -1e-9.  The box sample
+    # misses |x| < 1e-5 and the descent does not, so the verdict is the
+    # descent's, as when it ran before the certificate search
+    system = FunctionSystem(
+        1, QuadraticFunction(np.array([[2000.0]]), np.zeros(1), -1e-7), ())
+    check = cert.check_multipliers(system, np.zeros(0))
+    assert check.certificate is not None and check.lambda_min < 0
+    seed = derive_seed(1, 2)
+    assert not find_counterexample(system, seed=seed,
+                                   descend_undecided=False).found
+    expected = find_counterexample(system, seed=seed)
+    assert expected.found and expected.f0_value < -1e-9
+    rep = classify_instance(system)
+    assert rep.verdict == INVALID and rep.notes == []
+    assert rep.certificate is None
+    assert _fields(rep.counterexample) == _fields(expected)
 
 
 def _spy_on_searches(monkeypatch, starts):
