@@ -368,15 +368,14 @@ def classify_instance(system, config=None):
     quadratic route, and is skipped when its certificate leaves no
     counterexample the descent could accept in the box (see
     `_leaves_no_witness`): the PSD test's and the witness test's
-    tolerances let a certificate pass beside such a counterexample, which
-    then decides Invalid, as the descent decided it before the certificate
-    search came first.  Only exactly verified
-    certificates yield ValidWithCertificate; sampled certificates are
-    attached as candidates on an Undetermined verdict.  A numerical
-    failure (NumericalBreakdown, NotConverged) propagates; any other
-    toolkit error ends the run Undetermined with a `stage failure:` note.
-    A certificate stage that fails either way still lets the descent
-    refute (I) before its error is handled."""
+    tolerances let a certificate pass beside such a counterexample, and
+    a counterexample the descent finds decides Invalid.  Only exactly
+    verified certificates yield ValidWithCertificate; sampled
+    certificates are attached as candidates on an Undetermined verdict.
+    A numerical failure (NumericalBreakdown, NotConverged) propagates;
+    any other toolkit error ends the run Undetermined with a `stage
+    failure:` note.  A certificate stage that fails either way still
+    lets the descent refute (I) before its error is handled."""
     config = config or ClassifyConfig()
     report = InstanceReport(verdict=UNDETERMINED,
                             slater=SlaterResult(status=NOT_FOUND),

@@ -278,11 +278,11 @@ def test_a_found_certificate_runs_no_descent(monkeypatch):
         assert len(starts) == (name == "farkas_homogeneous.json"), name
 
 
-def test_a_certificate_within_the_psd_tolerance_still_lets_the_descent_refute():
+def test_a_certificate_passing_by_tolerance_lets_the_descent_refute():
     # f0 = 1000 x^2 - 1e-7: lambda_min(M0) = -2e-7 passes the PSD test
     # (threshold about -2e-6), yet f0(0) = -1e-7 < -1e-9.  The box sample
     # misses |x| < 1e-5 and the descent does not, so the verdict is the
-    # descent's, as when it ran before the certificate search
+    # descent's counterexample
     system = FunctionSystem(
         1, QuadraticFunction(np.array([[2000.0]]), np.zeros(1), -1e-7), ())
     check = cert.check_multipliers(system, np.zeros(0))
