@@ -123,8 +123,7 @@ def check_multipliers(system, alpha, tol=PSD_RTOL, radius=10.0, samples=4096,
             vals, grads = system.values_and_gradients(X)
             return vals @ weights, np.einsum("ijk,j->ik", grads, weights)
 
-        X, vals = sample_and_descend(loss, system.n, radius, samples, seed,
-                                     keep=10, steps=80)
+        X, vals = sample_and_descend(loss, system.n, radius, samples, seed)
         check = MultiplierCheck(alpha, SAMPLED_ONLY, value=float(vals[0]))
         if check.value < SAMPLED_FLOOR:
             check.violating_x = X[0]
@@ -174,10 +173,9 @@ class SearchResult:
         return self.certificate is not None
 
 
-def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
-                             alpha_max=ALPHA_MAX):
+def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL):
     """Kelley's cutting-plane maximization of the concave g(alpha) =
-    lambda_min(M(alpha)) over the box [0, alpha_max]^p.
+    lambda_min(M(alpha)) over the box [0, ALPHA_MAX]^p.
 
     Each iterate costs one eigen decomposition, and its eigenpair (lam, v)
     gives the cut g(a) <= lam + s.(a - alpha) with s_i = -v^T M_i v.  The
@@ -188,8 +186,8 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
     at the new iterate, evaluated from the cuts rather than read from the
     tableau, is the LP value and an upper bound on max g.  The search
     stops at a certificate, at an upper bound below -tol * S with
-    S = 1 + max|M0| + alpha_max * sum_i max|M_i| >= 1 + max|M(alpha)| on the
-    box (so no alpha <= alpha_max passes; outcome NO_CERTIFICATE), when the
+    S = 1 + max|M0| + ALPHA_MAX * sum_i max|M_i| >= 1 + max|M(alpha)| on the
+    box (so no alpha <= ALPHA_MAX passes; outcome NO_CERTIFICATE), when the
     bound meets the best value, or after `iters` eigen calls.  For p >= 2
     the first passing iterate is the certificate.  For p = 1 a passing
     iterate ends the search only once it reaches P1_NEAR_MAX times the
@@ -207,13 +205,13 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
     M0 = bordered_matrix(system.f0)
     borders = [bordered_matrix(f) for f in system.constraints]
     bound_scale = 1.0 + np.max(np.abs(M0)) + \
-        alpha_max * sum(np.max(np.abs(B)) for B in borders)
-    # variables (alpha, t), t free: maximize t under alpha_i <= alpha_max
+        ALPHA_MAX * sum(np.max(np.abs(B)) for B in borders)
+    # variables (alpha, t), t free: maximize t under alpha_i <= ALPHA_MAX
     # and the cuts
     master = Tableau(np.concatenate([np.zeros(p), [-1.0]]), free=[p],
                      max_rows=p + iters)
     for i in range(p):
-        master.add_row(np.eye(p + 1)[i], alpha_max)
+        master.add_row(np.eye(p + 1)[i], ALPHA_MAX)
     # cut k: g(a) <= lams[k] + slopes[k].(a - points[k])
     lams = np.empty(iters)
     slopes = np.empty((iters, p))
@@ -234,7 +232,7 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
         # t - s.a <= lam - s.alpha
         row = master.add_row(np.concatenate([-s, [1.0]]), lam - s @ alpha)
         if row == p:
-            # the first cut's optimum: t on the cut, alpha_i = alpha_max
+            # the first cut's optimum: t on the cut, alpha_i = ALPHA_MAX
             # where s_i > 0 and 0 elsewhere
             for i in np.flatnonzero(s > 0):
                 master.pivot(i, i)
@@ -243,8 +241,8 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL,
         if status != OPTIMAL:
             raise NumericalBreakdown(f"certificate master LP: {status}")
         y = master.solution()
-        alpha = np.clip(y[:p], 0.0, alpha_max)
-        # the tableau's t cancels terms as large as alpha_max * |s|, which
+        alpha = np.clip(y[:p], 0.0, ALPHA_MAX)
+        # the tableau's t cancels terms as large as ALPHA_MAX * |s|, which
         # can leave it ulps under the best lambda_min; a cut evaluated at
         # its own point gives back its lam exactly
         upper_bound = float(np.min(lams[:k + 1] + np.einsum(

@@ -12,11 +12,13 @@
 Exit codes: 0 definitive verdict or clean report, 2 undetermined,
 1 usage or I/O error, 3 numerical failure.
 
-A handler loads the problem, runs `implication`'s stage functions (the
-ones `classify` runs) or, for `verify`, the one multiplier check, renders
-the report and maps the exit code.  `certificate --method p1` runs
-classify's certificate stage, and `--method separation` its separation
-route.
+The flags `--box`, `--samples`, `--seed` and `--tol` come from
+`problem.SETTINGS` and override the file's `config`, and
+`problem.check_setting` checks both.  A handler loads the problem, runs
+`implication`'s stage functions (the ones `classify` runs) or, for
+`verify`, the one multiplier check, renders the report and maps the exit
+code.  `certificate --method p1` runs classify's certificate stage, and
+`--method separation` its separation route.
 """
 
 import argparse
@@ -32,7 +34,7 @@ from .errors import NotConverged, NumericalBreakdown, SlemmaError
 from .implication import (UNDETERMINED, ClassifyConfig, certificate_stage,
                           classify_instance, counterexample_stage,
                           image_cloud, image_geometry, separation_stage)
-from .problem import ParseError, load_problem
+from .problem import SETTINGS, ParseError, check_setting, load_problem
 from .report import Report, fnum, fvec
 from .rng import derive_seed
 
@@ -42,34 +44,16 @@ EXIT_UNDETERMINED = 2
 EXIT_NUMERICAL = 3
 
 
-# config key or flag -> the field it sets, in the type of its default
-_FILE_FIELDS = {"R": "box_radius", "N": "samples", "seed": "seed",
-                "tol": "psd_tol", "eta": "eta"}
-_FLAG_FIELDS = {"box": "box_radius", "samples": "samples", "seed": "seed",
-                "tol": "psd_tol"}
-
-
 def _config_from(pf, args):
-    """File config overridden by the command line flags that were given."""
+    """File config with the given flags on top, each value checked."""
     cfg = ClassifyConfig()
-    flags = {key: value for key, value in vars(args).items()
-             if value is not None}
-    for given, fields in ((pf.config, _FILE_FIELDS), (flags, _FLAG_FIELDS)):
-        for key, name in fields.items():
-            if key in given:
-                setattr(cfg, name, type(getattr(cfg, name))(given[key]))
-    if not (np.isfinite(cfg.psd_tol) and cfg.psd_tol >= 0):
-        raise ParseError(f"tol must be finite and nonnegative, "
-                         f"got {cfg.psd_tol!r}")
-    if not (np.isfinite(cfg.eta) and cfg.eta >= 0):
-        raise ParseError(f"eta must be finite and nonnegative, "
-                         f"got {cfg.eta!r}")
-    if not (np.isfinite(cfg.box_radius) and cfg.box_radius > 0):
-        raise ParseError(f"box radius must be finite and positive, "
-                         f"got {cfg.box_radius!r}")
-    if cfg.samples < 1:
-        raise ParseError(f"samples must be a positive integer, "
-                         f"got {cfg.samples!r}")
+    flags = vars(args)
+    for setting in SETTINGS:
+        value = flags.get(setting.flag)
+        if value is None:
+            value = pf.config.get(setting.key)
+        if value is not None:
+            setattr(cfg, setting.field, check_setting(setting, value))
     return cfg
 
 
@@ -247,9 +231,6 @@ def cmd_verify(args, out):
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
         source = f"--certificate {args.certificate}"
-    if alpha.shape[0] != system.p:
-        raise ParseError(f"certificate has {alpha.shape[0]} entries, "
-                         f"system has p={system.p}")
     rep = Report("certificate verification")
     rep.add("command", f"slemma verify {pf.path} {source}")
     report.describe_instance(rep, pf, system)
@@ -286,10 +267,10 @@ def build_parser():
         p.add_argument("--json", action="store_true",
                        help="machine-readable report")
         if with_search_flags:
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--samples", type=int, default=None)
-            p.add_argument("--box", type=float, default=None)
-            p.add_argument("--tol", type=float, default=None)
+            for setting in SETTINGS:
+                if setting.flag:
+                    p.add_argument(f"--{setting.flag}", type=setting.kind,
+                                   default=None)
 
     p = sub.add_parser("validate", help="parse and report the instance")
     p.add_argument("file")

@@ -451,7 +451,7 @@ def classify_instance(system, config=None):
         report.verdict = UNDETERMINED
         return report
     finally:
-        _assert_exclusive(report, system)
+        _assert_exclusive(report)
 
 
 def _leaves_no_witness(system, certificate, radius):
@@ -478,7 +478,7 @@ def _assert_image_in_k(system, x):
         )
 
 
-def _assert_exclusive(report, system):
+def _assert_exclusive(report):
     """(C) implies (I): a verified certificate and a verified counterexample
     can never coexist in one report."""
     if report.certificate is None or report.counterexample is None:

@@ -87,7 +87,6 @@ class LpOutcome:
     y: np.ndarray | None = None
     objective: float | None = None
     dual_ub: np.ndarray | None = None
-    dual_eq: np.ndarray | None = None
     ray: np.ndarray | None = None
 
 
@@ -145,11 +144,8 @@ def solve_lp(lp):
         return LpOutcome(status=UNBOUNDED, y=y,
                          ray=shift @ step[1:n + 1])
 
-    w = tab.duals()
-    k_ub, k_eq = lp.a_ub.shape[0], lp.a_eq.shape[0]
     return LpOutcome(status=OPTIMAL, y=y, objective=float(lp.c @ y),
-                     dual_ub=w[:k_ub],
-                     dual_eq=w[k_ub:k_ub + k_eq] - w[k_ub + k_eq:])
+                     dual_ub=tab.duals()[:lp.a_ub.shape[0]])
 
 
 class Tableau:

@@ -17,11 +17,13 @@ rejected, every number must be finite (json also reads NaN, Infinity and
 1e400) and all dimensions are checked.  Each entry is checked and built
 into its function in one pass, so an asymmetric Q or a bad expression
 fails at load time.  `config` is optional and overrides the classifier
-defaults.
+defaults; `SETTINGS` maps its keys to CLI flags and `ClassifyConfig`
+fields, and `check_setting` checks a value from either source.
 """
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,15 +34,41 @@ from .quadratic import QuadraticFunction
 from .systems import FunctionSystem
 
 _TOP_KEYS = {"n", "p", "functions", "config"}
-_CONFIG_KEYS = {"R", "N", "seed", "tol", "eta"}
-_CONFIG_NUMBERS = {"R": "config.R (box radius)", "tol": "config.tol",
-                   "eta": "config.eta"}
 _QUAD_KEYS = {"Q", "c", "d"}
 _LINEAR_KEYS = {"a", "b"}
 
 
 class ParseError(SlemmaError):
     """Malformed problem file; the message names the offending field."""
+
+
+# a classifier setting: its `config` key, its CLI flag (None: the file
+# alone sets it), the `ClassifyConfig` field it sets, its name in error
+# lines, its type, and its sign ("positive", "nonnegative" or None)
+Setting = namedtuple("Setting", "key flag field label kind sign")
+SETTINGS = (
+    Setting("R", "box", "box_radius", "box radius", float, "positive"),
+    Setting("N", "samples", "samples", "samples", int, "positive"),
+    Setting("seed", "seed", "seed", "seed", int, None),
+    Setting("tol", "tol", "psd_tol", "tol", float, "nonnegative"),
+    Setting("eta", None, "eta", "eta", float, "nonnegative"),
+)
+
+
+def check_setting(setting, value):
+    """`value` in the setting's type; ParseError unless it is in range."""
+    kind, sign = setting.kind, setting.sign
+    ok = type(value) in (int, kind)     # a bool is no int here
+    if ok and kind is float:
+        value = float(value)
+        ok = math.isfinite(value)
+    if ok and sign:
+        ok = value > 0 or (sign == "nonnegative" and value == 0)
+    if not ok:
+        rule = (f"finite and {sign}" if kind is float else
+                f"a {sign} integer" if sign else "an integer")
+        raise ParseError(f"{setting.label} must be {rule}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -156,15 +184,9 @@ def parse_problem(raw, path=None):
     config = raw.get("config", {})
     if not isinstance(config, dict):
         raise ParseError("config must be an object")
-    _require_keys(config, _CONFIG_KEYS, set(), "config")
-    if "N" in config and (not isinstance(config["N"], int)
-                          or isinstance(config["N"], bool) or config["N"] < 1):
-        raise ParseError("config.N must be a positive integer")
-    if "seed" in config and (not isinstance(config["seed"], int)
-                             or isinstance(config["seed"], bool)):
-        raise ParseError("config.seed must be an integer")
-    for key, where in _CONFIG_NUMBERS.items():
-        if key in config:
-            _number(config[key], where)
+    _require_keys(config, {s.key for s in SETTINGS}, set(), "config")
+    for setting in SETTINGS:
+        if setting.key in config:
+            check_setting(setting, config[setting.key])
     return ProblemFile(n=n, p=p, entries=functions, functions=built,
                        config=dict(config), path=path)

@@ -20,6 +20,8 @@ import numpy as np
 from .rng import SplitMix64
 
 STEP_FLOOR = 1e-12
+SAMPLE_KEEP = 10      # sample_and_descend: the best points it descends from
+SAMPLE_STEPS = 80     # and the descent's step budget
 
 
 def all_finite(a):
@@ -134,10 +136,10 @@ def descend(loss, X0, steps=60, initial_step=0.1, box_radius=None,
     return X[order], best[order]
 
 
-def sample_and_descend(loss, n, radius, samples, seed, keep=20, steps=60):
-    """Sample the box, keep the `keep` best points, descend inside the box,
-    and return (points, values) sorted by value."""
+def sample_and_descend(loss, n, radius, samples, seed):
+    """Sample the box, descend SAMPLE_STEPS steps inside it from the
+    SAMPLE_KEEP best points, and return (points, values) sorted by value."""
     rng = SplitMix64(seed)
     X = rng.uniform_box(radius, n, samples)
-    return descend(loss, X[smallest(_clean(loss(X)[0]), keep)], steps=steps,
-                   box_radius=radius)
+    return descend(loss, X[smallest(_clean(loss(X)[0]), SAMPLE_KEEP)],
+                   steps=SAMPLE_STEPS, box_radius=radius)

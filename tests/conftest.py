@@ -1,6 +1,6 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -70,9 +70,10 @@ def brute_force_boxed_lp(c, A, b, lower, upper, tol=1e-9):
     m = c.shape[0]
     G = np.vstack([A, np.eye(m), -np.eye(m)])
     h = np.concatenate([b, upper, -lower])
-    combos = list(combinations(range(G.shape[0]), m))
-    mats = np.array([G[list(cb)] for cb in combos])
-    rhs = np.array([h[list(cb)] for cb in combos])
+    # one row of row indices per m-row subset
+    idx = np.fromiter(chain.from_iterable(combinations(range(G.shape[0]), m)),
+                      dtype=np.intp).reshape(-1, m)
+    mats, rhs = G[idx], h[idx]
     dets = np.abs(np.linalg.det(mats))
     ok = dets > 1e-10
     if not np.any(ok):

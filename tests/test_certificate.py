@@ -338,8 +338,10 @@ def _grid_max_lambda_min(system, alpha_max, points=61):
         for a1 in axis for a2 in axis)
 
 
-def test_cutting_plane_upper_bound_is_sound():
-    # the master LP value bounds max lambda_min(M(alpha)) over the box
+def test_cutting_plane_upper_bound_is_sound(monkeypatch):
+    # the master LP value bounds max lambda_min(M(alpha)) over the box,
+    # shrunk to [0, 3]^2 so that a grid can search it
+    monkeypatch.setattr(cert, "ALPHA_MAX", 3.0)
     rng = SplitMix64(313)
     bounded = 0
     for i in range(30):
@@ -347,7 +349,7 @@ def test_cutting_plane_upper_bound_is_sound():
         system = FunctionSystem(n, random_quadratic(rng, n),
                                 (random_quadratic(rng, n),
                                  random_quadratic(rng, n)))
-        res = cert.find_certificate_general(system, alpha_max=3.0)
+        res = cert.find_certificate_general(system)
         if res.upper_bound is None:
             assert res.found, i
             continue

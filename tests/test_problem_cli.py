@@ -484,6 +484,25 @@ def test_cli_rejects_bad_eta(tmp_path):
             assert out == "", (command, eta)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("R", 0, "box radius must be finite and positive, got 0.0"),
+    ("R", -1, "box radius must be finite and positive, got -1.0"),
+    ("R", float("nan"), "box radius must be finite and positive, got nan"),
+    ("tol", -1e-9, "tol must be finite and nonnegative, got -1e-09"),
+    ("eta", -0.5, "eta must be finite and nonnegative, got -0.5"),
+    ("N", 0, "samples must be a positive integer, got 0"),
+    ("seed", True, "seed must be an integer, got True")])
+def test_validate_rejects_what_classify_rejects(tmp_path, key, value,
+                                                message):
+    pf = json.loads((CORPUS / "random_p1_01.json").read_text())
+    pf["config"][key] = value
+    path = tmp_path / "bad_config.json"
+    path.write_text(json.dumps(pf))
+    for command in ("validate", "classify"):
+        code, out, err = run_cli(command, str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n"), command
+
+
 def test_cli_cutting_plane_proves_no_certificate(tmp_path):
     path = _no_certificate_file(tmp_path)
     code, out, _ = run_cli("certificate", str(path), "--method", "p1")
