@@ -15,13 +15,13 @@ from .farkas import LinearSystemData, make_linear_system
 from .geometry import (ImageCloud, cone_k_member, conjecture_scan,
                        epi_member, extract_separator, falsify_convexity,
                        hull_intersects_k, sample_image)
-from .implication import (ClassifyConfig, FunctionSystem, InstanceReport,
-                          check_slater, classify_instance,
-                          find_counterexample)
+from .implication import (ClassifyConfig, InstanceReport, check_slater,
+                          classify_instance, find_counterexample)
 from .linprog import LinearProgram, LpOutcome, solve_lp
 from .problem import ProblemFile, load_problem
 from .quadratic import (QuadraticFunction, bordered_matrix, eigen_sym,
                         evaluate_quadratic, min_eigenvalue)
+from .systems import FunctionSystem
 
 __version__ = "0.1.0"
 

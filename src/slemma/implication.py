@@ -4,7 +4,10 @@ The classifier settles each instance as far as honest evidence allows:
 a re-verified counterexample proves the implication false; an exactly
 verified certificate proves it true; everything else stays Undetermined,
 decorated with the geometric evidence (sampled image vs. K, hull
-intersection, separator, convexity falsifiers).  The counterexample
+intersection, separator, convexity falsifiers).  Each search reads its
+box sample and its descended points with one vectorized test: a
+counterexample has every f_i >= -1e-9 and f0 < -1e-9 (`witness_f0`), a
+Slater point min_i f_i > 1e-9 (`slater_margin`).  The counterexample
 search's box sample comes first, then, on an all-quadratic system, the
 certificate search, and only then the counterexample descent, skipped
 when the certificate's margin leaves no counterexample for it to accept
@@ -22,7 +25,6 @@ from . import geometry
 from .errors import NotConverged, NumericalBreakdown, SlemmaError
 from .rng import SplitMix64, derive_seed
 from .search import all_finite, descend, smallest
-from .systems import FunctionSystem
 
 SLATER_POINT = "SlaterPoint"
 NOT_FOUND = "NotFound"
@@ -62,39 +64,40 @@ def slater_loss(system):
     return loss
 
 
+def slater_margin(vals):
+    """min_i f_i on each row of values_batch(X, first=1), reading -inf
+    where a constraint is not finite: the Slater test is margin > 1e-9."""
+    return np.min(np.where(np.isfinite(vals), vals, -np.inf), axis=1)
+
+
 def check_slater(system, radius=10.0, samples=2048, seed=0):
     """Point with every constraint strictly positive (min f_i > 1e-9).
 
-    The box sample is ranked by its least constraint.  When the top
-    sample already clears 1e-9 it is the Slater point, since a descent
-    from it would only raise its margin; otherwise a 60-step descent of
-    `slater_loss` runs from the 10 best samples.  p = 0 is vacuously
-    Slater at the origin."""
+    The box sample is ranked by `slater_margin`, and its 10 best rows are
+    kept.  Unless the top one already clears 1e-9 (a descent from it would
+    only raise its margin), a 60-step descent of `slater_loss` replaces
+    them with its points, ranked by loss.  The Slater point is the first
+    kept row whose margin clears 1e-9; without one, the best margin is
+    reported.  p = 0 is vacuously Slater at the origin."""
     if system.p == 0:
         return SlaterResult(status=SLATER_POINT, x0=np.zeros(system.n),
                             min_constraint_value=np.inf)
 
     X = SplitMix64(seed).uniform_box(radius, system.n, samples)
-    vals = system.values_batch(X, first=1)
-    least = np.min(np.where(np.isfinite(vals), vals, -np.inf), axis=1)
-    top = smallest(-least, 10)
-    if top.size and least[top[0]] > _SLATER_MIN:
-        return SlaterResult(status=SLATER_POINT, x0=X[top[0]],
-                            min_constraint_value=float(least[top[0]]))
-
-    X, _ = descend(slater_loss(system), X[top], steps=60, box_radius=radius)
-    best_margin = -np.inf
-    # the constraints alone, as in the loss: f0 need not be defined
-    for x0, vals in zip(X, system.values_batch(X, first=1)):
-        if not all_finite(vals):
-            continue
-        margin = float(np.min(vals))
-        if margin > _SLATER_MIN:
-            return SlaterResult(status=SLATER_POINT, x0=x0,
-                                min_constraint_value=margin)
-        best_margin = max(best_margin, margin)
-    return SlaterResult(status=NOT_FOUND, x0=None,
-                        min_constraint_value=best_margin)
+    margin = slater_margin(system.values_batch(X, first=1))
+    top = smallest(-margin, 10)
+    X, margin = X[top], margin[top]
+    if not (margin.size and margin[0] > _SLATER_MIN):
+        X, _ = descend(slater_loss(system), X, steps=60, box_radius=radius)
+        # the constraints alone, as in the loss: f0 need not be defined
+        margin = slater_margin(system.values_batch(X, first=1))
+    passing = np.flatnonzero(margin > _SLATER_MIN)
+    if passing.size:
+        i = passing[0]
+        return SlaterResult(status=SLATER_POINT, x0=X[i],
+                            min_constraint_value=float(margin[i]))
+    best = float(np.max(margin, initial=-np.inf))
+    return SlaterResult(status=NOT_FOUND, min_constraint_value=best)
 
 
 @dataclass
@@ -131,85 +134,73 @@ def penalized_loss(system):
     return penalized
 
 
+def witness_f0(vals):
+    """The witness test on each row of values_batch's (m, p+1) array: f0
+    where the row is finite with every f_i >= -1e-9, +inf on every other
+    row.  A row is a counterexample when this reads below -1e-9."""
+    feasible = (np.isfinite(vals).all(1)
+                & (vals[:, 1:] >= -_WITNESS_TOL).all(1))
+    return np.where(feasible, vals[:, 0], np.inf)
+
+
 def find_counterexample(system, radius=10.0, samples=4096, seed=0,
                         extra_starts=None, *, descend_undecided=True):
     """Search for x with every f_i >= 0 and f0 < 0.
 
-    Acceptance is exact: f_i(x) >= -1e-9 for all i, f0(x) < -1e-9.  When
-    a box sample is feasible with f0 < -1e-9, the least such f0 is the
-    counterexample (Theorem 2, Eq. (1): z(x) lies in K); a descent from it
-    would keep it in the candidate pool.  Otherwise an 80-step descent of
-    `penalized_loss` runs from the 20 best feasible samples by f0, topped
-    up with the least infeasible, after any `extra_starts`.  With
-    `descend_undecided=False` an undecided sample ends the search instead,
-    not found, its closest miss the feasible sample of least f0 (if any):
-    the classifier searches for a certificate before it pays for the
-    descent.
+    One witness test, `witness_f0`, reads the box sample and the descended
+    points alike: a row is feasible when f_i >= -1e-9 for all i, and a
+    counterexample when its f0 < -1e-9 too (Theorem 2, Eq. (1): z(x) lies
+    in K).  The first feasible sample of least f0 is the counterexample
+    when it passes, as a descent from it would keep it in the candidate
+    pool.  Otherwise an 80-step descent of `penalized_loss` runs from the
+    20 best feasible samples by f0, topped up with the least infeasible,
+    after any `extra_starts`; the descended points and their starts are
+    the candidates, and the first of least witness f0 replaces the sample
+    when strictly below it.  The result is that row, found or the closest
+    miss.  With `descend_undecided=False` an undecided sample ends the
+    search instead: the classifier searches for a certificate before it
+    pays for the descent.
     """
-    rng = SplitMix64(seed)
-    X = rng.uniform_box(radius, system.n, samples)
+    X = SplitMix64(seed).uniform_box(radius, system.n, samples)
     vals = system.values_batch(X)
-    finite = np.all(np.isfinite(vals), axis=1)
-    feasible = finite & (np.all(vals[:, 1:] >= 0.0, axis=1) if system.p
-                         else True)
-    f0 = np.where(finite, vals[:, 0], np.inf)
+    score = witness_f0(vals)
+    i = int(np.argmin(score)) if score.size else None
+    best = np.inf if i is None else float(score[i])
+    if descend_undecided and not best < -_WITNESS_TOL:
+        # starts: best feasible by f0, topped up with the least infeasible
+        starts = [X[j] for j in smallest(score, 20) if np.isfinite(score[j])]
+        if len(starts) < 20 and system.p:
+            # out-of-domain rows score +inf, like feasible ones
+            pen = np.sum(np.maximum(-vals[:, 1:], 0.0) ** 2, axis=1)
+            pen = np.where(np.isfinite(vals).all(1) & np.isinf(score), pen,
+                           np.inf)
+            starts += [X[j] for j in smallest(pen, 20 - len(starts))
+                       if np.isfinite(pen[j])]
+        if extra_starts is not None:
+            starts = (list(np.atleast_2d(np.asarray(extra_starts, float)))
+                      + starts)
+        if not starts:
+            starts = [np.zeros(system.n)]
+        refined, _ = descend(penalized_loss(system), np.array(starts),
+                             steps=80, box_radius=radius)
+        # the penalized descent may trade a whisker of feasibility for
+        # objective, so the undescended starts stay in the candidate pool
+        candidates = np.vstack([refined, np.array(starts)])
+        cand_vals = system.values_batch(candidates)
+        cand_score = witness_f0(cand_vals)
+        j = int(np.argmin(cand_score))
+        if cand_score[j] < best:    # the sample wins a tie
+            X, vals, i, best = candidates, cand_vals, j, float(cand_score[j])
 
-    closest_x = None
-    closest_f0 = None
-    if np.any(feasible):
-        idx = int(np.argmin(np.where(feasible, f0, np.inf)))
-        closest_x, closest_f0 = X[idx], float(f0[idx])
-        if closest_f0 < -_WITNESS_TOL:
-            min_c = float(vals[idx, 1:].min()) if system.p else np.inf
-            return CounterexampleResult(found=True, x=closest_x,
-                                        f0_value=closest_f0,
-                                        min_constraint=min_c,
-                                        closest_miss_x=closest_x,
-                                        closest_miss_f0=closest_f0)
-    if not descend_undecided:
-        return CounterexampleResult(found=False, closest_miss_x=closest_x,
-                                    closest_miss_f0=closest_f0)
-
-    # starts: best feasible by f0, topped up with the least infeasible
-    score = np.where(feasible, f0, np.inf)
-    starts = [X[i] for i in smallest(score, 20) if np.isfinite(score[i])]
-    if len(starts) < 20 and system.p:
-        # out-of-domain rows score +inf, like feasible ones
-        infeas_pen = np.sum(np.maximum(-vals[:, 1:], 0.0) ** 2, axis=1)
-        infeas_pen = np.where(finite & ~feasible, infeas_pen, np.inf)
-        for i in smallest(infeas_pen, 20 - len(starts)):
-            if np.isfinite(infeas_pen[i]):
-                starts.append(X[i])
-    if extra_starts is not None:
-        starts = list(np.atleast_2d(np.asarray(extra_starts, float))) + starts
-    if not starts:
-        starts = [np.zeros(system.n)]
-
-    refined, _ = descend(penalized_loss(system), np.array(starts),
-                         steps=80, box_radius=radius)
-    # the penalized descent may trade a whisker of feasibility for
-    # objective, so the undescended starts stay in the candidate pool
-    candidates = np.vstack([refined, np.array(starts)])
-    best_hit = None
-    for x, vals_x in zip(candidates, system.values_batch(candidates)):
-        if not all_finite(vals_x):
-            continue
-        min_c = float(vals_x[1:].min()) if system.p else np.inf
-        if min_c < -_WITNESS_TOL:
-            continue
-        value = float(vals_x[0])
-        if value < -_WITNESS_TOL and (best_hit is None or value < best_hit[1]):
-            best_hit = (x, value, min_c)
-        if closest_f0 is None or value < closest_f0:
-            closest_x, closest_f0 = x, value
-    if best_hit is not None:
-        x, value, min_c = best_hit
-        return CounterexampleResult(found=True, x=x, f0_value=value,
-                                    min_constraint=min_c,
-                                    closest_miss_x=closest_x,
-                                    closest_miss_f0=closest_f0)
-    return CounterexampleResult(found=False, closest_miss_x=closest_x,
-                                closest_miss_f0=closest_f0)
+    if best == np.inf:
+        return CounterexampleResult(found=False)
+    if best >= -_WITNESS_TOL:
+        return CounterexampleResult(found=False, closest_miss_x=X[i],
+                                    closest_miss_f0=best)
+    return CounterexampleResult(
+        found=True, x=X[i], f0_value=best,
+        min_constraint=float(vals[i, 1:].min()) if system.p else np.inf,
+        closest_miss_x=X[i], closest_miss_f0=best)
 
 
 @dataclass
@@ -251,7 +242,6 @@ class InstanceReport:
     evidence: GeometryEvidence = field(default_factory=GeometryEvidence)
     config: ClassifyConfig = field(default_factory=ClassifyConfig)
     notes: list = field(default_factory=list)
-    system: FunctionSystem | None = None
 
 
 def counterexample_stage(system, config, extra_starts=None, *,
@@ -379,7 +369,7 @@ def classify_instance(system, config=None):
     config = config or ClassifyConfig()
     report = InstanceReport(verdict=UNDETERMINED,
                             slater=SlaterResult(status=NOT_FOUND),
-                            config=config, system=system)
+                            config=config)
 
     def refuted(cex):
         if cex.found:

@@ -55,12 +55,21 @@ SETTINGS = (
 )
 
 
+def _float(value):
+    """float(value), reading an integer too large for a float as +-inf, as
+    json reads an overflowing literal such as 1e400."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def check_setting(setting, value):
     """`value` in the setting's type; ParseError unless it is in range."""
     kind, sign = setting.kind, setting.sign
     ok = type(value) in (int, kind)     # a bool is no int here
     if ok and kind is float:
-        value = float(value)
+        value = _float(value)
         ok = math.isfinite(value)
     if ok and sign:
         ok = value > 0 or (sign == "nonnegative" and value == 0)
@@ -105,7 +114,7 @@ def _require_keys(obj, allowed, required, where):
 def _number(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: expected a number, got {value!r}")
-    value = float(value)
+    value = _float(value)
     if not math.isfinite(value):
         # json reads NaN, Infinity and overflowing literals such as 1e400
         raise ParseError(f"{where}: expected a finite number, got {value!r}")

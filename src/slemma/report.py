@@ -154,17 +154,21 @@ def separator_block(parent, sep):
     return block
 
 
+def violation_lines(block, v):
+    """A convexity violation: its endpoints, t, midpoint and margin."""
+    block.add("z1", fvec(v.z1))
+    block.add("z2", fvec(v.z2))
+    block.add("t", fnum(v.t))
+    block.add("midpoint", fvec(v.m))
+    block.add("margin", fnum(v.margin))
+
+
 def falsify_block(parent, result, key):
     block = parent.add_block(key)
     if result.found:
-        v = result.violation
         block.add("status", "violation found (sampled evidence)")
         block.add("trials_run", result.trials_run)
-        block.add("z1", fvec(v.z1))
-        block.add("z2", fvec(v.z2))
-        block.add("t", fnum(v.t))
-        block.add("midpoint", fvec(v.m))
-        block.add("margin", fnum(v.margin))
+        violation_lines(block, result.violation)
     else:
         block.add("status", "no violation found")
         block.add("trials_run", result.trials_run)
@@ -250,13 +254,8 @@ def conjecture_report(scan, command):
         if entry.violation is None:
             block.add("status", "no violation found")
         else:
-            v = entry.violation
             block.add("status", "candidate violation (evidence, not proof)")
-            block.add("z1", fvec(v.z1))
-            block.add("z2", fvec(v.z2))
-            block.add("t", fnum(v.t))
-            block.add("midpoint", fvec(v.m))
-            block.add("margin", fnum(v.margin))
+            violation_lines(block, entry.violation)
             for qi, (Q, c, d) in enumerate(entry.coefficients, start=1):
                 qblock = block.add_block(f"q{qi}")
                 qblock.add("Q", fvec(np.asarray(Q).ravel()))

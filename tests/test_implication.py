@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
@@ -68,6 +69,32 @@ def test_slater_vacuous_for_p0():
     res = check_slater(system, seed=5)
     assert res.found
     assert res.x0.tolist() == [0.0, 0.0]
+
+
+def test_witness_and_slater_rules_match_the_row_by_row_rule():
+    # boundary values, non-finite entries and ties, against the plain
+    # per-row statement of each rule
+    tol, nan, inf = 1e-9, np.nan, np.inf
+    vals = np.array([
+        [-1.0, -1e-9, 2.0], [-1.0, -1.0000001e-9, 2.0], [-1.0, 0.0, 2.0],
+        [-2e-9, 1.0, 1.0], [-1e-9, 1.0, 1.0], [nan, 1.0, 1.0],
+        [-5.0, inf, 1.0], [-5.0, 1.0, nan], [-inf, 1.0, 1.0],
+        [3.0, 1e-9, 5.0], [3.0, 1.1e-9, 5.0], [0.0, -inf, 5.0]])
+    for p in (2, 1, 0):
+        rows = vals[:, :p + 1]
+        witness = implication.witness_f0(rows)
+        for k, row in enumerate(rows):
+            feasible = all(np.isfinite(row)) and all(
+                v >= -tol for v in row[1:])
+            assert witness[k] == (row[0] if feasible else inf)
+    margin = implication.slater_margin(vals[:, 1:])
+    for k, row in enumerate(vals):
+        assert margin[k] == min(v if np.isfinite(v) else -inf
+                                for v in row[1:])
+    witness = implication.witness_f0(vals)
+    assert list(np.flatnonzero(witness < -tol)) == [0, 2, 3]
+    # f0 need not be defined at a Slater point (row 5)
+    assert list(np.flatnonzero(margin > tol)) == [3, 4, 5, 8, 10]
 
 
 def test_counterexample_none_for_nonnegative_objective():
@@ -159,14 +186,14 @@ def test_a_deciding_sample_is_the_best_sample():
             slaters += 1
             assert slater.x0.tobytes() == X[i].tobytes()
             assert slater.min_constraint_value == least[i] >= 0.0
-        feasible = np.isfinite(vals).all(1) & (least >= 0.0)
+        feasible = np.isfinite(vals).all(1) & (least >= -1e-9)
         i = int(np.argmin(np.where(feasible, vals[:, 0], np.inf)))
         cex = find_counterexample(system, radius, 2048, seed)
         if feasible[i] and vals[i, 0] < -1e-9:
             counterexamples += 1
             assert cex.x.tobytes() == X[i].tobytes()
             assert cex.f0_value == vals[i, 0]
-            assert cex.min_constraint == least[i] >= 0.0
+            assert cex.min_constraint == least[i] >= -1e-9
             assert cex.closest_miss_x.tobytes() == X[i].tobytes()
             assert cex.closest_miss_f0 == vals[i, 0]
     assert slaters >= 8 and counterexamples >= 8
@@ -237,6 +264,19 @@ def test_a_few_samples_that_miss_keep_the_descended_counterexample(
     assert len(starts) == 2
 
 
+def test_searches_without_samples_descend_from_the_origin():
+    # no sample row to read: the Slater search descends from no point and
+    # reports no margin, the counterexample search from the origin
+    system = random_p1_system(3)
+    assert _fields(check_slater(system, samples=0)) == {
+        "status": "NotFound", "x0": None, "min_constraint_value": -np.inf}
+    x = [7.502398432458222, 10.0]
+    assert _fields(find_counterexample(system, samples=0)) == {
+        "found": True, "x": x, "f0_value": -85.77925859537746,
+        "min_constraint": 126.30127568493387, "closest_miss_x": x,
+        "closest_miss_f0": -85.77925859537746}
+
+
 def test_an_undecided_sample_can_end_the_search(monkeypatch):
     # descend_undecided=False: not found, no descent, and the closest miss
     # is the feasible sample of least f0
@@ -245,7 +285,7 @@ def test_an_undecided_sample_can_end_the_search(monkeypatch):
         system = load_problem(CORPUS / f"{name}.json").system()
         X = SplitMix64(7).uniform_box(10.0, system.n, 4096)
         vals = system.values_batch(X)
-        feasible = np.all(vals[:, 1:] >= 0.0, axis=1)
+        feasible = np.all(vals[:, 1:] >= -1e-9, axis=1)
         res = find_counterexample(system, seed=7, descend_undecided=False)
         assert not res.found and res.x is None
         if not feasible.any():
@@ -255,6 +295,23 @@ def test_an_undecided_sample_can_end_the_search(monkeypatch):
         assert res.closest_miss_x.tobytes() == X[i].tobytes()
         assert res.closest_miss_f0 == vals[i, 0] >= -1e-9
     assert starts == []
+
+
+def test_the_sample_and_the_descent_share_one_witness_test(monkeypatch):
+    # f0 = -1 and f1 = -1e-10 everywhere: every point passes the witness
+    # test (f1 >= -1e-9, f0 < -1e-9), so the box sample decides, and the
+    # classifier's one descent is the Slater search's
+    def constant(d):
+        return QuadraticFunction(np.zeros((1, 1)), np.zeros(1), d)
+
+    system = FunctionSystem(1, constant(-1.0), (constant(-1e-10),))
+    starts = _spy_on_descents(monkeypatch)
+    res = find_counterexample(system, seed=7, descend_undecided=False)
+    assert res.found and starts == []
+    assert (res.f0_value, res.min_constraint) == (-1.0, -1e-10)
+    rep = classify_instance(system)
+    assert rep.verdict == INVALID and rep.counterexample.f0_value == -1.0
+    assert len(starts) == 1
 
 
 def _corpus_names(verdict):
@@ -522,9 +579,22 @@ def test_classify_deterministic_reports(example3):
     assert reps[0] == reps[1]
 
 
-def _verdict_letters(systems):
-    return "".join({INVALID: "I", VALID: "V", UNDETERMINED: "U"}[
-        classify_instance(system).verdict] for system in systems)
+def _verdicts_and_digest(systems):
+    """classify_instance's verdict on each system, one letter each, and a
+    sha256 over every report's witness bytes: counterexample x,
+    certificate alpha, Slater x0 and margin, and the notes."""
+    letters, digest = [], hashlib.sha256()
+    for system in systems:
+        rep = classify_instance(system)
+        letters.append({INVALID: "I", VALID: "V", UNDETERMINED: "U"}[
+            rep.verdict])
+        for value in (rep.counterexample and rep.counterexample.x,
+                      rep.certificate and rep.certificate.alpha,
+                      rep.slater.x0, rep.slater.min_constraint_value):
+            digest.update(b"-" if value is None
+                          else np.asarray(value, float).tobytes())
+        digest.update("\n".join(rep.notes).encode() + b"\0")
+    return "".join(letters), digest.hexdigest()
 
 
 # classify_instance verdicts on random_p1_system(seed), seeds 0-1499, one
@@ -558,11 +628,17 @@ P1_VERDICTS = (
 )
 
 
+# _verdicts_and_digest's sha256 on the same instances
+P1_DIGEST = "c21e5647e0cfe8e66f99a0484130df9b20fefa22880d737548bc539968a514a1"
+
+
 def test_random_p1_verdicts_are_pinned():
-    got = _verdict_letters(random_p1_system(seed) for seed in range(1500))
+    got, digest = _verdicts_and_digest(random_p1_system(seed)
+                                       for seed in range(1500))
     assert Counter(got) == {"I": 1296, "V": 201, "U": 3}
     assert [s for s, v in enumerate(got) if v == "U"] == [34, 129, 1330]
     assert got == P1_VERDICTS
+    assert digest == P1_DIGEST
 
 
 def _system_of(rng, p, n):
@@ -594,17 +670,23 @@ P2TO4_VERDICTS = (
     "IIIIIIIVIIIIIIVVIIIIIIIVIIIIIVIIIIIIIVIIIIIIIVIIIIIUIIIIIIIV"
 )
 
+P3_DIGEST = "d63501090124ce00c12510e556d5bb60f9109f973793f0b6e42299a255d10361"
+P2TO4_DIGEST = (
+    "60ddd107244289d44e07d39ae809eedb42786f3c167f0b7ae57d80b278fc4bc0")
+
 
 def test_random_p3_verdicts_are_pinned():
-    got = _verdict_letters(_p3_system(s) for s in range(60))
+    got, digest = _verdicts_and_digest(_p3_system(s) for s in range(60))
     assert Counter(got) == {"I": 48, "V": 11, "U": 1}
     assert [s for s, v in enumerate(got) if v == "U"] == [44]
     assert got == P3_VERDICTS
+    assert digest == P3_DIGEST
 
 
 def test_random_p2to4_verdicts_are_pinned():
-    got = _verdict_letters(_p2to4_system(s) for s in range(300))
+    got, digest = _verdicts_and_digest(_p2to4_system(s) for s in range(300))
     assert Counter(got) == {"I": 250, "V": 40, "U": 10}
     assert [s for s, v in enumerate(got) if v == "U"] == [
         5, 10, 50, 156, 176, 186, 193, 221, 228, 291]
     assert got == P2TO4_VERDICTS
+    assert digest == P2TO4_DIGEST

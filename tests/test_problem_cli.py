@@ -125,10 +125,13 @@ def test_asymmetric_q_is_a_parse_error(tmp_path):
 
 @pytest.mark.parametrize("literal, shown", [
     ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"),
-    ("1e400", "inf")])
+    ("1e400", "inf"),
+    pytest.param(str(10**400), "inf", id="10**400-inf"),
+    pytest.param(str(-10**400), "-inf", id="-10**400--inf")])
 def test_non_finite_numbers_are_parse_errors(tmp_path, literal, shown):
     # json reads these as floats; validate used to echo them and classify
-    # to end in a numerical failure
+    # to end in a numerical failure.  An integer too large for a float
+    # reads as infinite too
     path = tmp_path / "non_finite.json"
     path.write_text('{"n": 1, "p": 1, "functions": ['
                     '{"quadratic": {"Q": [%s], "c": [0.0], "d": 0.0}},'
@@ -488,6 +491,12 @@ def test_cli_rejects_bad_eta(tmp_path):
     ("R", 0, "box radius must be finite and positive, got 0.0"),
     ("R", -1, "box radius must be finite and positive, got -1.0"),
     ("R", float("nan"), "box radius must be finite and positive, got nan"),
+    pytest.param("R", 10**400,
+                 "box radius must be finite and positive, got inf",
+                 id="R-10**400"),
+    pytest.param("tol", -10**400,
+                 "tol must be finite and nonnegative, got -inf",
+                 id="tol--10**400"),
     ("tol", -1e-9, "tol must be finite and nonnegative, got -1e-09"),
     ("eta", -0.5, "eta must be finite and nonnegative, got -0.5"),
     ("N", 0, "samples must be a positive integer, got 0"),
