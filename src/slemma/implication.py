@@ -4,16 +4,15 @@ The classifier settles each instance as far as honest evidence allows:
 a re-verified counterexample proves the implication false; an exactly
 verified certificate proves it true; everything else stays Undetermined,
 decorated with the geometric evidence (sampled image vs. K, hull
-intersection, separator, convexity falsifiers).  Each search reads its
-box sample and its descended points with one vectorized test: a
-counterexample has every f_i >= -1e-9 and f0 < -1e-9 (`witness_f0`), a
-Slater point min_i f_i > 1e-9 (`slater_margin`).  The counterexample
-search's box sample comes first, then, on an all-quadratic system, the
-certificate search, and only then the counterexample descent, skipped
-when the certificate's margin leaves no counterexample for it to accept
-in the box ((C) implies (I), up to the tolerances).  Each stage is
-one function that maps the config to its arguments and owns its seed
-stream; the CLI's single-stage commands call the same functions."""
+intersection, separator, convexity falsifiers).  A run draws one box
+sample (`box_sample`, stream 2); the Slater and counterexample searches
+read it and their descended points with one vectorized test each
+(`slater_margin`, `witness_f0`).  On an all-quadratic system the
+certificate search runs between the counterexample search's read of the
+sample and its descent, skipped when the certificate's margin leaves no
+counterexample for it to accept in the box ((C) implies (I), up to the
+tolerances).  Each other stage maps the config to its arguments and owns
+its seed stream; the CLI calls them too."""
 
 from dataclasses import dataclass, field, fields
 
@@ -65,32 +64,37 @@ def slater_loss(system):
 
 
 def slater_margin(vals):
-    """min_i f_i on each row of values_batch(X, first=1), reading -inf
+    """min_i f_i on each row of values_batch(X)[:, 1:], reading -inf
     where a constraint is not finite: the Slater test is margin > 1e-9."""
     return np.min(np.where(np.isfinite(vals), vals, -np.inf), axis=1)
 
 
-def check_slater(system, radius=10.0, samples=2048, seed=0):
+def box_sample(system, radius, samples, seed):
+    """(X, system.values_batch(X)), X being `samples` points uniform in
+    [-radius, radius]^n from SplitMix64(seed): what both searches read."""
+    X = SplitMix64(seed).uniform_box(radius, system.n, samples)
+    return X, system.values_batch(X)
+
+
+def check_slater(system, X, vals, radius):
     """Point with every constraint strictly positive (min f_i > 1e-9).
 
-    The box sample is ranked by `slater_margin`, and its 10 best rows are
-    kept.  Unless the top one already clears 1e-9 (a descent from it would
+    The `box_sample` (X, vals) is ranked by `slater_margin`, and its 10
+    best rows are kept.  Unless the top one clears 1e-9 (a descent would
     only raise its margin), a 60-step descent of `slater_loss` replaces
-    them with its points, ranked by loss.  The Slater point is the first
-    kept row whose margin clears 1e-9; without one, the best margin is
-    reported.  p = 0 is vacuously Slater at the origin."""
+    them with its points, whose margin is minus their loss.  The Slater
+    point is the first kept row whose margin clears 1e-9; without one, the
+    best margin is reported.  p = 0 is vacuously Slater at the origin."""
     if system.p == 0:
         return SlaterResult(status=SLATER_POINT, x0=np.zeros(system.n),
                             min_constraint_value=np.inf)
 
-    X = SplitMix64(seed).uniform_box(radius, system.n, samples)
-    margin = slater_margin(system.values_batch(X, first=1))
+    margin = slater_margin(vals[:, 1:])
     top = smallest(-margin, 10)
     X, margin = X[top], margin[top]
     if not (margin.size and margin[0] > _SLATER_MIN):
-        X, _ = descend(slater_loss(system), X, steps=60, box_radius=radius)
-        # the constraints alone, as in the loss: f0 need not be defined
-        margin = slater_margin(system.values_batch(X, first=1))
+        X, loss = descend(slater_loss(system), X, steps=60, box_radius=radius)
+        margin = -loss
     passing = np.flatnonzero(margin > _SLATER_MIN)
     if passing.size:
         i = passing[0]
@@ -143,26 +147,23 @@ def witness_f0(vals):
     return np.where(feasible, vals[:, 0], np.inf)
 
 
-def find_counterexample(system, radius=10.0, samples=4096, seed=0,
-                        extra_starts=None, *, descend_undecided=True):
+def find_counterexample(system, X, vals, radius, extra_starts=None, *,
+                        descend_undecided=True):
     """Search for x with every f_i >= 0 and f0 < 0.
 
-    One witness test, `witness_f0`, reads the box sample and the descended
-    points alike: a row is feasible when f_i >= -1e-9 for all i, and a
-    counterexample when its f0 < -1e-9 too (Theorem 2, Eq. (1): z(x) lies
-    in K).  The first feasible sample of least f0 is the counterexample
-    when it passes, as a descent from it would keep it in the candidate
-    pool.  Otherwise an 80-step descent of `penalized_loss` runs from the
-    20 best feasible samples by f0, topped up with the least infeasible,
-    after any `extra_starts`; the descended points and their starts are
-    the candidates, and the first of least witness f0 replaces the sample
-    when strictly below it.  The result is that row, found or the closest
-    miss.  With `descend_undecided=False` an undecided sample ends the
-    search instead: the classifier searches for a certificate before it
-    pays for the descent.
-    """
-    X = SplitMix64(seed).uniform_box(radius, system.n, samples)
-    vals = system.values_batch(X)
+    One witness test, `witness_f0`, reads the `box_sample` (X, vals) and
+    the descended points alike: a row is feasible when f_i >= -1e-9 for
+    all i, and a counterexample when its f0 < -1e-9 too (Theorem 2, Eq.
+    (1): z(x) lies in K).  The first feasible sample of least f0 is the
+    counterexample when it passes, as a descent from it would keep it in
+    the candidate pool.  Otherwise an 80-step descent of `penalized_loss`
+    runs from the 20 best feasible samples by f0, topped up with the least
+    infeasible, after any `extra_starts`; the descended points and their
+    starts are the candidates, and the first of least witness f0 replaces
+    the sample when strictly below it.  The result is that row, found or
+    the closest miss.  With `descend_undecided=False` an undecided sample
+    ends the search: the classifier pays for the descent only after its
+    certificate search."""
     score = witness_f0(vals)
     i = int(np.argmin(score)) if score.size else None
     best = np.inf if i is None else float(score[i])
@@ -244,26 +245,23 @@ class InstanceReport:
     notes: list = field(default_factory=list)
 
 
-def counterexample_stage(system, config, extra_starts=None, *,
-                         descend_undecided=True):
-    """find_counterexample on stream 2, or on stream 3 for the retry that
-    also descends from `extra_starts`.  `descend_undecided` is passed on:
-    the classifier's first call stops at the box sample, and its second,
-    made unless a certificate leaves no counterexample to accept, repeats
-    that sample and descends."""
-    return find_counterexample(
-        system, radius=config.box_radius, samples=config.samples,
-        seed=derive_seed(config.seed, 2 if extra_starts is None else 3),
-        extra_starts=extra_starts, descend_undecided=descend_undecided)
+def counterexample_stage(system, config, extra_starts=None):
+    """find_counterexample on its own `box_sample`: stream 2 (classify's
+    sample) for the `counterexample` command, stream 3 for the retry that
+    also descends from `extra_starts`."""
+    seed = derive_seed(config.seed, 2 if extra_starts is None else 3)
+    X, vals = box_sample(system, config.box_radius, config.samples, seed)
+    return find_counterexample(system, X, vals, config.box_radius,
+                               extra_starts=extra_starts)
 
 
 def certificate_stage(system, config):
     """Certificate search on an all-quadratic system: exact Farkas when
     every function is affine, the PSD test of M0 at p = 0, cutting planes
-    otherwise (find_certificate_p1 at p = 1, stream 4 at p >= 2).  Returns
-    (search, notes, witness_starts), the starts being points that violate
-    a failed certificate, for the counterexample retry.  A Farkas
-    alternative is also the search's `witness`."""
+    otherwise (find_certificate_p1 at p = 1, find_certificate_general
+    above).  Returns (search, notes, witness_starts), the starts being
+    points that violate a failed certificate, for the counterexample
+    retry.  A Farkas alternative is also the search's `witness`."""
     notes = []
     if system.is_linear() and system.p >= 1:
         result = farkas_mod.solve(farkas_mod.linear_data(system))
@@ -287,8 +285,7 @@ def certificate_stage(system, config):
         search = cert_mod.find_certificate_p1(system, tol=config.psd_tol)
     else:
         search = cert_mod.find_certificate_general(
-            system, iters=config.supergradient_iters,
-            seed=derive_seed(config.seed, 4), tol=config.psd_tol)
+            system, iters=config.supergradient_iters, tol=config.psd_tol)
     if search.found:
         return search, notes, []
     if search.outcome == cert_mod.NO_CERTIFICATE:
@@ -351,13 +348,13 @@ def image_geometry(system, config):
 
 
 def classify_instance(system, config=None):
-    """Full pipeline: Slater, the counterexample search's box sample,
-    certificate search (quadratic route, then separation on a fresh
-    cloud), geometric evidence when nothing definitive came out.  On an
-    all-quadratic system the counterexample descent runs after the
-    quadratic route, and is skipped when its certificate leaves no
-    counterexample the descent could accept in the box (see
-    `_leaves_no_witness`): the PSD test's and the witness test's
+    """Full pipeline: one box sample for the Slater check and the
+    counterexample search, certificate search (quadratic route, then
+    separation on a fresh cloud), geometric evidence when nothing
+    definitive came out.  On an all-quadratic system the counterexample
+    descent runs after the quadratic route, and is skipped when its
+    certificate leaves no counterexample the descent could accept in the
+    box (see `_leaves_no_witness`): the PSD test's and the witness test's
     tolerances let a certificate pass beside such a counterexample, and
     a counterexample the descent finds decides Invalid.  Only exactly
     verified certificates yield ValidWithCertificate; sampled
@@ -379,14 +376,14 @@ def classify_instance(system, config=None):
         return cex.found
 
     try:
-        report.slater = check_slater(
-            system, radius=config.box_radius,
-            samples=max(1, config.samples // 2),
-            seed=derive_seed(config.seed, 1))
+        radius = config.box_radius
+        sample = box_sample(system, radius, config.samples,
+                            derive_seed(config.seed, 2))
+        report.slater = check_slater(system, *sample, radius)
 
         all_quadratic = system.is_quadratic
-        if refuted(counterexample_stage(system, config,
-                                        descend_undecided=not all_quadratic)):
+        if refuted(find_counterexample(system, *sample, radius,
+                                       descend_undecided=not all_quadratic)):
             return report
 
         witness_starts = []
@@ -399,10 +396,10 @@ def classify_instance(system, config=None):
                 failure = exc
             certified = failure is None and search.found
             if not (certified and _leaves_no_witness(
-                    system, search.certificate, config.box_radius)):
+                    system, search.certificate, radius)):
                 # descend, as without a search; the search's error and
                 # notes wait on the descent
-                if refuted(counterexample_stage(system, config)):
+                if refuted(find_counterexample(system, *sample, radius)):
                     return report
                 if failure is not None:
                     raise failure

@@ -43,15 +43,15 @@ class ParseError(SlemmaError):
 
 
 # a classifier setting: its `config` key, its CLI flag (None: the file
-# alone sets it), the `ClassifyConfig` field it sets, its name in error
-# lines, its type, and its sign ("positive", "nonnegative" or None)
-Setting = namedtuple("Setting", "key flag field label kind sign")
+# alone sets it), its `ClassifyConfig` field, its name in error lines,
+# its type, its sign ("positive", "nonnegative" or None) and its maximum
+Setting = namedtuple("Setting", "key flag field label kind sign most")
 SETTINGS = (
-    Setting("R", "box", "box_radius", "box radius", float, "positive"),
-    Setting("N", "samples", "samples", "samples", int, "positive"),
-    Setting("seed", "seed", "seed", "seed", int, None),
-    Setting("tol", "tol", "psd_tol", "tol", float, "nonnegative"),
-    Setting("eta", None, "eta", "eta", float, "nonnegative"),
+    Setting("R", "box", "box_radius", "box radius", float, "positive", None),
+    Setting("N", "samples", "samples", "samples", int, "positive", 10**6),
+    Setting("seed", "seed", "seed", "seed", int, None, None),
+    Setting("tol", "tol", "psd_tol", "tol", float, "nonnegative", None),
+    Setting("eta", None, "eta", "eta", float, "nonnegative", None),
 )
 
 
@@ -66,16 +66,18 @@ def _float(value):
 
 def check_setting(setting, value):
     """`value` in the setting's type; ParseError unless it is in range."""
-    kind, sign = setting.kind, setting.sign
+    kind, sign, most = setting.kind, setting.sign, setting.most
     ok = type(value) in (int, kind)     # a bool is no int here
     if ok and kind is float:
         value = _float(value)
         ok = math.isfinite(value)
     if ok and sign:
         ok = value > 0 or (sign == "nonnegative" and value == 0)
+    rule = (f"finite and {sign}" if kind is float else
+            f"a {sign} integer" if sign else "an integer")
+    if ok and most is not None and value > most:
+        ok, rule = False, f"at most {most}"
     if not ok:
-        rule = (f"finite and {sign}" if kind is float else
-                f"a {sign} integer" if sign else "an integer")
         raise ParseError(f"{setting.label} must be {rule}, got {value!r}")
     return value
 

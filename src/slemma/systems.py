@@ -110,10 +110,10 @@ class FunctionSystem:
                 f"point has length {x.shape[0]}, expected {self.n}")
         return self._evaluate(x[None], 0, False)[0][0]
 
-    def values_batch(self, X, first=0):
-        """(m, p+1-first) array of the values of f_first..f_p at the rows
-        of X; rows with out-of-domain evaluations come back non-finite."""
-        return self._evaluate(X, first, False)[0]
+    def values_batch(self, X):
+        """(m, p+1) array of the values of f0..fp at the rows of X; rows
+        with out-of-domain evaluations come back non-finite."""
+        return self._evaluate(X, 0, False)[0]
 
     def values_and_gradients(self, X, first=0):
         """(values, gradients) of f_first..f_p at the rows of X, shaped

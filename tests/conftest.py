@@ -5,6 +5,7 @@ from itertools import chain, combinations
 import numpy as np
 import pytest
 
+from slemma.geometry import _random_quadratic as random_quadratic
 from slemma.linprog import OPTIMAL, LinearProgram, solve_lp
 from slemma.quadratic import QuadraticFunction, evaluate_quadratic_batch
 from slemma.rng import SplitMix64
@@ -18,13 +19,6 @@ def example3():
                            np.zeros(2), 0.0)
     q1 = QuadraticFunction(np.zeros((2, 2)), np.array([1.0, 1.0]), 0.0)
     return FunctionSystem(n=2, f0=q0, constraints=(q1,))
-
-
-def random_quadratic(rng, n, scale=1.0):
-    vals = rng.uniforms(n * n + n + 1, -scale, scale)
-    raw = np.array(vals[: n * n]).reshape(n, n)
-    return QuadraticFunction(raw + raw.T, np.array(vals[n * n: n * n + n]),
-                             float(vals[-1]))
 
 
 def random_psd_quadratic(rng, n, margin=0.0):

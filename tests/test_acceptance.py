@@ -12,12 +12,13 @@ import pytest
 
 import slemma
 from conftest import (brute_force_boxed_lp, grid_decides_implication,
-                     random_quadratic, solve_boxed_lp)
+                      solve_boxed_lp)
 from slemma import certificate as cert
 from slemma import geometry as geo
 from slemma.cli import main as cli_main
+from slemma.geometry import _random_quadratic as random_quadratic
 from slemma.implication import (INVALID, UNDETERMINED, VALID, ClassifyConfig,
-                                check_slater, classify_instance)
+                                box_sample, check_slater, classify_instance)
 from slemma.linprog import OPTIMAL
 from slemma.quadratic import QuadraticFunction, eigen_sym, \
     evaluate_quadratic_batch
@@ -89,7 +90,9 @@ def p1_consistency_run():
         n = 1 + int(rng.randint(4))
         system = FunctionSystem(n, random_quadratic(rng, n),
                                 (random_quadratic(rng, n),))
-        slater = check_slater(system, seed=derive_seed(inst_seed, 1))
+        # the fixture keeps its stream-1, 2048-row Slater sample
+        sample = box_sample(system, 10.0, 2048, derive_seed(inst_seed, 1))
+        slater = check_slater(system, *sample, 10.0)
         if not slater.found:
             continue
         report = classify_instance(system, ClassifyConfig(seed=inst_seed))
@@ -174,7 +177,8 @@ def test_criterion_4_separation_pipeline():
         # generation guarantees: f0 convex, f1 concave, Slater, grid-(I)
         assert np.min(np.linalg.eigvalsh(system.f0.Q)) >= -1e-9
         assert np.max(np.linalg.eigvalsh(system.constraints[0].Q)) <= 1e-9
-        assert check_slater(system, seed=derive_seed(inst_seed, 1)).found
+        sample = box_sample(system, 10.0, 2048, derive_seed(inst_seed, 1))
+        assert check_slater(system, *sample, 10.0).found
         assert grid_decides_implication(system, points=21)
         cloud = geo.sample_image(system, 10.0, 512, derive_seed(inst_seed, 9))
         res = cert.find_certificate_via_separation(

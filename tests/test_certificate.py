@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import random_p1_system, random_psd_quadratic, random_quadratic
+from conftest import random_p1_system, random_psd_quadratic
 from slemma import certificate as cert
 from slemma import geometry as geo
 from slemma import linprog
 from slemma.errors import NumericalBreakdown
 from slemma.expr import parse
-from slemma.implication import find_counterexample
+from slemma.geometry import _random_quadratic as random_quadratic
+from slemma.implication import box_sample, find_counterexample
 from slemma.linprog import OPTIMAL, LinearProgram, Tableau, solve_lp
 from slemma.quadratic import QuadraticFunction, bordered_matrix
 from slemma.rng import SplitMix64
@@ -206,7 +207,8 @@ def test_certificate_soundness_against_sampling():
         if not res.found:
             continue
         found += 1
-        check = find_counterexample(system, samples=20000, seed=i)
+        check = find_counterexample(system,
+                                    *box_sample(system, 10.0, 20000, i), 10.0)
         assert not check.found, i
     assert found >= 4
 

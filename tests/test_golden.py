@@ -6,7 +6,9 @@ any of their bytes must say why in CHANGES.md, then rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints the name of each golden file whose bytes changed.
+which prints the name of each golden file whose bytes changed, followed
+by the report keys of the lines that moved in it (for example
+`classify.convex_case.txt: min_constraint_value, x0`).
 
 The reports are produced from inside the corpus directory with bare file
 names, so they hold no machine-specific path.  `validate` is pinned on
@@ -24,6 +26,7 @@ pins its exit code (EXIT_CODES) and its standard error: empty, or the
 `error:` line named in ERRORS.
 """
 
+import difflib
 import io
 from pathlib import Path
 
@@ -100,6 +103,27 @@ def _render(argv):
     return out.getvalue(), code, err.getvalue()
 
 
+def moved_keys(old, new):
+    """The keys of the report lines (`key: value`, or `"key": value` in a
+    JSON report) that differ between two renderings, sorted; a line
+    without a key stands for itself."""
+    matcher = difflib.SequenceMatcher(None, old.splitlines(),
+                                      new.splitlines(), autojunk=False)
+    keys = set()
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag != "equal":
+            for line in matcher.a[i1:i2] + matcher.b[j1:j2]:
+                keys.add(line.split(":", 1)[0].strip().strip('"'))
+    return sorted(keys)
+
+
+def test_moved_keys_name_the_lines_that_moved():
+    old = 'verdict: V\nslater:\n  x0: [1.0]\n  status: S\n"n": 2\nend'
+    new = 'verdict: V\nslater:\n  x0: [2.0]\n  status: S\n"n": 3\n'
+    assert moved_keys(old, new) == ["end", "n", "x0"]
+    assert moved_keys(old, old) == []
+
+
 def test_exit_tables_name_only_cases():
     names = {golden for golden, _ in CASES}
     assert set(EXIT_CODES) <= names and set(ERRORS) <= names
@@ -131,6 +155,8 @@ if __name__ == "__main__":
     for golden, argv in CASES:
         path = GOLDEN / golden
         text = _render(argv)[0]
-        if not path.exists() or path.read_bytes() != text.encode("utf-8"):
+        old = path.read_bytes().decode("utf-8") if path.exists() else None
+        if old != text:
             path.write_text(text, encoding="utf-8")
-            print(golden)
+            keys = [] if old is None else moved_keys(old, text)
+            print(f"{golden}: {', '.join(keys)}" if keys else golden)

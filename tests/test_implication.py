@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 import slemma
-from conftest import random_p1_system, random_quadratic
+from conftest import random_p1_system
 from slemma import certificate as cert
 from slemma import geometry as geo
 from slemma import implication, quadratic, search
 from slemma.errors import DimensionMismatch, NotConverged, NumericalBreakdown
 from slemma.expr import parse
+from slemma.geometry import _random_quadratic as random_quadratic
 from slemma.implication import (INVALID, UNDETERMINED, VALID, ClassifyConfig,
-                                check_slater, classify_instance,
+                                box_sample, check_slater, classify_instance,
                                 find_counterexample)
 from slemma.linprog import Tableau
 from slemma.problem import load_problem
@@ -34,7 +35,7 @@ def _ball(n):
 
 def test_slater_found_inside_ball():
     system = FunctionSystem(2, _norm_sq(2), (_ball(2),))
-    res = check_slater(system, seed=5)
+    res = check_slater(system, *box_sample(system, 10.0, 2048, 5), 10.0)
     assert res.found
     assert res.min_constraint_value > 1e-9
     assert np.linalg.norm(res.x0) < 1.0
@@ -43,12 +44,13 @@ def test_slater_found_inside_ball():
 def test_slater_not_found_for_negative_constraint():
     neg = QuadraticFunction(-2 * np.eye(2), np.zeros(2), -1.0)
     system = FunctionSystem(2, _norm_sq(2), (neg,))
-    res = check_slater(system, seed=5)
+    res = check_slater(system, *box_sample(system, 10.0, 2048, 5), 10.0)
     assert not res.found
 
 
 def test_slater_example3_constraint(example3):
-    res = check_slater(example3, seed=5)
+    res = check_slater(example3, *box_sample(example3, 10.0, 2048, 5),
+                       10.0)
     assert res.found
     # e.g. (1, 1) has value 2; any strictly positive point qualifies
     assert res.min_constraint_value > 0
@@ -58,7 +60,7 @@ def test_slater_ignores_an_undefined_objective():
     # log(x1) is undefined at every Slater point x1 < 0 of f1 = -x1; the
     # candidates used to be rejected for their non-finite f0
     system = FunctionSystem(1, parse("log(x1)", 1), (parse("-x1", 1),))
-    res = check_slater(system, seed=5)
+    res = check_slater(system, *box_sample(system, 10.0, 2048, 5), 10.0)
     assert res.found
     assert res.x0[0] < 0
     assert res.min_constraint_value == -res.x0[0]
@@ -66,7 +68,7 @@ def test_slater_ignores_an_undefined_objective():
 
 def test_slater_vacuous_for_p0():
     system = FunctionSystem(2, _norm_sq(2), ())
-    res = check_slater(system, seed=5)
+    res = check_slater(system, *box_sample(system, 10.0, 2048, 5), 10.0)
     assert res.found
     assert res.x0.tolist() == [0.0, 0.0]
 
@@ -99,12 +101,14 @@ def test_witness_and_slater_rules_match_the_row_by_row_rule():
 
 def test_counterexample_none_for_nonnegative_objective():
     system = FunctionSystem(2, _norm_sq(2), (_ball(2),))
-    res = find_counterexample(system, seed=7)
+    res = find_counterexample(system, *box_sample(system, 10.0, 4096, 7),
+                              10.0)
     assert not res.found
 
 
 def test_counterexample_found_for_example3(example3):
-    res = find_counterexample(example3, seed=7)
+    res = find_counterexample(example3,
+                              *box_sample(example3, 10.0, 4096, 7), 10.0)
     assert res.found
     vals = example3.values(res.x)
     assert vals[0] < -1e-9
@@ -115,7 +119,8 @@ def test_counterexample_none_when_feasible_set_matches_sign():
     # f0 = x1 with constraint x1 >= 0: nonnegative on the feasible set
     lin = QuadraticFunction([[0.0]], [1.0], 0.0)
     system = FunctionSystem(1, lin, (lin,))
-    res = find_counterexample(system, seed=7)
+    res = find_counterexample(system, *box_sample(system, 10.0, 4096, 7),
+                              10.0)
     assert not res.found
     # the closest feasible miss has f0 near 0
     assert res.closest_miss_f0 is not None
@@ -142,7 +147,8 @@ def test_counterexample_starts_are_in_domain(monkeypatch):
     system = FunctionSystem(2, parse("sqrt(x1) + 1", 2),
                             (parse("0.0001 - x2^2", 2),))
     starts = _spy_on_descents(monkeypatch)
-    res = find_counterexample(system, seed=3)
+    res = find_counterexample(system, *box_sample(system, 10.0, 4096, 3),
+                              10.0)
     assert not res.found
     assert len(starts) == 1 and starts[0].shape == (20, 2)
     assert np.all(np.isfinite(system.values_batch(starts[0])))
@@ -162,10 +168,13 @@ def test_a_deciding_sample_runs_no_descent(monkeypatch):
     starts = _spy_on_descents(monkeypatch)
     decided = 0
     for seed, system in enumerate(_sample_deciders()):
-        slater = check_slater(system, seed=seed)
-        cex = find_counterexample(system, seed=seed)
-        retry = find_counterexample(system, seed=seed + 100,
-                                    extra_starts=[np.zeros(system.n)])
+        slater = check_slater(system, *box_sample(system, 10.0, 2048, seed),
+                              10.0)
+        cex = find_counterexample(
+            system, *box_sample(system, 10.0, 4096, seed), 10.0)
+        retry = find_counterexample(
+            system, *box_sample(system, 10.0, 4096, seed + 100), 10.0,
+            extra_starts=[np.zeros(system.n)])
         if slater.found and cex.found and retry.found:
             decided += 1
             assert starts == []
@@ -177,18 +186,17 @@ def test_a_deciding_sample_is_the_best_sample():
     radius, seed = 10.0, 4
     slaters = counterexamples = 0
     for system in _sample_deciders():
-        X = SplitMix64(seed).uniform_box(radius, system.n, 2048)
-        vals = system.values_batch(X)
+        X, vals = box_sample(system, radius, 2048, seed)
         least = np.min(vals[:, 1:], axis=1)
         i = int(np.argmax(np.where(np.isfinite(least), least, -np.inf)))
-        slater = check_slater(system, radius, 2048, seed)
+        slater = check_slater(system, X, vals, radius)
         if least[i] > 1e-9:
             slaters += 1
             assert slater.x0.tobytes() == X[i].tobytes()
             assert slater.min_constraint_value == least[i] >= 0.0
         feasible = np.isfinite(vals).all(1) & (least >= -1e-9)
         i = int(np.argmin(np.where(feasible, vals[:, 0], np.inf)))
-        cex = find_counterexample(system, radius, 2048, seed)
+        cex = find_counterexample(system, X, vals, radius)
         if feasible[i] and vals[i, 0] < -1e-9:
             counterexamples += 1
             assert cex.x.tobytes() == X[i].tobytes()
@@ -205,17 +213,18 @@ def _fields(result):
 
 
 # searches whose box sample decides nothing: their results come from the
-# descent and are pinned byte for byte (floats in shortest round-trip form)
+# descent and are pinned byte for byte (floats in shortest round-trip form);
+# both searches read the classifier's one sample (stream 2)
 UNDECIDED_SAMPLES = [
     ("slater_fail", "slater", {
         "status": "NotFound", "x0": None,
-        "min_constraint_value": -5.335769271650948e-27}),
+        "min_constraint_value": -1.0455777199350895e-27}),
     ("slater_fail", "counterexample", {
         "found": False, "x": None, "f0_value": None, "min_constraint": None,
         "closest_miss_x": None, "closest_miss_f0": None}),
     (34, "slater", {
         "status": "SlaterPoint",
-        "x0": [-0.007811185096264342, -0.11179379942079899],
+        "x0": [-0.007811184728663708, -0.11179379849281841],
         "min_constraint_value": 0.00214045061942595}),
     (34, "counterexample", {
         "found": False, "x": None, "f0_value": None, "min_constraint": None,
@@ -241,8 +250,9 @@ def test_an_undecided_sample_keeps_the_descended_result(monkeypatch, name,
     config = ClassifyConfig()
     starts = _spy_on_descents(monkeypatch)
     if stage == "slater":
-        result = check_slater(system, samples=config.samples // 2,
-                              seed=derive_seed(config.seed, 1))
+        result = check_slater(system, *box_sample(
+            system, config.box_radius, config.samples,
+            derive_seed(config.seed, 2)), config.box_radius)
     else:
         result = implication.counterexample_stage(system, config)
     assert len(starts) == 1
@@ -256,7 +266,8 @@ def test_a_few_samples_that_miss_keep_the_descended_counterexample(
     starts = _spy_on_descents(monkeypatch)
     for seed, x0, min_c in ((0, 5.086450802540854e-08, 10.000000050864507),
                             (3, -2.444272707276388e-09, 9.999999997555728)):
-        res = find_counterexample(example3, samples=3, seed=seed)
+        res = find_counterexample(example3,
+                                  *box_sample(example3, 10.0, 3, seed), 10.0)
         assert _fields(res) == {
             "found": True, "x": [x0, 10.0], "f0_value": -100.0,
             "min_constraint": min_c, "closest_miss_x": [x0, 10.0],
@@ -268,10 +279,11 @@ def test_searches_without_samples_descend_from_the_origin():
     # no sample row to read: the Slater search descends from no point and
     # reports no margin, the counterexample search from the origin
     system = random_p1_system(3)
-    assert _fields(check_slater(system, samples=0)) == {
+    sample = box_sample(system, 10.0, 0, 0)
+    assert _fields(check_slater(system, *sample, 10.0)) == {
         "status": "NotFound", "x0": None, "min_constraint_value": -np.inf}
     x = [7.502398432458222, 10.0]
-    assert _fields(find_counterexample(system, samples=0)) == {
+    assert _fields(find_counterexample(system, *sample, 10.0)) == {
         "found": True, "x": x, "f0_value": -85.77925859537746,
         "min_constraint": 126.30127568493387, "closest_miss_x": x,
         "closest_miss_f0": -85.77925859537746}
@@ -283,10 +295,10 @@ def test_an_undecided_sample_can_end_the_search(monkeypatch):
     starts = _spy_on_descents(monkeypatch)
     for name in ("slater_fail", "p0_psd", "random_p1_02"):
         system = load_problem(CORPUS / f"{name}.json").system()
-        X = SplitMix64(7).uniform_box(10.0, system.n, 4096)
-        vals = system.values_batch(X)
+        X, vals = box_sample(system, 10.0, 4096, 7)
         feasible = np.all(vals[:, 1:] >= -1e-9, axis=1)
-        res = find_counterexample(system, seed=7, descend_undecided=False)
+        res = find_counterexample(system, X, vals, 10.0,
+                                  descend_undecided=False)
         assert not res.found and res.x is None
         if not feasible.any():
             assert res.closest_miss_x is res.closest_miss_f0 is None
@@ -306,7 +318,8 @@ def test_the_sample_and_the_descent_share_one_witness_test(monkeypatch):
 
     system = FunctionSystem(1, constant(-1.0), (constant(-1e-10),))
     starts = _spy_on_descents(monkeypatch)
-    res = find_counterexample(system, seed=7, descend_undecided=False)
+    res = find_counterexample(system, *box_sample(system, 10.0, 4096, 7),
+                              10.0, descend_undecided=False)
     assert res.found and starts == []
     assert (res.f0_value, res.min_constraint) == (-1.0, -1e-10)
     rep = classify_instance(system)
@@ -344,10 +357,10 @@ def test_a_certificate_passing_by_tolerance_lets_the_descent_refute():
         1, QuadraticFunction(np.array([[2000.0]]), np.zeros(1), -1e-7), ())
     check = cert.check_multipliers(system, np.zeros(0))
     assert check.certificate is not None and check.lambda_min < 0
-    seed = derive_seed(1, 2)
-    assert not find_counterexample(system, seed=seed,
+    sample = box_sample(system, 10.0, 4096, derive_seed(1, 2))
+    assert not find_counterexample(system, *sample, 10.0,
                                    descend_undecided=False).found
-    expected = find_counterexample(system, seed=seed)
+    expected = find_counterexample(system, *sample, 10.0)
     assert expected.found and expected.f0_value < -1e-9
     rep = classify_instance(system)
     assert rep.verdict == INVALID and rep.notes == []
@@ -372,17 +385,60 @@ def test_a_failed_certificate_search_is_followed_by_the_descent(monkeypatch,
                                                                  seed):
     # no counterexample in the sample and no certificate: the descent
     # decides, with the counterexample stage's result bit for bit and none
-    # of the certificate search's notes
+    # of the certificate search's notes.  At seed 585 the Slater search
+    # descends too, before the certificate search
     system = random_p1_system(seed)
-    expected = find_counterexample(system, seed=derive_seed(1, 2))
+    sample = box_sample(system, 10.0, 4096, derive_seed(1, 2))
+    expected = find_counterexample(system, *sample, 10.0)
     assert expected.found
     starts = _spy_on_descents(monkeypatch)
+    check_slater(system, *sample, 10.0)
+    slater = len(starts)
+    assert slater == (seed == 585)
+    del starts[:]
     searches = _spy_on_searches(monkeypatch, starts)
     rep = classify_instance(system)
-    assert searches == [0] and len(starts) == 1
+    assert searches == [slater] and len(starts) == slater + 1
     assert rep.verdict == INVALID and rep.notes == []
     assert _fields(rep.counterexample) == _fields(expected)
     assert rep.counterexample.x.tobytes() == expected.x.tobytes()
+
+
+def _spy_on_draws(monkeypatch):
+    """The row count of every box sample drawn, and "certificate" where
+    the classifier's certificate stage starts."""
+    events = []
+    draw, stage = SplitMix64.uniform_box, implication.certificate_stage
+
+    def counted_draw(self, radius, n, count):
+        events.append(count)
+        return draw(self, radius, n, count)
+
+    def counted_stage(*args, **kwargs):
+        events.append("certificate")
+        return stage(*args, **kwargs)
+
+    monkeypatch.setattr(SplitMix64, "uniform_box", counted_draw)
+    monkeypatch.setattr(implication, "certificate_stage", counted_stage)
+    return events
+
+
+@pytest.mark.parametrize("name, descents", [
+    (0, 0), ("farkas_homogeneous", 1), (189, 1)])
+def test_classify_draws_one_box_sample(monkeypatch, name, descents):
+    # the Slater check, the sample-only counterexample read and the
+    # descent all read one N-row sample: seed 0 is decided by it, the
+    # other two descend from it (farkas_homogeneous after its certificate,
+    # seed 189 after a failed certificate search)
+    system = (load_problem(CORPUS / f"{name}.json").system()
+              if isinstance(name, str) else random_p1_system(name))
+    samples = ClassifyConfig().samples
+    starts = _spy_on_descents(monkeypatch)
+    events = _spy_on_draws(monkeypatch)
+    rep = classify_instance(system)
+    assert rep.verdict == (VALID if isinstance(name, str) else INVALID)
+    assert events == [samples] + ["certificate"] * bool(descents)
+    assert len(starts) == descents
 
 
 @pytest.mark.parametrize("error", [NumericalBreakdown, NotConverged,
@@ -629,7 +685,7 @@ P1_VERDICTS = (
 
 
 # _verdicts_and_digest's sha256 on the same instances
-P1_DIGEST = "c21e5647e0cfe8e66f99a0484130df9b20fefa22880d737548bc539968a514a1"
+P1_DIGEST = "023cf749b8fb99ffa31dfed71d04accdc2ad8194e43a8250169b152717821108"
 
 
 def test_random_p1_verdicts_are_pinned():
@@ -670,9 +726,9 @@ P2TO4_VERDICTS = (
     "IIIIIIIVIIIIIIVVIIIIIIIVIIIIIVIIIIIIIVIIIIIIIVIIIIIUIIIIIIIV"
 )
 
-P3_DIGEST = "d63501090124ce00c12510e556d5bb60f9109f973793f0b6e42299a255d10361"
+P3_DIGEST = "bc1ff58305ad370b39e1f2d7858f059dc02ee2982e98e6f6d508ea146de29a60"
 P2TO4_DIGEST = (
-    "60ddd107244289d44e07d39ae809eedb42786f3c167f0b7ae57d80b278fc4bc0")
+    "3d185412eca1be8f9b1358429855fafd22170dc545d38dd58fdc3534b5445045")
 
 
 def test_random_p3_verdicts_are_pinned():

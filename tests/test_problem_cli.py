@@ -500,6 +500,9 @@ def test_cli_rejects_bad_eta(tmp_path):
     ("tol", -1e-9, "tol must be finite and nonnegative, got -1e-09"),
     ("eta", -0.5, "eta must be finite and nonnegative, got -0.5"),
     ("N", 0, "samples must be a positive integer, got 0"),
+    ("N", 10**6 + 1, "samples must be at most 1000000, got 1000001"),
+    pytest.param("N", 10**400, f"samples must be at most 1000000, got "
+                 f"{10**400}", id="N-10**400"),
     ("seed", True, "seed must be an integer, got True")])
 def test_validate_rejects_what_classify_rejects(tmp_path, key, value,
                                                 message):
@@ -564,7 +567,8 @@ def test_single_stage_commands_agree_with_classify(name):
 
 
 def test_classify_samples_one_runs_the_slater_search():
-    # samples // 2 gave the Slater search no points at --samples 1
+    # the Slater search reads classify's one sample, a single point at
+    # --samples 1, and descends from it
     code, out, _ = run_cli("classify", str(CORPUS / "random_p1_01.json"),
                            "--samples", "1", "--json")
     assert code == 0

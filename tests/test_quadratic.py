@@ -3,10 +3,10 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from conftest import random_quadratic
 from slemma.certificate import check_multipliers
 from slemma.errors import DimensionMismatch, NotConverged, NumericalBreakdown
 from slemma.expr import evaluate, parse
+from slemma.geometry import _random_quadratic as random_quadratic
 from slemma.quadratic import (QuadraticFunction, bordered_matrix, eigen_sym,
                               evaluate_quadratic, evaluate_quadratic_batch,
                               min_eigenvalue)

@@ -2,8 +2,8 @@
 in-place loop return exactly what the plain loop gives over the full step
 budget, with each loss's (values, gradients) protocol; the search losses,
 `values_batch` and the top-k start selection equal their former formulas
-byte for byte; and `values_batch(X, first=...)` skips columns without
-moving the rest."""
+byte for byte; and `values_and_gradients(X, first=...)` skips columns
+without moving the rest."""
 
 import warnings
 from pathlib import Path
@@ -15,14 +15,15 @@ import slemma
 from slemma import geometry, implication, search
 from slemma.errors import DomainError
 from slemma.expr import parse
-from slemma.implication import (ClassifyConfig, check_slater,
+from slemma.geometry import _random_quadratic as random_quadratic
+from slemma.implication import (ClassifyConfig, box_sample, check_slater,
                                 classify_instance, find_counterexample)
 from slemma.problem import load_problem
 from slemma.quadratic import QuadraticFunction, evaluate_quadratic_batch
 from slemma.rng import SplitMix64
 from slemma.systems import FunctionSystem, quadratic_to_source
 
-from conftest import random_p1_system, random_quadratic
+from conftest import random_p1_system
 
 CORPUS = Path(slemma.__file__).parent / "corpus"
 
@@ -243,8 +244,9 @@ def test_one_call_per_iteration_on_the_search_losses(monkeypatch, p):
     descents = []
     for n in range(1, 7):
         system = _random_system(10 * p + n, p, n)
-        check_slater(system, samples=64, seed=n)
-        find_counterexample(system, samples=64, seed=n)
+        sample = box_sample(system, 10.0, 64, n)
+        check_slater(system, *sample, 10.0)
+        find_counterexample(system, *sample, 10.0)
         descents += _search_descents(system, 10.0, 64, n)
     monkeypatch.undo()
     assert len(descents) == 12
@@ -300,7 +302,7 @@ def test_one_call_per_iteration_out_of_domain(system):
 
 def _slater_loss_before(system):
     def loss(X):
-        vals = system.values_batch(X, first=1)
+        vals = system.values_batch(X)[:, 1:]
         vals = np.where(np.isfinite(vals), vals, -np.inf)
         return -np.minimum.reduce(vals, axis=1)
     return loss
@@ -337,7 +339,10 @@ def test_search_losses_match_their_former_formulas(system):
 def test_quadratic_batch_matches_its_former_formula():
     rng = SplitMix64(11)
     for n in range(1, 7):
-        q = random_quadratic(rng, n, scale=3.0)
+        vals = rng.uniforms(n * n + n + 1, -3.0, 3.0)
+        raw = vals[:n * n].reshape(n, n)
+        q = QuadraticFunction(raw + raw.T, vals[n * n:n * n + n],
+                              float(vals[-1]))
         for m in (1, 2, 3, 17):
             X = rng.uniform_box(5.0, n, m)
             former = 0.5 * np.einsum("ij,jk,ik->i", X, q.Q, X) + X @ q.c + q.d
@@ -386,7 +391,7 @@ def test_no_warning_from_probes_around_out_of_domain_trials(system):
         classify_instance(system, config)
 
 
-def test_values_batch_skips_leading_columns():
+def test_values_and_gradients_skip_leading_columns():
     quad = load_problem(CORPUS / "example3_pair.json").system()
     f0, f1 = [parse(quadratic_to_source(f), quad.n) for f in quad.functions]
     as_expr = FunctionSystem(quad.n, f0, (f1,))
@@ -394,12 +399,15 @@ def test_values_batch_skips_leading_columns():
         parse("sqrt(x2) - x1", 2), quad.constraints[0]))
     for system in (quad, as_expr, with_domain, random_p1_system(3)):
         X = SplitMix64(9).uniform_box(4.0, system.n, 50)
-        full = system.values_batch(X)
+        full, full_grads = system.values_and_gradients(X)
+        assert full.tobytes() == system.values_batch(X).tobytes()
         for first in range(system.p + 2):
-            part = system.values_batch(X, first=first)
+            part, grads = system.values_and_gradients(X, first=first)
             assert part.shape == (50, system.p + 1 - first)
             assert part.tobytes() == np.ascontiguousarray(
                 full[:, first:]).tobytes()
+            assert grads.tobytes() == np.ascontiguousarray(
+                full_grads[:, first:]).tobytes()
 
 
 # terms that make a quadratic's expression transcendental, and out of
