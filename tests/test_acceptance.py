@@ -90,7 +90,8 @@ def p1_consistency_run():
         n = 1 + int(rng.randint(4))
         system = FunctionSystem(n, random_quadratic(rng, n),
                                 (random_quadratic(rng, n),))
-        # the fixture keeps its stream-1, 2048-row Slater sample
+        # the Slater filter draws its own stream-1, 2048-row sample,
+        # independent of the classifier's
         sample = box_sample(system, 10.0, 2048, derive_seed(inst_seed, 1))
         slater = check_slater(system, *sample, 10.0)
         if not slater.found:
