@@ -367,9 +367,11 @@ def _membership_oracle(system, cloud, budget, seed, mode):
     target m, or a (k, p+1) stack answered as k calls in order: call c
     (counted from 1) searches with the seed derive_seed(seed, c), starting
     from the six cloud points of least shortfall.  In epi mode a cloud
-    point below m answers without a search; the rest share one search.
-    Shortfalls are taken _ORACLE_CHUNK targets at a time, so a large stack
-    never holds more than two (_ORACLE_CHUNK, N) buffers."""
+    point below m answers without a search: the first source whose point
+    is <= m + MEMBER_TOL in every coordinate, with the margin
+    max(least shortfall, 0).  The rest share one search.  Shortfalls are
+    taken _ORACLE_CHUNK targets at a time and answered as arrays, so a
+    large stack never holds more than two (_ORACLE_CHUNK, N) buffers."""
     calls = 0
 
     def oracle(m):
@@ -381,25 +383,29 @@ def _membership_oracle(system, cloud, budget, seed, mode):
         results = [None] * len(M)
         slow, nearest = [], []
         for lo in range(0, len(M), _ORACLE_CHUNK):
-            gaps = _shortfalls(cloud.points[None],
-                               M[lo:lo + _ORACLE_CHUNK, None], mode)
-            for j, row in enumerate(gaps, start=lo):
-                best = np.min(row)
-                if mode == "epi" and best <= MEMBER_TOL:
-                    inside = np.all(cloud.points <= M[j] + MEMBER_TOL, axis=1)
-                    results[j] = MembershipResult(
-                        member=True, x=cloud.sources[np.argmax(inside)],
-                        margin=float(max(best, 0.0)))
-                else:
-                    slow.append(j)
-                    # copied, so the row's full argsort is not kept alive
-                    nearest.append(np.argsort(row, kind="stable")[:6].copy())
-            del gaps, row     # free this chunk before the next is built
+            chunk = M[lo:lo + _ORACLE_CHUNK]
+            gaps = _shortfalls(cloud.points[None], chunk[:, None], mode)
+            best = gaps.min(axis=1)
+            fast = (best <= MEMBER_TOL if mode == "epi"
+                    else np.zeros(len(chunk), dtype=bool))
+            if fast.any():
+                rows = fast.nonzero()[0]
+                inside = _weakly_below(cloud.points,
+                                       chunk[rows] + MEMBER_TOL)
+                for j, i in zip(rows, inside.argmax(axis=0)):
+                    results[lo + j] = MembershipResult(
+                        member=True, x=cloud.sources[i],
+                        margin=float(max(best[j], 0.0)))
+                gaps = gaps[~fast]
+            slow.extend((lo + (~fast).nonzero()[0]).tolist())
+            # copied, so the rows' full argsort is not kept alive
+            nearest.append(
+                np.argsort(gaps, axis=1, kind="stable")[:, :6].copy())
+            del gaps      # free this chunk before the next is built
         if slow:
-            nearest = np.array(nearest)
             seeds = [derive_seed(seed, first + j) for j in slow]
             found = _member_search(system, M[slow], budget, seeds, mode,
-                                   starts=cloud.sources[nearest])
+                                   starts=cloud.sources[np.vstack(nearest)])
             for j, res in zip(slow, found):
                 results[j] = res
         return results if m_arr.ndim > 1 else results[0]
@@ -427,8 +433,10 @@ def conical_membership_oracle(system, cloud, budget=24, seed=0):
 
     Each non-zero target asks the inner identity oracle one stack of all
     25 scales, and so takes its next 25 derived seeds; the first member in
-    scale order answers.  A stack of targets is answered one target after
-    another, so one 25-row search is held at a time."""
+    scale order answers.  A stack of targets is answered lazily, one
+    target at a time as the caller reads the answers, so one 25-row search
+    is held at a time and a caller that stops reading (the falsifier, at
+    its first violation) skips the searches of the targets after it."""
     inner = identity_membership_oracle(system, cloud, budget, seed)
 
     def answer(m):
@@ -444,7 +452,7 @@ def conical_membership_oracle(system, cloud, budget=24, seed=0):
 
     def oracle(m):
         m_arr = np.asarray(m, dtype=float)
-        return answer(m_arr) if m_arr.ndim == 1 else list(map(answer, m_arr))
+        return answer(m_arr) if m_arr.ndim == 1 else map(answer, m_arr)
 
     return oracle
 
@@ -485,6 +493,33 @@ def _verify_endpoint(system, cloud, idx):
         )
 
 
+def _chord_draws(size, trials, seed):
+    """(trial, j1, j2, t index) of every chord among trials 1..trials, in
+    trial order, as arrays: the draws a trial-by-trial run makes with
+    SplitMix64(seed).randint, j1 and j2 in [0, size) and then, unless
+    j1 == j2, the index of t in _CHORD_TS.  They come from one batch of
+    3 * trials outputs, enough as a trial draws at most three: trial k
+    starts at output 3 (k - 1), less one for each earlier skip, a trial
+    with j1 == j2 drawing two."""
+    raw = SplitMix64(seed).u64s(3 * trials)
+    idx = (raw % np.uint64(size)).astype(np.int64)
+    first = 3 * np.arange(trials)
+    skip = np.zeros(trials, dtype=bool)
+    trial = 0
+    while trial < trials:
+        at = first[trial:]
+        hits = (idx[at] == idx[at + 1]).nonzero()[0]
+        if not hits.size:
+            break
+        trial += int(hits[0])
+        skip[trial] = True
+        first[trial + 1:] -= 1
+        trial += 1
+    at = first[~skip]
+    return (np.flatnonzero(~skip) + 1, idx[at], idx[at + 1],
+            (raw[at + 2] % np.uint64(3)).astype(np.int64))
+
+
 def falsify_convexity(member, cloud, trials=500, seed=0, eta=1e-3,
                       system=None):
     """Chord test against a membership oracle.
@@ -495,39 +530,40 @@ def falsify_convexity(member, cloud, trials=500, seed=0, eta=1e-3,
     Budget exhaustion without such a chord is a value (NoViolationFound),
     not an error.
 
-    Trials run in blocks of 1, 2, 4, ...; each block's chord points go to
-    the oracle as one (k, p+1) stack, answered with a list.  No draw
-    depends on an answer, so the first violation in trial order is the
-    one a trial-by-trial run reports, with the same `trials_run`.
+    The chords of all trials are drawn and formed up front, as arrays
+    (see _chord_draws), and go to the oracle in blocks of 1, 2, 4, ...
+    trials: each block's chord points as one (k, p+1) stack, answered
+    with an iterable read in order.  No draw depends on an answer, so the
+    first violation in trial order is the one a trial-by-trial run
+    reports, with the same `trials_run`; reading stops there, so an
+    oracle that answers lazily skips the rest of the block.
     """
-    rng = SplitMix64(seed)
-    done, size = 0, 1
+    trial_of, j1, j2, t_idx = _chord_draws(cloud.size, trials, seed)
+    t = np.array(_CHORD_TS)[t_idx]
+    M = (t[:, None] * cloud.points[j1]
+         + (1.0 - t)[:, None] * cloud.points[j2])
+    done, size, lo = 0, 1, 0
     while done < trials:
-        block = []
-        for trial in range(done + 1, min(trials, done + size) + 1):
-            j1, j2 = rng.randint(cloud.size), rng.randint(cloud.size)
-            if j1 != j2:
-                t = _CHORD_TS[rng.randint(3)]
-                m = t * cloud.points[j1] + (1.0 - t) * cloud.points[j2]
-                block.append((trial, j1, j2, t, m))
         done, size = min(trials, done + size), 2 * size
-        if not block:
+        hi = int(np.searchsorted(trial_of, done, side="right"))
+        if hi == lo:
             continue
-        answers = member(np.array([chord[-1] for chord in block]))
-        for (trial, j1, j2, t, m), res in zip(block, answers, strict=True):
+        for k, res in zip(range(lo, hi), member(M[lo:hi]), strict=True):
             if not res.member and res.margin > eta:
                 if system is not None:
-                    _verify_endpoint(system, cloud, j1)
-                    _verify_endpoint(system, cloud, j2)
+                    _verify_endpoint(system, cloud, j1[k])
+                    _verify_endpoint(system, cloud, j2[k])
                 return FalsifyResult(
                     violation=ConvexityViolation(
-                        z1=cloud.points[j1].copy(),
-                        z2=cloud.points[j2].copy(), t=t, m=m,
+                        z1=cloud.points[j1[k]].copy(),
+                        z2=cloud.points[j2[k]].copy(),
+                        t=_CHORD_TS[t_idx[k]], m=M[k].copy(),
                         margin=res.margin,
-                        indices=(int(j1), int(j2)),
+                        indices=(int(j1[k]), int(j2[k])),
                     ),
-                    trials_run=trial,
+                    trials_run=int(trial_of[k]),
                 )
+        lo = hi
     return FalsifyResult(trials_run=trials)
 
 

@@ -13,8 +13,9 @@ The generator is the standard one:
 Doubles in [0, 1) take the top 53 bits: (output >> 11) * 2^-53.
 
 Because the k-th state is seed + k * 0x9E3779B97F4A7C15 (mod 2^64), whole
-batches of outputs can be produced vectorized; `SplitMix64.uniforms` is
-bit-identical to repeated scalar `next_u64` calls.
+batches of outputs can be produced vectorized; `SplitMix64.u64s` is
+bit-identical to repeated scalar `next_u64` calls, and `uniforms` to
+repeated `uniform` calls.
 """
 
 import numpy as np
@@ -58,10 +59,9 @@ class SplitMix64:
         small n used here)."""
         return self.next_u64() % n
 
-    def uniforms(self, count, lo=0.0, hi=1.0):
-        """Vectorized batch equal to `count` scalar `uniform` calls."""
-        if count == 0:
-            return np.empty(0)
+    def u64s(self, count):
+        """Vectorized uint64 batch equal to `count` scalar `next_u64`
+        calls."""
         with np.errstate(over="ignore"):
             k = np.arange(1, count + 1, dtype=np.uint64)
             z = np.uint64(self.state) + k * np.uint64(_GAMMA)
@@ -69,7 +69,11 @@ class SplitMix64:
             z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
             z = z ^ (z >> np.uint64(31))
         self.state = (self.state + count * _GAMMA) & _MASK
-        u = (z >> np.uint64(11)).astype(np.float64) / _TWO53
+        return z
+
+    def uniforms(self, count, lo=0.0, hi=1.0):
+        """Vectorized batch equal to `count` scalar `uniform` calls."""
+        u = (self.u64s(count) >> np.uint64(11)).astype(np.float64) / _TWO53
         return lo + (hi - lo) * u
 
     def uniform_box(self, radius, n, count):

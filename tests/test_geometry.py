@@ -6,7 +6,7 @@ import pytest
 from slemma import geometry as geo
 from slemma import search
 from slemma.quadratic import QuadraticFunction
-from slemma.rng import SplitMix64
+from slemma.rng import SplitMix64, derive_seed
 from slemma.systems import FunctionSystem
 
 
@@ -424,6 +424,19 @@ def _falsify_trial_by_trial(oracle, cloud, trials, seed, eta):
     return trials, None, None, None
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 4096])
+def test_chord_draws_match_scalar_draws(size):
+    for trials in (0, 1, 7, 60):
+        rng = SplitMix64(8)
+        expected = []
+        for trial in range(1, trials + 1):
+            j1, j2 = rng.randint(size), rng.randint(size)
+            if j1 != j2:
+                expected.append((trial, j1, j2, rng.randint(3)))
+        draws = geo._chord_draws(size, trials, 8)
+        assert list(zip(*(d.tolist() for d in draws))) == expected
+
+
 @pytest.mark.parametrize("count,limit", [(4096, 2.8), (4096, 9.0),
                                          (3, 0.6), (3, 9.0)])
 def test_falsifier_blocks_match_trial_by_trial(count, limit):
@@ -461,6 +474,73 @@ def test_falsifier_reports_first_violation_of_a_block():
     assert [len(stack) for stack in fake.asked] == [1, 2, 4, 8]
     assert res.trials_run == 10
     assert res.violation.m.tobytes() == targets[9].tobytes()
+
+
+def test_conical_falsifier_skips_the_searches_after_a_violation(
+        example3, monkeypatch):
+    cloud = _cloud_from_points(SplitMix64(17).uniform_box(3.0, 2, 4096))
+    accepting = _RecordingOracle(lambda m: False)
+    geo.falsify_convexity(accepting, cloud, trials=60, seed=8, eta=0.5)
+    targets = np.vstack(accepting.asked)
+    # trials 10 and 13 lie in the block of trials 8-15; the recording
+    # inner oracle rejects every scale of theirs and accepts the others
+    scales = geo._CONE_SCALES[:, None]
+    bad = {row.tobytes() for m in targets[[9, 12]] for row in m / scales}
+    inners = []
+
+    def recording_inner(system, cloud, budget=24, seed=0):
+        inners.append(_RecordingOracle(lambda row: row.tobytes() in bad))
+        return inners[-1]
+
+    monkeypatch.setattr(geo, "identity_membership_oracle", recording_inner)
+    lazy = geo.conical_membership_oracle(example3, cloud, budget=6, seed=3)
+    eager = geo.conical_membership_oracle(example3, cloud, budget=6, seed=3)
+    res = geo.falsify_convexity(lazy, cloud, trials=60, seed=8, eta=1e-4)
+    ref = geo.falsify_convexity(lambda M: list(eager(M)), cloud, trials=60,
+                                seed=8, eta=1e-4)
+    # one 25-scale search per target asked: trials 1-10 against 1-15
+    searched, all_searched = (len(inner.asked) for inner in inners)
+    assert all(len(stack) == 25 for inner in inners for stack in inner.asked)
+    assert (searched, all_searched - searched) == (10, 5)
+    assert res.trials_run == ref.trials_run == 10
+    assert res.violation.m.tobytes() == ref.violation.m.tobytes() \
+        == targets[9].tobytes()
+    assert res.violation.margin == ref.violation.margin == 1e-3
+
+
+@pytest.mark.parametrize("k", [31, 32, 33, 65])
+def test_epi_fast_path_matches_a_per_target_loop(example3, monkeypatch, k):
+    # stacks around the shortfall chunk of 32: each target below or above
+    # a cloud point, most of the lower ones left to the member search
+    cloud = geo.sample_image(example3, 10.0, 256, 12)
+    rng = SplitMix64(k)
+    picks = (rng.u64s(k) % np.uint64(cloud.size)).astype(int)
+    M = cloud.points[picks] + rng.uniforms(2 * k, -10.0, 1.0).reshape(k, 2)
+    searched = []
+
+    def no_member(system, M, budget, seeds, mode, starts=None):
+        searched.append((M.copy(), list(seeds), starts.copy()))
+        return [geo.MembershipResult(False, None, 1.0) for _ in M]
+
+    monkeypatch.setattr(geo, "_member_search", no_member)
+    oracle = geo.epi_membership_oracle(example3, cloud, budget=6, seed=4)
+    slow, nearest = [], []
+    for j, (m, res) in enumerate(zip(M, oracle(M), strict=True)):
+        gaps = np.max(cloud.points - m, axis=1)
+        if gaps.min() <= geo.MEMBER_TOL:
+            below = np.all(cloud.points <= m + geo.MEMBER_TOL, axis=1)
+            assert res.member
+            assert res.x.tobytes() == cloud.sources[below.argmax()].tobytes()
+            assert res.margin == max(gaps.min(), 0.0)
+        else:
+            assert not res.member
+            slow.append(j)
+            nearest.append(np.argsort(gaps, kind="stable")[:6])
+    assert 0 < len(slow) < k
+    ((stack, seeds, starts),) = searched
+    assert stack.tobytes() == M[slow].tobytes()
+    assert seeds == [derive_seed(4, 1 + j) for j in slow]
+    assert starts.tobytes() == cloud.sources[np.array(nearest)].tobytes()
 
 
 def test_conical_oracle_zero_is_member(example3):

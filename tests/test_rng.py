@@ -11,6 +11,20 @@ def test_batch_matches_scalar_bitwise():
     assert batch.tolist() == scalars
 
 
+def test_integer_batch_matches_scalar_draws():
+    # u64s is the integer twin of uniforms; its residues are randint's
+    a, b = SplitMix64(2**64 - 5), SplitMix64(2**64 - 5)
+    batch = a.u64s(1000)
+    assert batch.dtype == np.uint64
+    assert batch.tolist() == [b.next_u64() for _ in range(1000)]
+    assert a.next_u64() == b.next_u64()
+    for n in (1, 3, 512, 4097):
+        c, d = SplitMix64(n), SplitMix64(n)
+        residues = c.u64s(300) % np.uint64(n)
+        assert residues.tolist() == [d.randint(n) for _ in range(300)]
+    assert SplitMix64(9).u64s(0).shape == (0,)
+
+
 def test_stream_continues_after_batch():
     a = SplitMix64(7)
     a.uniforms(10)
