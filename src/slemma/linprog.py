@@ -7,13 +7,17 @@
 the convention `Tableau` uses too.  It splits each free y_j into two
 nonnegative columns, y_j = x_j+ - x_j-, puts every inequality, and each
 equality as two opposite inequalities, in one `Tableau` with its slack
-basic, and solves it in two phases.  Phase 1 runs the dual simplex on zero
-costs, where every basis is dual feasible, so it ends at a feasible basis or
-at a row that proves there is none.  Phase 2 sets the real costs and runs the
-primal simplex by Bland's rule: the entering variable is the lowest-index
-column with reduced cost below -1e-9, the leaving row the minimum-ratio row
-with the lowest basic variable index, so cycling cannot occur.  Rows are
-scaled to unit max-norm as they are added.
+basic (`Tableau.from_rows`, in one array step), and solves it in two
+phases.  Phase 1 runs the dual simplex on zero costs, where every basis is
+dual feasible, so it ends at a feasible basis or at a row that proves there
+is none.  Phase 2 sets the real costs and runs the primal simplex by
+Bland's rule: the entering variable is the lowest-index column with reduced
+cost below -1e-9, the leaving row the minimum-ratio row with the lowest
+basic variable index, so cycling cannot occur.  Every row is scaled to unit
+max-norm, whether it comes with the others through `from_rows` or alone
+through `add_row`.  A pivot on a tableau of _NARROW_ROWS rows or more
+updates only the columns it can change (see `_pivot`), with the bits of a
+full-row pivot.
 
 Dual multipliers follow the sensitivity convention dual_i = d(objective)/
 d(b_i): for a minimization, inequality rows get nonpositive duals.  The
@@ -39,6 +43,7 @@ ITERATION_LIMIT = "iteration limit reached"
 _TOL = 1e-9
 _PIVOT_MIN = 1e-11
 _MAX_ITERS = 100000
+_NARROW_ROWS = 90    # tableau height from which _pivot skips basic columns
 
 
 @dataclass
@@ -91,15 +96,38 @@ class LpOutcome:
 
 
 def _pivot(T, basis, row, col):
+    """Make column `col` basic in `row` of the tableau T, whose rows have
+    the basic columns basis[:len(T)].
+
+    Every basic column of T is a unit vector with +0.0 off its row
+    (`from_rows` and `add_row` build them so, and a pivot sets the
+    entering column so).  A full-row pivot gives those of the other rows
+    back bit for bit: it divides their +0.0 in `row` by the pivot and
+    subtracts multiples of that signed zero, which leaves 1.0 as it is
+    and turns every zero, the divided one included, into +0.0.  So from
+    _NARROW_ROWS rows on, where they are most of T, the pivot updates
+    only column 0, the nonbasic columns and the leaving one, with the
+    same operations on each entry; below that height the full-row update
+    costs less than selecting the columns."""
     piv = T[row, col]
     if abs(piv) < _PIVOT_MIN:
         raise NumericalBreakdown(
             f"pivot {piv:.3e} below {_PIVOT_MIN:.0e}; rescale the input"
         )
-    T[row, :] /= piv
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row, :])
+    if len(T) < _NARROW_ROWS:
+        T[row, :] /= piv
+        T -= np.outer(factors, T[row, :])
+    else:
+        live = np.ones(T.shape[1], dtype=bool)
+        live[basis[:len(T)]] = False
+        live[basis[row]] = True
+        live = live.nonzero()[0]
+        sub = T[:, live]
+        sub[row] /= piv
+        sub -= np.outer(factors, sub[row])
+        T[:, live] = sub
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
@@ -119,9 +147,7 @@ def solve_lp(lp):
     a_eq = lp.a_eq @ shift
     a = np.vstack([lp.a_ub @ shift, a_eq, -a_eq])
     b = np.concatenate([lp.b_ub, lp.b_eq, -lp.b_eq])
-    tab = Tableau(np.zeros(n), max_rows=a.shape[0])
-    for row, rhs in zip(a, b):
-        tab.add_row(row, rhs)
+    tab = Tableau.from_rows(np.zeros(n), a, b)
     # phase 1: with zero costs every basis is dual feasible, so the dual
     # simplex reaches a feasible basis or proves there is none
     status = tab.dual_simplex()
@@ -153,13 +179,15 @@ class Tableau:
     except on the columns in `free`.
 
     Column 0 of the tableau holds the right-hand sides, columns 1..n the
-    variables x and column n + 1 + i the slack of row i.  `add_row` makes
-    the new row's slack basic and reduces the row against the basis; the
-    caller starts from a dual feasible basis it sets with `pivot`, keeps
-    every free column basic, and calls `dual_simplex` to restore primal
-    feasibility.  `primal_simplex` goes the other way, from a primal
-    feasible basis with no free column.  Storage doubles when full, up to
-    `max_rows` rows."""
+    variables x and column n + 1 + i the slack of row i.  Each basic
+    column is a unit vector with +0.0 off its row, which `_pivot` relies
+    on.  `from_rows` builds a tableau whose slacks are all basic in one
+    step.  `add_row` makes the new row's slack basic and reduces the row
+    against the basis; the caller starts from a dual feasible basis it
+    sets with `pivot`, keeps every free column basic, and calls
+    `dual_simplex` to restore primal feasibility.  `primal_simplex` goes
+    the other way, from a primal feasible basis with no free column.
+    Storage doubles when full, up to `max_rows` rows."""
 
     def __init__(self, c, free=(), max_rows=10000):
         self.n = len(c)
@@ -188,6 +216,25 @@ class Tableau:
 
     def _tableau(self):
         return self.buf[:self.m, :1 + self.n + self.m]
+
+    @classmethod
+    def from_rows(cls, c, a, b):
+        """The tableau of min c.x subject to a @ x <= b that `add_row` on
+        each row in turn would build, in one array step: the rows scaled
+        to unit max-norm, every slack basic, and no row to reduce, as no
+        x column is basic."""
+        k = len(b)
+        tab = cls(c, max_rows=k)
+        tab._grow(k)
+        norm = np.abs(a).max(axis=1, initial=0.0)
+        scales = np.where(norm > 0.0, norm, 1.0)
+        tab.buf[:, 0] = b / scales
+        tab.buf[:, 1:tab.n + 1] = a / scales[:, None]
+        tab.buf[:, tab.n + 1:] = np.eye(k)
+        tab.basis[:] = np.arange(tab.n + 1, tab.n + 1 + k)
+        tab.scales[:] = scales
+        tab.m = k
+        return tab
 
     def add_row(self, a, b):
         """Append a.x <= b, scaled to unit max-norm, with its slack basic;

@@ -1,10 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from conftest import brute_force_boxed_lp, solve_boxed_lp
-from slemma.errors import DimensionMismatch
+from conftest import (brute_force_boxed_lp, random_psd_quadratic,
+                      random_quadratic, solve_boxed_lp)
+from slemma import certificate, linprog
+from slemma.errors import DimensionMismatch, NumericalBreakdown
 from slemma.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
                             Tableau, solve_lp)
+from slemma.quadratic import QuadraticFunction
+from slemma.rng import SplitMix64
+from slemma.systems import FunctionSystem
 
 
 def test_simple_maximization():
@@ -243,3 +250,190 @@ def test_tableau_row_cap():
 def test_scale_guard():
     with pytest.raises(DimensionMismatch):
         LinearProgram(c=np.zeros(1001))
+
+
+# Reference copies of the tableau build and pivot that solve_lp and
+# Tableau used before the one-step build and the live-column pivot: both
+# must give the same bits.
+
+def add_row_loop(c, a, b):
+    """solve_lp's tableau built by add_row, one row at a time."""
+    tab = Tableau(c, max_rows=len(b))
+    for row, rhs in zip(a, b):
+        tab.add_row(row, rhs)
+    return tab
+
+
+def pivot_full_row(T, basis, row, col):
+    """The pivot that updates every column of T."""
+    piv = T[row, col]
+    if abs(piv) < linprog._PIVOT_MIN:
+        raise NumericalBreakdown(f"pivot {piv:.3e}")
+    T[row, :] /= piv
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row, :])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis[row] = col
+
+
+_PIVOT = linprog._pivot
+_FROM_ROWS = Tableau.from_rows
+
+
+class _Recorded:
+    """Routes the pivots and `solve_lp`'s tableau builds through the
+    reference copies or the code under test, counting the pivots and
+    keeping every tableau."""
+
+    def __init__(self, reference):
+        self.pivot = pivot_full_row if reference else _PIVOT
+        self.build = add_row_loop if reference else _FROM_ROWS
+        self.pivots = 0
+        self.tableaus = []
+
+    def __enter__(self):
+        self.patch = pytest.MonkeyPatch()
+        self.patch.setattr(linprog, "_pivot", self._pivot)
+        self.patch.setattr(Tableau, "from_rows", staticmethod(self._build))
+        return self
+
+    def __exit__(self, *exc):
+        self.patch.undo()
+
+    def _pivot(self, *args):
+        self.pivots += 1
+        self.pivot(*args)
+
+    def _build(self, c, a, b):
+        self.tableaus.append(self.build(c, a, b))
+        return self.tableaus[-1]
+
+
+def _raw(v):
+    return None if v is None else np.asarray(v, dtype=float).tobytes()
+
+
+def _solve_both(lp):
+    """solve_lp's outcome under the reference copies and under the code
+    under test: the same status, the same bytes in y, objective, dual_ub
+    and ray, the same final basis and the same number of pivots."""
+    runs = []
+    for reference in (True, False):
+        with _Recorded(reference) as rec:
+            out = solve_lp(lp)
+        (tab,) = rec.tableaus
+        runs.append((out.status, _raw(out.y), _raw(out.objective),
+                     _raw(out.dual_ub), _raw(out.ray),
+                     tab.basis[:tab.m].tolist(), rec.pivots))
+    assert runs[0] == runs[1]
+    return runs[1]
+
+
+# 0: every pivot takes the live-column branch
+NARROW = [0, linprog._NARROW_ROWS]
+
+
+@pytest.mark.parametrize("narrow_rows", NARROW)
+def test_random_lps_match_the_add_row_loop_and_full_pivots(monkeypatch,
+                                                           narrow_rows):
+    monkeypatch.setattr(linprog, "_NARROW_ROWS", narrow_rows)
+    assert _solve_both(LinearProgram(c=[]))[0] == OPTIMAL   # no columns
+    rng = np.random.default_rng(5150)
+    statuses = Counter()
+    for _ in range(150):
+        m, k, e = (int(rng.integers(1, 7)), int(rng.integers(0, 13)),
+                   int(rng.integers(0, 3)))
+        lp = LinearProgram(
+            c=rng.uniform(-1, 1, m),
+            a_ub=rng.uniform(-1, 1, (k, m)) if k else None,
+            b_ub=rng.uniform(-0.6, 1, k) if k else None,
+            a_eq=rng.uniform(-1, 1, (e, m)) if e else None,
+            b_eq=rng.uniform(-1, 1, e) if e else None,
+            free=np.flatnonzero(rng.uniform(size=m) < 0.3))
+        statuses[_solve_both(lp)[0]] += 1
+    assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) > 10
+
+
+def _separator_lp(Z):
+    """extract_separator's program on the cloud Z: alpha >= 0 on the
+    simplex and delta free, maximizing delta under <alpha, z> >= delta."""
+    count, dim = Z.shape
+    return LinearProgram(
+        c=np.concatenate([np.zeros(dim), [-1.0]]),
+        a_ub=np.hstack([-Z, np.ones((count, 1))]), b_ub=np.zeros(count),
+        a_eq=np.concatenate([np.ones(dim), [0.0]])[None, :],
+        b_eq=np.ones(1), free=[dim])
+
+
+@pytest.mark.parametrize("narrow_rows", NARROW)
+def test_separator_lps_match_the_add_row_loop_and_full_pivots(monkeypatch,
+                                                              narrow_rows):
+    # 256 to 320 cloud points in 2 or 3 coordinates: 3 or 4 variables and
+    # at least 258 rows, the tall shape the separator LP has
+    monkeypatch.setattr(linprog, "_NARROW_ROWS", narrow_rows)
+    rng = np.random.default_rng(99)
+    signs = Counter()
+    for trial in range(12):
+        dim = 2 + trial % 2
+        count = int(rng.integers(256, 321))
+        # a cloud in the positive orthant has a separator with delta >= 0,
+        # one reaching below 0 in every coordinate may not
+        Z = rng.uniform(0.0, 3.0, (count, dim)) + rng.uniform(-0.8, 0.4,
+                                                              dim)
+        _, _, _, _, _, basis, pivots = _solve_both(_separator_lp(Z))
+        assert len(basis) == count + 2 and pivots > dim
+        out = solve_lp(_separator_lp(Z))
+        signs[bool(out.y[-1] >= 0)] += 1
+    assert signs[True] and signs[False]
+
+
+def _master_system(rng, certified):
+    """p in 1..4 random constraints on n in 1..3; with `certified`, f0 is
+    sum_i alpha_i f_i plus a PSD slack, so a certificate exists."""
+    p, n = 1 + int(rng.randint(4)), 1 + int(rng.randint(3))
+    cons = [random_quadratic(rng, n) for _ in range(p)]
+    f0 = random_quadratic(rng, n)
+    if certified:
+        f0 = random_psd_quadratic(rng, n, 0.01)
+        for a, f in zip(rng.uniforms(p, 0.1, 2.0), cons):
+            f0 = QuadraticFunction(f0.Q + a * f.Q, f0.c + a * f.c,
+                                   f0.d + a * f.d)
+    return FunctionSystem(n, f0, tuple(cons))
+
+
+@pytest.mark.parametrize("narrow_rows", NARROW)
+def test_certificate_masters_match_full_pivots(monkeypatch, narrow_rows):
+    # the cutting-plane master: box rows, `Tableau.pivot` with the
+    # full-capacity basis, then one appended cut per eigen call
+    monkeypatch.setattr(linprog, "_NARROW_ROWS", narrow_rows)
+    masters = []
+
+    class Master(Tableau):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            masters.append(self)
+
+    monkeypatch.setattr(certificate, "Tableau", Master)
+    rng = SplitMix64(404)
+    heights, valid = [], 0
+    for trial in range(24):
+        system = _master_system(rng, trial % 2)
+        runs = []
+        for reference in (True, False):
+            masters.clear()
+            with _Recorded(reference) as rec:
+                res = certificate.find_certificate_general(system)
+            (master,) = masters
+            check = res.check
+            runs.append((_raw(check.alpha), _raw(check.lambda_min),
+                         _raw(res.upper_bound), res.outcome,
+                         master.basis[:master.m].tolist(),
+                         _raw(master.solution()), rec.pivots))
+        assert runs[0] == runs[1]
+        heights.append(master.m - system.p)
+        valid += res.check.valid
+    # cuts appended to most masters, up to 8 in one; some certificates
+    assert sum(h > 0 for h in heights) >= 20 and max(heights) >= 8
+    assert 0 < valid < 24
