@@ -119,11 +119,15 @@ def check_multipliers(system, alpha, tol=PSD_RTOL, radius=10.0, samples=4096,
     if not system.is_quadratic:
         weights = np.concatenate([[1.0], -alpha])
 
+        def values(X):
+            return system.values_batch(X) @ weights
+
         def loss(X):
             vals, grads = system.values_and_gradients(X)
             return vals @ weights, np.einsum("ijk,j->ik", grads, weights)
 
-        X, vals = sample_and_descend(loss, system.n, radius, samples, seed)
+        X, vals = sample_and_descend(values, loss, system.n, radius, samples,
+                                     seed)
         check = MultiplierCheck(alpha, SAMPLED_ONLY, value=float(vals[0]))
         if check.value < SAMPLED_FLOOR:
             check.violating_x = X[0]

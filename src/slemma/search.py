@@ -136,10 +136,12 @@ def descend(loss, X0, steps=60, initial_step=0.1, box_radius=None,
     return X[order], best[order]
 
 
-def sample_and_descend(loss, n, radius, samples, seed):
-    """Sample the box, descend SAMPLE_STEPS steps inside it from the
-    SAMPLE_KEEP best points, and return (points, values) sorted by value."""
+def sample_and_descend(values, loss, n, radius, samples, seed):
+    """Sample the box, rank its points by `values` (the loss's values
+    alone, (m, n) -> (m,), so the sample's gradients are never computed),
+    descend SAMPLE_STEPS steps inside it from the SAMPLE_KEEP best points,
+    and return (points, values) sorted by value."""
     rng = SplitMix64(seed)
     X = rng.uniform_box(radius, n, samples)
-    return descend(loss, X[smallest(_clean(loss(X)[0]), SAMPLE_KEEP)],
+    return descend(loss, X[smallest(_clean(values(X)), SAMPLE_KEEP)],
                    steps=SAMPLE_STEPS, box_radius=radius)

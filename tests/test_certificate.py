@@ -4,7 +4,7 @@ import pytest
 from conftest import random_p1_system, random_psd_quadratic
 from slemma import certificate as cert
 from slemma import geometry as geo
-from slemma import linprog
+from slemma import linprog, search
 from slemma.errors import NumericalBreakdown
 from slemma.expr import parse
 from slemma.geometry import _random_quadratic as random_quadratic
@@ -76,6 +76,45 @@ def test_sampled_verification_finds_violation():
     assert not ver.valid and ver.label == cert.SAMPLED_ONLY
     assert ver.value == pytest.approx(-1.0, abs=1e-3)
     assert ver.violating_x[0] == pytest.approx(0.0, abs=1e-2)
+
+
+def _descent_ranked_by_loss(system, alpha, radius, samples, seed):
+    """The sampled check's search as it was, ranking its box sample by
+    the loss's first output, which computes every row's gradient too:
+    (points, values) of its descent."""
+    weights = np.concatenate([[1.0], -np.asarray(alpha, dtype=float)])
+
+    def loss(X):
+        vals, grads = system.values_and_gradients(X)
+        return vals @ weights, np.einsum("ijk,j->ik", grads, weights)
+
+    X = SplitMix64(seed).uniform_box(radius, system.n, samples)
+    keep = search.smallest(search._clean(loss(X)[0]), search.SAMPLE_KEEP)
+    return search.descend(loss, X[keep], steps=search.SAMPLE_STEPS,
+                          box_radius=radius)
+
+
+def test_sampled_check_ranks_its_sample_as_the_loss_did():
+    rng = SplitMix64(61)
+    systems = [FunctionSystem(2, parse("log(x1) + x2^2", 2),
+                              (parse("1 - x1^2 - x2^2", 2),)),
+               FunctionSystem(2, parse("exp(x1) + x2^2", 2),
+                              (parse("sqrt(x1) - x2", 2),))]
+    for _ in range(10):
+        n = 1 + int(rng.randint(3))
+        systems.append(_expression_twin(FunctionSystem(
+            n, random_quadratic(rng, n), (random_quadratic(rng, n),))))
+    outcomes = set()
+    for i, system in enumerate(systems):
+        alpha = rng.uniforms(1, 0.0, 2.0)
+        check = cert.check_multipliers(system, alpha, radius=4.0,
+                                       samples=1024, seed=i)
+        X, vals = _descent_ranked_by_loss(system, alpha, 4.0, 1024, i)
+        assert np.float64(check.value).tobytes() == vals[0].tobytes(), i
+        if not check.valid:
+            assert check.violating_x.tobytes() == X[0].tobytes(), i
+        outcomes.add(check.valid)
+    assert outcomes == {True, False}
 
 
 def test_p1_equal_functions_found():
