@@ -64,6 +64,16 @@ def _float(value):
         return math.inf if value > 0 else -math.inf
 
 
+def _echo(value):
+    """repr(value) for an error line; an integer of more than 20 digits
+    shows its first 12 and its digit count."""
+    text = repr(value)
+    digits = len(text.lstrip("-"))
+    if type(value) is int and digits > 20:
+        return f"{text[:len(text) - digits + 12]}... ({digits} digits)"
+    return text
+
+
 def check_setting(setting, value):
     """`value` in the setting's type; ParseError unless it is in range."""
     kind, sign, most = setting.kind, setting.sign, setting.most
@@ -78,7 +88,8 @@ def check_setting(setting, value):
     if ok and most is not None and value > most:
         ok, rule = False, f"at most {most}"
     if not ok:
-        raise ParseError(f"{setting.label} must be {rule}, got {value!r}")
+        raise ParseError(f"{setting.label} must be {rule}, got "
+                         f"{_echo(value)}")
     return value
 
 

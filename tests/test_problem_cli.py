@@ -501,8 +501,12 @@ def test_cli_rejects_bad_eta(tmp_path):
     ("eta", -0.5, "eta must be finite and nonnegative, got -0.5"),
     ("N", 0, "samples must be a positive integer, got 0"),
     ("N", 10**6 + 1, "samples must be at most 1000000, got 1000001"),
-    pytest.param("N", 10**400, f"samples must be at most 1000000, got "
-                 f"{10**400}", id="N-10**400"),
+    pytest.param("N", 10**400, "samples must be at most 1000000, got "
+                 "100000000000... (401 digits)", id="N-10**400"),
+    pytest.param("N", -10**400, "samples must be a positive integer, got "
+                 "-100000000000... (401 digits)", id="N--10**400"),
+    pytest.param("N", 10**19, f"samples must be at most 1000000, got "
+                 f"{10**19}", id="N-10**19"),
     ("seed", True, "seed must be an integer, got True")])
 def test_validate_rejects_what_classify_rejects(tmp_path, key, value,
                                                 message):
