@@ -252,8 +252,8 @@ def test_scale_guard():
         LinearProgram(c=np.zeros(1001))
 
 
-# Reference copies of the tableau build and pivot that solve_lp and
-# Tableau used before the one-step build and the live-column pivot: both
+# Reference copies: the tableau built one add_row at a time and the pivot
+# that updates every column.  Tableau.from_rows and the live-column pivot
 # must give the same bits.
 
 def add_row_loop(c, a, b):
