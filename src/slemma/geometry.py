@@ -23,6 +23,9 @@ from .search import all_finite, descend
 from .systems import FunctionSystem
 
 MEMBER_TOL = 1e-7
+# a member search's loss sum_i r_i^2 at or below this proves its target a
+# member: then every |r_i| <= MEMBER_TOL/2 (1 + u), as fl(r_i^2) <= loss
+_MEMBER_LOSS = (MEMBER_TOL / 2) ** 2
 _CONE_SCALES = np.logspace(-3.0, 3.0, 25)
 _ORACLE_CHUNK = 32    # targets per shortfall buffer of a stacked oracle call
 _PARETO_BLOCK = 64    # points per block of the Pareto filter
@@ -231,7 +234,7 @@ def extract_separator(cloud, tol=1e-9):
 class MembershipResult:
     member: bool
     x: np.ndarray | None = None
-    margin: float = 0.0     # best achieved shortfall (0 when member)
+    margin: float = 0.0     # least shortfall found, clamped at 0 for a member
 
 
 def _residuals(system, X, M, mode, jacobians=False):
@@ -314,6 +317,15 @@ def _member_search(system, M, budget, seeds, mode, starts=None):
     SplitMix64(seeds[j]) stream.  All targets share one grouped descent
     and one polish, so each of the k MembershipResults returned equals a
     search on that target alone.
+
+    The descent retires a target as soon as one of its rows has loss
+    sum_i r_i^2 <= _MEMBER_LOSS, and a retired target skips the polish:
+    that row's image is within MEMBER_TOL of the target, so the target is
+    a member whatever the rest of the budget would give.  A target that
+    never retires gets the full step budget and the polish, so a
+    non-member's margin is the one a search without retirement finds.
+    Membership is read, for every target, from the image_batch shortfall
+    of its best row, <= MEMBER_TOL.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     k, n = M.shape[0], system.n
@@ -336,13 +348,16 @@ def _member_search(system, M, budget, seeds, mode, starts=None):
         R *= 2.0
         return vals, np.einsum("ij,ijk->ik", R, J)
 
-    X, _ = descend(loss, X0.reshape(-1, n), steps=90,
-                   groups=np.repeat(np.arange(k), size))
+    X, vals = descend(loss, X0.reshape(-1, n), steps=90,
+                      groups=np.repeat(np.arange(k), size), goal=_MEMBER_LOSS)
     X = X.reshape(k, size, n)
-    polished = _gauss_newton_polish(system, X[:, :3].reshape(-1, n),
-                                    np.repeat(M, 3, axis=0), mode)
-    # each target's polished rows first, then its descended rows
-    X = np.concatenate([polished.reshape(k, 3, n), X], axis=1)
+    live = vals.reshape(k, size)[:, 0] > _MEMBER_LOSS   # never retired
+    # each target's three polish slots first, then its descended rows; a
+    # retired target's slots hold its three best descended rows as they are
+    X = np.concatenate([X[:, :3], X], axis=1)
+    X[live, :3] = _gauss_newton_polish(
+        system, X[live, :3].reshape(-1, n), np.repeat(M[live], 3, axis=0),
+        mode).reshape(-1, 3, n)
     Z = system.image_batch(X.reshape(-1, n)).reshape(k, size + 3, -1)
     gaps = _shortfalls(np.where(np.isfinite(Z), Z, np.inf), M[:, None], mode)
     results = []
@@ -350,7 +365,8 @@ def _member_search(system, M, budget, seeds, mode, starts=None):
         margin = float(gaps[j, best])
         member = margin <= MEMBER_TOL
         results.append(MembershipResult(member, X[j, best] if member else None,
-                                        margin))
+                                        max(margin, 0.0) if member
+                                        else margin))
     return results
 
 

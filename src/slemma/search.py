@@ -11,8 +11,11 @@ and gradients (`FunctionSystem.values_and_gradients`), so a descent step
 evaluates the m trial rows and nothing else.  Non-finite values are
 treated as +inf (the point is out of domain), non-finite gradient entries
 as 0, and no row may depend on the other rows of the batch.  The descent
-stops early only once every later iteration would repeat the last one
-bit for bit, so its result is the one the full step budget gives.
+stops early once every later iteration would repeat the last one bit for
+bit, so its result is the one the full step budget gives; a grouped
+descent with a `goal` (the membership searches') also retires each group
+as soon as one of its rows reaches the goal, and only such a group's
+result differs from the full budget's.
 """
 
 import numpy as np
@@ -70,7 +73,7 @@ def fd_gradient(loss, X, groups=None):
 
 
 def descend(loss, X0, steps=60, initial_step=0.1, box_radius=None,
-            groups=None):
+            groups=None, goal=None):
     """Batched descent with per-point adaptive step sizes.
 
     Accepted moves grow the step by 1.5x, rejected ones shrink it by 4x
@@ -86,6 +89,14 @@ def descend(loss, X0, steps=60, initial_step=0.1, box_radius=None,
     `groups` (one id per row) the loss is called as loss(points, their
     group ids), each group's iterates equal a descent on its rows alone,
     and the result is sorted by (group, value).
+
+    With `groups` and a `goal`, a group retires once one of its rows has a
+    value <= goal, at the start or after an iteration: its rows keep the
+    points and values they have then and leave the working arrays, and the
+    loop ends when every group has retired.  The other groups go on as if
+    alone, so a group that never retires gets the bytes it gets without a
+    goal; a retired group has a row at or below the goal, and no group
+    without one retires.
 
     The loop stops when no row improved and each row's trial equals the
     row or was taken at the floor step.  X, hence its gradient, is then
@@ -106,7 +117,18 @@ def descend(loss, X0, steps=60, initial_step=0.1, box_radius=None,
         X.clip(-box_radius, box_radius, out=X)
     best, grad = fd_gradient(loss, X, groups)
     step = np.full(X.shape[0], float(initial_step))
+    # with a goal, the result's arrays and the live rows' places in them
+    all_X, all_best, all_groups = X, best, groups
+    live = np.arange(X.shape[0])
+    reached = goal is not None and np.count_nonzero(best <= goal)
     for _ in range(steps):
+        if reached:
+            all_X[live], all_best[live] = X, best
+            keep = ~np.isin(groups, groups[best <= goal])
+            if not np.count_nonzero(keep):
+                break
+            X, best, grad, step = X[keep], best[keep], grad[keep], step[keep]
+            groups, live, reached = groups[keep], live[keep], False
         scale = np.sqrt(np.add.reduce(grad * grad, axis=1))
         scale[scale == 0.0] = 1.0
         np.divide(step, scale, out=scale)
@@ -129,11 +151,15 @@ def descend(loss, X0, steps=60, initial_step=0.1, box_radius=None,
             np.copyto(X, trial, where=rows)
             np.copyto(best, trial_vals, where=better)
             np.copyto(grad, trial_grad, where=rows)
+            if goal is not None:
+                reached = np.count_nonzero(best <= goal)
         step *= np.where(better, 1.5, 0.25)
         np.maximum(step, STEP_FLOOR, out=step)
-    order = (np.argsort(best, kind="stable") if groups is None
-             else np.lexsort((best, groups)))
-    return X[order], best[order]
+    if goal is not None:
+        all_X[live], all_best[live] = X, best
+    order = (np.argsort(all_best, kind="stable") if all_groups is None
+             else np.lexsort((all_best, all_groups)))
+    return all_X[order], all_best[order]
 
 
 def sample_and_descend(values, loss, n, radius, samples, seed):

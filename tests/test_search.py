@@ -1,9 +1,10 @@
-"""The descent's early stop, its one loss call per iteration and its
-in-place loop return exactly what the plain loop gives over the full step
-budget, with each loss's (values, gradients) protocol; the search losses,
-`values_batch` and the top-k start selection equal their former formulas
-byte for byte; and `values_and_gradients(X, first=...)` skips columns
-without moving the rest."""
+"""The descent's early stop, its one loss call per iteration, its in-place
+loop and its retirement of grouped rows at a goal return exactly what the
+plain loop gives over the full step budget, with each loss's (values,
+gradients) protocol; the search losses, `values_batch` and the top-k
+start selection equal their former formulas byte for byte; and
+`values_and_gradients(X, first=...)` skips columns without moving the
+rest."""
 
 import warnings
 from pathlib import Path
@@ -43,10 +44,12 @@ def values_and_gradient(loss, X, groups=None):
 
 
 def descend_unstopped(loss, X0, steps=60, initial_step=0.1,
-                      box_radius=None, groups=None):
+                      box_radius=None, groups=None, goal=None):
     """The plain descent loop: no early stop, and the gradient taken
     afresh at every iteration from a loss call on the current points,
-    the trials' values from a second call."""
+    the trials' values from a second call.  With a goal, the rows of a
+    group that has a value at or below it, at the start or after an
+    iteration, stay as they are from then on."""
     X = np.array(X0, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
@@ -54,7 +57,10 @@ def descend_unstopped(loss, X0, steps=60, initial_step=0.1,
         X = np.clip(X, -box_radius, box_radius)
     best = values_and_gradient(loss, X, groups)[0]
     step = np.full(X.shape[0], float(initial_step))
+    frozen = np.zeros(X.shape[0], dtype=bool)
     for _ in range(steps):
+        if goal is not None:
+            frozen |= np.isin(groups, groups[best <= goal])
         grad = values_and_gradient(loss, X, groups)[1]
         norm = np.linalg.norm(grad, axis=1)
         norm[norm == 0.0] = 1.0
@@ -62,7 +68,7 @@ def descend_unstopped(loss, X0, steps=60, initial_step=0.1,
         if box_radius is not None:
             trial = np.clip(trial, -box_radius, box_radius)
         trial_vals = values_and_gradient(loss, trial, groups)[0]
-        better = trial_vals < best
+        better = (trial_vals < best) & ~frozen
         X[better] = trial[better]
         best[better] = trial_vals[better]
         step = np.where(better, step * 1.5, step * 0.25)
@@ -127,6 +133,34 @@ def test_early_stop_on_a_grouped_loss():
     for radius in (None, 1.2):
         _same_as_unstopped(loss, X0, steps=200, box_radius=radius,
                            groups=groups)
+
+
+def test_retirement_on_a_grouped_loss():
+    # group 2 starts on its target, groups 0 and 3 reach theirs, and
+    # group 1 cannot: its loss has a floor above the goal, and in the box
+    # of radius 1.2 its target lies outside
+    targets = np.array([[-1.0, 0.5], [0.4, 2.0], [0.0, 0.0], [1.0, 1.0]])
+    floors = np.array([0.0, 1e-3, 0.0, 0.0])
+
+    def loss(X, g):
+        H = X - targets[g]
+        return np.sum(H * H, axis=1) + floors[g], 2.0 * H
+
+    X0 = SplitMix64(10).uniform_box(2.5, 2, 15)
+    X0[7] = 0.0
+    groups = np.repeat(np.arange(4), [3, 4, 3, 5])
+    for radius in (None, 1.2):
+        kwargs = {"steps": 200, "box_radius": radius, "groups": groups}
+        calls = _same_as_unstopped(loss, X0, goal=1e-12, **kwargs)
+        assert calls < _same_as_unstopped(loss, X0, **kwargs)
+        # with every group in reach the loop ends when the last retires
+        reach = groups != 1
+        alone = _same_as_unstopped(loss, X0[reach], goal=1e-12,
+                                   **dict(kwargs, groups=groups[reach]))
+        assert alone < calls
+    # every group on its target at the start: the first call decides
+    assert _same_as_unstopped(loss, targets[[0, 2, 3]], goal=0.0,
+                              groups=np.array([0, 2, 3])) == 1
 
 
 def test_no_early_stop_while_a_row_improves():
@@ -260,7 +294,8 @@ def test_one_call_per_iteration_on_the_search_losses(monkeypatch, p):
 
 @pytest.mark.parametrize("p, n", [(1, 2), (2, 3), (1, 4), (3, 1)])
 def test_one_call_per_iteration_on_the_member_search(monkeypatch, p, n):
-    # the grouped loss of the membership oracle, one group per target
+    # the grouped loss of the membership oracle, one group per target,
+    # each retired at its first row that proves the target a member
     system = _random_system(40 + n, p, n)
     M = system.image_batch(SplitMix64(n).uniform_box(2.0, n, 3)) + 0.5
     for mode in ("epi", "identity"):
