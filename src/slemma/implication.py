@@ -5,9 +5,10 @@ a re-verified counterexample proves the implication false; an exactly
 verified certificate proves it true; everything else stays Undetermined,
 decorated with the geometric evidence (sampled image vs. K, hull
 intersection, separator, convexity falsifiers).  A run draws one box
-sample (`box_sample`, stream 2); the Slater and counterexample searches
-read it and their descended points with one vectorized test each
-(`slater_margin`, `witness_f0`).  On an all-quadratic system the
+sample (`box_sample`, stream 2), memoized per process (see
+`search.box_points`); the Slater and counterexample searches read it and
+their descended points with one vectorized test each (`slater_margin`,
+`witness_f0`), a column at a time.  On an all-quadratic system the
 certificate search runs between the counterexample search's read of the
 sample and its descent, skipped when the certificate's margin leaves no
 counterexample for it to accept in the box ((C) implies (I), up to the
@@ -22,8 +23,8 @@ from . import certificate as cert_mod
 from . import farkas as farkas_mod
 from . import geometry
 from .errors import NotConverged, NumericalBreakdown, SlemmaError
-from .rng import SplitMix64, derive_seed
-from .search import all_finite, descend, smallest
+from .rng import derive_seed
+from .search import all_finite, box_points, descend, smallest
 
 SLATER_POINT = "SlaterPoint"
 NOT_FOUND = "NotFound"
@@ -65,14 +66,21 @@ def slater_loss(system):
 
 def slater_margin(vals):
     """min_i f_i on each row of values_batch(X)[:, 1:], reading -inf
-    where a constraint is not finite: the Slater test is margin > 1e-9."""
-    return np.min(np.where(np.isfinite(vals), vals, -np.inf), axis=1)
+    where a constraint is not finite, +inf without one: the Slater test is
+    margin > 1e-9.  Read a column at a time, folded in column order."""
+    margin = np.full(vals.shape[0], np.inf)
+    for col in vals.T:
+        np.minimum(margin, np.where(np.isfinite(col), col, -np.inf),
+                   out=margin)
+    return margin
 
 
 def box_sample(system, radius, samples, seed):
     """(X, system.values_batch(X)), X being `samples` points uniform in
-    [-radius, radius]^n from SplitMix64(seed): what both searches read."""
-    X = SplitMix64(seed).uniform_box(radius, system.n, samples)
+    [-radius, radius]^n from SplitMix64(seed): what both searches read.
+    X is `search.box_points`'s read-only, per-process memoized draw, so
+    instances that share (seed, radius, samples, n) share it."""
+    X = box_points(radius, system.n, samples, seed)
     return X, system.values_batch(X)
 
 
@@ -141,10 +149,14 @@ def penalized_loss(system):
 def witness_f0(vals):
     """The witness test on each row of values_batch's (m, p+1) array: f0
     where the row is finite with every f_i >= -1e-9, +inf on every other
-    row.  A row is a counterexample when this reads below -1e-9."""
-    feasible = (np.isfinite(vals).all(1)
-                & (vals[:, 1:] >= -_WITNESS_TOL).all(1))
-    return np.where(feasible, vals[:, 0], np.inf)
+    row.  A row is a counterexample when this reads below -1e-9.  Read a
+    column at a time: a finite f_i >= -1e-9 is one below +inf."""
+    f0 = vals[:, 0]
+    feasible = np.isfinite(f0)
+    for col in vals.T[1:]:
+        feasible &= col >= -_WITNESS_TOL
+        feasible &= col < np.inf
+    return np.where(feasible, f0, np.inf)
 
 
 def find_counterexample(system, X, vals, radius, extra_starts=None, *,
@@ -195,13 +207,14 @@ def find_counterexample(system, X, vals, radius, extra_starts=None, *,
 
     if best == np.inf:
         return CounterexampleResult(found=False)
+    x = X[i].copy()     # X may be the memoized sample
     if best >= -_WITNESS_TOL:
-        return CounterexampleResult(found=False, closest_miss_x=X[i],
+        return CounterexampleResult(found=False, closest_miss_x=x,
                                     closest_miss_f0=best)
     return CounterexampleResult(
-        found=True, x=X[i], f0_value=best,
+        found=True, x=x, f0_value=best,
         min_constraint=float(vals[i, 1:].min()) if system.p else np.inf,
-        closest_miss_x=X[i], closest_miss_f0=best)
+        closest_miss_x=x, closest_miss_f0=best)
 
 
 @dataclass

@@ -67,17 +67,6 @@ def evaluate_quadratic(q, x):
     return float(QuadraticStack([q]).evaluate(x[None])[0][0, 0])
 
 
-def evaluate_quadratic_batch(q, X):
-    """Values at each row of X (shape (m, n))."""
-    X = np.asarray(X, dtype=float)
-    # 0.5 * x^T Q x + c^T x + d, evaluated in place in that order
-    vals = np.einsum("ij,jk,ik->i", X, q.Q, X)
-    vals *= 0.5
-    vals += X @ q.c
-    vals += q.d
-    return vals
-
-
 class QuadraticStack:
     """q_1..q_k over R^n evaluated together: one product X [Q_1/2 | ... |
     Q_k/2] gives every value x.(Q_i x/2 + c_i) + d_i and every gradient

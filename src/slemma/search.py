@@ -4,9 +4,12 @@ Every search in the toolkit draws points uniformly from [-R, R]^n with a
 seeded splitmix64 stream, keeps the most promising ones, then runs a
 batched gradient descent (`sample_and_descend` is that recipe whole).
 The Slater and counterexample searches read one shared sample
-(`implication.box_sample`) and descend only when it decides nothing.  A
-loss maps an (m, n) array of points to (values, gradients), shaped (m,)
-and (m, n): it applies the chain rule once to the functions' own values
+(`implication.box_sample`) and descend only when it decides nothing.
+Box samples are drawn through a per-process memo of read-only arrays
+(`box_points`): a draw depends only on (seed, radius, count, n), so
+instances that share a config and a dimension share their draw.  A loss
+maps an (m, n) array of points to (values, gradients), shaped (m,) and
+(m, n): it applies the chain rule once to the functions' own values
 and gradients (`FunctionSystem.values_and_gradients`), so a descent step
 evaluates the m trial rows and nothing else.  Non-finite values are
 treated as +inf (the point is out of domain), non-finite gradient entries
@@ -18,6 +21,8 @@ as soon as one of its rows reaches the goal, and only such a group's
 result differs from the full budget's.
 """
 
+from collections import OrderedDict
+
 import numpy as np
 
 from .rng import SplitMix64
@@ -25,6 +30,37 @@ from .rng import SplitMix64
 STEP_FLOOR = 1e-12
 SAMPLE_KEEP = 10      # sample_and_descend: the best points it descends from
 SAMPLE_STEPS = 80     # and the descent's step budget
+BOX_STREAMS = 4                 # box_points: the draws its memo keeps
+BOX_STREAM_VALUES = 1 << 16     # and the longest one, in doubles (512 KiB)
+
+_box_streams = OrderedDict()    # (seed, radius) -> read-only flat draw
+
+
+def box_points(radius, n, count, seed):
+    """SplitMix64(seed).uniform_box(radius, n, count), bit for bit, as a
+    read-only array memoized per process.
+
+    That draw is the first count * n of the seed's uniforms on [-radius,
+    radius], in rows of n, so one flat stream per (seed, radius), drawn to
+    the longest request, serves every n and count.  The memo keeps the
+    BOX_STREAMS streams used last, each of at most BOX_STREAM_VALUES
+    doubles: at most 2 MiB.  A longer request is drawn afresh and not
+    kept.  The result may be a view of the memo, so a row handed out in a
+    result must be copied."""
+    radius, need = float(radius), count * n
+    key = (int(seed), radius)
+    flat = _box_streams.get(key)
+    if flat is not None and flat.size >= need:
+        _box_streams.move_to_end(key)
+    else:
+        flat = SplitMix64(seed).uniforms(need, -radius, radius)
+        flat.setflags(write=False)
+        if need <= BOX_STREAM_VALUES:
+            _box_streams[key] = flat
+            _box_streams.move_to_end(key)
+            if len(_box_streams) > BOX_STREAMS:
+                _box_streams.popitem(last=False)
+    return flat[:need].reshape(count, n)
 
 
 def all_finite(a):
@@ -163,11 +199,10 @@ def descend(loss, X0, steps=60, initial_step=0.1, box_radius=None,
 
 
 def sample_and_descend(values, loss, n, radius, samples, seed):
-    """Sample the box, rank its points by `values` (the loss's values
-    alone, (m, n) -> (m,), so the sample's gradients are never computed),
-    descend SAMPLE_STEPS steps inside it from the SAMPLE_KEEP best points,
-    and return (points, values) sorted by value."""
-    rng = SplitMix64(seed)
-    X = rng.uniform_box(radius, n, samples)
+    """Sample the box (`box_points`), rank its points by `values` (the
+    loss's values alone, (m, n) -> (m,), so the sample's gradients are
+    never computed), descend SAMPLE_STEPS steps inside it from the
+    SAMPLE_KEEP best points, and return (points, values) sorted by value."""
+    X = box_points(radius, n, samples, seed)
     return descend(loss, X[smallest(_clean(values(X)), SAMPLE_KEEP)],
                    steps=SAMPLE_STEPS, box_radius=radius)

@@ -7,7 +7,7 @@ import pytest
 
 from slemma.geometry import _random_quadratic as random_quadratic
 from slemma.linprog import OPTIMAL, LinearProgram, solve_lp
-from slemma.quadratic import QuadraticFunction, evaluate_quadratic_batch
+from slemma.quadratic import QuadraticFunction
 from slemma.rng import SplitMix64
 from slemma.systems import FunctionSystem
 
@@ -36,6 +36,12 @@ def random_p1_system(seed, max_n=4):
                           (random_quadratic(rng, n),))
 
 
+def quadratic_values(q, X):
+    """Values of q at each row of X by the plain formula 1/2 x^T Q x +
+    c^T x + d, independent of the package's stacked kernel."""
+    return 0.5 * np.einsum("ij,jk,ik->i", X, q.Q, X) + X @ q.c + q.d
+
+
 def grid_decides_implication(system, radius=10.0, tol=1e-6, points=41):
     """Independent adjudication of the implication on [-R, R]^n: a grid
     point with every constraint above -tol and f0 below -tol falsifies it.
@@ -47,10 +53,10 @@ def grid_decides_implication(system, radius=10.0, tol=1e-6, points=41):
     rest = axis[np.indices((points,) * (system.n - 1)).reshape(-1, size).T]
     for first in axis:
         X = np.hstack([np.full((size, 1), first), rest])
-        f0 = evaluate_quadratic_batch(system.f0, X)
+        f0 = quadratic_values(system.f0, X)
         feasible = np.ones(size, dtype=bool)
         for f in system.constraints:
-            feasible &= evaluate_quadratic_batch(f, X) >= -tol
+            feasible &= quadratic_values(f, X) >= -tol
         if np.any(feasible & (f0 < -tol)):
             return False
     return True

@@ -12,7 +12,7 @@ import pytest
 
 import slemma
 from conftest import (brute_force_boxed_lp, grid_decides_implication,
-                      solve_boxed_lp)
+                      quadratic_values, solve_boxed_lp)
 from slemma import certificate as cert
 from slemma import geometry as geo
 from slemma.cli import main as cli_main
@@ -20,8 +20,7 @@ from slemma.geometry import _random_quadratic as random_quadratic
 from slemma.implication import (INVALID, UNDETERMINED, VALID, ClassifyConfig,
                                 box_sample, check_slater, classify_instance)
 from slemma.linprog import OPTIMAL
-from slemma.quadratic import QuadraticFunction, eigen_sym, \
-    evaluate_quadratic_batch
+from slemma.quadratic import QuadraticFunction, eigen_sym
 from slemma.rng import SplitMix64, derive_seed
 from slemma.systems import FunctionSystem
 
@@ -139,8 +138,8 @@ def test_criterion_3_certificate_soundness(p1_consistency_run):
         checked += 1
         fresh = SplitMix64(derive_seed(inst_seed, 999))
         X = fresh.uniform_box(10.0, system.n, 100000)
-        vals0 = evaluate_quadratic_batch(system.f0, X)
-        feas = evaluate_quadratic_batch(system.constraints[0], X) >= 0.0
+        vals0 = quadratic_values(system.f0, X)
+        feas = quadratic_values(system.constraints[0], X) >= 0.0
         assert not np.any(feas & (vals0 < -1e-6)), inst_seed
     assert checked > 0
     _ok(3, f"no 1e5-sample counterexample against any of the {checked} "

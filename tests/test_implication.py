@@ -1,6 +1,7 @@
 import hashlib
 import json
-from collections import Counter
+import pickle
+from collections import Counter, OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -405,20 +406,22 @@ def test_a_failed_certificate_search_is_followed_by_the_descent(monkeypatch,
 
 
 def _spy_on_draws(monkeypatch):
-    """The row count of every box sample drawn, and "certificate" where
-    the classifier's certificate stage starts."""
+    """The values count of every splitmix64 batch drawn, and "certificate"
+    where the classifier's certificate stage starts; the box-sample memo
+    starts cold."""
     events = []
-    draw, stage = SplitMix64.uniform_box, implication.certificate_stage
+    draw, stage = SplitMix64.uniforms, implication.certificate_stage
 
-    def counted_draw(self, radius, n, count):
+    def counted_draw(self, count, *args, **kwargs):
         events.append(count)
-        return draw(self, radius, n, count)
+        return draw(self, count, *args, **kwargs)
 
     def counted_stage(*args, **kwargs):
         events.append("certificate")
         return stage(*args, **kwargs)
 
-    monkeypatch.setattr(SplitMix64, "uniform_box", counted_draw)
+    monkeypatch.setattr(search, "_box_streams", OrderedDict())
+    monkeypatch.setattr(SplitMix64, "uniforms", counted_draw)
     monkeypatch.setattr(implication, "certificate_stage", counted_stage)
     return events
 
@@ -429,16 +432,28 @@ def test_classify_draws_one_box_sample(monkeypatch, name, descents):
     # the Slater check, the sample-only counterexample read and the
     # descent all read one N-row sample: seed 0 is decided by it, the
     # other two descend from it (farkas_homogeneous after its certificate,
-    # seed 189 after a failed certificate search)
+    # seed 189 after a failed certificate search).  A second system of the
+    # same dimension then reads the memoized sample: it draws nothing and
+    # reports what it reports from a cold memo
     system = (load_problem(CORPUS / f"{name}.json").system()
               if isinstance(name, str) else random_p1_system(name))
+    rng = SplitMix64(7)
+    other = FunctionSystem(system.n, random_quadratic(rng, system.n),
+                           (random_quadratic(rng, system.n),))
     samples = ClassifyConfig().samples
-    starts = _spy_on_descents(monkeypatch)
     events = _spy_on_draws(monkeypatch)
+    expected = pickle.dumps(classify_instance(other))
+    monkeypatch.setattr(search, "_box_streams", OrderedDict())
+    del events[:]
+    starts = _spy_on_descents(monkeypatch)
     rep = classify_instance(system)
     assert rep.verdict == (VALID if isinstance(name, str) else INVALID)
-    assert events == [samples] + ["certificate"] * bool(descents)
+    assert events == [samples * system.n] + ["certificate"] * bool(descents)
     assert len(starts) == descents
+    del events[:]
+    warm = classify_instance(other)
+    assert set(events) <= {"certificate"}
+    assert pickle.dumps(warm) == expected
 
 
 @pytest.mark.parametrize("error", [NumericalBreakdown, NotConverged,

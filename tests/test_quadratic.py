@@ -3,12 +3,13 @@ from itertools import chain
 import numpy as np
 import pytest
 
+from conftest import quadratic_values
 from slemma.certificate import check_multipliers
 from slemma.errors import DimensionMismatch, NotConverged, NumericalBreakdown
 from slemma.expr import evaluate, parse
 from slemma.geometry import _random_quadratic as random_quadratic
-from slemma.quadratic import (QuadraticFunction, bordered_matrix, eigen_sym,
-                              evaluate_quadratic, evaluate_quadratic_batch,
+from slemma.quadratic import (QuadraticFunction, QuadraticStack,
+                              bordered_matrix, eigen_sym, evaluate_quadratic,
                               min_eigenvalue)
 from slemma.rng import SplitMix64
 from slemma.systems import FunctionSystem, quadratic_to_source
@@ -129,7 +130,7 @@ def _grid_min(q, radius=10.0, points=41):
     axes = [np.linspace(-radius, radius, points)] * q.n
     mesh = np.meshgrid(*axes, indexing="ij")
     X = np.stack([m.ravel() for m in mesh], axis=1)
-    return float(np.min(evaluate_quadratic_batch(q, X)))
+    return float(np.min(quadratic_values(q, X)))
 
 
 def _psd(q):
@@ -180,6 +181,8 @@ def test_batch_matches_scalar_evaluation():
     rng = SplitMix64(8)
     q = random_quadratic(rng, 3)
     X = rng.uniform_box(4.0, 3, 30)
-    batch = evaluate_quadratic_batch(q, X)
+    batch = QuadraticStack([q]).evaluate(X)[0][:, 0]
     for i in range(30):
-        assert batch[i] == pytest.approx(evaluate_quadratic(q, X[i]), abs=1e-12)
+        assert batch[i] == evaluate_quadratic(q, X[i])
+        assert batch[i] == pytest.approx(quadratic_values(q, X[i:i + 1])[0],
+                                         abs=1e-12)

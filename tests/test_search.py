@@ -20,7 +20,7 @@ from slemma.geometry import _random_quadratic as random_quadratic
 from slemma.implication import (ClassifyConfig, box_sample, check_slater,
                                 classify_instance, find_counterexample)
 from slemma.problem import load_problem
-from slemma.quadratic import QuadraticFunction, evaluate_quadratic_batch
+from slemma.quadratic import QuadraticFunction
 from slemma.rng import SplitMix64
 from slemma.systems import FunctionSystem, quadratic_to_source
 
@@ -369,19 +369,6 @@ def test_search_losses_match_their_former_formulas(system):
                    np.zeros((1, system.n))])
     for loss, reference in zip(losses, references):
         assert loss(X)[0].tobytes() == reference(X).tobytes()
-
-
-def test_quadratic_batch_matches_its_former_formula():
-    rng = SplitMix64(11)
-    for n in range(1, 7):
-        vals = rng.uniforms(n * n + n + 1, -3.0, 3.0)
-        raw = vals[:n * n].reshape(n, n)
-        q = QuadraticFunction(raw + raw.T, vals[n * n:n * n + n],
-                              float(vals[-1]))
-        for m in (1, 2, 3, 17):
-            X = rng.uniform_box(5.0, n, m)
-            former = 0.5 * np.einsum("ij,jk,ik->i", X, q.Q, X) + X @ q.c + q.d
-            assert evaluate_quadratic_batch(q, X).tobytes() == former.tobytes()
 
 
 def _value_lists():
