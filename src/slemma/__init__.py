@@ -7,7 +7,7 @@ the image set (cone membership, hull separation, convexity of augmented
 images) that governs when the two statements are equivalent.
 """
 
-from .certificate import (Certificate, check_multipliers,
+from .certificate import (MultiplierCheck, check_multipliers,
                           find_certificate_general, find_certificate_p1,
                           find_certificate_via_separation)
 from .expr import Expression, evaluate, parse
@@ -26,9 +26,9 @@ from .systems import FunctionSystem
 __version__ = "0.1.0"
 
 __all__ = [
-    "Certificate", "ClassifyConfig", "Expression", "FunctionSystem",
-    "ImageCloud", "InstanceReport", "LinearProgram", "LinearSystemData",
-    "LpOutcome", "ProblemFile", "QuadraticFunction", "bordered_matrix",
+    "ClassifyConfig", "Expression", "FunctionSystem", "ImageCloud",
+    "InstanceReport", "LinearProgram", "LinearSystemData", "LpOutcome",
+    "MultiplierCheck", "ProblemFile", "QuadraticFunction", "bordered_matrix",
     "check_multipliers", "check_slater", "classify_instance",
     "cone_k_member", "conjecture_scan", "eigen_sym", "epi_member",
     "evaluate", "evaluate_quadratic", "extract_separator",

@@ -43,16 +43,6 @@ def _multipliers(alpha):
     return alpha
 
 
-@dataclass
-class Certificate:
-    alpha: np.ndarray
-    lambda_min: float | None
-    verified: str
-
-    def __post_init__(self):
-        self.alpha = _multipliers(self.alpha)
-
-
 def _check_alpha(system, alpha):
     alpha = np.asarray(alpha, dtype=float).ravel()
     if alpha.shape != (system.p,):
@@ -77,26 +67,23 @@ def _combine(M0, borders, alpha):
 
 @dataclass
 class MultiplierCheck:
-    """The outcome of checking one multiplier vector alpha.
+    """The outcome of checking one multiplier vector alpha; a `valid`
+    check is the certificate.
 
     `label` names the check that ran: EXACT_PSD on an all-quadratic system,
-    SAMPLED_ONLY otherwise.  A passing alpha carries its `certificate`; a
-    failing one a `violating_x` where f0 - sum_i alpha_i f_i < 0 or, when
-    the exact check's eigenvector has no finite lift, a homogeneous
-    `direction` along which that combination diverges to -infinity."""
+    SAMPLED_ONLY otherwise.  A failing check carries a `violating_x` where
+    f0 - sum_i alpha_i f_i < 0 or, when the exact check's eigenvector has
+    no finite lift, a homogeneous `direction` along which that combination
+    diverges to -infinity."""
 
     alpha: np.ndarray
     label: str
-    certificate: Certificate | None = None
+    valid: bool = False
     lambda_min: float | None = None    # exact: smallest eigenvalue of M(alpha)
     threshold: float | None = None     # exact: least lambda_min that passes
     value: float | None = None         # sampled: refined minimum found
     violating_x: np.ndarray | None = None
     direction: np.ndarray | None = None
-
-    @property
-    def valid(self):
-        return self.certificate is not None
 
 
 def check_multipliers(system, alpha, tol=PSD_RTOL, radius=10.0, samples=4096,
@@ -129,10 +116,9 @@ def check_multipliers(system, alpha, tol=PSD_RTOL, radius=10.0, samples=4096,
         X, vals = sample_and_descend(values, loss, system.n, radius, samples,
                                      seed)
         check = MultiplierCheck(alpha, SAMPLED_ONLY, value=float(vals[0]))
-        if check.value < SAMPLED_FLOOR:
+        check.valid = check.value >= SAMPLED_FLOOR
+        if not check.valid:
             check.violating_x = X[0]
-        else:
-            check.certificate = Certificate(alpha, None, SAMPLED_ONLY)
         return check
     if eigenpair is None:
         M = combined_matrix(system, alpha)
@@ -141,9 +127,10 @@ def check_multipliers(system, alpha, tol=PSD_RTOL, radius=10.0, samples=4096,
         M, lam, v = eigenpair
     check = MultiplierCheck(alpha, EXACT_PSD, lambda_min=lam,
                             threshold=-tol * (1.0 + np.max(np.abs(M))))
-    if lam >= check.threshold:
-        check.certificate = Certificate(alpha, lam, EXACT_PSD)
-    elif abs(v[-1]) >= 1e-8:
+    check.valid = bool(lam >= check.threshold)
+    if check.valid:
+        return check
+    if abs(v[-1]) >= 1e-8:
         check.violating_x = v[:-1] / v[-1]
     else:
         check.direction = v[:-1]
@@ -162,7 +149,7 @@ class SearchResult:
 
     @property
     def certificate(self):
-        return None if self.check is None else self.check.certificate
+        return self.check if self.found else None
 
     @property
     def best_alpha(self):
@@ -174,7 +161,7 @@ class SearchResult:
 
     @property
     def found(self):
-        return self.certificate is not None
+        return self.check is not None and self.check.valid
 
 
 def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL):
@@ -269,22 +256,25 @@ def find_certificate_p1(system, tol=PSD_RTOL):
     return find_certificate_general(system, iters=200, tol=tol)
 
 
-def format_certificate(certificate):
-    """Text form consumed by `slemma verify --certificate`:
+def format_certificate(check):
+    """Text form of a passing MultiplierCheck, consumed by `slemma verify
+    --certificate`:
 
         alpha = [0.5, 1.25]
         lambda_min = 0.003
         verified = ExactPSD
     """
-    alpha = ", ".join(repr(float(a)) for a in certificate.alpha)
-    lam = ("none" if certificate.lambda_min is None
-           else repr(float(certificate.lambda_min)))
+    alpha = ", ".join(repr(float(a)) for a in check.alpha)
+    lam = ("none" if check.lambda_min is None
+           else repr(float(check.lambda_min)))
     return (f"alpha = [{alpha}]\n"
             f"lambda_min = {lam}\n"
-            f"verified = {certificate.verified}\n")
+            f"verified = {check.label}\n")
 
 
 def parse_certificate(text):
+    """The checked multipliers of format_certificate's text; ValueError on
+    a missing alpha or a malformed alpha, lambda_min or verified line."""
     fields = {}
     for line in text.splitlines():
         line = line.strip()
@@ -296,11 +286,14 @@ def parse_certificate(text):
         body = fields["alpha"].strip("[]").strip()
         alpha = np.array([float(v) for v in body.split(",")] if body else [])
         lam = fields.get("lambda_min", "none")
-        lambda_min = None if lam == "none" else float(lam)
+        if lam != "none":
+            float(lam)
         verified = fields.get("verified", FAILED)
+        if verified not in (EXACT_PSD, SAMPLED_ONLY, FAILED):
+            raise ValueError(f"unknown label {verified!r}")
     except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed certificate text: {exc}") from exc
-    return Certificate(alpha=alpha, lambda_min=lambda_min, verified=verified)
+    return _multipliers(alpha)
 
 
 FOUND = "found"
@@ -324,7 +317,7 @@ def _witness_sources(check):
     return [x] if check.label == SAMPLED_ONLY else [x, 2.0 * x, 0.5 * x]
 
 
-def find_certificate_via_separation(system, cloud, tol=1e-9, seed=0):
+def find_certificate_via_separation(system, cloud, tol=PSD_RTOL, seed=0):
     """Certificate extraction along the separation route.
 
     Separate the cloud from K, require alpha_0 away from zero (the Slater

@@ -76,7 +76,7 @@ def cmd_validate(args, out):
     system = pf.system()
     rep = Report("problem file")
     report.describe_instance(rep, pf, system)
-    rep.add("all_linear", str(pf.all_linear).lower())
+    rep.add("all_linear", str(system.is_linear()).lower())
     for idx, entry in enumerate(pf.entries):
         kind = next(iter(entry))
         block = rep.add_block(f"f{idx}")
@@ -186,10 +186,10 @@ def cmd_geometry(args, out):
 
 def cmd_farkas(args, out):
     pf, system, cfg = _load(args)
-    if not pf.all_linear:
+    if not system.is_linear():
         raise ParseError(
-            "this problem mixes entry kinds; the linear alternatives "
-            "need every entry to be linear")
+            "the linear alternatives need every function to be affine: "
+            "a linear entry, or a quadratic entry with Q = 0")
     data = farkas_mod.linear_data(system)
     result = farkas_mod.solve(data)
     residuals = farkas_mod.verify_farkas(data, result)
@@ -214,8 +214,8 @@ def cmd_conjecture_scan(args, out):
 
 def cmd_verify(args, out):
     pf, system, cfg = _load(args)
-    if args.alpha is None and args.certificate is None:
-        raise ParseError("verify needs --alpha or --certificate")
+    if (args.alpha is None) == (args.certificate is None):
+        raise ParseError("verify needs one of --alpha and --certificate")
     if args.alpha is not None:
         try:
             alpha = np.array([float(v) for v in args.alpha.split(",")]) \
@@ -227,7 +227,7 @@ def cmd_verify(args, out):
     else:
         try:
             with open(args.certificate, encoding="utf-8") as handle:
-                alpha = cert_mod.parse_certificate(handle.read()).alpha
+                alpha = cert_mod.parse_certificate(handle.read())
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
         source = f"--certificate {args.certificate}"

@@ -4,13 +4,18 @@ Grammar (no implicit multiplication, whitespace ignored):
 
     expr    := term (('+' | '-') term)*
     term    := unary (('*' | '/') unary)*
-    unary   := '-' unary | power
-    power   := primary ('^' unary)?          # right-associative, binds above '-'
+    unary   := '-' unary | primary ('^' unary)?  # '^' right-assoc., above '-'
     primary := number | variable | call | '(' expr ')'
     call    := ('sin'|'cos'|'exp'|'log'|'sqrt'|'abs') '(' expr ')'
              | ('min'|'max') '(' expr ',' expr ')'
 
 Numbers are decimal or scientific; variables are x1..xn only.
+
+Parsing recurses on parentheses, evaluation and printing on the syntax
+tree, so `parse` rejects with ExprSyntaxError parentheses (a call's
+included) nested more than MAX_DEPTH = 100 deep, or a tree more than 100
+operators, minus signs and calls high (a k-term chain a + b + ... is
+k - 1 high).  Then the three stay within about 600 Python frames.
 """
 
 import math
@@ -19,6 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 
+MAX_DEPTH = 100
 _FUNCTIONS_1 = {"sin", "cos", "exp", "log", "sqrt", "abs"}
 _FUNCTIONS_2 = {"min", "max"}
 
@@ -75,12 +81,17 @@ class _Tokenizer:
 
     def _run(self):
         src, i, n = self.src, 0, len(self.src)
+        depth = 0       # of open parentheses, which the parser recurses on
         while i < n:
             ch = src[i]
             if ch.isspace():
                 i += 1
                 continue
             if ch in "+-*/^(),":
+                depth += (ch == "(") - (ch == ")")
+                if depth > MAX_DEPTH:
+                    raise ExprSyntaxError(
+                        f"parentheses nested more than {MAX_DEPTH} deep", i)
                 self.tokens.append((ch, ch, i))
                 i += 1
                 continue
@@ -159,17 +170,24 @@ class _Parser:
         return node
 
     def unary(self):
-        if self.peek()[0] == "-":
+        # '-' unary | primary ('^' unary)?, read in a loop so that neither
+        # minus signs nor exponents recurse: x^-y^z is x^(-(y^z)) and
+        # -x^2 is -(x^2)
+        chain = []
+        while True:
+            signs = 0
+            while self.peek()[0] == "-":
+                self.take()
+                signs += 1
+            chain.append((signs, self.primary()))
+            if self.peek()[0] != "^":
+                break
             self.take()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.primary()
-        if self.peek()[0] == "^":
-            self.take()
-            # right operand at unary level: x^-2 parses, -x^2 == -(x^2)
-            node = ("bin", "^", node, self.unary())
+        node = None
+        for signs, base in reversed(chain):
+            node = base if node is None else ("bin", "^", base, node)
+            for _ in range(signs):
+                node = ("neg", node)
         return node
 
     def primary(self):
@@ -211,7 +229,21 @@ def parse(source, n):
     if not source or not source.strip():
         raise ExprSyntaxError("empty expression", 0)
     ast = _Parser(source, n).parse()
+    if _height(ast) > MAX_DEPTH:
+        raise ExprSyntaxError(
+            f"expression more than {MAX_DEPTH} operations deep", 0)
     return Expression(ast, n, source=source)
+
+
+def _height(ast):
+    """The tree's height, found without recursion."""
+    height, stack = 0, [(ast, 0)]
+    while stack:
+        node, depth = stack.pop()
+        height = max(height, depth)
+        kids = {"neg": node[1:], "bin": node[2:], "call": node[-1]}
+        stack += [(kid, depth + 1) for kid in kids.get(node[0], ())]
+    return height
 
 
 def evaluate(e, x):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
-from .quadratic import QuadraticFunction
+from .quadratic import PSD_RTOL, QuadraticFunction
 from .rng import SplitMix64, derive_seed
 from .search import all_finite, descend
 from .systems import FunctionSystem
@@ -159,7 +159,7 @@ def _weakly_below(A, B):
     return below
 
 
-def hull_intersects_k(cloud, tol=1e-9):
+def hull_intersects_k(cloud, tol=PSD_RTOL):
     """Does the convex hull of the cloud meet K?
 
     Solved as: minimize sum_j w_j z_j[0] over convex weights w subject to
@@ -199,7 +199,7 @@ class Separator:
     delta: float
 
 
-def extract_separator(cloud, tol=1e-9):
+def extract_separator(cloud, tol=PSD_RTOL):
     """Best nonnegative separator of the cloud from K.
 
     Maximizes delta subject to <alpha, z_j> >= delta for every cloud point,
@@ -660,15 +660,15 @@ def conjecture_scan(count, n, seed, budget=24, cloud_size=1024, trials=400):
 
 
 def export_cloud(cloud, target):
-    """Write the cloud as text: a header line then one point per line,
-    z columns first, source columns after, space-separated.  `target` is
-    a path (str, bytes or os.PathLike) or an open text stream."""
+    """Write the cloud as text: a header line (p, n, R, seed, N, skipped)
+    then one point per line, z columns first, source columns after,
+    space-separated.  `target` is a path or an open text stream."""
     is_path = isinstance(target, (str, bytes, os.PathLike))
     with (open(target, "w", encoding="utf-8") if is_path
           else nullcontext(target)) as handle:
         handle.write(
             f"# p={cloud.p} n={cloud.n} R={cloud.box_radius!r} "
-            f"seed={cloud.seed} N={cloud.size}\n"
+            f"seed={cloud.seed} N={cloud.size} skipped={cloud.skipped}\n"
         )
         for z, x in zip(cloud.points, cloud.sources):
             cols = [repr(float(v)) for v in z] + [repr(float(v)) for v in x]
@@ -676,7 +676,7 @@ def export_cloud(cloud, target):
 
 
 def load_cloud(path):
-    """Inverse of export_cloud (used by tests and external tooling)."""
+    """Inverse of export_cloud; a header without `skipped` reads 0."""
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().strip()
         meta = dict(part.split("=") for part in header[1:].strip().split())
@@ -685,4 +685,5 @@ def load_cloud(path):
         rows = np.array([[float(v) for v in line.split()]
                          for line in handle if line.strip()])
     return ImageCloud(points=rows[:, : p + 1], sources=rows[:, p + 1:],
-                      box_radius=float(meta["R"]), seed=int(meta["seed"]))
+                      box_radius=float(meta["R"]), seed=int(meta["seed"]),
+                      skipped=int(meta.get("skipped", 0)))

@@ -23,6 +23,7 @@ from . import certificate as cert_mod
 from . import farkas as farkas_mod
 from . import geometry
 from .errors import NotConverged, NumericalBreakdown, SlemmaError
+from .quadratic import PSD_RTOL
 from .rng import derive_seed
 from .search import all_finite, box_points, descend, smallest
 
@@ -114,12 +115,13 @@ def check_slater(system, X, vals, radius):
 
 @dataclass
 class CounterexampleResult:
+    """The search's best row: the counterexample when `found`, else the
+    closest miss (the feasible row of least f0), or None."""
+
     found: bool
     x: np.ndarray | None = None
     f0_value: float | None = None
     min_constraint: float | None = None
-    closest_miss_x: np.ndarray | None = None
-    closest_miss_f0: float | None = None
 
 
 def penalized_loss(system):
@@ -148,14 +150,11 @@ def penalized_loss(system):
 
 def witness_f0(vals):
     """The witness test on each row of values_batch's (m, p+1) array: f0
-    where the row is finite with every f_i >= -1e-9, +inf on every other
-    row.  A row is a counterexample when this reads below -1e-9.  Read a
-    column at a time: a finite f_i >= -1e-9 is one below +inf."""
+    where f0 is finite and the row's `slater_margin` is >= -1e-9 (every
+    f_i finite and >= -1e-9), +inf on every other row.  A row is a
+    counterexample when this reads below -1e-9."""
     f0 = vals[:, 0]
-    feasible = np.isfinite(f0)
-    for col in vals.T[1:]:
-        feasible &= col >= -_WITNESS_TOL
-        feasible &= col < np.inf
+    feasible = np.isfinite(f0) & (slater_margin(vals[:, 1:]) >= -_WITNESS_TOL)
     return np.where(feasible, f0, np.inf)
 
 
@@ -209,12 +208,10 @@ def find_counterexample(system, X, vals, radius, extra_starts=None, *,
         return CounterexampleResult(found=False)
     x = X[i].copy()     # X may be the memoized sample
     if best >= -_WITNESS_TOL:
-        return CounterexampleResult(found=False, closest_miss_x=x,
-                                    closest_miss_f0=best)
+        return CounterexampleResult(found=False, x=x, f0_value=best)
     return CounterexampleResult(
         found=True, x=x, f0_value=best,
-        min_constraint=float(vals[i, 1:].min()) if system.p else np.inf,
-        closest_miss_x=x, closest_miss_f0=best)
+        min_constraint=float(vals[i, 1:].min()) if system.p else np.inf)
 
 
 @dataclass
@@ -224,7 +221,7 @@ class ClassifyConfig:
     box_radius: float = 10.0
     samples: int = 4096
     seed: int = 1
-    psd_tol: float = 1e-9   # the one tolerance: PSD test, LPs, --tol
+    psd_tol: float = PSD_RTOL   # the one tolerance: PSD test, LPs, --tol
     eta: float = 1e-3
     cloud_samples: int = 512
     falsify_trials: int = 400
@@ -250,9 +247,9 @@ class GeometryEvidence:
 class InstanceReport:
     verdict: str
     slater: SlaterResult
-    certificate: cert_mod.Certificate | None = None
+    certificate: cert_mod.MultiplierCheck | None = None   # a passing check
     counterexample: CounterexampleResult | None = None
-    candidate_certificate: cert_mod.Certificate | None = None
+    candidate_certificate: cert_mod.MultiplierCheck | None = None
     evidence: GeometryEvidence = field(default_factory=GeometryEvidence)
     config: ClassifyConfig = field(default_factory=ClassifyConfig)
     notes: list = field(default_factory=list)
@@ -430,7 +427,7 @@ def classify_instance(system, config=None):
         cloud = image_cloud(system, config)
         sep = separation_stage(system, config, cloud)
         if sep.found:
-            if sep.certificate.verified == cert_mod.EXACT_PSD:
+            if sep.certificate.label == cert_mod.EXACT_PSD:
                 report.verdict = VALID
                 report.certificate = sep.certificate
                 report.notes.append("certificate via separation")
@@ -472,7 +469,7 @@ def _leaves_no_witness(system, certificate, radius):
 def _assert_image_in_k(system, x):
     """Theorem 2 Eq. (1) at the witness: z(x) must land in K."""
     z = system.image_point(x)
-    if not geometry.cone_k_member(z, strict_tol=1e-9):
+    if not geometry.cone_k_member(z, strict_tol=_WITNESS_TOL):
         raise AssertionError(
             f"counterexample witness image {z} escaped the cone test"
         )
@@ -483,6 +480,6 @@ def _assert_exclusive(report):
     can never coexist in one report."""
     if report.certificate is None or report.counterexample is None:
         return
-    if (report.certificate.verified == cert_mod.EXACT_PSD
+    if (report.certificate.label == cert_mod.EXACT_PSD
             and report.counterexample.found):
         raise AssertionError("report holds both a certificate and a counterexample")

@@ -110,10 +110,6 @@ class ProblemFile:
         return FunctionSystem(n=self.n, f0=self.functions[0],
                               constraints=self.functions[1:])
 
-    @property
-    def all_linear(self):
-        return all("linear" in e for e in self.entries)
-
 
 def _require_keys(obj, allowed, required, where):
     unknown = set(obj) - allowed

@@ -107,16 +107,15 @@ def slater_block(parent, slater):
 
 def counterexample_block(parent, cex):
     block = parent.add_block("counterexample")
-    if cex is None or not cex.found:
-        block.add("found", "false")
-        if cex is not None and cex.closest_miss_x is not None:
-            block.add("closest_feasible_x", fvec(cex.closest_miss_x))
-            block.add("closest_feasible_f0", fnum(cex.closest_miss_f0))
-        return block
-    block.add("found", "true")
-    block.add("x", fvec(cex.x))
-    block.add("f0", fnum(cex.f0_value))
-    block.add("min_constraint", fnum(cex.min_constraint))
+    found = cex is not None and cex.found
+    block.add("found", str(found).lower())
+    if found:
+        block.add("x", fvec(cex.x))
+        block.add("f0", fnum(cex.f0_value))
+        block.add("min_constraint", fnum(cex.min_constraint))
+    elif cex is not None and cex.x is not None:
+        block.add("closest_feasible_x", fvec(cex.x))
+        block.add("closest_feasible_f0", fnum(cex.f0_value))
     return block
 
 
@@ -129,7 +128,7 @@ def certificate_block(parent, cert, key="certificate"):
     block.add("alpha", fvec(cert.alpha))
     if cert.lambda_min is not None:
         block.add("lambda_min", fnum(cert.lambda_min))
-    block.add("verified", cert.verified)
+    block.add("verified", cert.label)
     return block
 
 

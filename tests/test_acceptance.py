@@ -184,7 +184,7 @@ def test_criterion_4_separation_pipeline():
         res = cert.find_certificate_via_separation(
             system, cloud, seed=derive_seed(inst_seed, 10))
         if res.found:
-            assert res.certificate.verified == cert.EXACT_PSD
+            assert res.certificate.label == cert.EXACT_PSD
             # re-checked with numpy, not with the check that labelled it
             M = cert.combined_matrix(system, res.certificate.alpha)
             lam = np.linalg.eigvalsh(M)[0]

@@ -30,13 +30,12 @@ def test_verify_equal_functions():
     system = FunctionSystem(2, _norm_sq(2), (_norm_sq(2),))
     ver = cert.check_multipliers(system, [1.0])
     assert ver.valid and ver.label == cert.EXACT_PSD
-    assert ver.certificate.verified == cert.EXACT_PSD
     assert ver.lambda_min == pytest.approx(0.0, abs=1e-12)
 
 
 def test_verify_example3_zero_alpha_invalid(example3):
     ver = cert.check_multipliers(example3, [0.0])
-    assert not ver.valid and ver.certificate is None
+    assert not ver.valid
     assert ver.lambda_min < -1.0
     # the minimum eigenvector (0, 1, 0) has no finite lift
     assert ver.violating_x is None
@@ -63,8 +62,7 @@ def test_sampled_verification_positive_expression():
     system = FunctionSystem(1, parse("exp(x1)", 1), ())
     ver = cert.check_multipliers(system, [], radius=5.0, seed=3)
     assert ver.valid and ver.label == cert.SAMPLED_ONLY
-    assert ver.certificate.verified == cert.SAMPLED_ONLY
-    assert ver.certificate.lambda_min is None and ver.lambda_min is None
+    assert ver.lambda_min is None
     assert ver.value >= -1e-6
 
 
@@ -277,7 +275,7 @@ def test_separation_route_on_convex_instance():
     cloud = geo.sample_image(system, 10.0, 512, 5)
     res = cert.find_certificate_via_separation(system, cloud, seed=6)
     assert res.found
-    assert res.certificate.verified == cert.EXACT_PSD
+    assert res.certificate.label == cert.EXACT_PSD
     assert np.all(res.certificate.alpha >= 0)
 
 
@@ -291,21 +289,30 @@ def test_separation_route_no_separator(example3):
 
 
 def test_certificate_text_round_trip():
-    c = cert.Certificate(alpha=np.array([0.5, 1.25]), lambda_min=0.003,
-                         verified=cert.EXACT_PSD)
+    # the text of a passing check parses back to its multipliers
+    c = cert.MultiplierCheck(alpha=np.array([0.5, 1.25]),
+                             label=cert.EXACT_PSD, valid=True,
+                             lambda_min=0.003)
     text = cert.format_certificate(c)
-    assert "alpha = [0.5, 1.25]" in text
-    assert "lambda_min = 0.003" in text
-    assert "verified = ExactPSD" in text
-    back = cert.parse_certificate(text)
-    assert back.alpha.tolist() == [0.5, 1.25]
-    assert back.lambda_min == 0.003
-    assert back.verified == cert.EXACT_PSD
-    empty = cert.parse_certificate(cert.format_certificate(
-        cert.Certificate(alpha=np.zeros(0), lambda_min=None,
-                         verified=cert.SAMPLED_ONLY)))
-    assert empty.alpha.shape == (0,)
-    assert empty.lambda_min is None
+    assert text == ("alpha = [0.5, 1.25]\nlambda_min = 0.003\n"
+                    "verified = ExactPSD\n")
+    assert cert.parse_certificate(text).tolist() == [0.5, 1.25]
+    sampled = cert.format_certificate(cert.MultiplierCheck(
+        alpha=np.zeros(0), label=cert.SAMPLED_ONLY, valid=True))
+    assert "lambda_min = none" in sampled
+    assert "verified = SampledOnly" in sampled
+    assert cert.parse_certificate(sampled).shape == (0,)
+
+
+@pytest.mark.parametrize("text", [
+    "lambda_min = 0.1\nverified = ExactPSD\n",            # no alpha
+    "alpha = [0.5, x]\n",
+    "alpha = [0.5]\nlambda_min = small\n",
+    "alpha = [0.5]\nverified = Proven\n",
+])
+def test_malformed_certificate_text_is_rejected(text):
+    with pytest.raises(ValueError, match="malformed certificate text"):
+        cert.parse_certificate(text)
 
 
 def test_sampled_and_exact_verdicts_agree():
@@ -356,7 +363,7 @@ def test_separation_route_checks_with_its_tol(monkeypatch):
     cloud = geo.sample_image(system, 10.0, 256, 5)
     res = cert.find_certificate_via_separation(system, cloud, tol=1e-7,
                                                seed=6)
-    assert res.found and res.certificate.verified == cert.EXACT_PSD
+    assert res.found and res.certificate.label == cert.EXACT_PSD
     assert seen == [1e-7] * (res.rounds + 1)
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from slemma.errors import DomainError
-from slemma.expr import (ExprSyntaxError, IndexOutOfRange, UnknownIdentifier,
-                         evaluate, evaluate_batch, parse, to_source)
+from slemma.expr import (MAX_DEPTH, ExprSyntaxError, IndexOutOfRange,
+                         UnknownIdentifier, evaluate, evaluate_batch, parse,
+                         to_source)
 from slemma.rng import SplitMix64
 
 
@@ -156,3 +157,37 @@ def test_batch_marks_domain_failures_nonfinite():
     assert np.isfinite(out[0])
     assert not np.isfinite(out[1])
     assert not np.isfinite(out[2])
+
+
+def _nested(open_, close, depth, inner="x1"):
+    return open_ * depth + inner + close * depth
+
+
+# (source at MAX_DEPTH levels, source one level past it): each of the
+# constructs that nest, and a chain, which the parser reads in a loop
+DEPTH_CASES = {
+    "parentheses": lambda d: _nested("(", ")", d),
+    "calls": lambda d: _nested("sin(", ")", d),
+    "two-argument calls": lambda d: _nested("max(x1, ", ")", d),
+    "minus signs": lambda d: _nested("-", "", d),
+    "exponents": lambda d: "^".join(["x1"] * (d + 1)),
+    "chain": lambda d: " + ".join(["x1"] * (d + 1)),
+}
+
+
+@pytest.mark.parametrize("name", DEPTH_CASES)
+def test_expressions_nest_at_most_max_depth(name):
+    source = DEPTH_CASES[name](MAX_DEPTH)
+    e = parse(source, 1)
+    # evaluating and printing recurse as deep as parsing allowed
+    assert np.isfinite(evaluate_batch(e, np.full((2, 1), 0.5))).all()
+    assert evaluate_batch(parse(to_source(e), 1), np.full((1, 1), 0.5))[0] \
+        == evaluate(e, [0.5])
+    with pytest.raises(ExprSyntaxError, match=f"{MAX_DEPTH} "):
+        parse(DEPTH_CASES[name](MAX_DEPTH + 1), 1)
+
+
+def test_grouping_a_long_sum_keeps_it_under_the_limit():
+    half = " + ".join(["x1"] * MAX_DEPTH)
+    e = parse(f"({half}) + ({half})", 1)
+    assert evaluate(e, [0.5]) == MAX_DEPTH

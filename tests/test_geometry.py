@@ -5,6 +5,7 @@ import pytest
 
 from slemma import geometry as geo
 from slemma import search
+from slemma.expr import parse
 from slemma.quadratic import QuadraticFunction
 from slemma.rng import SplitMix64, derive_seed
 from slemma.systems import FunctionSystem
@@ -44,7 +45,6 @@ def test_sample_image_mean_of_coordinate():
 
 
 def test_sample_image_skips_domain_failures():
-    from slemma.expr import parse
     system = FunctionSystem(1, parse("log(x1)", 1), ())
     with pytest.raises(Exception):
         # half the box is out of domain: abort
@@ -592,10 +592,28 @@ def test_cloud_export_round_trip(example3, tmp_path):
     geo.export_cloud(cloud, str(path))
     text = path.read_text()
     header = text.splitlines()[0]
-    assert header == f"# p=1 n=2 R=10.0 seed=11 N=32"
+    assert header == f"# p=1 n=2 R=10.0 seed=11 N=32 skipped=0"
     loaded = geo.load_cloud(str(path))
     assert np.array_equal(loaded.points, cloud.points)
     assert np.array_equal(loaded.sources, cloud.sources)
+
+
+def test_cloud_export_keeps_the_skip_count(tmp_path):
+    # log(x1 + 5) is undefined for x1 <= -5: a quarter of [-10, 10]
+    system = FunctionSystem(1, parse("log(x1 + 5)", 1), (parse("x1", 1),))
+    cloud = geo.sample_image(system, 10.0, 64, 5)
+    assert cloud.skipped == 25
+    path = tmp_path / "cloud.txt"
+    geo.export_cloud(cloud, path)
+    assert path.read_text().splitlines()[0].endswith(" skipped=25")
+    loaded = geo.load_cloud(path)
+    assert loaded.skipped == 25
+    assert np.array_equal(loaded.points, cloud.points)
+    # a header written without the field reads as no skips
+    lines = path.read_text().splitlines()
+    lines[0] = lines[0].rsplit(" ", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    assert geo.load_cloud(path).skipped == 0
 
 
 def test_cloud_export_to_a_path_round_trip(example3, tmp_path):

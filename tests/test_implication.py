@@ -124,8 +124,8 @@ def test_counterexample_none_when_feasible_set_matches_sign():
                               10.0)
     assert not res.found
     # the closest feasible miss has f0 near 0
-    assert res.closest_miss_f0 is not None
-    assert res.closest_miss_f0 >= -1e-9
+    assert res.f0_value is not None
+    assert res.f0_value >= -1e-9
 
 
 def _spy_on_descents(monkeypatch):
@@ -203,8 +203,6 @@ def test_a_deciding_sample_is_the_best_sample():
             assert cex.x.tobytes() == X[i].tobytes()
             assert cex.f0_value == vals[i, 0]
             assert cex.min_constraint == least[i] >= -1e-9
-            assert cex.closest_miss_x.tobytes() == X[i].tobytes()
-            assert cex.closest_miss_f0 == vals[i, 0]
     assert slaters >= 8 and counterexamples >= 8
 
 
@@ -221,24 +219,20 @@ UNDECIDED_SAMPLES = [
         "status": "NotFound", "x0": None,
         "min_constraint_value": -1.0455777199350895e-27}),
     ("slater_fail", "counterexample", {
-        "found": False, "x": None, "f0_value": None, "min_constraint": None,
-        "closest_miss_x": None, "closest_miss_f0": None}),
+        "found": False, "x": None, "f0_value": None, "min_constraint": None}),
     (34, "slater", {
         "status": "SlaterPoint",
         "x0": [-0.007811184728663708, -0.11179379849281841],
         "min_constraint_value": 0.00214045061942595}),
     (34, "counterexample", {
-        "found": False, "x": None, "f0_value": None, "min_constraint": None,
-        "closest_miss_x": None, "closest_miss_f0": None}),
+        "found": False, "x": None, "f0_value": None, "min_constraint": None}),
     (129, "counterexample", {
-        "found": False, "x": None, "f0_value": None, "min_constraint": None,
-        "closest_miss_x": [-0.007084291935426515, -0.3526580728146528],
-        "closest_miss_f0": 0.6999597830691434}),
+        "found": False, "x": [-0.007084291935426515, -0.3526580728146528],
+        "f0_value": 0.6999597830691434, "min_constraint": None}),
     (1330, "counterexample", {
-        "found": False, "x": None, "f0_value": None, "min_constraint": None,
-        "closest_miss_x": [-0.6790569120998485, 0.395879964231759,
-                           0.020054277220407417],
-        "closest_miss_f0": 0.23734412476979364}),
+        "found": False, "x": [-0.6790569120998485, 0.395879964231759,
+                              0.020054277220407417],
+        "f0_value": 0.23734412476979364, "min_constraint": None}),
 ]
 
 
@@ -271,8 +265,7 @@ def test_a_few_samples_that_miss_keep_the_descended_counterexample(
                                   *box_sample(example3, 10.0, 3, seed), 10.0)
         assert _fields(res) == {
             "found": True, "x": [x0, 10.0], "f0_value": -100.0,
-            "min_constraint": min_c, "closest_miss_x": [x0, 10.0],
-            "closest_miss_f0": -100.0}
+            "min_constraint": min_c}
     assert len(starts) == 2
 
 
@@ -286,8 +279,7 @@ def test_searches_without_samples_descend_from_the_origin():
     x = [7.502398432458222, 10.0]
     assert _fields(find_counterexample(system, *sample, 10.0)) == {
         "found": True, "x": x, "f0_value": -85.77925859537746,
-        "min_constraint": 126.30127568493387, "closest_miss_x": x,
-        "closest_miss_f0": -85.77925859537746}
+        "min_constraint": 126.30127568493387}
 
 
 def test_an_undecided_sample_can_end_the_search(monkeypatch):
@@ -300,13 +292,13 @@ def test_an_undecided_sample_can_end_the_search(monkeypatch):
         feasible = np.all(vals[:, 1:] >= -1e-9, axis=1)
         res = find_counterexample(system, X, vals, 10.0,
                                   descend_undecided=False)
-        assert not res.found and res.x is None
+        assert not res.found and res.min_constraint is None
         if not feasible.any():
-            assert res.closest_miss_x is res.closest_miss_f0 is None
+            assert res.x is res.f0_value is None
             continue
         i = int(np.argmin(np.where(feasible, vals[:, 0], np.inf)))
-        assert res.closest_miss_x.tobytes() == X[i].tobytes()
-        assert res.closest_miss_f0 == vals[i, 0] >= -1e-9
+        assert res.x.tobytes() == X[i].tobytes()
+        assert res.f0_value == vals[i, 0] >= -1e-9
     assert starts == []
 
 
@@ -357,7 +349,7 @@ def test_a_certificate_passing_by_tolerance_lets_the_descent_refute():
     system = FunctionSystem(
         1, QuadraticFunction(np.array([[2000.0]]), np.zeros(1), -1e-7), ())
     check = cert.check_multipliers(system, np.zeros(0))
-    assert check.certificate is not None and check.lambda_min < 0
+    assert check.valid and check.lambda_min < 0
     sample = box_sample(system, 10.0, 4096, derive_seed(1, 2))
     assert not find_counterexample(system, *sample, 10.0,
                                    descend_undecided=False).found
@@ -487,7 +479,7 @@ def test_classify_convex_case_valid():
     rep = classify_instance(system, ClassifyConfig(seed=1))
     assert rep.verdict == VALID
     assert rep.certificate is not None
-    assert rep.certificate.verified == "ExactPSD"
+    assert rep.certificate.label == "ExactPSD"
 
 
 def test_classify_example3_invalid(example3):

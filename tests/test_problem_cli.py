@@ -7,6 +7,7 @@ import pytest
 
 import slemma
 from slemma.cli import main
+from slemma.expr import MAX_DEPTH
 from slemma.farkas import linear_data
 from slemma.problem import ParseError, load_problem, parse_problem
 
@@ -72,7 +73,6 @@ def test_bad_expression_rejected():
 
 def test_linear_entries_round_trip():
     pf = load_problem(CORPUS / "farkas_affine.json")
-    assert pf.all_linear
     data = linear_data(pf.system())
     assert data.a0.tolist() == [1.0]
     assert data.b0 == 1.0
@@ -97,7 +97,7 @@ def test_mixed_entries_build_their_functions():
     pf = parse_problem(json.loads(json.dumps(_MIXED)), path="mixed.json")
     assert pf.entries == _MIXED["functions"]
     assert pf.config == _MIXED["config"]
-    assert not pf.all_linear
+    assert not pf.system().is_linear()
     for _ in range(2):          # the system evaluates the same every time
         system = pf.system()
         assert system.n == 2 and system.p == 2
@@ -282,6 +282,16 @@ def test_cli_verify_requires_some_input():
     assert "alpha" in err
 
 
+def test_cli_verify_takes_one_source_of_multipliers():
+    # --alpha with --certificate is a usage error, not a silent choice,
+    # even when the certificate file does not exist
+    code, out, err = run_cli("verify", str(CORPUS / "slater_fail.json"),
+                             "--alpha", "1", "--certificate",
+                             "/nonexistent/cert.txt")
+    assert code == 1 and out == ""
+    assert err == "error: verify needs one of --alpha and --certificate\n"
+
+
 def _report_lines(out):
     """Report lines below the echoed command, which holds the path."""
     return out.splitlines()[3:]
@@ -388,6 +398,86 @@ def test_cli_farkas_both_files():
     code, out, _ = run_cli("farkas", str(CORPUS / "farkas_affine.json"))
     assert code == 0
     assert "branch: alternative" in out
+
+
+# f0 = x + 1 and f1 = x, both quadratic entries with Q = 0: affine
+_AFFINE_QUADRATICS = {
+    "n": 1, "p": 1,
+    "functions": [{"quadratic": {"Q": [0.0], "c": [1.0], "d": 1.0}},
+                  {"quadratic": {"Q": [0.0], "c": [1.0], "d": 0.0}}],
+}
+
+
+def test_cli_farkas_takes_every_affine_file(tmp_path):
+    # the linear test is the system's: validate, farkas and classify agree
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps(_AFFINE_QUADRATICS))
+    code, out, err = run_cli("validate", str(path))
+    assert code == 0 and "all_linear: true" in out
+    code, out, err = run_cli("farkas", str(path))
+    assert code == 0 and err == ""
+    assert "branch: multipliers" in out
+    assert "alpha: [1.0]" in out
+    code, out, _ = run_cli("classify", str(path))
+    assert code == 0
+    assert "verdict: ValidWithCertificate" in out
+    assert "certificate via exact linear alternatives" in out
+
+
+def test_cli_farkas_rejects_a_file_that_is_not_affine(tmp_path):
+    path = tmp_path / "square.json"
+    problem = json.loads(json.dumps(_AFFINE_QUADRATICS))
+    problem["functions"][0]["quadratic"]["Q"] = [2.0]
+    path.write_text(json.dumps(problem))
+    code, out, _ = run_cli("validate", str(path))
+    assert "all_linear: false" in out
+    code, out, err = run_cli("farkas", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "affine" in err
+    assert "mixes" not in err and "kind" not in err
+
+
+def _one_expression(tmp_path, source):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"n": 1, "p": 0,
+                                "functions": [{"expr": source}]}))
+    return str(path)
+
+
+def test_cli_expressions_at_the_depth_limit_classify(tmp_path):
+    # 100 nested calls (the parser's deepest recursion) and a 101-term
+    # chain (a tree 100 high); both are x1 in sign, so the box sample
+    # holds a counterexample
+    for source in ("sin(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH,
+                   " + ".join(["x1"] * (MAX_DEPTH + 1))):
+        path = _one_expression(tmp_path, source)
+        for command in ("validate", "classify", "counterexample"):
+            code, out, err = run_cli(command, path)
+            assert code == 0 and err == "", command
+        assert "verdict: InvalidWithCounterexample" in run_cli(
+            "classify", path)[1]
+
+
+@pytest.mark.parametrize("source, message", [
+    ("sin(" * 101 + "x1" + ")" * 101,
+     "parentheses nested more than 100 deep (at position 403)"),
+    ("(" * 400 + "x1" + ")" * 400,
+     "parentheses nested more than 100 deep (at position 100)"),
+    ("-" * 3000 + "x1", "expression more than 100 operations deep "
+                        "(at position 0)"),
+    (" + ".join(["x1"] * (MAX_DEPTH + 2)),
+     "expression more than 100 operations deep (at position 0)"),
+    (" + ".join(["x1"] * 3000),
+     "expression more than 100 operations deep (at position 0)"),
+], ids=["calls-101", "parentheses-400", "minus-3000", "chain-102",
+        "chain-3000"])
+def test_cli_expressions_past_the_depth_limit_fail_cleanly(tmp_path, source,
+                                                           message):
+    path = _one_expression(tmp_path, source)
+    for command in ("validate", "classify"):
+        code, out, err = run_cli(command, path)
+        assert code == 1 and out == "", command
+        assert err == f"error: functions[0]: {message}\n", command
 
 
 def test_cli_conjecture_scan():
