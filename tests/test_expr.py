@@ -163,8 +163,8 @@ def _nested(open_, close, depth, inner="x1"):
     return open_ * depth + inner + close * depth
 
 
-# (source at MAX_DEPTH levels, source one level past it): each of the
-# constructs that nest, and a chain, which the parser reads in a loop
+# a source d levels deep for each construct that nests, and for a chain,
+# which the parser reads in a loop
 DEPTH_CASES = {
     "parentheses": lambda d: _nested("(", ")", d),
     "calls": lambda d: _nested("sin(", ")", d),
