@@ -452,7 +452,21 @@ def conical_membership_oracle(system, cloud, budget=24, seed=0):
     scale order answers.  A stack of targets is answered lazily, one
     target at a time as the caller reads the answers, so one 25-row search
     is held at a time and a caller that stops reading (the falsifier, at
-    its first violation) skips the searches of the targets after it."""
+    its first violation) skips the searches of the targets after it.
+
+    For an all-quadratic system with p <= 1 the question has a theorem
+    for its answer, and `implication.gather_evidence` does not ask this
+    oracle.  With M_i = bordered_matrix(f_i), the forms h_i(w) =
+    1/2 w^T M_i w dehomogenize to the f_i: (h0, -h1)(s (x, 1)) = s^2 z(x).
+    So the joint range C of (h0, -h1) over w in R^(n+1) satisfies
+    R_+ F <= C <= cl R_+ F, the points with w_(n+1) = 0 being limits of
+    the others.  C is a convex cone by Dines (1941), so every chord point
+    of the cloud lies in C, in the closure of R_+ F, and no search can
+    find it a positive margin outside.  The hypothesis, two quadratic
+    functions (p <= 1, any n), is checked exactly.  The caveat is the
+    closure: the points of C with w_(n+1) = 0, the recession images
+    (1/2 u^T Q0 u, -1/2 u^T Q1 u), need not be in R_+ F itself.  p >= 2
+    and expression systems meet no such theorem and keep this oracle."""
     inner = identity_membership_oracle(system, cloud, budget, seed)
 
     def answer(m):
@@ -489,6 +503,7 @@ class ConvexityViolation:
 class FalsifyResult:
     violation: ConvexityViolation | None = None
     trials_run: int = 0
+    skipped: str | None = None   # the theorem that makes the set convex
 
     @property
     def found(self):

@@ -37,6 +37,7 @@ UNDETERMINED = "Undetermined"
 _SLATER_MIN = 1e-9
 _WITNESS_TOL = 1e-9
 _PENALTY = 1e3        # weight of the counterexample descent's penalty
+_DINES = "convex up to closure: Dines 1941, p <= 1"
 
 
 @dataclass
@@ -321,7 +322,14 @@ def separation_stage(system, config, cloud):
 def gather_evidence(system, config, cloud, separator):
     """K members, hull, separator and the epi and conical falsifiers on
     `cloud`.  `separator` is extract_separator's answer on this same cloud
-    (a Separator, or None when none exists); the hull LP is solved here."""
+    (a Separator, or None when none exists); the hull LP is solved here.
+
+    An all-quadratic system with p <= 1 runs no conical falsifier: by
+    Dines (1941) the conical hull R_+ F of its image is convex up to
+    closure (see `geometry.conical_membership_oracle`), so no chord point
+    lies a positive margin outside it.  `is_quadratic and p <= 1` is the
+    theorem's hypothesis exactly; the result records the theorem in
+    `skipped`, with no trial run."""
     ev = GeometryEvidence(computed=True)
     ev.cloud_size = cloud.size
     ev.k_members = int(len(geometry.cloud_k_members(cloud)))
@@ -333,6 +341,9 @@ def gather_evidence(system, config, cloud, separator):
     ev.epi_falsify = geometry.falsify_convexity(
         epi, cloud, trials=config.falsify_trials,
         seed=derive_seed(config.seed, 6), eta=config.eta, system=system)
+    if system.is_quadratic and system.p <= 1:
+        ev.conical_falsify = geometry.FalsifyResult(skipped=_DINES)
+        return ev
     conical = geometry.conical_membership_oracle(
         system, cloud, budget=config.member_budget,
         seed=derive_seed(config.seed, 7))

@@ -164,7 +164,9 @@ def violation_lines(block, v):
 
 def falsify_block(parent, result, key):
     block = parent.add_block(key)
-    if result.found:
+    if result.skipped is not None:
+        block.add("status", f"skipped ({result.skipped})")
+    elif result.found:
         block.add("status", "violation found (sampled evidence)")
         block.add("trials_run", result.trials_run)
         violation_lines(block, result.violation)
@@ -234,7 +236,9 @@ def farkas_report(pf, data, result, residuals, command):
     rep.add("system_consistent", str(result.system_consistent).lower())
     block = rep.add_block("verification")
     for key, value in residuals.items():
-        block.add(key, fnum(value) if isinstance(value, float) else value)
+        # the `ok` flag reads true/false like every other flag
+        block.add(key, str(value).lower() if isinstance(value, bool)
+                  else fnum(value))
     return rep
 
 

@@ -100,3 +100,51 @@ def solve_boxed_lp(c, A, b, lower, upper=None):
     if out.status == OPTIMAL:
         out.objective += float(c @ lower)
     return out
+
+
+def p1_image(f0, f1, x):
+    """z(x) = (f0(x), -f1(x)) of two quadratics, by `quadratic_values`."""
+    x = np.atleast_2d(x)
+    return np.array([quadratic_values(f0, x)[0], -quadratic_values(f1, x)[0]])
+
+
+def conical_preimage(f0, f1, x1, x2, t):
+    """(s, x) with s > 0 and s z(x) = m for the chord point m = t z(x1) +
+    (1 - t) z(x2) of z = (f0, -f1), from `quadratic_values` alone: an
+    independent oracle for Dines' theorem on two quadratic functions.
+
+    With w_i = (x_i, 1), H(a, b) = (h0, -h1)(a w1 + b w2) for the
+    homogenized forms h_i is the binary form a^2 z(x1) + 2ab B + b^2 z(x2),
+    where H(1, 1) = 4 z((x1 + x2)/2) gives B.  The ratios r = a/b on which
+    H is parallel to m are the roots of cross(H(r, 1), m) = 0.  A root
+    with mu = <H, m>/|m|^2 > 0 gives m = H(r, 1)/mu, and dehomogenizing
+    w = r w1 + w2 gives x = (r x1 + x2)/(r + 1) and s = (r + 1)^2/mu; of
+    two such roots, the one whose w is farther from w_(n+1) = 0.  None
+    when no root qualifies (m outside the cone) or r + 1 = 0 (a point of
+    the closure only)."""
+
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    A, C = p1_image(f0, f1, x1), p1_image(f0, f1, x2)
+    m = t * A + (1.0 - t) * C
+    B = (4.0 * p1_image(f0, f1, (np.asarray(x1) + x2) / 2.0) - A - C) / 2.0
+    a, b, c = cross(A, m), 2.0 * cross(B, m), cross(C, m)
+    if a == 0.0:
+        roots = [] if b == 0.0 else [-c / b]
+    else:
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            return None
+        q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+        roots = [q / a] + ([c / q] if q != 0.0 else [])
+    best = None
+    for r in roots:
+        H = r * r * A + 2.0 * r * B + C
+        mu = float(H @ m) / float(m @ m)
+        # of two qualifying roots, the one farther from the closure
+        lift = abs(r + 1.0) / np.hypot(r, 1.0)
+        if mu > 0.0 and lift > 0.0 and (best is None or lift > best[0]):
+            best = (lift, (r + 1.0) ** 2 / mu,
+                    (r * np.asarray(x1) + x2) / (r + 1.0))
+    return None if best is None else best[1:]

@@ -1,14 +1,20 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slemma
+from conftest import conical_preimage, p1_image, random_quadratic
 from slemma import geometry as geo
 from slemma import search
 from slemma.expr import parse
+from slemma.problem import load_problem
 from slemma.quadratic import QuadraticFunction
 from slemma.rng import SplitMix64, derive_seed
 from slemma.systems import FunctionSystem
+
+CORPUS = Path(slemma.__file__).parent / "corpus"
 
 
 def _cloud_from_points(points, sources=None, n=None):
@@ -547,6 +553,45 @@ def test_conical_oracle_zero_is_member(example3):
     cloud = geo.sample_image(example3, 10.0, 128, 6)
     oracle = geo.conical_membership_oracle(example3, cloud, budget=8, seed=9)
     assert oracle(np.zeros(2)).member
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_every_p1_chord_point_is_a_conical_image(affine):
+    # Dines (1941), checked without the package: each chord point of two
+    # quadratic functions' image, f1 affine or not, is s z(x) with s > 0
+    worst = 0.0
+    for seed in range(60):
+        rng = SplitMix64(seed)
+        for n in range(1, 5):
+            f0, f1 = random_quadratic(rng, n), random_quadratic(rng, n)
+            if affine:
+                f1 = QuadraticFunction(np.zeros((n, n)), f1.c, f1.d)
+            for _ in range(5):
+                u = rng.uniforms(2 * n + 1)
+                x1, x2, t = 20.0 * u[:n] - 10.0, 20.0 * u[n:-1] - 10.0, u[-1]
+                m = t * p1_image(f0, f1, x1) + (1.0 - t) * p1_image(f0, f1, x2)
+                s, x = conical_preimage(f0, f1, x1, x2, t)
+                assert s > 0.0
+                worst = max(worst, np.max(np.abs(s * p1_image(f0, f1, x) - m))
+                            / np.max(np.abs(m)))
+    assert worst <= 1e-10
+
+
+def test_slater_fail_former_conical_violation_is_a_member():
+    # the chord point the sampled conical falsifier reported on
+    # slater_fail (f0 = x, f1 = -x^2, so z(x) = (x, x^2)) is s z(x) at
+    # x = b/a, s = a^2/b: a scale between two of the oracle's grid points
+    system = load_problem(CORPUS / "slater_fail.json").system()
+    f0, (f1,) = system.f0, system.constraints
+    a, b = 3.5227671933257207, 43.37927311737693
+    m = np.array([a, b])
+    assert np.allclose(a * a / b * p1_image(f0, f1, b / a), m, rtol=1e-14, atol=0)
+    # the independent oracle finds it from the reported chord too
+    z1 = np.array([6.735729710951521, 45.37005473899506])
+    z2 = np.array([-6.1161203595516795, 37.40692825252257])
+    assert np.allclose(0.75 * z1 + 0.25 * z2, m, rtol=1e-15, atol=0)
+    s, x = conical_preimage(f0, f1, z1[:1], z2[:1], 0.75)
+    assert np.allclose(s * p1_image(f0, f1, x), m, rtol=1e-12, atol=0)
 
 
 def test_conjecture_scan_runs_and_reports():

@@ -605,6 +605,49 @@ def test_classify_mixed_system_never_claims_validity():
     assert rep.certificate is None
 
 
+_SMALL = ClassifyConfig(seed=3, cloud_samples=64, falsify_trials=10,
+                        member_budget=4)
+
+
+def _evidence(system, config=_SMALL):
+    cloud = implication.image_cloud(system, config)
+    return implication.gather_evidence(system, config, cloud, None)
+
+
+@pytest.mark.parametrize("system", [
+    FunctionSystem(1, parse("exp(x1) - 2", 1), (parse("1 - x1^2", 1),)),
+    FunctionSystem(2, random_quadratic(SplitMix64(8), 2),
+                   (random_quadratic(SplitMix64(9), 2),
+                    random_quadratic(SplitMix64(10), 2))),
+], ids=["expression_p1", "quadratic_p2"])
+def test_conical_falsifier_runs_where_dines_does_not_apply(system):
+    # an expression system, or p >= 2, keeps the sampled conical falsifier
+    ev = _evidence(system)
+    assert ev.conical_falsify.skipped is None
+    assert ev.conical_falsify.trials_run > 0
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_conical_falsifier_is_skipped_by_dines_at_p1(affine, monkeypatch):
+    # two quadratic functions: no conical oracle is built and no trial
+    # runs, while the epi falsifier still does
+    rng = SplitMix64(12)
+    f0, f1 = random_quadratic(rng, 2), random_quadratic(rng, 2)
+    if affine:
+        f1 = QuadraticFunction(np.zeros((2, 2)), f1.c, f1.d)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("conical oracle built at p = 1")
+
+    monkeypatch.setattr(geo, "conical_membership_oracle", refuse)
+    ev = _evidence(FunctionSystem(2, f0, (f1,)))
+    assert ev.conical_falsify.skipped == \
+        "convex up to closure: Dines 1941, p <= 1"
+    assert ev.conical_falsify.trials_run == 0
+    assert not ev.conical_falsify.found
+    assert ev.epi_falsify.trials_run > 0
+
+
 def test_classify_linear_route_matches_farkas():
     # all-linear quadratic encoding goes through the exact alternatives
     a1 = QuadraticFunction(np.zeros((2, 2)), np.array([1.0, 0.0]), 0.0)

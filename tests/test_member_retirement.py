@@ -17,10 +17,14 @@ import slemma
 from slemma import geometry, search
 from slemma.cli import main
 from slemma.geometry import MEMBER_TOL
+from slemma.implication import ClassifyConfig, image_cloud
 from slemma.problem import load_problem
-from slemma.rng import SplitMix64
+from slemma.rng import SplitMix64, derive_seed
 
 CORPUS = Path(slemma.__file__).parent / "corpus"
+# the midpoint of the conical violation `classify slater_fail` reported
+# before the falsifier was skipped at p <= 1: a member by Dines' theorem
+_FORMER_MIDPOINT = np.array([3.5227671933257207, 43.37927311737693])
 
 
 def descend_before(loss, X0, steps=60, initial_step=0.1, box_radius=None,
@@ -102,7 +106,7 @@ def member_search_before(system, M, budget, seeds, mode, starts=None):
 
 def _record_searches(monkeypatch, argv):
     """(system, M, budget, seeds, mode, starts) of every member search that
-    the CLI command `argv` runs."""
+    the CLI command `argv` runs, or that the call `argv()` runs."""
     calls, original = [], geometry._member_search
 
     def spy(system, M, budget, seeds, mode, starts=None):
@@ -111,7 +115,10 @@ def _record_searches(monkeypatch, argv):
         return original(system, M, budget, seeds, mode, starts)
 
     monkeypatch.setattr(geometry, "_member_search", spy)
-    main(argv, out=io.StringIO(), err=io.StringIO())
+    if callable(argv):
+        argv()
+    else:
+        main(argv, out=io.StringIO(), err=io.StringIO())
     monkeypatch.undo()
     return calls
 
@@ -186,9 +193,8 @@ def _compare_all(monkeypatch, calls, modes):
 
 
 def test_example3_stacks_in_both_modes(monkeypatch):
-    # the identity stacks of example3's `geometry` report (the conical
-    # oracle's 25 scales and the image falsifier's chords), each searched
-    # in epi mode as well
+    # the identity stacks of example3's `geometry` report (the image
+    # falsifier's chords), each searched in epi mode as well
     calls = _record_searches(
         monkeypatch, ["geometry", str(CORPUS / "example3_pair.json")])
     assert {call[4] for call in calls} == {"identity"}
@@ -206,11 +212,22 @@ def test_conjecture_triple_stacks(monkeypatch):
 
 
 def test_slater_fail_falsifier_stacks(monkeypatch):
-    # the epi falsifier's stacks, all members, and the conical oracle's
-    # 25 scales, all non-members
+    # the epi falsifier's stacks of `classify slater_fail`, all members,
+    # and the conical oracle's 25 scales at the chord point that the
+    # sampled conical falsifier once reported there, all non-members
+    # (classify no longer asks that oracle at p = 1: Dines' theorem
+    # answers it)
     calls = _record_searches(
         monkeypatch, ["classify", str(CORPUS / "slater_fail.json")])
+    assert [call[4] for call in calls] == ["epi"] * 6
+    system = load_problem(CORPUS / "slater_fail.json").system()
+    config = ClassifyConfig()
+    oracle = geometry.conical_membership_oracle(
+        system, image_cloud(system, config), budget=config.member_budget,
+        seed=derive_seed(config.seed, 7))
+    calls += _record_searches(monkeypatch, lambda: oracle(_FORMER_MIDPOINT))
     assert [call[4] for call in calls] == ["epi"] * 6 + ["identity"]
+    assert len(calls[-1][1]) == 25
     retired, members, others = _compare_all(monkeypatch, calls, None)
     assert retired == members == 24 and others == 25
 
@@ -250,5 +267,5 @@ def test_slater_fail_epi_searches_stop_early(monkeypatch):
     monkeypatch.setattr(geometry, "descend", descend)
     main(["classify", str(CORPUS / "slater_fail.json")], out=io.StringIO())
     monkeypatch.undo()
-    assert modes == ["epi"] * 6 + ["identity"]
+    assert modes == ["epi"] * 6
     assert sum(calls[:6]) <= 233 // 3

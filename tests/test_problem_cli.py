@@ -390,6 +390,27 @@ def test_cli_geometry_with_export(tmp_path):
     assert "epi_convexity_falsifier" in out
 
 
+def test_classify_slater_fail_answers_the_conical_question_by_dines(
+        monkeypatch):
+    # p = 1, all quadratic: the conical block is one status line naming
+    # the theorem, and no identity member search runs
+    from slemma import geometry
+
+    modes, original = [], geometry._member_search
+
+    def spy(system, M, budget, seeds, mode, starts=None):
+        modes.append(mode)
+        return original(system, M, budget, seeds, mode, starts)
+
+    monkeypatch.setattr(geometry, "_member_search", spy)
+    code, out, _ = run_cli("classify", str(CORPUS / "slater_fail.json"))
+    assert code == 2
+    assert modes and "identity" not in modes
+    assert ("  conical_convexity_falsifier:\n"
+            "    status: skipped (convex up to closure: Dines 1941, p <= 1)\n"
+            "config:\n") in out
+
+
 def test_cli_farkas_both_files():
     code, out, _ = run_cli("farkas", str(CORPUS / "farkas_homogeneous.json"))
     assert code == 0
@@ -398,6 +419,12 @@ def test_cli_farkas_both_files():
     code, out, _ = run_cli("farkas", str(CORPUS / "farkas_affine.json"))
     assert code == 0
     assert "branch: alternative" in out
+    assert "  ok: true\n" in out
+    # the ok flag reads true/false in --json too, as every other flag
+    code, out, _ = run_cli("farkas", str(CORPUS / "farkas_affine.json"),
+                           "--json")
+    assert code == 0
+    assert json.loads(out)["verification"]["ok"] == "true"
 
 
 # f0 = x + 1 and f1 = x, both quadratic entries with Q = 0: affine
