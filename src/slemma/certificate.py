@@ -9,7 +9,7 @@ expression systems only sampled verification is available.  Both are
 certificate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -351,6 +351,7 @@ def find_certificate_via_separation(system, cloud, tol=PSD_RTOL, seed=0):
         if not fresh:
             break
         sources, pts = zip(*fresh)
-        work = work.extended(np.array(pts), np.array(sources))
+        work = replace(work, points=np.vstack([work.points, np.array(pts)]),
+                       sources=np.vstack([work.sources, np.array(sources)]))
     return SearchResult(check=check, outcome=REFINEMENT_EXHAUSTED,
                         rounds=REFINE_ROUNDS + 1, separation=first)

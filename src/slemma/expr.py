@@ -316,6 +316,27 @@ def evaluate_batch(e, X):
     return np.asarray(out, dtype=float)
 
 
+def perspective(e):
+    """(y, t) -> (t * t) * e(y / t) over x1..x(n+1), bit for bit: the tree
+    of e with each xj read as xj / x(n+1), times x(n+1) * x(n+1)."""
+    t = ("var", e.dimension)
+
+    def lift(node):
+        kind = node[0]
+        if kind == "var":
+            return ("bin", "/", node, t)
+        if kind == "neg":
+            return ("neg", lift(node[1]))
+        if kind == "bin":
+            return node[:2] + (lift(node[2]), lift(node[3]))
+        if kind == "call":
+            return node[:2] + (tuple(map(lift, node[2])),)
+        return node
+
+    return Expression(("bin", "*", ("bin", "*", t, t), lift(e.ast)),
+                      e.dimension + 1)
+
+
 def to_source(e_or_node):
     """Fully parenthesized text form; reparsing evaluates identically."""
     node = e_or_node.ast if isinstance(e_or_node, Expression) else e_or_node

@@ -10,14 +10,15 @@ N, R and the seed that scope the claim.
 
 import os
 from contextlib import nullcontext, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
+from . import expr as expr_mod
 from .errors import DomainError
 from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
-from .quadratic import PSD_RTOL, QuadraticFunction
+from .quadratic import PSD_RTOL, QuadraticFunction, bordered_matrix
 from .rng import SplitMix64, derive_seed
 from .search import all_finite, descend
 from .systems import FunctionSystem
@@ -26,7 +27,6 @@ MEMBER_TOL = 1e-7
 # a member search's loss sum_i r_i^2 at or below this proves its target a
 # member: then every |r_i| <= MEMBER_TOL/2 (1 + u), as fl(r_i^2) <= loss
 _MEMBER_LOSS = (MEMBER_TOL / 2) ** 2
-_CONE_SCALES = np.logspace(-3.0, 3.0, 25)
 _ORACLE_CHUNK = 32    # targets per shortfall buffer of a stacked oracle call
 _PARETO_BLOCK = 64    # points per block of the Pareto filter
 
@@ -58,15 +58,6 @@ class ImageCloud:
         """Indices of the componentwise-minimal points, computed once; the
         hull and separator programs both run on this subset."""
         return _pareto_minimal(self.points)
-
-    def extended(self, new_points, new_sources):
-        return ImageCloud(
-            points=np.vstack([self.points, np.atleast_2d(new_points)]),
-            sources=np.vstack([self.sources, np.atleast_2d(new_sources)]),
-            box_radius=self.box_radius,
-            seed=self.seed,
-            skipped=self.skipped,
-        )
 
 
 def sample_image(system, radius, count, seed):
@@ -342,7 +333,8 @@ def _member_search(system, M, budget, seeds, mode, starts=None):
     def loss(X, g):
         # sum_i r_i^2, whose gradient is 2 sum_i r_i grad r_i
         R, J = _residuals(system, X, M[g], mode, jacobians=True)
-        vals = np.add.reduce(R * R, axis=1)
+        with np.errstate(over="ignore"):   # a finite r_i past 1e154: +inf
+            vals = np.add.reduce(R * R, axis=1)
         if not all_finite(R):
             R[~np.isfinite(R)] = 0.0
         R *= 2.0
@@ -442,49 +434,32 @@ def identity_membership_oracle(system, cloud, budget=24, seed=0):
     return _membership_oracle(system, cloud, budget, seed, "identity")
 
 
+def _perspective(f):
+    """t^2 f(y / t) over (y, t) in R^(n+1); for a quadratic, the form
+    1/2 w^T M w with M = bordered_matrix(f)."""
+    if isinstance(f, QuadraticFunction):
+        return QuadraticFunction(bordered_matrix(f), np.zeros(f.n + 1), 0.0)
+    return expr_mod.perspective(f)
+
+
 def conical_membership_oracle(system, cloud, budget=24, seed=0):
-    """Oracle for the cone R_+ F: try m/s for s on a log grid in
-    [1e-3, 1e3] against F itself.  Shortfalls are rescaled by s so margins
-    are comparable in the units of m.
+    """Oracle for the cone R_+ F: the identity oracle of the perspective
+    system z~(y, t) = t^2 z(y / t) over R^(n+1), on the cloud with its
+    sources lifted to (x, 1).  As s z(x) = z~(sqrt(s) (x, 1)), z~ maps the
+    w with t != 0 onto {s z(x) : s > 0}: one search and one derived seed
+    per target, a margin in the units of m, and a member's x the lifted w.
 
-    Each non-zero target asks the inner identity oracle one stack of all
-    25 scales, and so takes its next 25 derived seeds; the first member in
-    scale order answers.  A stack of targets is answered lazily, one
-    target at a time as the caller reads the answers, so one 25-row search
-    is held at a time and a caller that stops reading (the falsifier, at
-    its first violation) skips the searches of the targets after it.
-
-    For an all-quadratic system with p <= 1 the question has a theorem
-    for its answer, and `implication.gather_evidence` does not ask this
-    oracle.  With M_i = bordered_matrix(f_i), the forms h_i(w) =
-    1/2 w^T M_i w dehomogenize to the f_i: (h0, -h1)(s (x, 1)) = s^2 z(x).
-    So the joint range C of (h0, -h1) over w in R^(n+1) satisfies
-    R_+ F <= C <= cl R_+ F, the points with w_(n+1) = 0 being limits of
-    the others.  C is a convex cone by Dines (1941), so every chord point
-    of the cloud lies in C, in the closure of R_+ F, and no search can
-    find it a positive margin outside.  The hypothesis, two quadratic
-    functions (p <= 1, any n), is checked exactly.  The caveat is the
-    closure: the points of C with w_(n+1) = 0, the recession images
-    (1/2 u^T Q0 u, -1/2 u^T Q1 u), need not be in R_+ F itself.  p >= 2
-    and expression systems meet no such theorem and keep this oracle."""
-    inner = identity_membership_oracle(system, cloud, budget, seed)
-
-    def answer(m):
-        if np.max(np.abs(m)) <= MEMBER_TOL:
-            # 0 is in R_+ F via the scale s = 0
-            return MembershipResult(member=True, x=None, margin=0.0)
-        results = inner(m[None, :] / _CONE_SCALES[:, None])
-        margins = [res.margin * s for res, s in zip(results, _CONE_SCALES)]
-        for res, margin in zip(results, margins):
-            if res.member:
-                return MembershipResult(True, res.x, margin)
-        return MembershipResult(False, None, float(min(margins)))
-
-    def oracle(m):
-        m_arr = np.asarray(m, dtype=float)
-        return answer(m_arr) if m_arr.ndim == 1 else map(answer, m_arr)
-
-    return oracle
+    A quadratic's perspective is defined at t = 0 too: w = 0 gives the
+    target 0 (the origin starts every search), and w = (u, 0) the
+    recession images (1/2 u^T Q0 u, -1/2 u^T Q1 u, ...), which need not
+    lie in R_+ F.  So an all-quadratic system's members are those of the
+    closure of R_+ F, the closure in which Dines (1941) makes the cone
+    convex at p <= 1, where `implication.gather_evidence` asks no oracle."""
+    lifted = FunctionSystem(system.n + 1, _perspective(system.f0),
+                            tuple(map(_perspective, system.constraints)))
+    sources = np.hstack([cloud.sources, np.ones((cloud.size, 1))])
+    return identity_membership_oracle(
+        lifted, replace(cloud, sources=sources), budget, seed)
 
 
 @dataclass
@@ -564,10 +539,9 @@ def falsify_convexity(member, cloud, trials=500, seed=0, eta=1e-3,
     The chords of all trials are drawn and formed up front, as arrays
     (see _chord_draws), and go to the oracle in blocks of 1, 2, 4, ...
     trials: each block's chord points as one (k, p+1) stack, answered
-    with an iterable read in order.  No draw depends on an answer, so the
-    first violation in trial order is the one a trial-by-trial run
-    reports, with the same `trials_run`; reading stops there, so an
-    oracle that answers lazily skips the rest of the block.
+    as k results in order.  No draw depends on an answer, so the first
+    violation in trial order is the one a trial-by-trial run reports,
+    with the same `trials_run`, and no later block is asked.
     """
     trial_of, j1, j2, t_idx = _chord_draws(cloud.size, trials, seed)
     t = np.array(_CHORD_TS)[t_idx]

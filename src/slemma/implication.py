@@ -324,12 +324,11 @@ def gather_evidence(system, config, cloud, separator):
     `cloud`.  `separator` is extract_separator's answer on this same cloud
     (a Separator, or None when none exists); the hull LP is solved here.
 
-    An all-quadratic system with p <= 1 runs no conical falsifier: by
-    Dines (1941) the conical hull R_+ F of its image is convex up to
-    closure (see `geometry.conical_membership_oracle`), so no chord point
-    lies a positive margin outside it.  `is_quadratic and p <= 1` is the
-    theorem's hypothesis exactly; the result records the theorem in
-    `skipped`, with no trial run."""
+    The conical oracle searches the image of the perspective system (see
+    `geometry.conical_membership_oracle`).  For two quadratic functions,
+    `is_quadratic and p <= 1` exactly, that image is a convex cone by
+    Dines (1941): no chord point lies outside it, so no conical falsifier
+    runs, and `skipped` records the theorem."""
     ev = GeometryEvidence(computed=True)
     ev.cloud_size = cloud.size
     ev.k_members = int(len(geometry.cloud_k_members(cloud)))

@@ -165,7 +165,8 @@ def descend(loss, X0, steps=60, initial_step=0.1, box_radius=None,
                 break
             X, best, grad, step = X[keep], best[keep], grad[keep], step[keep]
             groups, live, reached = groups[keep], live[keep], False
-        scale = np.sqrt(np.add.reduce(grad * grad, axis=1))
+        with np.errstate(over="ignore"):   # past 1e154: +inf, a zero step
+            scale = np.sqrt(np.add.reduce(grad * grad, axis=1))
         scale[scale == 0.0] = 1.0
         np.divide(step, scale, out=scale)
         trial = grad * scale[:, None]

@@ -12,6 +12,13 @@ from slemma.rng import SplitMix64
 from slemma.systems import FunctionSystem
 
 
+# terms that make a quadratic's expression transcendental, and out of
+# its domain on part of [-6, 6]^n
+EXPRESSION_TERMS = (" + sin(x1) * exp(x{n} / 4)", " - log(x1 + 3)",
+                    " + sqrt(x{n} + 4) / (x1 - 0.5)",
+                    " + abs(x1)^1.5 - min(x1, x{n})")
+
+
 @pytest.fixture
 def example3():
     """q0(x, y) = 2x^2 - y^2 with the constraint q1(x, y) = x + y."""
@@ -34,6 +41,24 @@ def random_p1_system(seed, max_n=4):
     n = 1 + int(rng.randint(max_n))
     return FunctionSystem(n, random_quadratic(rng, n),
                           (random_quadratic(rng, n),))
+
+
+def _system_of(rng, p, n):
+    functions = [random_quadratic(rng, n) for _ in range(p + 1)]
+    return FunctionSystem(n, functions[0], tuple(functions[1:]))
+
+
+def p3_system(s):
+    """p = 3 on n = 2..4, drawn from SplitMix64(10000 + s)."""
+    rng = SplitMix64(10000 + s)
+    return _system_of(rng, 3, 2 + int(rng.randint(3)))
+
+
+def p2to4_system(s):
+    """p and n in 2..4, drawn from SplitMix64(20000 + s)."""
+    rng = SplitMix64(20000 + s)
+    p = 2 + int(rng.randint(3))
+    return _system_of(rng, p, 2 + int(rng.randint(3)))
 
 
 def quadratic_values(q, X):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import EXPRESSION_TERMS
 from slemma.errors import DomainError
 from slemma.expr import (MAX_DEPTH, ExprSyntaxError, IndexOutOfRange,
                          UnknownIdentifier, evaluate, evaluate_batch, parse,
-                         to_source)
+                         perspective, to_source)
 from slemma.rng import SplitMix64
 
 
@@ -191,3 +192,25 @@ def test_grouping_a_long_sum_keeps_it_under_the_limit():
     half = " + ".join(["x1"] * MAX_DEPTH)
     e = parse(f"({half}) + ({half})", 1)
     assert evaluate(e, [0.5]) == MAX_DEPTH
+
+
+@pytest.mark.parametrize("term", EXPRESSION_TERMS,
+                         ids=["sin_exp", "log", "sqrt_ratio", "abs_min"])
+def test_perspective_is_t_squared_times_e_of_y_over_t(term):
+    # the value at (y, t) is (t * t) * e(y / t) bit for bit; t^2 is built
+    # as t * t, since the power with an array exponent can round apart
+    for n in (1, 2, 3):
+        e = parse("0.5*x1^2 - 3*x1 + 1.25" + term.format(n=n), n)
+        lifted = perspective(e)
+        assert lifted.dimension == n + 1
+        W = SplitMix64(n).uniform_box(3.0, n + 1, 400)
+        W[::7, n] = 0.0
+        t = W[:, n]
+        with np.errstate(all="ignore"):
+            expected = (t * t) * evaluate_batch(e, W[:, :n] / t[:, None])
+        got = evaluate_batch(lifted, W)
+        finite = np.isfinite(expected)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert got[finite].tobytes() == expected[finite].tobytes()
+        assert not finite[::7].any()
+        assert finite.sum() > 200

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 import slemma
-from conftest import conical_preimage, p1_image, random_quadratic
+from conftest import (EXPRESSION_TERMS, conical_preimage, p1_image,
+                      random_quadratic)
 from slemma import geometry as geo
 from slemma import search
 from slemma.expr import parse
 from slemma.problem import load_problem
 from slemma.quadratic import QuadraticFunction
 from slemma.rng import SplitMix64, derive_seed
-from slemma.systems import FunctionSystem
+from slemma.systems import FunctionSystem, quadratic_to_source
 
 CORPUS = Path(slemma.__file__).parent / "corpus"
 
@@ -325,7 +326,8 @@ def test_grouped_descend_equals_one_descend_per_group(example3):
 
 
 @pytest.mark.parametrize("factory", [geo.epi_membership_oracle,
-                                     geo.identity_membership_oracle])
+                                     geo.identity_membership_oracle,
+                                     geo.conical_membership_oracle])
 def test_stacked_oracle_equals_calls_one_at_a_time(example3, factory):
     cloud = geo.sample_image(example3, 10.0, 128, 21)
     # cloud points (epi fast path), points just off them, far targets
@@ -346,19 +348,19 @@ def test_stacked_oracle_equals_calls_one_at_a_time(example3, factory):
     assert all(_same_result(a, b) for a, b in zip(answers, expected))
 
 
-def test_conical_oracle_equals_scale_by_scale_loop(monkeypatch):
-    # F is the parabola {(v^2 + 1, v)}: m = s * (v^2 + 1, v) lies in R_+ F
-    # at the grid scale s and, for these v, at no other grid scale
+def test_conical_oracle_answers_any_scale_with_one_search(monkeypatch):
+    # F is the parabola {(v^2 + 1, v)}, so R_+ F is {(a, b) : |b| <= a/2}:
+    # s (v^2 + 1, v) is a member at any scale s, here one between the
+    # points of a log grid, and each target takes one search and one seed
     line = FunctionSystem(1, QuadraticFunction([[2.0]], [0.0], 1.0),
                           (QuadraticFunction([[0.0]], [-1.0], 0.0),))
     cloud = geo.sample_image(line, 10.0, 64, 5)
-    scales = geo._CONE_SCALES
-    targets = np.array([scales[12] * np.array([1.49, 0.7]),
+    s = 10.0 ** 0.125
+    targets = np.array([s * np.array([1.49, 0.7]),
                         [-1.0, 0.0],
-                        np.zeros(2),
-                        scales[8] * np.array([1.36, -0.6]),
+                        s * np.array([1.36, -0.6]),
                         [2.0, 5.0]])
-    seeds = []   # the seeds of every member search, in order
+    seeds = []
     real_search = geo._member_search
 
     def spy(system, M, budget, stack_seeds, mode, starts=None):
@@ -366,35 +368,44 @@ def test_conical_oracle_equals_scale_by_scale_loop(monkeypatch):
         return real_search(system, M, budget, stack_seeds, mode, starts)
 
     monkeypatch.setattr(geo, "_member_search", spy)
-    inner = geo.identity_membership_oracle(line, cloud, budget=6, seed=3)
+    oracle = geo.conical_membership_oracle(line, cloud, budget=6, seed=3)
+    results = [oracle(m) for m in targets]
+    assert seeds == [[derive_seed(3, c)] for c in range(1, 5)]
+    assert [res.member for res in results] == [True, False, True, False]
+    for m, res in zip(targets, results):
+        if res.member:
+            # x is w = sqrt(scale) (v, 1) in R^2
+            (v, tau), scale = res.x, res.x[1] ** 2
+            image = scale * np.array([(v / tau) ** 2 + 1.0, v / tau])
+            assert np.max(np.abs(image - m)) <= 2.0 * geo.MEMBER_TOL
+    # every point of the cone is at least 1 and 8/3 from these two
+    assert results[1].margin >= 1.0 and results[3].margin >= 8.0 / 3.0
 
-    def reference(m):
-        # every scale of a non-zero target is asked, member or not
-        if np.max(np.abs(m)) <= geo.MEMBER_TOL:
-            return geo.MembershipResult(member=True, x=None, margin=0.0)
-        results = [(inner(m / s), s) for s in scales]
-        for res, s in results:
-            if res.member:
-                return geo.MembershipResult(member=True, x=res.x,
-                                            margin=res.margin * s)
-        return geo.MembershipResult(
-            member=False, x=None,
-            margin=float(min(res.margin * s for res, s in results)))
 
-    expected = [reference(m) for m in targets]
-    assert [r.member for r in expected] == [True, False, True, True, False]
-    reference_seeds = [s for (s,) in seeds]
-    assert len(reference_seeds) == 4 * 25
-    one_by_one = geo.conical_membership_oracle(line, cloud, budget=6, seed=3)
-    stacked = geo.conical_membership_oracle(line, cloud, budget=6, seed=3)
-    for ask in (lambda: [one_by_one(m) for m in targets],
-                lambda: stacked(targets)):
-        seeds.clear()
-        assert all(_same_result(a, b) for a, b in zip(ask(), expected))
-        # one stack of all 25 scales per non-zero target, carrying the
-        # seeds of the scale-by-scale loop
-        assert [len(stack) for stack in seeds] == [25] * 4
-        assert [s for stack in seeds for s in stack] == reference_seeds
+def test_conical_oracle_descends_through_a_gradient_past_1e154():
+    # an expression's perspective grows like 1/t near t = 0, and on this
+    # system the descent of the 14th chord point meets a gradient whose
+    # square passes the largest double: its norm reads +inf and the row
+    # takes a zero step, as a non-finite value already does
+    rng = SplitMix64(0)
+    f0, f1, f2 = (parse(quadratic_to_source(random_quadratic(rng, 2))
+                        + EXPRESSION_TERMS[i].format(n=2), 2)
+                  for i in range(3))
+    system = FunctionSystem(2, f0, (f1, f2))
+    cloud = geo.sample_image(system, 6.0, 512, derive_seed(1, 9))
+    trial_of, j1, j2, t_idx = geo._chord_draws(cloud.size, 14,
+                                               derive_seed(1, 8))
+    t = np.array(geo._CHORD_TS)[t_idx][:, None]
+    M = t * cloud.points[j1] + (1.0 - t) * cloud.points[j2]
+    assert len(M) == 14
+    oracle = geo.conical_membership_oracle(system, cloud, budget=16,
+                                           seed=derive_seed(1, 7))
+    for m, res in zip(M, oracle(M), strict=True):
+        assert np.isfinite(res.margin)
+        if res.member:
+            y, tau = res.x[:2], res.x[2]
+            z = system.image_point(y / tau)
+            assert np.max(np.abs(tau * tau * z - m)) <= 2.0 * geo.MEMBER_TOL
 
 
 class _RecordingOracle:
@@ -480,38 +491,6 @@ def test_falsifier_reports_first_violation_of_a_block():
     assert [len(stack) for stack in fake.asked] == [1, 2, 4, 8]
     assert res.trials_run == 10
     assert res.violation.m.tobytes() == targets[9].tobytes()
-
-
-def test_conical_falsifier_skips_the_searches_after_a_violation(
-        example3, monkeypatch):
-    cloud = _cloud_from_points(SplitMix64(17).uniform_box(3.0, 2, 4096))
-    accepting = _RecordingOracle(lambda m: False)
-    geo.falsify_convexity(accepting, cloud, trials=60, seed=8, eta=0.5)
-    targets = np.vstack(accepting.asked)
-    # trials 10 and 13 lie in the block of trials 8-15; the recording
-    # inner oracle rejects every scale of theirs and accepts the others
-    scales = geo._CONE_SCALES[:, None]
-    bad = {row.tobytes() for m in targets[[9, 12]] for row in m / scales}
-    inners = []
-
-    def recording_inner(system, cloud, budget=24, seed=0):
-        inners.append(_RecordingOracle(lambda row: row.tobytes() in bad))
-        return inners[-1]
-
-    monkeypatch.setattr(geo, "identity_membership_oracle", recording_inner)
-    lazy = geo.conical_membership_oracle(example3, cloud, budget=6, seed=3)
-    eager = geo.conical_membership_oracle(example3, cloud, budget=6, seed=3)
-    res = geo.falsify_convexity(lazy, cloud, trials=60, seed=8, eta=1e-4)
-    ref = geo.falsify_convexity(lambda M: list(eager(M)), cloud, trials=60,
-                                seed=8, eta=1e-4)
-    # one 25-scale search per target asked: trials 1-10 against 1-15
-    searched, all_searched = (len(inner.asked) for inner in inners)
-    assert all(len(stack) == 25 for inner in inners for stack in inner.asked)
-    assert (searched, all_searched - searched) == (10, 5)
-    assert res.trials_run == ref.trials_run == 10
-    assert res.violation.m.tobytes() == ref.violation.m.tobytes() \
-        == targets[9].tobytes()
-    assert res.violation.margin == ref.violation.margin == 1e-3
 
 
 @pytest.mark.parametrize("k", [31, 32, 33, 65])

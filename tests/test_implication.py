@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import slemma
-from conftest import random_p1_system
+from conftest import (p2to4_system, p3_system, quadratic_values,
+                      random_p1_system)
 from slemma import certificate as cert
 from slemma import geometry as geo
 from slemma import implication, quadratic, search
@@ -648,6 +649,43 @@ def test_conical_falsifier_is_skipped_by_dines_at_p1(affine, monkeypatch):
     assert ev.epi_falsify.trials_run > 0
 
 
+# chord points m that the conical oracle reported as violations on the
+# Undetermined p2to4_system(s) while it searched a 25-point grid of
+# scales, each with a preimage w = sqrt(scale) (x, 1) of the perspective
+# system found by an independent least-squares search
+_FORMER_CONICAL_VIOLATIONS = {
+    5: ([0.8138858746623674, -36.56949650361349, -2.009176341778579,
+         -44.705983750098405, 63.17300693314907],
+        [-0.6655573401211425, 0.8898417944875048, 2.870319419136346,
+         5.9500948341729485, 2.3277665477777907]),
+    193: ([15.917802218265603, -25.673210477841184, 22.106677641940834,
+           50.413550749277334, 22.290009961620406],
+          [0.01773031149908475, -0.028056253370532944, -4.837016649146027,
+           -7.442392372871127, 0.3094616141785529]),
+    291: ([141.43510745473029, 38.6779060924258, -44.332730115633055,
+           -96.70965036653178],
+          [2.4155447433852313, -8.525794685942124, 2.06818731177401,
+           6.601042754026975]),
+}
+
+
+@pytest.mark.parametrize("s", sorted(_FORMER_CONICAL_VIOLATIONS))
+def test_former_conical_violations_are_members(s):
+    system = p2to4_system(s)
+    m, w = (np.array(v) for v in _FORMER_CONICAL_VIOLATIONS[s])
+    # m = scale z(x), by the plain quadratic formula alone
+    x, scale = w[:-1] / w[-1], w[-1] * w[-1]
+    z = np.array([quadratic_values(f, x[None])[0] for f in system.functions])
+    z[1:] *= -1.0
+    assert np.linalg.norm(scale * z - m) <= 1e-10 * np.linalg.norm(m)
+    # and the conical oracle that classify builds answers member
+    config = ClassifyConfig()
+    oracle = geo.conical_membership_oracle(
+        system, implication.image_cloud(system, config),
+        budget=config.member_budget, seed=derive_seed(config.seed, 7))
+    assert oracle(m).member
+
+
 def test_classify_linear_route_matches_farkas():
     # all-linear quadratic encoding goes through the exact alternatives
     a1 = QuadraticFunction(np.zeros((2, 2)), np.array([1.0, 0.0]), 0.0)
@@ -747,26 +785,8 @@ def test_random_p1_verdicts_are_pinned():
     assert digest == P1_DIGEST
 
 
-def _system_of(rng, p, n):
-    functions = [random_quadratic(rng, n) for _ in range(p + 1)]
-    return FunctionSystem(n, functions[0], tuple(functions[1:]))
-
-
-def _p3_system(s):
-    """p = 3 on n = 2..4, drawn from SplitMix64(10000 + s)."""
-    rng = SplitMix64(10000 + s)
-    return _system_of(rng, 3, 2 + int(rng.randint(3)))
-
-
-def _p2to4_system(s):
-    """p and n in 2..4, drawn from SplitMix64(20000 + s)."""
-    rng = SplitMix64(20000 + s)
-    p = 2 + int(rng.randint(3))
-    return _system_of(rng, p, 2 + int(rng.randint(3)))
-
-
-# classify_instance verdicts on _p3_system(s), s = 0-59, and on
-# _p2to4_system(s), s = 0-299, lettered as P1_VERDICTS
+# classify_instance verdicts on p3_system(s), s = 0-59, and on
+# p2to4_system(s), s = 0-299, lettered as P1_VERDICTS
 P3_VERDICTS = "IIIIVIIIVIIIIIVIIIIIIVIVVVIIIIIIIIIIIVVIIIVIUIIIIIIIIVIIIIII"
 P2TO4_VERDICTS = (
     "IIIIIUIIIIUIIVVIIIIVIIIIIIIIIIIIIIIVIIIIIIVIIIIIIIUIIVIIIIII"
@@ -782,7 +802,7 @@ P2TO4_DIGEST = (
 
 
 def test_random_p3_verdicts_are_pinned():
-    got, digest = _verdicts_and_digest(_p3_system(s) for s in range(60))
+    got, digest = _verdicts_and_digest(p3_system(s) for s in range(60))
     assert Counter(got) == {"I": 48, "V": 11, "U": 1}
     assert [s for s, v in enumerate(got) if v == "U"] == [44]
     assert got == P3_VERDICTS
@@ -790,7 +810,7 @@ def test_random_p3_verdicts_are_pinned():
 
 
 def test_random_p2to4_verdicts_are_pinned():
-    got, digest = _verdicts_and_digest(_p2to4_system(s) for s in range(300))
+    got, digest = _verdicts_and_digest(p2to4_system(s) for s in range(300))
     assert Counter(got) == {"I": 250, "V": 40, "U": 10}
     assert [s for s, v in enumerate(got) if v == "U"] == [
         5, 10, 50, 156, 176, 186, 193, 221, 228, 291]

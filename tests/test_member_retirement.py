@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import slemma
+from conftest import p2to4_system
 from slemma import geometry, search
 from slemma.cli import main
 from slemma.geometry import MEMBER_TOL
@@ -25,6 +26,11 @@ CORPUS = Path(slemma.__file__).parent / "corpus"
 # the midpoint of the conical violation `classify slater_fail` reported
 # before the falsifier was skipped at p <= 1: a member by Dines' theorem
 _FORMER_MIDPOINT = np.array([3.5227671933257207, 43.37927311737693])
+# the chord point of the conical violation `classify` reports on
+# p2to4_system(10), a non-member by an independent least-squares search
+_P2TO4_10_VIOLATION = np.array([
+    -18.429264659756683, -8.082514283134444, 21.88569034631043,
+    45.57569423016775, 26.54694134702455])
 
 
 def descend_before(loss, X0, steps=60, initial_step=0.1, box_radius=None,
@@ -212,24 +218,34 @@ def test_conjecture_triple_stacks(monkeypatch):
 
 
 def test_slater_fail_falsifier_stacks(monkeypatch):
-    # the epi falsifier's stacks of `classify slater_fail`, all members,
-    # and the conical oracle's 25 scales at the chord point that the
-    # sampled conical falsifier once reported there, all non-members
-    # (classify no longer asks that oracle at p = 1: Dines' theorem
-    # answers it)
+    # the epi falsifier's stacks of `classify slater_fail`, all members;
+    # the conical oracle's one search at the chord point that the sampled
+    # conical falsifier once reported there (classify no longer asks that
+    # oracle at p = 1: Dines' theorem answers it), a member retired at
+    # the lifted w = sqrt(a^2/b) (b/a, 1) of m = (a, b); and a p = 4
+    # non-member, the conical violation of p2to4 s = 10
     calls = _record_searches(
         monkeypatch, ["classify", str(CORPUS / "slater_fail.json")])
     assert [call[4] for call in calls] == ["epi"] * 6
-    system = load_problem(CORPUS / "slater_fail.json").system()
     config = ClassifyConfig()
-    oracle = geometry.conical_membership_oracle(
-        system, image_cloud(system, config), budget=config.member_budget,
-        seed=derive_seed(config.seed, 7))
-    calls += _record_searches(monkeypatch, lambda: oracle(_FORMER_MIDPOINT))
-    assert [call[4] for call in calls] == ["epi"] * 6 + ["identity"]
-    assert len(calls[-1][1]) == 25
+    answers = []
+    for system, m in (
+            (load_problem(CORPUS / "slater_fail.json").system(),
+             _FORMER_MIDPOINT),
+            (p2to4_system(10), _P2TO4_10_VIOLATION)):
+        oracle = geometry.conical_membership_oracle(
+            system, image_cloud(system, config), budget=config.member_budget,
+            seed=derive_seed(config.seed, 7))
+        calls += _record_searches(
+            monkeypatch, lambda: answers.append(oracle(m)))
+    assert [call[4] for call in calls] == ["epi"] * 6 + ["identity"] * 2
+    assert [len(call[1]) for call in calls[6:]] == [1, 1]
+    a, b = _FORMER_MIDPOINT
+    assert answers[0].member and not answers[1].member
+    assert np.allclose(np.abs(answers[0].x), [np.sqrt(b), a / np.sqrt(b)],
+                       rtol=1e-6, atol=0)
     retired, members, others = _compare_all(monkeypatch, calls, None)
-    assert retired == members == 24 and others == 25
+    assert retired == members == 25 and others == 1
 
 
 @pytest.mark.parametrize("mode", ["epi", "identity"])

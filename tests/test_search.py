@@ -24,7 +24,7 @@ from slemma.quadratic import QuadraticFunction
 from slemma.rng import SplitMix64
 from slemma.systems import FunctionSystem, quadratic_to_source
 
-from conftest import random_p1_system
+from conftest import EXPRESSION_TERMS, random_p1_system
 
 CORPUS = Path(slemma.__file__).parent / "corpus"
 
@@ -432,18 +432,14 @@ def test_values_and_gradients_skip_leading_columns():
                 full_grads[:, first:]).tobytes()
 
 
-# terms that make a quadratic's expression transcendental, and out of
-# its domain on part of [-6, 6]^n
-_TERMS = (" + sin(x1) * exp(x{n} / 4)", " - log(x1 + 3)",
-          " + sqrt(x{n} + 4) / (x1 - 0.5)", " + abs(x1)^1.5 - min(x1, x{n})")
-
-
 def _systems_of_each_kind(seed, p, n):
     """`_random_system`, then the same with its odd-indexed functions and
-    then all of them turned into expressions with an added `_TERMS` term:
-    all-quadratic, mixed and all-expression systems."""
+    then all of them turned into expressions with an added
+    `EXPRESSION_TERMS` term: all-quadratic, mixed and all-expression
+    systems."""
     quad = _random_system(seed, p, n)
-    as_expr = [parse(quadratic_to_source(f) + _TERMS[i % 4].format(n=n), n)
+    as_expr = [parse(quadratic_to_source(f)
+                     + EXPRESSION_TERMS[i % 4].format(n=n), n)
                for i, f in enumerate(quad.functions)]
     mixed = [e if i % 2 else f
              for i, (f, e) in enumerate(zip(quad.functions, as_expr))]
