@@ -193,31 +193,32 @@ class Separator:
 def extract_separator(cloud, tol=PSD_RTOL):
     """Best nonnegative separator of the cloud from K.
 
-    Maximizes delta subject to <alpha, z_j> >= delta for every cloud point,
-    alpha >= 0 componentwise and sum(alpha) = 1.  Returns the Separator
-    when the optimum is >= -tol, else None (the hull then meets K; ask
+    delta = max min_j <alpha, z_j> over alpha >= 0 with sum(alpha) = 1.
+    By LP duality that is the optimum t of its dual, solved here:
+    minimize t over convex weights w and a free t subject to
+    sum_j w_j z_j[i] <= t on each coordinate i, which has p + 1 rows and
+    the equality however large the cloud.  alpha is the dual of those
+    rows (minus `dual_ub`), clamped at 0 and normalized.  Returns the
+    Separator when delta >= -tol, else None (the hull then meets K; ask
     `hull_intersects_k` for a witness).
     """
     Z = cloud.points[cloud.frontier]
     count, dim = Z.shape
-    # variables (alpha_0..alpha_p, delta); minimize -delta
-    c = np.zeros(dim + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([-Z, np.ones((count, 1))])
+    # variables (w_1..w_count, t); minimize t
     lp = LinearProgram(
-        c=c,
-        a_ub=a_ub,
-        b_ub=np.zeros(count),
-        a_eq=np.concatenate([np.ones(dim), [0.0]])[None, :],
+        c=np.concatenate([np.zeros(count), [1.0]]),
+        a_ub=np.hstack([Z.T, -np.ones((dim, 1))]),
+        b_ub=np.zeros(dim),
+        a_eq=np.concatenate([np.ones(count), [0.0]])[None, :],
         b_eq=np.ones(1),
-        free=[dim],
+        free=[count],
     )
     out = solve_lp(lp)
-    if out.status != OPTIMAL:  # alpha-simplex is compact, delta is bounded
+    if out.status != OPTIMAL:  # w-simplex is compact, t is bounded
         raise RuntimeError(f"unexpected LP status {out.status}")
-    alpha = np.maximum(out.y[:-1], 0.0)
+    alpha = np.maximum(-out.dual_ub, 0.0)
     alpha /= np.sum(alpha)
-    delta = float(out.y[-1])
+    delta = float(out.objective)
     return Separator(alpha=alpha, delta=delta) if delta >= -tol else None
 
 

@@ -15,9 +15,11 @@ Bland's rule: the entering variable is the lowest-index column with reduced
 cost below -1e-9, the leaving row the minimum-ratio row with the lowest
 basic variable index, so cycling cannot occur.  Every row is scaled to unit
 max-norm, whether it comes with the others through `from_rows` or alone
-through `add_row`.  A pivot on a tableau of _NARROW_ROWS rows or more
-updates only the columns it can change (see `_pivot`), with the bits of a
-full-row pivot.
+through `add_row`.
+
+A `LinearProgram` whose tableau would hold more than MAX_ENTRIES entries
+is refused.  The cloud programs of `geometry` keep the tableau short: at
+most p + 3 rows, however many points the cloud has.
 
 Dual multipliers follow the sensitivity convention dual_i = d(objective)/
 d(b_i): for a minimization, inequality rows get nonpositive duals.  The
@@ -43,7 +45,7 @@ ITERATION_LIMIT = "iteration limit reached"
 _TOL = 1e-9
 _PIVOT_MIN = 1e-11
 _MAX_ITERS = 100000
-_NARROW_ROWS = 90    # tableau height from which _pivot skips basic columns
+MAX_ENTRIES = 10**7    # entries of solve_lp's tableau: 80 MB of doubles
 
 
 @dataclass
@@ -69,8 +71,12 @@ class LinearProgram:
         if self.free and not 0 <= self.free[0] <= self.free[-1] < m:
             raise DimensionMismatch(
                 f"free columns {self.free} outside 0..{m - 1}")
-        if self.a_ub.shape[0] + self.a_eq.shape[0] > 10000 or m > 1000:
-            raise DimensionMismatch("problem exceeds the supported dense scale")
+        # solve_lp's tableau: a row per inequality, two per equality, and
+        # a column per row, per variable (two when free) and for the rhs
+        rows = self.a_ub.shape[0] + 2 * self.a_eq.shape[0]
+        if rows * (1 + m + len(self.free) + rows) > MAX_ENTRIES:
+            raise DimensionMismatch(
+                f"the tableau would exceed {MAX_ENTRIES} entries")
 
 
 def _rows(a, b, m, name):
@@ -96,19 +102,10 @@ class LpOutcome:
 
 
 def _pivot(T, basis, row, col):
-    """Make column `col` basic in `row` of the tableau T, whose rows have
-    the basic columns basis[:len(T)].
-
-    Every basic column of T is a unit vector with +0.0 off its row
-    (`from_rows` and `add_row` build them so, and a pivot sets the
-    entering column so).  A full-row pivot gives those of the other rows
-    back bit for bit: it divides their +0.0 in `row` by the pivot and
-    subtracts multiples of that signed zero, which leaves 1.0 as it is
-    and turns every zero, the divided one included, into +0.0.  So from
-    _NARROW_ROWS rows on, where they are most of T, the pivot updates
-    only column 0, the nonbasic columns and the leaving one, with the
-    same operations on each entry; below that height the full-row update
-    costs less than selecting the columns."""
+    """Make column `col` basic in `row` of the tableau T and record it in
+    `basis`: divide the row by the pivot, subtract its multiples from the
+    other rows, and set the entering column to the exact unit vector,
+    +0.0 off its row."""
     piv = T[row, col]
     if abs(piv) < _PIVOT_MIN:
         raise NumericalBreakdown(
@@ -116,18 +113,8 @@ def _pivot(T, basis, row, col):
         )
     factors = T[:, col].copy()
     factors[row] = 0.0
-    if len(T) < _NARROW_ROWS:
-        T[row, :] /= piv
-        T -= np.outer(factors, T[row, :])
-    else:
-        live = np.ones(T.shape[1], dtype=bool)
-        live[basis[:len(T)]] = False
-        live[basis[row]] = True
-        live = live.nonzero()[0]
-        sub = T[:, live]
-        sub[row] /= piv
-        sub -= np.outer(factors, sub[row])
-        T[:, live] = sub
+    T[row, :] /= piv
+    T -= np.outer(factors, T[row, :])
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
@@ -180,8 +167,7 @@ class Tableau:
 
     Column 0 of the tableau holds the right-hand sides, columns 1..n the
     variables x and column n + 1 + i the slack of row i.  Each basic
-    column is a unit vector with +0.0 off its row, which `_pivot` relies
-    on.  `from_rows` builds a tableau whose slacks are all basic in one
+    column is a unit vector with +0.0 off its row.  `from_rows` builds a tableau whose slacks are all basic in one
     step.  `add_row` makes the new row's slack basic and reduces the row
     against the basis; the caller starts from a dual feasible basis it
     sets with `pivot`, keeps every free column basic, and calls

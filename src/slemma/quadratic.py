@@ -117,15 +117,15 @@ class SymmetricEigen:
 def eigen_sym(A):
     """Eigen-decomposition by LAPACK's symmetric solver (numpy `eigh`).
 
-    The input must be square and symmetric within a relative band; it is
-    symmetrized before the solve.  A non-finite entry raises
+    The input must be a nonempty square matrix, symmetric within a
+    relative band; it is symmetrized before the solve.  A non-finite entry raises
     NumericalBreakdown before LAPACK sees it, and a LAPACK failure raises
     NotConverged.
     """
     A = np.array(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise DimensionMismatch(f"matrix must be square, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise DimensionMismatch(
+            f"matrix must be square and nonempty, got shape {A.shape}")
     scale = 1.0 + np.max(np.abs(A))
     if not np.isfinite(scale):
         raise NumericalBreakdown("matrix has a non-finite entry")

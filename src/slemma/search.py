@@ -126,13 +126,13 @@ def descend(loss, X0, steps=60, initial_step=0.1, box_radius=None,
     group ids), each group's iterates equal a descent on its rows alone,
     and the result is sorted by (group, value).
 
-    With `groups` and a `goal`, a group retires once one of its rows has a
-    value <= goal, at the start or after an iteration: its rows keep the
-    points and values they have then and leave the working arrays, and the
-    loop ends when every group has retired.  The other groups go on as if
-    alone, so a group that never retires gets the bytes it gets without a
-    goal; a retired group has a row at or below the goal, and no group
-    without one retires.
+    With `groups` (nonnegative integers) and a `goal`, a group retires
+    once one of its rows has a value <= goal, at the start or after an
+    iteration: its rows keep the points and values they have then and
+    leave the working arrays, and the loop ends when every group has
+    retired.  The other groups go on as if alone, so a group that never
+    retires gets the bytes it gets without a goal; a retired group has a
+    row at or below the goal, and no group without one retires.
 
     The loop stops when no row improved and each row's trial equals the
     row or was taken at the floor step.  X, hence its gradient, is then
@@ -160,7 +160,9 @@ def descend(loss, X0, steps=60, initial_step=0.1, box_radius=None,
     for _ in range(steps):
         if reached:
             all_X[live], all_best[live] = X, best
-            keep = ~np.isin(groups, groups[best <= goal])
+            retired = np.zeros(groups.max() + 1, dtype=bool)
+            retired[groups[best <= goal]] = True
+            keep = ~retired[groups]
             if not np.count_nonzero(keep):
                 break
             X, best, grad, step = X[keep], best[keep], grad[keep], step[keep]

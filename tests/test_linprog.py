@@ -6,6 +6,7 @@ import pytest
 from conftest import (brute_force_boxed_lp, random_psd_quadratic,
                       random_quadratic, solve_boxed_lp)
 from slemma import certificate, linprog
+from slemma import geometry as geo
 from slemma.errors import DimensionMismatch, NumericalBreakdown
 from slemma.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
                             Tableau, solve_lp)
@@ -247,14 +248,32 @@ def test_tableau_row_cap():
         tab.add_row([1.0], 2.0)
 
 
-def test_scale_guard():
-    with pytest.raises(DimensionMismatch):
-        LinearProgram(c=np.zeros(1001))
+def test_scale_guard(monkeypatch):
+    # one cap on the entries of solve_lp's tableau: a row per inequality,
+    # two per equality, and a column per row, per variable (two when
+    # free) and for the right-hand sides
+    assert LinearProgram(c=np.zeros(1001)).c.shape == (1001,)
+    monkeypatch.setattr(linprog, "MAX_ENTRIES", 60)
+    fits = [dict(c=np.zeros(6), a_ub=np.zeros((5, 6)), b_ub=np.zeros(5)),
+            dict(c=np.zeros(5), a_ub=np.zeros((5, 5)), b_ub=np.zeros(5),
+                 free=[0]),
+            dict(c=np.zeros(6), a_ub=np.zeros((1, 6)), b_ub=np.zeros(1),
+                 a_eq=np.zeros((2, 6)), b_eq=np.zeros(2))]
+    for lp in fits:     # 5 rows, 12 columns: exactly 60 entries
+        LinearProgram(**lp)
+    over = [dict(c=np.zeros(7), a_ub=np.zeros((5, 7)), b_ub=np.zeros(5)),
+            dict(c=np.zeros(5), a_ub=np.zeros((5, 5)), b_ub=np.zeros(5),
+                 free=[0, 1]),
+            dict(c=np.zeros(6), a_ub=np.zeros((1, 6)), b_ub=np.zeros(1),
+                 a_eq=np.zeros((3, 6)), b_eq=np.zeros(3))]
+    for lp in over:
+        with pytest.raises(DimensionMismatch):
+            LinearProgram(**lp)
 
 
 # Reference copies: the tableau built one add_row at a time and the pivot
-# that updates every column.  Tableau.from_rows and the live-column pivot
-# must give the same bits.
+# that updates every column.  Tableau.from_rows and `_pivot` must give the
+# same bits.
 
 def add_row_loop(c, a, b):
     """solve_lp's tableau built by add_row, one row at a time."""
@@ -331,14 +350,7 @@ def _solve_both(lp):
     return runs[1]
 
 
-# 0: every pivot takes the live-column branch
-NARROW = [0, linprog._NARROW_ROWS]
-
-
-@pytest.mark.parametrize("narrow_rows", NARROW)
-def test_random_lps_match_the_add_row_loop_and_full_pivots(monkeypatch,
-                                                           narrow_rows):
-    monkeypatch.setattr(linprog, "_NARROW_ROWS", narrow_rows)
+def test_random_lps_match_the_add_row_loop_and_full_pivots():
     assert _solve_both(LinearProgram(c=[]))[0] == OPTIMAL   # no columns
     rng = np.random.default_rng(5150)
     statuses = Counter()
@@ -357,35 +369,36 @@ def test_random_lps_match_the_add_row_loop_and_full_pivots(monkeypatch,
 
 
 def _separator_lp(Z):
-    """extract_separator's program on the cloud Z: alpha >= 0 on the
-    simplex and delta free, maximizing delta under <alpha, z> >= delta."""
-    count, dim = Z.shape
-    return LinearProgram(
-        c=np.concatenate([np.zeros(dim), [-1.0]]),
-        a_ub=np.hstack([-Z, np.ones((count, 1))]), b_ub=np.zeros(count),
-        a_eq=np.concatenate([np.ones(dim), [0.0]])[None, :],
-        b_eq=np.ones(1), free=[dim])
+    """The LP `extract_separator` solves on the cloud Z."""
+    lps = []
+    real = geo.solve_lp
+    cloud = geo.ImageCloud(points=Z, sources=np.zeros((len(Z), 1)),
+                           box_radius=1.0, seed=0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geo, "solve_lp", lambda lp: lps.append(lp) or real(lp))
+        geo.extract_separator(cloud)
+    (lp,) = lps
+    return lp
 
 
-@pytest.mark.parametrize("narrow_rows", NARROW)
-def test_separator_lps_match_the_add_row_loop_and_full_pivots(monkeypatch,
-                                                              narrow_rows):
-    # 256 to 320 cloud points in 2 or 3 coordinates: 3 or 4 variables and
-    # at least 258 rows, the tall shape the separator LP has
-    monkeypatch.setattr(linprog, "_NARROW_ROWS", narrow_rows)
+def test_separator_lps_match_the_add_row_loop_and_full_pivots():
+    # 256 to 320 cloud points in 2 or 3 coordinates, all on the frontier:
+    # the separator's dual has a column per point and p + 3 rows
     rng = np.random.default_rng(99)
     signs = Counter()
     for trial in range(12):
         dim = 2 + trial % 2
         count = int(rng.integers(256, 321))
-        # a cloud in the positive orthant has a separator with delta >= 0,
-        # one reaching below 0 in every coordinate may not
-        Z = rng.uniform(0.0, 3.0, (count, dim)) + rng.uniform(-0.8, 0.4,
-                                                              dim)
-        _, _, _, _, _, basis, pivots = _solve_both(_separator_lp(Z))
-        assert len(basis) == count + 2 and pivots > dim
-        out = solve_lp(_separator_lp(Z))
-        signs[bool(out.y[-1] >= 0)] += 1
+        # points on the lower orthant of a unit sphere, none dominating
+        # another; as its center moves down, delta turns negative
+        U = np.abs(rng.normal(size=(count, dim)))
+        Z = rng.uniform(0.0, 1.5, dim) - U / np.linalg.norm(U, axis=1)[:, None]
+        lp = _separator_lp(Z)
+        assert lp.c.shape == (count + 1,)
+        status, _, objective, _, _, basis, pivots = _solve_both(lp)
+        assert status == OPTIMAL and len(basis) == dim + 2
+        assert pivots >= dim
+        signs[bool(np.frombuffer(objective)[0] >= 0)] += 1
     assert signs[True] and signs[False]
 
 
@@ -403,11 +416,9 @@ def _master_system(rng, certified):
     return FunctionSystem(n, f0, tuple(cons))
 
 
-@pytest.mark.parametrize("narrow_rows", NARROW)
-def test_certificate_masters_match_full_pivots(monkeypatch, narrow_rows):
+def test_certificate_masters_match_full_pivots(monkeypatch):
     # the cutting-plane master: box rows, `Tableau.pivot` with the
     # full-capacity basis, then one appended cut per eigen call
-    monkeypatch.setattr(linprog, "_NARROW_ROWS", narrow_rows)
     masters = []
 
     class Master(Tableau):

@@ -117,6 +117,14 @@ def test_eigen_non_finite_entry_breaks_down_before_lapack(bad, monkeypatch):
         eigen_sym(A)
 
 
+@pytest.mark.parametrize("bad", [5.0, np.zeros((0, 0)), np.zeros(3),
+                                 np.zeros((2, 3)), np.zeros((2, 2, 2))],
+                         ids=["scalar", "empty", "vector", "2x3", "2x2x2"])
+def test_eigen_malformed_input_is_a_dimension_mismatch(bad):
+    with pytest.raises(DimensionMismatch):
+        eigen_sym(bad)
+
+
 def test_eigen_lapack_failure_is_not_converged(monkeypatch):
     def lapack(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
