@@ -167,13 +167,14 @@ class Tableau:
 
     Column 0 of the tableau holds the right-hand sides, columns 1..n the
     variables x and column n + 1 + i the slack of row i.  Each basic
-    column is a unit vector with +0.0 off its row.  `from_rows` builds a tableau whose slacks are all basic in one
-    step.  `add_row` makes the new row's slack basic and reduces the row
-    against the basis; the caller starts from a dual feasible basis it
-    sets with `pivot`, keeps every free column basic, and calls
-    `dual_simplex` to restore primal feasibility.  `primal_simplex` goes
-    the other way, from a primal feasible basis with no free column.
-    Storage doubles when full, up to `max_rows` rows."""
+    column is a unit vector with +0.0 off its row.  `from_rows` builds a
+    tableau whose slacks are all basic in one step.  `add_row` makes the
+    new row's slack basic and reduces the row against the basis; the
+    caller starts from a dual feasible basis it sets with `pivot`, keeps
+    every free column basic, and calls `dual_simplex` to restore primal
+    feasibility.  `primal_simplex` goes the other way, from a primal
+    feasible basis with no free column.  Storage doubles when full, up to
+    `max_rows` rows."""
 
     def __init__(self, c, free=(), max_rows=10000):
         self.n = len(c)

@@ -118,9 +118,9 @@ def eigen_sym(A):
     """Eigen-decomposition by LAPACK's symmetric solver (numpy `eigh`).
 
     The input must be a nonempty square matrix, symmetric within a
-    relative band; it is symmetrized before the solve.  A non-finite entry raises
-    NumericalBreakdown before LAPACK sees it, and a LAPACK failure raises
-    NotConverged.
+    relative band; it is symmetrized before the solve.  A non-finite
+    entry raises NumericalBreakdown before LAPACK sees it, and a LAPACK
+    failure raises NotConverged.
     """
     A = np.array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
