@@ -51,7 +51,8 @@ def _exact_p1_maximum(Z):
     return active[0] + active[1]            # still rising at s = 1
 
 
-def _separation_clouds():
+@pytest.fixture(scope="module")
+def separated():
     """(file, round, cloud, separator) for every cloud the separation
     route of `slemma certificate --method separation` separates, over the
     bundled corpus."""
@@ -71,39 +72,36 @@ def _separation_clouds():
             cli_main(["certificate", str(CORPUS / name), "--method",
                       "separation"], out=io.StringIO(), err=io.StringIO())
             found += [(name, k, cloud, sep)
-                      for k, (cloud, sep) in enumerate(seen)]
+                      for k, (cloud, sep) in enumerate(seen)
+                      if sep is not None]
     return found
 
 
-CLOUDS = _separation_clouds()
-SEPARATED = [c for c in CLOUDS if c[3] is not None]
-
-
-def test_the_corpus_separations_include_slater_fail_rounds_0_and_1():
-    rounds = [(k, cloud.size) for name, k, cloud, sep in SEPARATED
+def test_the_corpus_separations_include_slater_fail_rounds_0_and_1(
+        separated):
+    rounds = [(k, cloud.size) for name, k, cloud, _ in separated
               if name == "slater_fail.json"]
     assert rounds == [(0, 512), (1, 515)]
-    assert len(SEPARATED) > 8
+    assert len(separated) > 8
 
 
-@pytest.mark.parametrize("name, k, cloud, sep", SEPARATED,
-                         ids=[f"{c[0]}-{c[1]}" for c in SEPARATED])
-def test_delta_is_what_alpha_achieves_on_the_cloud(name, k, cloud, sep):
+def test_delta_is_what_alpha_achieves_on_the_cloud(separated):
     # the LP's entries are of the size of the frontier's largest |z|, so
     # its ulp is the unit of rounding in delta
-    assert sep.alpha.min() >= 0.0 and sum(sep.alpha) == pytest.approx(1.0)
-    gap = _exact_min(sep.alpha, cloud.points) - Fraction(sep.delta)
-    scale = np.abs(cloud.points[cloud.frontier]).max()
-    assert abs(gap) <= 4 * np.spacing(scale), float(gap)
+    for name, k, cloud, sep in separated:
+        assert sep.alpha.min() >= 0.0
+        assert sum(sep.alpha) == pytest.approx(1.0)
+        gap = _exact_min(sep.alpha, cloud.points) - Fraction(sep.delta)
+        scale = np.abs(cloud.points[cloud.frontier]).max()
+        assert abs(gap) <= 4 * np.spacing(scale), (name, k, float(gap))
 
 
-@pytest.mark.parametrize("name, k, cloud, sep",
-                         [c for c in SEPARATED if c[2].p == 1],
-                         ids=[f"{c[0]}-{c[1]}" for c in SEPARATED
-                              if c[2].p == 1])
-def test_p1_delta_is_the_exact_best_separation(name, k, cloud, sep):
-    best = _exact_p1_maximum(cloud.points)
-    assert abs(Fraction(sep.delta) - best) <= 1e-12 * (1 + abs(sep.delta))
+def test_p1_delta_is_the_exact_best_separation(separated):
+    p1 = [c for c in separated if c[2].p == 1]
+    assert len(p1) > 8
+    for name, k, cloud, sep in p1:
+        gap = Fraction(sep.delta) - _exact_p1_maximum(cloud.points)
+        assert abs(gap) <= 1e-12 * (1 + abs(sep.delta)), (name, k)
 
 
 def test_exact_p1_maximum_on_small_clouds():
