@@ -350,9 +350,31 @@ def _solve_both(lp):
     return runs[1]
 
 
-def test_random_lps_match_the_add_row_loop_and_full_pivots():
+def _padded(lp, rows, rng):
+    """lp with `rows` more inequalities, each a nonnegative combination of
+    its inequalities loosened by 0.1 to 1 (0 <= 0.1..1 when it has none):
+    implied by lp's own rows, so the outcome is lp's."""
+    if not rows:
+        return lp
+    k, m = lp.a_ub.shape
+    w = rng.uniform(0, 1, (rows, k))
+    return LinearProgram(
+        c=lp.c, a_ub=np.vstack([lp.a_ub, w @ lp.a_ub]),
+        b_ub=np.concatenate([lp.b_ub, w @ lp.b_ub
+                             + rng.uniform(0.1, 1, rows)]),
+        a_eq=lp.a_eq, b_eq=lp.b_eq, free=lp.free)
+
+
+# 0: the LPs as drawn; 90: with 90 implied rows appended, so every
+# tableau has at least 90 rows
+TALL = [0, 90]
+
+
+@pytest.mark.parametrize("pad", TALL)
+def test_random_lps_match_the_add_row_loop_and_full_pivots(pad):
     assert _solve_both(LinearProgram(c=[]))[0] == OPTIMAL   # no columns
     rng = np.random.default_rng(5150)
+    pad_rng = np.random.default_rng(9)
     statuses = Counter()
     for _ in range(150):
         m, k, e = (int(rng.integers(1, 7)), int(rng.integers(0, 13)),
@@ -364,7 +386,16 @@ def test_random_lps_match_the_add_row_loop_and_full_pivots():
             a_eq=rng.uniform(-1, 1, (e, m)) if e else None,
             b_eq=rng.uniform(-1, 1, e) if e else None,
             free=np.flatnonzero(rng.uniform(size=m) < 0.3))
-        statuses[_solve_both(lp)[0]] += 1
+        tall = _padded(lp, pad, pad_rng)
+        status, _, objective, _, _, basis, _ = _solve_both(tall)
+        assert len(basis) >= pad
+        if pad:
+            out = solve_lp(lp)
+            assert status == out.status
+            if status == OPTIMAL:
+                assert np.frombuffer(objective)[0] == pytest.approx(
+                    out.objective, abs=1e-9)
+        statuses[status] += 1
     assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) > 10
 
 
@@ -381,10 +412,14 @@ def _separator_lp(Z):
     return lp
 
 
-def test_separator_lps_match_the_add_row_loop_and_full_pivots():
+@pytest.mark.parametrize("dominated", TALL)
+def test_separator_lps_match_the_add_row_loop_and_full_pivots(dominated):
     # 256 to 320 cloud points in 2 or 3 coordinates, all on the frontier:
-    # the separator's dual has a column per point and p + 3 rows
+    # the separator's dual has a column per point and p + 3 rows.  With
+    # `dominated` more points, each a frontier point moved up in every
+    # coordinate, the LP is the same to the bit: it sees only the frontier
     rng = np.random.default_rng(99)
+    pad_rng = np.random.default_rng(9)
     signs = Counter()
     for trial in range(12):
         dim = 2 + trial % 2
@@ -395,6 +430,13 @@ def test_separator_lps_match_the_add_row_loop_and_full_pivots():
         Z = rng.uniform(0.0, 1.5, dim) - U / np.linalg.norm(U, axis=1)[:, None]
         lp = _separator_lp(Z)
         assert lp.c.shape == (count + 1,)
+        if dominated:
+            above = Z[pad_rng.integers(0, count, dominated)] + \
+                pad_rng.uniform(0.01, 1.0, (dominated, dim))
+            wide = _separator_lp(np.vstack([Z, above]))
+            for name in ("c", "a_ub", "b_ub", "a_eq", "b_eq", "free"):
+                assert _raw(getattr(wide, name)) == _raw(getattr(lp, name))
+            lp = wide
         status, _, objective, _, _, basis, pivots = _solve_both(lp)
         assert status == OPTIMAL and len(basis) == dim + 2
         assert pivots >= dim
@@ -402,9 +444,12 @@ def test_separator_lps_match_the_add_row_loop_and_full_pivots():
     assert signs[True] and signs[False]
 
 
-def _master_system(rng, certified):
+def _master_system(rng, certified, angle):
     """p in 1..4 random constraints on n in 1..3; with `certified`, f0 is
-    sum_i alpha_i f_i plus a PSD slack, so a certificate exists."""
+    sum_i alpha_i f_i plus a PSD slack, so a certificate exists.  Each
+    function is then composed with x -> R x, R the turn by `angle` (0 or
+    90 degrees) of the (x_1, x_n) plane, a signed permutation, so Q and
+    c move exactly."""
     p, n = 1 + int(rng.randint(4)), 1 + int(rng.randint(3))
     cons = [random_quadratic(rng, n) for _ in range(p)]
     f0 = random_quadratic(rng, n)
@@ -413,10 +458,17 @@ def _master_system(rng, certified):
         for a, f in zip(rng.uniforms(p, 0.1, 2.0), cons):
             f0 = QuadraticFunction(f0.Q + a * f.Q, f0.c + a * f.c,
                                    f0.d + a * f.d)
-    return FunctionSystem(n, f0, tuple(cons))
+    R = np.eye(n)
+    if angle == 90 and n > 1:
+        R[[0, -1], [0, -1]] = 0.0
+        R[0, -1], R[-1, 0] = -1.0, 1.0
+    turned = [QuadraticFunction(R.T @ f.Q @ R, R.T @ f.c, f.d)
+              for f in (f0, *cons)]
+    return FunctionSystem(n, turned[0], tuple(turned[1:]))
 
 
-def test_certificate_masters_match_full_pivots(monkeypatch):
+@pytest.mark.parametrize("angle", [0, 90])
+def test_certificate_masters_match_full_pivots(monkeypatch, angle):
     # the cutting-plane master: box rows, `Tableau.pivot` with the
     # full-capacity basis, then one appended cut per eigen call
     masters = []
@@ -430,7 +482,7 @@ def test_certificate_masters_match_full_pivots(monkeypatch):
     rng = SplitMix64(404)
     heights, valid = [], 0
     for trial in range(24):
-        system = _master_system(rng, trial % 2)
+        system = _master_system(rng, trial % 2, angle)
         runs = []
         for reference in (True, False):
             masters.clear()
