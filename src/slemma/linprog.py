@@ -5,21 +5,23 @@
                                 y >= 0 except on the columns in `free`
 
 the convention `Tableau` uses too.  It splits each free y_j into two
-nonnegative columns, y_j = x_j+ - x_j-, puts every inequality, and each
-equality as two opposite inequalities, in one `Tableau` with its slack
-basic (`Tableau.from_rows`, in one array step), and solves it in two
-phases.  Phase 1 runs the dual simplex on zero costs, where every basis is
-dual feasible, so it ends at a feasible basis or at a row that proves there
-is none.  Phase 2 sets the real costs and runs the primal simplex by
-Bland's rule: the entering variable is the lowest-index column with reduced
-cost below -1e-9, the leaving row the minimum-ratio row with the lowest
-basic variable index, so cycling cannot occur.  Every row is scaled to unit
-max-norm, whether it comes with the others through `from_rows` or alone
-through `add_row`.
+adjacent nonnegative columns, y_j = x_j+ - x_j-, by index: column k is
+sign_k * y[col_k], and y and the unbounded ray are read back through the
+same two arrays.  It appends every inequality, and each equality as two
+opposite inequalities, to one `Tableau` by `add_row`, each row with its
+slack basic, and solves it in two phases.  Phase 1 runs the dual simplex
+on zero costs, where every basis is dual feasible, so it ends at a
+feasible basis or at a row that proves there is none.  Phase 2 sets the
+real costs and runs the primal simplex by Bland's rule: the entering
+variable is the lowest-index column with reduced cost below -1e-9, the
+leaving row the minimum-ratio row with the lowest basic variable index, so
+cycling cannot occur.  `add_row` scales every row to unit max-norm.
 
 A `LinearProgram` whose tableau would hold more than MAX_ENTRIES entries
-is refused.  The cloud programs of `geometry` keep the tableau short: at
-most p + 3 rows, however many points the cloud has.
+is refused.  `solve_lp` holds nothing larger than its input and that
+tableau, so its memory is linear in the LP.  The cloud programs of
+`geometry` keep the tableau short: at most p + 3 rows, however many points
+the cloud has.
 
 Dual multipliers follow the sensitivity convention dual_i = d(objective)/
 d(b_i): for a minimization, inequality rows get nonpositive duals.  The
@@ -45,7 +47,8 @@ ITERATION_LIMIT = "iteration limit reached"
 _TOL = 1e-9
 _PIVOT_MIN = 1e-11
 _MAX_ITERS = 100000
-MAX_ENTRIES = 10**7    # entries of solve_lp's tableau: 80 MB of doubles
+# entries of solve_lp's tableau, which bounds its memory: 80 MB of doubles
+MAX_ENTRIES = 10**7
 
 
 @dataclass
@@ -124,22 +127,31 @@ def solve_lp(lp):
     """Two-phase simplex on one `Tableau`; exact Optimal/Infeasible/
     Unbounded trichotomy."""
     m = lp.c.shape[0]
-    # y = shift @ x: a free y_j is x_j+ - x_j-, in adjacent columns
-    cols = [(j, sign) for j in range(m)
-            for sign in ((1.0, -1.0) if j in lp.free else (1.0,))]
-    n = len(cols)
-    shift = np.zeros((m, n))
-    for k, (j, sign) in enumerate(cols):
-        shift[j, k] = sign
-    a_eq = lp.a_eq @ shift
-    a = np.vstack([lp.a_ub @ shift, a_eq, -a_eq])
-    b = np.concatenate([lp.b_ub, lp.b_eq, -lp.b_eq])
-    tab = Tableau.from_rows(np.zeros(n), a, b)
+    # tableau column k is sign[k] * y[col[k]]: a free y_j is x_j+ - x_j-,
+    # in adjacent columns
+    twice = np.zeros(m, dtype=int)
+    twice[list(lp.free)] = 1
+    col = np.repeat(np.arange(m), 1 + twice)
+    sign = np.where(np.diff(col, prepend=-1) == 0, -1.0, 1.0)
+    n = len(col)
+
+    def merged(x):
+        # y_j = sum of sign[k] * x[k] over its columns, from +0.0
+        y = np.zeros(m)
+        np.add.at(y, col, sign * x)
+        return y
+
+    a_eq = lp.a_eq[:, col] * sign
+    rows = np.vstack([lp.a_ub[:, col] * sign, a_eq, -a_eq])
+    rhs = np.concatenate([lp.b_ub, lp.b_eq, -lp.b_eq])
+    tab = Tableau(np.zeros(n), max_rows=len(rhs))
+    for a, b in zip(rows, rhs):
+        tab.add_row(a, b)
     # phase 1: with zero costs every basis is dual feasible, so the dual
     # simplex reaches a feasible basis or proves there is none
     status = tab.dual_simplex()
     if status == OPTIMAL:
-        tab.costs[1:n + 1] = lp.c @ shift
+        tab.costs[1:n + 1] = lp.c[col] * sign
         status, entering = tab.primal_simplex()
     if status == ITERATION_LIMIT:
         raise NumericalBreakdown("simplex iteration limit reached")
@@ -148,14 +160,13 @@ def solve_lp(lp):
 
     x = tab.solution()
     x[np.abs(x) < 1e-13] = 0.0
-    y = shift @ x
+    y = merged(x)
     if status == UNBOUNDED:
         # the entering variable grows by one and the basic ones follow
         step = np.zeros(1 + n + tab.m)
         step[entering + 1] = 1.0
         step[tab.basis[:tab.m]] = -tab.buf[:tab.m, entering + 1]
-        return LpOutcome(status=UNBOUNDED, y=y,
-                         ray=shift @ step[1:n + 1])
+        return LpOutcome(status=UNBOUNDED, y=y, ray=merged(step[1:n + 1]))
 
     return LpOutcome(status=OPTIMAL, y=y, objective=float(lp.c @ y),
                      dual_ub=tab.duals()[:lp.a_ub.shape[0]])
@@ -167,8 +178,7 @@ class Tableau:
 
     Column 0 of the tableau holds the right-hand sides, columns 1..n the
     variables x and column n + 1 + i the slack of row i.  Each basic
-    column is a unit vector with +0.0 off its row.  `from_rows` builds a
-    tableau whose slacks are all basic in one step.  `add_row` makes the
+    column is a unit vector with +0.0 off its row.  `add_row` makes the
     new row's slack basic and reduces the row against the basis; the
     caller starts from a dual feasible basis it sets with `pivot`, keeps
     every free column basic, and calls `dual_simplex` to restore primal
@@ -204,25 +214,6 @@ class Tableau:
     def _tableau(self):
         return self.buf[:self.m, :1 + self.n + self.m]
 
-    @classmethod
-    def from_rows(cls, c, a, b):
-        """The tableau of min c.x subject to a @ x <= b that `add_row` on
-        each row in turn would build, in one array step: the rows scaled
-        to unit max-norm, every slack basic, and no row to reduce, as no
-        x column is basic."""
-        k = len(b)
-        tab = cls(c, max_rows=k)
-        tab._grow(k)
-        norm = np.abs(a).max(axis=1, initial=0.0)
-        scales = np.where(norm > 0.0, norm, 1.0)
-        tab.buf[:, 0] = b / scales
-        tab.buf[:, 1:tab.n + 1] = a / scales[:, None]
-        tab.buf[:, tab.n + 1:] = np.eye(k)
-        tab.basis[:] = np.arange(tab.n + 1, tab.n + 1 + k)
-        tab.scales[:] = scales
-        tab.m = k
-        return tab
-
     def add_row(self, a, b):
         """Append a.x <= b, scaled to unit max-norm, with its slack basic;
         return its row index."""
@@ -232,7 +223,7 @@ class Tableau:
                     f"tableau holds at most {self.max_rows} rows")
             self._grow(min(2 * self.m, self.max_rows))
         a = np.asarray(a, dtype=float)
-        norm = np.abs(a).max()
+        norm = np.abs(a).max(initial=0.0)
         scale = norm if norm > 0.0 else 1.0
         used = 2 + self.n + self.m        # the new slack is the last column
         row = self.buf[self.m, :used]

@@ -271,16 +271,58 @@ def test_scale_guard(monkeypatch):
             LinearProgram(**lp)
 
 
-# Reference copies: the tableau built one add_row at a time and the pivot
-# that updates every column.  Tableau.from_rows and `_pivot` must give the
-# same bits.
+# Reference copies: solve_lp as it was before free columns were split by
+# index, with its dense shift matrix and the tableau built one add_row at
+# a time, and the pivot that updates every column.  solve_lp and `_pivot`
+# must give the same bits.
 
 def add_row_loop(c, a, b):
     """solve_lp's tableau built by add_row, one row at a time."""
-    tab = Tableau(c, max_rows=len(b))
+    tab = linprog.Tableau(c, max_rows=len(b))
     for row, rhs in zip(a, b):
         tab.add_row(row, rhs)
     return tab
+
+
+def dense_shift_solve_lp(lp):
+    """solve_lp with y = shift @ x, shift a dense (variables x columns)
+    matrix."""
+    m = lp.c.shape[0]
+    # y = shift @ x: a free y_j is x_j+ - x_j-, in adjacent columns
+    cols = [(j, sign) for j in range(m)
+            for sign in ((1.0, -1.0) if j in lp.free else (1.0,))]
+    n = len(cols)
+    shift = np.zeros((m, n))
+    for k, (j, sign) in enumerate(cols):
+        shift[j, k] = sign
+    a_eq = lp.a_eq @ shift
+    a = np.vstack([lp.a_ub @ shift, a_eq, -a_eq])
+    b = np.concatenate([lp.b_ub, lp.b_eq, -lp.b_eq])
+    tab = add_row_loop(np.zeros(n), a, b)
+    # phase 1: with zero costs every basis is dual feasible, so the dual
+    # simplex reaches a feasible basis or proves there is none
+    status = tab.dual_simplex()
+    if status == OPTIMAL:
+        tab.costs[1:n + 1] = lp.c @ shift
+        status, entering = tab.primal_simplex()
+    if status == linprog.ITERATION_LIMIT:
+        raise NumericalBreakdown("simplex iteration limit reached")
+    if status == INFEASIBLE:
+        return linprog.LpOutcome(status=INFEASIBLE)
+
+    x = tab.solution()
+    x[np.abs(x) < 1e-13] = 0.0
+    y = shift @ x
+    if status == UNBOUNDED:
+        # the entering variable grows by one and the basic ones follow
+        step = np.zeros(1 + n + tab.m)
+        step[entering + 1] = 1.0
+        step[tab.basis[:tab.m]] = -tab.buf[:tab.m, entering + 1]
+        return linprog.LpOutcome(status=UNBOUNDED, y=y,
+                                 ray=shift @ step[1:n + 1])
+
+    return linprog.LpOutcome(status=OPTIMAL, y=y, objective=float(lp.c @ y),
+                             dual_ub=tab.duals()[:lp.a_ub.shape[0]])
 
 
 def pivot_full_row(T, basis, row, col):
@@ -298,24 +340,29 @@ def pivot_full_row(T, basis, row, col):
 
 
 _PIVOT = linprog._pivot
-_FROM_ROWS = Tableau.from_rows
 
 
 class _Recorded:
-    """Routes the pivots and `solve_lp`'s tableau builds through the
-    reference copies or the code under test, counting the pivots and
-    keeping every tableau."""
+    """Routes the pivots through the reference copy or the code under
+    test, counting them, and keeps every tableau built from
+    `linprog.Tableau` through a recording subclass."""
 
     def __init__(self, reference):
         self.pivot = pivot_full_row if reference else _PIVOT
-        self.build = add_row_loop if reference else _FROM_ROWS
         self.pivots = 0
         self.tableaus = []
 
     def __enter__(self):
+        tableaus = self.tableaus
+
+        class Recorded(Tableau):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tableaus.append(self)
+
         self.patch = pytest.MonkeyPatch()
         self.patch.setattr(linprog, "_pivot", self._pivot)
-        self.patch.setattr(Tableau, "from_rows", staticmethod(self._build))
+        self.patch.setattr(linprog, "Tableau", Recorded)
         return self
 
     def __exit__(self, *exc):
@@ -325,23 +372,23 @@ class _Recorded:
         self.pivots += 1
         self.pivot(*args)
 
-    def _build(self, c, a, b):
-        self.tableaus.append(self.build(c, a, b))
-        return self.tableaus[-1]
-
 
 def _raw(v):
-    return None if v is None else np.asarray(v, dtype=float).tobytes()
+    if v is None:
+        return None
+    v = np.asarray(v)
+    return v.dtype.str, v.shape, v.tobytes()
 
 
 def _solve_both(lp):
     """solve_lp's outcome under the reference copies and under the code
-    under test: the same status, the same bytes in y, objective, dual_ub
-    and ray, the same final basis and the same number of pivots."""
+    under test: the same status, the same dtype, shape and bytes in y,
+    objective, dual_ub and ray, the same final basis and the same number
+    of pivots."""
     runs = []
     for reference in (True, False):
         with _Recorded(reference) as rec:
-            out = solve_lp(lp)
+            out = (dense_shift_solve_lp if reference else solve_lp)(lp)
         (tab,) = rec.tableaus
         runs.append((out.status, _raw(out.y), _raw(out.objective),
                      _raw(out.dual_ub), _raw(out.ray),
@@ -372,7 +419,10 @@ TALL = [0, 90]
 
 @pytest.mark.parametrize("pad", TALL)
 def test_random_lps_match_the_add_row_loop_and_full_pivots(pad):
-    assert _solve_both(LinearProgram(c=[]))[0] == OPTIMAL   # no columns
+    # no columns: y is still an empty float64 array
+    assert _solve_both(LinearProgram(c=[]))[0] == OPTIMAL
+    empty = solve_lp(LinearProgram(c=[]))
+    assert empty.y.dtype == np.float64 and empty.y.shape == (0,)
     rng = np.random.default_rng(5150)
     pad_rng = np.random.default_rng(9)
     statuses = Counter()
@@ -393,7 +443,7 @@ def test_random_lps_match_the_add_row_loop_and_full_pivots(pad):
             out = solve_lp(lp)
             assert status == out.status
             if status == OPTIMAL:
-                assert np.frombuffer(objective)[0] == pytest.approx(
+                assert np.frombuffer(objective[2])[0] == pytest.approx(
                     out.objective, abs=1e-9)
         statuses[status] += 1
     assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) > 10
@@ -440,7 +490,7 @@ def test_separator_lps_match_the_add_row_loop_and_full_pivots(dominated):
         status, _, objective, _, _, basis, pivots = _solve_both(lp)
         assert status == OPTIMAL and len(basis) == dim + 2
         assert pivots >= dim
-        signs[bool(np.frombuffer(objective)[0] >= 0)] += 1
+        signs[bool(np.frombuffer(objective[2])[0] >= 0)] += 1
     assert signs[True] and signs[False]
 
 
