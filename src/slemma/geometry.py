@@ -110,9 +110,15 @@ def cloud_k_members(cloud):
 
 @dataclass
 class HullResult:
+    """`witness` is sum_j w_j z_j for the convex `weights` w, a point of K
+    up to the simplex's tolerance: its first coordinate is the optimum,
+    below -tol, up to rounding, and its coordinate i >= 1 is at most
+    1e-9 * max_j |z_j[i]| over the frontier, as the LP's rows are scaled
+    to unit max-norm, but not always <= 0."""
+
     intersects: bool
     weights: np.ndarray | None = None   # convex combination over cloud points
-    witness: np.ndarray | None = None   # the combination, a point of K
+    witness: np.ndarray | None = None   # the combination
     optimum: float | None = None        # minimized first coordinate
 
 

@@ -2,6 +2,7 @@
 a frontier of more than 1000 points."""
 
 import io
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -131,13 +132,32 @@ def test_both_cloud_lps_answer_on_a_frontier_of_2001_points():
     # 1.5 - sqrt(2)/2, at alpha = (1/2, 1/2) and theta = pi/4
     cloud = _arc_cloud([1.5, 1.5], 2001)
     assert len(cloud.frontier) == 2001
-    assert not geo.hull_intersects_k(cloud).intersects
-    sep = geo.extract_separator(cloud)
+    # each LP's memory is linear in its size: a tableau of 4 rows by
+    # about 2,000 columns, 64 KiB of doubles (a dense variables x columns
+    # matrix once took the peak to about 31 MiB)
+    tracemalloc.start()
+    try:
+        hull = geo.hull_intersects_k(cloud)
+        sep = geo.extract_separator(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert not hull.intersects
     assert sep.delta == pytest.approx(1.5 - np.sqrt(0.5), abs=1e-12)
     assert float(_exact_min(sep.alpha, cloud.points)) == pytest.approx(
         sep.delta, abs=1e-14)
     # about (0.5, 0.5) the arc's middle lies in K
     cloud = _arc_cloud([0.5, 0.5], 2001)
     hull = geo.hull_intersects_k(cloud)
-    assert hull.intersects and geo.cone_k_member(hull.witness, 1e-9)
+    assert hull.intersects
+    # the witness is the combination itself, in K up to the LP's
+    # tolerance: here z_1 is 7.8e-13, not 0
+    front = cloud.frontier
+    assert np.array_equal(hull.witness,
+                          hull.weights[front] @ cloud.points[front])
+    assert hull.witness[0] == pytest.approx(hull.optimum, abs=1e-12)
+    assert hull.optimum < -geo.PSD_RTOL
+    scale = np.abs(cloud.points[front, 1:]).max(axis=0)
+    assert np.all(hull.witness[1:] <= 1e-9 * scale)
     assert geo.extract_separator(cloud) is None
