@@ -22,6 +22,7 @@ code.  `certificate --method p1` runs classify's certificate stage, and
 """
 
 import argparse
+import contextlib
 import functools
 import sys
 
@@ -336,7 +337,10 @@ def main(argv=None, out=None, err=None):
     err = err or sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints --help, usage and its errors on sys.stdout and
+        # sys.stderr; they belong on out and err
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import slemma
+from slemma import certificate as cert
+from slemma import farkas
 from slemma.cli import main
 from slemma.expr import MAX_DEPTH
 from slemma.farkas import linear_data
@@ -706,3 +708,176 @@ def test_cli_lp_iteration_limit_is_numerical(monkeypatch):
         code, out, err = run_cli(command, str(CORPUS / name))
         assert code == 3, command
         assert err == "numerical failure: simplex iteration limit reached\n"
+
+
+_SQUARE = {"quadratic": {"Q": [1.0], "c": [0.0], "d": 0.0}}
+
+
+def _problem_text(**changes):
+    """A valid n = 1, p = 0 problem file's JSON with `changes` applied."""
+    raw = {"n": 1, "p": 0, "functions": [_SQUARE]}
+    raw.update(changes)
+    return json.dumps(raw)
+
+
+# (argv, files written under tmp_path, exit code, the stream that is
+# written, a text its last line holds); every other stream stays empty
+_REJECTIONS = {
+    "help": (["--help"], {}, 0, "out", "show this help message and exit"),
+    "missing file argument": (
+        ["classify"], {}, 1, "err",
+        "slemma classify: error: the following arguments are required: "
+        "file"),
+    "unknown flag": (
+        ["classify", "p.json", "--bogus"], {"p.json": _problem_text()}, 1,
+        "err", "slemma: error: unrecognized arguments: --bogus"),
+    "alpha not a number": (
+        ["verify", "p.json", "--alpha", "1,x"],
+        {"p.json": _problem_text(p=1, functions=[_SQUARE, _SQUARE])}, 1,
+        "err", "error: --alpha expects comma-separated numbers, got '1,x'"),
+    "certificate label": (
+        ["verify", "p.json", "--certificate", "cert.txt"],
+        {"p.json": _problem_text(p=1, functions=[_SQUARE, _SQUARE]),
+         "cert.txt": "alpha = [1.0]\nverified = Maybe\n"}, 1, "err",
+        "error: malformed certificate text: unknown label 'Maybe'"),
+    "missing Q": (
+        ["validate", "p.json"],
+        {"p.json": _problem_text(functions=[
+            {"quadratic": {"c": [0.0], "d": 0.0}}])}, 1, "err",
+        "error: functions[0]: missing keys ['Q']"),
+    "d a string": (
+        ["validate", "p.json"],
+        {"p.json": _problem_text(functions=[
+            {"quadratic": {"Q": [1.0], "c": [0.0], "d": "1"}}])}, 1, "err",
+        "error: functions[0].d: expected a number, got '1'"),
+    "expr not a string": (
+        ["validate", "p.json"],
+        {"p.json": _problem_text(functions=[{"expr": 3}])}, 1, "err",
+        "error: functions[0]: 'expr' must be a string"),
+    "unknown kind": (
+        ["validate", "p.json"],
+        {"p.json": _problem_text(functions=[{"cubic": {}}])}, 1, "err",
+        "error: functions[0]: unknown function kind 'cubic'"),
+    "invalid JSON": (
+        ["validate", "p.json"], {"p.json": '{"n": 1,'}, 1, "err",
+        "p.json: invalid JSON at line 1: Expecting property name"),
+    "top-level list": (
+        ["validate", "p.json"], {"p.json": "[1, 2]"}, 1, "err",
+        "error: top level must be an object"),
+    "n zero": (
+        ["validate", "p.json"], {"p.json": _problem_text(n=0)}, 1, "err",
+        "error: n must be a positive integer, got 0"),
+    "p negative": (
+        ["validate", "p.json"], {"p.json": _problem_text(p=-1)}, 1, "err",
+        "error: p must be a nonnegative integer, got -1"),
+    "config a list": (
+        ["validate", "p.json"], {"p.json": _problem_text(config=[])}, 1,
+        "err", "error: config must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REJECTIONS))
+def test_cli_usage_and_rejections_reach_the_given_streams(case, tmp_path,
+                                                           capsys):
+    # argparse's help, usage and errors go to main's out and err, as the
+    # handlers' reports and error lines do, and not to the process's
+    argv, files, code, stream, text = _REJECTIONS[case]
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    got, out, err = run_cli(*argv)
+    assert got == code
+    written, silent = (out, err) if stream == "out" else (err, out)
+    assert silent == ""
+    assert text in written.splitlines()[-1]
+    if stream == "err" and not text.startswith("slemma"):
+        assert written.startswith("error: ") and written.count("\n") == 1
+    assert capsys.readouterr() == ("", "")
+
+
+def _write(tmp_path, name, n, functions):
+    path = tmp_path / name
+    path.write_text(json.dumps({"n": n, "p": len(functions) - 1,
+                                "functions": functions}))
+    return str(path)
+
+
+def test_linear_multipliers_an_ulp_off_fall_through_to_cutting_planes(
+        tmp_path):
+    # f0 = f1 = 0.3 x1 + 0.7 x2: the Farkas multiplier is 1 - 2^-53, which
+    # the exact test at tol 0 rejects, and the cutting planes certify 1.0
+    f = {"linear": {"a": [0.3, 0.7], "b": 0.0}}
+    path = _write(tmp_path, "lin.json", 2, [f, f])
+    alpha = farkas.solve(linear_data(load_problem(path).system())).alpha
+    assert alpha[0] != 1.0 and abs(alpha[0] - 1.0) <= np.spacing(1.0)
+    code, out, _ = run_cli("certificate", path, "--tol", "0")
+    assert code == 0
+    assert "  - linear multipliers failed exact verification\n" in out
+    assert ("  present: true\n  alpha: [1.0]\n  lambda_min: 0.0\n"
+            "  verified: ExactPSD\n") in out
+    code, out, _ = run_cli("classify", path, "--tol", "0")
+    assert code == 0
+    assert "verdict: ValidWithCertificate\n" in out
+    assert "  - linear multipliers failed exact verification\n" in out
+
+
+def test_inconsistent_linear_constraints_leave_no_certificate(tmp_path):
+    # f1 = x1 - 1 >= 0 and f2 = -x1 >= 0 have no common point
+    path = _write(tmp_path, "inconsistent.json", 2, [
+        {"linear": {"a": [0.0, 1.0], "b": 0.0}},
+        {"linear": {"a": [1.0, 0.0], "b": 1.0}},
+        {"linear": {"a": [-1.0, 0.0], "b": 0.0}}])
+    code, out, _ = run_cli("certificate", path)
+    assert code == 2
+    assert "certificate:\n  present: false\n" in out
+    assert "notes:\n  - linear constraint system is inconsistent\n" in out
+
+
+def test_separation_refines_along_a_failing_direction(tmp_path,
+                                                      monkeypatch):
+    # f0 = 101 - x1^2 and f1 = 1: round 0 separates the cloud sampled in
+    # [-10, 10], but f0 - alpha f1 is negative along x1, so the check fails
+    # along the direction [1.0]; the points 1, 10 and 100 on it join the
+    # cloud, where 100 is in K, and round 1 finds no separator
+    path = _write(tmp_path, "refine.json", 1, [
+        {"quadratic": {"Q": [-2.0], "c": [0.0], "d": 101.0}},
+        {"quadratic": {"Q": [0.0], "c": [0.0], "d": 1.0}}])
+    sources = []
+    real = cert._witness_sources
+
+    def recording(check):
+        sources.append((check.direction, real(check)))
+        return sources[-1][1]
+
+    monkeypatch.setattr(cert, "_witness_sources", recording)
+    code, out, _ = run_cli("certificate", path, "--method", "separation")
+    assert code == 2
+    ((direction, points),) = sources
+    assert direction.tolist() == [1.0]
+    assert [x.tolist() for x in points] == [[1.0], [10.0], [100.0]]
+    assert "outcome: no_separator\nrounds: 1\n" in out
+
+
+def test_expression_certificate_is_only_a_sampled_candidate(tmp_path):
+    # f0 = exp(x1) + 1 >= 0 wherever f1 = 1 - x1^2 >= 0, but an expression
+    # system's multipliers are checked on samples only: classify ends
+    # Undetermined and shows them as a SampledOnly candidate
+    path = _write(tmp_path, "sampled.json", 1, [
+        {"expr": "exp(x1) + 1"}, {"expr": "1 - x1^2"}])
+    note = "sampled-only certificate candidate (not a validity claim)"
+    code, out, _ = run_cli("classify", path)
+    assert code == 2
+    assert "verdict: Undetermined\n" in out
+    assert "certificate:\n  present: false\n" in out
+    block = out.split("candidate_certificate:\n")[1].split("\n")
+    assert block[0] == "  present: true"
+    assert block[1].startswith("  alpha: [")
+    assert block[2] == "  verified: SampledOnly"
+    assert f"  - {note}\n" in out
+    code, out, _ = run_cli("classify", path, "--json")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["verdict"] == "Undetermined"
+    assert payload["candidate_certificate"]["present"] == "true"
+    assert payload["candidate_certificate"]["verified"] == "SampledOnly"
+    assert note in payload["notes"]
