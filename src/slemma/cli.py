@@ -14,7 +14,8 @@ Exit codes: 0 definitive verdict or clean report, 2 undetermined,
 
 The flags `--box`, `--samples`, `--seed` and `--tol` come from
 `problem.SETTINGS` and override the file's `config`, and
-`problem.check_setting` checks both.  A handler loads the problem, runs
+`problem.check_setting` checks both.  The `command:` line of a command
+that takes them echoes all four as the run used them.  A handler loads the problem, runs
 `implication`'s stage functions (the ones `classify` runs) or, for
 `verify`, the one multiplier check, renders the report and maps the exit
 code.  `certificate --method p1` runs classify's certificate stage, and
@@ -65,8 +66,13 @@ def _load(args):
 
 
 def _echo_command(args, pf, cfg):
+    """The command line of the run: the file, `certificate`'s method and,
+    for a command that takes the search flags, each search setting as the
+    run used it, so a sampled claim names its N, R and seed."""
     parts = ["slemma", args.command, pf.path or "<file>"]
-    if args.command == "classify":
+    if args.command == "certificate":
+        parts += ["--method", args.method]
+    if "tol" in vars(args):
         parts += ["--seed", str(cfg.seed), "--samples", str(cfg.samples),
                   "--box", fnum(cfg.box_radius), "--tol", fnum(cfg.psd_tol)]
     return " ".join(parts)
@@ -233,7 +239,7 @@ def cmd_verify(args, out):
             raise ParseError(str(exc)) from exc
         source = f"--certificate {args.certificate}"
     rep = Report("certificate verification")
-    rep.add("command", f"slemma verify {pf.path} {source}")
+    rep.add("command", f"{_echo_command(args, pf, cfg)} {source}")
     report.describe_instance(rep, pf, system)
     rep.add("alpha", fvec(alpha))
     check = cert_mod.check_multipliers(

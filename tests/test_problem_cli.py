@@ -210,6 +210,31 @@ def test_cli_classify_respects_flags():
     assert "box_radius: 4.0" in out
 
 
+@pytest.mark.parametrize("argv, echoed", [
+    (["counterexample", "random_p1_01.json", "--seed", "7", "--samples",
+      "10"], "slemma counterexample random_p1_01.json --seed 7 --samples 10 "
+     "--box 10.0 --tol 1e-09"),
+    (["certificate", "p0_psd.json", "--method", "separation", "--box", "4"],
+     "slemma certificate p0_psd.json --method separation --seed 1 "
+     "--samples 4096 --box 4.0 --tol 1e-09"),
+    (["certificate", "p0_psd.json"], "slemma certificate p0_psd.json "
+     "--method p1 --seed 1 --samples 4096 --box 10.0 --tol 1e-09"),
+    (["geometry", "example3_pair.json", "--samples", "64"],
+     "slemma geometry example3_pair.json --seed 1 --samples 64 --box 10.0 "
+     "--tol 1e-09"),
+    (["verify", "convex_case.json", "--alpha", "0.0", "--tol", "1e-8"],
+     "slemma verify convex_case.json --seed 1 --samples 4096 --box 10.0 "
+     "--tol 1e-08 --alpha 0.0"),
+])
+def test_search_commands_echo_their_settings(argv, echoed, monkeypatch):
+    # a sampled claim is scoped by N, R and the seed, so every command that
+    # takes the search flags echoes all four, as it ran
+    monkeypatch.chdir(CORPUS)
+    code, out, _ = run_cli(*argv)
+    assert code in (0, 2)
+    assert out.splitlines()[2] == f"command: {echoed}"
+
+
 def test_cli_missing_file():
     code, out, err = run_cli("classify", "/nonexistent/problem.json")
     assert code == 1
