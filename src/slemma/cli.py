@@ -15,10 +15,10 @@ Exit codes: 0 definitive verdict or clean report, 2 undetermined,
 The flags `--box`, `--samples`, `--seed` and `--tol` come from
 `problem.SETTINGS` and override the file's `config`, and
 `problem.check_setting` checks both.  The `command:` line of a command
-that takes them echoes all four as the run used them.  A handler loads the problem, runs
-`implication`'s stage functions (the ones `classify` runs) or, for
-`verify`, the one multiplier check, renders the report and maps the exit
-code.  `certificate --method p1` runs classify's certificate stage, and
+that takes them echoes all four as the run used them.  A handler loads
+the problem, runs `implication`'s stage functions (the ones `classify`
+runs) or, for `verify`, the one multiplier check, renders the report and
+maps the exit code.  `certificate --method p1` runs classify's certificate stage, and
 `--method separation` its separation route.
 """
 

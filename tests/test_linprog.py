@@ -419,8 +419,11 @@ TALL = [0, 90]
 
 @pytest.mark.parametrize("pad", TALL)
 def test_random_lps_match_the_add_row_loop_and_full_pivots(pad):
-    # no columns: y is still an empty float64 array
+    # no columns: y is still an empty float64 array, and a row 0 <= -1
+    # makes the LP infeasible
     assert _solve_both(LinearProgram(c=[]))[0] == OPTIMAL
+    assert _solve_both(LinearProgram(c=[], a_ub=np.zeros((2, 0)),
+                                     b_ub=[1.0, -1.0]))[0] == INFEASIBLE
     empty = solve_lp(LinearProgram(c=[]))
     assert empty.y.dtype == np.float64 and empty.y.shape == (0,)
     rng = np.random.default_rng(5150)
