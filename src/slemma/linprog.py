@@ -129,9 +129,7 @@ def solve_lp(lp):
     m = lp.c.shape[0]
     # tableau column k is sign[k] * y[col[k]]: a free y_j is x_j+ - x_j-,
     # in adjacent columns
-    twice = np.zeros(m, dtype=int)
-    twice[list(lp.free)] = 1
-    col = np.repeat(np.arange(m), 1 + twice)
+    col = np.repeat(np.arange(m), 1 + np.isin(np.arange(m), lp.free))
     sign = np.where(np.diff(col, prepend=-1) == 0, -1.0, 1.0)
     n = len(col)
 

@@ -424,6 +424,12 @@ def test_random_lps_match_the_add_row_loop_and_full_pivots(pad):
     assert _solve_both(LinearProgram(c=[]))[0] == OPTIMAL
     assert _solve_both(LinearProgram(c=[], a_ub=np.zeros((2, 0)),
                                      b_ub=[1.0, -1.0]))[0] == INFEASIBLE
+    # y_0 is basic with a 0.0 in the entering column of y_1, so the ray's
+    # first entry is -(0.0) before it is summed, and +0.0 after, as the
+    # dense product gave
+    status, _, _, _, ray, _, _ = _solve_both(LinearProgram(
+        c=[-1.0, -1.0], a_ub=[[1.0, 0.0]], b_ub=[1.0]))
+    assert status == UNBOUNDED and ray[2] == np.array([0.0, 1.0]).tobytes()
     empty = solve_lp(LinearProgram(c=[]))
     assert empty.y.dtype == np.float64 and empty.y.shape == (0,)
     rng = np.random.default_rng(5150)
