@@ -129,12 +129,16 @@ def solve_lp(lp):
     m = lp.c.shape[0]
     # tableau column k is sign[k] * y[col[k]]: a free y_j is x_j+ - x_j-,
     # in adjacent columns
-    col = np.repeat(np.arange(m), 1 + np.isin(np.arange(m), lp.free))
-    sign = np.where(np.diff(col, prepend=-1) == 0, -1.0, 1.0)
+    width = np.ones(m, dtype=int)
+    width[list(lp.free)] = 2
+    col = np.repeat(np.arange(m), width)
     n = len(col)
+    sign = np.ones(n)
+    sign[1:][col[1:] == col[:-1]] = -1.0
 
     def merged(x):
-        # y_j = sum of sign[k] * x[k] over its columns, from +0.0
+        # y_j = sum of sign[k] * x[k] over y_j's columns, summed from +0.0
+        # so that a zero sum reads +0.0, as a dense product gives
         y = np.zeros(m)
         np.add.at(y, col, sign * x)
         return y
