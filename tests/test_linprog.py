@@ -271,10 +271,9 @@ def test_scale_guard(monkeypatch):
             LinearProgram(**lp)
 
 
-# Reference copies: solve_lp as it was before free columns were split by
-# index, with its dense shift matrix and the tableau built one add_row at
-# a time, and the pivot that updates every column.  solve_lp and `_pivot`
-# must give the same bits.
+# Reference copies: solve_lp with y = shift @ x over a dense shift matrix
+# and its tableau built one add_row at a time, and the pivot that updates
+# every column.  solve_lp and `_pivot` must give the same bits.
 
 def add_row_loop(c, a, b):
     """solve_lp's tableau built by add_row, one row at a time."""
