@@ -195,55 +195,60 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL):
     p = system.p
     M0 = bordered_matrix(system.f0)
     borders = [bordered_matrix(f) for f in system.constraints]
-    bound_scale = 1.0 + np.max(np.abs(M0)) + \
-        ALPHA_MAX * sum(np.max(np.abs(B)) for B in borders)
+    bound_scale = 1.0 + abs(M0).max() + \
+        ALPHA_MAX * sum(abs(B).max() for B in borders)
     # variables (alpha, t), t free: maximize t under alpha_i <= ALPHA_MAX
     # and the cuts
-    master = Tableau(np.concatenate([np.zeros(p), [-1.0]]), free=[p],
-                     max_rows=p + iters)
+    master = Tableau([0.0] * p + [-1.0], free=[p], max_rows=p + iters)
+    eye = np.eye(p + 1)
     for i in range(p):
-        master.add_row(np.eye(p + 1)[i], ALPHA_MAX)
+        master.add_row(eye[i], ALPHA_MAX)
+    cut = eye[p]          # (-s, 1), refilled for each cut
     # cut k: g(a) <= lams[k] + slopes[k].(a - points[k])
     lams = np.empty(iters)
     slopes = np.empty((iters, p))
     points = np.empty((iters, p))
     alpha = np.zeros(p)
     best = None
+    best_lam = -np.inf
     upper_bound = None
     outcome = ""
     for k in range(iters):
         M = _combine(M0, borders, alpha)
         lam, v = min_eigenvalue(M)
-        if best is None or lam > best.lambda_min:
+        if best is None or lam > best_lam:
             best = check_multipliers(system, alpha, tol, eigenpair=(M, lam, v))
+            best_lam, gap = lam, -best.threshold
             if p > 1 and best.valid:
                 break
-        s = np.array([-(v @ B @ v) for B in borders])
-        lams[k], slopes[k], points[k] = lam, s, alpha
+        s = slopes[k]
+        for i, B in enumerate(borders):
+            s[i] = -(v @ B @ v)
+        lams[k], points[k] = lam, alpha
         # t - s.a <= lam - s.alpha
-        row = master.add_row(np.concatenate([-s, [1.0]]), lam - s @ alpha)
+        np.negative(s, out=cut[:p])
+        row = master.add_row(cut, lam - s @ alpha)
         if row == p:
             # the first cut's optimum: t on the cut, alpha_i = ALPHA_MAX
             # where s_i > 0 and 0 elsewhere
-            for i in np.flatnonzero(s > 0):
+            for i in (s > 0).nonzero()[0]:
                 master.pivot(i, i)
             master.pivot(row, p)
         status = master.dual_simplex()
         if status != OPTIMAL:
             raise NumericalBreakdown(f"certificate master LP: {status}")
-        y = master.solution()
-        alpha = np.clip(y[:p], 0.0, ALPHA_MAX)
+        alpha = master.solution()[:p].clip(0.0, ALPHA_MAX)
         # the tableau's t cancels terms as large as ALPHA_MAX * |s|, which
         # can leave it ulps under the best lambda_min; a cut evaluated at
         # its own point gives back its lam exactly
-        upper_bound = float(np.min(lams[:k + 1] + np.einsum(
-            "ij,ij->i", slopes[:k + 1], alpha - points[:k + 1])))
+        upper_bound = float((lams[:k + 1] + np.einsum(
+            "ij,ij->i", slopes[:k + 1], alpha - points[:k + 1])).min())
         if upper_bound < -tol * bound_scale:
             outcome = NO_CERTIFICATE
             break
-        if upper_bound - best.lambda_min <= -best.threshold:
+        if upper_bound - best_lam <= gap:
             break
-        if best.valid and best.lambda_min >= P1_NEAR_MAX * upper_bound:
+        if best.valid and best_lam >= P1_NEAR_MAX * upper_bound:
             break       # p = 1 only: a passing p >= 2 iterate broke above
     return SearchResult(check=best, upper_bound=upper_bound, outcome=outcome)
 

@@ -116,8 +116,8 @@ def _pivot(T, basis, row, col):
         )
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T[row, :] /= piv
-    T -= np.outer(factors, T[row, :])
+    T[row] /= piv
+    T -= factors[:, None] * T[row]
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
@@ -225,12 +225,12 @@ class Tableau:
                     f"tableau holds at most {self.max_rows} rows")
             self._grow(min(2 * self.m, self.max_rows))
         a = np.asarray(a, dtype=float)
-        norm = np.abs(a).max(initial=0.0)
+        norm = abs(a).max(initial=0.0)
         scale = norm if norm > 0.0 else 1.0
         used = 2 + self.n + self.m        # the new slack is the last column
         row = self.buf[self.m, :used]
         row[0] = b / scale
-        row[1:self.n + 1] = a / scale
+        np.divide(a, scale, out=row[1:self.n + 1])
         row[-1] = 1.0
         # only basic x columns can be nonzero in the raw row
         basics = (self.basis[:self.m] <= self.n).nonzero()[0]
@@ -256,11 +256,12 @@ class Tableau:
         T = self._tableau()
         basis = self.basis[:self.m]
         costs = self.costs[:T.shape[1]]
+        bounded = ~self.is_free[basis]     # rows that may leave
         for _ in range(_MAX_ITERS):
-            short = ((T[:, 0] < -_TOL) & ~self.is_free[basis]).nonzero()[0]
+            short = ((T[:, 0] < -_TOL) & bounded).nonzero()[0]
             if not short.size:
                 return OPTIMAL
-            leave = short[np.argmin(basis[short])]
+            leave = short[basis[short].argmin()]
             cand = (T[leave, 1:] < -_TOL).nonzero()[0] + 1
             if not cand.size:
                 return INFEASIBLE
@@ -268,6 +269,7 @@ class Tableau:
             ratios = np.maximum(reduced, 0.0) / -T[leave, cand]
             enter = cand[(ratios <= ratios.min() + 1e-12).argmax()]
             _pivot(T, basis, leave, enter)
+            bounded[leave] = not self.is_free[enter]
         return ITERATION_LIMIT
 
     def primal_simplex(self):

@@ -7,6 +7,7 @@ toolkit goes through that matrix and `eigen_sym` below, a checked call to
 LAPACK's symmetric eigensolver.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,24 +119,26 @@ def eigen_sym(A):
     """Eigen-decomposition by LAPACK's symmetric solver (numpy `eigh`).
 
     The input must be a nonempty square matrix, symmetric within a
-    relative band; it is symmetrized before the solve.  A non-finite
-    entry raises NumericalBreakdown before LAPACK sees it, and a LAPACK
-    failure raises NotConverged.
+    relative band; it is read in place, not copied, and (A + A.T) / 2 is
+    what LAPACK solves.  A non-finite entry raises NumericalBreakdown
+    before LAPACK sees it, and a LAPACK failure raises NotConverged.
     """
-    A = np.array(A, dtype=float)
+    A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
         raise DimensionMismatch(
             f"matrix must be square and nonempty, got shape {A.shape}")
-    scale = 1.0 + np.max(np.abs(A))
-    if not np.isfinite(scale):
+    scale = 1.0 + abs(A).max()
+    if not math.isfinite(scale):
         raise NumericalBreakdown("matrix has a non-finite entry")
-    asym = np.max(np.abs(A - A.T))
+    asym = abs(A - A.T).max()
     if asym > _ACCEPT_BAND * scale:
         raise DimensionMismatch(
             f"matrix is not symmetric: max asymmetry {asym:.3e}"
         )
+    S = A + A.T
+    S /= 2.0
     try:
-        return SymmetricEigen(*np.linalg.eigh((A + A.T) / 2.0))
+        return SymmetricEigen(*np.linalg.eigh(S))
     except np.linalg.LinAlgError as exc:
         raise NotConverged(f"symmetric eigensolver failed: {exc}") from None
 
