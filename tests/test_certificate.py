@@ -1,18 +1,27 @@
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import slemma
 from conftest import random_p1_system, random_psd_quadratic
 from slemma import certificate as cert
 from slemma import geometry as geo
-from slemma import linprog, search
-from slemma.errors import NumericalBreakdown
+from slemma import linprog, quadratic, search
+from slemma.errors import DimensionMismatch, NotConverged, NumericalBreakdown
 from slemma.expr import parse
 from slemma.geometry import _random_quadratic as random_quadratic
 from slemma.implication import box_sample, find_counterexample
 from slemma.linprog import OPTIMAL, LinearProgram, Tableau, solve_lp
-from slemma.quadratic import QuadraticFunction, bordered_matrix
+from slemma.problem import load_problem
+from slemma.quadratic import (PSD_RTOL, QuadraticFunction, SymmetricEigen,
+                              bordered_matrix)
 from slemma.rng import SplitMix64
 from slemma.systems import FunctionSystem, quadratic_to_source
+
+
+CORPUS = Path(slemma.__file__).parent / "corpus"
 
 
 def _norm_sq(n):
@@ -554,3 +563,248 @@ def test_master_iteration_limit_is_numerical(monkeypatch):
     with pytest.raises(NumericalBreakdown,
                        match="^certificate master LP: iteration limit"):
         cert.find_certificate_general(_near_boundary_system(2))
+
+
+# Reference copies: the cutting-plane search with `eigen_sym`,
+# `Tableau.add_row`, `Tableau.dual_simplex` and `linprog._pivot` as they
+# were before each iteration was made leaner.  The search under test must
+# give the same bits and make the same calls.
+
+def reference_eigen_sym(A):
+    A = np.array(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise DimensionMismatch(
+            f"matrix must be square and nonempty, got shape {A.shape}")
+    scale = 1.0 + np.max(np.abs(A))
+    if not np.isfinite(scale):
+        raise NumericalBreakdown("matrix has a non-finite entry")
+    asym = np.max(np.abs(A - A.T))
+    if asym > 1e-10 * scale:
+        raise DimensionMismatch(
+            f"matrix is not symmetric: max asymmetry {asym:.3e}"
+        )
+    try:
+        return SymmetricEigen(*np.linalg.eigh((A + A.T) / 2.0))
+    except np.linalg.LinAlgError as exc:
+        raise NotConverged(f"symmetric eigensolver failed: {exc}") from None
+
+
+def reference_min_eigenvalue(A):
+    _REFERENCE_CALLS["eigen_sym"] += 1
+    decomp = reference_eigen_sym(A)
+    return float(decomp.eigenvalues[0]), decomp.eigenvectors[:, 0].copy()
+
+
+def reference_pivot(T, basis, row, col):
+    piv = T[row, col]
+    if abs(piv) < linprog._PIVOT_MIN:
+        raise NumericalBreakdown(
+            f"pivot {piv:.3e} below {linprog._PIVOT_MIN:.0e}; rescale the input"
+        )
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T[row, :] /= piv
+    T -= np.outer(factors, T[row, :])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis[row] = col
+
+
+class ReferenceTableau(Tableau):
+    def add_row(self, a, b):
+        if self.m == self.buf.shape[0]:
+            if self.m == self.max_rows:
+                raise DimensionMismatch(
+                    f"tableau holds at most {self.max_rows} rows")
+            self._grow(min(2 * self.m, self.max_rows))
+        a = np.asarray(a, dtype=float)
+        norm = np.abs(a).max(initial=0.0)
+        scale = norm if norm > 0.0 else 1.0
+        used = 2 + self.n + self.m        # the new slack is the last column
+        row = self.buf[self.m, :used]
+        row[0] = b / scale
+        row[1:self.n + 1] = a / scale
+        row[-1] = 1.0
+        # only basic x columns can be nonzero in the raw row
+        basics = (self.basis[:self.m] <= self.n).nonzero()[0]
+        if basics.size:
+            cols = self.basis[basics]
+            row -= row[cols] @ self.buf[basics, :used]
+            row[cols] = 0.0
+        self.basis[self.m] = used - 1
+        self.scales[self.m] = scale
+        self.m += 1
+        return self.m - 1
+
+    def pivot(self, row, j):
+        reference_pivot(self._tableau(), self.basis, row, j + 1)
+
+    def dual_simplex(self):
+        _REFERENCE_CALLS["dual_simplex"] += 1
+        T = self._tableau()
+        basis = self.basis[:self.m]
+        costs = self.costs[:T.shape[1]]
+        for _ in range(linprog._MAX_ITERS):
+            short = ((T[:, 0] < -1e-9) & ~self.is_free[basis]).nonzero()[0]
+            if not short.size:
+                return OPTIMAL
+            leave = short[np.argmin(basis[short])]
+            cand = (T[leave, 1:] < -1e-9).nonzero()[0] + 1
+            if not cand.size:
+                return linprog.INFEASIBLE
+            reduced = costs[cand] - costs[basis] @ T[:, cand]
+            ratios = np.maximum(reduced, 0.0) / -T[leave, cand]
+            enter = cand[(ratios <= ratios.min() + 1e-12).argmax()]
+            reference_pivot(T, basis, leave, enter)
+        return linprog.ITERATION_LIMIT
+
+
+def reference_find_certificate_general(system, iters=2000, seed=0,
+                                       tol=PSD_RTOL):
+    if not system.is_quadratic:
+        raise DimensionMismatch("cutting-plane search needs an all-quadratic system")
+    if system.p < 1:
+        raise DimensionMismatch("cutting-plane search needs p >= 1")
+    p = system.p
+    M0 = bordered_matrix(system.f0)
+    borders = [bordered_matrix(f) for f in system.constraints]
+    bound_scale = 1.0 + np.max(np.abs(M0)) + \
+        cert.ALPHA_MAX * sum(np.max(np.abs(B)) for B in borders)
+    # variables (alpha, t), t free: maximize t under alpha_i <= ALPHA_MAX
+    # and the cuts
+    master = ReferenceTableau(np.concatenate([np.zeros(p), [-1.0]]),
+                              free=[p], max_rows=p + iters)
+    for i in range(p):
+        master.add_row(np.eye(p + 1)[i], cert.ALPHA_MAX)
+    # cut k: g(a) <= lams[k] + slopes[k].(a - points[k])
+    lams = np.empty(iters)
+    slopes = np.empty((iters, p))
+    points = np.empty((iters, p))
+    alpha = np.zeros(p)
+    best = None
+    upper_bound = None
+    outcome = ""
+    for k in range(iters):
+        M = cert._combine(M0, borders, alpha)
+        lam, v = reference_min_eigenvalue(M)
+        if best is None or lam > best.lambda_min:
+            best = cert.check_multipliers(system, alpha, tol,
+                                          eigenpair=(M, lam, v))
+            if p > 1 and best.valid:
+                break
+        s = np.array([-(v @ B @ v) for B in borders])
+        lams[k], slopes[k], points[k] = lam, s, alpha
+        # t - s.a <= lam - s.alpha
+        row = master.add_row(np.concatenate([-s, [1.0]]), lam - s @ alpha)
+        if row == p:
+            # the first cut's optimum: t on the cut, alpha_i = ALPHA_MAX
+            # where s_i > 0 and 0 elsewhere
+            for i in np.flatnonzero(s > 0):
+                master.pivot(i, i)
+            master.pivot(row, p)
+        status = master.dual_simplex()
+        if status != OPTIMAL:
+            raise NumericalBreakdown(f"certificate master LP: {status}")
+        y = master.solution()
+        alpha = np.clip(y[:p], 0.0, cert.ALPHA_MAX)
+        # the tableau's t cancels terms as large as ALPHA_MAX * |s|, which
+        # can leave it ulps under the best lambda_min; a cut evaluated at
+        # its own point gives back its lam exactly
+        upper_bound = float(np.min(lams[:k + 1] + np.einsum(
+            "ij,ij->i", slopes[:k + 1], alpha - points[:k + 1])))
+        if upper_bound < -tol * bound_scale:
+            outcome = cert.NO_CERTIFICATE
+            break
+        if upper_bound - best.lambda_min <= -best.threshold:
+            break
+        if best.valid and best.lambda_min >= cert.P1_NEAR_MAX * upper_bound:
+            break       # p = 1 only: a passing p >= 2 iterate broke above
+    return cert.SearchResult(check=best, upper_bound=upper_bound,
+                             outcome=outcome)
+
+
+_REFERENCE_CALLS = Counter()
+
+
+def _raw(v):
+    return None if v is None else (np.asarray(v).dtype.str,
+                                   np.asarray(v).tobytes())
+
+
+def _search_record(res):
+    check = res.check
+    return (_raw(res.best_alpha), _raw(res.best_lambda_min),
+            _raw(res.upper_bound), res.outcome, check.label,
+            _raw(check.threshold), check.valid, _raw(check.violating_x),
+            _raw(check.direction))
+
+
+def _constructed_certificate_system(rng, p, n):
+    """f0 = sum alpha_i f_i + s with s globally positive."""
+    cons = tuple(random_quadratic(rng, n) for _ in range(p))
+    alpha = np.array(rng.uniforms(p, 0.0, 1.0))
+    slack = random_psd_quadratic(rng, n, margin=0.5)
+    return FunctionSystem(n, QuadraticFunction(
+        slack.Q + sum(a * f.Q for a, f in zip(alpha, cons)),
+        slack.c + sum(a * f.c for a, f in zip(alpha, cons)),
+        slack.d + sum(a * f.d for a, f in zip(alpha, cons))), cons)
+
+
+def _reference_systems():
+    rng = SplitMix64(3535)
+    for p in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4):
+            for _ in range(8):
+                yield f"random p={p} n={n}", FunctionSystem(
+                    n, random_quadratic(rng, n),
+                    tuple(random_quadratic(rng, n) for _ in range(p)))
+            yield f"constructed p={p} n={n}", \
+                _constructed_certificate_system(rng, p, n)
+            if p > 1:
+                for _ in range(3):
+                    yield f"no certificate p={p} n={n}", \
+                        _no_certificate_system(rng, p, n)
+    for p in (1, 2, 3, 4):
+        for eps in (1e-6, 1e-3, -1e-3):
+            yield f"near boundary p={p} eps={eps}", \
+                _near_boundary_system(p, eps)
+    for path in sorted(CORPUS.glob("*.json")):
+        if path.name == "expected_verdicts.json":
+            continue
+        system = load_problem(path).system()
+        if system.is_quadratic and system.p >= 1:
+            yield path.name, system
+
+
+def test_search_matches_the_reference_copies_bit_for_bit(monkeypatch):
+    # every iterate's eigen_sym, add_row, dual_simplex and pivot were made
+    # leaner without changing a floating-point operation: the search gives
+    # the same bits and makes the same eigen and master calls
+    calls = Counter()
+    eigen_sym, dual_simplex = quadratic.eigen_sym, Tableau.dual_simplex
+
+    def counted_eigen_sym(A):
+        calls["eigen_sym"] += 1
+        return eigen_sym(A)
+
+    def counted_dual_simplex(self):
+        calls["dual_simplex"] += 1
+        return dual_simplex(self)
+
+    monkeypatch.setattr(quadratic, "eigen_sym", counted_eigen_sym)
+    monkeypatch.setattr(Tableau, "dual_simplex", counted_dual_simplex)
+    searched, corpus, found, absent = 0, 0, 0, 0
+    for name, system in _reference_systems():
+        iters = 200 if system.p == 1 else 2000
+        _REFERENCE_CALLS.clear()
+        calls.clear()
+        reference = reference_find_certificate_general(system, iters=iters)
+        res = cert.find_certificate_general(system, iters=iters)
+        assert _search_record(res) == _search_record(reference), name
+        assert calls == _REFERENCE_CALLS, name
+        searched += 1
+        corpus += name.endswith(".json")
+        found += res.found
+        absent += res.outcome == cert.NO_CERTIFICATE
+    assert searched >= 200 and corpus >= 9
+    assert found >= 40 and absent >= 100

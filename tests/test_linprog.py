@@ -240,6 +240,18 @@ def test_dual_simplex_on_appended_rows_matches_vertex_enumeration():
     assert optimal > 500 and infeasible > 20
 
 
+def test_dual_simplex_never_lets_a_free_basic_column_leave():
+    # x0 free at zero cost enters on the first row; the pivot on the
+    # second row drives it to -3 within the same call, and its row must
+    # not be taken for an infeasible one
+    tab = Tableau([0.0, 1.0], free=[0])
+    tab.add_row([-1.0, -1.0], -1.0)
+    tab.add_row([1.0, 0.0], -3.0)
+    assert tab.dual_simplex() == OPTIMAL
+    assert tab.basis[:2].tolist() == [1, 2]
+    assert tab.solution().tolist() == [-3.0, 4.0]
+
+
 def test_tableau_row_cap():
     tab = Tableau([1.0], max_rows=2)
     tab.add_row([1.0], 1.0)
