@@ -52,8 +52,11 @@ def _check_alpha(system, alpha):
     return _multipliers(alpha)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def combined_matrix(system, alpha):
-    """M(alpha) = M0 - sum_i alpha_i M_i over the bordered matrices."""
+    """M(alpha) = M0 - sum_i alpha_i M_i over the bordered matrices; an
+    entry that overflows is inf or NaN, with no warning, and eigen_sym
+    rejects it."""
     return _combine(bordered_matrix(system.f0),
                     [bordered_matrix(f) for f in system.constraints], alpha)
 
@@ -164,16 +167,19 @@ class SearchResult:
         return self.check is not None and self.check.valid
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL):
     """Kelley's cutting-plane maximization of the concave g(alpha) =
     lambda_min(M(alpha)) over the box [0, ALPHA_MAX]^p.
 
-    Each iterate costs one eigen decomposition, and its eigenpair (lam, v)
+    Each iterate costs one eigen_sym call, and its eigenpair (lam, v)
     gives the cut g(a) <= lam + s.(a - alpha) with s_i = -v^T M_i v.  The
     next iterate maximizes the cuts' minimum over the box, the master LP in
     (alpha, t).  One linprog.Tableau holds it for the whole search: the
     first cut's optimal basis is set in closed form, and each later cut is
-    one appended row that the dual simplex re-optimizes.  The cuts' minimum
+    one `add_row` that one `dual_simplex` call re-optimizes, usually in one
+    pivot.  The cuts' slopes, points and values are kept in preallocated
+    tables, and one cut row is refilled in place.  The cuts' minimum
     at the new iterate, evaluated from the cuts rather than read from the
     tableau, is the LP value and an upper bound on max g.  The search
     stops at a certificate, at an upper bound below -tol * S with
@@ -186,7 +192,10 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL):
     Each improving iterate is checked by check_multipliers on the eigenpair
     already computed, and the result carries the best iterate's check.
     A master LP that the dual simplex cannot re-optimize raises
-    NumericalBreakdown.  `seed` is accepted for interface stability; the
+    NumericalBreakdown, and so does eigen_sym on an M(alpha) that
+    overflowed: the search computes with numpy's overflow and invalid
+    warnings off, so such a value reaches eigen_sym as inf or NaN.
+    `seed` is accepted for interface stability; the
     search is deterministic."""
     if not system.is_quadratic:
         raise DimensionMismatch("cutting-plane search needs an all-quadratic system")

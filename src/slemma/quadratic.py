@@ -16,6 +16,7 @@ from .errors import DimensionMismatch, NotConverged, NumericalBreakdown
 
 _SYMMETRY_BAND = 1e-12
 _ACCEPT_BAND = 1e-10
+_HALF_MAX = np.finfo(float).max / 2     # A + A.T is finite below it
 
 # Default relative tolerance of the PSD test (certificate.check_multipliers).
 PSD_RTOL = 1e-9
@@ -120,16 +121,21 @@ def eigen_sym(A):
 
     The input must be a nonempty square matrix, symmetric within a
     relative band; it is read in place, not copied, and (A + A.T) / 2 is
-    what LAPACK solves.  A non-finite entry raises NumericalBreakdown
-    before LAPACK sees it, and a LAPACK failure raises NotConverged.
+    what LAPACK solves.  An entry that is not finite, or above half the
+    largest double, where A + A.T could overflow, raises
+    NumericalBreakdown before LAPACK is called; a LAPACK failure raises
+    NotConverged.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
         raise DimensionMismatch(
             f"matrix must be square and nonempty, got shape {A.shape}")
-    scale = 1.0 + abs(A).max()
-    if not math.isfinite(scale):
-        raise NumericalBreakdown("matrix has a non-finite entry")
+    big = abs(A).max()
+    if not big <= _HALF_MAX:
+        raise NumericalBreakdown(
+            f"matrix entry {big:.3e} would overflow A + A.T"
+            if math.isfinite(big) else "matrix has a non-finite entry")
+    scale = 1.0 + big
     asym = abs(A - A.T).max()
     if asym > _ACCEPT_BAND * scale:
         raise DimensionMismatch(

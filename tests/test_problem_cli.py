@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,35 @@ def test_classify_report_names_a_stage_failure(tmp_path):
     assert "verdict: Undetermined\n" in out
     assert "geometry:\n  status: skipped (stage failure)\n" in out
     assert "  - stage failure: more than half of the sampled points" in out
+
+
+_OVERFLOWING = {"n": 1, "p": 1, "functions": [
+    {"quadratic": {"Q": [2.0], "c": [0.0], "d": 1.0}},
+    {"quadratic": {"Q": [-2e305], "c": [0.0], "d": 1e305}}]}
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (("verify", "slater_fail.json", "--alpha", "6e307"),
+     "matrix entry 1.200e+308 would overflow A + A.T"),
+    (("verify", "slater_fail.json", "--alpha", "1e308"),
+     "matrix has a non-finite entry"),
+    (("classify", "overflowing.json"),
+     "pivot 5.000e-306 below 1e-11; rescale the input")],
+    ids=["verify-6e307", "verify-1e308", "classify"])
+def test_overflow_is_a_numerical_failure_without_a_warning(argv, shown,
+                                                          tmp_path):
+    # 6e307 * M_1 is finite, and its A + A.T used to give NaN eigenpairs
+    # and exit 0; 1e308 * M_1 and the search's scale for d = 1e305 used to
+    # print numpy's overflow warning before the failure
+    (tmp_path / "overflowing.json").write_text(json.dumps(_OVERFLOWING))
+    (tmp_path / "slater_fail.json").write_text(
+        (CORPUS / "slater_fail.json").read_text())
+    command, name, *flags = argv
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(command, str(tmp_path / name), *flags)
+    assert [str(w.message) for w in caught] == []
+    assert (code, out, err) == (3, "", f"numerical failure: {shown}\n")
 
 
 def test_cli_counterexample():

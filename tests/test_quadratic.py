@@ -117,6 +117,26 @@ def test_eigen_non_finite_entry_breaks_down_before_lapack(bad, monkeypatch):
         eigen_sym(A)
 
 
+@pytest.mark.parametrize("big", [9e307, -1.7976931348623157e308])
+def test_eigen_entry_that_overflows_a_plus_a_t_breaks_down(big, monkeypatch):
+    # finite, but A + A.T overflows: NumericalBreakdown, not NaN eigenpairs
+    def lapack(_):
+        raise AssertionError("LAPACK was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", lapack)
+    A = np.eye(3)
+    A[0, 1] = A[1, 0] = big
+    with pytest.raises(NumericalBreakdown, match="would overflow A \\+ A.T"):
+        eigen_sym(A)
+
+
+def test_eigen_entries_at_half_the_largest_double_pass():
+    half = np.finfo(float).max / 2
+    dec = eigen_sym(np.array([[half, 0.0], [0.0, -half]]))
+    assert dec.eigenvalues.tolist() == pytest.approx([-half, half],
+                                                     rel=1e-15)
+
+
 @pytest.mark.parametrize("bad", [5.0, np.zeros((0, 0)), np.zeros(3),
                                  np.zeros((2, 3)), np.zeros((2, 2, 2))],
                          ids=["scalar", "empty", "vector", "2x3", "2x2x2"])
