@@ -116,8 +116,9 @@ def _pivot(T, basis, row, col):
         )
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T[row] /= piv
-    T -= factors[:, None] * T[row]
+    pivot_row = T[row]
+    pivot_row /= piv
+    T -= factors[:, None] * pivot_row
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
@@ -266,7 +267,7 @@ class Tableau:
             if not cand.size:
                 return INFEASIBLE
             reduced = costs[cand] - costs[basis] @ T[:, cand]
-            ratios = np.maximum(reduced, 0.0) / -T[leave, cand]
+            ratios = np.maximum(reduced, 0.0, out=reduced) / -T[leave, cand]
             enter = cand[(ratios <= ratios.min() + 1e-12).argmax()]
             _pivot(T, basis, leave, enter)
             bounded[leave] = not self.is_free[enter]
