@@ -451,20 +451,23 @@ def test_cutting_plane_proves_absence(monkeypatch):
             assert calls[0] <= 50, (p, n, calls[0])
 
 
+def _constructed_certificate_system(rng, p, n):
+    """f0 = sum alpha_i f_i + s with s globally positive."""
+    cons = tuple(random_quadratic(rng, n) for _ in range(p))
+    alpha = np.array(rng.uniforms(p, 0.0, 1.0))
+    slack = random_psd_quadratic(rng, n, margin=0.5)
+    return FunctionSystem(n, QuadraticFunction(
+        slack.Q + sum(a * f.Q for a, f in zip(alpha, cons)),
+        slack.c + sum(a * f.c for a, f in zip(alpha, cons)),
+        slack.d + sum(a * f.d for a, f in zip(alpha, cons))), cons)
+
+
 def test_cutting_plane_finds_constructed_certificates():
-    # f0 = sum alpha_i f_i + s with s globally positive
     rng = SplitMix64(515)
     for i in range(24):
         p = 2 + i % 3
         n = 1 + int(rng.randint(4))
-        cons = tuple(random_quadratic(rng, n) for _ in range(p))
-        alpha = np.array(rng.uniforms(p, 0.0, 1.0))
-        slack = random_psd_quadratic(rng, n, margin=0.5)
-        f0 = QuadraticFunction(
-            slack.Q + sum(a * f.Q for a, f in zip(alpha, cons)),
-            slack.c + sum(a * f.c for a, f in zip(alpha, cons)),
-            slack.d + sum(a * f.d for a, f in zip(alpha, cons)))
-        system = FunctionSystem(n, f0, cons)
+        system = _constructed_certificate_system(rng, p, n)
         res = cert.find_certificate_general(system)
         assert res.found, i
         found = res.certificate.alpha
@@ -579,7 +582,7 @@ def reference_eigen_sym(A):
     if not np.isfinite(scale):
         raise NumericalBreakdown("matrix has a non-finite entry")
     asym = np.max(np.abs(A - A.T))
-    if asym > 1e-10 * scale:
+    if asym > quadratic._ACCEPT_BAND * scale:
         raise DimensionMismatch(
             f"matrix is not symmetric: max asymmetry {asym:.3e}"
         )
@@ -645,11 +648,12 @@ class ReferenceTableau(Tableau):
         basis = self.basis[:self.m]
         costs = self.costs[:T.shape[1]]
         for _ in range(linprog._MAX_ITERS):
-            short = ((T[:, 0] < -1e-9) & ~self.is_free[basis]).nonzero()[0]
+            short = ((T[:, 0] < -linprog._TOL)
+                     & ~self.is_free[basis]).nonzero()[0]
             if not short.size:
                 return OPTIMAL
             leave = short[np.argmin(basis[short])]
-            cand = (T[leave, 1:] < -1e-9).nonzero()[0] + 1
+            cand = (T[leave, 1:] < -linprog._TOL).nonzero()[0] + 1
             if not cand.size:
                 return linprog.INFEASIBLE
             reduced = costs[cand] - costs[basis] @ T[:, cand]
@@ -737,17 +741,6 @@ def _search_record(res):
             _raw(res.upper_bound), res.outcome, check.label,
             _raw(check.threshold), check.valid, _raw(check.violating_x),
             _raw(check.direction))
-
-
-def _constructed_certificate_system(rng, p, n):
-    """f0 = sum alpha_i f_i + s with s globally positive."""
-    cons = tuple(random_quadratic(rng, n) for _ in range(p))
-    alpha = np.array(rng.uniforms(p, 0.0, 1.0))
-    slack = random_psd_quadratic(rng, n, margin=0.5)
-    return FunctionSystem(n, QuadraticFunction(
-        slack.Q + sum(a * f.Q for a, f in zip(alpha, cons)),
-        slack.c + sum(a * f.c for a, f in zip(alpha, cons)),
-        slack.d + sum(a * f.d for a, f in zip(alpha, cons))), cons)
 
 
 def _reference_systems():
