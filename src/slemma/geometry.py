@@ -245,7 +245,8 @@ def _residuals(system, X, M, mode, jacobians=False):
         Z, J = system.values_and_gradients(X)
         Z[:, 1:] *= -1.0
         J[:, 1:] *= -1.0
-    Z = np.where(np.isfinite(Z), Z, np.inf)
+    if not all_finite(Z):
+        Z = np.where(np.isfinite(Z), Z, np.inf)
     R = Z - M
     if mode == "epi":
         R = np.maximum(R, 0.0)

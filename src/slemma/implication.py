@@ -60,6 +60,8 @@ def slater_loss(system):
         vals, grads = system.values_and_gradients(X, first=1)
         if not all_finite(vals):
             vals = np.where(np.isfinite(vals), vals, -np.inf)
+        if vals.shape[1] == 1:
+            return -vals[:, 0], -grads[:, 0]
         rows, least = np.arange(X.shape[0]), np.argmin(vals, axis=1)
         return -vals[rows, least], -grads[rows, least]
 
@@ -69,9 +71,15 @@ def slater_loss(system):
 def slater_margin(vals):
     """min_i f_i on each row of values_batch(X)[:, 1:], reading -inf
     where a constraint is not finite, +inf without one: the Slater test is
-    margin > 1e-9.  Read a column at a time, folded in column order."""
-    margin = np.full(vals.shape[0], np.inf)
-    for col in vals.T:
+    margin > 1e-9.  Read a column at a time: the first cleaned column is
+    folded with the others by binary np.minimum in column order, as a
+    fold from +inf would be, bit for bit (np.min over a row can differ in
+    the sign of a zero with numpy's SIMD dispatch)."""
+    if not vals.shape[1]:
+        return np.full(vals.shape[0], np.inf)
+    first, *rest = vals.T
+    margin = np.where(np.isfinite(first), first, -np.inf)
+    for col in rest:
         np.minimum(margin, np.where(np.isfinite(col), col, -np.inf),
                    out=margin)
     return margin
@@ -89,22 +97,28 @@ def box_sample(system, radius, samples, seed):
 def check_slater(system, X, vals, radius):
     """Point with every constraint strictly positive (min f_i > 1e-9).
 
-    The `box_sample` (X, vals) is ranked by `slater_margin`, and its 10
-    best rows are kept.  Unless the top one clears 1e-9 (a descent would
-    only raise its margin), a 60-step descent of `slater_loss` replaces
-    them with its points, whose margin is minus their loss.  The Slater
-    point is the first kept row whose margin clears 1e-9; without one, the
-    best margin is reported.  p = 0 is vacuously Slater at the origin."""
+    The `box_sample` (X, vals) is read by `slater_margin`.  When its best
+    row, the first of greatest margin, clears 1e-9, that row is the Slater
+    point (a descent would only raise its margin).  Otherwise its 10 best
+    rows, ranked by margin with ties in row order, start a 60-step descent
+    of `slater_loss`, whose points have minus their loss as margin; the
+    Slater point is the first of them whose margin clears 1e-9, and
+    without one the best margin is reported.  p = 0 is vacuously Slater
+    at the origin."""
     if system.p == 0:
         return SlaterResult(status=SLATER_POINT, x0=np.zeros(system.n),
                             min_constraint_value=np.inf)
 
     margin = slater_margin(vals[:, 1:])
-    top = smallest(-margin, 10)
-    X, margin = X[top], margin[top]
-    if not (margin.size and margin[0] > _SLATER_MIN):
-        X, loss = descend(slater_loss(system), X, steps=60, box_radius=radius)
-        margin = -loss
+    if margin.size:
+        i = int(np.argmax(margin))
+        if margin[i] > _SLATER_MIN:
+            # a copy: X may be the memoized sample
+            return SlaterResult(status=SLATER_POINT, x0=X[i].copy(),
+                                min_constraint_value=float(margin[i]))
+    X, loss = descend(slater_loss(system), X[smallest(-margin, 10)],
+                      steps=60, box_radius=radius)
+    margin = -loss
     passing = np.flatnonzero(margin > _SLATER_MIN)
     if passing.size:
         i = passing[0]

@@ -16,7 +16,8 @@ from .errors import DimensionMismatch, NotConverged, NumericalBreakdown
 
 _SYMMETRY_BAND = 1e-12
 _ACCEPT_BAND = 1e-10
-_HALF_MAX = np.finfo(float).max / 2     # A + A.T is finite below it
+_MAX = np.finfo(float).max
+_HALF_MAX = _MAX / 2                    # A + A.T is finite below it
 
 # Default relative tolerance of the PSD test (certificate.check_multipliers).
 PSD_RTOL = 1e-9
@@ -121,20 +122,26 @@ def eigen_sym(A):
 
     The input must be a nonempty square matrix, symmetric within a
     relative band; it is read in place, not copied, and (A + A.T) / 2 is
-    what LAPACK solves.  An entry that is not finite, or above half the
-    largest double, where A + A.T could overflow, raises
-    NumericalBreakdown before LAPACK is called; a LAPACK failure raises
-    NotConverged.
+    what LAPACK solves.  An entry that is not finite, or whose magnitude
+    times max(2, n) exceeds the largest double, raises NumericalBreakdown
+    before LAPACK is called: above half the largest double A + A.T could
+    overflow, and an n x n matrix's eigenvalues reach n max|A|.  LAPACK's
+    rounding can still carry an extreme eigenvalue just under that bound
+    past the largest double, which raises NumericalBreakdown too.  A
+    LAPACK failure raises NotConverged.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
         raise DimensionMismatch(
             f"matrix must be square and nonempty, got shape {A.shape}")
-    big = abs(A).max()
-    if not big <= _HALF_MAX:
+    n, big = A.shape[0], float(abs(A).max())
+    if not big * max(2, n) <= _MAX:
         raise NumericalBreakdown(
-            f"matrix entry {big:.3e} would overflow A + A.T"
-            if math.isfinite(big) else "matrix has a non-finite entry")
+            "matrix has a non-finite entry" if not math.isfinite(big)
+            else f"matrix entry {big:.3e} would overflow A + A.T"
+            if big > _HALF_MAX
+            else f"matrix entry {big:.3e} times n = {n} could overflow an "
+                 "eigenvalue")
     scale = 1.0 + big
     asym = abs(A - A.T).max()
     if asym > _ACCEPT_BAND * scale:
@@ -144,9 +151,13 @@ def eigen_sym(A):
     S = A + A.T
     S /= 2.0
     try:
-        return SymmetricEigen(*np.linalg.eigh(S))
+        lam, vecs = np.linalg.eigh(S)
     except np.linalg.LinAlgError as exc:
         raise NotConverged(f"symmetric eigensolver failed: {exc}") from None
+    if not (math.isfinite(lam[0]) and math.isfinite(lam[-1])):
+        raise NumericalBreakdown(
+            f"an eigenvalue overflowed, with matrix entries up to {big:.3e}")
+    return SymmetricEigen(lam, vecs)
 
 
 def min_eigenvalue(A):

@@ -14,11 +14,15 @@ and gradients (`FunctionSystem.values_and_gradients`), so a descent step
 evaluates the m trial rows and nothing else.  Non-finite values are
 treated as +inf (the point is out of domain), non-finite gradient entries
 as 0, and no row may depend on the other rows of the batch.  The descent
-stops early once every later iteration would repeat the last one bit for
-bit, so its result is the one the full step budget gives; a grouped
-descent with a `goal` (the membership searches') also retires each group
-as soon as one of its rows reaches the goal, and only such a group's
-result differs from the full budget's.
+reads a loss's arrays without copying them and never writes into them:
+it copies only its initial pair, which it updates in place, and is done
+with a trial's pair before the next call, so a loss may hand back the
+same buffers on every call.  The descent stops early once every later
+iteration would repeat the last one bit for bit, so its result is the
+one the full step budget gives; a grouped descent with a `goal` (the
+membership searches') also retires each group as soon as one of its rows
+reaches the goal, and only such a group's result differs from the full
+budget's.
 """
 
 from collections import OrderedDict
@@ -99,12 +103,11 @@ def fd_gradient(loss, X, groups=None):
     once per loss evaluation."""
     extra = () if groups is None else (groups,)
     vals, grad = loss(X, *extra)
-    # copies: the descent updates both in place
-    vals, grad = np.array(vals, dtype=float), np.array(grad, dtype=float)
+    # finite arrays come back as the loss's own; cleaned ones are new
     if not all_finite(vals):
-        vals[~np.isfinite(vals)] = np.inf
+        vals = np.where(np.isfinite(vals), vals, np.inf)
     if not all_finite(grad):
-        grad[~np.isfinite(grad)] = 0.0
+        grad = np.where(np.isfinite(grad), grad, 0.0)
     return vals, grad
 
 
@@ -152,6 +155,8 @@ def descend(loss, X0, steps=60, initial_step=0.1, box_radius=None,
     if box_radius is not None:
         X.clip(-box_radius, box_radius, out=X)
     best, grad = fd_gradient(loss, X, groups)
+    # the loop updates this pair in place, and a loss may reuse its arrays
+    best, grad = np.array(best, dtype=float), np.array(grad, dtype=float)
     step = np.full(X.shape[0], float(initial_step))
     # with a goal, the result's arrays and the live rows' places in them
     all_X, all_best, all_groups = X, best, groups

@@ -1,7 +1,9 @@
 """The memoized box draw (`search.box_points`) equals a fresh splitmix64
 draw bit for bit, is read-only and never leaks into a result; the
 sample's column-wise tests (`witness_f0`, `slater_margin`) equal their
-former row-reduction formulas byte for byte."""
+former formulas byte for byte, and `check_slater`, which sorts its best
+rows only when it descends, equals its former version that always
+sorted them."""
 
 from collections import OrderedDict
 from itertools import product
@@ -9,9 +11,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import random_p1_system
+from conftest import p2to4_system, p3_system, random_p1_system
 from slemma import implication, search
-from slemma.implication import (box_sample, check_slater, classify_instance,
+from slemma.implication import (NOT_FOUND, SLATER_POINT, SlaterResult,
+                                box_sample, check_slater, classify_instance,
                                 find_counterexample)
 from slemma.quadratic import QuadraticFunction
 from slemma.rng import SplitMix64, derive_seed
@@ -107,6 +110,17 @@ def _slater_margin_before(vals):
     return np.min(np.where(np.isfinite(vals), vals, -np.inf), axis=1)
 
 
+def _slater_margin_fold(vals):
+    """The documented fold: binary np.minimum from +inf over the cleaned
+    columns in order.  np.min over a row gives the same values, but may
+    differ in the sign of a zero with numpy's SIMD dispatch."""
+    margin = np.full(vals.shape[0], np.inf)
+    for col in vals.T:
+        np.minimum(margin, np.where(np.isfinite(col), col, -np.inf),
+                   out=margin)
+    return margin
+
+
 _EDGE = np.array([
     np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-9, np.nextafter(-1e-9, 0.0),
     np.nextafter(-1e-9, -1.0), 1e-9, -1.0, 2.5, 5e-324, -5e-324])
@@ -126,8 +140,10 @@ def test_column_reads_equal_the_former_row_reductions(p):
             assert (implication.witness_f0(arr).tobytes()
                     == _witness_f0_before(arr).tobytes())
             if p:
-                assert (implication.slater_margin(arr[:, 1:]).tobytes()
-                        == _slater_margin_before(arr[:, 1:]).tobytes())
+                margin = implication.slater_margin(arr[:, 1:])
+                assert (margin.tobytes()
+                        == _slater_margin_fold(arr[:, 1:]).tobytes())
+                assert (margin == _slater_margin_before(arr[:, 1:])).all()
 
 
 def test_slater_margin_without_constraints_is_vacuous():
@@ -135,3 +151,104 @@ def test_slater_margin_without_constraints_is_vacuous():
     for m in (0, 3):
         margin = implication.slater_margin(np.zeros((m, 0)))
         assert margin.tolist() == [np.inf] * m
+
+
+def _slater_loss_before(system):
+    def loss(X):
+        vals, grads = system.values_and_gradients(X, first=1)
+        if not search.all_finite(vals):
+            vals = np.where(np.isfinite(vals), vals, -np.inf)
+        rows, least = np.arange(X.shape[0]), np.argmin(vals, axis=1)
+        return -vals[rows, least], -grads[rows, least]
+
+    return loss
+
+
+def _check_slater_before(system, X, vals, radius):
+    """check_slater as it was: the 10 best rows always sorted, the
+    sample's Slater point read off the top of them."""
+    if system.p == 0:
+        return SlaterResult(status=SLATER_POINT, x0=np.zeros(system.n),
+                            min_constraint_value=np.inf)
+
+    margin = _slater_margin_fold(vals[:, 1:])
+    top = search.smallest(-margin, 10)
+    X, margin = X[top], margin[top]
+    if not (margin.size and margin[0] > implication._SLATER_MIN):
+        X, loss = search.descend(_slater_loss_before(system), X, steps=60,
+                                 box_radius=radius)
+        margin = -loss
+    passing = np.flatnonzero(margin > implication._SLATER_MIN)
+    if passing.size:
+        i = passing[0]
+        return SlaterResult(status=SLATER_POINT, x0=X[i],
+                            min_constraint_value=float(margin[i]))
+    best = float(np.max(margin, initial=-np.inf))
+    return SlaterResult(status=NOT_FOUND, min_constraint_value=best)
+
+
+def _assert_same_slater(system, X, vals, radius):
+    got = check_slater(system, X, vals, radius)
+    want = _check_slater_before(system, X, vals, radius)
+    assert got.status == want.status
+    assert (np.float64(got.min_constraint_value).tobytes()
+            == np.float64(want.min_constraint_value).tobytes())
+    if want.x0 is None:
+        assert got.x0 is None
+    else:
+        assert got.x0.tobytes() == want.x0.tobytes()
+    return got
+
+
+# margins at and about the threshold, ties for the best and rows that read
+# -inf; column 0 is f0, which the check never reads
+_MARGINS = np.array([
+    np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 2.5, 1e-9,
+    np.nextafter(1e-9, 0.0), np.nextafter(1e-9, 1.0), 5e-324])
+
+
+def test_check_slater_equals_its_former_version_on_sampled_systems():
+    systems = ([FunctionSystem(n=1, f0=QuadraticFunction([[0.0]], [1.0], 0),
+                               constraints=(QuadraticFunction(
+                                   [[-2.0]], [0.0], 0),))]
+               + [random_p1_system(s) for s in range(12)]
+               + [p3_system(s) for s in range(4)]
+               + [p2to4_system(s) for s in range(4)]
+               + [FunctionSystem(n=2, f0=QuadraticFunction(
+                   np.eye(2), np.zeros(2), 0.0))])
+    statuses = set()
+    for system in systems:
+        for samples in (0, 1, 7, 512):
+            X, vals = box_sample(system, 10.0, samples, derive_seed(1, 2))
+            statuses.add(_assert_same_slater(system, X, vals, 10.0).status)
+    assert statuses == {SLATER_POINT, NOT_FOUND}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_check_slater_equals_its_former_version_at_the_edges(p):
+    system = p2to4_system(p) if p > 1 else random_p1_system(3)
+    system = FunctionSystem(system.n, system.f0, system.constraints[:p])
+    rng = np.random.default_rng(41 + p)
+    early = descended = 0
+    for m in (0, 1, 2, 3, 12, 40):
+        for trial in range(40):
+            X = SplitMix64(100 * m + trial).uniform_box(2.0, system.n, m)
+            vals = _MARGINS[rng.integers(0, _MARGINS.size, size=(m, p + 1))]
+            if trial % 4 == 1 and m:    # ties: the best margin twice or more
+                vals[rng.integers(0, m, size=2), 1:] = 2.5
+            elif trial % 4 == 2:        # a best margin of exactly 1e-9
+                vals[:, 1:] = np.minimum(vals[:, 1:], 1e-9)
+            _assert_same_slater(system, X, vals, 2.0)
+            best = _slater_margin_fold(vals[:, 1:]).max(initial=-np.inf)
+            early += best > implication._SLATER_MIN
+            descended += not best > implication._SLATER_MIN
+    assert early and descended
+
+
+def test_check_slater_is_vacuous_without_constraints():
+    system = FunctionSystem(n=2, f0=QuadraticFunction(np.eye(2), np.zeros(2),
+                                                      0.0))
+    for m in (0, 1, 5):
+        X = SplitMix64(m).uniform_box(1.0, 2, m)
+        got = _assert_same_slater(system, X, np.zeros((m, 1)), 1.0)
+        assert got.found and got.x0.tolist() == [0.0, 0.0]

@@ -401,17 +401,21 @@ _OVERFLOWING = {"n": 1, "p": 1, "functions": [
      "matrix entry 1.200e+308 would overflow A + A.T"),
     (("verify", "slater_fail.json", "--alpha", "1e308"),
      "matrix has a non-finite entry"),
+    (("verify", "example3_pair.json", "--alpha", "7e307"),
+     "matrix entry 7.000e+307 times n = 3 could overflow an eigenvalue"),
     (("classify", "overflowing.json"),
      "pivot 5.000e-306 below 1e-11; rescale the input")],
-    ids=["verify-6e307", "verify-1e308", "classify"])
+    ids=["verify-6e307", "verify-1e308", "verify-3x3-7e307", "classify"])
 def test_overflow_is_a_numerical_failure_without_a_warning(argv, shown,
                                                           tmp_path):
     # 6e307 * M_1 is finite, and its A + A.T used to give NaN eigenpairs
     # and exit 0; 1e308 * M_1 and the search's scale for d = 1e305 used to
-    # print numpy's overflow warning before the failure
+    # print numpy's overflow warning before the failure; the 3 x 3
+    # M(7e307) passes the A + A.T bound, but an eigenvalue could reach
+    # 3 * 7e307
     (tmp_path / "overflowing.json").write_text(json.dumps(_OVERFLOWING))
     command, name, *flags = argv
-    folder = CORPUS if name == "slater_fail.json" else tmp_path
+    folder = tmp_path if name == "overflowing.json" else CORPUS
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(command, str(folder / name), *flags)

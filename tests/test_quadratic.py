@@ -1,3 +1,4 @@
+import math
 from itertools import chain
 
 import numpy as np
@@ -128,6 +129,54 @@ def test_eigen_entry_that_overflows_a_plus_a_t_breaks_down(big, monkeypatch):
     A[0, 1] = A[1, 0] = big
     with pytest.raises(NumericalBreakdown, match="would overflow A \\+ A.T"):
         eigen_sym(A)
+
+
+def test_eigen_entry_times_n_past_the_largest_double_breaks_down(
+        monkeypatch):
+    # each entry is below half the largest double, but the eigenvalue
+    # 3 * 8e307 is not a double: NumericalBreakdown, not an infinite one
+    def lapack(_):
+        raise AssertionError("LAPACK was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", lapack)
+    with pytest.raises(NumericalBreakdown, match="times n = 3"):
+        eigen_sym(np.full((3, 3), 8e307))
+
+
+def _just_under_the_bound(n):
+    largest = float(np.finfo(float).max)
+    c = largest / n
+    while c * n > largest:
+        c = math.nextafter(c, 0.0)
+    return c
+
+
+def test_eigen_entries_just_under_the_bound_pass():
+    c = _just_under_the_bound(3)
+    lam = eigen_sym(np.full((3, 3), c)).eigenvalues
+    assert np.isfinite(lam).all()
+    assert lam[-1] == pytest.approx(3 * c, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_eigen_never_returns_an_infinite_eigenvalue(n):
+    # just under the bound, LAPACK's rounding may still carry the top
+    # eigenvalue past the largest double; that breaks down too
+    try:
+        lam = eigen_sym(np.full((n, n), _just_under_the_bound(n))).eigenvalues
+    except NumericalBreakdown as exc:
+        assert "overflowed" in str(exc)
+    else:
+        assert np.isfinite(lam).all()
+
+
+def test_eigen_overflowed_eigenvalue_breaks_down(monkeypatch):
+    def lapack(S):
+        return np.array([-1.0, np.inf]), np.eye(2)
+
+    monkeypatch.setattr(np.linalg, "eigh", lapack)
+    with pytest.raises(NumericalBreakdown, match="overflowed"):
+        eigen_sym(np.eye(2))
 
 
 def test_eigen_entries_at_half_the_largest_double_pass():

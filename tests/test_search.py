@@ -292,6 +292,14 @@ def test_one_call_per_iteration_on_the_search_losses(monkeypatch, p):
         _same_as_unstopped(loss, X0, **kwargs)
 
 
+def _member_descent(monkeypatch, system, M, mode):
+    runs = _spy_on_descents(monkeypatch, geometry)
+    geometry._member_search(system, M, 4, [1, 2, 3], mode)
+    monkeypatch.undo()
+    (run,) = runs
+    return run
+
+
 @pytest.mark.parametrize("p, n", [(1, 2), (2, 3), (1, 4), (3, 1)])
 def test_one_call_per_iteration_on_the_member_search(monkeypatch, p, n):
     # the grouped loss of the membership oracle, one group per target,
@@ -299,10 +307,7 @@ def test_one_call_per_iteration_on_the_member_search(monkeypatch, p, n):
     system = _random_system(40 + n, p, n)
     M = system.image_batch(SplitMix64(n).uniform_box(2.0, n, 3)) + 0.5
     for mode in ("epi", "identity"):
-        runs = _spy_on_descents(monkeypatch, geometry)
-        geometry._member_search(system, M, 4, [1, 2, 3], mode)
-        monkeypatch.undo()
-        (loss, X0, kwargs), = runs
+        loss, X0, kwargs = _member_descent(monkeypatch, system, M, mode)
         assert X0.shape[0] == 3 * 5
         _same_as_unstopped(loss, X0, **kwargs)
 
@@ -333,6 +338,55 @@ def test_one_call_per_iteration_out_of_domain(system):
 
         _same_as_unstopped(watched, X0, **kwargs)
     assert any(nonfinite)
+
+
+def _buffered(loss, X0):
+    """`loss` handing back the same two preallocated arrays on every call,
+    cut to the call's rows."""
+    vals_buf, grad_buf = np.empty(len(X0)), np.empty(np.shape(X0))
+
+    def buffered(X, *groups):
+        vals, grad = loss(X, *groups)
+        m = X.shape[0]
+        vals_buf[:m], grad_buf[:m] = vals, grad
+        return vals_buf[:m], grad_buf[:m]
+
+    return buffered
+
+
+def test_descent_reads_a_loss_that_reuses_its_arrays_alike(monkeypatch):
+    # the descent copies only its initial pair; a trial's pair is read
+    # before the next call, so buffers a loss refills give the same bytes
+    descents = [run for seed in range(3) for system in DOMAIN_SYSTEMS
+                for run in _search_descents(system, 2.0, 64, seed)]
+    for p, n in [(1, 2), (2, 3), (3, 1)]:
+        system = _random_system(40 + n, p, n)
+        descents += _search_descents(system, 10.0, 64, n)
+        M = system.image_batch(SplitMix64(n).uniform_box(2.0, n, 3)) + 0.5
+        descents += [_member_descent(monkeypatch, system, M, mode)
+                     for mode in ("epi", "identity")]
+    assert any("groups" in kwargs for _, _, kwargs in descents)
+    for loss, X0, kwargs in descents:
+        X, vals = search.descend(loss, X0, **kwargs)
+        X_buf, vals_buf = search.descend(_buffered(loss, X0), X0, **kwargs)
+        assert X_buf.tobytes() == X.tobytes()
+        assert vals_buf.tobytes() == vals.tobytes()
+
+
+def test_fd_gradient_never_writes_into_a_loss_output():
+    vals = np.array([1.0, np.nan, -np.inf])
+    grad = np.array([[np.nan, 1.0], [2.0, -np.inf], [0.0, -0.0]])
+    before = vals.tobytes(), grad.tobytes()
+    got_vals, got_grad = search.fd_gradient(lambda X: (vals, grad),
+                                            np.zeros((3, 2)))
+    assert (vals.tobytes(), grad.tobytes()) == before
+    assert got_vals.tolist() == [1.0, np.inf, np.inf]
+    assert got_grad.tobytes() == np.array(
+        [[0.0, 1.0], [2.0, 0.0], [0.0, -0.0]]).tobytes()
+    # finite arrays come back as the loss's own
+    finite = np.array([2.0]), np.array([[1.0, -1.0]])
+    assert all(a is b for a, b in zip(
+        search.fd_gradient(lambda X: finite, np.zeros((1, 2))), finite))
 
 
 def _slater_loss_before(system):
