@@ -208,9 +208,9 @@ _MARGINS = np.array([
 
 
 def test_check_slater_equals_its_former_version_on_sampled_systems():
-    systems = ([FunctionSystem(n=1, f0=QuadraticFunction([[0.0]], [1.0], 0),
+    systems = ([FunctionSystem(n=1, f0=QuadraticFunction([[0.0]], [1.0], 0.0),
                                constraints=(QuadraticFunction(
-                                   [[-2.0]], [0.0], 0),))]
+                                   [[-2.0]], [0.0], 0.0),))]
                + [random_p1_system(s) for s in range(12)]
                + [p3_system(s) for s in range(4)]
                + [p2to4_system(s) for s in range(4)]
@@ -226,8 +226,9 @@ def test_check_slater_equals_its_former_version_on_sampled_systems():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_check_slater_equals_its_former_version_at_the_edges(p):
-    system = p2to4_system(p) if p > 1 else random_p1_system(3)
+    system = p3_system(p)
     system = FunctionSystem(system.n, system.f0, system.constraints[:p])
+    assert system.p == p
     rng = np.random.default_rng(41 + p)
     early = descended = 0
     for m in (0, 1, 2, 3, 12, 40):
@@ -244,11 +245,3 @@ def test_check_slater_equals_its_former_version_at_the_edges(p):
             descended += not best > implication._SLATER_MIN
     assert early and descended
 
-
-def test_check_slater_is_vacuous_without_constraints():
-    system = FunctionSystem(n=2, f0=QuadraticFunction(np.eye(2), np.zeros(2),
-                                                      0.0))
-    for m in (0, 1, 5):
-        X = SplitMix64(m).uniform_box(1.0, 2, m)
-        got = _assert_same_slater(system, X, np.zeros((m, 1)), 1.0)
-        assert got.found and got.x0.tolist() == [0.0, 0.0]
