@@ -70,33 +70,76 @@ def evaluate_quadratic(q, x):
     return float(QuadraticStack([q]).evaluate(x[None])[0][0, 0])
 
 
+def _dot_order(n):
+    """(even, odd) columns of an n-term dot product in the order of
+    numpy's contiguous einsum dot at its x86-64 baseline, two SSE lanes:
+    column 2t feeds lane 0 and column 2t+1 lane 1; each block of 8
+    columns goes in reverse pair order (6, 4, 2, 0), the tail in pair
+    order, and a lone last column pairs with nothing."""
+    full = n - n % 8
+    even = [b + t for b in range(0, full, 8) for t in (6, 4, 2, 0)]
+    even += range(full, n, 2)
+    return even, [j + 1 for j in even if j + 1 < n]
+
+
 class QuadraticStack:
     """q_1..q_k over R^n evaluated together: one product X [Q_1/2 | ... |
     Q_k/2] gives every value x.(Q_i x/2 + c_i) + d_i and every gradient
-    Q_i x + c_i.  The product and the row-wise dot are two-operand
-    `einsum`s, which round a row alike in any batch, one row included
-    (`X @ A` does not for a single row); so a point gets the same bits
-    alone as inside any batch."""
+    Q_i x + c_i.
+
+    Values alone are computed with the points last.  A two-operand
+    `einsum` forms the product from X.T as one (k, n, m) array, summing
+    over j = 0..n-1 in turn as the points-first product does; c is added
+    and the array multiplied by X.T in place, its n contiguous (k, m)
+    planes are summed in a fixed order (`_dot_order`), and d is added.
+    With gradients the product is (m, k, n) and the row-wise dot is a
+    two-operand `einsum`, whose contiguous dot sums in that same order at
+    numpy's x86-64 baseline.  No order depends on m, so a point gets the
+    same bits alone as inside any batch, and both modes give the same
+    values."""
 
     def __init__(self, functions):
         self.n, self.k = functions[0].n, len(functions)
         # halving is exact, so X (Q/2) is (X Q)/2 bit for bit
         self.half = np.hstack([0.5 * q.Q for q in functions])
         self.c = np.array([q.c for q in functions])
-        self.d = np.array([q.d for q in functions])
+        # einsum's dot starts its lanes and its output at +0, the fixed
+        # order starts each lane at its first product: the two sums differ
+        # only where einsum's reads +0 and the other -0, and adding d + 0
+        # (never -0) rather than d makes that difference vanish
+        self.d = np.array([q.d for q in functions]) + 0.0
+        self._even, self._odd = _dot_order(self.n)
 
     def evaluate(self, X, gradients=False):
         """Values (m, k) at the rows of X, and with `gradients` also the
-        (m, k, n) gradients: (values, gradients or None)."""
-        half_qx = np.einsum("ij,jk->ik", X, self.half).reshape(
-            X.shape[0], self.k, self.n)
-        slope = half_qx + self.c
-        vals = np.einsum("ijk,ik->ij", slope, X)
-        vals += self.d
-        if not gradients:
-            return vals, None
-        slope += half_qx
-        return vals, slope
+        (m, k, n) gradients: (values, gradients or None).  The values
+        alone come back as the transpose of a (k, m) array, so each
+        function's column is contiguous."""
+        if gradients:
+            half_qx = np.einsum("ij,jk->ik", X, self.half).reshape(
+                X.shape[0], self.k, self.n)
+            slope = half_qx + self.c
+            vals = np.einsum("ijk,ik->ij", slope, X)
+            vals += self.d
+            slope += half_qx
+            return vals, slope
+        XT = np.ascontiguousarray(X.T)
+        terms = np.einsum("jk,ji->ki", self.half, XT).reshape(
+            self.k, self.n, -1)
+        terms += self.c[:, :, None]
+        even, odd = self._even, self._odd
+        # the row dot overflows as silently as einsum's does
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms *= XT
+            lane = terms[:, even[0]]
+            for j in even[1:]:
+                lane += terms[:, j]
+            if odd:
+                other = terms[:, odd[0]]
+                for j in odd[1:]:
+                    other += terms[:, j]
+                lane += other
+        return np.add(lane, self.d[:, None]).T, None
 
 
 def bordered_matrix(q):

@@ -123,11 +123,11 @@ def descend(loss, X0, steps=60, initial_step=0.1, box_radius=None,
     Each iteration makes one loss call (through `fd_gradient`), on the m
     trials alone (iterations + 1 calls in all); a rejected row keeps its
     gradient, as its unchanged point would give it again.  Rows must not
-    interact: the stacked quadratic kernel rounds a row alike in any batch
-    (see quadratic.QuadraticStack).  So searches share a call: with
-    `groups` (one id per row) the loss is called as loss(points, their
-    group ids), each group's iterates equal a descent on its rows alone,
-    and the result is sorted by (group, value).
+    interact: the stacked quadratic kernel sums each row in a fixed order
+    whatever the batch (see quadratic.QuadraticStack).  So searches share
+    a call: with `groups` (one id per row) the loss is called as
+    loss(points, their group ids), each group's iterates equal a descent
+    on its rows alone, and the result is sorted by (group, value).
 
     With `groups` (nonnegative integers) and a `goal`, a group retires
     once one of its rows has a value <= goal, at the start or after an

@@ -75,7 +75,11 @@ class FunctionSystem:
                 if cols else None), cols
 
     def _evaluate(self, X, first, gradients):
-        """(values, gradients or None) of f_first..f_p at the rows of X."""
+        """(values, gradients or None) of f_first..f_p at the rows of X.
+        The quadratics come from the system's one `QuadraticStack`: values
+        alone points last, as the transpose of a (k, m) array, and with
+        gradients in (m, k) and (m, k, n) arrays, the two modes' values
+        equal bit for bit.  A mixed system's values are an (m, k) array."""
         X = np.asarray(X, dtype=float)
         stack, cols = self._quadratics
         if self.is_quadratic:
@@ -112,7 +116,12 @@ class FunctionSystem:
 
     def values_batch(self, X):
         """(m, p+1) array of the values of f0..fp at the rows of X; rows
-        with out-of-domain evaluations come back non-finite."""
+        with out-of-domain evaluations come back non-finite.  An
+        all-quadratic system's array is the transpose of a (p+1, m) one,
+        so each function's column is contiguous: the stacked kernel
+        computes with the points last and sums each row in a fixed order
+        (see quadratic.QuadraticStack), so a row's bits do not depend on
+        the batch."""
         return self._evaluate(X, 0, False)[0]
 
     def values_and_gradients(self, X, first=0):
