@@ -14,8 +14,9 @@ Exit codes: 0 definitive verdict or clean report, 2 undetermined,
 
 The flags `--box`, `--samples`, `--seed` and `--tol` come from
 `problem.SETTINGS` and override the file's `config`, and
-`problem.check_setting` checks both.  The `command:` line of a command
-that takes them echoes all four as the run used them.  A handler loads
+`problem.check_setting` checks both, as it checks `conjecture-scan`'s
+`--seed`.  The `command:` line of a command that takes them echoes all
+four as the run used them.  A handler loads
 the problem, runs `implication`'s stage functions (the ones `classify`
 runs) or, for `verify`, the one multiplier check, renders the report and
 maps the exit code.  `certificate --method p1` runs classify's certificate stage, and
@@ -208,8 +209,10 @@ def cmd_farkas(args, out):
 
 
 def cmd_conjecture_scan(args, out):
+    seed = check_setting(next(s for s in SETTINGS if s.flag == "seed"),
+                         args.seed)
     try:
-        scan = geometry.conjecture_scan(args.count, args.dim, args.seed)
+        scan = geometry.conjecture_scan(args.count, args.dim, seed)
     except ValueError as exc:       # the scan's own argument check
         raise ParseError(str(exc)) from None
     command = (f"slemma conjecture-scan --count {args.count} "

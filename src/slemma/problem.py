@@ -44,12 +44,14 @@ class ParseError(SlemmaError):
 
 # a classifier setting: its `config` key, its CLI flag (None: the file
 # alone sets it), its `ClassifyConfig` field, its name in error lines,
-# its type, its sign ("positive", "nonnegative" or None) and its maximum
+# its type, its sign ("positive" or "nonnegative") and its maximum
 Setting = namedtuple("Setting", "key flag field label kind sign most")
 SETTINGS = (
     Setting("R", "box", "box_radius", "box radius", float, "positive", None),
     Setting("N", "samples", "samples", "samples", int, "positive", 10**6),
-    Setting("seed", "seed", "seed", "seed", int, None, None),
+    # splitmix64 reads a seed modulo 2^64: one outside [0, 2^64) would
+    # run another seed's streams under its own name
+    Setting("seed", "seed", "seed", "seed", int, "nonnegative", 2**64 - 1),
     Setting("tol", "tol", "psd_tol", "tol", float, "nonnegative", None),
     Setting("eta", None, "eta", "eta", float, "nonnegative", None),
 )
@@ -78,13 +80,13 @@ def check_setting(setting, value):
     """`value` in the setting's type; ParseError unless it is in range."""
     kind, sign, most = setting.kind, setting.sign, setting.most
     ok = type(value) in (int, kind)     # a bool is no int here
+    rule = (f"finite and {sign}" if kind is float else
+            f"a {sign} integer" if ok else "an integer")
     if ok and kind is float:
         value = _float(value)
         ok = math.isfinite(value)
-    if ok and sign:
+    if ok:
         ok = value > 0 or (sign == "nonnegative" and value == 0)
-    rule = (f"finite and {sign}" if kind is float else
-            f"a {sign} integer" if sign else "an integer")
     if ok and most is not None and value > most:
         ok, rule = False, f"at most {most}"
     if not ok:

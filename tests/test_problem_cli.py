@@ -583,6 +583,41 @@ def test_cli_conjecture_scan_rejects_bad_arguments():
         assert err == "error: count must be >= 1 and dimension >= 2\n"
 
 
+def _config_seed_file(tmp_path, seed):
+    pf = json.loads((CORPUS / "slater_fail.json").read_text())
+    pf.setdefault("config", {})["seed"] = seed
+    path = tmp_path / "seeded.json"
+    path.write_text(json.dumps(pf))
+    return str(path)
+
+
+@pytest.mark.parametrize("seed, rule", [
+    (-1, "a nonnegative integer"),
+    (2**64, f"at most {2**64 - 1}")])
+def test_seeds_outside_64_bits_are_rejected(tmp_path, seed, rule):
+    # splitmix64 reads a seed modulo 2^64: 2^64 would run seed 0's streams
+    # and -1 those of 2^64 - 1, each echoed under its own name
+    expected = (1, "", f"error: seed must be {rule}, got {seed}\n")
+    slater_fail = str(CORPUS / "slater_fail.json")
+    assert run_cli("classify", slater_fail, f"--seed={seed}") == expected
+    assert run_cli("conjecture-scan", "--count", "1", "--dim", "2",
+                   f"--seed={seed}") == expected
+    for command in ("validate", "classify"):
+        assert run_cli(command, _config_seed_file(tmp_path, seed)) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seeds_at_the_ends_of_64_bits_pass(tmp_path, seed):
+    code, out, _ = run_cli("classify", str(CORPUS / "slater_fail.json"),
+                           f"--seed={seed}")
+    assert code in (0, 2) and f"  seed: {seed}\n" in out   # no exit 1
+    code, out, _ = run_cli("conjecture-scan", "--count", "1", "--dim", "2",
+                           f"--seed={seed}")
+    assert code == 0 and f"--seed {seed}\n" in out
+    code, _, err = run_cli("validate", _config_seed_file(tmp_path, seed))
+    assert (code, err) == (0, "")
+
+
 def test_cli_json_mode():
     code, out, _ = run_cli("classify", str(CORPUS / "p0_psd.json"), "--json")
     assert code == 0
