@@ -263,3 +263,111 @@ def test_batch_matches_scalar_evaluation():
         assert batch[i] == evaluate_quadratic(q, X[i])
         assert batch[i] == pytest.approx(quadratic_values(q, X[i:i + 1])[0],
                                          abs=1e-12)
+
+
+class _EinsumStack:
+    """QuadraticStack as it was before the points-last values, verbatim:
+    two two-operand einsums over (m, k, n) arrays.  The reference for the
+    stacked kernel's bits."""
+
+    def __init__(self, functions):
+        self.n, self.k = functions[0].n, len(functions)
+        # halving is exact, so X (Q/2) is (X Q)/2 bit for bit
+        self.half = np.hstack([0.5 * q.Q for q in functions])
+        self.c = np.array([q.c for q in functions])
+        self.d = np.array([q.d for q in functions])
+
+    def evaluate(self, X, gradients=False):
+        """Values (m, k) at the rows of X, and with `gradients` also the
+        (m, k, n) gradients: (values, gradients or None)."""
+        half_qx = np.einsum("ij,jk->ik", X, self.half).reshape(
+            X.shape[0], self.k, self.n)
+        slope = half_qx + self.c
+        vals = np.einsum("ijk,ik->ij", slope, X)
+        vals += self.d
+        if not gradients:
+            return vals, None
+        slope += half_qx
+        return vals, slope
+
+
+def _bits(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, np.ascontiguousarray(a).view(np.uint64).tolist()
+
+
+def _signed_zeros(rng, a, share=0.25):
+    """a with about `share` of its entries set to +0 and as many to -0."""
+    a = np.array(a, dtype=float)
+    a[rng.random(a.shape) < share] = 0.0
+    a[rng.random(a.shape) < share] = -0.0
+    return a
+
+
+def _reference_functions(rng, n, k):
+    """k quadratics over R^n with +-0 entries; f_1 has c >= 0 (+-0
+    included) and d = -0, so a point of -0s makes each of its products -0
+    and its dot -0 before d: the sum einsum starts from +0 reads +0."""
+    functions = []
+    for i in range(k):
+        A = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-2, 3)
+        Q = _signed_zeros(rng, np.triu(A))
+        Q = np.triu(Q) + np.triu(Q, 1).T
+        c = _signed_zeros(rng, rng.standard_normal(n))
+        d = float(rng.standard_normal()) if i > 1 else (-0.0, 0.0)[i]
+        if i == 0:
+            c = np.where(np.signbit(c), -0.0, np.abs(c))
+        functions.append(QuadraticFunction(Q, c, d))
+    return functions
+
+
+def _reference_points(rng, n, m):
+    """m rows: all -0, all +0, two rows whose products overflow to +-inf
+    and sum to nan, then random rows with +-0 entries."""
+    rows = [np.full(n, -0.0), np.zeros(n), np.full(n, 1e200),
+            np.resize([1e160, -3e160], n)]
+    rest = _signed_zeros(rng, rng.standard_normal((max(m - 4, 0), n))
+                         * 10.0 ** rng.integers(-3, 4, size=(1, n)))
+    return np.vstack(rows + [rest])[:m]
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_stack_matches_the_einsum_form_bit_for_bit(n):
+    rng = np.random.default_rng(1000 + n)
+    overflowed = 0
+    for k in range(1, 6):
+        functions = _reference_functions(rng, n, k)
+        stack, reference = QuadraticStack(functions), _EinsumStack(functions)
+        for m in (0, 1, 2, 3, 17, 4096):
+            X = _reference_points(rng, n, m)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want, want_grads = reference.evaluate(X, gradients=True)
+                assert _bits(reference.evaluate(X)[0]) == _bits(want)
+                vals, none = stack.evaluate(X)
+                both, grads = stack.evaluate(X, gradients=True)
+            assert none is None
+            assert _bits(vals) == _bits(want), (n, k, m)
+            assert _bits(both) == _bits(want), (n, k, m)
+            assert _bits(grads) == _bits(want_grads), (n, k, m)
+            overflowed += int(np.sum(~np.isfinite(want)))
+        # row 0 (all -0) in f_1: the +0 einsum adds before d = -0
+        assert _bits(vals[0, 0]) == _bits(0.0)
+    assert overflowed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 13])
+def test_system_values_agree_bit_for_bit(n):
+    # values_batch (points last), values_and_gradients (points first), a
+    # single point's values and each function's __call__ read one set of
+    # bits
+    rng = np.random.default_rng(2000 + n)
+    functions = _reference_functions(rng, n, 4)
+    system = FunctionSystem(n, functions[0], functions[1:])
+    X = _reference_points(rng, n, 40)[4:]        # the finite rows
+    batch = system.values_batch(X)
+    assert _bits(system.values_and_gradients(X)[0]) == _bits(batch)
+    assert _bits(system.values_and_gradients(X, first=2)[0]) == \
+        _bits(batch[:, 2:])
+    for x, row in zip(X, batch):
+        assert _bits(system.values(x)) == _bits(row)
+        assert _bits([f(x) for f in functions]) == _bits(row)
