@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalBreakdown, SlemmaError
-from .geometry import extract_separator
+from .geometry import HullResult, hull_intersects_k
 from .linprog import OPTIMAL, Tableau
 from .quadratic import PSD_RTOL, bordered_matrix, min_eigenvalue
 from .rng import derive_seed
@@ -147,7 +147,7 @@ class SearchResult:
     alpha0: float | None = None
     witness: object = None     # Farkas route: the alternative x
     rounds: int = 0
-    separation: object = None  # separation route: round-0 Separator or None
+    separation: HullResult | None = None  # separation route: round 0's LP
     upper_bound: float | None = None  # cutting planes: bound on max g
 
     @property
@@ -337,15 +337,17 @@ def find_certificate_via_separation(system, cloud, tol=PSD_RTOL, seed=0):
     Separate the cloud from K, require alpha_0 away from zero (the Slater
     guard), divide through by alpha_0, check the multipliers with the same
     `tol`, and on failure cut the violating point or direction into the
-    cloud and repeat (at most REFINE_ROUNDS extra rounds).  The result carries
-    the round-0 separator on `cloud` itself, so the evidence step need not
-    solve that LP again."""
+    cloud and repeat (at most REFINE_ROUNDS extra rounds).  Each round is
+    one `hull_intersects_k` LP.  The result carries round 0's whole answer
+    on `cloud` itself, hull and separator, so the evidence step solves no
+    LP."""
     work = cloud
     check = None
     for round_idx in range(REFINE_ROUNDS + 1):
-        sep = extract_separator(work, tol)
+        hull = hull_intersects_k(work, tol)
         if round_idx == 0:
-            first = sep
+            first = hull
+        sep = hull.separator
         if sep is None:
             return SearchResult(outcome=NO_SEPARATOR, rounds=round_idx,
                                 separation=first)

@@ -180,7 +180,7 @@ def cmd_geometry(args, out):
     cloud_block.add("skipped", cloud.skipped)
     rep.add("image_points_in_k", ev.k_members)
     report.hull_block(rep, ev.hull)
-    report.separator_block(rep, ev.separator)
+    report.separator_block(rep, ev.hull.separator)
     report.falsify_block(rep, image_falsify, "image_convexity_falsifier")
     report.falsify_block(rep, ev.epi_falsify, "epi_convexity_falsifier")
     report.falsify_block(rep, ev.conical_falsify,

@@ -1,5 +1,6 @@
-"""Image-set geometry: the cone K, sampled image clouds, hull intersection
-tests, separator extraction, and convexity falsifiers.
+"""Image-set geometry: the cone K, sampled image clouds, the one LP that
+tests a cloud's hull against K and separates it from K, and convexity
+falsifiers.
 
 K = {z in R^(p+1) : z_0 < 0 and z_i <= 0 for i >= 1} carries the
 counterexample statement: z(x) lands in K exactly when all constraints hold
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from .errors import DomainError
-from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
+from .linprog import OPTIMAL, LinearProgram, solve_lp
 from .quadratic import PSD_RTOL, QuadraticFunction, bordered_matrix
 from .rng import SplitMix64, derive_seed
 from .search import all_finite, descend
@@ -56,7 +57,7 @@ class ImageCloud:
     @cached_property
     def frontier(self):
         """Indices of the componentwise-minimal points, computed once; the
-        hull and separator programs both run on this subset."""
+        cloud LP runs on this subset."""
         return _pareto_minimal(self.points)
 
 
@@ -108,32 +109,18 @@ def cloud_k_members(cloud):
     return np.nonzero(ok)[0]
 
 
-@dataclass
-class HullResult:
-    """`witness` is sum_j w_j z_j for the convex `weights` w, a point of K
-    up to the simplex's tolerance: its first coordinate is the optimum,
-    below -tol, up to rounding, and its coordinate i >= 1 is at most
-    1e-9 * max_j |z_j[i]| over the frontier, as the LP's rows are scaled
-    to unit max-norm, but not always <= 0."""
-
-    intersects: bool
-    weights: np.ndarray | None = None   # convex combination over cloud points
-    witness: np.ndarray | None = None   # the combination
-    optimum: float | None = None        # minimized first coordinate
-
-
 def _pareto_minimal(Z):
     """Indices of componentwise-minimal points.
 
-    Both hull programs below minimize over nonnegative directions, so a
-    point dominated componentwise by another can be dropped exactly: the
-    dominating point does at least as well in every constraint and in the
-    objective.  Processing in coordinate-sum order guarantees dominators
-    are seen first: a point is dropped iff an earlier point in (sum, index)
-    order weakly dominates it, which, as dominance is transitive, is iff
-    an earlier kept point does.  The points go in blocks, each tested
-    against the points kept before it and then against its own earlier
-    points."""
+    The cloud LP (`hull_intersects_k`) bounds each coordinate of a convex
+    combination by its objective, so a point dominated componentwise by
+    another can be dropped exactly: the dominating point does at least as
+    well in every constraint.  Processing in coordinate-sum order
+    guarantees dominators are seen first: a point is dropped iff an earlier
+    point in (sum, index) order weakly dominates it, which, as dominance is
+    transitive, is iff an earlier kept point does.  The points go in
+    blocks, each tested against the points kept before it and then
+    against its own earlier points."""
     order = np.argsort(np.sum(Z, axis=1), kind="stable")
     S = Z[order]
     kept = np.zeros(len(S), dtype=bool)
@@ -156,38 +143,6 @@ def _weakly_below(A, B):
     return below
 
 
-def hull_intersects_k(cloud, tol=PSD_RTOL):
-    """Does the convex hull of the cloud meet K?
-
-    Solved as: minimize sum_j w_j z_j[0] over convex weights w subject to
-    sum_j w_j z_j[i] <= 0 for i = 1..p.  The hull meets K exactly when the
-    optimum is below -tol.  Because K is scale-invariant, the same program
-    answers the conical-hull question.
-    """
-    frontier = cloud.frontier
-    Zf = cloud.points[frontier]
-    count, dim = Zf.shape
-    lp = LinearProgram(
-        c=Zf[:, 0],
-        a_ub=Zf[:, 1:].T if dim > 1 else None,
-        b_ub=np.zeros(dim - 1) if dim > 1 else None,
-        a_eq=np.ones((1, count)),
-        b_eq=np.ones(1),
-    )
-    out = solve_lp(lp)
-    if out.status == INFEASIBLE:
-        return HullResult(intersects=False)
-    if out.status != OPTIMAL:  # the simplex is compact; this cannot happen
-        raise RuntimeError(f"unexpected LP status {out.status}")
-    if out.objective < -tol:
-        weights = np.zeros(cloud.size)
-        weights[frontier] = out.y
-        witness = out.y @ Zf
-        return HullResult(intersects=True, weights=weights, witness=witness,
-                          optimum=out.objective)
-    return HullResult(intersects=False, optimum=out.objective)
-
-
 @dataclass
 class Separator:
     """Nonnegative normalized direction with <alpha, z> >= delta on the cloud."""
@@ -196,19 +151,42 @@ class Separator:
     delta: float
 
 
-def extract_separator(cloud, tol=PSD_RTOL):
-    """Best nonnegative separator of the cloud from K.
+@dataclass
+class HullResult:
+    """The cloud LP's answer (see `hull_intersects_k`): t* = `optimum`,
+    the convex `weights` w over the cloud's points, the hull point
+    `witness` = w Z, each coordinate at most t* up to the LP's rounding,
+    and the best `separator`, None exactly when the hull meets K."""
 
-    delta = max min_j <alpha, z_j> over alpha >= 0 with sum(alpha) = 1.
-    By LP duality that is the optimum t of its dual, solved here:
-    minimize t over convex weights w and a free t subject to
-    sum_j w_j z_j[i] <= t on each coordinate i, which has p + 1 rows and
-    the equality however large the cloud.  alpha is the dual of those
-    rows (minus `dual_ub`), clamped at 0 and normalized.  Returns the
-    Separator when delta >= -tol, else None (the hull then meets K; ask
-    `hull_intersects_k` for a witness).
+    optimum: float
+    weights: np.ndarray
+    witness: np.ndarray
+    separator: Separator | None
+    touches: bool       # |t*| <= tol
+
+    @property
+    def intersects(self):
+        return self.separator is None
+
+
+def hull_intersects_k(cloud, tol=PSD_RTOL):
+    """Does the cloud's convex hull meet K, and what best separates it?
+
+    One LP on the frontier, p + 1 rows and the equality however large the
+    cloud: minimize t over convex weights w and a free t subject to
+    sum_j w_j z_j[i] <= t on each coordinate i.  Its optimum t* is the
+    least largest coordinate of a hull point, and by LP duality also
+    delta = max min_j <alpha, z_j> over alpha >= 0 with sum(alpha) = 1;
+    alpha is the dual of those rows (minus `dual_ub`), clamped at 0 and
+    normalized.  The hull meets K (`intersects`, no separator) when
+    t* < -tol; it `touches` K's closure {z <= 0} when |t*| <= tol, as
+    a hull that meets K only on its face z_0 < 0, z_i = 0 does (t* = 0);
+    else it is disjoint from the closure.  A cloud with a point in K has
+    t* <= 0, so it never reads disjoint.  As K is scale-invariant, the
+    conical hull meets K exactly when the hull does.
     """
-    Z = cloud.points[cloud.frontier]
+    frontier = cloud.frontier
+    Z = cloud.points[frontier]
     count, dim = Z.shape
     # variables (w_1..w_count, t); minimize t
     lp = LinearProgram(
@@ -222,10 +200,20 @@ def extract_separator(cloud, tol=PSD_RTOL):
     out = solve_lp(lp)
     if out.status != OPTIMAL:  # w-simplex is compact, t is bounded
         raise RuntimeError(f"unexpected LP status {out.status}")
+    w = out.y[:count]
+    weights = np.zeros(cloud.size)
+    weights[frontier] = w
     alpha = np.maximum(-out.dual_ub, 0.0)
     alpha /= np.sum(alpha)
-    delta = float(out.objective)
-    return Separator(alpha=alpha, delta=delta) if delta >= -tol else None
+    t = float(out.objective)
+    return HullResult(t, weights, w @ Z,
+                      Separator(alpha, t) if t >= -tol else None,
+                      touches=abs(t) <= tol)
+
+
+def extract_separator(cloud, tol=PSD_RTOL):
+    """The separator of `hull_intersects_k`'s answer, or None."""
+    return hull_intersects_k(cloud, tol).separator
 
 
 @dataclass

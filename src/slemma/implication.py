@@ -253,7 +253,6 @@ class GeometryEvidence:
     k_members: int | None = None
     cloud_size: int | None = None
     hull: geometry.HullResult | None = None
-    separator: geometry.Separator | None = None
     epi_falsify: geometry.FalsifyResult | None = None
     conical_falsify: geometry.FalsifyResult | None = None
 
@@ -333,10 +332,10 @@ def separation_stage(system, config, cloud):
         system, cloud, tol=config.psd_tol, seed=derive_seed(config.seed, 10))
 
 
-def gather_evidence(system, config, cloud, separator):
+def gather_evidence(system, config, cloud, hull):
     """K members, hull, separator and the epi and conical falsifiers on
-    `cloud`.  `separator` is extract_separator's answer on this same cloud
-    (a Separator, or None when none exists); the hull LP is solved here.
+    `cloud`.  `hull` is `hull_intersects_k`'s answer on this same cloud,
+    which carries the separator, so no LP is solved here.
 
     The conical oracle searches the image of the perspective system (see
     `geometry.conical_membership_oracle`).  For two quadratic functions,
@@ -346,8 +345,7 @@ def gather_evidence(system, config, cloud, separator):
     ev = GeometryEvidence(computed=True)
     ev.cloud_size = cloud.size
     ev.k_members = int(len(geometry.cloud_k_members(cloud)))
-    ev.hull = geometry.hull_intersects_k(cloud, tol=config.psd_tol)
-    ev.separator = separator
+    ev.hull = hull
     epi = geometry.epi_membership_oracle(
         system, cloud, budget=config.member_budget,
         seed=derive_seed(config.seed, 5))
@@ -371,7 +369,7 @@ def image_geometry(system, config):
     it runs the image-convexity falsifier (streams 11 and 12)."""
     cloud = image_cloud(system, config)
     ev = gather_evidence(system, config, cloud,
-                         geometry.extract_separator(cloud, tol=config.psd_tol))
+                         geometry.hull_intersects_k(cloud, tol=config.psd_tol))
     identity = geometry.identity_membership_oracle(
         system, cloud, budget=config.member_budget,
         seed=derive_seed(config.seed, 11))

@@ -134,11 +134,13 @@ def certificate_block(parent, cert, key="certificate"):
 
 def hull_block(parent, hull):
     block = parent.add_block("hull")
-    block.add("status", "intersects" if hull.intersects else "sampled-disjoint")
-    if hull.optimum is not None:
+    if hull.intersects or hull.touches:
+        block.add("status", "intersects" if hull.intersects
+                  else "touches-closure")
         block.add("optimum", fnum(hull.optimum))
-    if hull.witness is not None:
         block.add("witness", fvec(hull.witness))
+    else:
+        block.add("status", "sampled-disjoint")
     return block
 
 
@@ -187,7 +189,7 @@ def evidence_block(parent, result):
     block.add("cloud_size", ev.cloud_size)
     block.add("image_points_in_k", ev.k_members)
     hull_block(block, ev.hull)
-    separator_block(block, ev.separator)
+    separator_block(block, ev.hull.separator)
     falsify_block(block, ev.epi_falsify, "epi_convexity_falsifier")
     falsify_block(block, ev.conical_falsify, "conical_convexity_falsifier")
     return block

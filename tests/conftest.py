@@ -1,13 +1,14 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
+from dataclasses import dataclass
 from itertools import chain, combinations
 
 import numpy as np
 import pytest
 
 from slemma.geometry import _random_quadratic as random_quadratic
-from slemma.linprog import OPTIMAL, LinearProgram, solve_lp
-from slemma.quadratic import QuadraticFunction
+from slemma.linprog import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
+from slemma.quadratic import PSD_RTOL, QuadraticFunction
 from slemma.rng import SplitMix64
 from slemma.systems import FunctionSystem
 
@@ -125,6 +126,55 @@ def solve_boxed_lp(c, A, b, lower, upper=None):
     if out.status == OPTIMAL:
         out.objective += float(c @ lower)
     return out
+
+
+@dataclass
+class FormerHullResult:
+    """`witness` is sum_j w_j z_j for the convex `weights` w, a point of K
+    up to the simplex's tolerance: its first coordinate is the optimum,
+    below -tol, up to rounding, and its coordinate i >= 1 is at most
+    1e-9 * max_j |z_j[i]| over the frontier, as the LP's rows are scaled
+    to unit max-norm, but not always <= 0."""
+
+    intersects: bool
+    weights: np.ndarray | None = None   # convex combination over cloud points
+    witness: np.ndarray | None = None   # the combination
+    optimum: float | None = None        # minimized first coordinate
+
+
+def former_hull_intersects_k(cloud, tol=PSD_RTOL):
+    """Does the convex hull of the cloud meet K?
+
+    The hull LP that `geometry.hull_intersects_k` solved before it read
+    the answer off the separator's LP, kept verbatim as a reference.
+
+    Solved as: minimize sum_j w_j z_j[0] over convex weights w subject to
+    sum_j w_j z_j[i] <= 0 for i = 1..p.  The hull meets K exactly when the
+    optimum is below -tol.  Because K is scale-invariant, the same program
+    answers the conical-hull question.
+    """
+    frontier = cloud.frontier
+    Zf = cloud.points[frontier]
+    count, dim = Zf.shape
+    lp = LinearProgram(
+        c=Zf[:, 0],
+        a_ub=Zf[:, 1:].T if dim > 1 else None,
+        b_ub=np.zeros(dim - 1) if dim > 1 else None,
+        a_eq=np.ones((1, count)),
+        b_eq=np.ones(1),
+    )
+    out = solve_lp(lp)
+    if out.status == INFEASIBLE:
+        return FormerHullResult(intersects=False)
+    if out.status != OPTIMAL:  # the simplex is compact; this cannot happen
+        raise RuntimeError(f"unexpected LP status {out.status}")
+    if out.objective < -tol:
+        weights = np.zeros(cloud.size)
+        weights[frontier] = out.y
+        witness = out.y @ Zf
+        return FormerHullResult(intersects=True, weights=weights,
+                                witness=witness, optimum=out.objective)
+    return FormerHullResult(intersects=False, optimum=out.objective)
 
 
 def p1_image(f0, f1, x):

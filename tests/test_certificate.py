@@ -293,8 +293,10 @@ def test_separation_route_no_separator(example3):
     res = cert.find_certificate_via_separation(example3, cloud, seed=6)
     assert not res.found
     assert res.outcome == cert.NO_SEPARATOR
-    assert res.separation is None and res.rounds == 0
-    assert geo.hull_intersects_k(cloud).intersects
+    # round 0's answer: the hull meets K, with its witness, and no separator
+    assert res.rounds == 0
+    assert res.separation.intersects and res.separation.separator is None
+    assert geo.cone_k_member(res.separation.witness)
 
 
 def test_certificate_text_round_trip():

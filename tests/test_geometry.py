@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import slemma
-from conftest import (EXPRESSION_TERMS, conical_preimage, p1_image,
-                      random_quadratic)
+from conftest import (EXPRESSION_TERMS, conical_preimage,
+                      former_hull_intersects_k, p1_image, random_quadratic)
 from slemma import geometry as geo
-from slemma import search
+from slemma import report, search
 from slemma.expr import parse
 from slemma.problem import load_problem
 from slemma.quadratic import QuadraticFunction
@@ -163,10 +163,67 @@ def test_hull_single_point_in_k():
 
 
 def test_hull_segment_meets_k():
+    # t* = min over the segment of its largest coordinate: -1 at its
+    # midpoint (-1, -1); the former hull LP's optimum was z_0 = -3
     res = geo.hull_intersects_k(_cloud_from_points([[1.0, -2.0], [-3.0, 0.0]]))
     assert res.intersects
-    assert res.optimum == pytest.approx(-3.0)
+    assert res.optimum == pytest.approx(-1.0)
+    assert res.witness == pytest.approx([-1.0, -1.0])
     assert geo.cone_k_member(res.witness, 0.0)
+
+
+def _hull_lines(hull):
+    rep = report.Report("hull")
+    report.hull_block(rep, hull)
+    return rep.render().splitlines()[3:]
+
+
+def test_hull_meeting_k_only_on_its_face_touches_its_closure():
+    # (-1, 0) is a point of K on its face z_1 = 0: the former hull LP
+    # said `intersects`, with that point as its witness.  The cloud LP's
+    # t* is 0, so the hull touches K's closure, with the separator
+    # alpha = (0, 1), delta = 0, and the report never says disjoint
+    cloud = _cloud_from_points([[-1.0, 0.0], [1.0, 1.0]])
+    former = former_hull_intersects_k(cloud)
+    assert former.intersects and former.witness.tolist() == [-1.0, 0.0]
+    hull = geo.hull_intersects_k(cloud)
+    assert not hull.intersects and hull.touches
+    assert hull.optimum == 0.0
+    assert hull.separator.alpha.tolist() == [0.0, 1.0]
+    assert hull.separator.delta == 0.0
+    assert _hull_lines(hull) == ["  status: touches-closure",
+                                 "  optimum: 0.0", "  witness: [-1.0, 0.0]"]
+
+
+@pytest.mark.parametrize("points, tol, lines", [
+    ([[-1.0, -1.0]], 1e-9,
+     ["  status: intersects", "  optimum: -1.0", "  witness: [-1.0, -1.0]"]),
+    ([[-1.0, -1e-10]], 1e-9,
+     ["  status: touches-closure", "  optimum: -1e-10",
+      "  witness: [-1.0, -1e-10]"]),
+    ([[-1.0, 1e-10]], 1e-9,
+     ["  status: touches-closure", "  optimum: 1e-10",
+      "  witness: [-1.0, 1e-10]"]),
+    ([[-1.0, 1e-10]], 1e-11, ["  status: sampled-disjoint"])])
+def test_hull_status_reads_t_star_against_tol(points, tol, lines):
+    # intersects below -tol, touches within tol, disjoint above tol
+    hull = geo.hull_intersects_k(_cloud_from_points(points), tol)
+    assert _hull_lines(hull) == lines
+    assert hull.intersects == (hull.separator is None)
+
+
+def test_a_cloud_with_a_point_in_k_never_reads_disjoint():
+    # a point of K has every coordinate <= 0, so t* <= 0 on its cloud;
+    # with coordinates of 0 in it, the point may lie on K's face
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        dim = 2 + trial % 3
+        points = rng.integers(-2, 4, (8, dim)).astype(float)
+        points[0] = -rng.integers(0, 3, dim)
+        points[0, 0] = -1.0
+        hull = geo.hull_intersects_k(_cloud_from_points(points))
+        assert hull.intersects or hull.touches, points
+        assert hull.optimum <= 0.0
 
 
 def test_separator_two_point_cloud():
@@ -182,28 +239,34 @@ def test_separator_none_for_k_point():
 
 
 def test_no_separator_costs_one_lp(monkeypatch):
-    # the separator question is one LP even when its answer is "none";
-    # the hull witness is hull_intersects_k's own question
+    # the hull answer, its witness and the separator's "none" are one LP
     calls = []
     real = geo.solve_lp
     monkeypatch.setattr(geo, "solve_lp",
                         lambda lp: calls.append(lp) or real(lp))
-    geo.extract_separator(_cloud_from_points([[-1.0, -1.0]]))
+    hull = geo.hull_intersects_k(_cloud_from_points([[-1.0, -1.0]]))
+    assert hull.intersects and hull.witness.tolist() == [-1.0, -1.0]
     assert len(calls) == 1
+    assert geo.extract_separator(_cloud_from_points([[-1.0, -1.0]])) is None
+    assert len(calls) == 2
 
 
 def test_hull_disjoint_implies_separator(example3):
-    # LP duality of the two programs, on clouds filtered to stay out of K
+    # LP duality of the former hull LP and the cloud LP, on clouds that
+    # stay out of K (z_0 >= 1) and clouds that reach into it
     rng = SplitMix64(17)
+    answers = set()
     for trial in range(10):
-        pts = rng.uniform_box(3.0, 3, 40) + np.array([4.0, 0.0, 0.0])
+        shift = 4.0 if trial % 2 else 2.0
+        pts = rng.uniform_box(3.0, 3, 40) + np.array([shift, 0.0, 0.0])
         cloud = _cloud_from_points(pts)
+        former = former_hull_intersects_k(cloud, 1e-9)
         hull = geo.hull_intersects_k(cloud, 1e-9)
-        if hull.intersects:
-            continue
-        sep = geo.extract_separator(cloud, 1e-9)
-        assert sep is not None, trial
-        assert sep.delta >= -1e-9
+        assert hull.intersects == former.intersects, trial
+        answers.add(hull.intersects)
+        if not hull.intersects:
+            assert hull.separator.delta >= -1e-9
+    assert answers == {False, True}
 
 
 def test_separator_divides_into_multipliers_on_cloud(example3):

@@ -470,14 +470,14 @@ def test_random_lps_match_the_add_row_loop_and_full_pivots(pad):
 
 
 def _separator_lp(Z):
-    """The LP `extract_separator` solves on the cloud Z."""
+    """The LP `hull_intersects_k` solves on the cloud Z."""
     lps = []
     real = geo.solve_lp
     cloud = geo.ImageCloud(points=Z, sources=np.zeros((len(Z), 1)),
                            box_radius=1.0, seed=0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geo, "solve_lp", lambda lp: lps.append(lp) or real(lp))
-        geo.extract_separator(cloud)
+        geo.hull_intersects_k(cloud)
     (lp,) = lps
     return lp
 

@@ -1,8 +1,10 @@
-"""The separator against an exact-rational oracle, and both cloud LPs on
-a frontier of more than 1000 points."""
+"""The cloud LP: its separator against an exact-rational oracle, its hull
+answer against the former hull LP, its count per command, and the LP on a
+frontier of more than 1000 points."""
 
 import io
 import tracemalloc
+from argparse import Namespace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,9 +12,13 @@ import numpy as np
 import pytest
 
 import slemma
+from conftest import former_hull_intersects_k, p2to4_system, random_p1_system
 from slemma import certificate
 from slemma import geometry as geo
+from slemma.cli import _config_from
 from slemma.cli import main as cli_main
+from slemma.implication import ClassifyConfig, image_cloud
+from slemma.problem import load_problem
 
 CORPUS = Path(slemma.__file__).parent / "corpus"
 CORPUS_FILES = sorted(p.name for p in CORPUS.glob("*.json")
@@ -58,16 +64,16 @@ def separated():
     route of `slemma certificate --method separation` separates, over the
     bundled corpus."""
     seen = []
-    real = certificate.extract_separator
+    real = certificate.hull_intersects_k
 
     def record(cloud, tol):
-        sep = real(cloud, tol)
-        seen.append((cloud, sep))
-        return sep
+        hull = real(cloud, tol)
+        seen.append((cloud, hull.separator))
+        return hull
 
     found = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(certificate, "extract_separator", record)
+        patch.setattr(certificate, "hull_intersects_k", record)
         for name in CORPUS_FILES:
             seen.clear()
             cli_main(["certificate", str(CORPUS / name), "--method",
@@ -127,37 +133,91 @@ def _arc_cloud(center, count):
                           box_radius=1.0, seed=0)
 
 
-def test_both_cloud_lps_answer_on_a_frontier_of_2001_points():
+def test_the_cloud_lp_answers_on_a_frontier_of_2001_points():
     # about (1.5, 1.5) the cloud stays off K; the best separation is
     # 1.5 - sqrt(2)/2, at alpha = (1/2, 1/2) and theta = pi/4
     cloud = _arc_cloud([1.5, 1.5], 2001)
     assert len(cloud.frontier) == 2001
-    # each LP's memory is linear in its size: a tableau of 4 rows by
-    # about 2,000 columns, 64 KiB of doubles (a dense variables x columns
-    # matrix once took the peak to about 31 MiB)
+    # the LP's memory is linear in its size: a tableau of 4 rows by about
+    # 2,000 columns, 64 KiB of doubles (a dense variables x columns matrix
+    # once took the peak to about 31 MiB)
     tracemalloc.start()
     try:
         hull = geo.hull_intersects_k(cloud)
-        sep = geo.extract_separator(cloud)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    assert not hull.intersects
+    assert not hull.intersects and not hull.touches
+    sep = hull.separator
+    assert sep.delta == hull.optimum
     assert sep.delta == pytest.approx(1.5 - np.sqrt(0.5), abs=1e-12)
     assert float(_exact_min(sep.alpha, cloud.points)) == pytest.approx(
         sep.delta, abs=1e-14)
     # about (0.5, 0.5) the arc's middle lies in K
     cloud = _arc_cloud([0.5, 0.5], 2001)
     hull = geo.hull_intersects_k(cloud)
-    assert hull.intersects
-    # the witness is the combination itself, in K up to the LP's
-    # tolerance: here z_1 is 7.8e-13, not 0
+    assert hull.intersects and hull.separator is None
+    assert former_hull_intersects_k(cloud).intersects
+    # the witness is the combination itself, both coordinates at t* up to
+    # the LP's rounding (here 1.9e-12 above it), so it lies in K
     front = cloud.frontier
     assert np.array_equal(hull.witness,
                           hull.weights[front] @ cloud.points[front])
-    assert hull.witness[0] == pytest.approx(hull.optimum, abs=1e-12)
     assert hull.optimum < -geo.PSD_RTOL
-    scale = np.abs(cloud.points[front, 1:]).max(axis=0)
-    assert np.all(hull.witness[1:] <= 1e-9 * scale)
-    assert geo.extract_separator(cloud) is None
+    assert hull.witness == pytest.approx([hull.optimum] * 2, abs=1e-11)
+    assert geo.cone_k_member(hull.witness)
+
+
+def _instances():
+    """(name, system, config) of the 16 corpus files with their settings,
+    random_p1_system(seed) for seeds 0-59 and p2to4_system(s) for
+    s = 0-39, each with classify's defaults."""
+    for name in CORPUS_FILES:
+        pf = load_problem(str(CORPUS / name))
+        yield name, pf.system(), _config_from(pf, Namespace())
+    for seed in range(60):
+        yield f"p1 seed {seed}", random_p1_system(seed), ClassifyConfig()
+    for s in range(40):
+        yield f"p2to4 s = {s}", p2to4_system(s), ClassifyConfig()
+
+
+def test_hull_answer_matches_the_former_hull_lp_on_116_clouds():
+    # classify's cloud and tol on each instance: the cloud LP and the
+    # former hull LP agree on every one; the face case of
+    # tests/test_geometry.py, where they differ, is built by hand
+    intersecting, touching = 0, 0
+    for name, system, config in _instances():
+        cloud = image_cloud(system, config)
+        hull = geo.hull_intersects_k(cloud, config.psd_tol)
+        former = former_hull_intersects_k(cloud, config.psd_tol)
+        assert hull.intersects == former.intersects, name
+        intersecting += hull.intersects
+        touching += hull.touches
+        # no witness coordinate passes t* by more than the LP's rounding,
+        # at most 3.8e-14 max|z| here
+        scale = np.abs(cloud.points[cloud.frontier]).max()
+        assert hull.witness.max() - hull.optimum <= 1e-12 * scale, name
+        if hull.intersects:
+            assert geo.cone_k_member(hull.witness), name
+        else:
+            assert hull.separator.delta == hull.optimum, name
+    # farkas_homogeneous's image is a subspace through 0: t* = 0
+    assert (intersecting, touching) == (95, 1)
+
+
+@pytest.mark.parametrize("command, name, lps", [
+    ("classify", "slater_fail.json", 2),
+    ("geometry", "slater_fail.json", 1),
+    ("geometry", "example3_pair.json", 1)])
+def test_each_cloud_costs_one_lp(monkeypatch, command, name, lps):
+    # classify's separation route solves rounds 0 and 1 on slater_fail,
+    # and the evidence step reads round 0's answer; `geometry` solves one
+    # LP on its cloud (the former hull LP made these 3, 2 and 2)
+    calls = []
+    real = geo.solve_lp
+    monkeypatch.setattr(geo, "solve_lp",
+                        lambda lp: calls.append(lp) or real(lp))
+    cli_main([command, str(CORPUS / name)], out=io.StringIO(),
+             err=io.StringIO())
+    assert len(calls) == lps
