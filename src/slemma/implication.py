@@ -198,7 +198,8 @@ def find_counterexample(system, X, vals, radius, extra_starts=None, *,
         starts = [X[j] for j in smallest(score, 20) if np.isfinite(score[j])]
         if len(starts) < 20 and system.p:
             # out-of-domain rows score +inf, like feasible ones
-            pen = np.sum(np.maximum(-vals[:, 1:], 0.0) ** 2, axis=1)
+            with np.errstate(over="ignore"):   # +inf fails isfinite below
+                pen = np.sum(np.maximum(-vals[:, 1:], 0.0) ** 2, axis=1)
             pen = np.where(np.isfinite(vals).all(1) & np.isinf(score), pen,
                            np.inf)
             starts += [X[j] for j in smallest(pen, 20 - len(starts))

@@ -423,6 +423,19 @@ def test_overflow_is_a_numerical_failure_without_a_warning(argv, shown,
     assert (code, out, err) == (3, "", f"numerical failure: {shown}\n")
 
 
+@pytest.mark.parametrize("command", ["classify", "counterexample"])
+def test_a_huge_box_runs_without_an_overflow_warning(command):
+    # at R = 1e200 the squared constraint shortfalls that rank the
+    # descent's starts overflow; they used to print numpy's "overflow
+    # encountered in square" (an infinite shortfall ranks no start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(command, str(CORPUS / "example3_pair.json"),
+                                 "--box", "1e200")
+    assert (code, err) == (2, "")
+    assert "counterexample:\n  found: false\n" in out
+
+
 def test_cli_counterexample():
     code, out, _ = run_cli("counterexample",
                            str(CORPUS / "example3_pair.json"))
