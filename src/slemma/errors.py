@@ -30,5 +30,6 @@ class NumericalBreakdown(SlemmaError):
     was too small to trust, `solve_lp`'s dual (phase 1) or primal (phase
     2) simplex hit its iteration limit, the dual simplex of the
     certificate search's master LP found no entering column or hit its
-    iteration limit, or a matrix handed to the eigensolver has a
-    non-finite entry."""
+    iteration limit, a matrix handed to the eigensolver has a non-finite
+    entry, or a quadratic function's data is not finite or its Q + Q.T
+    would overflow."""

@@ -42,7 +42,12 @@ class QuadraticFunction:
             raise DimensionMismatch(f"c has length {c.shape[0]}, expected {n}")
         if n < 1:
             raise DimensionMismatch("dimension must be at least 1")
-        scale = 1.0 + (np.max(np.abs(Q)) if Q.size else 0.0)
+        d, big = float(self.d), float(np.max(np.abs(Q)))   # NaN if Q has one
+        if not (big <= _HALF_MAX and math.isfinite(d)
+                and np.isfinite(c).all()):
+            raise NumericalBreakdown("Q, c and d must be finite, and |Q| at "
+                                     "most half the largest double")
+        scale = 1.0 + big
         asym = np.max(np.abs(Q - Q.T)) if Q.size else 0.0
         if asym > _SYMMETRY_BAND * scale:
             raise DimensionMismatch(
@@ -54,7 +59,7 @@ class QuadraticFunction:
         c.setflags(write=False)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", float(self.d))
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)
 
     def __call__(self, x):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -39,10 +40,32 @@ def test_dimension_mismatch():
         evaluate_quadratic(q, [1.0, 2.0, 3.0])
 
 
+def test_q_at_half_the_largest_double_constructs():
+    big = np.finfo(float).max / 2
+    q = QuadraticFunction(np.array([[big, -big], [-big, big]]), [0.0, 0.0],
+                          0.0)
+    assert q.Q[0, 0] == big and q.Q[0, 1] == -big
+
+
 def test_asymmetric_q_rejected():
     Q = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(DimensionMismatch):
         QuadraticFunction(Q, np.zeros(2), 0.0)
+
+
+@pytest.mark.parametrize("Q, c, d", [
+    ([[np.nan, 1.0], [1.0, 2.0]], [0.0, 0.0], 0.0),
+    ([[1.0, 0.0], [0.0, 1.0]], [np.inf, 0.0], np.nan),
+    ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], -np.inf),
+    ([[1.0, np.inf], [-np.inf, 1.0]], [0.0, 0.0], 0.0),
+    ([[1e308, 0.0], [0.0, 1.0]], [0.0, 0.0], 0.0)])
+def test_non_finite_data_breaks_down_before_the_symmetry_test(Q, c, d):
+    # these used to construct, the first after a RuntimeWarning from
+    # Q - Q.T, the last with Q[0, 0] = inf after one from Q + Q.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalBreakdown, match="must be finite"):
+            QuadraticFunction(np.array(Q), c, d)
 
 
 def test_bordered_matrix_assembly():
