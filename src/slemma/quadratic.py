@@ -48,7 +48,7 @@ class QuadraticFunction:
             raise NumericalBreakdown("Q, c and d must be finite, and |Q| at "
                                      "most half the largest double")
         scale = 1.0 + big
-        asym = np.max(np.abs(Q - Q.T)) if Q.size else 0.0
+        asym = np.max(np.abs(Q - Q.T))
         if asym > _SYMMETRY_BAND * scale:
             raise DimensionMismatch(
                 f"Q is not symmetric: max asymmetry {asym:.3e} exceeds the "
