@@ -10,6 +10,7 @@ N, R and the seed that scope the claim.
 """
 
 import os
+from collections.abc import Sequence
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -17,10 +18,10 @@ from functools import cached_property
 import numpy as np
 
 from . import expr as expr_mod
-from .errors import DomainError
+from .errors import DomainError, NumericalBreakdown
 from .linprog import OPTIMAL, LinearProgram, solve_lp
 from .quadratic import PSD_RTOL, QuadraticFunction, bordered_matrix
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, derive_seed, uniform_rows
 from .search import all_finite, descend
 from .systems import FunctionSystem
 
@@ -65,7 +66,9 @@ def sample_image(system, radius, count, seed):
     """Cloud of `count` image points from inputs uniform in [-R, R]^n.
 
     Out-of-domain points (non-finite values) are skipped and resampled;
-    more than 50% skips aborts with DomainError.
+    more than 50% skips aborts with DomainError.  An all-quadratic system
+    is defined everywhere, so there a non-finite image is an overflow,
+    and it raises NumericalBreakdown.
     """
     if radius <= 0 or count < 1:
         raise ValueError("radius must be positive and count at least 1")
@@ -78,6 +81,10 @@ def sample_image(system, radius, count, seed):
         X = rng.uniform_box(radius, system.n, want)
         Z = system.image_batch(X)
         ok = np.all(np.isfinite(Z), axis=1)
+        if system.is_quadratic and not ok.all():
+            raise NumericalBreakdown(
+                f"image cloud: {int(np.sum(~ok))} of {want} sampled images "
+                f"overflowed")
         skipped += int(np.sum(~ok))
         points.append(Z[ok])
         sources.append(X[ok])
@@ -223,6 +230,32 @@ class MembershipResult:
     margin: float = 0.0     # least shortfall found, clamped at 0 for a member
 
 
+@dataclass(eq=False)
+class MembershipAnswers(Sequence):
+    """The answers for k targets as arrays: `member` (k,) bools, `margin`
+    (k,) as in MembershipResult, and `x` (k, n), whose row is read for
+    members only.  Item j is target j's MembershipResult, built on
+    access, so a per-target reader sees what a per-target oracle gives."""
+
+    member: np.ndarray
+    margin: np.ndarray
+    x: np.ndarray
+
+    def __len__(self):
+        return len(self.member)
+
+    def __getitem__(self, j):
+        member = bool(self.member[j])
+        return MembershipResult(member, self.x[j] if member else None,
+                                float(self.margin[j]))
+
+
+def _clamp_at_zero(a):
+    """max(a, 0.0) elementwise as Python's max takes it: a is kept unless
+    0.0 > a, so -0.0 and NaN stay."""
+    return np.where(0.0 > a, 0.0, a)
+
+
 def _residuals(system, X, M, mode, jacobians=False):
     """z(x) - m for each row of X, against one target m or one per row
     (hinged at 0 in epi mode); with `jacobians` also (residuals, their
@@ -301,9 +334,10 @@ def _member_search(system, M, budget, seeds, mode, starts=None):
     max_i (z_i - m_i).  mode "identity": want z(x) == m; shortfall is
     max_i |z_i - m_i|.  Target j starts from starts[j] (a (k, s, n)
     array), the origin and `budget` restarts drawn from its own
-    SplitMix64(seeds[j]) stream.  All targets share one grouped descent
-    and one polish, so each of the k MembershipResults returned equals a
-    search on that target alone.
+    SplitMix64(seeds[j]) stream, all drawn in one batch (`uniform_rows`).
+    All targets share one grouped descent and one polish, so each of the
+    k answers returned (a MembershipAnswers) equals a search on that
+    target alone.
 
     The descent retires a target as soon as one of its rows has loss
     sum_i r_i^2 <= _MEMBER_LOSS, and a retired target skips the polish:
@@ -318,7 +352,7 @@ def _member_search(system, M, budget, seeds, mode, starts=None):
     k, n = M.shape[0], system.n
     restarts = max(4, int(budget))
     radii = np.resize([1.0, 5.0, 20.0, 80.0], restarts)[:, None]
-    U = np.array([SplitMix64(seed).uniforms(restarts * n) for seed in seeds])
+    U = uniform_rows(seeds, restarts * n)
     blocks = [np.zeros((k, 1, n)),
               -radii + 2.0 * radii * U.reshape(k, restarts, n)]
     if starts is not None:
@@ -348,14 +382,11 @@ def _member_search(system, M, budget, seeds, mode, starts=None):
         mode).reshape(-1, 3, n)
     Z = system.image_batch(X.reshape(-1, n)).reshape(k, size + 3, -1)
     gaps = _shortfalls(np.where(np.isfinite(Z), Z, np.inf), M[:, None], mode)
-    results = []
-    for j, best in enumerate(np.argmin(gaps, axis=1)):
-        margin = float(gaps[j, best])
-        member = margin <= MEMBER_TOL
-        results.append(MembershipResult(member, X[j, best] if member else None,
-                                        max(margin, 0.0) if member
-                                        else margin))
-    return results
+    rows, best = np.arange(k), np.argmin(gaps, axis=1)
+    margin = gaps[rows, best]
+    # a non-member's margin is above MEMBER_TOL or NaN, which the clamp keeps
+    return MembershipAnswers(margin <= MEMBER_TOL, _clamp_at_zero(margin),
+                             X[rows, best])
 
 
 def epi_member(system, m, budget=24, seed=0):
@@ -368,25 +399,29 @@ def epi_member(system, m, budget=24, seed=0):
 
 def _membership_oracle(system, cloud, budget, seed, mode):
     """Shared body of the epi and identity oracles.  The oracle takes one
-    target m, or a (k, p+1) stack answered as k calls in order: call c
-    (counted from 1) searches with the seed derive_seed(seed, c), starting
-    from the six cloud points of least shortfall.  In epi mode a cloud
-    point below m answers without a search: the first source whose point
-    is <= m + MEMBER_TOL in every coordinate, with the margin
-    max(least shortfall, 0).  The rest share one search.  Shortfalls are
-    taken _ORACLE_CHUNK targets at a time and answered as arrays, so a
-    large stack never holds more than two (_ORACLE_CHUNK, N) buffers."""
+    target m, answered as a MembershipResult, or a (k, p+1) stack answered
+    as k calls in order, in one MembershipAnswers: call c (counted from 1)
+    searches with the seed derive_seed(seed, c), starting from the six
+    cloud points of least shortfall.  In epi mode a cloud point below m
+    answers without a search: x is the first source whose point is <= m +
+    MEMBER_TOL in every coordinate, and the margin max(least shortfall,
+    0), both read for all such targets of a chunk at once.  The rest
+    share one search.  Shortfalls are taken _ORACLE_CHUNK targets at a
+    time, so a large stack never holds more than two (_ORACLE_CHUNK, N)
+    buffers."""
     calls = 0
 
     def oracle(m):
         nonlocal calls
         m_arr = np.asarray(m, dtype=float)
         M = np.atleast_2d(m_arr)
+        k = len(M)
         first = calls + 1
-        calls += len(M)
-        results = [None] * len(M)
+        calls += k
+        answers = MembershipAnswers(np.zeros(k, dtype=bool), np.empty(k),
+                                    np.empty((k, cloud.n)))
         slow, nearest = [], []
-        for lo in range(0, len(M), _ORACLE_CHUNK):
+        for lo in range(0, k, _ORACLE_CHUNK):
             chunk = M[lo:lo + _ORACLE_CHUNK]
             gaps = _shortfalls(cloud.points[None], chunk[:, None], mode)
             best = gaps.min(axis=1)
@@ -396,10 +431,9 @@ def _membership_oracle(system, cloud, budget, seed, mode):
                 rows = fast.nonzero()[0]
                 inside = _weakly_below(cloud.points,
                                        chunk[rows] + MEMBER_TOL)
-                for j, i in zip(rows, inside.argmax(axis=0)):
-                    results[lo + j] = MembershipResult(
-                        member=True, x=cloud.sources[i],
-                        margin=float(max(best[j], 0.0)))
+                answers.member[lo + rows] = True
+                answers.margin[lo + rows] = _clamp_at_zero(best[rows])
+                answers.x[lo + rows] = cloud.sources[inside.argmax(axis=0)]
                 gaps = gaps[~fast]
             slow.extend((lo + (~fast).nonzero()[0]).tolist())
             # copied, so the rows' full argsort is not kept alive
@@ -410,9 +444,10 @@ def _membership_oracle(system, cloud, budget, seed, mode):
             seeds = [derive_seed(seed, first + j) for j in slow]
             found = _member_search(system, M[slow], budget, seeds, mode,
                                    starts=cloud.sources[np.vstack(nearest)])
-            for j, res in zip(slow, found):
-                results[j] = res
-        return results if m_arr.ndim > 1 else results[0]
+            answers.member[slow] = found.member
+            answers.margin[slow] = found.margin
+            answers.x[slow] = found.x
+        return answers if m_arr.ndim > 1 else answers[0]
 
     return oracle
 
@@ -535,7 +570,8 @@ def falsify_convexity(member, cloud, trials=500, seed=0, eta=1e-3,
     The chords of all trials are drawn and formed up front, as arrays
     (see _chord_draws), and go to the oracle in blocks of 1, 2, 4, ...
     trials: each block's chord points as one (k, p+1) stack, answered
-    as k results in order.  No draw depends on an answer, so the first
+    as a MembershipAnswers of k targets in order, whose first violation
+    is found by index.  No draw depends on an answer, so the first
     violation in trial order is the one a trial-by-trial run reports,
     with the same `trials_run`, and no later block is asked.
     """
@@ -549,21 +585,26 @@ def falsify_convexity(member, cloud, trials=500, seed=0, eta=1e-3,
         hi = int(np.searchsorted(trial_of, done, side="right"))
         if hi == lo:
             continue
-        for k, res in zip(range(lo, hi), member(M[lo:hi]), strict=True):
-            if not res.member and res.margin > eta:
-                if system is not None:
-                    _verify_endpoint(system, cloud, j1[k])
-                    _verify_endpoint(system, cloud, j2[k])
-                return FalsifyResult(
-                    violation=ConvexityViolation(
-                        z1=cloud.points[j1[k]].copy(),
-                        z2=cloud.points[j2[k]].copy(),
-                        t=_CHORD_TS[t_idx[k]], m=M[k].copy(),
-                        margin=res.margin,
-                        indices=(int(j1[k]), int(j2[k])),
-                    ),
-                    trials_run=int(trial_of[k]),
-                )
+        answers = member(M[lo:hi])
+        if len(answers) != hi - lo:
+            raise ValueError(f"the oracle answered {len(answers)} of "
+                             f"{hi - lo} targets")
+        bad = np.flatnonzero(~answers.member & (answers.margin > eta))
+        if bad.size:
+            k = lo + int(bad[0])
+            if system is not None:
+                _verify_endpoint(system, cloud, j1[k])
+                _verify_endpoint(system, cloud, j2[k])
+            return FalsifyResult(
+                violation=ConvexityViolation(
+                    z1=cloud.points[j1[k]].copy(),
+                    z2=cloud.points[j2[k]].copy(),
+                    t=_CHORD_TS[t_idx[k]], m=M[k].copy(),
+                    margin=float(answers.margin[bad[0]]),
+                    indices=(int(j1[k]), int(j2[k])),
+                ),
+                trials_run=int(trial_of[k]),
+            )
         lo = hi
     return FalsifyResult(trials_run=trials)
 

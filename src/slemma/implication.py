@@ -12,8 +12,10 @@ their descended points with one vectorized test each (`slater_margin`,
 certificate search runs between the counterexample search's read of the
 sample and its descent, skipped when the certificate's margin leaves no
 counterexample for it to accept in the box ((C) implies (I), up to the
-tolerances).  Each other stage maps the config to its arguments and owns
-its seed stream; the CLI calls them too."""
+tolerances).  A failed certificate search's witness adds a retry on its
+own sample (stream 3), whose descent shares the main descent's call.
+Each other stage maps the config to its arguments and owns its seed
+stream; the CLI calls them too."""
 
 from dataclasses import dataclass, field, fields
 
@@ -131,12 +133,15 @@ def check_slater(system, X, vals, radius):
 @dataclass
 class CounterexampleResult:
     """The search's best row: the counterexample when `found`, else the
-    closest miss (the feasible row of least f0), or None."""
+    closest miss (the feasible row of least f0), or None.  `retry` is the
+    result of the retry search `find_counterexample` ran alongside, when
+    it was given one and this search found nothing."""
 
     found: bool
     x: np.ndarray | None = None
     f0_value: float | None = None
     min_constraint: float | None = None
+    retry: "CounterexampleResult | None" = None
 
 
 def penalized_loss(system):
@@ -173,8 +178,54 @@ def witness_f0(vals):
     return np.where(feasible, f0, np.inf)
 
 
+def _descent_starts(system, X, vals, score, extra_starts):
+    """The descent's starts: any `extra_starts`, then the 20 best feasible
+    samples by f0, topped up with the least infeasible; the origin when
+    there are none."""
+    starts = [X[j] for j in smallest(score, 20) if np.isfinite(score[j])]
+    if len(starts) < 20 and system.p:
+        # out-of-domain rows score +inf, like feasible ones
+        with np.errstate(over="ignore"):   # +inf fails isfinite below
+            pen = np.sum(np.maximum(-vals[:, 1:], 0.0) ** 2, axis=1)
+        pen = np.where(np.isfinite(vals).all(1) & np.isinf(score), pen,
+                       np.inf)
+        starts += [X[j] for j in smallest(pen, 20 - len(starts))
+                   if np.isfinite(pen[j])]
+    if extra_starts is not None:
+        starts = (list(np.atleast_2d(np.asarray(extra_starts, float)))
+                  + starts)
+    if not starts:
+        starts = [np.zeros(system.n)]
+    return np.array(starts)
+
+
+def _best_row(system, X, vals, score, refined=None, starts=None):
+    """The result from the sample's witness scores, and from the descended
+    points and their starts when given: their first of least witness f0
+    replaces the sample's best only when strictly below it."""
+    i = int(np.argmin(score)) if score.size else None
+    best = np.inf if i is None else float(score[i])
+    if refined is not None:
+        # the penalized descent may trade a whisker of feasibility for
+        # objective, so the undescended starts stay in the candidate pool
+        candidates = np.vstack([refined, starts])
+        cand_vals = system.values_batch(candidates)
+        cand_score = witness_f0(cand_vals)
+        j = int(np.argmin(cand_score))
+        if cand_score[j] < best:    # the sample wins a tie
+            X, vals, i, best = candidates, cand_vals, j, float(cand_score[j])
+    if best == np.inf:
+        return CounterexampleResult(found=False)
+    x = X[i].copy()     # X may be the memoized sample
+    if best >= -_WITNESS_TOL:
+        return CounterexampleResult(found=False, x=x, f0_value=best)
+    return CounterexampleResult(
+        found=True, x=x, f0_value=best,
+        min_constraint=float(vals[i, 1:].min()) if system.p else np.inf)
+
+
 def find_counterexample(system, X, vals, radius, extra_starts=None, *,
-                        descend_undecided=True):
+                        descend_undecided=True, retry=None):
     """Search for x with every f_i >= 0 and f0 < 0.
 
     One witness test, `witness_f0`, reads the `box_sample` (X, vals) and
@@ -189,45 +240,44 @@ def find_counterexample(system, X, vals, radius, extra_starts=None, *,
     the sample when strictly below it.  The result is that row, found or
     the closest miss.  With `descend_undecided=False` an undecided sample
     ends the search: the classifier pays for the descent only after its
-    certificate search."""
-    score = witness_f0(vals)
-    i = int(np.argmin(score)) if score.size else None
-    best = np.inf if i is None else float(score[i])
-    if descend_undecided and not best < -_WITNESS_TOL:
-        # starts: best feasible by f0, topped up with the least infeasible
-        starts = [X[j] for j in smallest(score, 20) if np.isfinite(score[j])]
-        if len(starts) < 20 and system.p:
-            # out-of-domain rows score +inf, like feasible ones
-            with np.errstate(over="ignore"):   # +inf fails isfinite below
-                pen = np.sum(np.maximum(-vals[:, 1:], 0.0) ** 2, axis=1)
-            pen = np.where(np.isfinite(vals).all(1) & np.isinf(score), pen,
-                           np.inf)
-            starts += [X[j] for j in smallest(pen, 20 - len(starts))
-                       if np.isfinite(pen[j])]
-        if extra_starts is not None:
-            starts = (list(np.atleast_2d(np.asarray(extra_starts, float)))
-                      + starts)
-        if not starts:
-            starts = [np.zeros(system.n)]
-        refined, _ = descend(penalized_loss(system), np.array(starts),
-                             steps=80, box_radius=radius)
-        # the penalized descent may trade a whisker of feasibility for
-        # objective, so the undescended starts stay in the candidate pool
-        candidates = np.vstack([refined, np.array(starts)])
-        cand_vals = system.values_batch(candidates)
-        cand_score = witness_f0(cand_vals)
-        j = int(np.argmin(cand_score))
-        if cand_score[j] < best:    # the sample wins a tie
-            X, vals, i, best = candidates, cand_vals, j, float(cand_score[j])
+    certificate search.
 
-    if best == np.inf:
-        return CounterexampleResult(found=False)
-    x = X[i].copy()     # X may be the memoized sample
-    if best >= -_WITNESS_TOL:
-        return CounterexampleResult(found=False, x=x, f0_value=best)
-    return CounterexampleResult(
-        found=True, x=x, f0_value=best,
-        min_constraint=float(vals[i, 1:].min()) if system.p else np.inf)
+    `retry`, a triple (X, vals, extra_starts) of another `box_sample` and
+    its starts, is a second search that shares this one's descent: both
+    start sets descend in one grouped `descend` call, each group's rows
+    equal to a descent on its own, so the two results are those of two
+    calls, bit for bit.  The retry's result is read only when this search
+    finds nothing, into the result's `retry`."""
+    searches = [(X, vals, extra_starts)] + ([] if retry is None else [retry])
+    scores = [witness_f0(v) for _, v, _ in searches]
+    descents = [None] * len(searches)
+    if descend_undecided:
+        undecided = [k for k, score in enumerate(scores)
+                     if not np.min(score, initial=np.inf) < -_WITNESS_TOL]
+        starts = [_descent_starts(system, searches[k][0], searches[k][1],
+                                  scores[k], searches[k][2])
+                  for k in undecided]
+        if len(starts) == 1:
+            refined, _ = descend(penalized_loss(system), starts[0],
+                                 steps=80, box_radius=radius)
+            descents[undecided[0]] = refined, starts[0]
+        elif starts:
+            loss = penalized_loss(system)
+            sizes = [len(s) for s in starts]
+            refined, _ = descend(lambda X, groups: loss(X), np.vstack(starts),
+                                 steps=80, box_radius=radius,
+                                 groups=np.repeat(np.arange(len(sizes)),
+                                                  sizes))
+            # the rows come sorted by (group, value)
+            pieces = np.split(refined, np.cumsum(sizes)[:-1])
+            for k, piece, start in zip(undecided, pieces, starts):
+                descents[k] = piece, start
+    main = _best_row(system, X, vals, scores[0],
+                     *(descents[0] or ()))
+    if retry is not None and not main.found:
+        main.retry = _best_row(system, *retry[:2], scores[1],
+                               *(descents[1] or ()))
+    return main
 
 
 @dataclass
@@ -270,14 +320,12 @@ class InstanceReport:
     notes: list = field(default_factory=list)
 
 
-def counterexample_stage(system, config, extra_starts=None):
-    """find_counterexample on its own `box_sample`: stream 2 (classify's
-    sample) for the `counterexample` command, stream 3 for the retry that
-    also descends from `extra_starts`."""
-    seed = derive_seed(config.seed, 2 if extra_starts is None else 3)
-    X, vals = box_sample(system, config.box_radius, config.samples, seed)
-    return find_counterexample(system, X, vals, config.box_radius,
-                               extra_starts=extra_starts)
+def counterexample_stage(system, config):
+    """find_counterexample on classify's `box_sample` (stream 2), for the
+    `counterexample` command."""
+    X, vals = box_sample(system, config.box_radius, config.samples,
+                         derive_seed(config.seed, 2))
+    return find_counterexample(system, X, vals, config.box_radius)
 
 
 def certificate_stage(system, config):
@@ -286,7 +334,8 @@ def certificate_stage(system, config):
     otherwise (find_certificate_p1 at p = 1, find_certificate_general
     above).  Returns (search, notes, witness_starts), the starts being
     points that violate a failed certificate, for the counterexample
-    retry.  A Farkas alternative is also the search's `witness`."""
+    retry (see `classify_instance`).  A Farkas alternative is also the
+    search's `witness`."""
     notes = []
     if system.is_linear() and system.p >= 1:
         result = farkas_mod.solve(farkas_mod.linear_data(system))
@@ -389,7 +438,12 @@ def classify_instance(system, config=None):
     certificate leaves no counterexample the descent could accept in the
     box (see `_leaves_no_witness`): the PSD test's and the witness test's
     tolerances let a certificate pass beside such a counterexample, and
-    a counterexample the descent finds decides Invalid.  Only exactly
+    a counterexample the descent finds decides Invalid.  A failed
+    certificate search that leaves a witness adds a retry: its own box
+    sample (stream 3), drawn before the descent, and a descent from the
+    witness and that sample's best, grouped with the main descent in one
+    `find_counterexample` call; the retry's result is read after the
+    main's and the search's notes.  Only exactly
     verified certificates yield ValidWithCertificate; sampled
     certificates are attached as candidates on an Undetermined verdict.
     A numerical failure (NumericalBreakdown, NotConverged) propagates;
@@ -419,9 +473,8 @@ def classify_instance(system, config=None):
                                        descend_undecided=not all_quadratic)):
             return report
 
-        witness_starts = []
         if all_quadratic:
-            failure = None
+            failure, witness_starts = None, []
             try:
                 search, notes, witness_starts = certificate_stage(system,
                                                                   config)
@@ -430,9 +483,18 @@ def classify_instance(system, config=None):
             certified = failure is None and search.found
             if not (certified and _leaves_no_witness(
                     system, search.certificate, radius)):
-                # descend, as without a search; the search's error and
-                # notes wait on the descent
-                if refuted(find_counterexample(system, *sample, radius)):
+                # descend, as without a search, together with the retry
+                # from a failed certificate's witness on its own sample
+                # (stream 3); the search's error and notes wait on the
+                # descent, and the retry on both
+                retry = None
+                if witness_starts:
+                    retry = (*box_sample(system, radius, config.samples,
+                                         derive_seed(config.seed, 3)),
+                             witness_starts)
+                cex = find_counterexample(system, *sample, radius,
+                                          retry=retry)
+                if refuted(cex):
                     return report
                 if failure is not None:
                     raise failure
@@ -441,11 +503,10 @@ def classify_instance(system, config=None):
                 report.verdict = VALID
                 report.certificate = search.certificate
                 return report
-
-        if witness_starts and refuted(
-                counterexample_stage(system, config, witness_starts)):
-            report.notes.append("counterexample from certificate-failure witness")
-            return report
+            if cex.retry is not None and refuted(cex.retry):
+                report.notes.append(
+                    "counterexample from certificate-failure witness")
+                return report
 
         cloud = image_cloud(system, config)
         sep = separation_stage(system, config, cloud)

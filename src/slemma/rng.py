@@ -40,6 +40,31 @@ def derive_seed(seed, stream):
     return _mix((seed ^ ((stream + 1) * _STREAM)) & _MASK)
 
 
+def _u64s(states, count):
+    """Outputs 1..count of the streams at `states` (uint64), in a new last
+    axis."""
+    with np.errstate(over="ignore"):
+        k = np.arange(1, count + 1, dtype=np.uint64)
+        z = states[..., None] + k * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return z ^ (z >> np.uint64(31))
+
+
+def _unit(z, lo, hi):
+    """Doubles in [lo, hi) from the top 53 bits of each output."""
+    u = (z >> np.uint64(11)).astype(np.float64) / _TWO53
+    return lo + (hi - lo) * u
+
+
+def uniform_rows(seeds, count, lo=0.0, hi=1.0):
+    """(len(seeds), count) array whose row j is
+    SplitMix64(seeds[j]).uniforms(count, lo, hi), bit for bit, drawn in
+    one vectorized batch."""
+    states = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
+    return _unit(_u64s(states, count), lo, hi).reshape(len(states), count)
+
+
 class SplitMix64:
     """splitmix64 stream over a 64-bit state."""
 
@@ -62,19 +87,13 @@ class SplitMix64:
     def u64s(self, count):
         """Vectorized uint64 batch equal to `count` scalar `next_u64`
         calls."""
-        with np.errstate(over="ignore"):
-            k = np.arange(1, count + 1, dtype=np.uint64)
-            z = np.uint64(self.state) + k * np.uint64(_GAMMA)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            z = z ^ (z >> np.uint64(31))
+        z = _u64s(np.uint64(self.state), count)
         self.state = (self.state + count * _GAMMA) & _MASK
         return z
 
     def uniforms(self, count, lo=0.0, hi=1.0):
         """Vectorized batch equal to `count` scalar `uniform` calls."""
-        u = (self.u64s(count) >> np.uint64(11)).astype(np.float64) / _TWO53
-        return lo + (hi - lo) * u
+        return _unit(self.u64s(count), lo, hi)
 
     def uniform_box(self, radius, n, count):
         """(count, n) array of points uniform in [-radius, radius]^n."""

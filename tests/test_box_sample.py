@@ -3,22 +3,29 @@ draw bit for bit, is read-only and never leaks into a result; the
 sample's column-wise tests (`witness_f0`, `slater_margin`) equal their
 former formulas byte for byte, and `check_slater`, which sorts its best
 rows only when it descends, equals its former version that always
-sorted them."""
+sorted them.  classify's counterexample search and its retry, each on
+its own memoized sample, share one grouped descent that returns what
+two searches return, byte for byte."""
 
+import pickle
 from collections import OrderedDict
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import p2to4_system, p3_system, random_p1_system
 from slemma import implication, search
-from slemma.implication import (NOT_FOUND, SLATER_POINT, SlaterResult,
-                                box_sample, check_slater, classify_instance,
-                                find_counterexample)
+from slemma.implication import (NOT_FOUND, SLATER_POINT, ClassifyConfig,
+                                SlaterResult, box_sample, check_slater,
+                                classify_instance, find_counterexample)
+from slemma.problem import load_problem
 from slemma.quadratic import QuadraticFunction
 from slemma.rng import SplitMix64, derive_seed
 from slemma.systems import FunctionSystem
+
+CORPUS = Path(implication.__file__).parent / "corpus"
 
 
 @pytest.fixture
@@ -245,3 +252,55 @@ def test_check_slater_equals_its_former_version_at_the_edges(p):
             descended += not best > implication._SLATER_MIN
     assert early and descended
 
+
+
+# instances whose certificate search fails and leaves a witness, so that
+# classify retries from it: the Undetermined slater_fail and p1 seeds 34,
+# 129 and 1330, p1 seed 189, whose main search finds a counterexample, the
+# Undetermined p3 and p2to4 instances of the pinned families, and the
+# pinned families' instances that the retry decides (p1 1199, p3 18,
+# p2to4 15, 266 and 276)
+RETRIED = ([("corpus", "slater_fail")]
+           + [("p1", s) for s in (34, 129, 1330, 189, 1199)]
+           + [("p3", s) for s in (44, 18)]
+           + [("p2to4", s) for s in (5, 10, 50, 156, 176, 186, 193, 221,
+                                     228, 291, 15, 266, 276)])
+
+
+@pytest.mark.parametrize("family, s", RETRIED)
+def test_one_grouped_descent_equals_two_searches_pinned(monkeypatch, family,
+                                                        s):
+    system = {"corpus": lambda s: load_problem(CORPUS / f"{s}.json").system(),
+              "p1": random_p1_system, "p3": p3_system,
+              "p2to4": p2to4_system}[family](s)
+    config = ClassifyConfig()
+    radius = config.box_radius
+    _, _, witness = implication.certificate_stage(system, config)
+    assert witness
+    main = box_sample(system, radius, config.samples,
+                      derive_seed(config.seed, 2))
+    retry = box_sample(system, radius, config.samples,
+                       derive_seed(config.seed, 3))
+    expected = find_counterexample(system, *main, radius)
+    expected_retry = find_counterexample(system, *retry, radius,
+                                         extra_starts=witness)
+    groups, original = [], implication.descend
+
+    def spy(loss, X0, **kwargs):
+        groups.append(kwargs.get("groups"))
+        return original(loss, X0, **kwargs)
+
+    monkeypatch.setattr(implication, "descend", spy)
+    got = find_counterexample(system, *main, radius,
+                              retry=(*retry, witness))
+    # one descent: two groups, or the main's alone where the retry's
+    # sample decides; the retry is read only when the main finds nothing
+    (grouped,) = groups
+    assert grouped is None or grouped.max() == 1
+    assert expected.found == (s == 189)
+    # seed 189's retry sample holds a counterexample too, never read
+    assert expected_retry.found == (s in (189, 1199, 18, 15, 266, 276))
+    got_retry, got.retry = got.retry, None
+    assert pickle.dumps(got) == pickle.dumps(expected)
+    assert pickle.dumps(got_retry) == pickle.dumps(
+        None if expected.found else expected_retry)

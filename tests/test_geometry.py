@@ -344,8 +344,8 @@ def test_falsify_rejects_corrupted_cloud(example3):
                          box_radius=cloud.box_radius, seed=cloud.seed)
 
     def always_rejecting(M):
-        return [geo.MembershipResult(member=False, x=None, margin=1.0)
-                for _ in M]
+        return geo.MembershipAnswers(np.zeros(len(M), dtype=bool),
+                                     np.ones(len(M)), np.zeros((len(M), 2)))
 
     with pytest.raises(AssertionError):
         geo.falsify_convexity(always_rejecting, bad, trials=10, seed=4,
@@ -398,7 +398,7 @@ def test_stacked_oracle_equals_calls_one_at_a_time(example3, factory):
                    [[-50.0, -3.0], [2.0, 40.0], [-0.5, 0.0]]])
     stacked = factory(example3, cloud, budget=6, seed=4)
     single = factory(example3, cloud, budget=6, seed=4)
-    answers = stacked(M[:3]) + stacked(M[3:]) + [stacked(M[0])]
+    answers = [*stacked(M[:3]), *stacked(M[3:]), stacked(M[0])]
     expected = [single(m) for m in M] + [single(M[0])]
     assert len(answers) == len(expected) == 8
     assert all(_same_result(a, b) for a, b in zip(answers, expected))
@@ -487,7 +487,11 @@ class _RecordingOracle:
     def __call__(self, M):
         M = np.asarray(M)
         self.asked.append(M.copy())
-        return self.answer(M) if M.ndim == 1 else [self.answer(m) for m in M]
+        if M.ndim == 1:
+            return self.answer(M)
+        bad = np.array([bool(self.rejects(m)) for m in M], dtype=bool)
+        return geo.MembershipAnswers(~bad, bad.astype(float),
+                                     np.zeros((len(M), 2)))
 
 
 def _falsify_trial_by_trial(oracle, cloud, trials, seed, eta):
@@ -559,32 +563,52 @@ def test_falsifier_reports_first_violation_of_a_block():
 @pytest.mark.parametrize("k", [31, 32, 33, 65])
 def test_epi_fast_path_matches_a_per_target_loop(example3, monkeypatch, k):
     # stacks around the shortfall chunk of 32: each target below or above
-    # a cloud point, most of the lower ones left to the member search
+    # a cloud point, most of the lower ones left to the member search.
+    # The stack's answer arrays and the per-target results built from
+    # them both match the loop; the searched targets' answers, every
+    # third a member, land in their own rows
     cloud = geo.sample_image(example3, 10.0, 256, 12)
     rng = SplitMix64(k)
     picks = (rng.u64s(k) % np.uint64(cloud.size)).astype(int)
     M = cloud.points[picks] + rng.uniforms(2 * k, -10.0, 1.0).reshape(k, 2)
     searched = []
 
-    def no_member(system, M, budget, seeds, mode, starts=None):
-        searched.append((M.copy(), list(seeds), starts.copy()))
-        return [geo.MembershipResult(False, None, 1.0) for _ in M]
+    def searched_answers(count):
+        member = np.arange(count) % 3 == 0
+        return geo.MembershipAnswers(member, np.where(member, 0.0, 1.0 + count),
+                                     np.arange(2.0 * count).reshape(count, 2))
 
-    monkeypatch.setattr(geo, "_member_search", no_member)
+    def fake_search(system, M, budget, seeds, mode, starts=None):
+        searched.append((M.copy(), list(seeds), starts.copy()))
+        return searched_answers(len(M))
+
+    monkeypatch.setattr(geo, "_member_search", fake_search)
     oracle = geo.epi_membership_oracle(example3, cloud, budget=6, seed=4)
+    answers = oracle(M)
+    assert isinstance(answers, geo.MembershipAnswers)
+    member, margin, x = np.zeros(k, dtype=bool), np.zeros(k), np.zeros((k, 2))
     slow, nearest = [], []
-    for j, (m, res) in enumerate(zip(M, oracle(M), strict=True)):
+    for j, m in enumerate(M):
         gaps = np.max(cloud.points - m, axis=1)
         if gaps.min() <= geo.MEMBER_TOL:
             below = np.all(cloud.points <= m + geo.MEMBER_TOL, axis=1)
-            assert res.member
-            assert res.x.tobytes() == cloud.sources[below.argmax()].tobytes()
-            assert res.margin == max(gaps.min(), 0.0)
+            member[j], margin[j] = True, max(gaps.min(), 0.0)
+            x[j] = cloud.sources[below.argmax()]
         else:
-            assert not res.member
             slow.append(j)
             nearest.append(np.argsort(gaps, kind="stable")[:6])
     assert 0 < len(slow) < k
+    found = searched_answers(len(slow))
+    member[slow], margin[slow], x[slow] = found.member, found.margin, found.x
+    assert answers.member.tolist() == member.tolist()
+    assert answers.margin.tobytes() == margin.tobytes()
+    assert answers.x[member].tobytes() == x[member].tobytes()
+    for j, res in enumerate(answers):
+        assert res.member == member[j]
+        assert np.float64(res.margin).tobytes() == margin[j].tobytes()
+        assert (res.x.tobytes() == x[j].tobytes() if member[j]
+                else res.x is None)
+    assert len(list(answers)) == k
     ((stack, seeds, starts),) = searched
     assert stack.tobytes() == M[slow].tobytes()
     assert seeds == [derive_seed(4, 1 + j) for j in slow]

@@ -1,6 +1,6 @@
 import numpy as np
 
-from slemma.rng import SplitMix64, derive_seed
+from slemma.rng import SplitMix64, derive_seed, uniform_rows
 
 
 def test_batch_matches_scalar_bitwise():
@@ -63,3 +63,18 @@ def test_randint_bounds():
     draws = [rng.randint(7) for _ in range(500)]
     assert set(draws) <= set(range(7))
     assert len(set(draws)) == 7
+
+
+def test_uniform_rows_match_a_stream_per_seed():
+    # the member search draws every target's restarts in one batch; row j
+    # must be SplitMix64(seeds[j]).uniforms(count), bit for bit, also at
+    # the seeds whose first state wraps past 2^64
+    seeds = [0, 1, 2**64 - 1]
+    for count in (0, 1, 7, 64):
+        for lo, hi in ((0.0, 1.0), (-3.0, 5.0)):
+            rows = uniform_rows(seeds, count, lo, hi)
+            assert rows.shape == (3, count)
+            for seed, row in zip(seeds, rows):
+                assert row.tobytes() == \
+                    SplitMix64(seed).uniforms(count, lo, hi).tobytes()
+    assert uniform_rows([], 5).shape == (0, 5)
