@@ -199,16 +199,16 @@ def _descent_starts(system, X, vals, score, extra_starts):
     return np.array(starts)
 
 
-def _best_row(system, X, vals, score, refined=None, starts=None):
-    """The result from the sample's witness scores, and from the descended
-    points and their starts when given: their first of least witness f0
-    replaces the sample's best only when strictly below it."""
+def _best_row(system, X, vals, score, descent=None):
+    """The result from the sample's witness scores and, when given, the
+    `descent`'s (descended points, starts): their first of least witness
+    f0 replaces the sample's best only when strictly below it."""
     i = int(np.argmin(score)) if score.size else None
     best = np.inf if i is None else float(score[i])
-    if refined is not None:
+    if descent is not None:
         # the penalized descent may trade a whisker of feasibility for
         # objective, so the undescended starts stay in the candidate pool
-        candidates = np.vstack([refined, starts])
+        candidates = np.vstack(descent)
         cand_vals = system.values_batch(candidates)
         cand_score = witness_f0(cand_vals)
         j = int(np.argmin(cand_score))
@@ -243,40 +243,35 @@ def find_counterexample(system, X, vals, radius, extra_starts=None, *,
     certificate search.
 
     `retry`, a triple (X, vals, extra_starts) of another `box_sample` and
-    its starts, is a second search that shares this one's descent: both
-    start sets descend in one grouped `descend` call, each group's rows
+    its starts, is a second search that shares this one's descent: when
+    both descend, they make one grouped `descend` call, each group's rows
     equal to a descent on its own, so the two results are those of two
     calls, bit for bit.  The retry's result is read only when this search
     finds nothing, into the result's `retry`."""
     searches = [(X, vals, extra_starts)] + ([] if retry is None else [retry])
     scores = [witness_f0(v) for _, v, _ in searches]
     descents = [None] * len(searches)
-    if descend_undecided:
-        undecided = [k for k, score in enumerate(scores)
-                     if not np.min(score, initial=np.inf) < -_WITNESS_TOL]
-        starts = [_descent_starts(system, searches[k][0], searches[k][1],
-                                  scores[k], searches[k][2])
-                  for k in undecided]
+    undecided = [k for k, score in enumerate(scores) if descend_undecided
+                 and not np.min(score, initial=np.inf) < -_WITNESS_TOL]
+    if undecided:
+        starts = [_descent_starts(system, *searches[k][:2], scores[k],
+                                  searches[k][2]) for k in undecided]
+        loss = penalized_loss(system)
         if len(starts) == 1:
-            refined, _ = descend(penalized_loss(system), starts[0],
-                                 steps=80, box_radius=radius)
-            descents[undecided[0]] = refined, starts[0]
-        elif starts:
-            loss = penalized_loss(system)
+            pieces = [descend(loss, starts[0], steps=80, box_radius=radius)[0]]
+        else:
             sizes = [len(s) for s in starts]
             refined, _ = descend(lambda X, groups: loss(X), np.vstack(starts),
                                  steps=80, box_radius=radius,
                                  groups=np.repeat(np.arange(len(sizes)),
                                                   sizes))
-            # the rows come sorted by (group, value)
+            # sorted by (group, value): each group's rows form one block
             pieces = np.split(refined, np.cumsum(sizes)[:-1])
-            for k, piece, start in zip(undecided, pieces, starts):
-                descents[k] = piece, start
-    main = _best_row(system, X, vals, scores[0],
-                     *(descents[0] or ()))
+        for k, piece, start in zip(undecided, pieces, starts):
+            descents[k] = piece, start
+    main = _best_row(system, X, vals, scores[0], descents[0])
     if retry is not None and not main.found:
-        main.retry = _best_row(system, *retry[:2], scores[1],
-                               *(descents[1] or ()))
+        main.retry = _best_row(system, *retry[:2], scores[1], descents[1])
     return main
 
 

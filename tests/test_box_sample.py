@@ -296,6 +296,7 @@ def test_one_grouped_descent_equals_two_searches_pinned(monkeypatch, family,
     # one descent: two groups, or the main's alone where the retry's
     # sample decides; the retry is read only when the main finds nothing
     (grouped,) = groups
+    assert (grouped is None) == (s in (189, 18, 266))
     assert grouped is None or grouped.max() == 1
     assert expected.found == (s == 189)
     # seed 189's retry sample holds a counterexample too, never read
