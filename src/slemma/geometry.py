@@ -571,9 +571,12 @@ def falsify_convexity(member, cloud, trials=500, seed=0, eta=1e-3,
     (see _chord_draws), and go to the oracle in blocks of 1, 2, 4, ...
     trials: each block's chord points as one (k, p+1) stack, answered
     as a MembershipAnswers of k targets in order, whose first violation
-    is found by index.  No draw depends on an answer, so the first
-    violation in trial order is the one a trial-by-trial run reports,
-    with the same `trials_run`, and no later block is asked.
+    is found by index.  So `member` must answer a stack with arrays
+    `member` and `margin` of k entries each, as a MembershipAnswers
+    does; a list of MembershipResult is not read.  No draw depends on
+    an answer, so the first violation in trial order is the one a
+    trial-by-trial run reports, with the same `trials_run`, and no later
+    block is asked.
     """
     trial_of, j1, j2, t_idx = _chord_draws(cloud.size, trials, seed)
     t = np.array(_CHORD_TS)[t_idx]

@@ -135,7 +135,7 @@ class CounterexampleResult:
     """The search's best row: the counterexample when `found`, else the
     closest miss (the feasible row of least f0), or None.  `retry` is the
     result of the retry search `find_counterexample` ran alongside, when
-    it was given one and this search found nothing."""
+    it was given one and this search descended and found nothing."""
 
     found: bool
     x: np.ndarray | None = None
@@ -199,12 +199,19 @@ def _descent_starts(system, X, vals, score, extra_starts):
     return np.array(starts)
 
 
-def _best_row(system, X, vals, score, descent=None):
-    """The result from the sample's witness scores and, when given, the
-    `descent`'s (descended points, starts): their first of least witness
-    f0 replaces the sample's best only when strictly below it."""
+def _read_sample(vals):
+    """The sample's witness scores, its first row of least score (None
+    when there are no rows) and that score."""
+    score = witness_f0(vals)
     i = int(np.argmin(score)) if score.size else None
-    best = np.inf if i is None else float(score[i])
+    return score, i, np.inf if i is None else float(score[i])
+
+
+def _best_row(system, X, vals, i, best, descent=None):
+    """The result from the sample's best row i of witness score `best`
+    and, when given, the `descent`'s (descended points, starts): their
+    first of least witness f0 replaces the sample's best only when
+    strictly below it."""
     if descent is not None:
         # the penalized descent may trade a whisker of feasibility for
         # objective, so the undescended starts stay in the candidate pool
@@ -243,35 +250,39 @@ def find_counterexample(system, X, vals, radius, extra_starts=None, *,
     certificate search.
 
     `retry`, a triple (X, vals, extra_starts) of another `box_sample` and
-    its starts, is a second search that shares this one's descent: when
-    both descend, they make one grouped `descend` call, each group's rows
-    equal to a descent on its own, so the two results are those of two
-    calls, bit for bit.  The retry's result is read only when this search
-    finds nothing, into the result's `retry`."""
-    searches = [(X, vals, extra_starts)] + ([] if retry is None else [retry])
-    scores = [witness_f0(v) for _, v, _ in searches]
-    descents = [None] * len(searches)
-    undecided = [k for k, score in enumerate(scores) if descend_undecided
-                 and not np.min(score, initial=np.inf) < -_WITNESS_TOL]
-    if undecided:
-        starts = [_descent_starts(system, *searches[k][:2], scores[k],
-                                  searches[k][2]) for k in undecided]
-        loss = penalized_loss(system)
-        if len(starts) == 1:
-            pieces = [descend(loss, starts[0], steps=80, box_radius=radius)[0]]
-        else:
-            sizes = [len(s) for s in starts]
-            refined, _ = descend(lambda X, groups: loss(X), np.vstack(starts),
-                                 steps=80, box_radius=radius,
-                                 groups=np.repeat(np.arange(len(sizes)),
-                                                  sizes))
-            # sorted by (group, value): each group's rows form one block
-            pieces = np.split(refined, np.cumsum(sizes)[:-1])
-        for k, piece, start in zip(undecided, pieces, starts):
-            descents[k] = piece, start
-    main = _best_row(system, X, vals, scores[0], descents[0])
+    its starts, is a second search, read into the result's `retry` only
+    when this one descends and finds nothing.  When its sample does not
+    decide it either, its descent shares this one's: one grouped
+    `descend` call, each group's rows equal to a descent on its own, so
+    both results are those of two calls, bit for bit."""
+    score, i, best = _read_sample(vals)
+    if not descend_undecided or best < -_WITNESS_TOL:
+        return _best_row(system, X, vals, i, best)
+    loss = penalized_loss(system)
+    starts = _descent_starts(system, X, vals, score, extra_starts)
+    retry_starts = None
+    if retry is not None:
+        retry_X, retry_vals, retry_extra = retry
+        retry_score, retry_i, retry_best = _read_sample(retry_vals)
+        if not retry_best < -_WITNESS_TOL:
+            retry_starts = _descent_starts(system, retry_X, retry_vals,
+                                           retry_score, retry_extra)
+    if retry_starts is None:
+        refined, _ = descend(loss, starts, steps=80, box_radius=radius)
+    else:
+        # sorted by (group, value): the main rows come first
+        refined, _ = descend(lambda X, groups: loss(X),
+                             np.vstack([starts, retry_starts]), steps=80,
+                             box_radius=radius,
+                             groups=np.repeat([0, 1], [len(starts),
+                                                       len(retry_starts)]))
+    main = _best_row(system, X, vals, i, best,
+                     (refined[:len(starts)], starts))
     if retry is not None and not main.found:
-        main.retry = _best_row(system, *retry[:2], scores[1], descents[1])
+        main.retry = _best_row(
+            system, retry_X, retry_vals, retry_i, retry_best,
+            None if retry_starts is None
+            else (refined[len(starts):], retry_starts))
     return main
 
 

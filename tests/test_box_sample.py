@@ -256,15 +256,17 @@ def test_check_slater_equals_its_former_version_at_the_edges(p):
 
 # instances whose certificate search fails and leaves a witness, so that
 # classify retries from it: the Undetermined slater_fail and p1 seeds 34,
-# 129 and 1330, p1 seed 189, whose main search finds a counterexample, the
-# Undetermined p3 and p2to4 instances of the pinned families, and the
-# pinned families' instances that the retry decides (p1 1199, p3 18,
-# p2to4 15, 266 and 276)
+# 129 and 1330, the instances whose main search finds a counterexample
+# (p1 189, whose retry sample decides too; p1 704 and p2to4 28, whose
+# retry group descends beside the main one), the Undetermined p3 and
+# p2to4 instances of the pinned families, and the pinned families'
+# instances that the retry decides (p1 1199, p3 18, p2to4 15, 266, 276)
+MAIN_FINDS = (189, 704, 28)
 RETRIED = ([("corpus", "slater_fail")]
-           + [("p1", s) for s in (34, 129, 1330, 189, 1199)]
+           + [("p1", s) for s in (34, 129, 1330, 189, 704, 1199)]
            + [("p3", s) for s in (44, 18)]
            + [("p2to4", s) for s in (5, 10, 50, 156, 176, 186, 193, 221,
-                                     228, 291, 15, 266, 276)])
+                                     228, 291, 28, 15, 266, 276)])
 
 
 @pytest.mark.parametrize("family, s", RETRIED)
@@ -298,10 +300,30 @@ def test_one_grouped_descent_equals_two_searches_pinned(monkeypatch, family,
     (grouped,) = groups
     assert (grouped is None) == (s in (189, 18, 266))
     assert grouped is None or grouped.max() == 1
-    assert expected.found == (s == 189)
-    # seed 189's retry sample holds a counterexample too, never read
-    assert expected_retry.found == (s in (189, 1199, 18, 15, 266, 276))
+    assert expected.found == (s in MAIN_FINDS)
+    # the retries of p1 189 and 704 find one too, never read
+    assert expected_retry.found == (s in (189, 704, 1199, 18, 15, 266,
+                                          276))
     got_retry, got.retry = got.retry, None
     assert pickle.dumps(got) == pickle.dumps(expected)
     assert pickle.dumps(got_retry) == pickle.dumps(
         None if expected.found else expected_retry)
+
+
+def test_a_deciding_sample_ends_the_search_before_any_retry(monkeypatch):
+    """When the main search's own sample holds a counterexample, the
+    search returns it with no descent, the retry's included, and no
+    retry result."""
+    system = random_p1_system(6)
+    config = ClassifyConfig()
+    radius = config.box_radius
+    main = box_sample(system, radius, config.samples,
+                      derive_seed(config.seed, 2))
+    retry = box_sample(system, radius, config.samples,
+                       derive_seed(config.seed, 3))
+    expected = find_counterexample(system, *main, radius)
+    monkeypatch.setattr(implication, "descend", None)   # any call fails
+    got = find_counterexample(system, *main, radius,
+                              retry=(*retry, np.zeros((1, system.n))))
+    assert expected.found and got.retry is None
+    assert pickle.dumps(got) == pickle.dumps(expected)
