@@ -9,7 +9,7 @@ expression systems only sampled verification is available.  Both are
 certificate.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -338,9 +338,11 @@ def find_certificate_via_separation(system, cloud, tol=PSD_RTOL, seed=0):
     guard), divide through by alpha_0, check the multipliers with the same
     `tol`, and on failure cut the violating point or direction into the
     cloud and repeat (at most REFINE_ROUNDS extra rounds).  Each round is
-    one `hull_intersects_k` LP.  The result carries round 0's whole answer
-    on `cloud` itself, hull and separator, so the evidence step solves no
-    LP."""
+    one `hull_intersects_k` LP on its cloud's frontier: round 0's is
+    `cloud.frontier`, and each grown cloud's comes from the round before
+    it, merged with the at most three added points (`ImageCloud.grown`).
+    The result carries round 0's whole answer on `cloud` itself, hull and
+    separator, so the evidence step solves no LP."""
     work = cloud
     check = None
     for round_idx in range(REFINE_ROUNDS + 1):
@@ -367,7 +369,6 @@ def find_certificate_via_separation(system, cloud, tol=PSD_RTOL, seed=0):
         if not fresh:
             break
         sources, pts = zip(*fresh)
-        work = replace(work, points=np.vstack([work.points, np.array(pts)]),
-                       sources=np.vstack([work.sources, np.array(sources)]))
+        work = work.grown(np.array(pts), np.array(sources))
     return SearchResult(check=check, outcome=REFINEMENT_EXHAUSTED,
                         rounds=REFINE_ROUNDS + 1, separation=first)

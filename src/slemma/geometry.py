@@ -13,7 +13,7 @@ import os
 from collections.abc import Sequence
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import DomainError, NumericalBreakdown
 from .linprog import OPTIMAL, LinearProgram, solve_lp
 from .quadratic import PSD_RTOL, QuadraticFunction, bordered_matrix
 from .rng import SplitMix64, derive_seed, uniform_rows
-from .search import all_finite, descend
+from .search import all_finite, descend, smallest_rows
 from .systems import FunctionSystem
 
 MEMBER_TOL = 1e-7
@@ -57,9 +57,26 @@ class ImageCloud:
 
     @cached_property
     def frontier(self):
-        """Indices of the componentwise-minimal points, computed once; the
-        cloud LP runs on this subset."""
+        """Indices of the componentwise-minimal points (`_pareto_minimal`),
+        computed once.  The cloud LP runs on this subset, and so does the
+        epi oracle's fast path.  A cloud made by `grown` gets it from its
+        parent's frontier and the added points (see there)."""
         return _pareto_minimal(self.points)
+
+    def grown(self, points, sources):
+        """This cloud with `points`, imaged from `sources`, appended.  Its
+        frontier is `_pareto_minimal` of this cloud's frontier and the added
+        points, which equals that of all the grown cloud's points: a point
+        off this frontier has a dominator on it that comes earlier in (sum,
+        index) order, and the added points, last by index, leave the order
+        of the old ones as it was."""
+        grown = replace(self, points=np.vstack([self.points, points]),
+                        sources=np.vstack([self.sources, sources]))
+        kept = np.concatenate([self.frontier,
+                               np.arange(self.size, grown.size)])
+        # stored where cached_property keeps `frontier`
+        grown.__dict__["frontier"] = kept[_pareto_minimal(grown.points[kept])]
+        return grown
 
 
 def sample_image(system, radius, count, seed):
@@ -326,6 +343,16 @@ def _gauss_newton_polish(system, X, M, mode):
     return best_X
 
 
+@lru_cache(maxsize=8)
+def _restart_radii(restarts):
+    """The (restarts, 1) column of box radii 1, 5, 20, 80, 1, 5, ... that a
+    member search scales its restart draws by; read-only, as every search
+    with this many restarts shares it."""
+    radii = np.resize([1.0, 5.0, 20.0, 80.0], restarts)[:, None]
+    radii.setflags(write=False)
+    return radii
+
+
 def _member_search(system, M, budget, seeds, mode, starts=None):
     """Search, for each target m (a row of the (k, p+1) stack M), for an x
     whose image matches or dominates m.
@@ -340,18 +367,18 @@ def _member_search(system, M, budget, seeds, mode, starts=None):
     target alone.
 
     The descent retires a target as soon as one of its rows has loss
-    sum_i r_i^2 <= _MEMBER_LOSS, and a retired target skips the polish:
-    that row's image is within MEMBER_TOL of the target, so the target is
-    a member whatever the rest of the budget would give.  A target that
-    never retires gets the full step budget and the polish, so a
-    non-member's margin is the one a search without retirement finds.
-    Membership is read, for every target, from the image_batch shortfall
-    of its best row, <= MEMBER_TOL.
+    sum_i r_i^2 <= _MEMBER_LOSS, and a retired target skips the polish
+    (with none live, the polish is not called): that row's image is within
+    MEMBER_TOL of the target, so the target is a member whatever the rest
+    of the budget would give.  A target that never retires gets the full
+    step budget and the polish, so a non-member's margin is the one a
+    search without retirement finds.  Membership is read, for every
+    target, from the image_batch shortfall of its best row, <= MEMBER_TOL.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     k, n = M.shape[0], system.n
     restarts = max(4, int(budget))
-    radii = np.resize([1.0, 5.0, 20.0, 80.0], restarts)[:, None]
+    radii = _restart_radii(restarts)
     U = uniform_rows(seeds, restarts * n)
     blocks = [np.zeros((k, 1, n)),
               -radii + 2.0 * radii * U.reshape(k, restarts, n)]
@@ -377,9 +404,10 @@ def _member_search(system, M, budget, seeds, mode, starts=None):
     # each target's three polish slots first, then its descended rows; a
     # retired target's slots hold its three best descended rows as they are
     X = np.concatenate([X[:, :3], X], axis=1)
-    X[live, :3] = _gauss_newton_polish(
-        system, X[live, :3].reshape(-1, n), np.repeat(M[live], 3, axis=0),
-        mode).reshape(-1, 3, n)
+    if live.any():
+        X[live, :3] = _gauss_newton_polish(
+            system, X[live, :3].reshape(-1, n), np.repeat(M[live], 3, axis=0),
+            mode).reshape(-1, 3, n)
     Z = system.image_batch(X.reshape(-1, n)).reshape(k, size + 3, -1)
     gaps = _shortfalls(np.where(np.isfinite(Z), Z, np.inf), M[:, None], mode)
     rows, best = np.arange(k), np.argmin(gaps, axis=1)
@@ -402,13 +430,12 @@ def _membership_oracle(system, cloud, budget, seed, mode):
     target m, answered as a MembershipResult, or a (k, p+1) stack answered
     as k calls in order, in one MembershipAnswers: call c (counted from 1)
     searches with the seed derive_seed(seed, c), starting from the six
-    cloud points of least shortfall.  In epi mode a cloud point below m
-    answers without a search: x is the first source whose point is <= m +
-    MEMBER_TOL in every coordinate, and the margin max(least shortfall,
-    0), both read for all such targets of a chunk at once.  The rest
-    share one search.  Shortfalls are taken _ORACLE_CHUNK targets at a
-    time, so a large stack never holds more than two (_ORACLE_CHUNK, N)
-    buffers."""
+    cloud points of least shortfall (`smallest_rows`, ties in index
+    order).  In epi mode a cloud point below m answers without a search
+    (`_epi_fast_path`, which reads the frontier).  The rest share one
+    search; only their shortfalls are taken against every cloud point.
+    Shortfalls are taken _ORACLE_CHUNK targets at a time, so a large
+    stack's buffers stay (_ORACLE_CHUNK, N)."""
     calls = 0
 
     def oracle(m):
@@ -420,28 +447,13 @@ def _membership_oracle(system, cloud, budget, seed, mode):
         calls += k
         answers = MembershipAnswers(np.zeros(k, dtype=bool), np.empty(k),
                                     np.empty((k, cloud.n)))
-        slow, nearest = [], []
-        for lo in range(0, k, _ORACLE_CHUNK):
-            chunk = M[lo:lo + _ORACLE_CHUNK]
-            gaps = _shortfalls(cloud.points[None], chunk[:, None], mode)
-            best = gaps.min(axis=1)
-            fast = (best <= MEMBER_TOL if mode == "epi"
-                    else np.zeros(len(chunk), dtype=bool))
-            if fast.any():
-                rows = fast.nonzero()[0]
-                inside = _weakly_below(cloud.points,
-                                       chunk[rows] + MEMBER_TOL)
-                answers.member[lo + rows] = True
-                answers.margin[lo + rows] = _clamp_at_zero(best[rows])
-                answers.x[lo + rows] = cloud.sources[inside.argmax(axis=0)]
-                gaps = gaps[~fast]
-            slow.extend((lo + (~fast).nonzero()[0]).tolist())
-            # copied, so the rows' full argsort is not kept alive
-            nearest.append(
-                np.argsort(gaps, axis=1, kind="stable")[:, :6].copy())
-            del gaps      # free this chunk before the next is built
-        if slow:
-            seeds = [derive_seed(seed, first + j) for j in slow]
+        slow = (_epi_fast_path(cloud, M, answers) if mode == "epi"
+                else np.arange(k))
+        if slow.size:
+            nearest = [smallest_rows(_shortfalls(
+                cloud.points[None], M[slow[lo:lo + _ORACLE_CHUNK], None],
+                mode), 6) for lo in range(0, len(slow), _ORACLE_CHUNK)]
+            seeds = [derive_seed(seed, first + j) for j in slow.tolist()]
             found = _member_search(system, M[slow], budget, seeds, mode,
                                    starts=cloud.sources[np.vstack(nearest)])
             answers.member[slow] = found.member
@@ -450,6 +462,32 @@ def _membership_oracle(system, cloud, budget, seed, mode):
         return answers if m_arr.ndim > 1 else answers[0]
 
     return oracle
+
+
+def _epi_fast_path(cloud, M, answers):
+    """Answer, into `answers`, each target m of the stack M that a cloud
+    point is below, and return the indices of the others.  Such a target
+    is a member with margin max(least shortfall, 0) and x the first source
+    whose point is <= m + MEMBER_TOL in every coordinate.  The least
+    shortfall is read on the frontier alone: every cloud point is weakly
+    above a frontier point, and rounding z_i - m_i is monotone in z_i, so
+    no other point has a smaller shortfall.  The first-below scan reads
+    every point, as the first source below m need not be on the
+    frontier."""
+    front = cloud.points[cloud.frontier]
+    slow = []
+    for lo in range(0, len(M), _ORACLE_CHUNK):
+        chunk = M[lo:lo + _ORACLE_CHUNK]
+        best = _shortfalls(front[None], chunk[:, None], "epi").min(axis=1)
+        fast = best <= MEMBER_TOL
+        if fast.any():
+            rows = fast.nonzero()[0]
+            inside = _weakly_below(cloud.points, chunk[rows] + MEMBER_TOL)
+            answers.member[lo + rows] = True
+            answers.margin[lo + rows] = _clamp_at_zero(best[rows])
+            answers.x[lo + rows] = cloud.sources[inside.argmax(axis=0)]
+        slow.append(lo + (~fast).nonzero()[0])
+    return np.concatenate(slow) if slow else np.arange(0)
 
 
 def epi_membership_oracle(system, cloud, budget=24, seed=0):

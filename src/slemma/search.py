@@ -91,6 +91,25 @@ def smallest(vals, k):
     return idx[np.argsort(vals[idx], kind="stable")[:k]]
 
 
+def smallest_rows(vals, k):
+    """`smallest(row, k)` for each row of the 2-D `vals`: exactly
+    np.argsort(vals, axis=1, kind="stable")[:, :k], without sorting every
+    value.  A row's candidates are its values at or below its k-th
+    smallest; one stable sort on (row, value) keeps their ties in index
+    order, and each row's first k are taken."""
+    vals = np.asarray(vals)
+    if not 0 < k < vals.shape[1]:
+        return np.argsort(vals, axis=1, kind="stable")[:, :k]
+    kth = np.partition(vals, k - 1, axis=1)[:, k - 1, None]
+    rows, cols = np.nonzero(vals <= kth)
+    counts = np.bincount(rows, minlength=len(vals))
+    if np.any(counts < k):  # a NaN among a row's k smallest: NaN sorts last
+        return np.argsort(vals, axis=1, kind="stable")[:, :k]
+    order = np.lexsort((vals[rows, cols], rows))
+    firsts = np.cumsum(counts) - counts
+    return cols[order[firsts[:, None] + np.arange(k)]]
+
+
 def fd_gradient(loss, X, groups=None):
     """Values and gradients of `loss` at the rows of X from one loss call,
     cleaned: a non-finite value reads +inf, a non-finite gradient entry 0.

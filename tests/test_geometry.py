@@ -150,6 +150,54 @@ def test_pareto_frontier_matches_the_point_by_point_loop():
         assert got.tobytes() == expected.tobytes(), Z
 
 
+def _added_points(rng, cloud, count):
+    """`count` points made from the cloud's frontier points: one that
+    dominates its point, one of equal coordinate sum, a duplicate, and a
+    dominated one, in turn from a random start."""
+    front = cloud.points[cloud.frontier]
+    dim = cloud.p + 1
+    added = []
+    for kind in (int(rng.integers(4)) + np.arange(count)) % 4:
+        z = front[rng.integers(len(front))]
+        unit = np.eye(dim)[rng.integers(dim)]
+        if kind == 0:
+            z = z - rng.integers(0, 2, dim) - unit
+        elif kind == 1:
+            z = z + unit - np.eye(dim)[rng.integers(dim)]
+        elif kind == 3:
+            z = z + rng.integers(0, 2, dim) + unit
+        added.append(z)
+    return np.array(added)
+
+
+def test_grown_cloud_frontier_equals_a_fresh_filter():
+    # the refinement's grown cloud gets its frontier from its parent's and
+    # the one to three added points; it equals _pareto_minimal on every
+    # point of the grown cloud, through three rounds of growth, on integer
+    # grids (ties and duplicates), float points of equal sums and
+    # infinite coordinates, with added points that dominate, tie with,
+    # duplicate or lie above frontier points
+    rng = np.random.default_rng(31)
+    grown_frontiers = 0
+    for Z in _clouds():
+        if not len(Z):
+            continue
+        cloud = _cloud_from_points(Z, n=1)
+        for _ in range(3):
+            with np.errstate(invalid="ignore"):   # sums of inf and -inf
+                added = _added_points(rng, cloud, int(rng.integers(1, 4)))
+                grown = cloud.grown(added, np.zeros((len(added), 1)))
+                expected = geo._pareto_minimal(grown.points)
+            assert grown.points.tobytes() == np.vstack([cloud.points,
+                                                        added]).tobytes()
+            assert grown.sources.shape == (grown.size, 1)
+            assert grown.frontier.tobytes() == expected.tobytes()
+            grown_frontiers += not np.array_equal(
+                grown.frontier[:len(cloud.frontier)], cloud.frontier)
+            cloud = grown
+    assert grown_frontiers > 100
+
+
 def test_hull_disjoint_positive_cloud():
     res = geo.hull_intersects_k(_cloud_from_points([[1.0, 0.0], [2.0, 1.0]]))
     assert not res.intersects
@@ -613,6 +661,104 @@ def test_epi_fast_path_matches_a_per_target_loop(example3, monkeypatch, k):
     assert stack.tobytes() == M[slow].tobytes()
     assert seeds == [derive_seed(4, 1 + j) for j in slow]
     assert starts.tobytes() == cloud.sources[np.array(nearest)].tobytes()
+
+
+def _fast_path_clouds():
+    """(name, cloud) pairs: duplicated points, points of tied coordinate
+    sums, sampled images, and clouds of fewer than six points; every
+    source distinct, so an x read from the wrong point shows."""
+    rng = np.random.default_rng(29)
+    steps = rng.integers(-3, 4, 60).astype(float)          # 14 points
+    grid = np.column_stack([steps, rng.integers(0, 2, 60) - steps])
+    level = rng.integers(-4, 5, 60).astype(float)          # sum 0 or 3
+    tied = np.column_stack([level, np.where(np.arange(60) % 2, 3.0, 0.0)
+                            - level])
+    tied3 = np.column_stack([tied, rng.integers(-1, 2, 60)])
+    sampled = geo.sample_image(
+        FunctionSystem(2, random_quadratic(SplitMix64(3), 2),
+                       (random_quadratic(SplitMix64(4), 2),)), 4.0, 300, 5)
+    clouds = [("duplicates", grid), ("tied sums", tied),
+              ("tied sums, p = 2", tied3), ("sampled", sampled.points),
+              ("five points", grid[:5]), ("one point", grid[:1]),
+              ("two equal points", np.vstack([grid[:1], grid[:1]]))]
+    for name, points in clouds:
+        sources = np.arange(2.0 * len(points)).reshape(-1, 2)
+        yield name, geo.ImageCloud(points=points, sources=sources,
+                                   box_radius=1.0, seed=0)
+
+
+def _fast_path_targets(cloud, seed):
+    """Each of some cloud points, itself and moved by -2, -1, +1 and +2
+    MEMBER_TOL in every coordinate or in one, then chord points and
+    targets below the cloud."""
+    rng = np.random.default_rng(seed)
+    dim = cloud.p + 1
+    picks = cloud.points[rng.integers(0, cloud.size, 12)]
+    moves = [np.zeros(dim)]
+    for tol in (-2.0, -1.0, 1.0, 2.0):
+        moves += [np.full(dim, tol * geo.MEMBER_TOL),
+                  tol * geo.MEMBER_TOL * np.eye(dim)[rng.integers(dim)]]
+    near = (picks[:, None] + np.array(moves)[None]).reshape(-1, dim)
+    j1, j2 = rng.integers(0, cloud.size, (2, 20))
+    chords = 0.25 * cloud.points[j1] + 0.75 * cloud.points[j2]
+    below = cloud.points[rng.integers(0, cloud.size, 8)] - rng.uniform(
+        0.0, 2.0, (8, dim))
+    return np.vstack([near, chords, below])
+
+
+@pytest.mark.parametrize("name,cloud", list(_fast_path_clouds()))
+def test_epi_frontier_fast_path_matches_the_full_cloud_loop(
+        example3, monkeypatch, name, cloud):
+    # the oracle reads the least shortfall on the frontier alone; a loop
+    # over every cloud point, one target at a time, gives the same member
+    # flags, margins and fast members' x, and the same searched targets
+    # with the same seeds and six (or all) starts, bit for bit.  The
+    # targets go as one stack and then one at a time, so the call count
+    # (the seeds) runs on across calls
+    M = _fast_path_targets(cloud, len(name))
+    k = len(M)
+    searched = []
+
+    def fake_search(system, M, budget, seeds, mode, starts=None):
+        searched.append((M.copy(), list(seeds), starts.copy()))
+        member = np.arange(len(M)) % 2 == 0
+        return geo.MembershipAnswers(member, np.where(member, 0.0, 3.0),
+                                     np.full((len(M), cloud.n), 7.0))
+
+    monkeypatch.setattr(geo, "_member_search", fake_search)
+    oracle = geo.epi_membership_oracle(example3, cloud, budget=6, seed=4)
+    answers = oracle(M)
+    singles = [oracle(m) for m in M]
+    member, margin, x = np.zeros(k, dtype=bool), np.zeros(k), np.zeros((k, 2))
+    slow, nearest = [], []
+    for j, m in enumerate(M):
+        gaps = np.max(cloud.points - m, axis=1)
+        if gaps.min() <= geo.MEMBER_TOL:
+            below = np.all(cloud.points <= m + geo.MEMBER_TOL, axis=1)
+            member[j], margin[j] = True, max(gaps.min(), 0.0)
+            x[j] = cloud.sources[below.argmax()]
+        else:
+            slow.append(j)
+            nearest.append(np.argsort(gaps, kind="stable")[:6])
+    assert 0 < len(slow) < k
+    fast = ~np.isin(np.arange(k), slow)
+    assert answers.member[fast].all()
+    assert answers.margin[fast].tobytes() == margin[fast].tobytes()
+    assert answers.x[fast].tobytes() == x[fast].tobytes()
+    for j in np.flatnonzero(fast):
+        assert singles[j].member
+        assert np.float64(singles[j].margin).tobytes() == margin[j].tobytes()
+        assert singles[j].x.tobytes() == x[j].tobytes()
+    stack, seeds, starts = searched[0]
+    assert stack.tobytes() == M[slow].tobytes()
+    assert seeds == [derive_seed(4, 1 + j) for j in slow]
+    assert starts.tobytes() == cloud.sources[np.array(nearest)].tobytes()
+    assert len(searched) == 1 + len(slow)
+    for i, j in enumerate(slow):
+        one, one_seeds, one_starts = searched[1 + i]
+        assert one.tobytes() == M[j:j + 1].tobytes()
+        assert one_seeds == [derive_seed(4, 1 + k + j)]
+        assert one_starts.tobytes() == cloud.sources[nearest[i]].tobytes()
 
 
 def test_conical_oracle_zero_is_member(example3):

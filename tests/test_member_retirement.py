@@ -258,6 +258,46 @@ def test_a_search_where_every_target_retires(monkeypatch, mode):
                              range(5), mode, X[:, None]) == (5, 5, 0)
 
 
+@pytest.mark.parametrize("budget", range(10))
+def test_no_polish_without_a_live_target_and_the_same_draws(monkeypatch,
+                                                            budget):
+    # a search whose targets all retire calls the polish zero times, and
+    # one with a live target calls it once; either way the descent starts
+    # from the restart radii np.resize([1, 5, 20, 80], restarts) gives
+    system = load_problem(CORPUS / "example3_pair.json").system()
+    X = SplitMix64(4).uniform_box(1.0, 2, 3)
+    members = system.image_batch(X)
+    far = members + [[-1e6, -1e6]]   # below every image: never retires
+    polished, starts = [], []
+    original_polish, original_descend = (geometry._gauss_newton_polish,
+                                         search.descend)
+
+    def polish(*args):
+        polished.append(len(args[1]))
+        return original_polish(*args)
+
+    def descend(loss, X0, **kwargs):
+        starts.append(np.array(X0))
+        return original_descend(loss, X0, **kwargs)
+
+    monkeypatch.setattr(geometry, "_gauss_newton_polish", polish)
+    monkeypatch.setattr(geometry, "descend", descend)
+    for M, calls in ((members, []), (np.vstack([members, far[:1]]), [3])):
+        polished.clear()
+        seeds = [derive_seed(budget, j) for j in range(len(M))]
+        given = np.vstack([X, X[:1]])[:len(M), None]
+        geometry._member_search(system, M, budget, seeds, "epi", given)
+        assert polished == calls
+        restarts = max(4, budget)
+        radii = np.resize([1.0, 5.0, 20.0, 80.0], restarts)[:, None]
+        U = np.array([SplitMix64(seed).uniforms(restarts * 2)
+                      for seed in seeds]).reshape(len(M), restarts, 2)
+        expected = np.concatenate(
+            [given, np.zeros((len(M), 1, 2)), -radii + 2.0 * radii * U],
+            axis=1).reshape(-1, 2)
+        assert starts.pop().tobytes() == expected.tobytes()
+
+
 def test_slater_fail_epi_searches_stop_early(monkeypatch):
     # before retirement the epi member searches of `classify slater_fail`
     # made 233 loss calls, each descent waiting for its slowest restart;

@@ -452,6 +452,24 @@ def test_smallest_equals_the_stable_argsort_prefix():
             assert got.tobytes() == expected.tobytes(), (vals, k)
 
 
+def test_smallest_rows_equals_the_stable_argsort_prefix():
+    # rows of each value list in three orders, and no rows at all; a NaN
+    # among one row's k smallest and not among another's
+    rng = np.random.default_rng(13)
+    for vals in _value_lists():
+        for rows in (np.vstack([vals, vals[::-1], rng.permutation(vals)]),
+                     np.empty((0, vals.size))):
+            for k in sorted({1, 2, 6, 20, vals.size - 1, vals.size,
+                             vals.size + 1}):
+                if k < 1:
+                    continue
+                got = search.smallest_rows(rows, k)
+                expected = np.argsort(rows, axis=1, kind="stable")[:, :k]
+                assert got.dtype == expected.dtype
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes(), (rows, k)
+
+
 @pytest.mark.parametrize("system", [
     FunctionSystem(1, parse("log(x1)", 1),
                    (QuadraticFunction([[0.0]], [0.0], 1.0),)),
