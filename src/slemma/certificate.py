@@ -3,7 +3,9 @@
 A certificate for (f0; f1..fp) is alpha >= 0 with f0 - sum_i alpha_i f_i
 nonnegative everywhere.  For all-quadratic systems that is equivalent to
 positive semidefiniteness of M(alpha) = M0 - sum_i alpha_i M_i, the
-bordered matrix of the combined quadratic, so verification is exact; for
+bordered matrix of the combined quadratic, so verification is an
+eigenvalue test, and a pass by its tolerance is refuted in exact
+rationals where the eigenvector shows a violation; for
 expression systems only sampled verification is available.  Both are
 `check_multipliers`, which every search and command uses to label a
 certificate.
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import exact
 from .errors import DimensionMismatch, NumericalBreakdown, SlemmaError
 from .geometry import HullResult, hull_intersects_k
 from .linprog import OPTIMAL, Tableau
@@ -95,11 +98,15 @@ def check_multipliers(system, alpha, tol=PSD_RTOL, radius=10.0, samples=4096,
     the only place the PSD rule is applied or a certificate is labelled.
 
     All-quadratic systems: alpha passes when lambda_min(M(alpha)) >=
-    -tol * (1 + max|M(alpha)|), an ExactPSD certificate.  On failure the
-    minimum eigenvector is dehomogenized into a violating point when its
-    last coordinate allows; otherwise its leading n components are the
-    direction.  `eigenpair` = (M(alpha), lambda_min, eigenvector) reuses a
-    decomposition the caller already made.
+    -tol * (1 + max|M(alpha)|), an ExactPSD certificate, unless
+    lambda_min < 0 and the minimum eigenvector's lift is a violation in
+    exact rationals (`exact.combination`): g(x) = f0(x) - sum_i alpha_i
+    f_i(x) < 0 at the point, or d^T (Q0 - sum_i alpha_i Q_i) d < 0 along
+    the direction.  The lift is the eigenvector dehomogenized into a point
+    when its last coordinate allows, and otherwise its leading n
+    components as a direction; a failing check carries it.  `eigenpair` =
+    (M(alpha), lambda_min, eigenvector) reuses a decomposition the caller
+    already made.
 
     Other systems: the combination is minimized over [-radius, radius]^n
     from `samples` points (stream `seed`) plus descent from the 10 smallest;
@@ -131,12 +138,21 @@ def check_multipliers(system, alpha, tol=PSD_RTOL, radius=10.0, samples=4096,
     check = MultiplierCheck(alpha, EXACT_PSD, lambda_min=lam,
                             threshold=-tol * (1.0 + np.max(np.abs(M))))
     check.valid = bool(lam >= check.threshold)
-    if check.valid:
+    if check.valid and lam >= 0.0:
         return check
     if abs(v[-1]) >= 1e-8:
         check.violating_x = v[:-1] / v[-1]
     else:
         check.direction = v[:-1]
+    if check.valid:
+        # passed by tolerance: refuted when the lift violates exactly
+        point = check.violating_x is not None
+        g = exact.combination(system.functions, [1.0, *(-alpha).tolist()],
+                              check.violating_x if point else check.direction,
+                              homogeneous=not point)
+        check.valid = g >= 0
+        if check.valid:
+            check.violating_x = check.direction = None
     return check
 
 

@@ -89,16 +89,19 @@ class FarkasResult:
     system_consistent: bool = True
 
 
-def solve(data):
+def solve(data, margin=0.0):
     """Multipliers (a0 = sum alpha_i a_i, b0 - sum alpha_i b_i <= 0) or an
     alternative x with a_i . x >= b_i for all i and <a0, x> < b0.
 
     An inconsistent constraint system is flagged: multipliers are then
     reported when they exist at all, and the result carries
     system_consistent=False either way.  Homogeneous data never reaches
-    that branch, since x = 0 is feasible."""
+    that branch, since x = 0 is feasible.  A positive `margin` asks every
+    constraint for it, a_i . x >= b_i + margin: the LP's vertex then
+    clears each constraint by more than its rounding."""
     # minimize <a0, x> subject to a_i . x >= b_i (as -a x <= -b)
-    out = solve_lp(LinearProgram(c=data.a0, a_ub=-data.a, b_ub=-data.b,
+    out = solve_lp(LinearProgram(c=data.a0, a_ub=-data.a,
+                                 b_ub=-(data.b + margin),
                                  free=range(data.n)))
     if out.status == INFEASIBLE:
         alpha = _inconsistent_multipliers(data)

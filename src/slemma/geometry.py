@@ -30,6 +30,7 @@ MEMBER_TOL = 1e-7
 # member: then every |r_i| <= MEMBER_TOL/2 (1 + u), as fl(r_i^2) <= loss
 _MEMBER_LOSS = (MEMBER_TOL / 2) ** 2
 _ORACLE_CHUNK = 32    # targets per shortfall buffer of a stacked oracle call
+_SCAN_BLOCK = 16      # cloud points in the first-below scan's first block
 _PARETO_BLOCK = 64    # points per block of the Pareto filter
 
 
@@ -134,18 +135,20 @@ def cloud_k_members(cloud):
 
 
 def _pareto_minimal(Z):
-    """Indices of componentwise-minimal points.
+    """Indices of componentwise-minimal points, the first of equal ones.
 
     The cloud LP (`hull_intersects_k`) bounds each coordinate of a convex
     combination by its objective, so a point dominated componentwise by
     another can be dropped exactly: the dominating point does at least as
-    well in every constraint.  Processing in coordinate-sum order
-    guarantees dominators are seen first: a point is dropped iff an earlier
-    point in (sum, index) order weakly dominates it, which, as dominance is
-    transitive, is iff an earlier kept point does.  The points go in
+    well in every constraint.  Processing in (coordinate sum, coordinates
+    lexicographically, index) order guarantees dominators are seen first:
+    the float sum is monotone under dominance, and among equal sums a
+    dominator is lexicographically smaller.  A point is dropped iff an
+    earlier point in that order weakly dominates it, which, as dominance
+    is transitive, is iff an earlier kept point does.  The points go in
     blocks, each tested against the points kept before it and then
     against its own earlier points."""
-    order = np.argsort(np.sum(Z, axis=1), kind="stable")
+    order = np.lexsort((*Z.T[::-1], np.sum(Z, axis=1)))
     S = Z[order]
     kept = np.zeros(len(S), dtype=bool)
     earlier = np.triu(np.ones((_PARETO_BLOCK, _PARETO_BLOCK), dtype=bool), 1)
@@ -472,8 +475,8 @@ def _epi_fast_path(cloud, M, answers):
     shortfall is read on the frontier alone: every cloud point is weakly
     above a frontier point, and rounding z_i - m_i is monotone in z_i, so
     no other point has a smaller shortfall.  The first-below scan reads
-    every point, as the first source below m need not be on the
-    frontier."""
+    the whole cloud, as the first source below m need not be on the
+    frontier (`_first_below`)."""
     front = cloud.points[cloud.frontier]
     slow = []
     for lo in range(0, len(M), _ORACLE_CHUNK):
@@ -482,12 +485,35 @@ def _epi_fast_path(cloud, M, answers):
         fast = best <= MEMBER_TOL
         if fast.any():
             rows = fast.nonzero()[0]
-            inside = _weakly_below(cloud.points, chunk[rows] + MEMBER_TOL)
+            first = _first_below(cloud.points, chunk[rows] + MEMBER_TOL)
             answers.member[lo + rows] = True
             answers.margin[lo + rows] = _clamp_at_zero(best[rows])
-            answers.x[lo + rows] = cloud.sources[inside.argmax(axis=0)]
+            answers.x[lo + rows] = cloud.sources[first]
         slow.append(lo + (~fast).nonzero()[0])
     return np.concatenate(slow) if slow else np.arange(0)
+
+
+def _first_below(points, T):
+    """For each row t of T, the index of the first point <= t in every
+    coordinate, 0 when there is none (as `argmax` of an all-False row
+    reads).  The first _SCAN_BLOCK points answer most rows, and only the
+    rows they miss read the rest of the points."""
+
+    def below(P, rows):
+        # [j, i]: P[i] <= rows[j], each row of targets contiguous, so its
+        # argmax stops at the first True
+        inside = P[:, 0] <= rows[:, 0, None]
+        for col in range(1, P.shape[1]):
+            inside &= P[:, col] <= rows[:, col, None]
+        return inside
+
+    inside = below(points[:_SCAN_BLOCK], T)
+    first = inside.argmax(axis=1)
+    miss = np.flatnonzero(~inside.any(axis=1))
+    if miss.size and len(points) > _SCAN_BLOCK:
+        first[miss] = _SCAN_BLOCK + below(points[_SCAN_BLOCK:],
+                                          T[miss]).argmax(axis=1)
+    return first
 
 
 def epi_membership_oracle(system, cloud, budget=24, seed=0):

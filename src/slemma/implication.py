@@ -8,20 +8,26 @@ intersection, separator, convexity falsifiers).  A run draws one box
 sample (`box_sample`, stream 2), memoized per process (see
 `search.box_points`); the Slater and counterexample searches read it and
 their descended points with one vectorized test each (`slater_margin`,
-`witness_f0`), a column at a time.  On an all-quadratic system the
-certificate search runs between the counterexample search's read of the
-sample and its descent, skipped when the certificate's margin leaves no
-counterexample for it to accept in the box ((C) implies (I), up to the
-tolerances).  A failed certificate search's witness adds a retry on its
-own sample (stream 3), whose descent shares the main descent's call.
+`witness_f0`), a column at a time.  On an all-quadratic system the row a
+counterexample search selects must hold exactly (`_first_witness`: every
+f_i >= 0 and f0 < -1e-9 in rationals, screened by `exact.error_bound`).
+There the certificate search runs between the counterexample search's
+read of the sample and its descent, skipped when the certificate's
+eigenvalue floor leaves no counterexample for it to accept in the box
+((C) implies (I)).  A failed certificate search's witness adds a retry
+on its own sample (stream 3), whose descent shares the main descent's
+call.
 Each other stage maps the config to its arguments and owns its seed
 stream; the CLI calls them too."""
 
+import math
 from dataclasses import dataclass, field, fields
+from fractions import Fraction
 
 import numpy as np
 
 from . import certificate as cert_mod
+from . import exact
 from . import farkas as farkas_mod
 from . import geometry
 from .errors import NotConverged, NumericalBreakdown, SlemmaError
@@ -169,13 +175,72 @@ def penalized_loss(system):
 
 
 def witness_f0(vals):
-    """The witness test on each row of values_batch's (m, p+1) array: f0
-    where f0 is finite and the row's `slater_margin` is >= -1e-9 (every
-    f_i finite and >= -1e-9), +inf on every other row.  A row is a
-    counterexample when this reads below -1e-9."""
+    """The float witness test on each row of values_batch's (m, p+1)
+    array: f0 where f0 is finite and the row's `slater_margin` is >= -1e-9
+    (every f_i finite and >= -1e-9), +inf on every other row.  A row is a
+    candidate counterexample when this reads below -1e-9; on an
+    all-quadratic system it is one only when it also holds exactly
+    (`_first_witness`)."""
     f0 = vals[:, 0]
     feasible = np.isfinite(f0) & (slater_margin(vals[:, 1:]) >= -_WITNESS_TOL)
     return np.where(feasible, f0, np.inf)
+
+
+def _exact_range(system, X, vals):
+    """(lo, hi) = vals -+ `exact.error_bound` at the point or the rows X of
+    an all-quadratic system, `vals` being their values: each exact value
+    lies in [lo, hi] up to the rounding of lo and hi themselves.  That
+    rounding is monotone and keeps signs, and 0 and -1e-9 are doubles, so
+    comparing lo or hi with them strictly, or lo >= 0, gives the exact
+    value's side."""
+    err = exact.error_bound(system.stack, X)
+    return vals - err, vals + err
+
+
+def _holds(lo, hi):
+    """Whether the exact values, of a point or of each row, hold the
+    witness rule: every f_i >= 0 and f0 < -1e-9."""
+    return (hi[..., 0] < -_WITNESS_TOL) & (lo[..., 1:] >= 0.0).all(-1)
+
+
+def _breaks(lo, hi):
+    """Whether the exact values, of a point or of each row, break the
+    witness rule."""
+    return (lo[..., 0] > -_WITNESS_TOL) | (hi[..., 1:] < 0.0).any(-1)
+
+
+def _holds_exactly(system, x):
+    """The witness rule at x in `Fraction`: every f_i(x) >= 0 and f0(x) <
+    -1e-9."""
+    return (all(exact.value(f, x) >= 0 for f in system.constraints)
+            and exact.value(system.f0, x) < Fraction(-_WITNESS_TOL))
+
+
+def _first_witness(system, X, vals, score):
+    """The first row of least witness `score` (`witness_f0` of vals) that
+    is a counterexample or a miss, as (score, row), None when there are no
+    rows.  On an all-quadratic system a row scoring below -1e-9 must hold
+    the rule exactly: the screen (`_exact_range`) decides first,
+    `Fraction` only inside its bounds, and a row that fails is dropped,
+    +inf in the returned copy of `score`, so the selection goes on.
+    Expression and mixed systems keep the float rule."""
+    if not score.size:
+        return score, None
+    i = int(np.argmin(score))
+    if (not system.is_quadratic or not score[i] < -_WITNESS_TOL
+            or _holds(*_exact_range(system, X[i], vals[i]))):
+        return score, i
+    score = score.copy()
+    rows = np.flatnonzero(score < -_WITNESS_TOL)
+    lo, hi = _exact_range(system, X[rows], vals[rows])
+    score[rows[_breaks(lo, hi)]] = np.inf
+    sure = set(rows[_holds(lo, hi)].tolist())
+    while True:
+        i = int(np.argmin(score))
+        if (not score[i] < -_WITNESS_TOL or i in sure
+                or _holds_exactly(system, X[i])):
+            return score, i
+        score[i] = np.inf
 
 
 def _descent_starts(system, X, vals, score, extra_starts):
@@ -199,26 +264,26 @@ def _descent_starts(system, X, vals, score, extra_starts):
     return np.array(starts)
 
 
-def _read_sample(vals):
-    """The sample's witness scores, its first row of least score (None
-    when there are no rows) and that score."""
-    score = witness_f0(vals)
-    i = int(np.argmin(score)) if score.size else None
+def _read_sample(system, X, vals):
+    """The sample's witness scores, rows failing the exact rule dropped
+    (`_first_witness`), its first accepted row of least score (None when
+    there are no rows) and that score."""
+    score, i = _first_witness(system, X, vals, witness_f0(vals))
     return score, i, np.inf if i is None else float(score[i])
 
 
 def _best_row(system, X, vals, i, best, descent=None):
     """The result from the sample's best row i of witness score `best`
     and, when given, the `descent`'s (descended points, starts): their
-    first of least witness f0 replaces the sample's best only when
-    strictly below it."""
+    first accepted row of least witness f0 (`_first_witness`) replaces
+    the sample's best only when strictly below it."""
     if descent is not None:
         # the penalized descent may trade a whisker of feasibility for
         # objective, so the undescended starts stay in the candidate pool
         candidates = np.vstack(descent)
         cand_vals = system.values_batch(candidates)
-        cand_score = witness_f0(cand_vals)
-        j = int(np.argmin(cand_score))
+        cand_score, j = _first_witness(system, candidates, cand_vals,
+                                       witness_f0(cand_vals))
         if cand_score[j] < best:    # the sample wins a tie
             X, vals, i, best = candidates, cand_vals, j, float(cand_score[j])
     if best == np.inf:
@@ -235,19 +300,21 @@ def find_counterexample(system, X, vals, radius, extra_starts=None, *,
                         descend_undecided=True, retry=None):
     """Search for x with every f_i >= 0 and f0 < 0.
 
-    One witness test, `witness_f0`, reads the `box_sample` (X, vals) and
-    the descended points alike: a row is feasible when f_i >= -1e-9 for
-    all i, and a counterexample when its f0 < -1e-9 too (Theorem 2, Eq.
-    (1): z(x) lies in K).  The first feasible sample of least f0 is the
-    counterexample when it passes, as a descent from it would keep it in
-    the candidate pool.  Otherwise an 80-step descent of `penalized_loss`
-    runs from the 20 best feasible samples by f0, topped up with the least
-    infeasible, after any `extra_starts`; the descended points and their
-    starts are the candidates, and the first of least witness f0 replaces
-    the sample when strictly below it.  The result is that row, found or
-    the closest miss.  With `descend_undecided=False` an undecided sample
-    ends the search: the classifier pays for the descent only after its
-    certificate search.
+    One witness rule reads the `box_sample` (X, vals) and the descended
+    points alike (`_first_witness`): `witness_f0`'s float test, a row
+    being feasible when f_i >= -1e-9 for all i and a candidate when its
+    f0 < -1e-9 too, and on an all-quadratic system the exact rule for the
+    row selected, f_i >= 0 and f0 < -1e-9 in rationals (Theorem 2, Eq.
+    (1): z(x) lies in K); a row failing it is dropped.  The first
+    accepted sample of least f0 is the counterexample, as a descent from
+    it would keep it in the candidate pool.  Otherwise an 80-step descent
+    of `penalized_loss` runs from the 20 best feasible samples by f0,
+    topped up with the least infeasible, after any `extra_starts`; the
+    descended points and their starts are the candidates, and their first
+    accepted row of least witness f0 replaces the sample when strictly
+    below it.  The result is that row, found or the closest miss.  With
+    `descend_undecided=False` an undecided sample ends the search: the
+    classifier pays for the descent only after its certificate search.
 
     `retry`, a triple (X, vals, extra_starts) of another `box_sample` and
     its starts, is a second search, read into the result's `retry` only
@@ -255,7 +322,7 @@ def find_counterexample(system, X, vals, radius, extra_starts=None, *,
     decide it either, its descent shares this one's: one grouped
     `descend` call, each group's rows equal to a descent on its own, so
     both results are those of two calls, bit for bit."""
-    score, i, best = _read_sample(vals)
+    score, i, best = _read_sample(system, X, vals)
     if not descend_undecided or best < -_WITNESS_TOL:
         return _best_row(system, X, vals, i, best)
     loss = penalized_loss(system)
@@ -263,7 +330,8 @@ def find_counterexample(system, X, vals, radius, extra_starts=None, *,
     retry_starts = None
     if retry is not None:
         retry_X, retry_vals, retry_extra = retry
-        retry_score, retry_i, retry_best = _read_sample(retry_vals)
+        retry_score, retry_i, retry_best = _read_sample(
+            system, retry_X, retry_vals)
         if not retry_best < -_WITNESS_TOL:
             retry_starts = _descent_starts(system, retry_X, retry_vals,
                                            retry_score, retry_extra)
@@ -341,13 +409,23 @@ def certificate_stage(system, config):
     above).  Returns (search, notes, witness_starts), the starts being
     points that violate a failed certificate, for the counterexample
     retry (see `classify_instance`).  A Farkas alternative is also the
-    search's `witness`."""
+    search's `witness`; when it misses the exact witness rule, as an LP
+    vertex on an active constraint can by an ulp, the alternative with a
+    1e-9 margin in every constraint is the start instead."""
     notes = []
     if system.is_linear() and system.p >= 1:
-        result = farkas_mod.solve(farkas_mod.linear_data(system))
+        data = farkas_mod.linear_data(system)
+        result = farkas_mod.solve(data)
         if result.kind == farkas_mod.ALTERNATIVE:
+            start = result.x
+            if not _holds_exactly(system, start):
+                # the LP's vertex misses an active constraint by an ulp;
+                # one with a margin in every constraint starts the retry
+                tight = farkas_mod.solve(data, margin=_WITNESS_TOL)
+                if tight.kind == farkas_mod.ALTERNATIVE:
+                    start = tight.x
             return (cert_mod.SearchResult(witness=result.x),
-                    ["linear alternatives produced a witness"], [result.x])
+                    ["linear alternatives produced a witness"], [start])
         if result.kind == farkas_mod.INCONSISTENT:
             return (cert_mod.SearchResult(),
                     ["linear constraint system is inconsistent"], [])
@@ -442,9 +520,11 @@ def classify_instance(system, config=None):
     definitive came out.  On an all-quadratic system the counterexample
     descent runs after the quadratic route, and is skipped when its
     certificate leaves no counterexample the descent could accept in the
-    box (see `_leaves_no_witness`): the PSD test's and the witness test's
-    tolerances let a certificate pass beside such a counterexample, and
-    a counterexample the descent finds decides Invalid.  A failed
+    box (see `_leaves_no_witness`): the PSD test's tolerance lets a
+    certificate pass with a slightly negative lambda_min, and a
+    counterexample the descent finds decides Invalid.  A counterexample
+    on such a system was accepted exactly; on any other its image is
+    re-checked against K in floats (`_assert_image_in_k`).  A failed
     certificate search that leaves a witness adds a retry: its own box
     sample (stream 3), drawn before the descent, and a descent from the
     witness and that sample's best, grouped with the main descent in one
@@ -463,7 +543,8 @@ def classify_instance(system, config=None):
 
     def refuted(cex):
         if cex.found:
-            _assert_image_in_k(system, cex.x)
+            if not system.is_quadratic:     # else accepted exactly
+                _assert_image_in_k(system, cex.x)
             report.verdict = INVALID
             report.counterexample = cex
         return cex.found
@@ -542,18 +623,33 @@ def classify_instance(system, config=None):
 
 
 def _leaves_no_witness(system, certificate, radius):
-    """Whether an ExactPSD `certificate` rules out every counterexample the
-    descent could accept in [-radius, radius]^n.  f0 - sum_i alpha_i f_i =
-    [x; 1]^T M(alpha) [x; 1] / 2 >= lambda_min (1 + |x|^2) / 2, so where
-    every f_i >= -_WITNESS_TOL, f0 is at least that bound less
-    _WITNESS_TOL sum_i alpha_i.  The PSD test admits a slightly negative
-    lambda_min, and the witness test slightly negative f_i, so a
-    certificate can pass beside an accepted counterexample; True only when
-    this bound keeps every such f0 at or above -_WITNESS_TOL."""
-    lam = certificate.lambda_min
-    spread = 1.0 if lam >= 0.0 else 1.0 + system.n * radius * radius
-    slack = _WITNESS_TOL * float(np.sum(certificate.alpha))
-    return 0.5 * lam * spread - slack >= -_WITNESS_TOL
+    """Whether an ExactPSD `certificate` rules out every counterexample in
+    [-radius, radius]^n.  An accepted witness has f_i >= 0 and f0 < -1e-9
+    exactly, and f0 - sum_i alpha_i f_i = [x; 1]^T M [x; 1] / 2 >= lambda
+    (1 + |x|^2) / 2 for M = M(alpha) in exact arithmetic and lambda its
+    least eigenvalue.  The float M(alpha) is M's entries after 2p
+    operations each, and the eigensolver is backward stable: its
+    lambda_min is an eigenvalue of the float matrix plus E with |E|_2 <=
+    4 (n+1)^2 u |M(alpha)|_2 (LAPACK Users' Guide, section 4.7, with a
+    stated p(n) = 4 (n+1)^2).  So lambda >= lambda_min - SAFETY
+    gamma_(4(n+1)^2 + 2p) sum_k w_k |M_k|_F, with w = (1, alpha), and
+    this is True when that floor keeps every such f0 at or above -1e-9."""
+    scale = 0.0
+    for w, f in zip([1.0, *certificate.alpha.tolist()], system.functions):
+        if w:       # |M_k|_F^2 = |Q|_F^2 + 2 |c|^2 + 4 d^2
+            scale += w * math.sqrt(float(np.vdot(f.Q, f.Q))
+                                   + 2.0 * float(np.vdot(f.c, f.c))
+                                   + 4.0 * f.d * f.d)
+    dim = system.n + 1
+    err = exact.SAFETY * exact.gamma(4 * dim * dim + 2 * system.p) * scale
+    floor = certificate.lambda_min - err
+    if floor >= 0.0:
+        return True
+    # f0 >= floor (1 + n radius^2) / 2 on the box; the five roundings of
+    # that product and one of the threshold stay within 8u relative,
+    # which the threshold's factor absorbs
+    return (0.5 * floor * (1.0 + system.n * radius * radius)
+            >= -_WITNESS_TOL * (1.0 - 8.0 * exact.UNIT_ROUNDOFF))
 
 
 def _assert_image_in_k(system, x):

@@ -74,6 +74,12 @@ class FunctionSystem:
         return (QuadraticStack([self.functions[i] for i in cols])
                 if cols else None), cols
 
+    @property
+    def stack(self):
+        """The `QuadraticStack` that evaluates an all-quadratic system's
+        f0..fp."""
+        return self._quadratics[0]
+
     def _evaluate(self, X, first, gradients):
         """(values, gradients or None) of f_first..f_p at the rows of X.
         The quadratics come from the system's one `QuadraticStack`: values

@@ -109,11 +109,16 @@ def test_pareto_frontier_matches_brute_force(p):
             Z = rng.uniform(-1.0, 1.0, (n_points, p + 1))
         got = geo._pareto_minimal(Z)
         assert got.tolist() == _pareto_oracle(Z).tolist(), trial
+    # equal float sums, the second point strictly below the first
+    tied = np.array([[1.0, 2e-20], [1.0, 1e-20]])
+    assert geo._pareto_minimal(tied).tolist() == [1]
+    assert _pareto_oracle(tied).tolist() == [1]
 
 
 def _pareto_minimal_loop(Z):
-    """The frontier filter as it was, one point at a time, kept verbatim."""
-    order = np.argsort(np.sum(Z, axis=1), kind="stable")
+    """The frontier filter one point at a time, in its (sum, coordinates,
+    index) order."""
+    order = np.lexsort((*Z.T[::-1], np.sum(Z, axis=1)))
     kept = []
     for idx in order:
         if not np.any(np.all(Z[kept] <= Z[idx], axis=1)):

@@ -307,19 +307,21 @@ def test_an_undecided_sample_can_end_the_search(monkeypatch):
     assert starts == []
 
 
-def test_the_sample_and_the_descent_share_one_witness_test(monkeypatch):
-    # f0 = -1 and f1 = -1e-10 everywhere: every point passes the witness
-    # test (f1 >= -1e-9, f0 < -1e-9), so the box sample decides, and the
-    # classifier's one descent is the Slater search's
-    def constant(d):
-        return QuadraticFunction(np.zeros((1, 1)), np.zeros(1), d)
+def _constant(d):
+    return QuadraticFunction(np.zeros((1, 1)), np.zeros(1), d)
 
-    system = FunctionSystem(1, constant(-1.0), (constant(-1e-10),))
+
+def test_the_sample_and_the_descent_share_one_witness_test(monkeypatch):
+    # f0 = -1 and f1 = 0 everywhere: every point passes the witness test
+    # (f1 >= 0 exactly, inside its float error bound, and f0 < -1e-9), so
+    # the box sample decides, and the classifier's one descent is the
+    # Slater search's (0 is no Slater margin)
+    system = FunctionSystem(1, _constant(-1.0), (_constant(0.0),))
     starts = _spy_on_descents(monkeypatch)
     res = find_counterexample(system, *box_sample(system, 10.0, 4096, 7),
                               10.0, descend_undecided=False)
     assert res.found and starts == []
-    assert (res.f0_value, res.min_constraint) == (-1.0, -1e-10)
+    assert (res.f0_value, res.min_constraint) == (-1.0, 0.0)
     rep = classify_instance(system)
     assert rep.verdict == INVALID and rep.counterexample.f0_value == -1.0
     assert len(starts) == 1
@@ -333,9 +335,10 @@ def _corpus_names(verdict):
 
 def test_a_found_certificate_runs_no_descent(monkeypatch):
     # (C) implies (I), so the classifier searches for the certificate
-    # first; each Valid corpus file used to run one 80-step descent.
-    # farkas_homogeneous still runs it: f0 = 2 f1 + 3 f2 exactly, so at
-    # f1 = f2 = -0.9e-9 the witness test would accept f0 = -4.5e-9
+    # first; each Valid corpus file used to run one 80-step descent.  A
+    # witness must hold exactly (f_i >= 0, f0 < -1e-9), so a certificate
+    # whose lambda_min floor is 0 leaves none to accept, even
+    # farkas_homogeneous's f0 = 2 f1 + 3 f2 with lambda_min = 0.0
     names = _corpus_names(VALID)
     assert len(names) == 8
     starts = _spy_on_descents(monkeypatch)
@@ -343,18 +346,20 @@ def test_a_found_certificate_runs_no_descent(monkeypatch):
         del starts[:]
         rep = classify_instance(load_problem(CORPUS / name).system())
         assert rep.verdict == VALID, name
-        assert len(starts) == (name == "farkas_homogeneous.json"), name
+        assert starts == [], name
 
 
 def test_a_certificate_passing_by_tolerance_lets_the_descent_refute():
-    # f0 = 1000 x^2 - 1e-7: lambda_min(M0) = -2e-7 passes the PSD test
-    # (threshold about -2e-6), yet f0(0) = -1e-7 < -1e-9.  The box sample
-    # misses |x| < 1e-5 and the descent does not, so the verdict is the
-    # descent's counterexample
+    # f0 = 1000 x^2 - 1e-7: lambda_min(M0) = -2e-7 passes the float PSD
+    # rule (threshold about -2e-6), yet f0(0) = -1e-7 < -1e-9, and the
+    # exact refutation at the eigenvector's lift x = 0 fails the check.
+    # The box sample misses |x| < 1e-5 and the descent does not, so the
+    # verdict is the descent's counterexample
     system = FunctionSystem(
         1, QuadraticFunction(np.array([[2000.0]]), np.zeros(1), -1e-7), ())
     check = cert.check_multipliers(system, np.zeros(0))
-    assert check.valid and check.lambda_min < 0
+    assert check.threshold <= check.lambda_min < 0 and not check.valid
+    assert check.violating_x.tolist() == [0.0]
     sample = box_sample(system, 10.0, 4096, derive_seed(1, 2))
     assert not find_counterexample(system, *sample, 10.0,
                                    descend_undecided=False).found
@@ -424,12 +429,13 @@ def _spy_on_draws(monkeypatch):
 
 
 @pytest.mark.parametrize("name, descents", [
-    (0, 0), ("farkas_homogeneous", 1), (189, 1)])
+    (0, 0), ("farkas_homogeneous", 0), (189, 1)])
 def test_classify_draws_one_box_sample(monkeypatch, name, descents):
     # the Slater check, the sample-only counterexample read and the
-    # descent all read one N-row sample: seed 0 is decided by it, the
-    # other two descend from it (farkas_homogeneous after its certificate,
-    # seed 189 after a failed certificate search).  Seed 189's failed
+    # descent all read one N-row sample: seed 0 is decided by it,
+    # farkas_homogeneous by its certificate, which leaves no witness to
+    # descend to, and seed 189 descends from it after a failed
+    # certificate search.  Seed 189's failed
     # search leaves a witness, so the run also draws the retry's sample
     # (stream 3) before the one grouped descent, though the main search
     # finds the counterexample and the retry is never read.  A second
@@ -451,7 +457,7 @@ def test_classify_draws_one_box_sample(monkeypatch, name, descents):
     rep = classify_instance(system)
     assert rep.verdict == (VALID if isinstance(name, str) else INVALID)
     retries = name == 189
-    assert events == ([samples * system.n] + ["certificate"] * bool(descents)
+    assert events == ([samples * system.n] + ["certificate"] * (name != 0)
                       + [samples * system.n] * retries)
     assert len(starts) == descents
     del events[:]
