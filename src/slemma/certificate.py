@@ -357,10 +357,12 @@ def find_certificate_via_separation(system, cloud, tol=PSD_RTOL, seed=0):
     one `hull_intersects_k` LP on its cloud's frontier: round 0's is
     `cloud.frontier`, and each grown cloud's comes from the round before
     it, merged with the at most three added points (`ImageCloud.grown`).
+    A separator that repeats the last one bit for bit after an exact check
+    ends the refinement: each later round would repeat that round too.
     The result carries round 0's whole answer on `cloud` itself, hull and
     separator, so the evidence step solves no LP."""
     work = cloud
-    check = None
+    check = alpha_full = None
     for round_idx in range(REFINE_ROUNDS + 1):
         hull = hull_intersects_k(work, tol)
         if round_idx == 0:
@@ -369,6 +371,10 @@ def find_certificate_via_separation(system, cloud, tol=PSD_RTOL, seed=0):
         if sep is None:
             return SearchResult(outcome=NO_SEPARATOR, rounds=round_idx,
                                 separation=first)
+        if check is not None and check.label == EXACT_PSD and \
+                np.array_equal(sep.alpha, alpha_full):
+            return SearchResult(check=check, outcome=REFINEMENT_EXHAUSTED,
+                                rounds=round_idx, separation=first)
         alpha_full = sep.alpha
         if alpha_full[0] < SLATER_ALPHA0_MIN:
             return SearchResult(outcome=SLATER_BLOCKED,

@@ -38,7 +38,7 @@ from .implication import (UNDETERMINED, ClassifyConfig, certificate_stage,
                           classify_instance, counterexample_stage,
                           image_cloud, image_geometry, separation_stage)
 from .problem import SETTINGS, ParseError, check_setting, load_problem
-from .report import Report, fnum, fvec
+from .report import Report, command_line
 from .rng import derive_seed
 
 EXIT_OK = 0
@@ -74,9 +74,9 @@ def _echo_command(args, pf, cfg):
     if args.command == "certificate":
         parts += ["--method", args.method]
     if "tol" in vars(args):
-        parts += ["--seed", str(cfg.seed), "--samples", str(cfg.samples),
-                  "--box", fnum(cfg.box_radius), "--tol", fnum(cfg.psd_tol)]
-    return " ".join(parts)
+        parts += ["--seed", cfg.seed, "--samples", cfg.samples,
+                  "--box", cfg.box_radius, "--tol", cfg.psd_tol]
+    return command_line(*parts)
 
 
 def cmd_validate(args, out):
@@ -84,7 +84,7 @@ def cmd_validate(args, out):
     system = pf.system()
     rep = Report("problem file")
     report.describe_instance(rep, pf, system)
-    rep.add("all_linear", str(system.is_linear()).lower())
+    rep.add("all_linear", system.is_linear())
     for idx, entry in enumerate(pf.entries):
         kind = next(iter(entry))
         block = rep.add_block(f"f{idx}")
@@ -92,17 +92,14 @@ def cmd_validate(args, out):
         if kind == "expr":
             block.add("source", entry["expr"])
         elif kind == "quadratic":
-            block.add("Q", fvec(entry["quadratic"]["Q"]))
-            block.add("c", fvec(entry["quadratic"]["c"]))
-            block.add("d", fnum(entry["quadratic"]["d"]))
+            block.add("Q", np.array(entry["quadratic"]["Q"], dtype=float))
+            block.add("c", np.array(entry["quadratic"]["c"], dtype=float))
+            block.add("d", float(entry["quadratic"]["d"]))
         else:
-            block.add("a", fvec(entry["linear"]["a"]))
-            block.add("b", fnum(entry["linear"]["b"]))
+            block.add("a", np.array(entry["linear"]["a"], dtype=float))
+            block.add("b", float(entry["linear"]["b"]))
     if pf.config:
-        cfg_block = rep.add_block("config")
-        for key in sorted(pf.config):
-            value = pf.config[key]
-            cfg_block.add(key, fnum(value) if isinstance(value, float) else value)
+        rep.add_block("config", sorted(pf.config.items()))
     out.write(rep.render(args.json))
     return EXIT_OK
 
@@ -140,14 +137,12 @@ def cmd_certificate(args, out):
 
     report.certificate_block(rep, cert)
     for key, value in detail.items():
-        if isinstance(value, np.ndarray):
-            rep.add(key, fvec(value))
-        elif value is not None:
-            rep.add(key, fnum(value) if isinstance(value, float) else value)
+        if value is not None:
+            rep.add(key, value)
     if notes:
         rep.add("notes", list(notes))
     if alternative is not None:
-        rep.add("alternative_x", fvec(alternative))
+        rep.add("alternative_x", alternative)
     if args.save and cert is not None:
         with open(args.save, "w", encoding="utf-8") as handle:
             handle.write(cert_mod.format_certificate(cert))
@@ -175,7 +170,7 @@ def cmd_geometry(args, out):
     report.describe_instance(rep, pf, system)
     cloud_block = rep.add_block("cloud")
     cloud_block.add("size", cloud.size)
-    cloud_block.add("box_radius", fnum(cloud.box_radius))
+    cloud_block.add("box_radius", cloud.box_radius)
     cloud_block.add("seed", cloud.seed)
     cloud_block.add("skipped", cloud.skipped)
     rep.add("image_points_in_k", ev.k_members)
@@ -244,23 +239,23 @@ def cmd_verify(args, out):
     rep = Report("certificate verification")
     rep.add("command", f"{_echo_command(args, pf, cfg)} {source}")
     report.describe_instance(rep, pf, system)
-    rep.add("alpha", fvec(alpha))
+    rep.add("alpha", alpha)
     check = cert_mod.check_multipliers(
         system, alpha, tol=cfg.psd_tol, radius=cfg.box_radius,
         samples=cfg.samples, seed=derive_seed(cfg.seed, 13))
     if check.label == cert_mod.EXACT_PSD:
         rep.add("verdict", "Valid" if check.valid else "Invalid")
-        rep.add("lambda_min", fnum(check.lambda_min))
+        rep.add("lambda_min", check.lambda_min)
         if check.violating_x is not None:
-            rep.add("violating_x", fvec(check.violating_x))
+            rep.add("violating_x", check.violating_x)
         elif check.direction is not None:
-            rep.add("violating_direction", fvec(check.direction))
+            rep.add("violating_direction", check.direction)
     else:
         rep.add("verdict", "NoViolation (sampled only)" if check.valid
                 else "Violated")
-        rep.add("min_observed", fnum(check.value))
+        rep.add("min_observed", check.value)
         if check.violating_x is not None:
-            rep.add("x", fvec(check.violating_x))
+            rep.add("x", check.violating_x)
     out.write(rep.render(args.json))
     return EXIT_OK
 

@@ -98,17 +98,16 @@ def solve(data, margin=0.0):
     system_consistent=False either way.  Homogeneous data never reaches
     that branch, since x = 0 is feasible.  A positive `margin` asks every
     constraint for it, a_i . x >= b_i + margin: the LP's vertex then
-    clears each constraint by more than its rounding."""
+    clears each constraint by more than its rounding.  A row with a_i = 0
+    is decided exactly first: the LP's tolerance reads 0 >= 1e-10 as met."""
+    if np.any(data.b[~data.a.any(axis=1)] + margin > 0.0):
+        return _inconsistent(data)
     # minimize <a0, x> subject to a_i . x >= b_i (as -a x <= -b)
     out = solve_lp(LinearProgram(c=data.a0, a_ub=-data.a,
                                  b_ub=-(data.b + margin),
                                  free=range(data.n)))
     if out.status == INFEASIBLE:
-        alpha = _inconsistent_multipliers(data)
-        if alpha is not None:
-            return FarkasResult(kind=MULTIPLIERS, alpha=alpha,
-                                system_consistent=False)
-        return FarkasResult(kind=INCONSISTENT, system_consistent=False)
+        return _inconsistent(data)
     if out.status == OPTIMAL:
         if out.objective >= data.b0 - _MARGIN:
             # the duals reconstruct a0 up to solver tolerance; clean tiny
@@ -124,22 +123,17 @@ def solve(data, margin=0.0):
     return FarkasResult(kind=ALTERNATIVE, x=x)
 
 
-def _inconsistent_multipliers(data):
+def _inconsistent(data):
     """With an empty constraint set the implication is vacuous; multipliers
     still exist exactly when a0 is in the cone of the a_i (any infeasibility
     certificate can absorb the b-inequality).  Solve for them directly."""
-    p = data.p
-    lp = LinearProgram(
-        c=np.zeros(p),
-        a_ub=-data.b[None, :],
-        b_ub=np.array([-data.b0]),
-        a_eq=data.a.T,
-        b_eq=data.a0,
-    )
-    out = solve_lp(lp)
+    out = solve_lp(LinearProgram(c=np.zeros(data.p), a_ub=-data.b[None, :],
+                                 b_ub=np.array([-data.b0]), a_eq=data.a.T,
+                                 b_eq=data.a0))
     if out.status == OPTIMAL:
-        return np.maximum(out.y, 0.0)
-    return None
+        return FarkasResult(kind=MULTIPLIERS, alpha=np.maximum(out.y, 0.0),
+                            system_consistent=False)
+    return FarkasResult(kind=INCONSISTENT, system_consistent=False)
 
 
 def verify_farkas(data, result):

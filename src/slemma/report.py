@@ -1,11 +1,18 @@
 """Report rendering: key/value text blocks plus a JSON mirror.
 
-Rendering is deterministic for identical inputs: floats print with repr
-(shortest round-trip form) and block order is fixed, so re-running a
-command with the same flags reproduces its report byte for byte.
+Blocks hold typed values (a bool flag, an int count, a float, a float
+ndarray vector, a str label, a list of str notes) and this module alone
+formats them.  JSON gets booleans, numbers and lists of numbers, and a
+non-finite float, which JSON lacks, as its repr (`"inf"`, `"-inf"`,
+`"nan"`).  Text formats the JSON value: a flag reads `true` or `false`, a
+float its repr (the shortest form that reads back as the same double) and
+a vector its entries in brackets.  Rendering is deterministic for
+identical inputs and block order is fixed, so re-running a command with
+the same flags reproduces its report byte for byte.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -13,26 +20,35 @@ from . import farkas as farkas_mod
 from .implication import UNDETERMINED
 
 
-def fnum(v):
-    return repr(float(v))
+def _json(value):
+    """The JSON form of one report value."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if math.isfinite(value) else repr(value)
+    if isinstance(value, np.ndarray):
+        value = value.ravel().tolist()
+    if isinstance(value, list):
+        return [_json(x) for x in value]
+    return value
 
 
-def fvec(v):
-    return "[" + ", ".join(fnum(x) for x in np.asarray(v).ravel()) + "]"
+def _text(value):
+    """The text form of one report value: its JSON form, formatted."""
+    value = _json(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_text, value)) + "]"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-def _jsonable(v):
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    if isinstance(v, np.ndarray):
-        return [float(x) for x in v.ravel()]
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    return v
+def command_line(*parts):
+    """The echoed command of a run: its words, each value in text form."""
+    return " ".join(map(_text, parts))
 
 
 class Report:
@@ -46,8 +62,9 @@ class Report:
         self.items.append((key, value))
         return self
 
-    def add_block(self, key):
+    def add_block(self, key, items=()):
         block = Report(key)
+        block.items.extend(items)
         self.items.append((key, block))
         return block
 
@@ -58,12 +75,11 @@ class Report:
             if isinstance(value, Report):
                 out.append(f"{pad}{key}:")
                 out.extend(value._lines(indent + 1))
-            elif isinstance(value, (list, tuple)) and not isinstance(value, str):
+            elif isinstance(value, list):
                 out.append(f"{pad}{key}:")
-                for item in value:
-                    out.append(f"{pad}  - {item}")
+                out.extend(f"{pad}  - {_text(item)}" for item in value)
             else:
-                out.append(f"{pad}{key}: {value}")
+                out.append(f"{pad}{key}: {_text(value)}")
         return out
 
     def to_text(self):
@@ -72,17 +88,12 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def to_dict(self):
-        out = {}
-        for key, value in self.items:
-            if isinstance(value, Report):
-                out[key] = value.to_dict()
-            else:
-                out[key] = _jsonable(value)
-        return out
+        return {key: value.to_dict() if isinstance(value, Report)
+                else _json(value) for key, value in self.items}
 
     def to_json(self):
         return json.dumps({"title": self.title, **self.to_dict()},
-                          indent=2) + "\n"
+                          indent=2, allow_nan=False) + "\n"
 
     def render(self, as_json=False):
         return self.to_json() if as_json else self.to_text()
@@ -99,35 +110,35 @@ def slater_block(parent, slater):
     block = parent.add_block("slater")
     block.add("status", slater.status)
     if slater.x0 is not None:
-        block.add("x0", fvec(slater.x0))
+        block.add("x0", slater.x0)
     if slater.min_constraint_value is not None:
-        block.add("min_constraint_value", fnum(slater.min_constraint_value))
+        block.add("min_constraint_value", slater.min_constraint_value)
     return block
 
 
 def counterexample_block(parent, cex):
     block = parent.add_block("counterexample")
     found = cex is not None and cex.found
-    block.add("found", str(found).lower())
+    block.add("found", found)
     if found:
-        block.add("x", fvec(cex.x))
-        block.add("f0", fnum(cex.f0_value))
-        block.add("min_constraint", fnum(cex.min_constraint))
+        block.add("x", cex.x)
+        block.add("f0", cex.f0_value)
+        block.add("min_constraint", cex.min_constraint)
     elif cex is not None and cex.x is not None:
-        block.add("closest_feasible_x", fvec(cex.x))
-        block.add("closest_feasible_f0", fnum(cex.f0_value))
+        block.add("closest_feasible_x", cex.x)
+        block.add("closest_feasible_f0", cex.f0_value)
     return block
 
 
 def certificate_block(parent, cert, key="certificate"):
     block = parent.add_block(key)
     if cert is None:
-        block.add("present", "false")
+        block.add("present", False)
         return block
-    block.add("present", "true")
-    block.add("alpha", fvec(cert.alpha))
+    block.add("present", True)
+    block.add("alpha", cert.alpha)
     if cert.lambda_min is not None:
-        block.add("lambda_min", fnum(cert.lambda_min))
+        block.add("lambda_min", cert.lambda_min)
     block.add("verified", cert.label)
     return block
 
@@ -137,8 +148,8 @@ def hull_block(parent, hull):
     if hull.intersects or hull.touches:
         block.add("status", "intersects" if hull.intersects
                   else "touches-closure")
-        block.add("optimum", fnum(hull.optimum))
-        block.add("witness", fvec(hull.witness))
+        block.add("optimum", hull.optimum)
+        block.add("witness", hull.witness)
     else:
         block.add("status", "sampled-disjoint")
     return block
@@ -148,8 +159,8 @@ def separator_block(parent, sep):
     block = parent.add_block("separator")
     if sep is not None:
         block.add("status", "found")
-        block.add("alpha", fvec(sep.alpha))
-        block.add("delta", fnum(sep.delta))
+        block.add("alpha", sep.alpha)
+        block.add("delta", sep.delta)
     else:
         block.add("status", "none exists on this cloud")
     return block
@@ -157,11 +168,11 @@ def separator_block(parent, sep):
 
 def violation_lines(block, v):
     """A convexity violation: its endpoints, t, midpoint and margin."""
-    block.add("z1", fvec(v.z1))
-    block.add("z2", fvec(v.z2))
-    block.add("t", fnum(v.t))
-    block.add("midpoint", fvec(v.m))
-    block.add("margin", fnum(v.margin))
+    block.add("z1", v.z1)
+    block.add("z2", v.z2)
+    block.add("t", v.t)
+    block.add("midpoint", v.m)
+    block.add("margin", v.margin)
 
 
 def falsify_block(parent, result, key):
@@ -195,16 +206,6 @@ def evidence_block(parent, result):
     return block
 
 
-def config_block(parent, config):
-    block = parent.add_block("config")
-    for key, value in config.items():
-        if isinstance(value, float):
-            block.add(key, fnum(value))
-        else:
-            block.add(key, value)
-    return block
-
-
 def classify_report(pf, system, result, command):
     rep = Report("s-procedure classification")
     rep.add("command", command)
@@ -217,7 +218,7 @@ def classify_report(pf, system, result, command):
         certificate_block(rep, result.candidate_certificate,
                           key="candidate_certificate")
     evidence_block(rep, result)
-    config_block(rep, result.config)
+    rep.add_block("config", result.config.items())
     if result.notes:
         rep.add("notes", list(result.notes))
     return rep
@@ -232,15 +233,11 @@ def farkas_report(pf, data, result, residuals, command):
     rep.add("mode", data.mode)
     rep.add("branch", result.kind)
     if result.kind == farkas_mod.MULTIPLIERS:
-        rep.add("alpha", fvec(result.alpha))
+        rep.add("alpha", result.alpha)
     elif result.kind == farkas_mod.ALTERNATIVE:
-        rep.add("x", fvec(result.x))
-    rep.add("system_consistent", str(result.system_consistent).lower())
-    block = rep.add_block("verification")
-    for key, value in residuals.items():
-        # the `ok` flag reads true/false like every other flag
-        block.add(key, str(value).lower() if isinstance(value, bool)
-                  else fnum(value))
+        rep.add("x", result.x)
+    rep.add("system_consistent", result.system_consistent)
+    rep.add_block("verification", residuals.items())
     return rep
 
 
@@ -263,7 +260,7 @@ def conjecture_report(scan, command):
             violation_lines(block, entry.violation)
             for qi, (Q, c, d) in enumerate(entry.coefficients, start=1):
                 qblock = block.add_block(f"q{qi}")
-                qblock.add("Q", fvec(np.asarray(Q).ravel()))
-                qblock.add("c", fvec(c))
-                qblock.add("d", fnum(d))
+                qblock.add("Q", np.array(Q))
+                qblock.add("c", np.array(c))
+                qblock.add("d", d)
     return rep

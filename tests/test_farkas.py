@@ -92,6 +92,34 @@ def test_inconsistent_with_multipliers_keeps_flag():
     assert verify_farkas(data, res)["ok"]
 
 
+def test_a_zero_row_with_positive_rhs_is_inconsistent_exactly():
+    # 0 >= 1e-10 fails, though the LP's tolerance reads it as met: the
+    # system is empty, and a0 = 0 is in the cone of the zero row, with
+    # 1e-10 alpha >= b0 = 1 absorbing the offsets
+    data = make_linear_system([0.0], 1.0, [[0.0]], [1e-10])
+    res = solve(data)
+    assert res.kind == MULTIPLIERS and not res.system_consistent
+    assert res.alpha.tolist() == [1e10]
+    # a zero row that holds exactly leaves the LP to decide
+    assert solve(make_linear_system([0.0], 1.0, [[0.0]], [0.0])).kind \
+        == ALTERNATIVE
+    # a margin asks 0 >= b_i + margin of every zero row, b_i = 0 included
+    assert not solve(make_linear_system([1.0, 0.0], 0.0, [[0.0, 0.0]],
+                                        [0.0]), margin=1e-9).system_consistent
+
+
+def test_the_vacuous_instance_is_valid_via_linear_alternatives():
+    # f0 = -1 and f1 = -1e-10 everywhere: no point satisfies f1 >= 0, so
+    # f0 = 1e10 f1 + (1e10 * 1e-10 - 1) is the exact certificate
+    const = [QuadraticFunction(np.zeros((1, 1)), np.zeros(1), d)
+             for d in (-1.0, -1e-10)]
+    report = classify_instance(FunctionSystem(1, const[0], (const[1],)))
+    assert report.verdict == VALID
+    assert report.certificate.label == "ExactPSD"
+    assert report.certificate.lambda_min == 0.0
+    assert report.notes == ["certificate via exact linear alternatives"]
+
+
 def test_homogeneous_mode_enforced():
     with pytest.raises(DimensionMismatch):
         make_linear_system([1.0], 0.5, [[1.0]], [0.0], mode=HOMOGENEOUS)

@@ -13,7 +13,9 @@ by the report keys of the lines that moved in it (for example
 The reports are produced from inside the corpus directory with bare file
 names, so they hold no machine-specific path.  `validate` is pinned on
 every corpus file, since it is the one report that echoes the raw
-entries.  All 16 `geometry` reports
+entries.  Two `classify --json` reports pin the typed JSON encoding:
+slater_fail's (Undetermined, with a separator) and example3_pair's (a
+counterexample and a Slater point).  All 16 `geometry` reports
 take minutes; the two pinned here reach every evidence block (hull
 witness, separator, and each falsifier with and without a violation).
 One `conjecture-scan` report pins the epi falsifier at n = 2, where it
@@ -66,6 +68,7 @@ BAD_INPUT = ("counterexample.samples0.example3_pair.txt",
 CASES = ([_case("classify", name, False) for name in CORPUS_FILES]
          + [_case("validate", name, False) for name in CORPUS_FILES]
          + [_case("classify", "slater_fail.json", True),
+            _case("classify", "example3_pair.json", True),
             _case("geometry", "slater_fail.json", False),
             _case("geometry", "example3_pair.json", False),
             ("conjecture-scan.count4_dim2_seed1.txt",
@@ -84,9 +87,9 @@ UNDETERMINED = (
        for method in ("p1", "separation")
        for stem in ("example3_pair", "farkas_affine", "random_p1_01",
                     "slater_fail")]
-    # the separator's alpha, the same in all four rounds, misses f0 =
-    # 2 f1 + 3 f2 by an ulp, which the exact refutation at its eigenvector
-    # finds
+    # the separator's alpha misses f0 = 2 f1 + 3 f2 by an ulp, which the
+    # exact refutation at its eigenvector finds; round 1 repeats it, which
+    # ends the refinement
     + ["certificate.method.separation.farkas_homogeneous.txt"]
     + [f"counterexample.{stem}.txt"
        for stem in ("convex_case", "farkas_homogeneous", "p0_psd",

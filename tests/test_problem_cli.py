@@ -368,7 +368,7 @@ def test_classify_certificate_above_alpha_max_via_separation(tmp_path):
     assert code == 0 and err == ""
     report = json.loads(out)
     assert report["verdict"] == "ValidWithCertificate"
-    assert report["certificate"]["alpha"] == "[19999.98270093415]"
+    assert report["certificate"]["alpha"] == [19999.98270093415]
     assert report["certificate"]["verified"] == "ExactPSD"
     assert report["notes"] == [
         "no certificate with alpha <= alpha_max=10000.0",
@@ -493,6 +493,28 @@ def test_classify_slater_fail_answers_the_conical_question_by_dines(
             "config:\n") in out
 
 
+def test_separation_stops_at_a_repeated_separator(monkeypatch):
+    # farkas_homogeneous's separator misses f0 = 2 f1 + 3 f2 by an ulp,
+    # and the points that refute it lie on its own hyperplane: round 1's
+    # grown cloud gives the same alpha bit for bit, so the refinement ends
+    # there after two cloud LPs, not four
+    calls = []
+    hull = cert.hull_intersects_k
+
+    def counting(cloud, tol):
+        calls.append(hull(cloud, tol))
+        return calls[-1]
+
+    monkeypatch.setattr(cert, "hull_intersects_k", counting)
+    code, out, _ = run_cli("certificate",
+                           str(CORPUS / "farkas_homogeneous.json"),
+                           "--method", "separation")
+    assert code == 2
+    assert "outcome: refinement_exhausted\nrounds: 1\n" in out
+    assert len(calls) == 2
+    assert np.array_equal(calls[0].separator.alpha, calls[1].separator.alpha)
+
+
 def test_cli_farkas_both_files():
     code, out, _ = run_cli("farkas", str(CORPUS / "farkas_homogeneous.json"))
     assert code == 0
@@ -502,11 +524,11 @@ def test_cli_farkas_both_files():
     assert code == 0
     assert "branch: alternative" in out
     assert "  ok: true\n" in out
-    # the ok flag reads true/false in --json too, as every other flag
+    # the ok flag is a JSON boolean in --json, as every other flag
     code, out, _ = run_cli("farkas", str(CORPUS / "farkas_affine.json"),
                            "--json")
     assert code == 0
-    assert json.loads(out)["verification"]["ok"] == "true"
+    assert json.loads(out)["verification"]["ok"] is True
 
 
 # f0 = x + 1 and f1 = x, both quadratic entries with Q = 0: affine
@@ -640,11 +662,20 @@ def test_seeds_at_the_ends_of_64_bits_pass(tmp_path, seed):
     assert (code, err) == (0, "")
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_cli_json_mode():
     code, out, _ = run_cli("classify", str(CORPUS / "p0_psd.json"), "--json")
     assert code == 0
-    payload = json.loads(out)
+    payload = json.loads(out, parse_constant=_reject_constant)
     assert payload["verdict"] == "ValidWithCertificate"
+    # p = 0: no constraint, so the Slater margin is +inf; strict JSON has
+    # no such number, and the report writes its text form
+    assert payload["slater"]["min_constraint_value"] == "inf"
+    assert payload["slater"]["x0"] == [0.0, 0.0]
+    assert payload["certificate"]["alpha"] == []
 
 
 def test_corpus_golden_verdicts_quick():
@@ -993,6 +1024,6 @@ def test_expression_certificate_is_only_a_sampled_candidate(tmp_path):
     assert code == 2
     payload = json.loads(out)
     assert payload["verdict"] == "Undetermined"
-    assert payload["candidate_certificate"]["present"] == "true"
+    assert payload["candidate_certificate"]["present"] is True
     assert payload["candidate_certificate"]["verified"] == "SampledOnly"
     assert note in payload["notes"]
