@@ -13,6 +13,11 @@ side of it exactly, so `Fraction` is needed only inside the bound.
 The bound is gamma * |q|(|x|), |q| being the quadratic of |Q|, |c| and
 |d|.  The same pieces give a box's bound q(c) +- (|Mc| r + 1/2 r^T |M| r)
 at a dyadic centre c and radius r.
+
+On rational matrices (nested lists of Fractions), `bordered` forms a
+quadratic's bordered matrix exactly, `psd` decides positive
+semidefiniteness by an LDL^T with diagonal pivoting, and `null_space`
+gives a kernel basis by exact row reduction.
 """
 
 from fractions import Fraction
@@ -99,3 +104,78 @@ def error_bound(stack, X):
         size = np.add.reduce(A, axis=-1) + n
         bound += (SAFETY * _UNDERFLOW * size * size)[..., None]
     return bound
+
+
+PSD = "PSD"
+
+
+def bordered(q):
+    """q's bordered matrix [[Q, c], [c^T, 2d]] in Fraction, as nested
+    lists: q(x) = 1/2 [x; 1]^T M [x; 1] exactly."""
+    c = [Fraction(v) for v in q.c.tolist()]
+    return ([[Fraction(v) for v in row] + [ci]
+             for row, ci in zip(q.Q.tolist(), c)] + [c + [2 * Fraction(q.d)]])
+
+
+def form(A, u, v):
+    """u^T A v for a rational matrix A and vectors u, v."""
+    return sum(ui * sum(a * vj for a, vj in zip(row, v) if a)
+               for ui, row in zip(u, A) if ui)
+
+
+def psd(A):
+    """PSD when the rational symmetric matrix A is positive semidefinite,
+    else a rational vector u with u^T A u < 0.
+
+    An LDL^T with diagonal pivoting, kept as a congruence: the columns of
+    T start as the identity, and S = T^T A T on the live indices is the
+    Schur complement.  A negative S_ii gives u = T e_i; a zero S_ii with
+    S_ij != 0 gives u from the block [[0, b], [b, c]] of S on (i, j), u =
+    T (w e_i + e_j) with w = -(c + 1) / 2b and u^T A u = -1; a zero row
+    is dropped; otherwise the largest S_kk is eliminated."""
+    S = [list(row) for row in A]
+    T = [[Fraction(int(i == j)) for j in range(len(S))] for i in range(len(S))]
+    live = list(range(len(S)))
+    while live:
+        for i in live:
+            if S[i][i] < 0:
+                return T[i]
+            for j in live:
+                if not S[i][i] and S[i][j]:
+                    w = -(S[j][j] + 1) / (2 * S[i][j])
+                    return [w * a + b for a, b in zip(T[i], T[j])]
+        live = [j for j in live if S[j][j]]
+        if live:
+            k = max(live, key=lambda j: S[j][j])
+            live.remove(k)
+            for a in live:
+                r = S[k][a] / S[k][k]
+                if r:
+                    for b in live:
+                        S[a][b] -= r * S[k][b]
+                    T[a] = [x - r * y for x, y in zip(T[a], T[k])]
+    return PSD
+
+
+def null_space(A):
+    """A basis of {z : A z = 0} for a rational matrix A: one vector per
+    free column of A's reduced row echelon form, in column order, 1 there
+    and 0 at every other free column."""
+    rows, pivots = [list(row) for row in A], []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is not None:
+            rows[r], rows[p] = rows[p], rows[r]
+            rows[r] = [v / rows[r][col] for v in rows[r]]
+            rows = [row if i == r else [a - row[col] * b
+                                        for a, b in zip(row, rows[r])]
+                    for i, row in enumerate(rows)]
+            pivots.append(col)
+    basis = []
+    for free in sorted(set(range(len(rows[0]))) - set(pivots)):
+        z = [Fraction(int(j == free)) for j in range(len(rows[0]))]
+        for row, col in zip(rows, pivots):
+            z[col] = -row[free]
+        basis.append(z)
+    return basis

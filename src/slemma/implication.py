@@ -14,9 +14,9 @@ f_i >= 0 and f0 < -1e-9 in rationals, screened by `exact.error_bound`).
 There the certificate search runs between the counterexample search's
 read of the sample and its descent, skipped when the certificate's
 eigenvalue floor leaves no counterexample for it to accept in the box
-((C) implies (I)).  A failed certificate search's witness adds a retry
-on its own sample (stream 3), whose descent shares the main descent's
-call.
+((C) implies (I)), or at p = 1 when the exact face test (`face_stage`)
+decides.  A failed certificate search's witness adds a retry on its own
+sample (stream 3), whose descent shares the main descent's call.
 Each other stage maps the config to its arguments and owns its seed
 stream; the CLI calls them too."""
 
@@ -31,7 +31,7 @@ from . import exact
 from . import farkas as farkas_mod
 from . import geometry
 from .errors import NotConverged, NumericalBreakdown, SlemmaError
-from .quadratic import PSD_RTOL
+from .quadratic import PSD_RTOL, bordered_matrix, eigen_sym
 from .rng import derive_seed
 from .search import all_finite, box_points, descend, smallest
 
@@ -46,6 +46,10 @@ _SLATER_MIN = 1e-9
 _WITNESS_TOL = 1e-9
 _PENALTY = 1e3        # weight of the counterexample descent's penalty
 _DINES = "convex up to closure: Dines 1941, p <= 1"
+_FACE_PROOF = ("(I) holds, proved exactly: f1 >= 0 only on the face "
+               "M1 [x; 1] = 0, where f0 >= 0 (p = 1 facial reduction)")
+_FACE_WITNESS = ("counterexample on the face M1 [x; 1] = 0 (p = 1 facial "
+                 "reduction)")
 
 
 @dataclass
@@ -394,6 +398,52 @@ class InstanceReport:
     notes: list = field(default_factory=list)
 
 
+def face_stage(system, tol):
+    """Exact p = 1 facial reduction (Borwein & Wolkowicz 1981) of an
+    all-quadratic system, as (proved, counterexample).
+
+    Run when lambda_max(M1) <= tol (1 + max|M1|) in floats; then, when -M1
+    is PSD exactly (`exact.psd`), f1 <= 0 everywhere and f1 >= 0 exactly on
+    F = {x : M1 [x; 1] = 0}.  Of a kernel basis B of M1
+    (`exact.null_space`) only the last column can have t != 0, and then t
+    = 1; without it F is empty.  f0 on F is the form of N = B^T M0 B at
+    [y; 1], so F empty or N PSD proves (I).  Otherwise N's negative vector
+    u lifts to a point of F where f0 < 0 (along B's directions when u_t =
+    0, far enough for f0 <= -1); rounded to doubles, it is a
+    counterexample only by the exact witness rule (`_first_witness`).
+    Every decision is made in Fraction on the float data."""
+    M1 = bordered_matrix(system.constraints[0])
+    if eigen_sym(M1).eigenvalues[-1] > tol * (1.0 + np.max(np.abs(M1))):
+        return False, None
+    M1 = exact.bordered(system.constraints[0])
+    if exact.psd([[-v for v in row] for row in M1]) is not exact.PSD:
+        return False, None
+    B = exact.null_space(M1)
+    if not B or not B[-1][-1]:
+        return True, None
+    M0 = exact.bordered(system.f0)
+    N = [[exact.form(M0, u, v) for v in B] for u in B]
+    u = exact.psd(N)
+    if u is exact.PSD:
+        return True, None
+    if not u[-1]:
+        # at s u + e_t, f0 = a s^2 / 2 + b s + c with a < 0: s >= 1 and
+        # s |a| / 2 >= |b| + |c| + 1 give f0 <= -1; an integer s keeps a
+        # dyadic u on a dyadic face
+        t = [0] * (len(u) - 1) + [1]
+        s = max(1, math.ceil((2 * abs(exact.form(N, u, t)) + abs(N[-1][-1])
+                              + 2) / -exact.form(N, u, u)))
+        u = [s * ui + ti for ui, ti in zip(u, t)]
+    z = [sum(ui * col[j] for ui, col in zip(u, B)) for j in range(system.n)]
+    try:
+        X = np.array([[float(zj / u[-1]) for zj in z]])
+    except OverflowError:
+        return False, None
+    vals = system.values_batch(X)
+    cex = _best_row(system, X, vals, *_read_sample(system, X, vals)[1:])
+    return False, cex if cex.found else None
+
+
 def counterexample_stage(system, config):
     """find_counterexample on classify's `box_sample` (stream 2), for the
     `counterexample` command."""
@@ -529,7 +579,10 @@ def classify_instance(system, config=None):
     sample (stream 3), drawn before the descent, and a descent from the
     witness and that sample's best, grouped with the main descent in one
     `find_counterexample` call; the retry's result is read after the
-    main's and the search's notes.  Only exactly
+    main's and the search's notes.  At p = 1 a failed search is followed
+    by `face_stage`: a proof of (I) skips the descent and the retry and
+    adds a note, as it is no multiplier certificate; its counterexample
+    decides Invalid.  Only exactly
     verified certificates yield ValidWithCertificate; sampled
     certificates are attached as candidates on an Undetermined verdict.
     A numerical failure (NumericalBreakdown, NotConverged) propagates;
@@ -556,8 +609,9 @@ def classify_instance(system, config=None):
         report.slater = check_slater(system, *sample, radius)
 
         all_quadratic = system.is_quadratic
-        if refuted(find_counterexample(system, *sample, radius,
-                                       descend_undecided=not all_quadratic)):
+        cex = find_counterexample(system, *sample, radius,
+                                  descend_undecided=not all_quadratic)
+        if refuted(cex):
             return report
 
         if all_quadratic:
@@ -568,7 +622,13 @@ def classify_instance(system, config=None):
             except SlemmaError as exc:
                 failure = exc
             certified = failure is None and search.found
-            if not (certified and _leaves_no_witness(
+            proved = False
+            if failure is None and not certified and system.p == 1:
+                proved, face_cex = face_stage(system, config.psd_tol)
+                if face_cex is not None and refuted(face_cex):
+                    report.notes.append(_FACE_WITNESS)
+                    return report
+            if not proved and not (certified and _leaves_no_witness(
                     system, search.certificate, radius)):
                 # descend, as without a search, together with the retry
                 # from a failed certificate's witness on its own sample
@@ -586,6 +646,8 @@ def classify_instance(system, config=None):
                 if failure is not None:
                     raise failure
             report.notes += notes
+            if proved:
+                report.notes.append(_FACE_PROOF)
             if certified:
                 report.verdict = VALID
                 report.certificate = search.certificate

@@ -224,3 +224,73 @@ def test_a_pass_by_tolerance_that_holds_exactly_stays_valid():
     check = cert.check_multipliers(system, np.zeros(0))
     assert check.lambda_min < 0 and check.valid
     assert check.violating_x is None and check.direction is None
+
+
+def _form(A, u):
+    """u^T A u written out, independent of `exact.form`."""
+    return sum(u[i] * A[i][j] * u[j] for i in range(len(u))
+               for j in range(len(u)))
+
+
+def _fractions(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("rows", [[[1, 0], [0, 0]], [[1, 1], [1, 1]],
+                                  [[0, 0], [0, 0]]])
+def test_singular_psd_matrices_are_psd(rows):
+    assert exact.psd(_fractions(rows)) is exact.PSD
+
+
+def test_an_ulp_off_singular_matrix_is_not_psd():
+    # [[1, 1], [1, 1 - 2^-52]]: eliminating the first pivot leaves -2^-52,
+    # and u = (-1, 1) gives 1 - 2 + 1 - 2^-52
+    A = _fractions([[1.0, 1.0], [1.0, 1.0 - 2.0 ** -52]])
+    assert A[1][1] == 1 - Fraction(1, 2 ** 52)
+    u = exact.psd(A)
+    assert u == [-1, 1]
+    assert _form(A, u) == -Fraction(1, 2 ** 52)
+    assert exact.form(A, u, u) == _form(A, u)
+
+
+@pytest.mark.parametrize("b, c", [(3.0, 5.0), (0.1, 0.0), (-2.0, -7.0)])
+def test_a_zero_pivot_with_an_off_diagonal_is_not_psd(b, c):
+    # [[0, b], [b, c]]: u = (-(c + 1) / 2b, 1) gives 2 b u_1 + c = -1
+    A = _fractions([[0.0, b], [b, c]])
+    u = exact.psd(A)
+    assert u == [-(Fraction(c) + 1) / (2 * Fraction(b)), 1]
+    assert _form(A, u) == -1
+
+
+def test_a_zero_pivot_after_elimination_lifts_through_it():
+    # eliminating x1 from [[2, 2, 0], [2, 2, 1], [0, 1, 1]] (the largest
+    # pivot, first of two) leaves the block [[0, 1], [1, 1]] on (x2 - x1,
+    # x3): w = -(1 + 1) / 2 = -1 there, so u = -(x2 - x1) + x3 = (1, -1,
+    # 1), with A u = (0, 1, 0) and u^T A u = -1
+    A = _fractions([[2, 2, 0], [2, 2, 1], [0, 1, 1]])
+    u = exact.psd(A)
+    assert u == [1, -1, 1]
+    assert _form(A, u) == -1
+
+
+def test_null_space_is_the_free_columns_basis():
+    # x1 + 2 x2 + 3 x3 = 0 twice over: free x2 and x3
+    assert exact.null_space(_fractions([[1, 2, 3], [2, 4, 6]])) == [
+        [-2, 1, 0], [-3, 0, 1]]
+    assert exact.null_space(_fractions([[2, 1], [1, 1]])) == []
+
+
+def test_slater_fail_constraint_has_the_kernel_e_t():
+    # f1 = -x^2: M1 = [[-2, 0], [0, 0]], so f1 >= 0 only on x = 0, the
+    # t = 1 point of span(e_t)
+    f1 = load_problem(CORPUS / "slater_fail.json").system().constraints[0]
+    M1 = exact.bordered(f1)
+    assert M1 == [[-2, 0], [0, 0]]
+    assert exact.psd([[-v for v in row] for row in M1]) is exact.PSD
+    assert exact.null_space(M1) == [[0, 1]]
+
+
+def test_bordered_reads_each_double_exactly():
+    # d = 0.1 doubles exactly to 2 * TENTH, c = 0.01 stays HUNDREDTH
+    q = QuadraticFunction(np.array([[2.0]]), np.array([0.01]), 0.1)
+    assert exact.bordered(q) == [[2, HUNDREDTH], [HUNDREDTH, 2 * TENTH]]

@@ -15,9 +15,10 @@ names, so they hold no machine-specific path.  `validate` is pinned on
 every corpus file, since it is the one report that echoes the raw
 entries.  Two `classify --json` reports pin the typed JSON encoding:
 slater_fail's (Undetermined, with a separator) and example3_pair's (a
-counterexample and a Slater point).  All 16 `geometry` reports
-take minutes; the two pinned here reach every evidence block (hull
-witness, separator, and each falsifier with and without a violation).
+counterexample and a Slater point).  Two of the 16 `geometry` reports
+are pinned: each takes under a second, but these two already reach every
+evidence block (hull witness, separator, and each falsifier with and
+without a violation).
 One `conjecture-scan` report pins the epi falsifier at n = 2, where it
 runs full 400-trial searches as well as a late violation.  The
 single-stage commands (`certificate` with both its methods, `p1` and

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import slemma
-from conftest import (p2to4_system, p3_system, quadratic_values,
-                      random_p1_system)
+from conftest import (grid_decides_implication, p2to4_system, p3_system,
+                      quadratic_values, random_p1_system)
 from slemma import certificate as cert
 from slemma import geometry as geo
-from slemma import implication, quadratic, search
+from slemma import exact, implication, quadratic, search
 from slemma.errors import DimensionMismatch, NotConverged, NumericalBreakdown
 from slemma.expr import parse
 from slemma.geometry import _random_quadratic as random_quadratic
@@ -592,6 +592,131 @@ def test_certificate_stage_decomposes_each_matrix_once(name, search_eigen,
     for x in starts:
         weights = np.concatenate([[1.0], -search.best_alpha])
         assert system.values(x) @ weights < 0
+
+
+def _face_pair(f0_Q, f0_c):
+    """f0 = 1/2 x^T Q x + c^T x over f1 = -x1^2 on R^2: f1 >= 0 only on
+    the face x1 = 0, where Slater fails."""
+    return FunctionSystem(2, QuadraticFunction(np.diag(f0_Q), f0_c, 0.0),
+                          (QuadraticFunction(np.diag([-2.0, 0.0]),
+                                             np.zeros(2), 0.0),))
+
+
+@pytest.mark.parametrize("system", [
+    load_problem(CORPUS / "slater_fail.json").system(),
+    _face_pair([0.0, 2.0], [1.0, 0.0])], ids=["slater_fail", "x1+x2^2"])
+def test_the_face_stage_proves_i_and_skips_the_descent(system, monkeypatch):
+    # f0 = x (n = 1) and f0 = x1 + x2^2 are >= 0 on the face x1 = 0, and no
+    # multiplier exists: the verdict stays Undetermined with the proof
+    # note, and only the Slater check descends (10 starts), not the
+    # post-certificate counterexample search or its retry
+    starts = _spy_on_descents(monkeypatch)
+    assert implication.face_stage(system, 1e-9) == (True, None)
+    rep = classify_instance(system)
+    assert rep.verdict == UNDETERMINED
+    assert rep.notes == ["no certificate with alpha <= alpha_max=10000.0",
+                         implication._FACE_PROOF,
+                         "separation outcome: slater_blocked"]
+    assert [len(X0) for X0 in starts] == [10]
+    monkeypatch.setattr(implication, "face_stage",
+                        lambda system, tol: (False, None))
+    del starts[:]
+    assert classify_instance(system).verdict == UNDETERMINED
+    assert len(starts) == 2 and len(starts[0]) == 10
+
+
+def test_the_face_stage_refutes_where_the_descent_cannot(monkeypatch):
+    # f0 = x1 - x2^2 falls along the face x1 = 0: N = [[-2, 0], [0, 0]] on
+    # (x2, t) has the direction e_x2 with f0 = -s^2, and s = 1 gives the
+    # counterexample (0, 1), exact in Fraction; the sampled path cannot hit
+    # x1 = 0 and leaves the instance Undetermined
+    system = _face_pair([0.0, -2.0], [1.0, 0.0])
+    rep = classify_instance(system)
+    assert rep.verdict == INVALID
+    assert rep.notes == [implication._FACE_WITNESS]
+    cex = rep.counterexample
+    assert cex.x.tolist() == [0.0, 1.0]
+    assert cex.f0_value == -1.0 and cex.min_constraint == 0.0
+    assert exact.value(system.f0, cex.x) == -1
+    assert exact.value(system.constraints[0], cex.x) == 0
+    monkeypatch.setattr(implication, "face_stage",
+                        lambda system, tol: (False, None))
+    assert classify_instance(system).verdict == UNDETERMINED
+
+
+def test_the_face_stage_runs_only_after_a_failed_p1_search(monkeypatch):
+    # on the corpus only slater_fail's certificate search fails at p = 1:
+    # every other file is certified, decided by its sample, or linear with
+    # a Farkas alternative
+    ran, original = [], implication.face_stage
+
+    def spy(system, tol):
+        ran.append(name)
+        return original(system, tol)
+
+    monkeypatch.setattr(implication, "face_stage", spy)
+    for path in sorted(CORPUS.glob("*.json")):
+        name = path.name
+        if name != "expected_verdicts.json":
+            classify_instance(load_problem(path).system())
+    assert ran == ["slater_fail.json"]
+
+
+def _integers(rng, n):
+    return np.array([float(rng.randint(5)) - 2.0 for _ in range(n)])
+
+
+def _slater_failing_system(seed):
+    """f1 = -(a.x + b)^2, a in {-2..2}^n nonzero and b in {-1, 0, 1}, so
+    that the face a.x + b = 0 holds points of the grid oracle's 0.5 grid;
+    n = 1..3.  f0 is `random_quadratic` on even seeds, and on odd seeds
+    (a.x + b)(h.x + k) + (g.x + e)^2 with small integer h, k, g, e, which
+    is >= 0 on the face and has no multiplier where the face meets g.x + e
+    = 0 off h.x + k = 0.  All from SplitMix64(seed)."""
+    rng = SplitMix64(seed)
+    n = 1 + int(rng.randint(3))
+    a, b = _integers(rng, n), float(rng.randint(3)) - 1.0
+    if not a.any():
+        a[0] = 1.0
+    if seed % 2 == 0:
+        f0 = random_quadratic(rng, n)
+    else:
+        h, k = _integers(rng, n), float(rng.randint(3)) - 1.0
+        g, e = _integers(rng, n), float(rng.randint(3)) - 1.0
+        f0 = QuadraticFunction(
+            np.outer(a, h) + np.outer(h, a) + 2.0 * np.outer(g, g),
+            b * h + k * a + 2.0 * e * g, b * k + e * e)
+    f1 = QuadraticFunction(-2.0 * np.outer(a, a), -2.0 * b * a, -b * b)
+    return FunctionSystem(n, f0, (f1,))
+
+
+def test_the_face_stage_agrees_with_the_grid_oracle(monkeypatch):
+    # ROADMAP item 5's check: on a Slater-failing p = 1 family, each
+    # verdict and each proof of (I) by the face stage agrees with the grid
+    # oracle, and the stage decides both ways
+    decisions, original = [], implication.face_stage
+
+    def spy(system, tol):
+        decisions.append(original(system, tol))
+        return decisions[-1]
+
+    monkeypatch.setattr(implication, "face_stage", spy)
+    tally = Counter()
+    for seed in range(80):
+        system = _slater_failing_system(seed)
+        del decisions[:]
+        rep = classify_instance(system)
+        holds = grid_decides_implication(system)
+        proved = decisions == [(True, None)]
+        assert proved == (implication._FACE_PROOF in rep.notes)
+        if rep.verdict != UNDETERMINED or proved:
+            assert holds == (rep.verdict != INVALID), seed
+        tally[rep.verdict, proved,
+              implication._FACE_WITNESS in rep.notes] += 1
+    assert tally[UNDETERMINED, True, False] >= 15
+    assert tally[INVALID, False, True] >= 20
+    assert tally[VALID, False, False] >= 15
+    assert tally[UNDETERMINED, False, False] <= 4
 
 
 def test_classify_never_holds_both_witnesses():
