@@ -15,8 +15,9 @@ There the certificate search runs between the counterexample search's
 read of the sample and its descent, skipped when the certificate's
 eigenvalue floor leaves no counterexample for it to accept in the box
 ((C) implies (I)), or at p = 1 when the exact face test (`face_stage`)
-decides.  A failed certificate search's witness adds a retry on its own
-sample (stream 3), whose descent shares the main descent's call.
+decides.  When the descent finds nothing either, a failed certificate
+search's witness starts a second search on a sample of its own (stream
+3), the retry.
 Each other stage maps the config to its arguments and owns its seed
 stream; the CLI calls them too."""
 
@@ -143,15 +144,12 @@ def check_slater(system, X, vals, radius):
 @dataclass
 class CounterexampleResult:
     """The search's best row: the counterexample when `found`, else the
-    closest miss (the feasible row of least f0), or None.  `retry` is the
-    result of the retry search `find_counterexample` ran alongside, when
-    it was given one and this search descended and found nothing."""
+    closest miss (the feasible row of least f0), or None."""
 
     found: bool
     x: np.ndarray | None = None
     f0_value: float | None = None
     min_constraint: float | None = None
-    retry: "CounterexampleResult | None" = None
 
 
 def penalized_loss(system):
@@ -247,27 +245,6 @@ def _first_witness(system, X, vals, score):
         score[i] = np.inf
 
 
-def _descent_starts(system, X, vals, score, extra_starts):
-    """The descent's starts: any `extra_starts`, then the 20 best feasible
-    samples by f0, topped up with the least infeasible; the origin when
-    there are none."""
-    starts = [X[j] for j in smallest(score, 20) if np.isfinite(score[j])]
-    if len(starts) < 20 and system.p:
-        # out-of-domain rows score +inf, like feasible ones
-        with np.errstate(over="ignore"):   # +inf fails isfinite below
-            pen = np.sum(np.maximum(-vals[:, 1:], 0.0) ** 2, axis=1)
-        pen = np.where(np.isfinite(vals).all(1) & np.isinf(score), pen,
-                       np.inf)
-        starts += [X[j] for j in smallest(pen, 20 - len(starts))
-                   if np.isfinite(pen[j])]
-    if extra_starts is not None:
-        starts = (list(np.atleast_2d(np.asarray(extra_starts, float)))
-                  + starts)
-    if not starts:
-        starts = [np.zeros(system.n)]
-    return np.array(starts)
-
-
 def _read_sample(system, X, vals):
     """The sample's witness scores, rows failing the exact rule dropped
     (`_first_witness`), its first accepted row of least score (None when
@@ -301,7 +278,7 @@ def _best_row(system, X, vals, i, best, descent=None):
 
 
 def find_counterexample(system, X, vals, radius, extra_starts=None, *,
-                        descend_undecided=True, retry=None):
+                        descend_undecided=True):
     """Search for x with every f_i >= 0 and f0 < 0.
 
     One witness rule reads the `box_sample` (X, vals) and the descended
@@ -318,44 +295,27 @@ def find_counterexample(system, X, vals, radius, extra_starts=None, *,
     accepted row of least witness f0 replaces the sample when strictly
     below it.  The result is that row, found or the closest miss.  With
     `descend_undecided=False` an undecided sample ends the search: the
-    classifier pays for the descent only after its certificate search.
-
-    `retry`, a triple (X, vals, extra_starts) of another `box_sample` and
-    its starts, is a second search, read into the result's `retry` only
-    when this one descends and finds nothing.  When its sample does not
-    decide it either, its descent shares this one's: one grouped
-    `descend` call, each group's rows equal to a descent on its own, so
-    both results are those of two calls, bit for bit."""
+    classifier pays for the descent only after its certificate search."""
     score, i, best = _read_sample(system, X, vals)
     if not descend_undecided or best < -_WITNESS_TOL:
         return _best_row(system, X, vals, i, best)
-    loss = penalized_loss(system)
-    starts = _descent_starts(system, X, vals, score, extra_starts)
-    retry_starts = None
-    if retry is not None:
-        retry_X, retry_vals, retry_extra = retry
-        retry_score, retry_i, retry_best = _read_sample(
-            system, retry_X, retry_vals)
-        if not retry_best < -_WITNESS_TOL:
-            retry_starts = _descent_starts(system, retry_X, retry_vals,
-                                           retry_score, retry_extra)
-    if retry_starts is None:
-        refined, _ = descend(loss, starts, steps=80, box_radius=radius)
-    else:
-        # sorted by (group, value): the main rows come first
-        refined, _ = descend(lambda X, groups: loss(X),
-                             np.vstack([starts, retry_starts]), steps=80,
-                             box_radius=radius,
-                             groups=np.repeat([0, 1], [len(starts),
-                                                       len(retry_starts)]))
-    main = _best_row(system, X, vals, i, best,
-                     (refined[:len(starts)], starts))
-    if retry is not None and not main.found:
-        main.retry = _best_row(
-            system, retry_X, retry_vals, retry_i, retry_best,
-            None if retry_starts is None
-            else (refined[len(starts):], retry_starts))
-    return main
+    # starts: best feasible by f0, topped up with the least infeasible
+    starts = [X[j] for j in smallest(score, 20) if np.isfinite(score[j])]
+    if len(starts) < 20 and system.p:
+        # out-of-domain rows score +inf, like feasible ones
+        with np.errstate(over="ignore"):   # +inf fails isfinite below
+            pen = np.sum(np.maximum(-vals[:, 1:], 0.0) ** 2, axis=1)
+        pen = np.where(np.isfinite(vals).all(1) & np.isinf(score), pen,
+                       np.inf)
+        starts += [X[j] for j in smallest(pen, 20 - len(starts))
+                   if np.isfinite(pen[j])]
+    if extra_starts is not None:
+        starts = (list(np.atleast_2d(np.asarray(extra_starts, float)))
+                  + starts)
+    starts = np.array(starts or [np.zeros(system.n)])
+    refined, _ = descend(penalized_loss(system), starts, steps=80,
+                         box_radius=radius)
+    return _best_row(system, X, vals, i, best, (refined, starts))
 
 
 @dataclass
@@ -409,7 +369,8 @@ def face_stage(system, tol):
     = 1; without it F is empty.  f0 on F is the form of N = B^T M0 B at
     [y; 1], so F empty or N PSD proves (I).  Otherwise N's negative vector
     u lifts to a point of F where f0 < 0 (along B's directions when u_t =
-    0, far enough for f0 <= -1); rounded to doubles, it is a
+    0, far enough for f0 <= -1; at a point, u / u_t rounded to doubles
+    when N's form stays negative there); rounded to doubles, it is a
     counterexample only by the exact witness rule (`_first_witness`).
     Every decision is made in Fraction on the float data."""
     M1 = bordered_matrix(system.constraints[0])
@@ -426,7 +387,17 @@ def face_stage(system, tol):
     u = exact.psd(N)
     if u is exact.PSD:
         return True, None
-    if not u[-1]:
+    if u[-1]:
+        # u / u_t rounded to doubles, kept while N's form stays negative:
+        # on a face of short rationals its lift is a double point of the
+        # face, where u's own lift may round off it
+        try:
+            short = [Fraction(float(ui / u[-1])) for ui in u]
+        except OverflowError:
+            return False, None
+        if exact.form(N, short, short) < 0:
+            u = short
+    else:
         # at s u + e_t, f0 = a s^2 / 2 + b s + c with a < 0: s >= 1 and
         # s |a| / 2 >= |b| + |c| + 1 give f0 <= -1; an integer s keeps a
         # dyadic u on a dyadic face
@@ -574,17 +545,18 @@ def classify_instance(system, config=None):
     certificate pass with a slightly negative lambda_min, and a
     counterexample the descent finds decides Invalid.  A counterexample
     on such a system was accepted exactly; on any other its image is
-    re-checked against K in floats (`_assert_image_in_k`).  A failed
-    certificate search that leaves a witness adds a retry: its own box
-    sample (stream 3), drawn before the descent, and a descent from the
-    witness and that sample's best, grouped with the main descent in one
-    `find_counterexample` call; the retry's result is read after the
-    main's and the search's notes.  At p = 1 a failed search is followed
-    by `face_stage`: a proof of (I) skips the descent and the retry and
-    adds a note, as it is no multiplier certificate; its counterexample
-    decides Invalid.  Only exactly
-    verified certificates yield ValidWithCertificate; sampled
-    certificates are attached as candidates on an Undetermined verdict.
+    re-checked against K in floats (`_assert_image_in_k`).  At p = 1 a
+    failed certificate search is followed by `face_stage`: a proof of (I)
+    skips the descent and adds a note, as it is no multiplier
+    certificate; its counterexample decides Invalid.  When the descent
+    finds nothing, after the search's notes, a failed search that leaves
+    a witness adds the retry: a second `find_counterexample` on its own
+    box sample (stream 3), drawn only then, descending from the witness
+    and that sample's best unless the sample decides.  So an instance
+    whose descent decides draws no retry sample, and one where both fail
+    pays for two descents.  Only exactly verified certificates yield
+    ValidWithCertificate; sampled certificates are attached as
+    candidates on an Undetermined verdict.
     A numerical failure (NumericalBreakdown, NotConverged) propagates;
     any other toolkit error ends the run Undetermined with a `stage
     failure:` note.  A certificate stage that fails either way still
@@ -609,9 +581,8 @@ def classify_instance(system, config=None):
         report.slater = check_slater(system, *sample, radius)
 
         all_quadratic = system.is_quadratic
-        cex = find_counterexample(system, *sample, radius,
-                                  descend_undecided=not all_quadratic)
-        if refuted(cex):
+        if refuted(find_counterexample(system, *sample, radius,
+                                       descend_undecided=not all_quadratic)):
             return report
 
         if all_quadratic:
@@ -630,18 +601,9 @@ def classify_instance(system, config=None):
                     return report
             if not proved and not (certified and _leaves_no_witness(
                     system, search.certificate, radius)):
-                # descend, as without a search, together with the retry
-                # from a failed certificate's witness on its own sample
-                # (stream 3); the search's error and notes wait on the
-                # descent, and the retry on both
-                retry = None
-                if witness_starts:
-                    retry = (*box_sample(system, radius, config.samples,
-                                         derive_seed(config.seed, 3)),
-                             witness_starts)
-                cex = find_counterexample(system, *sample, radius,
-                                          retry=retry)
-                if refuted(cex):
+                # descend, as without a search; the search's error and
+                # notes wait on the descent
+                if refuted(find_counterexample(system, *sample, radius)):
                     return report
                 if failure is not None:
                     raise failure
@@ -652,10 +614,16 @@ def classify_instance(system, config=None):
                 report.verdict = VALID
                 report.certificate = search.certificate
                 return report
-            if cex.retry is not None and refuted(cex.retry):
-                report.notes.append(
-                    "counterexample from certificate-failure witness")
-                return report
+            if witness_starts and not proved:
+                # the retry: a second search from the failed certificate's
+                # witness, on a box sample of its own (stream 3)
+                retry = box_sample(system, radius, config.samples,
+                                   derive_seed(config.seed, 3))
+                if refuted(find_counterexample(system, *retry, radius,
+                                               witness_starts)):
+                    report.notes.append(
+                        "counterexample from certificate-failure witness")
+                    return report
 
         cloud = image_cloud(system, config)
         sep = separation_stage(system, config, cloud)

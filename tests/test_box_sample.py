@@ -3,9 +3,9 @@ draw bit for bit, is read-only and never leaks into a result; the
 sample's column-wise tests (`witness_f0`, `slater_margin`) equal their
 former formulas byte for byte, and `check_slater`, which sorts its best
 rows only when it descends, equals its former version that always
-sorted them.  classify's counterexample search and its retry, each on
-its own memoized sample, share one grouped descent that returns what
-two searches return, byte for byte."""
+sorted them.  classify's certificate-failure retry is a second search on
+its own memoized sample, drawn only after the main descent found
+nothing, and returns what a lone search returns, byte for byte."""
 
 import pickle
 from collections import OrderedDict
@@ -17,9 +17,10 @@ import pytest
 
 from conftest import p2to4_system, p3_system, random_p1_system
 from slemma import implication, search
-from slemma.implication import (NOT_FOUND, SLATER_POINT, ClassifyConfig,
-                                SlaterResult, box_sample, check_slater,
-                                classify_instance, find_counterexample)
+from slemma.implication import (INVALID, NOT_FOUND, SLATER_POINT,
+                                UNDETERMINED, ClassifyConfig, SlaterResult,
+                                box_sample, check_slater, classify_instance,
+                                find_counterexample)
 from slemma.problem import load_problem
 from slemma.quadratic import QuadraticFunction
 from slemma.rng import SplitMix64, derive_seed
@@ -254,14 +255,15 @@ def test_check_slater_equals_its_former_version_at_the_edges(p):
 
 
 
-# instances whose certificate search fails and leaves a witness, so that
-# classify retries from it: the Undetermined slater_fail and p1 seeds 34,
-# 129 and 1330, the instances whose main search finds a counterexample
-# (p1 189, whose retry sample decides too; p1 704 and p2to4 28, whose
-# retry group descends beside the main one), the Undetermined p3 and
-# p2to4 instances of the pinned families, and the pinned families'
-# instances that the retry decides (p1 1199, p3 18, p2to4 15, 266, 276)
+# instances whose certificate search fails and leaves a witness: the
+# Undetermined slater_fail, whose face stage proves (I) and skips both
+# descents, and p1 seeds 34, 129 and 1330, the instances whose main
+# descent finds a counterexample (p1 189 and 704, p2to4 28), the
+# Undetermined p3 and p2to4 instances of the pinned families, and the
+# pinned families' instances that the retry decides (p1 1199, p3 18,
+# p2to4 15, 266, 276; at p3 18 and p2to4 266 its sample decides)
 MAIN_FINDS = (189, 704, 28)
+RETRY_FINDS = (1199, 18, 15, 266, 276)
 RETRIED = ([("corpus", "slater_fail")]
            + [("p1", s) for s in (34, 129, 1330, 189, 704, 1199)]
            + [("p3", s) for s in (44, 18)]
@@ -270,8 +272,11 @@ RETRIED = ([("corpus", "slater_fail")]
 
 
 @pytest.mark.parametrize("family, s", RETRIED)
-def test_one_grouped_descent_equals_two_searches_pinned(monkeypatch, family,
-                                                        s):
+def test_the_retry_is_a_second_search_pinned(monkeypatch, family, s):
+    """classify draws the retry's sample (stream 3) only after its main
+    descent found nothing, and the retry's result is that of a lone
+    search on that sample from the certificate's witness, byte for
+    byte."""
     system = {"corpus": lambda s: load_problem(CORPUS / f"{s}.json").system(),
               "p1": random_p1_system, "p3": p3_system,
               "p2to4": p2to4_system}[family](s)
@@ -279,51 +284,47 @@ def test_one_grouped_descent_equals_two_searches_pinned(monkeypatch, family,
     radius = config.box_radius
     _, _, witness = implication.certificate_stage(system, config)
     assert witness
-    main = box_sample(system, radius, config.samples,
-                      derive_seed(config.seed, 2))
-    retry = box_sample(system, radius, config.samples,
-                       derive_seed(config.seed, 3))
-    expected = find_counterexample(system, *main, radius)
-    expected_retry = find_counterexample(system, *retry, radius,
-                                         extra_starts=witness)
-    groups, original = [], implication.descend
+    events, results, descents = [], [], []
+    search_, sample_ = implication.find_counterexample, implication.box_sample
+    descend_ = implication.descend
 
-    def spy(loss, X0, **kwargs):
-        groups.append(kwargs.get("groups"))
-        return original(loss, X0, **kwargs)
+    def spy_search(*args, **kwargs):
+        before = len(descents)
+        results.append(search_(*args, **kwargs))
+        events.append(("search", len(descents) - before))
+        return results[-1]
 
-    monkeypatch.setattr(implication, "descend", spy)
-    got = find_counterexample(system, *main, radius,
-                              retry=(*retry, witness))
-    # one descent: two groups, or the main's alone where the retry's
-    # sample decides; the retry is read only when the main finds nothing
-    (grouped,) = groups
-    assert (grouped is None) == (s in (189, 18, 266))
-    assert grouped is None or grouped.max() == 1
-    assert expected.found == (s in MAIN_FINDS)
-    # the retries of p1 189 and 704 find one too, never read
-    assert expected_retry.found == (s in (189, 704, 1199, 18, 15, 266,
-                                          276))
-    got_retry, got.retry = got.retry, None
-    assert pickle.dumps(got) == pickle.dumps(expected)
-    assert pickle.dumps(got_retry) == pickle.dumps(
-        None if expected.found else expected_retry)
+    def spy_sample(system, radius, samples, seed):
+        events.append(("sample", seed))
+        return sample_(system, radius, samples, seed)
 
+    def spy_descend(*args, **kwargs):
+        descents.append(None)
+        return descend_(*args, **kwargs)
 
-def test_a_deciding_sample_ends_the_search_before_any_retry(monkeypatch):
-    """When the main search's own sample holds a counterexample, the
-    search returns it with no descent, the retry's included, and no
-    retry result."""
-    system = random_p1_system(6)
-    config = ClassifyConfig()
-    radius = config.box_radius
-    main = box_sample(system, radius, config.samples,
-                      derive_seed(config.seed, 2))
-    retry = box_sample(system, radius, config.samples,
-                       derive_seed(config.seed, 3))
-    expected = find_counterexample(system, *main, radius)
-    monkeypatch.setattr(implication, "descend", None)   # any call fails
-    got = find_counterexample(system, *main, radius,
-                              retry=(*retry, np.zeros((1, system.n))))
-    assert expected.found and got.retry is None
-    assert pickle.dumps(got) == pickle.dumps(expected)
+    monkeypatch.setattr(implication, "find_counterexample", spy_search)
+    monkeypatch.setattr(implication, "box_sample", spy_sample)
+    monkeypatch.setattr(implication, "descend", spy_descend)
+    rep = classify_instance(system)
+    main, retry = derive_seed(config.seed, 2), derive_seed(config.seed, 3)
+    # the sample's read, then the descent unless the face stage proved
+    # (I), then the retry unless the descent found the counterexample; the
+    # retry descends unless its own sample decides
+    expected = [("sample", main), ("search", 0)]
+    if family != "corpus":
+        expected.append(("search", 1))
+        if s not in MAIN_FINDS:
+            expected += [("sample", retry),
+                         ("search", int(s not in (18, 266)))]
+    assert events == expected
+    assert rep.verdict == (INVALID if s in MAIN_FINDS + RETRY_FINDS
+                           else UNDETERMINED)
+    if family == "corpus" or s in MAIN_FINDS:
+        return
+    alone = search_(system, *sample_(system, radius, config.samples, retry),
+                    radius, extra_starts=witness)
+    assert alone.found == (s in RETRY_FINDS)
+    assert pickle.dumps(results[-1]) == pickle.dumps(alone)
+    if alone.found:
+        assert rep.notes[-1] == (
+            "counterexample from certificate-failure witness")

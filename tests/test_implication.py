@@ -220,24 +220,20 @@ UNDECIDED_SAMPLES = [
         "status": "NotFound", "x0": None,
         "min_constraint_value": -1.0455777199350895e-27}),
     ("slater_fail", "counterexample", {
-        "found": False, "x": None, "f0_value": None, "min_constraint": None,
-        "retry": None}),
+        "found": False, "x": None, "f0_value": None, "min_constraint": None}),
     (34, "slater", {
         "status": "SlaterPoint",
         "x0": [-0.007811184728663708, -0.11179379849281841],
         "min_constraint_value": 0.00214045061942595}),
     (34, "counterexample", {
-        "found": False, "x": None, "f0_value": None, "min_constraint": None,
-        "retry": None}),
+        "found": False, "x": None, "f0_value": None, "min_constraint": None}),
     (129, "counterexample", {
         "found": False, "x": [-0.007084291935426515, -0.3526580728146528],
-        "f0_value": 0.6999597830691434, "min_constraint": None,
-        "retry": None}),
+        "f0_value": 0.6999597830691434, "min_constraint": None}),
     (1330, "counterexample", {
         "found": False, "x": [-0.6790569120998485, 0.395879964231759,
                               0.020054277220407417],
-        "f0_value": 0.23734412476979364, "min_constraint": None,
-        "retry": None}),
+        "f0_value": 0.23734412476979364, "min_constraint": None}),
 ]
 
 
@@ -270,7 +266,7 @@ def test_a_few_samples_that_miss_keep_the_descended_counterexample(
                                   *box_sample(example3, 10.0, 3, seed), 10.0)
         assert _fields(res) == {
             "found": True, "x": [x0, 10.0], "f0_value": -100.0,
-            "min_constraint": min_c, "retry": None}
+            "min_constraint": min_c}
     assert len(starts) == 2
 
 
@@ -284,7 +280,7 @@ def test_searches_without_samples_descend_from_the_origin():
     x = [7.502398432458222, 10.0]
     assert _fields(find_counterexample(system, *sample, 10.0)) == {
         "found": True, "x": x, "f0_value": -85.77925859537746,
-        "min_constraint": 126.30127568493387, "retry": None}
+        "min_constraint": 126.30127568493387}
 
 
 def test_an_undecided_sample_can_end_the_search(monkeypatch):
@@ -435,13 +431,11 @@ def test_classify_draws_one_box_sample(monkeypatch, name, descents):
     # descent all read one N-row sample: seed 0 is decided by it,
     # farkas_homogeneous by its certificate, which leaves no witness to
     # descend to, and seed 189 descends from it after a failed
-    # certificate search.  Seed 189's failed
-    # search leaves a witness, so the run also draws the retry's sample
-    # (stream 3) before the one grouped descent, though the main search
-    # finds the counterexample and the retry is never read.  A second
-    # system of the same dimension then reads the memoized samples: it
-    # draws only a retry sample the first run did not draw, and reports
-    # what it reports from a cold memo
+    # certificate search.  Seed 189's failed search leaves a witness, but
+    # the descent finds the counterexample, so the run draws no retry
+    # sample (stream 3).  A second system of the same dimension then
+    # reads the memoized sample: it draws only a retry sample of its own,
+    # and reports what it reports from a cold memo
     system = (load_problem(CORPUS / f"{name}.json").system()
               if isinstance(name, str) else random_p1_system(name))
     rng = SplitMix64(7)
@@ -456,14 +450,12 @@ def test_classify_draws_one_box_sample(monkeypatch, name, descents):
     starts = _spy_on_descents(monkeypatch)
     rep = classify_instance(system)
     assert rep.verdict == (VALID if isinstance(name, str) else INVALID)
-    retries = name == 189
-    assert events == ([samples * system.n] + ["certificate"] * (name != 0)
-                      + [samples * system.n] * retries)
+    assert events == [samples * system.n] + ["certificate"] * (name != 0)
     assert len(starts) == descents
     del events[:]
     warm = classify_instance(other)
     assert [e for e in events if e != "certificate"] == (
-        [samples * system.n] * (other_retries and not retries))
+        [samples * system.n] * other_retries)
     assert pickle.dumps(warm) == expected
 
 
@@ -609,7 +601,8 @@ def test_the_face_stage_proves_i_and_skips_the_descent(system, monkeypatch):
     # f0 = x (n = 1) and f0 = x1 + x2^2 are >= 0 on the face x1 = 0, and no
     # multiplier exists: the verdict stays Undetermined with the proof
     # note, and only the Slater check descends (10 starts), not the
-    # post-certificate counterexample search or its retry
+    # post-certificate counterexample search or its retry, which descend
+    # one after the other with the stage stubbed out
     starts = _spy_on_descents(monkeypatch)
     assert implication.face_stage(system, 1e-9) == (True, None)
     rep = classify_instance(system)
@@ -622,7 +615,7 @@ def test_the_face_stage_proves_i_and_skips_the_descent(system, monkeypatch):
                         lambda system, tol: (False, None))
     del starts[:]
     assert classify_instance(system).verdict == UNDETERMINED
-    assert len(starts) == 2 and len(starts[0]) == 10
+    assert len(starts) == 3 and len(starts[0]) == 10
 
 
 def test_the_face_stage_refutes_where_the_descent_cannot(monkeypatch):
@@ -716,7 +709,24 @@ def test_the_face_stage_agrees_with_the_grid_oracle(monkeypatch):
     assert tally[UNDETERMINED, True, False] >= 15
     assert tally[INVALID, False, True] >= 20
     assert tally[VALID, False, False] >= 15
-    assert tally[UNDETERMINED, False, False] <= 4
+    assert tally[UNDETERMINED, False, False] == 0
+
+
+def test_the_face_stage_rounds_a_long_lift_onto_the_face():
+    # seed 22 (n = 3, f1 = -(x1 - x2 + 1)^2): N's negative vector is a
+    # point with long rationals, whose own lift leaves the face x2 = x1 + 1
+    # when rounded to doubles; u / u_t rounded first keeps N's form
+    # negative and lifts to a double point of the face, a counterexample
+    # in Fraction
+    system = _slater_failing_system(22)
+    proved, cex = implication.face_stage(system, 1e-9)
+    assert not proved and cex.found
+    assert cex.x.tolist() == [-0.16285266160624867, 0.8371473383937513, 0.0]
+    assert exact.value(system.constraints[0], cex.x) == 0
+    assert exact.value(system.f0, cex.x) < -1e-9
+    rep = classify_instance(system)
+    assert rep.verdict == INVALID
+    assert rep.notes == [implication._FACE_WITNESS]
 
 
 def test_classify_never_holds_both_witnesses():
