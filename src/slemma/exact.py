@@ -3,16 +3,14 @@
 
 Every double is a rational number, so a quadratic q(x) = 1/2 x^T Q x +
 c^T x + d whose data are doubles has an exact rational value at a point
-of doubles: `value`, and `combination` for a weighted sum of several.
-`error_bound` is the a-priori bound (Higham 2002, section 3.1) on how
-far the float kernel's value (`quadratic.QuadraticStack`, which
+of doubles: `value`, and `combination` for a weighted sum of several,
+each the form of the exact bordered matrix (`bordered`) at [x; 1],
+halved.  `error_bound` is the a-priori bound (Higham 2002, section 3.1)
+on how far the float kernel's value (`quadratic.QuadraticStack`, which
 `values_batch` and the descents read) can be from that exact value.  A
 float value farther than its bound from a threshold lies on the same
-side of it exactly, so `Fraction` is needed only inside the bound.
-
-The bound is gamma * |q|(|x|), |q| being the quadratic of |Q|, |c| and
-|d|.  The same pieces give a box's bound q(c) +- (|Mc| r + 1/2 r^T |M| r)
-at a dyadic centre c and radius r.
+side of it exactly, so `Fraction` is needed only inside the bound.  The
+bound is gamma * |q|(|x|), |q| being the quadratic of |Q|, |c| and |d|.
 
 On rational matrices (nested lists of Fractions), `bordered` forms a
 quadratic's bordered matrix exactly, `psd` decides positive
@@ -40,21 +38,6 @@ def gamma(k):
     return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
 
 
-def _half_form(Q, x):
-    """1/2 x^T Q x in Fraction, for a symmetric Q (nested lists of
-    doubles) and a list x of Fractions: sum_i x_i (Q_ii x_i / 2 +
-    sum_(j > i) Q_ij x_j)."""
-    total = Fraction(0)
-    for i, xi in enumerate(x):
-        if xi:
-            row = Fraction(Q[i][i]) * xi / 2
-            for j in range(i + 1, len(x)):
-                if Q[i][j] and x[j]:
-                    row += Fraction(Q[i][j]) * x[j]
-            total += row * xi
-    return total
-
-
 def value(q, x):
     """q(x) in Fraction, every double of Q, c, d and x read exactly."""
     return combination([q], [1.0], x)
@@ -62,21 +45,14 @@ def value(q, x):
 
 def combination(functions, weights, x, homogeneous=False):
     """sum_k w_k f_k(x) in Fraction for quadratics f_k and double weights
-    w_k; with `homogeneous`, only the quadratic parts, sum_k w_k 1/2 x^T
-    Q_k x: the combination's growth along the direction x."""
-    xs = [Fraction(v) for v in np.asarray(x, dtype=float).ravel().tolist()]
-    total = Fraction(0)
-    for f, w in zip(functions, weights):
-        if not w:
-            continue
-        part = _half_form(f.Q.tolist(), xs)
-        if not homogeneous:
-            part += Fraction(f.d)
-            for ci, xi in zip(f.c.tolist(), xs):
-                if ci:
-                    part += Fraction(ci) * xi
-        total += Fraction(w) * part
-    return total
+    w_k: the form of each `bordered` matrix at [x; 1], halved.  With
+    `homogeneous` the form is taken at [x; 0], which reads only the
+    quadratic parts, sum_k w_k 1/2 x^T Q_k x: the combination's growth
+    along the direction x."""
+    v = [Fraction(t) for t in np.asarray(x, dtype=float).ravel().tolist()]
+    v.append(Fraction(int(not homogeneous)))
+    return sum((Fraction(w) * form(bordered(f), v, v)
+                for f, w in zip(functions, weights) if w), Fraction(0)) / 2
 
 
 def error_bound(stack, X):
@@ -89,10 +65,9 @@ def error_bound(stack, X):
     on every product, so |error| <= gamma_(2n+2) |f|(|x|) in any order and
     with fused multiply-adds (Higham 2002, section 3.1), |f| being the
     quadratic of |Q|, |c| and |d|; underflow adds to that absolutely.  The
-    result is that bound times SAFETY, computed from the stack's own
-    arrays (`QuadraticStack.magnitudes`); a non-finite bound means no
-    bound."""
-    half, c, d = stack.magnitudes
+    result is that bound times SAFETY, computed from the magnitudes of
+    the stack's own arrays; a non-finite bound means no bound."""
+    half, c, d = np.abs(stack.half), np.abs(stack.c), np.abs(stack.d)
     A = np.abs(X)
     n = A.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):

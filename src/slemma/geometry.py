@@ -13,7 +13,7 @@ import os
 from collections.abc import Sequence
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +30,6 @@ MEMBER_TOL = 1e-7
 # member: then every |r_i| <= MEMBER_TOL/2 (1 + u), as fl(r_i^2) <= loss
 _MEMBER_LOSS = (MEMBER_TOL / 2) ** 2
 _ORACLE_CHUNK = 32    # targets per shortfall buffer of a stacked oracle call
-_SCAN_BLOCK = 16      # cloud points in the first-below scan's first block
 _PARETO_BLOCK = 64    # points per block of the Pareto filter
 
 
@@ -346,16 +345,6 @@ def _gauss_newton_polish(system, X, M, mode):
     return best_X
 
 
-@lru_cache(maxsize=8)
-def _restart_radii(restarts):
-    """The (restarts, 1) column of box radii 1, 5, 20, 80, 1, 5, ... that a
-    member search scales its restart draws by; read-only, as every search
-    with this many restarts shares it."""
-    radii = np.resize([1.0, 5.0, 20.0, 80.0], restarts)[:, None]
-    radii.setflags(write=False)
-    return radii
-
-
 def _member_search(system, M, budget, seeds, mode, starts=None):
     """Search, for each target m (a row of the (k, p+1) stack M), for an x
     whose image matches or dominates m.
@@ -381,7 +370,8 @@ def _member_search(system, M, budget, seeds, mode, starts=None):
     M = np.atleast_2d(np.asarray(M, dtype=float))
     k, n = M.shape[0], system.n
     restarts = max(4, int(budget))
-    radii = _restart_radii(restarts)
+    # restart box radii 1, 5, 20, 80, 1, 5, ...
+    radii = np.resize([1.0, 5.0, 20.0, 80.0], restarts)[:, None]
     U = uniform_rows(seeds, restarts * n)
     blocks = [np.zeros((k, 1, n)),
               -radii + 2.0 * radii * U.reshape(k, restarts, n)]
@@ -470,50 +460,27 @@ def _membership_oracle(system, cloud, budget, seed, mode):
 def _epi_fast_path(cloud, M, answers):
     """Answer, into `answers`, each target m of the stack M that a cloud
     point is below, and return the indices of the others.  Such a target
-    is a member with margin max(least shortfall, 0) and x the first source
-    whose point is <= m + MEMBER_TOL in every coordinate.  The least
-    shortfall is read on the frontier alone: every cloud point is weakly
-    above a frontier point, and rounding z_i - m_i is monotone in z_i, so
-    no other point has a smaller shortfall.  The first-below scan reads
-    the whole cloud, as the first source below m need not be on the
-    frontier (`_first_below`)."""
-    front = cloud.points[cloud.frontier]
+    is a member with margin max(least shortfall, 0) and x the source of
+    the first frontier point of that least shortfall.  The least shortfall
+    is read on the frontier alone: every cloud point is weakly above a
+    frontier point, and rounding z_i - m_i is monotone in z_i, so no other
+    point has a smaller shortfall.  A NaN target has a NaN shortfall and
+    goes to the search."""
+    front = cloud.frontier
+    points = cloud.points[front]
     slow = []
     for lo in range(0, len(M), _ORACLE_CHUNK):
         chunk = M[lo:lo + _ORACLE_CHUNK]
-        best = _shortfalls(front[None], chunk[:, None], "epi").min(axis=1)
+        gaps = _shortfalls(points[None], chunk[:, None], "epi")
+        least = gaps.argmin(axis=1)
+        best = gaps[np.arange(len(chunk)), least]
         fast = best <= MEMBER_TOL
-        if fast.any():
-            rows = fast.nonzero()[0]
-            first = _first_below(cloud.points, chunk[rows] + MEMBER_TOL)
-            answers.member[lo + rows] = True
-            answers.margin[lo + rows] = _clamp_at_zero(best[rows])
-            answers.x[lo + rows] = cloud.sources[first]
+        rows = lo + fast.nonzero()[0]
+        answers.member[rows] = True
+        answers.margin[rows] = _clamp_at_zero(best[fast])
+        answers.x[rows] = cloud.sources[front[least[fast]]]
         slow.append(lo + (~fast).nonzero()[0])
     return np.concatenate(slow) if slow else np.arange(0)
-
-
-def _first_below(points, T):
-    """For each row t of T, the index of the first point <= t in every
-    coordinate, 0 when there is none (as `argmax` of an all-False row
-    reads).  The first _SCAN_BLOCK points answer most rows, and only the
-    rows they miss read the rest of the points."""
-
-    def below(P, rows):
-        # [j, i]: P[i] <= rows[j], each row of targets contiguous, so its
-        # argmax stops at the first True
-        inside = P[:, 0] <= rows[:, 0, None]
-        for col in range(1, P.shape[1]):
-            inside &= P[:, col] <= rows[:, col, None]
-        return inside
-
-    inside = below(points[:_SCAN_BLOCK], T)
-    first = inside.argmax(axis=1)
-    miss = np.flatnonzero(~inside.any(axis=1))
-    if miss.size and len(points) > _SCAN_BLOCK:
-        first[miss] = _SCAN_BLOCK + below(points[_SCAN_BLOCK:],
-                                          T[miss]).argmax(axis=1)
-    return first
 
 
 def epi_membership_oracle(system, cloud, budget=24, seed=0):

@@ -32,7 +32,7 @@ from . import exact
 from . import farkas as farkas_mod
 from . import geometry
 from .errors import NotConverged, NumericalBreakdown, SlemmaError
-from .quadratic import PSD_RTOL, bordered_matrix, eigen_sym
+from .quadratic import PSD_RTOL
 from .rng import derive_seed
 from .search import all_finite, box_points, descend, smallest
 
@@ -358,13 +358,12 @@ class InstanceReport:
     notes: list = field(default_factory=list)
 
 
-def face_stage(system, tol):
+def face_stage(system):
     """Exact p = 1 facial reduction (Borwein & Wolkowicz 1981) of an
     all-quadratic system, as (proved, counterexample).
 
-    Run when lambda_max(M1) <= tol (1 + max|M1|) in floats; then, when -M1
-    is PSD exactly (`exact.psd`), f1 <= 0 everywhere and f1 >= 0 exactly on
-    F = {x : M1 [x; 1] = 0}.  Of a kernel basis B of M1
+    When -M1 is PSD (`exact.psd`), f1 <= 0 everywhere and f1 >= 0 exactly
+    on F = {x : M1 [x; 1] = 0}.  Of a kernel basis B of M1
     (`exact.null_space`) only the last column can have t != 0, and then t
     = 1; without it F is empty.  f0 on F is the form of N = B^T M0 B at
     [y; 1], so F empty or N PSD proves (I).  Otherwise N's negative vector
@@ -373,9 +372,6 @@ def face_stage(system, tol):
     when N's form stays negative there); rounded to doubles, it is a
     counterexample only by the exact witness rule (`_first_witness`).
     Every decision is made in Fraction on the float data."""
-    M1 = bordered_matrix(system.constraints[0])
-    if eigen_sym(M1).eigenvalues[-1] > tol * (1.0 + np.max(np.abs(M1))):
-        return False, None
     M1 = exact.bordered(system.constraints[0])
     if exact.psd([[-v for v in row] for row in M1]) is not exact.PSD:
         return False, None
@@ -595,7 +591,7 @@ def classify_instance(system, config=None):
             certified = failure is None and search.found
             proved = False
             if failure is None and not certified and system.p == 1:
-                proved, face_cex = face_stage(system, config.psd_tol)
+                proved, face_cex = face_stage(system)
                 if face_cex is not None and refuted(face_cex):
                     report.notes.append(_FACE_WITNESS)
                     return report

@@ -9,7 +9,6 @@ LAPACK's symmetric eigensolver.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -115,12 +114,6 @@ class QuadraticStack:
         # (never -0) rather than d makes that difference vanish
         self.d = np.array([q.d for q in functions]) + 0.0
         self._even, self._odd = _dot_order(self.n)
-
-    @cached_property
-    def magnitudes(self):
-        """(|half|, |c|, |d|): the arrays of |q_1|..|q_k|, the quadratics
-        of |Q|, |c| and |d|, which `exact.error_bound` reads."""
-        return np.abs(self.half), np.abs(self.c), np.abs(self.d)
 
     def evaluate(self, X, gradients=False):
         """Values (m, k) at the rows of X, and with `gradients` also the

@@ -154,6 +154,31 @@ def test_a_row_failing_exactly_is_dropped_and_the_next_chosen():
     assert res.f0_value == -0.75
 
 
+def test_a_row_inside_the_bound_failing_in_fractions_is_dropped(monkeypatch):
+    # f0 = -1, f1 = x^2 - 0.01: at the double below 0.1 f1 is within
+    # rounding of 0 and negative exactly, so the screen leaves it to
+    # Fraction, which drops it; the tie on f0 then goes to x = 0.5, which
+    # the screen accepts without Fraction
+    f1 = QuadraticFunction(np.array([[2.0]]), np.zeros(1), -0.01)
+    system = FunctionSystem(1, _constant(-1.0), (f1,))
+    X = np.array([[np.nextafter(0.1, 0.0)], [0.5]])
+    vals = system.values_batch(X)
+    score = implication.witness_f0(vals)
+    assert score.tolist() == [-1.0, -1.0]
+    asked, original = [], implication._holds_exactly
+
+    def spy(system, x):
+        asked.append(x.tolist())
+        return original(system, x)
+
+    monkeypatch.setattr(implication, "_holds_exactly", spy)
+    kept, i = implication._first_witness(system, X, vals, score)
+    assert asked == [X[0].tolist()]
+    assert i == 1
+    assert kept.tolist() == [np.inf, -1.0]
+    assert score.tolist() == [-1.0, -1.0]
+
+
 def test_the_vacuous_instance_is_not_invalid():
     # f0 = -1 and f1 = -1e-10 everywhere: the feasible set is empty, so
     # (I) holds; every point passes the float test and none the exact one

@@ -599,6 +599,18 @@ def test_falsifier_blocks_match_trial_by_trial(count, limit):
         assert sum(sizes) == (60 if indices is None else len(asked))
 
 
+def test_falsifier_on_a_one_point_cloud_asks_nothing():
+    # every trial draws j1 == j2 and is skipped, so each block of trials
+    # holds no chord: the oracle, which would reject anything, is never
+    # asked, and every trial counts as run
+    cloud = _cloud_from_points([[1.0, -2.0]])
+    rejecting = _RecordingOracle(lambda m: True)
+    res = geo.falsify_convexity(rejecting, cloud, trials=40, seed=3, eta=0.5)
+    assert rejecting.asked == []
+    assert res.trials_run == 40
+    assert res.violation is None
+
+
 def test_falsifier_reports_first_violation_of_a_block():
     cloud = _cloud_from_points(SplitMix64(17).uniform_box(3.0, 2, 4096))
     accepting = _RecordingOracle(lambda m: False)
@@ -613,13 +625,21 @@ def test_falsifier_reports_first_violation_of_a_block():
     assert res.violation.m.tobytes() == targets[9].tobytes()
 
 
+def _own_point_shortfalls(cloud, M, X):
+    """The epi shortfall max_i (z_i - m_i) of the first cloud point whose
+    source is x, for each target m and its x, a row of X."""
+    own = [np.flatnonzero((cloud.sources == x).all(axis=1))[0] for x in X]
+    return np.max(cloud.points[own] - M, axis=1)
+
+
 @pytest.mark.parametrize("k", [31, 32, 33, 65])
 def test_epi_fast_path_matches_a_per_target_loop(example3, monkeypatch, k):
     # stacks around the shortfall chunk of 32: each target below or above
     # a cloud point, most of the lower ones left to the member search.
     # The stack's answer arrays and the per-target results built from
-    # them both match the loop; the searched targets' answers, every
-    # third a member, land in their own rows
+    # them both match the loop; a fast member's x is the source of the
+    # first frontier point of least shortfall.  The searched targets'
+    # answers, every third a member, land in their own rows
     cloud = geo.sample_image(example3, 10.0, 256, 12)
     rng = SplitMix64(k)
     picks = (rng.u64s(k) % np.uint64(cloud.size)).astype(int)
@@ -640,13 +660,14 @@ def test_epi_fast_path_matches_a_per_target_loop(example3, monkeypatch, k):
     answers = oracle(M)
     assert isinstance(answers, geo.MembershipAnswers)
     member, margin, x = np.zeros(k, dtype=bool), np.zeros(k), np.zeros((k, 2))
+    least, front = np.zeros(k), cloud.frontier
     slow, nearest = [], []
     for j, m in enumerate(M):
         gaps = np.max(cloud.points - m, axis=1)
+        least[j] = gaps.min()
         if gaps.min() <= geo.MEMBER_TOL:
-            below = np.all(cloud.points <= m + geo.MEMBER_TOL, axis=1)
             member[j], margin[j] = True, max(gaps.min(), 0.0)
-            x[j] = cloud.sources[below.argmax()]
+            x[j] = cloud.sources[front[gaps[front].argmin()]]
         else:
             slow.append(j)
             nearest.append(np.argsort(gaps, kind="stable")[:6])
@@ -656,6 +677,9 @@ def test_epi_fast_path_matches_a_per_target_loop(example3, monkeypatch, k):
     assert answers.member.tolist() == member.tolist()
     assert answers.margin.tobytes() == margin.tobytes()
     assert answers.x[member].tobytes() == x[member].tobytes()
+    fast = ~np.isin(np.arange(k), slow)
+    assert (_own_point_shortfalls(cloud, M[fast], answers.x[fast])
+            == least[fast]).all()
     for j, res in enumerate(answers):
         assert res.member == member[j]
         assert np.float64(res.margin).tobytes() == margin[j].tobytes()
@@ -716,8 +740,10 @@ def test_epi_frontier_fast_path_matches_the_full_cloud_loop(
         example3, monkeypatch, name, cloud):
     # the oracle reads the least shortfall on the frontier alone; a loop
     # over every cloud point, one target at a time, gives the same member
-    # flags, margins and fast members' x, and the same searched targets
-    # with the same seeds and six (or all) starts, bit for bit.  The
+    # flags, margins and fast members' x (the source of the first frontier
+    # point of least shortfall, whose own shortfall is the unclamped
+    # margin), and the same searched targets with the same seeds and six
+    # (or all) starts, bit for bit.  The
     # targets go as one stack and then one at a time, so the call count
     # (the seeds) runs on across calls
     M = _fast_path_targets(cloud, len(name))
@@ -735,13 +761,14 @@ def test_epi_frontier_fast_path_matches_the_full_cloud_loop(
     answers = oracle(M)
     singles = [oracle(m) for m in M]
     member, margin, x = np.zeros(k, dtype=bool), np.zeros(k), np.zeros((k, 2))
+    least, front = np.zeros(k), cloud.frontier
     slow, nearest = [], []
     for j, m in enumerate(M):
         gaps = np.max(cloud.points - m, axis=1)
+        least[j] = gaps.min()
         if gaps.min() <= geo.MEMBER_TOL:
-            below = np.all(cloud.points <= m + geo.MEMBER_TOL, axis=1)
             member[j], margin[j] = True, max(gaps.min(), 0.0)
-            x[j] = cloud.sources[below.argmax()]
+            x[j] = cloud.sources[front[gaps[front].argmin()]]
         else:
             slow.append(j)
             nearest.append(np.argsort(gaps, kind="stable")[:6])
@@ -750,6 +777,8 @@ def test_epi_frontier_fast_path_matches_the_full_cloud_loop(
     assert answers.member[fast].all()
     assert answers.margin[fast].tobytes() == margin[fast].tobytes()
     assert answers.x[fast].tobytes() == x[fast].tobytes()
+    assert (_own_point_shortfalls(cloud, M[fast], answers.x[fast])
+            == least[fast]).all()
     for j in np.flatnonzero(fast):
         assert singles[j].member
         assert np.float64(singles[j].margin).tobytes() == margin[j].tobytes()

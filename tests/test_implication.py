@@ -604,7 +604,7 @@ def test_the_face_stage_proves_i_and_skips_the_descent(system, monkeypatch):
     # post-certificate counterexample search or its retry, which descend
     # one after the other with the stage stubbed out
     starts = _spy_on_descents(monkeypatch)
-    assert implication.face_stage(system, 1e-9) == (True, None)
+    assert implication.face_stage(system) == (True, None)
     rep = classify_instance(system)
     assert rep.verdict == UNDETERMINED
     assert rep.notes == ["no certificate with alpha <= alpha_max=10000.0",
@@ -612,10 +612,25 @@ def test_the_face_stage_proves_i_and_skips_the_descent(system, monkeypatch):
                          "separation outcome: slater_blocked"]
     assert [len(X0) for X0 in starts] == [10]
     monkeypatch.setattr(implication, "face_stage",
-                        lambda system, tol: (False, None))
+                        lambda system: (False, None))
     del starts[:]
     assert classify_instance(system).verdict == UNDETERMINED
     assert len(starts) == 3 and len(starts[0]) == 10
+
+
+def test_the_face_stage_proves_i_on_an_empty_face():
+    # f0 = x1 over f1 = -x2^2 - 1 < 0: M1's kernel is span(e_x1), whose
+    # t = 0, so the face and the feasible set are empty and (I) holds
+    system = FunctionSystem(2, QuadraticFunction(np.zeros((2, 2)), [1.0, 0.0],
+                                                 0.0),
+                            (QuadraticFunction(np.diag([0.0, -2.0]),
+                                               np.zeros(2), -1.0),))
+    assert implication.face_stage(system) == (True, None)
+    rep = classify_instance(system)
+    assert rep.verdict == UNDETERMINED
+    assert rep.notes == ["no certificate with alpha <= alpha_max=10000.0",
+                         implication._FACE_PROOF,
+                         "separation outcome: slater_blocked"]
 
 
 def test_the_face_stage_refutes_where_the_descent_cannot(monkeypatch):
@@ -633,7 +648,7 @@ def test_the_face_stage_refutes_where_the_descent_cannot(monkeypatch):
     assert exact.value(system.f0, cex.x) == -1
     assert exact.value(system.constraints[0], cex.x) == 0
     monkeypatch.setattr(implication, "face_stage",
-                        lambda system, tol: (False, None))
+                        lambda system: (False, None))
     assert classify_instance(system).verdict == UNDETERMINED
 
 
@@ -643,9 +658,9 @@ def test_the_face_stage_runs_only_after_a_failed_p1_search(monkeypatch):
     # a Farkas alternative
     ran, original = [], implication.face_stage
 
-    def spy(system, tol):
+    def spy(system):
         ran.append(name)
-        return original(system, tol)
+        return original(system)
 
     monkeypatch.setattr(implication, "face_stage", spy)
     for path in sorted(CORPUS.glob("*.json")):
@@ -689,8 +704,8 @@ def test_the_face_stage_agrees_with_the_grid_oracle(monkeypatch):
     # oracle, and the stage decides both ways
     decisions, original = [], implication.face_stage
 
-    def spy(system, tol):
-        decisions.append(original(system, tol))
+    def spy(system):
+        decisions.append(original(system))
         return decisions[-1]
 
     monkeypatch.setattr(implication, "face_stage", spy)
@@ -719,7 +734,7 @@ def test_the_face_stage_rounds_a_long_lift_onto_the_face():
     # negative and lifts to a double point of the face, a counterexample
     # in Fraction
     system = _slater_failing_system(22)
-    proved, cex = implication.face_stage(system, 1e-9)
+    proved, cex = implication.face_stage(system)
     assert not proved and cex.found
     assert cex.x.tolist() == [-0.16285266160624867, 0.8371473383937513, 0.0]
     assert exact.value(system.constraints[0], cex.x) == 0
