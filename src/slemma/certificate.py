@@ -201,12 +201,11 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL):
     stops at a certificate, at an upper bound below -tol * S with
     S = 1 + max|M0| + ALPHA_MAX * sum_i max|M_i| >= 1 + max|M(alpha)| on the
     box (so no alpha <= ALPHA_MAX passes; outcome NO_CERTIFICATE), when the
-    bound meets the best value, or after `iters` eigen calls.  For p >= 2
-    the first passing iterate is the certificate.  For p = 1 a passing
-    iterate ends the search only once it reaches P1_NEAR_MAX times the
-    bound, so every p = 1 certificate has lambda_min >= 0.99 * max g.
-    Each improving iterate is checked by check_multipliers on the eigenpair
-    already computed, and the result carries the best iterate's check.
+    bound meets the best value, or after `iters` eigen calls.  The first
+    passing iterate is the certificate.  Each improving iterate is checked
+    by check_multipliers on the eigenpair already computed, and the result
+    carries the best iterate's check.  The classifier runs this search at
+    p >= 2; a p = 1 system has `find_certificate_p1`.
     A master LP that the dual simplex cannot re-optimize raises
     NumericalBreakdown, and so does eigen_sym on an M(alpha) that
     overflowed: the search computes with numpy's overflow and invalid
@@ -244,7 +243,7 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL):
         if best is None or lam > best_lam:
             best = check_multipliers(system, alpha, tol, eigenpair=(M, lam, v))
             best_lam, gap = lam, -best.threshold
-            if p > 1 and best.valid:
+            if best.valid:
                 break
         s = slopes[k]
         for i, B in enumerate(borders):
@@ -273,17 +272,106 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL):
             break
         if upper_bound - best_lam <= gap:
             break
-        if best.valid and best_lam >= P1_NEAR_MAX * upper_bound:
-            break       # p = 1 only: a passing p >= 2 iterate broke above
     return SearchResult(check=best, upper_bound=upper_bound, outcome=outcome)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def find_certificate_p1(system, tol=PSD_RTOL):
-    """The cutting-plane search on a p = 1 system, capped at 200 eigen
-    calls."""
+    """Kelley's cutting planes on a p = 1 system, where g(a) =
+    lambda_min(M0 - a M1) is a concave function of one variable on
+    [0, ALPHA_MAX], capped at 200 eigen calls.
+
+    Each iterate's eigenpair gives the cut g(a) <= lam + s (a - alpha)
+    with s = -v^T M1 v, as in `find_certificate_general`, but the master
+    needs no LP: the next iterate is where two cuts cross
+    (`_p1_master`).  The cuts' minimum there is the upper bound on max g,
+    and the stops are `find_certificate_general`'s, with one difference:
+    a passing iterate ends the search only once it reaches P1_NEAR_MAX
+    times the bound, so every p = 1 certificate has lambda_min >= 0.99 *
+    max g.  Each improving iterate is checked by check_multipliers on its
+    eigenpair.  The search computes with numpy's overflow and invalid
+    warnings off: an M(alpha) that overflowed raises NumericalBreakdown in
+    eigen_sym, and a slope v^T M1 v that overflowed raises it here."""
     if system.p != 1:
         raise DimensionMismatch(f"p=1 search on a system with p={system.p}")
-    return find_certificate_general(system, iters=200, tol=tol)
+    if not system.is_quadratic:
+        raise DimensionMismatch("cutting-plane search needs an all-quadratic system")
+    M0 = bordered_matrix(system.f0)
+    M1 = bordered_matrix(system.constraints[0])
+    bound_scale = 1.0 + abs(M0).max() + ALPHA_MAX * abs(M1).max()
+    # cut k: g(a) <= lams[k] + slopes[k] (a - points[k])
+    lams, slopes, points = [], [], []
+    alpha = 0.0
+    best_lam = -np.inf
+    outcome = ""
+    for _ in range(200):
+        M = M0 - alpha * M1
+        lam, v = min_eigenvalue(M)
+        if lam > best_lam:     # eigen_sym returns finite values only
+            best = check_multipliers(system, np.array([alpha]), tol,
+                                     eigenpair=(M, lam, v))
+            best_lam, gap = lam, -best.threshold
+        s = -float(v @ M1 @ v)
+        if not abs(s) < np.inf:
+            raise NumericalBreakdown(f"certificate cut slope {s}")
+        lams.append(lam)
+        slopes.append(s)
+        points.append(alpha)
+        alpha, upper_bound = _p1_master(lams, slopes, points)
+        if upper_bound < -tol * bound_scale:
+            outcome = NO_CERTIFICATE
+            break
+        if upper_bound - best_lam <= gap:
+            break
+        if best.valid and best_lam >= P1_NEAR_MAX * upper_bound:
+            break
+    return SearchResult(check=best, upper_bound=upper_bound, outcome=outcome)
+
+
+def _p1_master(lams, slopes, points):
+    """The master of the p = 1 cutting planes in closed form: the point of
+    [0, ALPHA_MAX] where the minimum of the cuts lams[k] + slopes[k]
+    (a - points[k]) is highest, and that minimum, (alpha, bound).
+
+    The maximum is where the rising cut (s >= 0) at the rightmost point
+    crosses the falling cut (s <= 0) at the leftmost point; in exact
+    arithmetic every other cut lies above both there.  Without a falling
+    cut it is ALPHA_MAX, without a rising one 0, and a flat cut is both,
+    so its own point.  The crossing is computed from the falling cut, so
+    that two cuts through one exact point cross there.  The bound is the
+    minimum over all cuts at alpha.  When rounded slopes are not monotone
+    a third cut can lie below the crossing; it then replaces the pair's
+    cut of its sign and the pair is crossed again, so that the bound is
+    the cuts' highest minimum, as the LP's value is."""
+    rising = falling = None
+    for k, (s, a) in enumerate(zip(slopes, points)):
+        if s >= 0.0 and (rising is None or a >= points[rising]):
+            rising = k
+        if s <= 0.0 and (falling is None or a <= points[falling]):
+            falling = k
+    for _ in range(len(lams)):
+        if falling is None:
+            alpha = ALPHA_MAX
+        elif rising is None:
+            alpha = 0.0
+        elif rising == falling:
+            alpha = points[rising]
+        else:
+            lo, hi = points[rising], points[falling]
+            alpha = hi + ((lams[rising] + slopes[rising] * (hi - lo))
+                          - lams[falling]) / (slopes[falling] - slopes[rising])
+            alpha = min(max(alpha, 0.0), ALPHA_MAX)
+        values = [lam + s * (alpha - a)
+                  for lam, s, a in zip(lams, slopes, points)]
+        bound = min(values)
+        if bound >= min(values[j] for j in (rising, falling) if j is not None):
+            break
+        k = values.index(bound)
+        if slopes[k] >= 0.0:
+            rising = k
+        if slopes[k] <= 0.0:
+            falling = k
+    return alpha, bound
 
 
 def format_certificate(check):

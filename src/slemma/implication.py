@@ -421,14 +421,15 @@ def counterexample_stage(system, config):
 
 def certificate_stage(system, config):
     """Certificate search on an all-quadratic system: exact Farkas when
-    every function is affine, the PSD test of M0 at p = 0, cutting planes
-    otherwise (find_certificate_p1 at p = 1, find_certificate_general
-    above).  Returns (search, notes, witness_starts), the starts being
-    points that violate a failed certificate, for the counterexample
-    retry (see `classify_instance`).  A Farkas alternative is also the
-    search's `witness`; when it misses the exact witness rule, as an LP
-    vertex on an active constraint can by an ulp, the alternative with a
-    1e-9 margin in every constraint is the start instead."""
+    every function is affine, the PSD test of M0 at p = 0, and Kelley's
+    cutting planes otherwise, chosen by p: find_certificate_p1 crosses two
+    cuts in closed form at p = 1, and find_certificate_general keeps one
+    master LP per search above.  Returns (search, notes, witness_starts),
+    the starts being points that violate a failed certificate, for the
+    counterexample retry (see `classify_instance`).  A Farkas alternative
+    is also the search's `witness`; when it misses the exact witness rule,
+    as an LP vertex on an active constraint can by an ulp, the alternative
+    with a 1e-9 margin in every constraint is the start instead."""
     notes = []
     if system.is_linear() and system.p >= 1:
         data = farkas_mod.linear_data(system)

@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from slemma import linprog, quadratic, search
 from slemma.errors import DimensionMismatch, NotConverged, NumericalBreakdown
 from slemma.expr import parse
 from slemma.geometry import _random_quadratic as random_quadratic
-from slemma.implication import box_sample, find_counterexample
+from slemma.implication import (UNDETERMINED, box_sample, classify_instance,
+                                find_counterexample)
 from slemma.linprog import OPTIMAL, LinearProgram, Tableau, solve_lp
 from slemma.problem import load_problem
 from slemma.quadratic import (PSD_RTOL, QuadraticFunction, SymmetricEigen,
@@ -205,6 +207,137 @@ def test_p1_search_matches_alpha_grid():
         if grid_best > 0:
             assert res.best_lambda_min >= 0.99 * grid_best, i
     assert len(disagreements) <= 2, disagreements
+
+
+def _master_lp(lams, slopes, points):
+    """(alpha, t) maximizing t subject to t <= lams[k] + slopes[k] (alpha -
+    points[k]) and 0 <= alpha <= ALPHA_MAX, by solve_lp."""
+    A = [[-s, 1.0] for s in slopes] + [[1.0, 0.0]]
+    b = [lam - s * a for lam, s, a in zip(lams, slopes, points)]
+    out = solve_lp(LinearProgram([0.0, -1.0], a_ub=A,
+                                 b_ub=b + [cert.ALPHA_MAX], free=[1]))
+    assert out.status == OPTIMAL
+    return float(out.y[0]), float(out.y[1])
+
+
+# (point, lambda_min, slope) per cut; each set's master has one maximizer.
+# In the last two the rising cut at the rightmost point has the larger
+# slope, so the rising cut at 0 lies below the first crossing, by 5 and
+# by an ulp, and the master steps to it
+_HAND_BUILT_CUTS = {
+    "rising only": [(0.0, -1.0, 2.0), (5.0, 3.0, 0.5)],
+    "falling only": [(3.0, 1.0, -0.5), (5.0, -1.0, -1.0)],
+    "crossing": [(0.0, -1.0, 1.0), (10.0, -3.0, -2.0)],
+    "flat": [(0.0, -2.0, 1.0), (4.0, 2.0, 0.0), (8.0, -2.0, -1.0)],
+    "non-monotone": [(0.0, 0.0, 0.5), (1.0, 0.5, 1.0), (10.0, 0.0, -1.0)],
+    "non-monotone by an ulp": [(0.0, 0.0, 1.0),
+                               (1.0, 1.0, float(np.nextafter(1.0, 2.0))),
+                               (1e4, 0.0, -1.0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HAND_BUILT_CUTS))
+def test_p1_master_matches_the_lp_on_hand_built_cuts(name):
+    points, lams, slopes = map(list, zip(*_HAND_BUILT_CUTS[name]))
+    alpha, bound = cert._p1_master(lams, slopes, points)
+    lp_alpha, lp_value = _master_lp(lams, slopes, points)
+    assert abs(alpha - lp_alpha) <= 1e-9 * (1.0 + abs(lp_alpha))
+    assert abs(bound - lp_value) <= 1e-12 * (1.0 + abs(lp_value))
+    assert bound == min(lam + s * (alpha - a)
+                        for lam, s, a in zip(lams, slopes, points))
+
+
+def test_p1_master_matches_a_fresh_lp_at_every_iterate(monkeypatch):
+    # at every iterate the closed-form master's bound is the value of the
+    # LP over the same cuts, reached at its alpha; no Tableau is built
+    master, checked = cert._p1_master, []
+
+    def checked_master(lams, slopes, points):
+        alpha, bound = master(lams, slopes, points)
+        _, lp_value = _master_lp(lams, slopes, points)
+        assert abs(bound - lp_value) <= 1e-9 * (1.0 + abs(lp_value))
+        assert bound == min(lam + s * (alpha - a)
+                            for lam, s, a in zip(lams, slopes, points))
+        checked.append(len(lams))
+        return alpha, bound
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("master tableau built at p = 1")
+
+    monkeypatch.setattr(cert, "_p1_master", checked_master)
+    monkeypatch.setattr(cert, "Tableau", refuse)
+    rng = SplitMix64(2024)
+    for _ in range(40):
+        n = 1 + int(rng.randint(4))
+        cert.find_certificate_p1(FunctionSystem(
+            n, random_quadratic(rng, n), (random_quadratic(rng, n),)))
+        assert cert.find_certificate_p1(
+            _constructed_certificate_system(rng, 1, n)).found
+    for eps in (1e-6, 1e-3, -1e-3):
+        cert.find_certificate_p1(_near_boundary_system(1, eps))
+    assert len(checked) > 200 and max(checked) >= 15
+
+
+def _p1_corpus_systems():
+    for path in sorted(CORPUS.glob("*.json")):
+        if path.name != "expected_verdicts.json":
+            system = load_problem(path).system()
+            if system.is_quadratic and system.p == 1:
+                yield path.name, system
+
+
+def test_p1_search_agrees_with_the_general_search():
+    # the closed-form master and the LP master reach the same answer on
+    # the alpha-grid test's systems and on the p = 1 corpus files
+    master = SplitMix64(777)
+    systems = [(i, random_p1_system(master.next_u64())) for i in range(100)]
+    corpus = list(_p1_corpus_systems())
+    found, absent = 0, 0
+    for name, system in systems + corpus:
+        res = cert.find_certificate_p1(system)
+        lp = cert.find_certificate_general(system, iters=200)
+        assert (res.found, res.outcome) == (lp.found, lp.outcome), name
+        found += res.found
+        absent += res.outcome == cert.NO_CERTIFICATE
+    assert len(corpus) >= 14 and found >= 20 and absent >= 90
+
+
+def test_p1_search_fails_on_an_overflowing_slope():
+    # M1's entries are finite, but v^T M1 v overflows at the first
+    # iterate's eigenvector, the all-ones direction of M0
+    n = 20
+    f0 = QuadraticFunction(2.0 * (np.eye(n) - 0.1), np.full(n, -0.2), 0.9)
+    f1 = QuadraticFunction(np.full((n, n), 0.6e308), np.full(n, 0.6e308),
+                           0.3e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalBreakdown,
+                           match="^certificate cut slope -inf$"):
+            cert.find_certificate_p1(FunctionSystem(n, f0, (f1,)))
+
+
+def _three_sevenths_family():
+    """20 draws of f1 on n = 3 from SplitMix64(77), each with f0 = f1's
+    Q, c and d times 3/7 in floats: g(alpha) = lambda_min(M(alpha)) peaks
+    near 3/7, where M(alpha) is the rounding error of f0 alone."""
+    rng = SplitMix64(77)
+    for _ in range(20):
+        f1 = random_quadratic(rng, 3)
+        f0 = QuadraticFunction(3 / 7 * f1.Q, 3 / 7 * f1.c, 3 / 7 * f1.d)
+        yield FunctionSystem(3, f0, (f1,))
+
+
+def test_the_three_sevenths_boundary_family_has_no_certificate():
+    # no double alpha makes M(alpha) PSD in exact arithmetic, yet at
+    # fl(3/7) check_multipliers reads lambda_min = 0.0 and passes it
+    # without an exact check, so a cut crossing that landed exactly there
+    # would certify.  The search must not land there and classify must
+    # leave every member Undetermined
+    for i, system in enumerate(_three_sevenths_family()):
+        res = cert.find_certificate_p1(system)
+        assert not res.found, i
+        assert float(res.best_alpha[0]) != 3 / 7, i
+        assert classify_instance(system).verdict == UNDETERMINED, i
 
 
 def test_lambda_min_is_concave_in_alpha():
@@ -696,7 +829,7 @@ def reference_find_certificate_general(system, iters=2000, seed=0,
         if best is None or lam > best.lambda_min:
             best = cert.check_multipliers(system, alpha, tol,
                                           eigenpair=(M, lam, v))
-            if p > 1 and best.valid:
+            if best.valid:
                 break
         s = np.array([-(v @ B @ v) for B in borders])
         lams[k], slopes[k], points[k] = lam, s, alpha
@@ -723,8 +856,6 @@ def reference_find_certificate_general(system, iters=2000, seed=0,
             break
         if upper_bound - best.lambda_min <= -best.threshold:
             break
-        if best.valid and best.lambda_min >= cert.P1_NEAR_MAX * upper_bound:
-            break       # p = 1 only: a passing p >= 2 iterate broke above
     return cert.SearchResult(check=best, upper_bound=upper_bound,
                              outcome=outcome)
 

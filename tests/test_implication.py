@@ -2,6 +2,7 @@ import hashlib
 import json
 import pickle
 from collections import Counter, OrderedDict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -368,14 +369,15 @@ def test_a_certificate_passing_by_tolerance_lets_the_descent_refute():
 
 
 def _spy_on_searches(monkeypatch, starts):
-    """The number of descents in `starts` before each certificate search."""
-    searches, original = [], cert.find_certificate_general
+    """The number of descents in `starts` before each p = 1 certificate
+    search."""
+    searches, original = [], cert.find_certificate_p1
 
     def spy(*args, **kwargs):
         searches.append(len(starts))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cert, "find_certificate_general", spy)
+    monkeypatch.setattr(cert, "find_certificate_p1", spy)
     return searches
 
 
@@ -471,7 +473,7 @@ def test_a_failed_certificate_stage_still_lets_the_descent_decide(
     def failing(*args, **kwargs):
         raise error("injected certificate failure")
 
-    monkeypatch.setattr(cert, "find_certificate_general", failing)
+    monkeypatch.setattr(cert, "find_certificate_p1", failing)
     rep = classify_instance(system)
     assert rep.verdict == INVALID and rep.notes == []
     assert _fields(rep.counterexample) == _fields(expected)
@@ -558,14 +560,18 @@ CORPUS = Path(slemma.__file__).parent / "corpus"
 def test_certificate_stage_decomposes_each_matrix_once(name, search_eigen,
                                                        monkeypatch):
     # the stage takes its retry starts from the search's best check, so it
-    # makes no eigen call beyond the search's; each iterate makes one eigen
-    # call and one master re-optimization, except a p >= 2 iterate that
-    # passes
+    # makes no eigen call beyond the search's; each p >= 2 iterate makes
+    # one eigen call and one master re-optimization, except one that
+    # passes, and the p = 1 search crosses its cuts with no master LP
+    system = (_norm_sq_pair_system() if name is None
+              else load_problem(CORPUS / name).system())
     counts = Counter()
     _count_calls(monkeypatch, counts, quadratic, "eigen_sym")
     _count_calls(monkeypatch, counts, Tableau, "dual_simplex")
     per_search = []
-    search_fn = cert.find_certificate_general
+    search_name = ("find_certificate_p1" if system.p == 1
+                   else "find_certificate_general")
+    search_fn = getattr(cert, search_name)
 
     def counted_search(*args, **kwargs):
         before = counts["eigen_sym"]
@@ -573,13 +579,12 @@ def test_certificate_stage_decomposes_each_matrix_once(name, search_eigen,
         per_search.append(counts["eigen_sym"] - before)
         return result
 
-    monkeypatch.setattr(cert, "find_certificate_general", counted_search)
-    system = (_norm_sq_pair_system() if name is None
-              else load_problem(CORPUS / name).system())
+    monkeypatch.setattr(cert, search_name, counted_search)
     search, _, starts = implication.certificate_stage(system, ClassifyConfig())
     assert per_search == [search_eigen]
     assert counts["eigen_sym"] == search_eigen
-    assert counts["dual_simplex"] == search_eigen - (system.p > 1)
+    assert counts["dual_simplex"] == (0 if system.p == 1
+                                      else search_eigen - 1)
     assert search.found == (name is None)
     for x in starts:
         weights = np.concatenate([[1.0], -search.best_alpha])
@@ -854,6 +859,112 @@ def test_former_conical_violations_are_members(s):
     assert oracle(m).member
 
 
+# mu with mu_0 M_0 + mu_1 M_1 + mu_2 M_2 positive definite over the
+# bordered matrices of p2to4_system(s), for each of the 26 p = 2 instances
+# among s = 0-299 that has one (of 97): the best mu on a 4000-point
+# Fibonacci grid of the sphere, refined by a pattern search on
+# lambda_min and rounded to 4 digits
+_POLYAK_MU = {
+    19: (-0.003755, -1.0, 0.6863), 22: (-0.2924, 0.2767, -1.0),
+    29: (0.01774, 1.0, 0.129), 35: (-0.2199, -1.0, 0.2375),
+    60: (0.3966, -0.2534, 1.0), 71: (0.5058, -1.0, -0.3012),
+    88: (1.0, -0.6929, -0.4383), 90: (1.0, -0.008451, 0.5108),
+    100: (0.1914, 0.1002, -1.0), 108: (-0.3583, 1.0, -0.5136),
+    111: (0.7018, 0.9525, 1.0), 114: (0.6901, -1.0, 0.7211),
+    124: (-1.0, -0.6779, 0.1124), 129: (1.0, 0.1254, 0.4867),
+    153: (-0.7341, 1.0, 0.9701), 158: (1.0, 0.8315, 0.1608),
+    159: (1.0, 0.7105, 0.3008), 161: (-0.6278, -0.3128, 1.0),
+    172: (0.3115, 1.0, -0.6994), 178: (0.2094, -1.0, 0.2443),
+    199: (-1.0, -0.3606, -0.36), 216: (-0.5622, 0.9382, 1.0),
+    234: (-0.332, 0.329, -1.0), 248: (-0.4503, 0.1425, 1.0),
+    278: (-1.0, 0.1465, 0.531), 285: (-0.3402, -1.0, 0.3145),
+}
+
+# the instances where classify's conical falsifier reports a violation
+# all the same: its member search misses a chord point that lies in the
+# cone (test_polyak_reported_violations_are_members)
+_POLYAK_MISSES = (172, 178, 278)
+
+
+def test_polyak_combinations_are_positive_definite_and_decided():
+    # sum_i mu_i B_i - 10^-6 I >= 0 in Fraction, B_i = exact.bordered(f_i),
+    # so the combination is positive definite; n >= 2 makes the bordered
+    # matrices at least 3 x 3, where Polyak (1998) makes the joint range
+    # {1/2 w^T M_i w} convex.  With such a combination every instance is
+    # decided
+    p2 = [s for s in range(300) if p2to4_system(s).p == 2]
+    assert len(p2) == 97 and set(_POLYAK_MU) <= set(p2)
+    for s, mu in _POLYAK_MU.items():
+        system = p2to4_system(s)
+        assert system.n >= 2, s
+        blocks = [exact.bordered(f) for f in system.functions]
+        size = system.n + 1
+        A = [[sum(Fraction(m) * B[i][j] for m, B in zip(mu, blocks))
+              - Fraction(int(i == j), 10 ** 6) for j in range(size)]
+             for i in range(size)]
+        assert exact.psd(A) is exact.PSD, s
+        assert classify_instance(system).verdict != UNDETERMINED, s
+
+
+def _conical_falsifier(system):
+    config = ClassifyConfig()
+    cloud = implication.image_cloud(system, config)
+    return implication.gather_evidence(system, config, cloud,
+                                       None).conical_falsify
+
+
+@pytest.mark.parametrize("s", [
+    pytest.param(s, marks=pytest.mark.xfail(
+        strict=True, reason="the conical member search misses a point of "
+        "the cone")) if s in _POLYAK_MISSES else s
+    for s in sorted(_POLYAK_MU)])
+def test_polyak_systems_report_no_conical_violation(s):
+    # the perspective image is convex (Polyak 1998), so no chord of the
+    # cloud leaves it
+    assert not _conical_falsifier(p2to4_system(s)).found
+
+
+def _perspective_residual(system, m, starts=20):
+    """The least |z~(w) - m| / |m| that Levenberg-Marquardt reaches from
+    `starts` draws of w, where z~(w) = 1/2 w^T M_i w with f1..fp negated,
+    the perspective image the conical oracle searches; independent of the
+    oracle's member search."""
+    Ms = [quadratic.bordered_matrix(f) for f in system.functions]
+    signs = np.array([1.0] + [-1.0] * system.p)
+    rng = SplitMix64(5)
+    size, scale = system.n + 1, np.sqrt(np.abs(m).max())
+
+    def residual(w):
+        return signs * np.array([0.5 * w @ M @ w for M in Ms]) - m
+
+    best = np.inf
+    for _ in range(starts):
+        w = np.array(rng.uniforms(size, -1.0, 1.0)) * scale
+        damping = 1e-3
+        for _ in range(100):
+            r = residual(w)
+            J = signs[:, None] * np.array([M @ w for M in Ms])
+            step = np.linalg.solve(J.T @ J + damping * np.eye(size), -J.T @ r)
+            if np.linalg.norm(residual(w + step)) < np.linalg.norm(r):
+                w, damping = w + step, damping / 3
+            else:
+                damping *= 4
+        best = min(best, np.linalg.norm(residual(w)) / np.linalg.norm(m))
+        if best <= 1e-12:
+            break
+    return best
+
+
+@pytest.mark.parametrize("s", _POLYAK_MISSES)
+def test_polyak_reported_violations_are_members(s):
+    # each chord point the falsifier reports has a preimage w: the report
+    # is a miss of the member search, not a counterexample to the theorem
+    system = p2to4_system(s)
+    falsified = _conical_falsifier(system)
+    assert falsified.found
+    assert _perspective_residual(system, falsified.violation.m) <= 1e-12
+
+
 def test_classify_linear_route_matches_farkas():
     # all-linear quadratic encoding goes through the exact alternatives
     a1 = QuadraticFunction(np.zeros((2, 2)), np.array([1.0, 0.0]), 0.0)
@@ -941,7 +1052,7 @@ P1_VERDICTS = (
 
 
 # _verdicts_and_digest's sha256 on the same instances
-P1_DIGEST = "023cf749b8fb99ffa31dfed71d04accdc2ad8194e43a8250169b152717821108"
+P1_DIGEST = "faacdfd4d2c5db3afa204c2261428134aa407f752c145f537bb4ffd3790f09c7"
 
 
 def test_random_p1_verdicts_are_pinned():

@@ -404,7 +404,7 @@ _OVERFLOWING = {"n": 1, "p": 1, "functions": [
     (("verify", "example3_pair.json", "--alpha", "7e307"),
      "matrix entry 7.000e+307 times n = 3 could overflow an eigenvalue"),
     (("classify", "overflowing.json"),
-     "pivot 5.000e-306 below 1e-11; rescale the input")],
+     "matrix has a non-finite entry")],
     ids=["verify-6e307", "verify-1e308", "verify-3x3-7e307", "classify"])
 def test_overflow_is_a_numerical_failure_without_a_warning(argv, shown,
                                                           tmp_path):
@@ -412,7 +412,7 @@ def test_overflow_is_a_numerical_failure_without_a_warning(argv, shown,
     # and exit 0; 1e308 * M_1 and the search's scale for d = 1e305 used to
     # print numpy's overflow warning before the failure; the 3 x 3
     # M(7e307) passes the A + A.T bound, but an eigenvalue could reach
-    # 3 * 7e307
+    # 3 * 7e307; classify's p = 1 search overflows at M(ALPHA_MAX)
     (tmp_path / "overflowing.json").write_text(json.dumps(_OVERFLOWING))
     command, name, *flags = argv
     folder = tmp_path if name == "overflowing.json" else CORPUS
