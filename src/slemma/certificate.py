@@ -18,7 +18,8 @@ import numpy as np
 from . import exact
 from .errors import DimensionMismatch, NumericalBreakdown, SlemmaError
 from .geometry import HullResult, hull_intersects_k
-from .linprog import OPTIMAL, Tableau
+from .linprog import (_MAX_ITERS, _PIVOT_MIN, _TOL, INFEASIBLE,
+                      ITERATION_LIMIT, OPTIMAL)
 from .quadratic import PSD_RTOL, bordered_matrix, min_eigenvalue
 from .rng import derive_seed
 from .search import sample_and_descend
@@ -191,27 +192,29 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL):
     Each iterate costs one eigen_sym call, and its eigenpair (lam, v)
     gives the cut g(a) <= lam + s.(a - alpha) with s_i = -v^T M_i v.  The
     next iterate maximizes the cuts' minimum over the box, the master LP in
-    (alpha, t).  One linprog.Tableau holds it for the whole search: the
-    first cut's optimal basis is set in closed form, and each later cut is
-    one `add_row` that one `dual_simplex` call re-optimizes, usually in one
-    pivot.  The cuts' slopes, points and values are kept in preallocated
-    tables, and one cut row is refilled in place.  The cuts' minimum
-    at the new iterate, evaluated from the cuts rather than read from the
-    tableau, is the LP value and an upper bound on max g.  The search
-    stops at a certificate, at an upper bound below -tol * S with
-    S = 1 + max|M0| + ALPHA_MAX * sum_i max|M_i| >= 1 + max|M(alpha)| on the
-    box (so no alpha <= ALPHA_MAX passes; outcome NO_CERTIFICATE), when the
-    bound meets the best value, or after `iters` eigen calls.  The first
+    (alpha, t), which one `_ActiveSet` holds for the whole search: its
+    rows are alpha_i >= 0, alpha_i <= ALPHA_MAX and the cuts, the first
+    cut's optimum (t on the cut, alpha_i = ALPHA_MAX where s_i > 0 and 0
+    elsewhere) is its starting active set, and each later cut is one
+    appended row that `reoptimize` re-optimizes, usually in one exchange.
+    The cuts' slopes, points and values are kept in preallocated tables,
+    and one cut row is refilled in place.  The cuts' minimum at the new
+    iterate, evaluated from the cuts rather than read from the master, is
+    the LP value and an upper bound on max g.  The search stops at a
+    certificate, at an upper bound below -tol * S with S = 1 + max|M0| +
+    ALPHA_MAX * sum_i max|M_i| >= 1 + max|M(alpha)| on the box (so no
+    alpha <= ALPHA_MAX passes; outcome NO_CERTIFICATE), when the bound
+    meets the best value, or after `iters` eigen calls.  The first
     passing iterate is the certificate.  Each improving iterate is checked
     by check_multipliers on the eigenpair already computed, and the result
     carries the best iterate's check.  The classifier runs this search at
     p >= 2; a p = 1 system has `find_certificate_p1`.
-    A master LP that the dual simplex cannot re-optimize raises
-    NumericalBreakdown, and so does eigen_sym on an M(alpha) that
-    overflowed: the search computes with numpy's overflow and invalid
-    warnings off, so such a value reaches eigen_sym as inf or NaN.
-    `seed` is accepted for interface stability; the
-    search is deterministic."""
+    A master that finds no leaving row, hits its exchange cap or meets a
+    pivot below linprog's pivot floor raises NumericalBreakdown, and so
+    does eigen_sym on an M(alpha) that overflowed: the search computes
+    with numpy's overflow and invalid warnings off, so such a value
+    reaches eigen_sym as inf or NaN.  `seed` is accepted for interface
+    stability; the search is deterministic."""
     if not system.is_quadratic:
         raise DimensionMismatch("cutting-plane search needs an all-quadratic system")
     if system.p < 1:
@@ -221,10 +224,12 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL):
     borders = [bordered_matrix(f) for f in system.constraints]
     bound_scale = 1.0 + abs(M0).max() + \
         ALPHA_MAX * sum(abs(B).max() for B in borders)
-    # variables (alpha, t), t free: maximize t under alpha_i <= ALPHA_MAX
-    # and the cuts
-    master = Tableau([0.0] * p + [-1.0], free=[p], max_rows=p + iters)
+    # variables (alpha, t): maximize t under 0 <= alpha_i <= ALPHA_MAX and
+    # the cuts; row i is alpha_i >= 0, row p + i is alpha_i <= ALPHA_MAX
+    master = _ActiveSet(p + 1, 2 * p + iters)
     eye = np.eye(p + 1)
+    for i in range(p):
+        master.add_row(-eye[i], 0.0)
     for i in range(p):
         master.add_row(eye[i], ALPHA_MAX)
     cut = eye[p]          # (-s, 1), refilled for each cut
@@ -252,19 +257,16 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL):
         # t - s.a <= lam - s.alpha
         np.negative(s, out=cut[:p])
         row = master.add_row(cut, lam - s @ alpha)
-        if row == p:
-            # the first cut's optimum: t on the cut, alpha_i = ALPHA_MAX
-            # where s_i > 0 and 0 elsewhere
-            for i in (s > 0).nonzero()[0]:
-                master.pivot(i, i)
-            master.pivot(row, p)
-        status = master.dual_simplex()
+        if row == 2 * p:
+            master.start([p + i if s[i] > 0 else i for i in range(p)]
+                         + [row])
+        status = master.reoptimize()
         if status != OPTIMAL:
             raise NumericalBreakdown(f"certificate master LP: {status}")
-        alpha = master.solution()[:p].clip(0.0, ALPHA_MAX)
-        # the tableau's t cancels terms as large as ALPHA_MAX * |s|, which
-        # can leave it ulps under the best lambda_min; a cut evaluated at
-        # its own point gives back its lam exactly
+        alpha = master.y[:p].clip(0.0, ALPHA_MAX)
+        # the vertex's t comes from an inverse updated once per exchange,
+        # which can leave it ulps under the best lambda_min; a cut
+        # evaluated at its own point gives back its lam exactly
         upper_bound = float((lams[:k + 1] + np.einsum(
             "ij,ij->i", slopes[:k + 1], alpha - points[:k + 1])).min())
         if upper_bound < -tol * bound_scale:
@@ -273,6 +275,78 @@ def find_certificate_general(system, iters=2000, seed=0, tol=PSD_RTOL):
         if upper_bound - best_lam <= gap:
             break
     return SearchResult(check=best, upper_bound=upper_bound, outcome=outcome)
+
+
+class _ActiveSet:
+    """max t, the last coordinate of y in R^m, subject to rows g.y <= h
+    appended one at a time, by the dual simplex on an active set: m rows W
+    whose matrix B is nonsingular, its inverse and the vertex y = B^-1
+    h_W.  The inverse's last row holds the multipliers mu = e_t B^-1 that
+    write e_t as a combination of W's rows; mu >= 0 makes the vertex
+    optimal for W's rows alone (dual feasible).  The caller appends rows,
+    makes a dual feasible set of them active with `start`, and after each
+    later row calls `reoptimize`.  A row is scaled to unit max-norm when it
+    is appended, as `linprog.Tableau.add_row` scales it, so a row is
+    violated when its scaled slack is below -linprog._TOL."""
+
+    def __init__(self, m, max_rows):
+        self.rows = np.empty((max_rows, m))
+        self.rhs = np.empty(max_rows)
+        self.count = 0
+
+    def add_row(self, a, b):
+        """Append a.y <= b, scaled to unit max-norm; return its index."""
+        norm = abs(a).max(initial=0.0)
+        scale = norm if norm > 0.0 else 1.0
+        np.divide(a, scale, out=self.rows[self.count])
+        self.rhs[self.count] = b / scale
+        self.count += 1
+        return self.count - 1
+
+    def start(self, active):
+        """Make the rows `active` the active set, whose vertex the caller
+        knows to be dual feasible."""
+        self.active = np.array(active)
+        self.inverse = np.linalg.inv(self.rows[self.active])
+        self.y = self.inverse @ self.rhs[self.active]
+
+    def reoptimize(self):
+        """Exchange rows until none is violated.  The lowest-index violated
+        row j enters, with z = g_j B^-1 (g_j = sum_i z_i g_{W_i}).  The
+        leaving row r has the least mu_r / z_r over z_r > 0, the one of
+        lowest row index within 1e-12 of it, so that the vertex stays dual
+        feasible.  The inverse takes one rank-one step, B^-1 - B^-1[:, r]
+        (z - e_r)^T / z_r, which makes mu mu - (mu_r / z_r) z with mu_r /
+        z_r in place r.  Returns OPTIMAL, INFEASIBLE (no z_r > 0: no point
+        satisfies the rows) or ITERATION_LIMIT after linprog's simplex cap
+        of exchanges; a pivot z_r below linprog's pivot floor raises
+        NumericalBreakdown."""
+        rows, rhs = self.rows[:self.count], self.rhs[:self.count]
+        inverse, active = self.inverse, self.active
+        mu = inverse[-1]
+        for _ in range(_MAX_ITERS):
+            violated = rhs - rows @ self.y < -_TOL
+            enter = violated.argmax()
+            if not violated[enter]:
+                return OPTIMAL
+            z = rows[enter] @ inverse
+            cand = (z > 0.0).nonzero()[0]
+            if not cand.size:
+                return INFEASIBLE
+            ratios = np.maximum(mu[cand], 0.0) / z[cand]
+            ties = cand[ratios <= ratios.min() + 1e-12]
+            r = ties[active[ties].argmin()]
+            pivot = z[r]
+            if pivot < _PIVOT_MIN:
+                raise NumericalBreakdown(
+                    f"certificate master LP: pivot {pivot:.3e} below "
+                    f"{_PIVOT_MIN:.0e}; rescale the input")
+            leaving = inverse[:, r] / pivot
+            z[r] -= 1.0
+            inverse -= leaving[:, None] * z
+            active[r] = enter
+            self.y = inverse @ rhs[active]
+        return ITERATION_LIMIT
 
 
 @np.errstate(over="ignore", invalid="ignore")

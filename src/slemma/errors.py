@@ -28,8 +28,8 @@ class NotConverged(SlemmaError):
 class NumericalBreakdown(SlemmaError):
     """A computation cannot be trusted: a simplex pivot on `linprog.Tableau`
     was too small to trust, `solve_lp`'s dual (phase 1) or primal (phase
-    2) simplex hit its iteration limit, the dual simplex of the
-    certificate search's master LP found no entering column or hit its
-    iteration limit, a matrix handed to the eigensolver has a non-finite
-    entry, or a quadratic function's data is not finite or its Q + Q.T
-    would overflow."""
+    2) simplex hit its iteration limit, the active set of the certificate
+    search's master LP found no leaving row, met a pivot too small to
+    trust or hit its exchange cap, a matrix handed to the eigensolver has
+    a non-finite entry, or a quadratic function's data is not finite or
+    its Q + Q.T would overflow."""

@@ -2,17 +2,17 @@
 
 `solve_lp` solves   minimize c^T y
                     subject to  a_ub @ y <= b_ub,  a_eq @ y == b_eq,
-                                y >= 0 except on the columns in `free`
+                                y >= 0 except on the columns in `free`.
 
-the convention `Tableau` uses too.  It splits each free y_j into two
-adjacent nonnegative columns, y_j = x_j+ - x_j-, by index: column k is
-sign_k * y[col_k], and y and the unbounded ray are read back through the
-same two arrays.  It appends every inequality, and each equality as two
-opposite inequalities, to one `Tableau` by `add_row`, each row with its
-slack basic, and solves it in two phases.  Phase 1 runs the dual simplex
-on zero costs, where every basis is dual feasible, so it ends at a
-feasible basis or at a row that proves there is none.  Phase 2 sets the
-real costs and runs the primal simplex by Bland's rule: the entering
+`Tableau` keeps every variable nonnegative, so `solve_lp` splits each free
+y_j into two adjacent nonnegative columns, y_j = x_j+ - x_j-, by index:
+column k is sign_k * y[col_k], and y and the unbounded ray are read back
+through the same two arrays.  It appends every inequality, and each
+equality as two opposite inequalities, to one `Tableau` by `add_row`, each
+row with its slack basic, and solves it in two phases.  Phase 1 runs the
+dual simplex on zero costs, where every basis is dual feasible, so it ends
+at a feasible basis or at a row that proves there is none.  Phase 2 sets
+the real costs and runs the primal simplex by Bland's rule: the entering
 variable is the lowest-index column with reduced cost below -1e-9, the
 leaving row the minimum-ratio row with the lowest basic variable index, so
 cycling cannot occur.  `add_row` scales every row to unit max-norm.
@@ -27,10 +27,9 @@ Dual multipliers follow the sensitivity convention dual_i = d(objective)/
 d(b_i): for a minimization, inequality rows get nonpositive duals.  The
 tableau reads them off its slacks' reduced costs.
 
-`Tableau` also keeps the certificate search's master LP optimal while rows
-arrive: an appended row leaves the basis dual feasible, so the dual simplex
-re-optimizes it, usually in a pivot or two, where `solve_lp` would start
-over.
+The certificate search's master LP, in p + 1 free variables, is no
+`Tableau`: `certificate._ActiveSet` keeps its p + 1 active rows and their
+inverse, and scales and tests its rows by this module's rules.
 """
 
 from dataclasses import dataclass
@@ -176,42 +175,36 @@ def solve_lp(lp):
 
 
 class Tableau:
-    """min c.x subject to rows a.x <= b appended one at a time, with x >= 0
-    except on the columns in `free`.
+    """min c.x subject to rows a.x <= b appended one at a time, with x >= 0.
 
     Column 0 of the tableau holds the right-hand sides, columns 1..n the
     variables x and column n + 1 + i the slack of row i.  Each basic
     column is a unit vector with +0.0 off its row.  `add_row` makes the
-    new row's slack basic and reduces the row against the basis; the
-    caller starts from a dual feasible basis it sets with `pivot`, keeps
-    every free column basic, and calls `dual_simplex` to restore primal
-    feasibility.  `primal_simplex` goes the other way, from a primal
-    feasible basis with no free column.  Storage doubles when full, up to
-    `max_rows` rows."""
+    new row's slack basic and reduces the row against the basis;
+    `dual_simplex` restores primal feasibility from a dual feasible basis,
+    and `primal_simplex` goes the other way, from a primal feasible basis.
+    Storage doubles when full, up to `max_rows` rows."""
 
-    def __init__(self, c, free=(), max_rows=10000):
+    def __init__(self, c, max_rows=10000):
         self.n = len(c)
         self.m = 0
         self.max_rows = max_rows
         self._grow(min(8, max_rows))
         self.costs[1:self.n + 1] = c
-        self.is_free[[j + 1 for j in free]] = True
 
     def _grow(self, rows):
         cols = 1 + self.n + rows
         buf = np.zeros((rows, cols))
         costs = np.zeros(cols)
-        is_free = np.zeros(cols, dtype=bool)
         basis = np.zeros(rows, dtype=int)
         scales = np.ones(rows)
         if self.m:
             used = 1 + self.n + self.m
             buf[:self.m, :used] = self.buf[:self.m, :used]
             costs[:used] = self.costs[:used]
-            is_free[:used] = self.is_free[:used]
             basis[:self.m] = self.basis[:self.m]
             scales[:self.m] = self.scales[:self.m]
-        self.buf, self.costs, self.is_free = buf, costs, is_free
+        self.buf, self.costs = buf, costs
         self.basis, self.scales = basis, scales
 
     def _tableau(self):
@@ -244,10 +237,6 @@ class Tableau:
         self.m += 1
         return self.m - 1
 
-    def pivot(self, row, j):
-        """Make variable j basic in `row`."""
-        _pivot(self._tableau(), self.basis, row, j + 1)
-
     def dual_simplex(self):
         """Dual simplex from a dual feasible basis: the leaving row is the
         infeasible one whose basic column has the lowest index, the
@@ -257,9 +246,8 @@ class Tableau:
         T = self._tableau()
         basis = self.basis[:self.m]
         costs = self.costs[:T.shape[1]]
-        bounded = ~self.is_free[basis]     # rows that may leave
         for _ in range(_MAX_ITERS):
-            short = ((T[:, 0] < -_TOL) & bounded).nonzero()[0]
+            short = (T[:, 0] < -_TOL).nonzero()[0]
             if not short.size:
                 return OPTIMAL
             leave = short[basis[short].argmin()]
@@ -270,7 +258,6 @@ class Tableau:
             ratios = np.maximum(reduced, 0.0, out=reduced) / -T[leave, cand]
             enter = cand[(ratios <= ratios.min() + 1e-12).argmax()]
             _pivot(T, basis, leave, enter)
-            bounded[leave] = not self.is_free[enter]
         return ITERATION_LIMIT
 
     def primal_simplex(self):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import slemma
-from conftest import random_p1_system, random_psd_quadratic
+from conftest import (p2to4_system, p3_system, random_p1_system,
+                      random_psd_quadratic)
 from slemma import certificate as cert
 from slemma import geometry as geo
 from slemma import linprog, quadratic, search
@@ -249,7 +250,7 @@ def test_p1_master_matches_the_lp_on_hand_built_cuts(name):
 
 def test_p1_master_matches_a_fresh_lp_at_every_iterate(monkeypatch):
     # at every iterate the closed-form master's bound is the value of the
-    # LP over the same cuts, reached at its alpha; no Tableau is built
+    # LP over the same cuts, reached at its alpha; no master LP is built
     master, checked = cert._p1_master, []
 
     def checked_master(lams, slopes, points):
@@ -262,10 +263,10 @@ def test_p1_master_matches_a_fresh_lp_at_every_iterate(monkeypatch):
         return alpha, bound
 
     def refuse(*args, **kwargs):
-        raise AssertionError("master tableau built at p = 1")
+        raise AssertionError("master LP built at p = 1")
 
     monkeypatch.setattr(cert, "_p1_master", checked_master)
-    monkeypatch.setattr(cert, "Tableau", refuse)
+    monkeypatch.setattr(cert, "_ActiveSet", refuse)
     rng = SplitMix64(2024)
     for _ in range(40):
         n = 1 + int(rng.randint(4))
@@ -633,39 +634,61 @@ def test_cutting_plane_near_boundary_converges(monkeypatch):
         assert res.upper_bound >= res.best_lambda_min, p
 
 
-def test_warm_master_matches_a_fresh_solve(monkeypatch):
-    # at every iterate the warm master's value equals solve_lp's on the
-    # same box rows and cuts, and its point satisfies them; the search's
-    # upper_bound is the last of those values.  solve_lp runs a Tableau
-    # too, so only the master's (the one with a free column) is checked
-    rows, values, checked = [], [], []
-    add_row, dual_simplex = Tableau.add_row, Tableau.dual_simplex
+def _fresh_master_value(rows):
+    """max t over y = (alpha, t), every coordinate free, subject to the
+    rows (g, h), g.y <= h, by solve_lp."""
+    A = np.array([g for g, _ in rows])
+    b = np.array([h for _, h in rows])
+    m = A.shape[1]
+    out = solve_lp(LinearProgram(-np.eye(m)[-1], a_ub=A, b_ub=b,
+                                 free=range(m)))
+    assert out.status == OPTIMAL
+    return -out.objective
+
+
+def _record_master_rows(monkeypatch):
+    """A list that holds, as (g, h), each row appended to the latest
+    master, before its scaling."""
+    rows, add_row = [], cert._ActiveSet.add_row
 
     def recording_add_row(self, a, b):
-        if not self.is_free.any():
-            return add_row(self, a, b)
-        if self.m == 0:
+        if self.count == 0:
             rows.clear()
         rows.append((np.array(a, dtype=float), float(b)))
         return add_row(self, a, b)
 
-    def checked_dual_simplex(self):
-        status = dual_simplex(self)
-        if not self.is_free.any():
-            return status
-        p = self.n - 1
-        A = np.array([a for a, _ in rows])
-        b = np.array([b for _, b in rows])
-        fresh = solve_lp(LinearProgram(
-            np.concatenate([np.zeros(p), [-1.0]]), a_ub=A, b_ub=b,
-            free=[p]))
-        assert status == fresh.status == OPTIMAL
-        x = self.solution()
-        assert abs(x[p] + fresh.objective) <= 1e-9 * (1 + abs(x[p]))
-        assert np.all(A @ x <= b + 1e-9 * (1 + np.abs(b)))
-        assert np.all(x[:p] >= 0.0)
-        checked.append(len(rows) - p)
-        values.append(-fresh.objective)
+    monkeypatch.setattr(cert._ActiveSet, "add_row", recording_add_row)
+    return rows
+
+
+def _assert_master_vertex(rows, y):
+    """y is an optimal vertex of the rows: its t is solve_lp's optimum,
+    and every row g.y <= h holds by the scaled rule, (h - g.y) / max|g|
+    >= -1e-9, and within 1e-9 (1 + |h|).  Returns the optimum."""
+    value = _fresh_master_value(rows)
+    assert abs(y[-1] - value) <= 1e-9 * (1 + abs(value))
+    for g, h in rows:
+        scale = abs(g).max() or 1.0
+        assert (h - g @ y) / scale >= -1e-9
+        assert g @ y <= h + 1e-9 * (1 + abs(h))
+    return value
+
+
+@pytest.mark.filterwarnings("error")
+def test_warm_master_matches_a_fresh_solve(monkeypatch):
+    # at every iterate the active set's vertex is optimal for the box rows
+    # and the cuts, as solve_lp solves them afresh, satisfies each of those
+    # rows and has alpha >= 0 exactly; the search's upper_bound is the
+    # last optimum
+    rows, values, checked = _record_master_rows(monkeypatch), [], []
+    reoptimize = cert._ActiveSet.reoptimize
+
+    def checked_reoptimize(self):
+        status = reoptimize(self)
+        assert status == OPTIMAL
+        values.append(_assert_master_vertex(rows, self.y))
+        assert np.all(self.y[:-1] >= 0.0)
+        checked.append(len(rows) - 2 * (len(self.y) - 1))
         return status
 
     def search(system):
@@ -677,8 +700,7 @@ def test_warm_master_matches_a_fresh_solve(monkeypatch):
         else:
             assert res.upper_bound is None
 
-    monkeypatch.setattr(Tableau, "add_row", recording_add_row)
-    monkeypatch.setattr(Tableau, "dual_simplex", checked_dual_simplex)
+    monkeypatch.setattr(cert._ActiveSet, "reoptimize", checked_reoptimize)
     rng = SplitMix64(2024)
     for i in range(48):
         p = 1 + i % 4
@@ -692,21 +714,120 @@ def test_warm_master_matches_a_fresh_solve(monkeypatch):
         if i < 4:
             search(_near_boundary_system(p))
     assert len(checked) > 500 and max(checked) == 84
+    for s in range(60):
+        search(p3_system(s))
+    for s in range(300):
+        search(p2to4_system(s))
+    assert len(checked) > 1000
 
 
+def _master_over_cuts(cuts):
+    """The search's master over hand-built cuts (point, lambda_min, slope)
+    in p = 2: the rows alpha_i >= 0 and alpha_i <= ALPHA_MAX, the first
+    cut's start, and after each cut one `reoptimize`, whose vertex is
+    checked against solve_lp.  Returns each cut's (active rows, vertex)."""
+    p = 2
+    eye = np.eye(p + 1)
+    rows = [(-eye[i], 0.0) for i in range(p)] + \
+        [(eye[i], cert.ALPHA_MAX) for i in range(p)]
+    master = cert._ActiveSet(p + 1, len(rows) + len(cuts))
+    for g, h in rows:
+        master.add_row(g, h)
+    states = []
+    for point, lam, slope in cuts:
+        s = np.array(slope, dtype=float)
+        rows.append((np.append(-s, 1.0), lam - s @ point))
+        row = master.add_row(*rows[-1])
+        if row == 2 * p:
+            master.start([p + i if s[i] > 0 else i for i in range(p)]
+                         + [row])
+        assert master.reoptimize() == OPTIMAL
+        _assert_master_vertex(rows, master.y)
+        states.append((sorted(master.active.tolist()), master.y.copy()))
+    return states
+
+
+# cuts (point, lambda_min, slope) on p = 2; the first cut's optimum is
+# (ALPHA_MAX, ALPHA_MAX) on rows 2, 3 and 4 (the upper bounds and the cut)
+_RISING = ((0.0, 0.0), 0.0, (1.0, 1.0))
+# t <= 15000 - 2 alpha_1 - alpha_2: the optimum (0, 7500), on alpha_1 >= 0
+# (row 0) and both cuts, is two exchanges away
+_FALLING = ((0.0, 0.0), 15000.0, (-2.0, -1.0))
+# through that optimum, and rising in alpha_1
+_THROUGH = ((0.0, 7500.0), 7500.0, (0.5, -0.25))
+
+
+@pytest.mark.filterwarnings("error")
+def test_active_set_exchanges_several_rows_for_one_cut():
+    (start, _), (after, y) = _master_over_cuts([_RISING, _FALLING])
+    assert start == [2, 3, 4] and after == [0, 4, 5]
+    assert y == pytest.approx([0.0, 7500.0, 7500.0], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_active_set_keeps_its_vertex_for_a_cut_through_it_and_a_duplicate():
+    states = _master_over_cuts([_RISING, _FALLING, _THROUGH, _FALLING,
+                                _RISING])
+    for active, y in states[2:]:
+        assert active == states[1][0]
+        assert y.tobytes() == states[1][1].tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_active_set_on_cuts_parallel_to_a_box_face():
+    # both cuts are flat in alpha_1, so every alpha_1 is optimal: the first
+    # cut's start puts alpha_1 on its lower bound with multiplier 0, the
+    # second cut's z is 0 there, and alpha_1 stays at 0
+    states = _master_over_cuts([((0.0, 0.0), 0.0, (0.0, 1.0)),
+                                ((0.0, 1e4), 0.0, (0.0, -1.0))])
+    assert states[0][0] == [0, 3, 4] and states[1][0] == [0, 4, 5]
+    assert states[1][1] == pytest.approx([0.0, 5000.0, 5000.0], rel=1e-12,
+                                         abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_active_set_on_cuts_of_a_constraint_scaled_by_1e6():
+    # slopes in alpha_1 a million times those in alpha_2: each cut row is
+    # scaled to unit max-norm, so its t coefficient is about 1e-6
+    _master_over_cuts([((0.0, 0.0), -1.0, (2e6, 0.5)),
+                       ((1e4, 1e4), -2e10, (-3e6, -0.5)),
+                       ((5.0, 3.0), -1.0, (1e6, -2.0)),
+                       ((3.0, 8.0), 2.0, (-1e6, 1.5))])
+
+
+@pytest.mark.filterwarnings("error")
 def test_master_iteration_limit_is_numerical(monkeypatch):
-    # one pass of the dual simplex per cut: the first cut is already
-    # optimal, the second needs a pivot and runs out
-    monkeypatch.setattr(linprog, "_MAX_ITERS", 1)
+    # one exchange per cut at most: the first cut's start is already
+    # optimal, the second needs an exchange and runs out
+    monkeypatch.setattr(cert, "_MAX_ITERS", 1)
     with pytest.raises(NumericalBreakdown,
                        match="^certificate master LP: iteration limit"):
         cert.find_certificate_general(_near_boundary_system(2))
 
 
-# Reference copies: the cutting-plane search with `eigen_sym`,
-# `Tableau.add_row`, `Tableau.dual_simplex` and `linprog._pivot` as they
-# were before each iteration was made leaner.  The search under test must
-# give the same bits and make the same calls.
+@pytest.mark.filterwarnings("error")
+def test_active_set_pivot_below_the_floor_is_numerical():
+    # p = 1: the flat first cut leaves alpha >= 0 active with multiplier 0,
+    # and the second cut rises by 1e-13, so it enters with z = (1e-13, 1)
+    # and the least ratio, 0 / 1e-13, picks a pivot below 1e-11
+    master = cert._ActiveSet(2, 4)
+    master.add_row(np.array([-1.0, 0.0]), 0.0)
+    master.add_row(np.array([1.0, 0.0]), cert.ALPHA_MAX)
+    master.start([0, master.add_row(np.array([0.0, 1.0]), 1.0)])
+    assert master.reoptimize() == OPTIMAL
+    master.add_row(np.array([-1e-13, 1.0]), 0.0)
+    with pytest.raises(NumericalBreakdown,
+                       match="^certificate master LP: pivot 1.000e-13 "
+                             "below 1e-11; rescale the input$"):
+        master.reoptimize()
+
+
+# Reference copies: `eigen_sym`, `Tableau.add_row`, `Tableau.dual_simplex`
+# and `linprog._pivot` as they were before each was made leaner, which the
+# search's eigen calls and `solve_lp` must match bit for bit; and the
+# cutting-plane search on the master tableau it kept before its active
+# set, with a free t column that never leaves the basis and the first
+# cut's basis set by `pivot`, an oracle for the search under test.
 
 def reference_eigen_sym(A):
     A = np.array(A, dtype=float)
@@ -749,6 +870,11 @@ def reference_pivot(T, basis, row, col):
 
 
 class ReferenceTableau(Tableau):
+    def __init__(self, c, free=(), max_rows=10000):
+        super().__init__(c, max_rows=max_rows)
+        self.is_free = np.zeros(1 + self.n + max_rows, dtype=bool)
+        self.is_free[[j + 1 for j in free]] = True
+
     def add_row(self, a, b):
         if self.m == self.buf.shape[0]:
             if self.m == self.max_rows:
@@ -868,14 +994,6 @@ def _raw(v):
                                    np.asarray(v).tobytes())
 
 
-def _search_record(res):
-    check = res.check
-    return (_raw(res.best_alpha), _raw(res.best_lambda_min),
-            _raw(res.upper_bound), res.outcome, check.label,
-            _raw(check.threshold), check.valid, _raw(check.violating_x),
-            _raw(check.direction))
-
-
 def _reference_systems():
     rng = SplitMix64(3535)
     for p in (1, 2, 3, 4):
@@ -902,35 +1020,99 @@ def _reference_systems():
             yield path.name, system
 
 
-def test_search_matches_the_reference_copies_bit_for_bit(monkeypatch):
-    # every iterate's eigen_sym, add_row, dual_simplex and pivot were made
-    # leaner without changing a floating-point operation: the search gives
-    # the same bits and makes the same eigen and master calls
-    calls = Counter()
-    eigen_sym, dual_simplex = quadratic.eigen_sym, Tableau.dual_simplex
-
-    def counted_eigen_sym(A):
-        calls["eigen_sym"] += 1
-        return eigen_sym(A)
-
-    def counted_dual_simplex(self):
-        calls["dual_simplex"] += 1
-        return dual_simplex(self)
-
-    monkeypatch.setattr(quadratic, "eigen_sym", counted_eigen_sym)
-    monkeypatch.setattr(Tableau, "dual_simplex", counted_dual_simplex)
+@pytest.mark.filterwarnings("error")
+def test_search_matches_the_tableau_search(monkeypatch):
+    # the active set reaches the tableau's answers: the same eigen calls,
+    # found and outcome, and the best alpha within 1e-9 (1 + |alpha|)
+    calls = _count_eigen_calls(monkeypatch)
+    systems = [(f"p2to4 s={s}", p2to4_system(s)) for s in range(300)] + \
+        [(f"p3 s={s}", p3_system(s)) for s in range(60)]
     searched, corpus, found, absent = 0, 0, 0, 0
-    for name, system in _reference_systems():
+    for name, system in systems + list(_reference_systems()):
         iters = 200 if system.p == 1 else 2000
         _REFERENCE_CALLS.clear()
-        calls.clear()
+        calls[0] = 0
         reference = reference_find_certificate_general(system, iters=iters)
         res = cert.find_certificate_general(system, iters=iters)
-        assert _search_record(res) == _search_record(reference), name
-        assert calls == _REFERENCE_CALLS, name
+        assert calls[0] == _REFERENCE_CALLS["eigen_sym"], name
+        assert (res.found, res.outcome) == \
+            (reference.found, reference.outcome), name
+        alpha = reference.best_alpha
+        assert np.all(np.abs(res.best_alpha - alpha)
+                      <= 1e-9 * (1 + np.abs(alpha))), name
         searched += 1
         corpus += name.endswith(".json")
         found += res.found
         absent += res.outcome == cert.NO_CERTIFICATE
-    assert searched >= 200 and corpus >= 9
-    assert found >= 40 and absent >= 100
+    assert searched >= 560 and corpus >= 9
+    assert found >= 90 and absent >= 300
+
+
+@pytest.mark.filterwarnings("error")
+def test_eigen_sym_and_solve_lp_match_the_reference_copies_bit_for_bit(
+        monkeypatch):
+    # eigen_sym, add_row, dual_simplex and _pivot were made leaner without
+    # changing a floating-point operation: each matrix a search decomposes
+    # gives the reference copy's bits, and so does solve_lp on each
+    # search's last master LP, with the same final basis
+    eigen_sym = quadratic.eigen_sym
+    counts = Counter()
+
+    def compared_eigen_sym(A):
+        counts["eigen_sym"] += 1
+        got, ref = eigen_sym(A), reference_eigen_sym(A)
+        assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert got.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
+        return got
+
+    def solved(lp, reference):
+        tableaus = []
+
+        class Recorded(ReferenceTableau if reference else Tableau):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tableaus.append(self)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linprog, "Tableau", Recorded)
+            if reference:
+                patch.setattr(linprog, "_pivot", reference_pivot)
+            out = solve_lp(lp)
+        (tab,) = tableaus
+        return (out.status, _raw(out.y), _raw(out.objective),
+                _raw(out.dual_ub), tab.basis[:tab.m].tolist())
+
+    rows = _record_master_rows(monkeypatch)
+    monkeypatch.setattr(quadratic, "eigen_sym", compared_eigen_sym)
+    solves = 0
+    for name, system in _reference_systems():
+        cert.find_certificate_general(
+            system, iters=200 if system.p == 1 else 2000)
+        if len(rows) == 2 * system.p:      # box rows only: no cut was made
+            continue
+        A = np.array([g for g, _ in rows])
+        lp = LinearProgram(-np.eye(A.shape[1])[-1], a_ub=A,
+                           b_ub=[h for _, h in rows], free=range(A.shape[1]))
+        assert solved(lp, True) == solved(lp, False), name
+        solves += 1
+    assert counts["eigen_sym"] >= 900 and solves >= 150
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_masters_part_on_a_constraint_scaled_by_1e6():
+    # f1 = 1e6 x1: the optimal alpha_1 is a millionth of the box and the
+    # gap stop a million times looser, so the two masters stop, neither at
+    # a certificate nor with a proof of none, at alphas that differ beyond
+    # rounding, under bounds that agree
+    system = _near_boundary_system(2)
+    f1, f2 = system.constraints
+    scaled = FunctionSystem(2, system.f0, (
+        QuadraticFunction(1e6 * f1.Q, 1e6 * f1.c, 1e6 * f1.d), f2))
+    res = cert.find_certificate_general(scaled)
+    reference = reference_find_certificate_general(scaled)
+    assert (res.found, res.outcome) == (reference.found, reference.outcome) \
+        == (False, "")
+    alpha = reference.best_alpha
+    assert np.any(np.abs(res.best_alpha - alpha) > 1e-9 * (1 + np.abs(alpha)))
+    assert abs(res.upper_bound - reference.upper_bound) <= \
+        1e-9 * (1 + abs(reference.upper_bound))

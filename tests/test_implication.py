@@ -20,7 +20,6 @@ from slemma.geometry import _random_quadratic as random_quadratic
 from slemma.implication import (INVALID, UNDETERMINED, VALID, ClassifyConfig,
                                 box_sample, check_slater, classify_instance,
                                 find_counterexample)
-from slemma.linprog import Tableau
 from slemma.problem import load_problem
 from slemma.quadratic import QuadraticFunction
 from slemma.rng import SplitMix64, derive_seed
@@ -561,13 +560,14 @@ def test_certificate_stage_decomposes_each_matrix_once(name, search_eigen,
                                                        monkeypatch):
     # the stage takes its retry starts from the search's best check, so it
     # makes no eigen call beyond the search's; each p >= 2 iterate makes
-    # one eigen call and one master re-optimization, except one that
-    # passes, and the p = 1 search crosses its cuts with no master LP
+    # one eigen call and one re-optimization of the master's active set,
+    # except one that passes, and the p = 1 search crosses its cuts with
+    # no master LP
     system = (_norm_sq_pair_system() if name is None
               else load_problem(CORPUS / name).system())
     counts = Counter()
     _count_calls(monkeypatch, counts, quadratic, "eigen_sym")
-    _count_calls(monkeypatch, counts, Tableau, "dual_simplex")
+    _count_calls(monkeypatch, counts, cert._ActiveSet, "reoptimize")
     per_search = []
     search_name = ("find_certificate_p1" if system.p == 1
                    else "find_certificate_general")
@@ -583,8 +583,8 @@ def test_certificate_stage_decomposes_each_matrix_once(name, search_eigen,
     search, _, starts = implication.certificate_stage(system, ClassifyConfig())
     assert per_search == [search_eigen]
     assert counts["eigen_sym"] == search_eigen
-    assert counts["dual_simplex"] == (0 if system.p == 1
-                                      else search_eigen - 1)
+    assert counts["reoptimize"] == (0 if system.p == 1
+                                    else search_eigen - 1)
     assert search.found == (name is None)
     for x in starts:
         weights = np.concatenate([[1.0], -search.best_alpha])
@@ -1075,9 +1075,9 @@ P2TO4_VERDICTS = (
     "IIIIIIIVIIIIIIVVIIIIIIIVIIIIIVIIIIIIIVIIIIIIIVIIIIIUIIIIIIIV"
 )
 
-P3_DIGEST = "bc1ff58305ad370b39e1f2d7858f059dc02ee2982e98e6f6d508ea146de29a60"
+P3_DIGEST = "df825ac9d19f5064f8d1e304442dac67a7335ca8083e15d0fe01aab5c29cb17a"
 P2TO4_DIGEST = (
-    "3d185412eca1be8f9b1358429855fafd22170dc545d38dd58fdc3534b5445045")
+    "bb79656eeedcf0ee7ac031f968a9b9fa80746daa57387928949f3a8a849d79c3")
 
 
 def test_random_p3_verdicts_are_pinned():

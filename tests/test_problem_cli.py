@@ -797,9 +797,10 @@ def test_cli_cutting_plane_proves_no_certificate(tmp_path):
 
 
 def test_cli_master_lp_failure_is_numerical(tmp_path, monkeypatch):
-    from slemma.linprog import INFEASIBLE, Tableau
+    from slemma.certificate import _ActiveSet
+    from slemma.linprog import INFEASIBLE
 
-    monkeypatch.setattr(Tableau, "dual_simplex", lambda self: INFEASIBLE)
+    monkeypatch.setattr(_ActiveSet, "reoptimize", lambda self: INFEASIBLE)
     path = _no_certificate_file(tmp_path)
     code, out, err = run_cli("certificate", str(path), "--method", "p1")
     assert code == 3
