@@ -19,7 +19,7 @@ from . import exact
 from .errors import DimensionMismatch, NumericalBreakdown, SlemmaError
 from .geometry import HullResult, hull_intersects_k
 from .linprog import (_MAX_ITERS, _PIVOT_MIN, _TOL, INFEASIBLE,
-                      ITERATION_LIMIT, OPTIMAL)
+                      ITERATION_LIMIT, OPTIMAL, row_scales)
 from .quadratic import PSD_RTOL, bordered_matrix, min_eigenvalue
 from .rng import derive_seed
 from .search import sample_and_descend
@@ -286,18 +286,17 @@ class _ActiveSet:
     optimal for W's rows alone (dual feasible).  The caller appends rows,
     makes a dual feasible set of them active with `start`, and after each
     later row calls `reoptimize`.  A row is scaled to unit max-norm when it
-    is appended, as `linprog.Tableau.add_row` scales it, so a row is
-    violated when its scaled slack is below -linprog._TOL."""
+    is appended, by `linprog.row_scales` as `solve_lp` scales its rows, so
+    a row is violated when its scaled slack is below -linprog._TOL."""
 
-    def __init__(self, m, max_rows):
-        self.rows = np.empty((max_rows, m))
-        self.rhs = np.empty(max_rows)
+    def __init__(self, m, capacity):
+        self.rows = np.empty((capacity, m))
+        self.rhs = np.empty(capacity)
         self.count = 0
 
     def add_row(self, a, b):
         """Append a.y <= b, scaled to unit max-norm; return its index."""
-        norm = abs(a).max(initial=0.0)
-        scale = norm if norm > 0.0 else 1.0
+        scale = row_scales(a)
         np.divide(a, scale, out=self.rows[self.count])
         self.rhs[self.count] = b / scale
         self.count += 1

@@ -26,7 +26,7 @@ class NotConverged(SlemmaError):
 
 
 class NumericalBreakdown(SlemmaError):
-    """A computation cannot be trusted: a simplex pivot on `linprog.Tableau`
+    """A computation cannot be trusted: a pivot on `solve_lp`'s tableau
     was too small to trust, `solve_lp`'s dual (phase 1) or primal (phase
     2) simplex hit its iteration limit, the active set of the certificate
     search's master LP found no leaving row, met a pivot too small to

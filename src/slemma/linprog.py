@@ -1,21 +1,26 @@
-"""Dense simplex on one tableau that grows by rows.
+"""Dense two-phase simplex on one tableau, built once.
 
 `solve_lp` solves   minimize c^T y
                     subject to  a_ub @ y <= b_ub,  a_eq @ y == b_eq,
                                 y >= 0 except on the columns in `free`.
 
-`Tableau` keeps every variable nonnegative, so `solve_lp` splits each free
-y_j into two adjacent nonnegative columns, y_j = x_j+ - x_j-, by index:
-column k is sign_k * y[col_k], and y and the unbounded ray are read back
-through the same two arrays.  It appends every inequality, and each
-equality as two opposite inequalities, to one `Tableau` by `add_row`, each
-row with its slack basic, and solves it in two phases.  Phase 1 runs the
-dual simplex on zero costs, where every basis is dual feasible, so it ends
-at a feasible basis or at a row that proves there is none.  Phase 2 sets
-the real costs and runs the primal simplex by Bland's rule: the entering
-variable is the lowest-index column with reduced cost below -1e-9, the
-leaving row the minimum-ratio row with the lowest basic variable index, so
-cycling cannot occur.  `add_row` scales every row to unit max-norm.
+The tableau keeps every variable nonnegative, so `solve_lp` splits each
+free y_j into two adjacent nonnegative columns, y_j = x_j+ - x_j-, by
+index: column k is sign_k * y[col_k], and y and the unbounded ray are read
+back through the same two arrays.  It builds the tableau in one step from
+a row per inequality and two opposite rows per equality, each divided
+with its right-hand side by its max |entry| (`row_scales`): column 0 holds
+the right-hand sides, columns 1..n the variables x and column n + 1 + i
+the slack of row i, and the slacks start basic.  Each basic column is a
+unit vector with +0.0 off its row.  Phase 1 is the dual simplex on zero
+costs, where every basis is dual feasible and every ratio is 0: the
+infeasible row whose basic column has the lowest index leaves and its
+first column below -1e-9 enters, until the basis is feasible or a row has
+no such column, which proves that no point is.  Phase 2 sets the real
+costs and runs the primal simplex by Bland's rule: the entering variable
+is the lowest-index column with reduced cost below -1e-9, the leaving row
+the minimum-ratio row with the lowest basic variable index, so cycling
+cannot occur.
 
 A `LinearProgram` whose tableau would hold more than MAX_ENTRIES entries
 is refused.  `solve_lp` holds nothing larger than its input and that
@@ -27,9 +32,9 @@ Dual multipliers follow the sensitivity convention dual_i = d(objective)/
 d(b_i): for a minimization, inequality rows get nonpositive duals.  The
 tableau reads them off its slacks' reduced costs.
 
-The certificate search's master LP, in p + 1 free variables, is no
-`Tableau`: `certificate._ActiveSet` keeps its p + 1 active rows and their
-inverse, and scales and tests its rows by this module's rules.
+The certificate search's master LP, in p + 1 free variables, is not
+solved here: `certificate._ActiveSet` keeps its p + 1 active rows and
+their inverse, and scales and tests its rows by this module's rules.
 """
 
 from dataclasses import dataclass
@@ -123,8 +128,16 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
+def row_scales(a):
+    """The max |entry| of each row of a, or 1 where that is 0 (or NaN): the
+    divisor of a row and its right-hand side wherever rows are tested by
+    _TOL.  a is one row or a stack of rows."""
+    norm = np.abs(a).max(axis=-1, initial=0.0)
+    return np.fmax(norm, ~(norm > 0.0))
+
+
 def solve_lp(lp):
-    """Two-phase simplex on one `Tableau`; exact Optimal/Infeasible/
+    """Two-phase simplex on one dense tableau; exact Optimal/Infeasible/
     Unbounded trichotomy."""
     m = lp.c.shape[0]
     # tableau column k is sign[k] * y[col[k]]: a free y_j is x_j+ - x_j-,
@@ -144,155 +157,63 @@ def solve_lp(lp):
         return y
 
     a_eq = lp.a_eq[:, col] * sign
-    rows = np.vstack([lp.a_ub[:, col] * sign, a_eq, -a_eq])
-    rhs = np.concatenate([lp.b_ub, lp.b_eq, -lp.b_eq])
-    tab = Tableau(np.zeros(n), max_rows=len(rhs))
-    for a, b in zip(rows, rhs):
-        tab.add_row(a, b)
-    # phase 1: with zero costs every basis is dual feasible, so the dual
-    # simplex reaches a feasible basis or proves there is none
-    status = tab.dual_simplex()
-    if status == OPTIMAL:
-        tab.costs[1:n + 1] = lp.c[col] * sign
-        status, entering = tab.primal_simplex()
-    if status == ITERATION_LIMIT:
-        raise NumericalBreakdown("simplex iteration limit reached")
-    if status == INFEASIBLE:
+    a = np.vstack([lp.a_ub[:, col] * sign, a_eq, -a_eq])
+    b = np.concatenate([lp.b_ub, lp.b_eq, -lp.b_eq])
+    scales = row_scales(a)
+    T = np.hstack([(b / scales)[:, None], a / scales[:, None], np.eye(len(b))])
+    basis = np.arange(n + 1, T.shape[1])
+    if not _phase_1(T, basis):
         return LpOutcome(status=INFEASIBLE)
+    costs = np.zeros(T.shape[1])
+    costs[1:n + 1] = lp.c[col] * sign
+    reduced, entering = _phase_2(T, basis, costs)
 
-    x = tab.solution()
+    values = np.zeros(T.shape[1])
+    values[basis] = T[:, 0]
+    x = values[1:n + 1]
     x[np.abs(x) < 1e-13] = 0.0
     y = merged(x)
-    if status == UNBOUNDED:
+    if entering is not None:
         # the entering variable grows by one and the basic ones follow
-        step = np.zeros(1 + n + tab.m)
-        step[entering + 1] = 1.0
-        step[tab.basis[:tab.m]] = -tab.buf[:tab.m, entering + 1]
+        step = np.zeros(T.shape[1])
+        step[entering] = 1.0
+        step[basis] = -T[:, entering]
         return LpOutcome(status=UNBOUNDED, y=y, ray=merged(step[1:n + 1]))
-
+    # d(objective)/d(b) for each row's unscaled b: minus its slack's
+    # reduced cost over the row's scale
+    duals = -reduced[1 + n:] / scales
     return LpOutcome(status=OPTIMAL, y=y, objective=float(lp.c @ y),
-                     dual_ub=tab.duals()[:lp.a_ub.shape[0]])
+                     dual_ub=duals[:lp.a_ub.shape[0]])
 
 
-class Tableau:
-    """min c.x subject to rows a.x <= b appended one at a time, with x >= 0.
+def _phase_1(T, basis):
+    """The dual simplex on zero costs; False at a row that proves the LP
+    infeasible."""
+    for _ in range(_MAX_ITERS):
+        short = (T[:, 0] < -_TOL).nonzero()[0]
+        if not short.size:
+            return True
+        leave = short[basis[short].argmin()]
+        cand = (T[leave, 1:] < -_TOL).nonzero()[0]
+        if not cand.size:
+            return False
+        _pivot(T, basis, leave, cand[0] + 1)
+    raise NumericalBreakdown("simplex iteration limit reached")
 
-    Column 0 of the tableau holds the right-hand sides, columns 1..n the
-    variables x and column n + 1 + i the slack of row i.  Each basic
-    column is a unit vector with +0.0 off its row.  `add_row` makes the
-    new row's slack basic and reduces the row against the basis;
-    `dual_simplex` restores primal feasibility from a dual feasible basis,
-    and `primal_simplex` goes the other way, from a primal feasible basis.
-    Storage doubles when full, up to `max_rows` rows."""
 
-    def __init__(self, c, max_rows=10000):
-        self.n = len(c)
-        self.m = 0
-        self.max_rows = max_rows
-        self._grow(min(8, max_rows))
-        self.costs[1:self.n + 1] = c
-
-    def _grow(self, rows):
-        cols = 1 + self.n + rows
-        buf = np.zeros((rows, cols))
-        costs = np.zeros(cols)
-        basis = np.zeros(rows, dtype=int)
-        scales = np.ones(rows)
-        if self.m:
-            used = 1 + self.n + self.m
-            buf[:self.m, :used] = self.buf[:self.m, :used]
-            costs[:used] = self.costs[:used]
-            basis[:self.m] = self.basis[:self.m]
-            scales[:self.m] = self.scales[:self.m]
-        self.buf, self.costs = buf, costs
-        self.basis, self.scales = basis, scales
-
-    def _tableau(self):
-        return self.buf[:self.m, :1 + self.n + self.m]
-
-    def add_row(self, a, b):
-        """Append a.x <= b, scaled to unit max-norm, with its slack basic;
-        return its row index."""
-        if self.m == self.buf.shape[0]:
-            if self.m == self.max_rows:
-                raise DimensionMismatch(
-                    f"tableau holds at most {self.max_rows} rows")
-            self._grow(min(2 * self.m, self.max_rows))
-        a = np.asarray(a, dtype=float)
-        norm = abs(a).max(initial=0.0)
-        scale = norm if norm > 0.0 else 1.0
-        used = 2 + self.n + self.m        # the new slack is the last column
-        row = self.buf[self.m, :used]
-        row[0] = b / scale
-        np.divide(a, scale, out=row[1:self.n + 1])
-        row[-1] = 1.0
-        # only basic x columns can be nonzero in the raw row
-        basics = (self.basis[:self.m] <= self.n).nonzero()[0]
-        if basics.size:
-            cols = self.basis[basics]
-            row -= row[cols] @ self.buf[basics, :used]
-            row[cols] = 0.0
-        self.basis[self.m] = used - 1
-        self.scales[self.m] = scale
-        self.m += 1
-        return self.m - 1
-
-    def dual_simplex(self):
-        """Dual simplex from a dual feasible basis: the leaving row is the
-        infeasible one whose basic column has the lowest index, the
-        entering column the lowest-index one of least ratio.  Returns
-        OPTIMAL, INFEASIBLE (a row with no entering column) or
-        ITERATION_LIMIT."""
-        T = self._tableau()
-        basis = self.basis[:self.m]
-        costs = self.costs[:T.shape[1]]
-        for _ in range(_MAX_ITERS):
-            short = (T[:, 0] < -_TOL).nonzero()[0]
-            if not short.size:
-                return OPTIMAL
-            leave = short[basis[short].argmin()]
-            cand = (T[leave, 1:] < -_TOL).nonzero()[0] + 1
-            if not cand.size:
-                return INFEASIBLE
-            reduced = costs[cand] - costs[basis] @ T[:, cand]
-            ratios = np.maximum(reduced, 0.0, out=reduced) / -T[leave, cand]
-            enter = cand[(ratios <= ratios.min() + 1e-12).argmax()]
-            _pivot(T, basis, leave, enter)
-        return ITERATION_LIMIT
-
-    def primal_simplex(self):
-        """Primal simplex from a primal feasible basis, by Bland's rule:
-        the entering column is the lowest-index one of negative reduced
-        cost, the leaving row the minimum-ratio one whose basic column has
-        the lowest index.  Returns (OPTIMAL, None), (UNBOUNDED, j) with j
-        the entering variable that no row limits, or (ITERATION_LIMIT,
-        None)."""
-        T = self._tableau()
-        basis = self.basis[:self.m]
-        for _ in range(_MAX_ITERS):
-            improving = (self._reduced_costs()[1:] < -_TOL).nonzero()[0]
-            if not improving.size:
-                return OPTIMAL, None
-            enter = improving[0] + 1
-            rows = (T[:, enter] > _TOL).nonzero()[0]
-            if not rows.size:
-                return UNBOUNDED, enter - 1
-            ratios = T[rows, 0] / T[rows, enter]
-            ties = rows[ratios <= ratios.min() + 1e-12]
-            _pivot(T, basis, ties[np.argmin(basis[ties])], enter)
-        return ITERATION_LIMIT, None
-
-    def _reduced_costs(self):
-        T = self._tableau()
-        return self.costs[:T.shape[1]] - self.costs[self.basis[:self.m]] @ T
-
-    def duals(self):
-        """d(objective)/d(b) for each row's unscaled b: minus its slack's
-        reduced cost over the row's `add_row` scale."""
-        return -self._reduced_costs()[1 + self.n:] / self.scales[:self.m]
-
-    def solution(self):
-        """The basic solution's x."""
-        values = np.zeros(1 + self.n + self.m)
-        values[self.basis[:self.m]] = self.buf[:self.m, 0]
-        return values[1:self.n + 1]
+def _phase_2(T, basis, costs):
+    """The primal simplex by Bland's rule; the last reduced costs and the
+    entering column that no row limits (None at the optimum)."""
+    for _ in range(_MAX_ITERS):
+        reduced = costs - costs[basis] @ T
+        improving = (reduced[1:] < -_TOL).nonzero()[0]
+        if not improving.size:
+            return reduced, None
+        enter = improving[0] + 1
+        rows = (T[:, enter] > _TOL).nonzero()[0]
+        if not rows.size:
+            return reduced, enter
+        ratios = T[rows, 0] / T[rows, enter]
+        ties = rows[ratios <= ratios.min() + 1e-12]
+        _pivot(T, basis, ties[np.argmin(basis[ties])], enter)
+    raise NumericalBreakdown("simplex iteration limit reached")

@@ -8,15 +8,16 @@ import pytest
 import slemma
 from conftest import (p2to4_system, p3_system, random_p1_system,
                       random_psd_quadratic)
+from frozen_tableau import Tableau, solve_both
 from slemma import certificate as cert
 from slemma import geometry as geo
-from slemma import linprog, quadratic, search
+from slemma import quadratic, search
 from slemma.errors import DimensionMismatch, NotConverged, NumericalBreakdown
 from slemma.expr import parse
 from slemma.geometry import _random_quadratic as random_quadratic
 from slemma.implication import (UNDETERMINED, box_sample, classify_instance,
                                 find_counterexample)
-from slemma.linprog import OPTIMAL, LinearProgram, Tableau, solve_lp
+from slemma.linprog import OPTIMAL, LinearProgram, solve_lp
 from slemma.problem import load_problem
 from slemma.quadratic import (PSD_RTOL, QuadraticFunction, SymmetricEigen,
                               bordered_matrix)
@@ -822,12 +823,13 @@ def test_active_set_pivot_below_the_floor_is_numerical():
         master.reoptimize()
 
 
-# Reference copies: `eigen_sym`, `Tableau.add_row`, `Tableau.dual_simplex`
-# and `linprog._pivot` as they were before each was made leaner, which the
-# search's eigen calls and `solve_lp` must match bit for bit; and the
+# Reference copies: `eigen_sym` as it was before it was made leaner, which
+# the search's eigen calls must match bit for bit (`solve_lp` must match
+# the frozen tableau of frozen_tableau.py the same way); and the
 # cutting-plane search on the master tableau it kept before its active
-# set, with a free t column that never leaves the basis and the first
-# cut's basis set by `pivot`, an oracle for the search under test.
+# set, that frozen tableau with a free t column that never leaves the
+# basis and the first cut's basis set by `pivot`, an oracle for the
+# search under test.
 
 def reference_eigen_sym(A):
     A = np.array(A, dtype=float)
@@ -854,76 +856,6 @@ def reference_min_eigenvalue(A):
     return float(decomp.eigenvalues[0]), decomp.eigenvectors[:, 0].copy()
 
 
-def reference_pivot(T, basis, row, col):
-    piv = T[row, col]
-    if abs(piv) < linprog._PIVOT_MIN:
-        raise NumericalBreakdown(
-            f"pivot {piv:.3e} below {linprog._PIVOT_MIN:.0e}; rescale the input"
-        )
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T[row, :] /= piv
-    T -= np.outer(factors, T[row, :])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
-
-
-class ReferenceTableau(Tableau):
-    def __init__(self, c, free=(), max_rows=10000):
-        super().__init__(c, max_rows=max_rows)
-        self.is_free = np.zeros(1 + self.n + max_rows, dtype=bool)
-        self.is_free[[j + 1 for j in free]] = True
-
-    def add_row(self, a, b):
-        if self.m == self.buf.shape[0]:
-            if self.m == self.max_rows:
-                raise DimensionMismatch(
-                    f"tableau holds at most {self.max_rows} rows")
-            self._grow(min(2 * self.m, self.max_rows))
-        a = np.asarray(a, dtype=float)
-        norm = np.abs(a).max(initial=0.0)
-        scale = norm if norm > 0.0 else 1.0
-        used = 2 + self.n + self.m        # the new slack is the last column
-        row = self.buf[self.m, :used]
-        row[0] = b / scale
-        row[1:self.n + 1] = a / scale
-        row[-1] = 1.0
-        # only basic x columns can be nonzero in the raw row
-        basics = (self.basis[:self.m] <= self.n).nonzero()[0]
-        if basics.size:
-            cols = self.basis[basics]
-            row -= row[cols] @ self.buf[basics, :used]
-            row[cols] = 0.0
-        self.basis[self.m] = used - 1
-        self.scales[self.m] = scale
-        self.m += 1
-        return self.m - 1
-
-    def pivot(self, row, j):
-        reference_pivot(self._tableau(), self.basis, row, j + 1)
-
-    def dual_simplex(self):
-        _REFERENCE_CALLS["dual_simplex"] += 1
-        T = self._tableau()
-        basis = self.basis[:self.m]
-        costs = self.costs[:T.shape[1]]
-        for _ in range(linprog._MAX_ITERS):
-            short = ((T[:, 0] < -linprog._TOL)
-                     & ~self.is_free[basis]).nonzero()[0]
-            if not short.size:
-                return OPTIMAL
-            leave = short[np.argmin(basis[short])]
-            cand = (T[leave, 1:] < -linprog._TOL).nonzero()[0] + 1
-            if not cand.size:
-                return linprog.INFEASIBLE
-            reduced = costs[cand] - costs[basis] @ T[:, cand]
-            ratios = np.maximum(reduced, 0.0) / -T[leave, cand]
-            enter = cand[(ratios <= ratios.min() + 1e-12).argmax()]
-            reference_pivot(T, basis, leave, enter)
-        return linprog.ITERATION_LIMIT
-
-
 def reference_find_certificate_general(system, iters=2000, seed=0,
                                        tol=PSD_RTOL):
     if not system.is_quadratic:
@@ -937,8 +869,8 @@ def reference_find_certificate_general(system, iters=2000, seed=0,
         cert.ALPHA_MAX * sum(np.max(np.abs(B)) for B in borders)
     # variables (alpha, t), t free: maximize t under alpha_i <= ALPHA_MAX
     # and the cuts
-    master = ReferenceTableau(np.concatenate([np.zeros(p), [-1.0]]),
-                              free=[p], max_rows=p + iters)
+    master = Tableau(np.concatenate([np.zeros(p), [-1.0]]), free=[p],
+                     max_rows=p + iters)
     for i in range(p):
         master.add_row(np.eye(p + 1)[i], cert.ALPHA_MAX)
     # cut k: g(a) <= lams[k] + slopes[k].(a - points[k])
@@ -987,11 +919,6 @@ def reference_find_certificate_general(system, iters=2000, seed=0,
 
 
 _REFERENCE_CALLS = Counter()
-
-
-def _raw(v):
-    return None if v is None else (np.asarray(v).dtype.str,
-                                   np.asarray(v).tobytes())
 
 
 def _reference_systems():
@@ -1051,10 +978,11 @@ def test_search_matches_the_tableau_search(monkeypatch):
 @pytest.mark.filterwarnings("error")
 def test_eigen_sym_and_solve_lp_match_the_reference_copies_bit_for_bit(
         monkeypatch):
-    # eigen_sym, add_row, dual_simplex and _pivot were made leaner without
-    # changing a floating-point operation: each matrix a search decomposes
-    # gives the reference copy's bits, and so does solve_lp on each
-    # search's last master LP, with the same final basis
+    # eigen_sym was made leaner, and solve_lp rebuilt on one tableau,
+    # without changing a floating-point operation: each matrix a search
+    # decomposes gives the reference copy's bits, and solve_lp on each
+    # search's last master LP gives the frozen tableau's, with the same
+    # final basis and pivot count
     eigen_sym = quadratic.eigen_sym
     counts = Counter()
 
@@ -1064,23 +992,6 @@ def test_eigen_sym_and_solve_lp_match_the_reference_copies_bit_for_bit(
         assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
         assert got.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
         return got
-
-    def solved(lp, reference):
-        tableaus = []
-
-        class Recorded(ReferenceTableau if reference else Tableau):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                tableaus.append(self)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(linprog, "Tableau", Recorded)
-            if reference:
-                patch.setattr(linprog, "_pivot", reference_pivot)
-            out = solve_lp(lp)
-        (tab,) = tableaus
-        return (out.status, _raw(out.y), _raw(out.objective),
-                _raw(out.dual_ub), tab.basis[:tab.m].tolist())
 
     rows = _record_master_rows(monkeypatch)
     monkeypatch.setattr(quadratic, "eigen_sym", compared_eigen_sym)
@@ -1093,7 +1004,7 @@ def test_eigen_sym_and_solve_lp_match_the_reference_copies_bit_for_bit(
         A = np.array([g for g, _ in rows])
         lp = LinearProgram(-np.eye(A.shape[1])[-1], a_ub=A,
                            b_ub=[h for _, h in rows], free=range(A.shape[1]))
-        assert solved(lp, True) == solved(lp, False), name
+        solve_both(lp)
         solves += 1
     assert counts["eigen_sym"] >= 900 and solves >= 150
 

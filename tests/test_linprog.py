@@ -1,14 +1,19 @@
+import io
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slemma
 from conftest import brute_force_boxed_lp, solve_boxed_lp
-from slemma import linprog
+from frozen_tableau import raw, solve_both
+from slemma import farkas, linprog
 from slemma import geometry as geo
-from slemma.errors import DimensionMismatch, NumericalBreakdown
+from slemma.cli import main as cli_main
+from slemma.errors import DimensionMismatch
 from slemma.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                            Tableau, solve_lp)
+                            solve_lp)
 
 
 def test_simple_maximization():
@@ -199,51 +204,6 @@ def test_status_stable_under_row_permutation():
             assert out1.objective == pytest.approx(out2.objective, abs=1e-9)
 
 
-def test_dual_simplex_on_appended_rows_matches_vertex_enumeration():
-    # random boxed LPs in at most 4 variables, one row at a time: y = lo + x
-    # with 0 <= x <= up - lo, starting from the box corner that minimizes c
-    # (optimal, so dual feasible); after each appended row the dual
-    # simplex must reach the brute-force optimum, or report infeasible
-    rng = np.random.default_rng(1618)
-    optimal = infeasible = 0
-    for _ in range(100):
-        m = int(rng.integers(1, 5))
-        c = rng.uniform(-1, 1, m)
-        A = rng.uniform(-1, 1, (12, m))
-        b = rng.uniform(-0.3, 1, 12)
-        lo = rng.uniform(-2, 0, m)
-        up = rng.uniform(0, 2, m)
-        tab = Tableau(c)
-        for j in range(m):
-            tab.add_row(np.eye(m)[j], up[j] - lo[j])
-        for j in np.flatnonzero(c < 0):
-            linprog._pivot(tab._tableau(), tab.basis, j, j + 1)
-        assert tab.dual_simplex() == OPTIMAL
-        for k in range(A.shape[0]):
-            tab.add_row(A[k], b[k] - A[k] @ lo)
-            status = tab.dual_simplex()
-            expected, obj = brute_force_boxed_lp(c, A[:k + 1], b[:k + 1],
-                                                 lo, up)
-            assert status == expected
-            if status == INFEASIBLE:
-                infeasible += 1
-                break
-            optimal += 1
-            x = tab.solution()
-            assert c @ (lo + x) == pytest.approx(obj, abs=1e-7)
-            assert np.all(A[:k + 1] @ (lo + x) <= b[:k + 1] + 1e-9)
-            assert np.all(x >= -1e-9) and np.all(lo + x <= up + 1e-9)
-    assert optimal > 500 and infeasible > 20
-
-
-def test_tableau_row_cap():
-    tab = Tableau([1.0], max_rows=2)
-    tab.add_row([1.0], 1.0)
-    tab.add_row([-1.0], 0.0)
-    with pytest.raises(DimensionMismatch):
-        tab.add_row([1.0], 2.0)
-
-
 def test_scale_guard(monkeypatch):
     # one cap on the entries of solve_lp's tableau: a row per inequality,
     # two per equality, and a column per row, per variable (two when
@@ -267,130 +227,8 @@ def test_scale_guard(monkeypatch):
             LinearProgram(**lp)
 
 
-# Reference copies: solve_lp with y = shift @ x over a dense shift matrix
-# and its tableau built one add_row at a time, and the pivot that updates
-# every column.  solve_lp and `_pivot` must give the same bits.
-
-def add_row_loop(c, a, b):
-    """solve_lp's tableau built by add_row, one row at a time."""
-    tab = linprog.Tableau(c, max_rows=len(b))
-    for row, rhs in zip(a, b):
-        tab.add_row(row, rhs)
-    return tab
-
-
-def dense_shift_solve_lp(lp):
-    """solve_lp with y = shift @ x, shift a dense (variables x columns)
-    matrix."""
-    m = lp.c.shape[0]
-    # y = shift @ x: a free y_j is x_j+ - x_j-, in adjacent columns
-    cols = [(j, sign) for j in range(m)
-            for sign in ((1.0, -1.0) if j in lp.free else (1.0,))]
-    n = len(cols)
-    shift = np.zeros((m, n))
-    for k, (j, sign) in enumerate(cols):
-        shift[j, k] = sign
-    a_eq = lp.a_eq @ shift
-    a = np.vstack([lp.a_ub @ shift, a_eq, -a_eq])
-    b = np.concatenate([lp.b_ub, lp.b_eq, -lp.b_eq])
-    tab = add_row_loop(np.zeros(n), a, b)
-    # phase 1: with zero costs every basis is dual feasible, so the dual
-    # simplex reaches a feasible basis or proves there is none
-    status = tab.dual_simplex()
-    if status == OPTIMAL:
-        tab.costs[1:n + 1] = lp.c @ shift
-        status, entering = tab.primal_simplex()
-    if status == linprog.ITERATION_LIMIT:
-        raise NumericalBreakdown("simplex iteration limit reached")
-    if status == INFEASIBLE:
-        return linprog.LpOutcome(status=INFEASIBLE)
-
-    x = tab.solution()
-    x[np.abs(x) < 1e-13] = 0.0
-    y = shift @ x
-    if status == UNBOUNDED:
-        # the entering variable grows by one and the basic ones follow
-        step = np.zeros(1 + n + tab.m)
-        step[entering + 1] = 1.0
-        step[tab.basis[:tab.m]] = -tab.buf[:tab.m, entering + 1]
-        return linprog.LpOutcome(status=UNBOUNDED, y=y,
-                                 ray=shift @ step[1:n + 1])
-
-    return linprog.LpOutcome(status=OPTIMAL, y=y, objective=float(lp.c @ y),
-                             dual_ub=tab.duals()[:lp.a_ub.shape[0]])
-
-
-def pivot_full_row(T, basis, row, col):
-    """The pivot that updates every column of T."""
-    piv = T[row, col]
-    if abs(piv) < linprog._PIVOT_MIN:
-        raise NumericalBreakdown(f"pivot {piv:.3e}")
-    T[row, :] /= piv
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row, :])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
-
-
-_PIVOT = linprog._pivot
-
-
-class _Recorded:
-    """Routes the pivots through the reference copy or the code under
-    test, counting them, and keeps every tableau built from
-    `linprog.Tableau` through a recording subclass."""
-
-    def __init__(self, reference):
-        self.pivot = pivot_full_row if reference else _PIVOT
-        self.pivots = 0
-        self.tableaus = []
-
-    def __enter__(self):
-        tableaus = self.tableaus
-
-        class Recorded(Tableau):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                tableaus.append(self)
-
-        self.patch = pytest.MonkeyPatch()
-        self.patch.setattr(linprog, "_pivot", self._pivot)
-        self.patch.setattr(linprog, "Tableau", Recorded)
-        return self
-
-    def __exit__(self, *exc):
-        self.patch.undo()
-
-    def _pivot(self, *args):
-        self.pivots += 1
-        self.pivot(*args)
-
-
-def _raw(v):
-    if v is None:
-        return None
-    v = np.asarray(v)
-    return v.dtype.str, v.shape, v.tobytes()
-
-
-def _solve_both(lp):
-    """solve_lp's outcome under the reference copies and under the code
-    under test: the same status, the same dtype, shape and bytes in y,
-    objective, dual_ub and ray, the same final basis and the same number
-    of pivots."""
-    runs = []
-    for reference in (True, False):
-        with _Recorded(reference) as rec:
-            out = (dense_shift_solve_lp if reference else solve_lp)(lp)
-        (tab,) = rec.tableaus
-        runs.append((out.status, _raw(out.y), _raw(out.objective),
-                     _raw(out.dual_ub), _raw(out.ray),
-                     tab.basis[:tab.m].tolist(), rec.pivots))
-    assert runs[0] == runs[1]
-    return runs[1]
-
+# solve_lp must give the bits of the frozen tableau in frozen_tableau.py,
+# built one add_row at a time with pivots that update every column
 
 def _padded(lp, rows, rng):
     """lp with `rows` more inequalities, each a nonnegative combination of
@@ -416,15 +254,19 @@ TALL = [0, 90]
 def test_random_lps_match_the_add_row_loop_and_full_pivots(pad):
     # no columns: y is still an empty float64 array, and a row 0 <= -1
     # makes the LP infeasible
-    assert _solve_both(LinearProgram(c=[]))[0] == OPTIMAL
-    assert _solve_both(LinearProgram(c=[], a_ub=np.zeros((2, 0)),
+    assert solve_both(LinearProgram(c=[]))[0] == OPTIMAL
+    assert solve_both(LinearProgram(c=[], a_ub=np.zeros((2, 0)),
                                      b_ub=[1.0, -1.0]))[0] == INFEASIBLE
     # y_0 is basic with a 0.0 in the entering column of y_1, so the ray's
     # first entry is -(0.0) before it is summed, and +0.0 after, as the
     # dense product gave
-    status, _, _, _, ray, _, _ = _solve_both(LinearProgram(
+    status, _, _, _, ray, _, _ = solve_both(LinearProgram(
         c=[-1.0, -1.0], a_ub=[[1.0, 0.0]], b_ub=[1.0]))
     assert status == UNBOUNDED and ray[2] == np.array([0.0, 1.0]).tobytes()
+    # two rows tie in the ratio test: the one of lowest basic index leaves
+    status, _, _, _, _, basis, _ = solve_both(LinearProgram(
+        c=[-1.0], a_ub=[[1.0], [1.0]], b_ub=[1.0, 1.0]))
+    assert status == OPTIMAL and basis == [1, 3]
     empty = solve_lp(LinearProgram(c=[]))
     assert empty.y.dtype == np.float64 and empty.y.shape == (0,)
     rng = np.random.default_rng(5150)
@@ -441,7 +283,7 @@ def test_random_lps_match_the_add_row_loop_and_full_pivots(pad):
             b_eq=rng.uniform(-1, 1, e) if e else None,
             free=np.flatnonzero(rng.uniform(size=m) < 0.3))
         tall = _padded(lp, pad, pad_rng)
-        status, _, objective, _, _, basis, _ = _solve_both(tall)
+        status, _, objective, _, _, basis, _ = solve_both(tall)
         assert len(basis) >= pad
         if pad:
             out = solve_lp(lp)
@@ -489,10 +331,39 @@ def test_separator_lps_match_the_add_row_loop_and_full_pivots(dominated):
                 pad_rng.uniform(0.01, 1.0, (dominated, dim))
             wide = _separator_lp(np.vstack([Z, above]))
             for name in ("c", "a_ub", "b_ub", "a_eq", "b_eq", "free"):
-                assert _raw(getattr(wide, name)) == _raw(getattr(lp, name))
+                assert raw(getattr(wide, name)) == raw(getattr(lp, name))
             lp = wide
-        status, _, objective, _, _, basis, pivots = _solve_both(lp)
+        status, _, objective, _, _, basis, pivots = solve_both(lp)
         assert status == OPTIMAL and len(basis) == dim + 2
         assert pivots >= dim
         signs[bool(np.frombuffer(objective[2])[0] >= 0)] += 1
     assert signs[True] and signs[False]
+
+
+def test_corpus_lps_match_the_add_row_loop_and_full_pivots(monkeypatch):
+    # every LP that classify, geometry, certificate --method separation
+    # and farkas solve on the 16 corpus files: each cloud's hull LP with
+    # its separator's dual, and the linear alternatives
+    corpus = Path(slemma.__file__).parent / "corpus"
+    files = sorted(path for path in corpus.glob("*.json")
+                   if path.name != "expected_verdicts.json")
+    commands = {"classify": [], "geometry": [],
+                "certificate": ["--method", "separation"], "farkas": []}
+    lps = []
+    real = linprog.solve_lp
+
+    def recorded(lp):
+        lps.append((command, lp))
+        return real(lp)
+
+    monkeypatch.setattr(geo, "solve_lp", recorded)
+    monkeypatch.setattr(farkas, "solve_lp", recorded)
+    for command, flags in commands.items():
+        for path in files:
+            cli_main([command, str(path), *flags], out=io.StringIO(),
+                     err=io.StringIO())
+    monkeypatch.undo()
+    for _, lp in lps:
+        solve_both(lp)
+    assert len(files) == 16 and len(lps) == 45
+    assert Counter(command for command, _ in lps).keys() == commands.keys()
