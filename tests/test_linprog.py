@@ -204,6 +204,44 @@ def test_status_stable_under_row_permutation():
             assert out1.objective == pytest.approx(out2.objective, abs=1e-9)
 
 
+def test_dual_simplex_on_appended_rows_matches_vertex_enumeration():
+    # random boxed LPs in at most 4 variables, grown one row at a time: on
+    # y = lo + x the right-hand sides b - A lo go negative, so phase 1's
+    # dual simplex pivots before phase 2 starts; after each appended row
+    # solve_lp must reach the brute-force optimum, or report infeasible
+    rng = np.random.default_rng(1618)
+    optimal = infeasible = 0
+    for _ in range(100):
+        m = int(rng.integers(1, 5))
+        c = rng.uniform(-1, 1, m)
+        A = rng.uniform(-1, 1, (12, m))
+        b = rng.uniform(-0.3, 1, 12)
+        lo = rng.uniform(-2, 0, m)
+        up = rng.uniform(0, 2, m)
+        for k in range(A.shape[0]):
+            out = solve_boxed_lp(c, A[:k + 1], b[:k + 1], lo, up)
+            expected, obj = brute_force_boxed_lp(c, A[:k + 1], b[:k + 1],
+                                                 lo, up)
+            assert out.status == expected
+            if out.status == INFEASIBLE:
+                infeasible += 1
+                break
+            optimal += 1
+            assert out.objective == pytest.approx(obj, abs=1e-7)
+            assert np.all(A[:k + 1] @ out.y <= b[:k + 1] + 1e-9)
+            assert np.all(out.y >= lo - 1e-9) and np.all(out.y <= up + 1e-9)
+    assert optimal > 500 and infeasible > 20
+
+
+def test_row_scales():
+    # each row's max |entry|, 1 for a zero or NaN row, on one row or a
+    # stack of them
+    a = np.array([[3.0, -4.0], [0.0, 0.0], [np.nan, 0.0], [-0.5, 0.25]])
+    assert linprog.row_scales(a).tolist() == [4.0, 1.0, 1.0, 0.5]
+    assert linprog.row_scales(a[0]) == 4.0
+    assert linprog.row_scales(np.zeros((2, 0))).tolist() == [1.0, 1.0]
+
+
 def test_scale_guard(monkeypatch):
     # one cap on the entries of solve_lp's tableau: a row per inequality,
     # two per equality, and a column per row, per variable (two when
